@@ -50,8 +50,9 @@ impl Fnv {
 /// Checksums everything the simulation *means*: runtime, every counter,
 /// and per-frame scalar deltas plus the dense per-tile activity grids.
 ///
-/// Host-side fields (`host_seconds`, `host_phase_ns`, `host_threads`,
-/// `host_state_bytes`) are deliberately excluded — they vary run to run
+/// Host-side fields (`host_seconds`, `host_phase_ns`,
+/// `host_router_visits`, `host_threads`, `host_state_bytes`) are
+/// deliberately excluded — they vary run to run
 /// without any simulated-behavior change.
 pub fn trace_checksum(result: &SimResult, total_tiles: u32) -> u64 {
     let mut h = Fnv::new();

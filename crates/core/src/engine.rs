@@ -39,6 +39,8 @@ pub struct Simulation<A: Application> {
     /// [`Simulation::with_subscriber`] (tests, embedding hosts), fed by
     /// the same sample stream as the configured file subscribers.
     subscribers: Vec<Box<dyn muchisim_telemetry::Subscriber>>,
+    /// Test hook, see [`Simulation::forget_stall_memos_every_cycle`].
+    forget_stall_memos: bool,
 }
 
 impl<A: Application> Simulation<A> {
@@ -83,6 +85,7 @@ impl<A: Application> Simulation<A> {
             stop_at_limit: false,
             boundaries: None,
             subscribers: Vec::new(),
+            forget_stall_memos: false,
         })
     }
 
@@ -98,6 +101,16 @@ impl<A: Application> Simulation<A> {
     /// `sample_every` cadence.
     pub fn with_subscriber(mut self, subscriber: Box<dyn muchisim_telemetry::Subscriber>) -> Self {
         self.subscribers.push(subscriber);
+        self
+    }
+
+    /// Test hook: drops every router's stall memo before every NoC step,
+    /// so each stalled visit runs the full evaluation. Results, snapshots
+    /// and checksums must not depend on it (only
+    /// [`SimResult::host_router_visits`] and host time do).
+    #[doc(hidden)]
+    pub fn forget_stall_memos_every_cycle(mut self) -> Self {
+        self.forget_stall_memos = true;
         self
     }
 
@@ -157,6 +170,9 @@ impl<A: Application> Simulation<A> {
             self.boundaries.as_deref(),
             spill,
         );
+        for w in &mut setup.workers {
+            w.forget_stall_memos = self.forget_stall_memos;
+        }
         let resume = match &snap {
             Some(data) => {
                 validate_snapshot(&self.cfg, &self.app, data)?;
@@ -357,6 +373,8 @@ pub(crate) struct Worker<A: Application> {
     /// built-in phase profiler; merged across workers into
     /// [`SimResult::host_phase_ns`]).
     pub phase: HostPhaseNs,
+    /// Test hook: forget every stall memo before every NoC step.
+    pub forget_stall_memos: bool,
     /// Worklist of tiles that can act: pending init or IQ work, queued CQ
     /// messages, or an open scripted-send timetable. Tiles activate on
     /// kernel start and on packet delivery (`IqSink::offer`), and are
@@ -466,6 +484,7 @@ impl<A: Application> Worker<A> {
             },
             sends: Vec::new(),
             phase: HostPhaseNs::default(),
+            forget_stall_memos: false,
             active,
         }
     }
@@ -857,6 +876,9 @@ impl<A: Application> Worker<A> {
             active: &mut self.active,
         };
         for (shard, shared) in shards.iter_mut().zip(shareds) {
+            if self.forget_stall_memos {
+                shard.forget_stall_memos();
+            }
             shard.step(shared, cycle, &mut sink);
         }
         self.phase.net += t0.elapsed().as_nanos() as u64;
@@ -1537,9 +1559,11 @@ pub(crate) fn finish<A: Application>(
         }
     }
     let mut noc_latency = muchisim_noc::LatencyStats::default();
+    let mut host_router_visits = muchisim_noc::RouterVisits::default();
     for n in &networks {
         counters.noc.merge(&n.counters());
         noc_latency.merge(&n.latency());
+        host_router_visits.merge(&n.router_visits());
     }
     // footprint telemetry, measured before the tile states are drained
     let host_state_bytes = workers.iter().map(|w| w.state_bytes(app)).sum::<u64>()
@@ -1582,6 +1606,7 @@ pub(crate) fn finish<A: Application>(
         noc_latency,
         host_seconds: host_started.elapsed().as_secs_f64(),
         host_phase_ns,
+        host_router_visits,
         host_threads: threads,
         total_tiles: total as u64,
         host_state_bytes,

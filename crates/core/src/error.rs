@@ -62,6 +62,15 @@ pub enum SimError {
         /// Description of the I/O failure.
         String,
     ),
+    /// A worker thread panicked (an application task, or a broken
+    /// simulator invariant). Its peers were released from the cycle
+    /// barrier and the run was abandoned; there is no partial result.
+    WorkerPanic {
+        /// Index of the first worker that panicked.
+        worker: usize,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -89,6 +98,9 @@ impl fmt::Display for SimError {
             SimError::Snapshot(why) => write!(f, "snapshot failed: {why}"),
             SimError::Ward(report) => write!(f, "{report}"),
             SimError::Telemetry(why) => write!(f, "telemetry stream failed: {why}"),
+            SimError::WorkerPanic { worker, message } => {
+                write!(f, "worker {worker} panicked: {message}")
+            }
         }
     }
 }
@@ -136,6 +148,11 @@ mod tests {
         assert!(SimError::Telemetry("no space".into())
             .to_string()
             .contains("telemetry stream failed"));
+        let panic = SimError::WorkerPanic {
+            worker: 3,
+            message: "index out of bounds".into(),
+        };
+        assert_eq!(panic.to_string(), "worker 3 panicked: index out of bounds");
     }
 
     #[test]

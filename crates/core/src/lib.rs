@@ -88,7 +88,7 @@ pub use engine::Simulation;
 pub use error::SimError;
 pub use frames::{read_spill_jsonl, Frame, FrameLog, FrameSink, FrameSpill};
 pub use horizon::EventHorizon;
-pub use muchisim_noc::{LatencyStats, Payload, ReduceOp};
+pub use muchisim_noc::{LatencyStats, Payload, ReduceOp, RouterVisits};
 pub use muchisim_telemetry::{MemorySubscriber, MetricsSample, Subscriber, WardTrip};
 pub use tile::{HostPhaseNs, SimResult};
 pub use ward::{TileDiag, WardReport};

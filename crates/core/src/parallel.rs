@@ -51,13 +51,22 @@ use std::time::Instant;
 /// merged report is truncated to the same count).
 const DIAG_TILES: usize = 8;
 
+/// A peer worker panicked: the barrier will never fill again, leave the
+/// cycle loop.
+struct Poisoned;
+
 /// A sense-reversing centralized spin barrier.
 ///
 /// The last thread to arrive may run a closure (the "leader action")
 /// before releasing the others — used for the global stop decision.
+///
+/// A worker that unwinds [`SpinBarrier::poison`]s the barrier; waiters
+/// see the flag in their spin loop and return [`Poisoned`] instead of
+/// waiting for an arrival that will never come.
 struct SpinBarrier {
     count: AtomicUsize,
     sense: AtomicBool,
+    poisoned: AtomicBool,
     n: usize,
 }
 
@@ -66,15 +75,22 @@ impl SpinBarrier {
         SpinBarrier {
             count: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
             n,
         }
     }
 
-    fn wait(&self, local_sense: &mut bool) {
-        self.wait_leader(local_sense, || {});
+    /// Releases every current and future waiter with [`Poisoned`].
+    fn poison(&self) {
+        // publishes nothing but itself: waiters only leave their loop
+        self.poisoned.store(true, Ordering::Relaxed);
     }
 
-    fn wait_leader<F: FnOnce()>(&self, local_sense: &mut bool, leader: F) {
+    fn wait(&self, local_sense: &mut bool) -> Result<(), Poisoned> {
+        self.wait_leader(local_sense, || {})
+    }
+
+    fn wait_leader<F: FnOnce()>(&self, local_sense: &mut bool, leader: F) -> Result<(), Poisoned> {
         let target = !*local_sense;
         *local_sense = target;
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -84,6 +100,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.sense.load(Ordering::Acquire) != target {
+                if self.poisoned.load(Ordering::Relaxed) {
+                    return Err(Poisoned);
+                }
                 spins += 1;
                 if spins < 1 << 14 {
                     std::hint::spin_loop();
@@ -92,7 +111,17 @@ impl SpinBarrier {
                 }
             }
         }
+        Ok(())
     }
+}
+
+/// Renders a panic payload (what `panic!` carried) as text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Shared synchronization state for the worker threads.
@@ -325,59 +354,66 @@ pub(crate) fn drive<A: Application>(
             }
         }
         let final_cycle = AtomicU64::new(0);
+        // the first worker to unwind, as `(worker, panic message)`
+        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
+        // Runs one worker's loop to its end. A panic anywhere inside it
+        // (an app task, a broken invariant) is caught here, recorded, and
+        // poisons the barrier so the peers leave their loops too instead
+        // of spinning for an arrival that will never come.
+        let run_worker = |widx: usize, worker: &mut Worker<A>, shards: Vec<&mut Shard>| {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                worker_loop(
+                    worker,
+                    shards,
+                    &shareds,
+                    app,
+                    &sync,
+                    &final_cycle,
+                    kernels,
+                    cycle_limit,
+                    termination,
+                    leap,
+                    widx,
+                    nworkers,
+                    resume,
+                    ckpt.as_ref(),
+                    telem.as_ref(),
+                )
+            }));
+            if let Err(payload) = outcome {
+                sync.barrier.poison();
+                panicked
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .get_or_insert_with(|| (widx, panic_message(payload.as_ref())));
+            }
+        };
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
             let mut rest = per_worker;
             let my_shards = rest.remove(0);
             let (first_worker, rest_workers) =
                 workers.split_first_mut().expect("at least one worker");
-            for (widx, (worker, shards)) in rest_workers.iter_mut().zip(rest).enumerate() {
-                let shareds = shareds.clone();
-                let sync = &sync;
-                let final_cycle = &final_cycle;
-                let ckpt = ckpt.as_ref();
-                let telem = telem.as_ref();
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        worker,
-                        shards,
-                        &shareds,
-                        app,
-                        sync,
-                        final_cycle,
-                        kernels,
-                        cycle_limit,
-                        termination,
-                        leap,
-                        widx + 1,
-                        nworkers,
-                        resume,
-                        ckpt,
-                        telem,
-                    );
-                }));
-            }
-            worker_loop(
-                first_worker,
-                my_shards,
-                &shareds,
-                app,
-                &sync,
-                &final_cycle,
-                kernels,
-                cycle_limit,
-                termination,
-                leap,
-                0,
-                nworkers,
-                resume,
-                ckpt.as_ref(),
-                telem.as_ref(),
-            );
+            let run_worker = &run_worker;
+            let handles: Vec<_> = rest_workers
+                .iter_mut()
+                .zip(rest)
+                .enumerate()
+                .map(|(i, (worker, shards))| scope.spawn(move || run_worker(i + 1, worker, shards)))
+                .collect();
+            run_worker(0, first_worker, my_shards);
             for h in handles {
-                h.join().expect("worker thread panicked");
+                h.join()
+                    .expect("worker panics are caught inside the thread");
             }
         });
+        if let Some((worker, message)) = panicked
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            // the workers' state is torn mid-cycle: no result to assemble
+            // (the telemetry hub closes its stream when dropped)
+            return Err(SimError::WorkerPanic { worker, message });
+        }
         runtime_cycles = final_cycle.load(Ordering::Acquire);
     }
     // telemetry teardown: close the subscriber stream, then surface a
@@ -484,7 +520,7 @@ fn worker_loop<A: Application>(
     resume: Option<ResumeState>,
     ckpt: Option<&CheckpointState>,
     telem: Option<&TelemetryState>,
-) {
+) -> Result<(), Poisoned> {
     let mut sense = false;
     // on resume the restored kernel's state is already in place, so the
     // loop re-enters at the snapshot cycle without a fresh start_kernel
@@ -522,13 +558,13 @@ fn worker_loop<A: Application>(
                 if let Some(c) = ckpt {
                     take_checkpoint(
                         worker, app, &shards, sync, c, kernel, cycle, base, &mut sense, widx,
-                    );
+                    )?;
                     next_snap = (cycle / c.every + 1) * c.every;
                 }
             }
             worker.pu_phase(app, cycle);
             worker.inject_phase(&mut shards, shareds, cycle);
-            sync.barrier.wait(&mut sense);
+            sync.barrier.wait(&mut sense)?;
             // step phase
             worker.net_step(&mut shards, shareds, cycle);
             worker.frame_tick(&mut shards, cycle);
@@ -640,7 +676,7 @@ fn worker_loop<A: Application>(
                         t.hub.publish(sample);
                     }
                 }
-            });
+            })?;
             if sync.stop.load(Ordering::Acquire) {
                 break;
             }
@@ -659,7 +695,7 @@ fn worker_loop<A: Application>(
         worker.close_kernel_frame(&mut shards, cycle);
         // publish this worker's PU tail and compute the kernel barrier
         sync.max_pu_fs[widx].store(worker.max_pu_fs, Ordering::Release);
-        sync.barrier.wait(&mut sense);
+        sync.barrier.wait(&mut sense)?;
         let drained = sync.drained_cycle.load(Ordering::Acquire);
         let max_pu_fs = (0..nworkers)
             .map(|i| sync.max_pu_fs[i].load(Ordering::Acquire))
@@ -670,7 +706,7 @@ fn worker_loop<A: Application>(
         sync.barrier.wait_leader(&mut sense, || {
             sync.stop.store(false, Ordering::Release);
             final_cycle.store(base, Ordering::Release);
-        });
+        })?;
         // a tripped ward ends the run here: every worker contributes its
         // queue diagnostics (slow path, only after a trip) and bails out
         // of the kernel sequence together
@@ -678,13 +714,14 @@ fn worker_loop<A: Application>(
             if t.tripped.load(Ordering::Acquire) {
                 *t.diags[widx].lock().expect("telemetry diag lock") =
                     worker.telemetry_diag(&shards, DIAG_TILES);
-                return;
+                return Ok(());
             }
         }
         if sync.limit_hit.load(Ordering::Acquire) {
-            return;
+            return Ok(());
         }
     }
+    Ok(())
 }
 
 /// One synchronized snapshot: every worker encodes its chunk, then the
@@ -705,7 +742,7 @@ fn take_checkpoint<A: Application>(
     base: u64,
     sense: &mut bool,
     widx: usize,
-) {
+) -> Result<(), Poisoned> {
     {
         let mut buf = ckpt.chunks[widx].lock().expect("checkpoint chunk lock");
         // clear() keeps the capacity: snapshot N+1 reuses snapshot N's
@@ -745,5 +782,5 @@ fn take_checkpoint<A: Application>(
         ) {
             ckpt.record_error(why);
         }
-    });
+    })
 }

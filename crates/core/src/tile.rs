@@ -148,6 +148,12 @@ pub struct SimResult {
     /// Host nanoseconds by driver phase, summed across workers (the
     /// built-in phase profiler; see [`HostPhaseNs`]).
     pub host_phase_ns: HostPhaseNs,
+    /// What the NoC sweep did with its router visits, summed across
+    /// shards and planes (host-side ledger, excluded from checksums and
+    /// snapshots like `host_phase_ns`; a resumed run counts from its
+    /// snapshot on).
+    #[serde(default)]
+    pub host_router_visits: muchisim_noc::RouterVisits,
     /// Host threads used.
     pub host_threads: usize,
     /// Tiles simulated.
@@ -296,6 +302,7 @@ mod tests {
             noc_latency: muchisim_noc::LatencyStats::default(),
             host_seconds: 0.01,
             host_phase_ns: HostPhaseNs::default(),
+            host_router_visits: Default::default(),
             host_threads: 1,
             total_tiles: 16,
             host_state_bytes: 4096,

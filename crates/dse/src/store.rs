@@ -177,6 +177,7 @@ pub(crate) mod tests {
                 noc_latency: muchisim_core::LatencyStats::default(),
                 host_seconds: 0.0,
                 host_phase_ns: muchisim_core::HostPhaseNs::default(),
+                host_router_visits: Default::default(),
                 host_threads: 1,
                 total_tiles: 1,
                 host_state_bytes: 0,

@@ -67,9 +67,67 @@ impl NocCounters {
     }
 }
 
+/// Host-side ledger of what [`crate::Shard::step`] did with each visit
+/// to a router holding traffic.
+///
+/// Not simulated state: the four counts describe how the host got to
+/// the result, so they stay out of [`NocCounters`], checksums and
+/// snapshots (a resumed run starts them from zero).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct RouterVisits {
+    /// Full evaluations that moved or ejected at least one packet.
+    pub evaluated_moved: u64,
+    /// Full evaluations that moved nothing (back-pressure, busy links,
+    /// refused ejections, immature heads).
+    pub evaluated_stalled: u64,
+    /// Back-pressured visits answered from the router's stall memo.
+    pub replayed: u64,
+    /// Visits skipped by the wake check (no head can move yet).
+    pub asleep: u64,
+}
+
+impl RouterVisits {
+    /// Accumulates `other` into `self`.
+    pub fn merge(&mut self, other: &RouterVisits) {
+        self.evaluated_moved += other.evaluated_moved;
+        self.evaluated_stalled += other.evaluated_stalled;
+        self.replayed += other.replayed;
+        self.asleep += other.asleep;
+    }
+
+    /// Visits that got past the wake check.
+    pub fn awake(&self) -> u64 {
+        self.evaluated_moved + self.evaluated_stalled + self.replayed
+    }
+
+    /// Share of awake visits that ran the full evaluation for nothing
+    /// (0 when no router was ever awake).
+    pub fn stalled_share(&self) -> f64 {
+        match self.awake() {
+            0 => 0.0,
+            awake => self.evaluated_stalled as f64 / awake as f64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn router_visits_merge_and_share() {
+        let mut a = RouterVisits {
+            evaluated_moved: 6,
+            evaluated_stalled: 1,
+            replayed: 3,
+            asleep: 40,
+        };
+        assert_eq!(a.awake(), 10);
+        assert_eq!(a.stalled_share(), 0.1);
+        a.merge(&a.clone());
+        assert_eq!((a.awake(), a.asleep), (20, 80));
+        assert_eq!(RouterVisits::default().stalled_share(), 0.0);
+    }
 
     #[test]
     fn merge_adds_fields() {

@@ -70,7 +70,7 @@ mod topo;
 mod trace;
 mod worklist;
 
-pub use counters::NocCounters;
+pub use counters::{NocCounters, RouterVisits};
 pub use latency::LatencyStats;
 pub use network::{
     split_by_activity, split_columns, DrainSink, EjectSink, Network, NetworkParams, SharedNet,

@@ -442,6 +442,16 @@ impl Network {
         total
     }
 
+    /// Merged router-visit ledger across shards (host-side; see
+    /// [`crate::RouterVisits`]).
+    pub fn router_visits(&self) -> crate::RouterVisits {
+        let mut total = crate::RouterVisits::default();
+        for s in &self.shards {
+            total.merge(s.router_visits());
+        }
+        total
+    }
+
     /// Merged per-packet latency statistics across shards.
     pub fn latency(&self) -> crate::LatencyStats {
         let mut total = crate::LatencyStats::default();

@@ -9,7 +9,7 @@
 //! bookkeeping that is only touched when a packet actually moves.
 
 use crate::packet::{Packet, ReduceOp};
-use crate::port::IN_PORTS;
+use crate::port::{IN_PORTS, OUT_DIRS};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -35,6 +35,45 @@ fn combine_sig(port: usize, pkt: &Packet) -> Option<CombineSig> {
     }
 }
 
+/// The verdict of a full visit that found the router back-pressured:
+/// nothing moved, no ejection was attempted, and *every* ready head aimed
+/// at a free link was refused by its downstream queue.
+///
+/// Until one of the inputs below changes, the next full visit would
+/// decide exactly the same thing, so [`crate::shard::Shard::step`]
+/// replays the verdict's per-cycle effects instead of re-deriving it. The
+/// verdict is a pure function of the queue heads (any change of a head
+/// forgets the memo, see [`RouterState::push`]), of which candidate links
+/// are busy and which heads are immature (`until`), and of the watched
+/// downstream occupancy words (`watch`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct StallMemo {
+    /// First cycle at which the verdict may change on its own: a busy
+    /// candidate link frees or an immature head ripens (`u64::MAX` when
+    /// neither exists).
+    pub until: u64,
+    /// Back-pressured output directions (bit = `OutDir` index); each adds
+    /// one `backpressure` per cycle.
+    pub dirs: u16,
+    /// Arbitration losers per cycle: Σ (candidates − 1) over `dirs`.
+    pub collisions: u8,
+    /// Live entries of `watch`.
+    pub n_watch: u8,
+    /// Candidate input ports of each direction in `dirs` as a bitmask —
+    /// ascending bit order is the order the arbiter sees them in.
+    pub cands: [u16; OUT_DIRS],
+    /// The distinct downstream queues the candidates were refused by, as
+    /// `(global queue id, occupancy seen)`.
+    pub watch: [(u32, u32); IN_PORTS],
+}
+
+impl StallMemo {
+    /// The watched `(queue id, occupancy seen)` pairs.
+    pub fn watched(&self) -> &[(u32, u32)] {
+        &self.watch[..self.n_watch as usize]
+    }
+}
+
 /// The mutable state of one router.
 ///
 /// Queues are FIFOs; capacity accounting (in flits) lives in the shared
@@ -56,9 +95,42 @@ pub struct RouterState {
     /// signature: the bounded replacement for scanning the whole input
     /// FIFO per reducible push.
     combine: HashMap<CombineSig, u32>,
+    /// The last stalled verdict. Boxed and allocated on the first stall,
+    /// so a router that never stalls pays one null pointer; the box is
+    /// recycled with the router through the shard pool. Derived state:
+    /// never serialized, rebuilt by the next full visit.
+    stall: Option<Box<StallMemo>>,
+    /// Whether `stall` still describes the queue heads.
+    stall_live: bool,
 }
 
 impl RouterState {
+    /// The stalled verdict of the last full visit, if no head changed
+    /// since.
+    #[inline]
+    pub(crate) fn stall_memo(&self) -> Option<&StallMemo> {
+        if self.stall_live {
+            self.stall.as_deref()
+        } else {
+            None
+        }
+    }
+
+    /// Records the verdict of the full visit that just ended.
+    pub(crate) fn set_stall_memo(&mut self, memo: StallMemo) {
+        match &mut self.stall {
+            Some(slot) => **slot = memo,
+            None => self.stall = Some(Box::new(memo)),
+        }
+        self.stall_live = true;
+    }
+
+    /// Drops the stalled verdict; the next visit evaluates in full.
+    #[inline]
+    pub(crate) fn forget_stall_memo(&mut self) {
+        self.stall_live = false;
+    }
+
     /// Whether every input queue is empty.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn is_empty(&self) -> bool {
@@ -75,6 +147,11 @@ impl RouterState {
     /// reducible packet of the same signature when one exists.
     ///
     /// Returns the flits freed by combining (0 if simply enqueued).
+    ///
+    /// A push that changes a queue head — into an empty queue, or
+    /// combining into the head (which may delay its `ready_at`) — forgets
+    /// the stall memo; a push behind an existing head cannot change what
+    /// the router decides.
     pub fn push(&mut self, port: usize, pkt: Packet) -> u32 {
         if let Some(sig) = combine_sig(port, &pkt) {
             match self.combine.entry(sig) {
@@ -83,6 +160,9 @@ impl RouterState {
                     let queued = &mut self.queues[port][idx];
                     debug_assert!(queued.can_combine(&pkt), "combine index out of sync");
                     queued.combine(&pkt);
+                    if idx == 0 {
+                        self.stall_live = false;
+                    }
                     return pkt.flits as u32;
                 }
                 Entry::Vacant(slot) => {
@@ -90,8 +170,11 @@ impl RouterState {
                 }
             }
         }
+        if self.queues[port].is_empty() {
+            self.stall_live = false;
+            self.port_mask |= 1 << port;
+        }
         self.queues[port].push_back(pkt);
-        self.port_mask |= 1 << port;
         0
     }
 
@@ -108,6 +191,7 @@ impl RouterState {
             self.port_mask &= !(1 << port);
         }
         self.pops[port] = self.pops[port].wrapping_add(1);
+        self.stall_live = false;
         if let Some(sig) = combine_sig(port, &pkt) {
             // the signature is unique in the queue, so the head is the
             // indexed instance
@@ -127,6 +211,7 @@ impl RouterState {
         }
         self.queues[port].push_front(pkt);
         self.port_mask |= 1 << port;
+        self.stall_live = false;
     }
 
     /// Resets bookkeeping so a drained router's box can serve another
@@ -140,10 +225,11 @@ impl RouterState {
         debug_assert!(self.combine.is_empty(), "combine index leaked an entry");
         self.port_mask = 0;
         self.pops = [0; IN_PORTS];
+        self.stall_live = false;
     }
 
     /// Host heap bytes owned by this router's queues (buffer capacity
-    /// plus spilled payloads) and combine index.
+    /// plus spilled payloads), combine index and stall memo.
     pub fn heap_bytes(&self) -> u64 {
         self.queues
             .iter()
@@ -153,6 +239,10 @@ impl RouterState {
             })
             .sum::<u64>()
             + self.combine.capacity() as u64 * std::mem::size_of::<(CombineSig, u32)>() as u64
+            + self
+                .stall
+                .as_ref()
+                .map_or(0, |_| std::mem::size_of::<StallMemo>() as u64)
     }
 }
 
@@ -247,6 +337,52 @@ mod tests {
         assert_eq!(r.push(0, short.clone()), 0);
         assert_eq!(r.push(0, short), 0, "second short packet also enqueues");
         assert_eq!(r.queues[0].len(), 2);
+    }
+
+    #[test]
+    fn stall_memo_lives_until_a_head_changes() {
+        let memo = StallMemo {
+            until: 9,
+            dirs: 1,
+            collisions: 0,
+            n_watch: 1,
+            cands: [0; OUT_DIRS],
+            watch: [(4, 2); IN_PORTS],
+        };
+        let mut r = RouterState::default();
+        r.push(0, pkt(9, 7, 10));
+        assert!(r.stall_memo().is_none());
+        r.set_stall_memo(memo.clone());
+        assert_eq!(r.stall_memo(), Some(&memo));
+        // behind an existing head: the verdict cannot change
+        r.push(0, pkt(9, 8, 1));
+        assert!(r.stall_memo().is_some());
+        // combining into a queued non-head packet: same
+        assert_eq!(r.push(0, pkt(9, 8, 0)), 2);
+        assert!(r.stall_memo().is_some());
+        // combining into the head may delay its ready_at
+        assert_eq!(r.push(0, pkt(9, 7, 3)), 2);
+        assert!(r.stall_memo().is_none());
+        // a new head in an empty port
+        r.set_stall_memo(memo.clone());
+        r.push(5, pkt(9, 7, 1));
+        assert!(r.stall_memo().is_none());
+        // pops and restores
+        r.set_stall_memo(memo.clone());
+        let head = r.pop(5);
+        assert!(r.stall_memo().is_none());
+        r.set_stall_memo(memo.clone());
+        r.restore_front(5, head);
+        assert!(r.stall_memo().is_none());
+        // recycling keeps the allocation, not the verdict
+        r.set_stall_memo(memo);
+        while !r.is_empty() {
+            let port = r.port_mask().trailing_zeros() as usize;
+            r.pop(port);
+        }
+        r.reset_for_reuse();
+        assert!(r.stall_memo().is_none());
+        assert!(r.heap_bytes() >= std::mem::size_of::<StallMemo>() as u64);
     }
 
     #[test]

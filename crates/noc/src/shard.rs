@@ -20,32 +20,213 @@
 //! serializing across idle gaps), while the next router to wake reuses the
 //! box's queue buffers instead of round-tripping the allocator.
 
-use crate::counters::{class_index, NocCounters};
+use crate::counters::{class_index, NocCounters, RouterVisits};
 use crate::latency::LatencyStats;
 use crate::network::{EjectSink, SharedNet};
 use crate::packet::Packet;
 use crate::port::{InPort, OutDir, IN_PORTS, OUT_DIRS};
 use crate::route;
-use crate::router::RouterState;
+use crate::router::{RouterState, StallMemo};
 use crate::topo::{FastDiv, TopoInfo};
 use crate::trace::TraceEvent;
 use crate::worklist::ActiveSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Reserves `flits` of space in a queue with capacity `cap`.
+/// The buffer admission rule: a queue holding `occ` flits of its `cap`
+/// takes `flits` more iff they fit, or it is empty — a single oversized
+/// message (larger than the whole buffer) is allowed into an empty queue
+/// so it can still make progress.
 ///
-/// A single oversized message (larger than the whole buffer) is allowed
-/// when the queue is empty, so it can still make progress.
+/// Router-to-router reservation, injection and the stall check all ask
+/// this one function, so a memoized refusal cannot drift from the real
+/// one.
+#[inline]
+fn admits(occ: u32, flits: u32, cap: u32) -> bool {
+    occ == 0 || occ + flits <= cap
+}
+
+/// Reserves `flits` of space in a queue with capacity `cap` if the
+/// queue [`admits`] them.
 fn reserve(occ: &AtomicU32, flits: u32, cap: u32) -> bool {
     occ.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        if v == 0 || v + flits <= cap {
-            Some(v + flits)
-        } else {
-            None
-        }
+        admits(v, flits, cap).then_some(v + flits)
     })
     .is_ok()
+}
+
+/// Per-visit scratch: the ready heads of one router, grouped by the
+/// output direction they route to.
+///
+/// `port` and `vc` are only ever read at indices the current visit wrote
+/// (`n` gates every access), so they carry stale bytes between routers
+/// instead of being re-zeroed ~130 bytes per visit. `n` alone must be
+/// all-zero when a scan starts.
+struct Candidates {
+    /// Candidate input ports per direction, in ascending port order.
+    port: [[u8; IN_PORTS]; OUT_DIRS],
+    /// Live entries of `port` per direction.
+    n: [u8; OUT_DIRS],
+    /// The virtual channel each candidate port's head continues on.
+    vc: [u8; IN_PORTS],
+}
+
+impl Candidates {
+    fn new() -> Self {
+        Candidates {
+            port: [[0; IN_PORTS]; OUT_DIRS],
+            n: [0; OUT_DIRS],
+            vc: [0; IN_PORTS],
+        }
+    }
+
+    /// The candidates of direction `oi`, as the arbiter sees them.
+    #[inline]
+    fn of(&self, oi: usize) -> &[u8] {
+        &self.port[oi][..self.n[oi] as usize]
+    }
+
+    /// Computes each ready head's routing decision once, visiting
+    /// occupied ports only. Returns the mask of directions holding a
+    /// candidate and the earliest `ready_at` among immature heads
+    /// (`u64::MAX` if none).
+    #[inline]
+    fn scan(&mut self, router: &RouterState, topo: &TopoInfo, tile: u32, cycle: u64) -> (u16, u64) {
+        let mut ripen = u64::MAX;
+        let mut dirty: u16 = 0;
+        let mut mask = router.port_mask();
+        while mask != 0 {
+            let port = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let head = router.queues[port]
+                .front()
+                .expect("mask bit implies a head");
+            if head.ready_at <= cycle {
+                let d = route::decide(topo, tile, InPort::ALL[port], head.vc, head.dst);
+                let oi = d.dir.index();
+                self.port[oi][self.n[oi] as usize] = port as u8;
+                self.n[oi] += 1;
+                self.vc[port] = d.vc;
+                dirty |= 1 << oi;
+            } else {
+                ripen = ripen.min(head.ready_at);
+            }
+        }
+        (dirty, ripen)
+    }
+}
+
+/// What a full visit at `cycle` that moves nothing has established, given
+/// the scan results `(dirty, ripen)` in `c`: `None` when some candidate
+/// could still move or an ejection would be attempted — otherwise the
+/// verdict the next visits can replay. A verdict with no stalled
+/// direction (`dirs == 0`) means every candidate link is merely busy.
+///
+/// All candidates of a free link must be refused, not just the
+/// round-robin pick: the pointer reaches a winner within `n` cycles
+/// otherwise. Read-only, so the debug oracle can re-run it on every
+/// replayed visit.
+#[allow(clippy::too_many_arguments)]
+fn stall_verdict(
+    c: &Candidates,
+    mut dirty: u16,
+    ripen: u64,
+    router: &RouterState,
+    busy_until: &[u64],
+    cycle: u64,
+    topo: &TopoInfo,
+    tile: u32,
+    occupancy: &[AtomicU32],
+) -> Option<StallMemo> {
+    let mut memo = StallMemo {
+        until: ripen,
+        dirs: 0,
+        collisions: 0,
+        n_watch: 0,
+        cands: [0; OUT_DIRS],
+        watch: [(0, 0); IN_PORTS],
+    };
+    while dirty != 0 {
+        let oi = dirty.trailing_zeros() as usize;
+        dirty &= dirty - 1;
+        if busy_until[oi] > cycle {
+            memo.until = memo.until.min(busy_until[oi]);
+            continue;
+        }
+        if oi == OutDir::Eject.index() {
+            return None; // the sink is asked every cycle, never memoized
+        }
+        let cands = c.of(oi);
+        for &port in cands {
+            let port = port as usize;
+            let (dest, in_port) = topo
+                .neighbor(tile, OutDir::BY_INDEX[oi], c.vc[port])
+                .expect("routing chose a non-existent link");
+            let qid = topo.queue_id(dest, in_port);
+            let occ = occupancy[qid].load(Ordering::Relaxed);
+            let flits = router.queues[port]
+                .front()
+                .expect("candidate has head")
+                .flits as u32;
+            if admits(occ, flits, topo.queue_capacity_flits) {
+                return None;
+            }
+            let seen = (u32::try_from(qid).ok()?, occ);
+            if !memo.watched().contains(&seen) {
+                memo.watch[memo.n_watch as usize] = seen;
+                memo.n_watch += 1;
+            }
+            memo.cands[oi] |= 1 << port;
+        }
+        memo.dirs |= 1 << oi;
+        memo.collisions += (cands.len() - 1) as u8;
+    }
+    Some(memo)
+}
+
+/// The round-robin successor of `last` among the ports set in `mask`:
+/// [`Shard::round_robin_pick`] over the bitmask form of a candidate list.
+fn next_rr(mask: u16, last: u8) -> u8 {
+    let above = mask & u16::MAX.checked_shl(u32::from(last) + 1).unwrap_or(0);
+    (if above != 0 { above } else { mask }).trailing_zeros() as u8
+}
+
+/// Debug-build oracle for a replayed visit: re-runs the evaluation from
+/// scratch, read-only, and asserts that it moves nothing, attempts no
+/// ejection, and reaches exactly the memo's deltas and next arbitration
+/// pointers — the fast path is checked against the reference verdict on
+/// every replay of every debug test, not trusted.
+#[allow(clippy::too_many_arguments)]
+fn assert_replay_matches_full_visit(
+    memo: &StallMemo,
+    router: &RouterState,
+    busy_until: &[u64],
+    rr_ptr: &[u8],
+    cycle: u64,
+    topo: &TopoInfo,
+    tile: u32,
+    occupancy: &[AtomicU32],
+) {
+    let mut c = Candidates::new();
+    let (dirty, ripen) = c.scan(router, topo, tile, cycle);
+    let fresh = stall_verdict(
+        &c, dirty, ripen, router, busy_until, cycle, topo, tile, occupancy,
+    );
+    assert_eq!(
+        fresh.as_ref(),
+        Some(memo),
+        "stall memo of tile {tile} is stale at cycle {cycle}"
+    );
+    let mut dirs = memo.dirs;
+    while dirs != 0 {
+        let oi = dirs.trailing_zeros() as usize;
+        dirs &= dirs - 1;
+        assert_eq!(
+            next_rr(memo.cands[oi], rr_ptr[oi]),
+            Shard::round_robin_pick(c.of(oi), rr_ptr[oi]),
+            "replayed arbitration pointer of tile {tile} dir {oi} diverges at cycle {cycle}"
+        );
+    }
 }
 
 /// Lazily materializes the router at `local`, reusing a pooled box when
@@ -94,6 +275,8 @@ pub struct Shard {
     /// `local * OUT_DIRS + dir`; survives router recycling).
     rr_ptr: Vec<u8>,
     counters: NocCounters,
+    /// Host-side ledger of step visits (not simulated state).
+    visits: RouterVisits,
     /// Injection-to-ejection latency of every packet delivered by this
     /// shard (generation-to-ejection for scheduled traffic).
     latency: LatencyStats,
@@ -142,6 +325,7 @@ impl Shard {
             busy_until: vec![0; n * OUT_DIRS],
             rr_ptr: vec![0; n * OUT_DIRS],
             counters: NocCounters::default(),
+            visits: RouterVisits::default(),
             latency: LatencyStats::default(),
             trace: if record_trace { Some(Vec::new()) } else { None },
             busy_frame: if track_busy { vec![0; n] } else { Vec::new() },
@@ -164,6 +348,21 @@ impl Shard {
     /// Cumulative counters of this shard.
     pub fn counters(&self) -> &NocCounters {
         &self.counters
+    }
+
+    /// What [`Shard::step`] did with its router visits so far (host-side
+    /// ledger; starts from zero in a restored run).
+    pub fn router_visits(&self) -> &RouterVisits {
+        &self.visits
+    }
+
+    /// Test hook: drops every router's stall memo, so the next visit of
+    /// each evaluates in full. Results must not depend on it.
+    #[doc(hidden)]
+    pub fn forget_stall_memos(&mut self) {
+        for router in self.routers.iter_mut().flatten() {
+            router.forget_stall_memo();
+        }
     }
 
     /// Latency statistics of packets this shard delivered.
@@ -347,6 +546,22 @@ impl Shard {
     /// no-ops) and deactivates routers it leaves drained, recycling their
     /// boxes through the free-list. With the worklist disabled it
     /// degrades to the full scan.
+    ///
+    /// A router on the list is in one of three states. *Asleep*: no head
+    /// can move before `wake`, the visit returns at once. *Stalled*: its
+    /// last full evaluation moved nothing because every candidate was
+    /// refused downstream, and nothing that verdict depends on has
+    /// changed — the visit replays the verdict's counter and arbitration
+    /// effects from the router's stall memo without looking at a
+    /// packet. Otherwise the router is *evaluated* in full, which is the
+    /// only place packets move and the only place memos are built.
+    ///
+    /// The replay check reads downstream occupancy words. During the
+    /// step phase a word is written only by its queue's unique upstream
+    /// router — here, the stalled router itself — and frees are applied
+    /// in [`Shard::begin_cycle`], before the barrier, so the read is
+    /// race-free and sees the same value in parallel and sequential
+    /// mode.
     pub fn step(&mut self, shared: &SharedNet, cycle: u64, sink: &mut dyn EjectSink) {
         let topo = &shared.topo;
         let width = topo.width;
@@ -363,6 +578,7 @@ impl Shard {
             busy_until,
             rr_ptr,
             counters,
+            visits,
             latency,
             trace: _,
             busy_frame,
@@ -373,21 +589,16 @@ impl Shard {
         let ncols = (cols.end - cols.start) as usize;
         let col_start = cols.start;
         active.refresh();
-        // Candidate scratch lives outside the per-router closure: `cand`
-        // and `vc_of` are only ever read at indices the current router
-        // wrote (`n_cand` gates every access), so they carry stale bytes
-        // between routers instead of being re-zeroed ~130 bytes per
-        // visit. `n_cand` alone must start all-zero; the consume loop
-        // below restores that invariant as it reads each entry.
-        let mut cand: [[u8; IN_PORTS]; OUT_DIRS] = [[0; IN_PORTS]; OUT_DIRS];
-        let mut n_cand: [u8; OUT_DIRS] = [0; OUT_DIRS];
-        let mut vc_of: [u8; IN_PORTS] = [0; IN_PORTS];
+        // lives outside the per-router closure; every full visit leaves
+        // `c.n` all-zero for the next one
+        let mut c = Candidates::new();
         active.retain(|local| {
             let local = local as usize;
             if queued_msgs[local] == 0 {
                 return false;
             }
             if wake[local] > cycle {
+                visits.asleep += 1;
                 return true; // no head can ripen before `wake`
             }
             let router = routers[local]
@@ -397,38 +608,54 @@ impl Shard {
                 let (y, xr) = div_ncols.divmod(local as u32);
                 y * width + col_start + xr
             };
-            // Compute each ready head's routing decision once, visiting
-            // occupied ports only. Candidate lists per direction keep the
-            // ascending port order of the old full scan.
-            let mut ripen = u64::MAX;
-            let mut dirty: u16 = 0;
-            let mut mask = router.port_mask();
-            while mask != 0 {
-                let port = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let head = router.queues[port]
-                    .front()
-                    .expect("mask bit implies a head");
-                if head.ready_at <= cycle {
-                    let d = route::decide(topo, tile, InPort::ALL[port], head.vc, head.dst);
-                    let oi = d.dir.index();
-                    cand[oi][n_cand[oi] as usize] = port as u8;
-                    n_cand[oi] += 1;
-                    vc_of[port] = d.vc;
-                    dirty |= 1 << oi;
-                } else {
-                    ripen = ripen.min(head.ready_at);
+            let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
+            if let Some(memo) = router.stall_memo() {
+                let unchanged = cycle < memo.until
+                    && memo.watched().iter().all(|&(qid, seen)| {
+                        shared.occupancy[qid as usize].load(Ordering::Relaxed) == seen
+                    });
+                if unchanged {
+                    if cfg!(debug_assertions) {
+                        assert_replay_matches_full_visit(
+                            memo,
+                            router,
+                            &busy_until[links.clone()],
+                            &rr_ptr[links.clone()],
+                            cycle,
+                            topo,
+                            tile,
+                            &shared.occupancy,
+                        );
+                    }
+                    counters.collisions += u64::from(memo.collisions);
+                    counters.backpressure += u64::from(memo.dirs.count_ones());
+                    let rr = &mut rr_ptr[links];
+                    let mut dirs = memo.dirs;
+                    while dirs != 0 {
+                        let oi = dirs.trailing_zeros() as usize;
+                        dirs &= dirs - 1;
+                        rr[oi] = next_rr(memo.cands[oi], rr[oi]);
+                    }
+                    wake[local] = cycle + 1;
+                    visits.replayed += 1;
+                    return true;
                 }
+                router.forget_stall_memo();
             }
+            let (mut dirty, ripen) = c.scan(router, topo, tile, cycle);
             if dirty == 0 {
                 // every head is immature: sleep until the earliest ripens
                 wake[local] = ripen;
+                visits.evaluated_stalled += 1;
                 return true;
             }
-            // stalled heads (busy link, backpressure, eject refusal,
-            // collision losers) retry next cycle
+            // stalled heads (eject refusal, collision losers, a refusal
+            // the memo cannot cover) retry next cycle
             wake[local] = cycle + 1;
+            let candidate_dirs = dirty;
+            let (collisions0, backpressure0) = (counters.collisions, counters.backpressure);
             let mut moved = false;
+            let mut eject_tried = false;
             // Visit only directions holding a candidate, in `OutDir::ALL`
             // order: the Eject bit first (local delivery is never starved
             // by through traffic), then N..RucheW — which is ascending
@@ -441,17 +668,16 @@ impl Shard {
                 };
                 dirty &= !(1 << oi);
                 let out = OutDir::BY_INDEX[oi];
-                // read-and-clear keeps `n_cand` all-zero for the next
-                // router even on the `continue` paths below
-                let n = std::mem::take(&mut n_cand[oi]) as usize;
                 if busy_until[local * OUT_DIRS + oi] > cycle {
                     continue; // link still serializing a previous message
                 }
-                counters.collisions += (n - 1) as u64;
-                let pick = Self::round_robin_pick(&cand[oi][..n], rr_ptr[local * OUT_DIRS + oi]);
+                let cands = c.of(oi);
+                counters.collisions += (cands.len() - 1) as u64;
+                let pick = Self::round_robin_pick(cands, rr_ptr[local * OUT_DIRS + oi]);
                 rr_ptr[local * OUT_DIRS + oi] = pick;
                 let pick = pick as usize;
                 if out == OutDir::Eject {
+                    eject_tried = true;
                     let pkt = router.pop(pick);
                     queued_msgs[local] -= 1;
                     let flits = pkt.flits;
@@ -475,7 +701,7 @@ impl Shard {
                     }
                     continue;
                 }
-                let vc = vc_of[pick];
+                let vc = c.vc[pick];
                 let (dest, in_port, class, hop) = topo
                     .hop_info(tile, out, vc)
                     .expect("routing chose a non-existent link");
@@ -513,13 +739,48 @@ impl Shard {
                 moved = true;
             }
             if moved {
+                visits.evaluated_moved += 1;
                 if let Some(b) = busy_frame.get_mut(local) {
                     *b += 1;
                 }
+            } else {
+                visits.evaluated_stalled += 1;
+                if !eject_tried {
+                    if let Some(memo) = stall_verdict(
+                        &c,
+                        candidate_dirs,
+                        ripen,
+                        router,
+                        &busy_until[links],
+                        cycle,
+                        topo,
+                        tile,
+                        &shared.occupancy,
+                    ) {
+                        // what this visit just did is what a replay does
+                        debug_assert_eq!(
+                            counters.collisions - collisions0,
+                            u64::from(memo.collisions)
+                        );
+                        debug_assert_eq!(
+                            counters.backpressure - backpressure0,
+                            u64::from(memo.dirs.count_ones())
+                        );
+                        if memo.dirs == 0 {
+                            // every candidate link is merely busy: the
+                            // visit is a pure no-op until one frees or a
+                            // head ripens (`deliver` lowers `wake` for
+                            // arrivals that could move sooner)
+                            wake[local] = memo.until;
+                        } else {
+                            router.set_stall_memo(memo);
+                        }
+                    }
+                }
             }
-            // stalled heads (busy link, backpressure, eject refusal) retry
-            // next cycle, so a router with traffic stays on the worklist;
-            // a drained router recycles its box and retires
+            c.n = [0; OUT_DIRS];
+            // a router with traffic stays on the worklist; a drained
+            // router recycles its box and retires
             if queued_msgs[local] > 0 {
                 return true;
             }
@@ -606,8 +867,8 @@ impl Shard {
         }
     }
 
-    /// Per-queue occupancy of task-type `_task` packets, for verbosity V3
-    /// inspection: total packets queued at `tile`.
+    /// Packets queued at `tile`'s router over all its input ports (the
+    /// "parked packets" figure of a ward report).
     pub fn queued_at(&self, tile: u32, width: u32) -> u32 {
         self.queued_msgs[self.local_of(tile % width, tile / width)]
     }
@@ -765,7 +1026,7 @@ impl InjectBatch<'_> {
     /// Returns the packet back if the inject queue is full.
     pub fn offer(&mut self, pkt: Packet) -> Result<(), Packet> {
         let flits = pkt.flits as u32;
-        if !(self.occ == 0 || self.occ + flits <= self.shared.inject_capacity_flits) {
+        if !admits(self.occ, flits, self.shared.inject_capacity_flits) {
             return Err(pkt);
         }
         self.occ += flits;
@@ -838,6 +1099,66 @@ mod tests {
         let occ = AtomicU32::new(0);
         assert!(reserve(&occ, 10, 4));
         assert!(!reserve(&occ, 1, 4));
+    }
+
+    #[test]
+    fn next_rr_is_round_robin_pick_over_a_mask() {
+        for mask in 1u16..1 << IN_PORTS {
+            let list: Vec<u8> = (0..IN_PORTS as u8)
+                .filter(|p| mask & (1 << p) != 0)
+                .collect();
+            for last in (0..=16).chain([u8::MAX]) {
+                assert_eq!(
+                    next_rr(mask, last),
+                    Shard::round_robin_pick(&list, last),
+                    "mask {mask:#b} last {last}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stall_check_allows_oversized_when_empty() {
+        // tile 1 of a 3x1 row holds one 10-flit packet for tile 2, whose
+        // buffers take 4 flits
+        let cfg = muchisim_config::SystemConfig::builder()
+            .chiplet_tiles(3, 1)
+            .buffer_depth(4)
+            .build()
+            .unwrap();
+        let topo = TopoInfo::from_system(&cfg);
+        let occupancy: Vec<AtomicU32> = (0..topo.num_queues()).map(|_| AtomicU32::new(0)).collect();
+        let mut router = RouterState::default();
+        let inject = InPort::Inject.index();
+        router.push(
+            inject,
+            Packet::unicast(1, 2, 0, crate::Payload::empty(), 10),
+        );
+        let mut c = Candidates::new();
+        let (dirty, ripen) = c.scan(&router, &topo, 1, 0);
+        assert_eq!((dirty, ripen), (1 << OutDir::E.index(), u64::MAX));
+        let links = [0u64; OUT_DIRS];
+        let verdict =
+            |occ: &[AtomicU32]| stall_verdict(&c, dirty, ripen, &router, &links, 0, &topo, 1, occ);
+        assert_eq!(
+            verdict(&occupancy),
+            None,
+            "an empty queue admits the oversized packet: not a stall"
+        );
+        let qid = topo.queue_id(2, InPort::FromW0);
+        occupancy[qid].store(1, Ordering::Relaxed);
+        let memo = verdict(&occupancy).expect("one flit queued downstream refuses ten more");
+        assert_eq!(memo.dirs, 1 << OutDir::E.index());
+        assert_eq!(memo.cands[OutDir::E.index()], 1 << inject);
+        assert_eq!(memo.watched(), [(qid as u32, 1)]);
+        assert_eq!((memo.collisions, memo.until), (0, u64::MAX));
+        // a busy link is not back-pressure: no stalled direction, and the
+        // verdict holds until the link frees
+        let mut busy = links;
+        busy[OutDir::E.index()] = 7;
+        let asleep = stall_verdict(&c, dirty, ripen, &router, &busy, 0, &topo, 1, &occupancy)
+            .expect("nothing can move");
+        assert_eq!((asleep.dirs, asleep.until), (0, 7));
     }
 
     #[test]

@@ -49,6 +49,19 @@ pub struct ReportRow {
     pub phase_net_ns: u64,
     /// Host nanoseconds spent on worklist bookkeeping.
     pub phase_worklist_ns: u64,
+    /// Router visits that ran the full evaluation and moved a packet
+    /// (`SimResult::host_router_visits`).
+    #[serde(default)]
+    pub visits_moved: u64,
+    /// Router visits that ran the full evaluation for nothing.
+    #[serde(default)]
+    pub visits_stalled: u64,
+    /// Back-pressured router visits answered from a stall memo.
+    #[serde(default)]
+    pub visits_replayed: u64,
+    /// Router visits skipped by the wake check.
+    #[serde(default)]
+    pub visits_asleep: u64,
     /// Median NoC packet latency in cycles (from the log2 histogram).
     #[serde(default)]
     pub noc_p50: u64,
@@ -95,6 +108,10 @@ impl ReportRow {
             phase_inject_ns: result.host_phase_ns.inject,
             phase_net_ns: result.host_phase_ns.net,
             phase_worklist_ns: result.host_phase_ns.worklist,
+            visits_moved: result.host_router_visits.evaluated_moved,
+            visits_stalled: result.host_router_visits.evaluated_stalled,
+            visits_replayed: result.host_router_visits.replayed,
+            visits_asleep: result.host_router_visits.asleep,
             noc_p50: result.noc_latency.percentile(0.50),
             noc_p95: result.noc_latency.percentile(0.95),
             noc_p99: result.noc_latency.percentile(0.99),
@@ -150,12 +167,13 @@ impl ReportTable {
             "config,app,dataset,runtime_s,flops,app_throughput,energy_j,power_w,\
              cost_usd,flops_per_watt,flops_per_dollar,msg_hops,hit_rate,sim_s,\
              sim_cycles_per_s,host_bytes_per_tile,phase_pu_ns,phase_inject_ns,\
-             phase_net_ns,phase_worklist_ns,noc_p50,noc_p95,noc_p99,term\n",
+             phase_net_ns,phase_worklist_ns,visits_moved,visits_stalled,\
+             visits_replayed,visits_asleep,noc_p50,noc_p95,noc_p99,term\n",
         );
         for r in &self.rows {
             out.push_str(&format!(
                 "{},{},{},{:.6e},{:.4e},{:.4e},{:.4e},{:.3},{:.2},{:.4e},{:.4e},{},{:.4},{:.3},\
-                 {:.4e},{:.1},{},{},{},{},{},{},{},{}\n",
+                 {:.4e},{:.1},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 r.config,
                 r.app,
                 r.dataset,
@@ -176,6 +194,10 @@ impl ReportTable {
                 r.phase_inject_ns,
                 r.phase_net_ns,
                 r.phase_worklist_ns,
+                r.visits_moved,
+                r.visits_stalled,
+                r.visits_replayed,
+                r.visits_asleep,
                 r.noc_p50,
                 r.noc_p95,
                 r.noc_p99,
@@ -290,6 +312,10 @@ mod tests {
             phase_inject_ns: 2,
             phase_net_ns: 4,
             phase_worklist_ns: 1,
+            visits_moved: 30,
+            visits_stalled: 5,
+            visits_replayed: 65,
+            visits_asleep: 900,
             noc_p50: 12,
             noc_p95: 48,
             noc_p99: 96,
@@ -312,7 +338,14 @@ mod tests {
             .next()
             .unwrap()
             .ends_with("noc_p50,noc_p95,noc_p99,term"));
-        assert!(csv.lines().nth(1).unwrap().ends_with("12,48,96,finished"));
+        assert!(csv.lines().next().unwrap().contains(
+            "phase_worklist_ns,visits_moved,visits_stalled,visits_replayed,visits_asleep,noc_p50"
+        ));
+        assert!(csv
+            .lines()
+            .nth(1)
+            .unwrap()
+            .ends_with(",1,30,5,65,900,12,48,96,finished"));
         let text = t.to_text();
         assert!(text.contains("BFS"));
         assert!(text.contains("B/tile"));

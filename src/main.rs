@@ -423,6 +423,16 @@ fn cmd_run(args: Vec<String>) -> i32 {
             ph.worklist as f64 / 1e9,
             ph.worklist_share() * 100.0,
         );
+        let rv = &result.host_router_visits;
+        println!(
+            "telemetry: router visits moved {} | stalled {} | replayed {} | asleep {} \
+             ({:.1}% of awake visits evaluated for nothing)",
+            rv.evaluated_moved,
+            rv.evaluated_stalled,
+            rv.replayed,
+            rv.asleep,
+            rv.stalled_share() * 100.0,
+        );
         let lat = &result.noc_latency;
         println!(
             "telemetry: noc latency mean {:.1} | p50 {} | p95 {} | p99 {} | \

@@ -15,10 +15,10 @@
 //! set `MUCHISIM_FULL_MATRIX=1` to sweep every suite key through the
 //! cross-host-configuration matrix as well.
 
-use muchisim::apps::{run_benchmark, Benchmark};
+use muchisim::apps::{high_degree_root, run_benchmark, Benchmark, Bfs, SyncMode};
 use muchisim::config::{NocTopology, SystemConfig, Verbosity};
 use muchisim::core::digest::{schedule_checksum, trace_checksum};
-use muchisim::core::SimResult;
+use muchisim::core::{SimResult, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::data::Csr;
 use serde_json::JsonValue;
@@ -243,6 +243,103 @@ fn resume_is_host_configuration_agnostic() {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// Hub congestion: BFS from the highest-degree root of an RMAT-8 graph
+/// on a 32x32 mesh (the `BFS-32x32-mesh-hub@t*` golden rows), where most
+/// router visits are stalled ones answered from stall memos. The memos
+/// are derived state: the snapshot taken mid-jam must be byte-identical
+/// to one written by a run that forgets every memo every cycle, and a
+/// restored run — which starts with cold memos — must land on the
+/// uninterrupted schedule at 1 and 2 threads.
+#[test]
+fn hub_congested_snapshot_ignores_stall_memos_and_resumes() {
+    let graph = Arc::new(RmatConfig::scale(8).generate(GRAPH_SEED));
+    let cfg = config(32, NocTopology::Mesh, None);
+    let tiles = cfg.width() * cfg.height();
+    let bfs = |cfg: &SystemConfig| {
+        let root = high_degree_root(&graph);
+        let app = Bfs::new(Arc::clone(&graph), tiles, root, SyncMode::Async);
+        Simulation::new(cfg.clone(), app).expect("valid hub config")
+    };
+    let reference = bfs(&cfg).run().expect("uninterrupted run");
+    let want = schedule_checksum(&reference, tiles);
+    let golden = load_golden();
+    let committed = golden
+        .as_object()
+        .and_then(|m| m.get("BFS-32x32-mesh-hub@t2"))
+        .and_then(JsonValue::as_object)
+        .and_then(|row| row.get("schedule_hash"))
+        .and_then(JsonValue::as_str)
+        .expect("hub row committed");
+    assert_eq!(
+        format!("{want:#018x}"),
+        committed,
+        "the 1-thread hub run left the committed schedule"
+    );
+
+    // one snapshot, two thirds into the run (a second boundary would
+    // fall past the end), written with and without memos
+    let every = reference.runtime_cycles * 2 / 3;
+    let write = |tag: &str, forget: bool| {
+        let path = snap_path(tag);
+        let mut with_ckpt = cfg.clone();
+        with_ckpt.checkpoint_path = Some(path.clone());
+        with_ckpt.checkpoint_every = Some(every);
+        let sim = bfs(&with_ckpt);
+        let sim = if forget {
+            sim.forget_stall_memos_every_cycle()
+        } else {
+            sim
+        };
+        let result = sim.run().expect("checkpointing run");
+        assert_eq!(
+            schedule_checksum(&result, tiles),
+            want,
+            "{tag} perturbed the run"
+        );
+        (path, result)
+    };
+    let (path, with_memos) = write("hub-memo", false);
+    let (cold_path, cold) = write("hub-cold", true);
+    assert_eq!(
+        cold.host_router_visits.replayed, 0,
+        "the hook forgets every memo"
+    );
+    assert_eq!(
+        with_memos.host_router_visits.awake(),
+        cold.host_router_visits.awake(),
+        "replays stand in for full evaluations one to one"
+    );
+    assert!(
+        std::fs::read(&path).expect("snapshot written")
+            == std::fs::read(&cold_path).expect("cold snapshot written"),
+        "stall memos leaked into the snapshot bytes"
+    );
+    let _ = std::fs::remove_file(&cold_path);
+
+    for threads in [1usize, 2] {
+        let mut resumed_cfg = cfg.clone();
+        resumed_cfg.checkpoint_path = Some(path.clone());
+        resumed_cfg.checkpoint_resume = true;
+        let resumed = bfs(&resumed_cfg)
+            .run_parallel(threads)
+            .expect("resumed run");
+        assert_eq!(
+            schedule_checksum(&resumed, tiles),
+            want,
+            "{threads}-thread resume diverged from the uninterrupted schedule"
+        );
+        // the ledger restarts at the snapshot: the difference is what had
+        // been replayed by the snapshot cycle, the rest comes after it
+        let after = resumed.host_router_visits.replayed;
+        let before = reference.host_router_visits.replayed - after;
+        assert!(
+            before >= 100 && after >= 100,
+            "the snapshot must sit inside the jam: {before} replays before it, {after} after"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// CI smoke: one fast split-and-resume identity (BFS on the 8x8 mesh)

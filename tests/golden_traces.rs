@@ -10,7 +10,13 @@
 //! (time-leap x active-list) combinations, which must all reproduce the
 //! committed checksum — the speed layers are pure host-side shortcuts.
 //!
-//! To regenerate after an *intentional* model change:
+//! Those 72 rows are single-thread artifacts on grids up to 8x8. Two
+//! more rows pin the thread axis directly: the split-invariant
+//! `schedule_checksum` of a hub-congested BFS on a 32x32 mesh, run at 2
+//! and at 4 host threads (`@t2` / `@t4` keys).
+//!
+//! To regenerate after an *intentional* model change (each test rewrites
+//! only its own rows of the file):
 //!
 //! ```text
 //! MUCHISIM_BLESS=1 cargo test --test golden_traces
@@ -18,15 +24,69 @@
 
 use muchisim::apps::{run_benchmark, Benchmark};
 use muchisim::config::{NocTopology, SystemConfig, Verbosity};
-use muchisim::core::digest::trace_checksum as checksum;
+use muchisim::core::digest::{schedule_checksum, trace_checksum as checksum};
 use muchisim::data::rmat::RmatConfig;
 use serde_json::JsonValue;
-use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/traces.json");
 const GRAPH_SEED: u64 = 0xC0FF_EE00;
 const GRAPH_SCALE: u32 = 5; // 32 vertices, enough traffic on 8x8
+
+/// RMAT scale of the hub-congested 32x32 point: 256 vertices whose
+/// highest-degree root floods a 1024-tile mesh, so most router visits of
+/// the run are back-pressured ones.
+const HUB_GRAPH_SCALE: u32 = 8;
+
+/// Rewrites `rows` (key, JSON object) in the golden file, keeping every
+/// other row and the row order as committed, so each test blesses only
+/// what it owns.
+fn bless_rows(rows: &[(String, String)]) {
+    static FILE: Mutex<()> = Mutex::new(());
+    let _one_writer = FILE.lock().unwrap_or_else(|e| e.into_inner());
+    // one row per line: `  "KEY": {...}` with an optional trailing comma
+    let mut kept: Vec<(String, String)> = std::fs::read_to_string(GOLDEN_PATH)
+        .unwrap_or_default()
+        .lines()
+        .filter_map(|line| {
+            let (key, body) = line.trim().strip_prefix('"')?.split_once("\": ")?;
+            Some((key.to_string(), body.trim_end_matches(',').to_string()))
+        })
+        .collect();
+    for (key, body) in rows {
+        match kept.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = body.clone(),
+            None => kept.push((key.clone(), body.clone())),
+        }
+    }
+    let lines: Vec<String> = kept
+        .iter()
+        .map(|(key, body)| format!("  \"{key}\": {body}"))
+        .collect();
+    std::fs::write(GOLDEN_PATH, format!("{{\n{}\n}}\n", lines.join(",\n")))
+        .expect("write golden file");
+    eprintln!("blessed {} rows of {GOLDEN_PATH}", rows.len());
+}
+
+/// The committed golden file.
+fn load_committed() -> JsonValue {
+    let text = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!("missing golden file {GOLDEN_PATH} ({e}); bless with MUCHISIM_BLESS=1")
+    });
+    serde_json::from_str(&text).expect("golden file parses")
+}
+
+/// String field `field` of the committed row `key`.
+fn committed_str<'a>(committed: &'a JsonValue, key: &str, field: &str) -> &'a str {
+    committed
+        .as_object()
+        .and_then(|m| m.get(key))
+        .and_then(JsonValue::as_object)
+        .unwrap_or_else(|| panic!("{key} missing from {GOLDEN_PATH}; re-bless"))
+        .get(field)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_else(|| panic!("{key} has no `{field}` field"))
+}
 
 fn config(side: u32, topo: NocTopology, ruche: Option<u32>) -> SystemConfig {
     let mut b = SystemConfig::builder();
@@ -58,16 +118,9 @@ fn cases() -> Vec<(String, SystemConfig)> {
 fn golden_traces_match_committed_checksums() {
     let bless = std::env::var_os("MUCHISIM_BLESS").is_some();
     let graph = Arc::new(RmatConfig::scale(GRAPH_SCALE).generate(GRAPH_SEED));
-    let committed: Option<JsonValue> = if bless {
-        None
-    } else {
-        let text = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-            panic!("missing golden file {GOLDEN_PATH} ({e}); bless with MUCHISIM_BLESS=1")
-        });
-        Some(serde_json::from_str(&text).expect("golden file parses"))
-    };
+    let committed: Option<JsonValue> = (!bless).then(load_committed);
 
-    let mut blessed = String::from("{\n");
+    let mut blessed = Vec::new();
     let mut mismatches = Vec::new();
     let mut n = 0usize;
     for (cfg_name, cfg) in cases() {
@@ -107,16 +160,14 @@ fn golden_traces_match_committed_checksums() {
                 }
             }
             if bless {
-                if n > 0 {
-                    blessed.push_str(",\n");
-                }
-                write!(
-                    blessed,
-                    "  \"{key}\": {{\"hash\": \"{hash:#018x}\", \"runtime_cycles\": {}, \"frames\": {}}}",
-                    result.runtime_cycles,
-                    result.frames.len()
-                )
-                .unwrap();
+                blessed.push((
+                    key,
+                    format!(
+                        "{{\"hash\": \"{hash:#018x}\", \"runtime_cycles\": {}, \"frames\": {}}}",
+                        result.runtime_cycles,
+                        result.frames.len()
+                    ),
+                ));
             } else {
                 let want = committed
                     .as_ref()
@@ -145,9 +196,7 @@ fn golden_traces_match_committed_checksums() {
     }
     assert_eq!(n, 72, "8 apps x 3 grids x 3 topologies");
     if bless {
-        blessed.push_str("\n}\n");
-        std::fs::write(GOLDEN_PATH, blessed).expect("write golden file");
-        eprintln!("blessed {n} golden traces into {GOLDEN_PATH}");
+        bless_rows(&blessed);
         return;
     }
     assert!(
@@ -157,4 +206,51 @@ fn golden_traces_match_committed_checksums() {
         mismatches.len(),
         mismatches.join("\n")
     );
+}
+
+/// The thread axis in the goldens: BFS from the highest-degree root of
+/// an RMAT-8 graph on a 32x32 mesh — hub congestion, where most router
+/// visits are replayed stalls — must land on the committed
+/// `schedule_checksum` at 2 and at 4 host threads.
+#[test]
+fn threaded_hub_congested_runs_match_committed_schedule_rows() {
+    let graph = Arc::new(RmatConfig::scale(HUB_GRAPH_SCALE).generate(GRAPH_SEED));
+    let cfg = config(32, NocTopology::Mesh, None);
+    let tiles = cfg.width() * cfg.height();
+    let mut blessed = Vec::new();
+    for threads in [2usize, 4] {
+        let key = format!("BFS-32x32-mesh-hub@t{threads}");
+        let result = run_benchmark(Benchmark::Bfs, cfg.clone(), &graph, threads)
+            .unwrap_or_else(|e| panic!("{key} failed to run: {e}"));
+        assert!(
+            result.check_error.is_none(),
+            "{key}: {:?}",
+            result.check_error
+        );
+        let visits = result.host_router_visits;
+        assert!(
+            visits.replayed > visits.evaluated_moved,
+            "{key} is meant to be hub-congested: {visits:?}"
+        );
+        let got = format!("{:#018x}", schedule_checksum(&result, tiles));
+        if std::env::var_os("MUCHISIM_BLESS").is_some() {
+            blessed.push((
+                key,
+                format!(
+                    "{{\"schedule_hash\": \"{got}\", \"runtime_cycles\": {}}}",
+                    result.runtime_cycles
+                ),
+            ));
+            continue;
+        }
+        assert_eq!(
+            got,
+            committed_str(&load_committed(), &key, "schedule_hash"),
+            "{key}: schedule diverged from the committed row (runtime {})",
+            result.runtime_cycles
+        );
+    }
+    if !blessed.is_empty() {
+        bless_rows(&blessed);
+    }
 }
