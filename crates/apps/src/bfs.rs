@@ -9,7 +9,7 @@
 //! barrier and the next frontier is replayed from per-tile state.
 
 use crate::common::{arrays, f2w, w2f, GraphData, SyncMode};
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{ByteReader, Put};
 use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
@@ -158,21 +158,13 @@ impl Application for Bfs {
     }
 
     fn snapshot_tile(&self, state: &BfsTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_u32s(out, &state.dist);
+        state.dist.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut BfsTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let dist = r.u32s()?;
-        if dist.len() != state.dist.len() {
-            return Err(format!(
-                "bfs tile: snapshot has {} vertices, dataset has {}",
-                dist.len(),
-                state.dist.len()
-            ));
-        }
-        state.dist = dist;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.dist, "bfs tile")?;
         r.expect_end()
     }
 
@@ -325,20 +317,15 @@ impl Application for Sssp {
     }
 
     fn snapshot_tile(&self, state: &SsspTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_f32s(out, &state.dist);
-        snap::put_bools(out, &state.changed);
+        state.dist.put(out);
+        state.changed.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut SsspTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let dist = r.f32s()?;
-        let changed = r.bools()?;
-        if dist.len() != state.dist.len() || changed.len() != state.changed.len() {
-            return Err("sssp tile: snapshot partition does not match dataset".into());
-        }
-        state.dist = dist;
-        state.changed = changed;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.dist, "sssp tile")?;
+        r.seq_into(&mut state.changed, "sssp tile")?;
         r.expect_end()
     }
 

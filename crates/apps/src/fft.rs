@@ -16,7 +16,7 @@
 //! the result check uses a relative Frobenius tolerance.
 
 use crate::common::arrays;
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{put_seq, ByteReader};
 use muchisim_core::{Application, GridInfo, TaskCtx};
 use muchisim_data::tensor::{fft_in_place, Complex, Tensor3};
 use std::sync::Arc;
@@ -145,25 +145,20 @@ impl Application for Fft3d {
 
     fn snapshot_tile(&self, state: &FftTile, out: &mut Vec<u8>) -> Result<(), String> {
         for line in [&state.pencil, &state.recv] {
-            snap::put_u32(out, line.len() as u32);
-            for c in line {
-                snap::put_f64(out, c.re);
-                snap::put_f64(out, c.im);
-            }
+            put_seq(out, line.iter().map(|c| (c.re, c.im)));
         }
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut FftTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         for line in [&mut state.pencil, &mut state.recv] {
-            let n = r.u32()? as usize;
-            if n != line.len() {
+            let parts = r.seq::<(f64, f64)>()?;
+            if parts.len() != line.len() {
                 return Err("fft tile: snapshot pencil length does not match".into());
             }
-            for c in line.iter_mut() {
-                c.re = r.f64()?;
-                c.im = r.f64()?;
+            for (c, (re, im)) in line.iter_mut().zip(parts) {
+                (c.re, c.im) = (re, im);
             }
         }
         r.expect_end()

@@ -8,7 +8,7 @@
 //! natural candidates for in-network SumU32 reduction.
 
 use crate::common::{arrays, GraphData};
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{ByteReader, Put};
 use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::{Csr, Partition};
 use std::sync::Arc;
@@ -110,17 +110,13 @@ impl Application for Histogram {
     }
 
     fn snapshot_tile(&self, state: &HistogramTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_u32s(out, &state.counts);
+        state.counts.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut HistogramTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let counts = r.u32s()?;
-        if counts.len() != state.counts.len() {
-            return Err("histogram tile: snapshot partition does not match dataset".into());
-        }
-        state.counts = counts;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.counts, "histogram tile")?;
         r.expect_end()
     }
 

@@ -48,5 +48,5 @@ pub use histogram::Histogram;
 pub use pagerank::PageRank;
 pub use spmm::Spmm;
 pub use spmv::Spmv;
-pub use suite::{high_degree_root, run_benchmark, run_benchmark_balanced, Benchmark};
+pub use suite::{high_degree_root, run_benchmark, Benchmark};
 pub use wcc::Wcc;

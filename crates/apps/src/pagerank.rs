@@ -6,7 +6,7 @@
 //! accumulated contributions into new ranks.
 
 use crate::common::{arrays, f2w, w2f, GraphData};
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{ByteReader, Put};
 use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
@@ -138,20 +138,15 @@ impl Application for PageRank {
     }
 
     fn snapshot_tile(&self, state: &PageRankTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_f32s(out, &state.rank);
-        snap::put_f32s(out, &state.acc);
+        state.rank.put(out);
+        state.acc.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut PageRankTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let rank = r.f32s()?;
-        let acc = r.f32s()?;
-        if rank.len() != state.rank.len() || acc.len() != state.acc.len() {
-            return Err("pagerank tile: snapshot partition does not match dataset".into());
-        }
-        state.rank = rank;
-        state.acc = acc;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.rank, "pagerank tile")?;
+        r.seq_into(&mut state.acc, "pagerank tile")?;
         r.expect_end()
     }
 

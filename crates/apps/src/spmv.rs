@@ -9,7 +9,7 @@
 //! paper's deadlock rule requires.
 
 use crate::common::{arrays, f2w, w2f, GraphData};
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{ByteReader, Put};
 use muchisim_core::{Application, GridInfo, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
@@ -120,17 +120,13 @@ impl Application for Spmv {
     }
 
     fn snapshot_tile(&self, state: &SpmvTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_f32s(out, &state.y);
+        state.y.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut SpmvTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let y = r.f32s()?;
-        if y.len() != state.y.len() {
-            return Err("spmv tile: snapshot partition does not match dataset".into());
-        }
-        state.y = y;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.y, "spmv tile")?;
         r.expect_end()
     }
 

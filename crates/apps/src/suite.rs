@@ -122,7 +122,7 @@ impl fmt::Display for Benchmark {
 /// each arm (a closure could not be generic over the app type); every
 /// expansion must produce the same `Result<SimResult, SimError>`. This is
 /// the single place that knows how to instantiate a suite application —
-/// [`run_benchmark`] and [`run_benchmark_balanced`] both go through it.
+/// [`run_benchmark`] goes through it.
 macro_rules! with_suite_app {
     ($bench:expr, $cfg:expr, $graph:expr, |$sim:ident| $run:expr) => {{
         let cfg = $cfg;
@@ -206,37 +206,6 @@ pub fn run_benchmark(
     with_suite_app!(bench, cfg, graph, |sim| sim.run_parallel(threads))
 }
 
-/// Like [`run_benchmark`], but places shard boundaries by *measured*
-/// activity instead of splitting columns evenly: a short calibration
-/// window of `calibration_cycles` NoC cycles runs first (same benchmark,
-/// same seed, NoC tracing disabled), its per-column task counts become
-/// the weights for `split_by_activity`, and the full run then uses the
-/// balanced boundaries.
-///
-/// The balanced run is bit-identical to [`run_benchmark`] — shard
-/// boundaries only change which host thread steps a column, never the
-/// simulated schedule — so this is purely a host-load-balance knob for
-/// spatially skewed workloads.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from either phase; the calibration window
-/// treats hitting its cycle limit as a normal stop.
-pub fn run_benchmark_balanced(
-    bench: Benchmark,
-    cfg: SystemConfig,
-    graph: &Arc<Csr>,
-    threads: usize,
-    calibration_cycles: u64,
-) -> Result<SimResult, SimError> {
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.noc_trace = None;
-    let probe = with_suite_app!(bench, probe_cfg, graph, |sim| sim
-        .run_window(threads, calibration_cycles))?;
-    let weights = probe.column_activity;
-    with_suite_app!(bench, cfg, graph, |sim| sim.run_balanced(threads, &weights))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,19 +239,6 @@ mod tests {
         assert!(result.check_error.is_none(), "{:?}", result.check_error);
         assert!(result.counters.noc.injected > 0);
         assert_eq!(result.noc_latency.count, result.counters.noc.ejected);
-    }
-
-    #[test]
-    fn balanced_run_is_bit_identical_to_even_split() {
-        let cfg = SystemConfig::builder().chiplet_tiles(8, 8).build().unwrap();
-        let graph = Arc::new(muchisim_data::synthetic::uniform_random(64, 256, 42));
-        let even = run_benchmark(Benchmark::Bfs, cfg.clone(), &graph, 2).unwrap();
-        let balanced = run_benchmark_balanced(Benchmark::Bfs, cfg, &graph, 2, 200).unwrap();
-        assert_eq!(balanced.runtime_cycles, even.runtime_cycles);
-        assert_eq!(balanced.counters, even.counters);
-        assert_eq!(balanced.frames, even.frames);
-        assert_eq!(balanced.column_activity, even.column_activity);
-        assert!(balanced.check_error.is_none(), "{:?}", balanced.check_error);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! weak connectivity is computed for directed inputs.
 
 use crate::common::{arrays, GraphData, SyncMode};
-use muchisim_core::snapshot as snap;
+use muchisim_core::snapshot::{ByteReader, Put};
 use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
@@ -152,20 +152,15 @@ impl Application for Wcc {
     }
 
     fn snapshot_tile(&self, state: &WccTile, out: &mut Vec<u8>) -> Result<(), String> {
-        snap::put_u32s(out, &state.label);
-        snap::put_bools(out, &state.changed);
+        state.label.put(out);
+        state.changed.put(out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut WccTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = snap::ByteReader::new(bytes);
-        let label = r.u32s()?;
-        let changed = r.bools()?;
-        if label.len() != state.label.len() || changed.len() != state.changed.len() {
-            return Err("wcc tile: snapshot partition does not match dataset".into());
-        }
-        state.label = label;
-        state.changed = changed;
+        let mut r = ByteReader::new(bytes);
+        r.seq_into(&mut state.label, "wcc tile")?;
+        r.seq_into(&mut state.changed, "wcc tile")?;
         r.expect_end()
     }
 

@@ -323,8 +323,8 @@ pub trait Application: Sync + Send {
     }
 
     /// Serializes one tile's state into `out` for a checkpoint snapshot
-    /// (see `muchisim_core::snapshot` for the little-endian helpers;
-    /// encode floats via their bit patterns so the round trip is exact).
+    /// (with the `muchisim_core::snapshot` codec: `Put::put`, `put_seq`;
+    /// floats travel as their bit patterns, so the round trip is exact).
     ///
     /// The default refuses, so applications without the hook fail
     /// checkpointing with a clean error instead of silently dropping

@@ -11,8 +11,8 @@ use crate::tile::{HostPhaseNs, SimResult, TileEngine};
 use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState};
 use muchisim_noc::{
-    split_by_activity, split_columns, ActiveSet, EjectSink, InPort, Network, NetworkParams, OutDir,
-    Packet, Payload, Shard, SharedNet,
+    split_columns, ActiveSet, EjectSink, InPort, Network, NetworkParams, OutDir, Packet, Payload,
+    Shard, SharedNet,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,18 +29,14 @@ pub struct Simulation<A: Application> {
     cfg: SystemConfig,
     app: A,
     cycle_limit: u64,
-    /// Treat hitting the cycle limit as a normal stop instead of an
-    /// error (calibration windows).
-    stop_at_limit: bool,
-    /// Explicit shard column boundaries (activity-balanced runs);
-    /// `None` splits evenly by [`split_columns`].
-    boundaries: Option<Vec<u32>>,
     /// Extra telemetry subscribers attached via
     /// [`Simulation::with_subscriber`] (tests, embedding hosts), fed by
     /// the same sample stream as the configured file subscribers.
     subscribers: Vec<Box<dyn muchisim_telemetry::Subscriber>>,
     /// Test hook, see [`Simulation::forget_stall_memos_every_cycle`].
     forget_stall_memos: bool,
+    /// Test hook, see [`Simulation::resnapshot_on_resume`].
+    resnapshot_on_resume: bool,
 }
 
 impl<A: Application> Simulation<A> {
@@ -82,10 +78,9 @@ impl<A: Application> Simulation<A> {
             cfg,
             app,
             cycle_limit: u64::MAX / 4,
-            stop_at_limit: false,
-            boundaries: None,
             subscribers: Vec::new(),
             forget_stall_memos: false,
+            resnapshot_on_resume: false,
         })
     }
 
@@ -111,6 +106,17 @@ impl<A: Application> Simulation<A> {
     #[doc(hidden)]
     pub fn forget_stall_memos_every_cycle(mut self) -> Self {
         self.forget_stall_memos = true;
+        self
+    }
+
+    /// Test hook: a resumed run writes a snapshot at the very cycle it
+    /// re-enters at, before executing anything — `encode(restore(decode(
+    /// file)))`, which must reproduce the file (see
+    /// `tests/snapshot_format.rs`). Needs a checkpoint cadence, like any
+    /// snapshot write.
+    #[doc(hidden)]
+    pub fn resnapshot_on_resume(mut self) -> Self {
+        self.resnapshot_on_resume = true;
         self
     }
 
@@ -163,13 +169,7 @@ impl<A: Application> Simulation<A> {
             }
             _ => None,
         };
-        let mut setup = SimSetup::build(
-            &self.cfg,
-            &self.app,
-            threads,
-            self.boundaries.as_deref(),
-            spill,
-        );
+        let mut setup = SimSetup::build(&self.cfg, &self.app, threads, spill);
         for w in &mut setup.workers {
             w.forget_stall_memos = self.forget_stall_memos;
         }
@@ -181,9 +181,8 @@ impl<A: Application> Simulation<A> {
                 }
                 restore_networks(&mut setup.networks, data)?;
                 Some(crate::parallel::ResumeState {
-                    kernel: data.kernel,
-                    cycle: data.cycle,
-                    base: data.base,
+                    at: data.at,
+                    resnapshot: self.resnapshot_on_resume,
                 })
             }
             None => None,
@@ -193,52 +192,9 @@ impl<A: Application> Simulation<A> {
             &self.app,
             setup,
             self.cycle_limit,
-            self.stop_at_limit,
             resume,
             subscribers,
         )
-    }
-
-    /// Runs a *calibration window*: at most `window_cycles` NoC cycles
-    /// per kernel, stopping normally (instead of erroring) if the limit
-    /// is hit.
-    ///
-    /// The partial result's [`SimResult::column_activity`] feeds
-    /// [`Simulation::run_balanced`]; its `check_error` is meaningless for
-    /// an interrupted application and should be ignored.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulation::run_parallel`] (everything except the cycle
-    /// limit).
-    pub fn run_window(mut self, threads: usize, window_cycles: u64) -> Result<SimResult, SimError> {
-        self.cycle_limit = window_cycles;
-        self.stop_at_limit = true;
-        self.run_parallel(threads)
-    }
-
-    /// Runs with up to `threads` host threads whose shard boundaries are
-    /// balanced by `column_weights` (one measured event count per grid
-    /// column, e.g. [`SimResult::column_activity`] from a
-    /// [`Simulation::run_window`] calibration) instead of split evenly.
-    ///
-    /// Boundaries still respect DRAM channel-band alignment, and results
-    /// are bit-identical to [`Simulation::run`] for *any* boundary
-    /// placement — balancing only changes how evenly host work spreads
-    /// across threads.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulation::run_parallel`].
-    pub fn run_balanced(
-        mut self,
-        threads: usize,
-        column_weights: &[u64],
-    ) -> Result<SimResult, SimError> {
-        debug_assert_eq!(column_weights.len(), self.cfg.width() as usize);
-        let align = ChannelMap::from_system(&self.cfg).map_or(1, |m| m.band_cols());
-        self.boundaries = Some(split_by_activity(column_weights, threads, align));
-        self.run_parallel(threads)
     }
 }
 
@@ -253,15 +209,11 @@ impl<A: Application> SimSetup<A> {
         cfg: &SystemConfig,
         app: &A,
         threads: usize,
-        boundaries: Option<&[u32]>,
         spill: Option<FrameSpill>,
     ) -> Self {
         let channel_map = ChannelMap::from_system(cfg);
         let align = channel_map.map_or(1, |m| m.band_cols());
-        let boundaries = match boundaries {
-            Some(b) => b.to_vec(),
-            None => split_columns(cfg.width(), threads, align),
-        };
+        let boundaries = split_columns(cfg.width(), threads, align);
         let planes = cfg.noc.num_physical.max(1);
         let networks: Vec<Network> = (0..planes)
             .map(|_| Network::with_boundaries(NetworkParams::from_system(cfg), &boundaries))
@@ -1118,18 +1070,13 @@ impl<A: Application> Worker<A> {
                 .sum::<u64>()
     }
 
-    /// Streams this worker's checkpoint chunk directly into `buf`, in the
-    /// exact [`crate::snapshot::WorkerChunk`] wire format, without
-    /// materializing the intermediate record structs. This is the hot
-    /// path behind periodic checkpoints: on a 65k-tile grid the
-    /// struct-based path performs hundreds of thousands of short-lived
-    /// allocations per snapshot (queue clones, per-tile vectors, a frame
-    /// log copy), which dominates the checkpoint cost; writing straight
-    /// from engine state into a reused buffer removes all of them. Must
-    /// be called at the post-`begin_cycle` quiescent point of `cycle`.
-    /// `debug_assert`-checked against [`Self::snapshot_chunk`]`.encode()`
-    /// in the parallel driver, so every debug-mode checkpoint test proves
-    /// the two encoders agree byte for byte.
+    /// Streams this worker's checkpoint chunk into `buf`: the fields of
+    /// [`crate::snapshot::WorkerChunk`], in its order, written straight
+    /// from engine state — no record structs, no queue clones, nothing
+    /// allocated per tile or per queue, and `buf` is reused from one
+    /// snapshot to the next. This is the only chunk encoder; what it
+    /// writes is what `WorkerChunk` reads. Must be called at the
+    /// post-`begin_cycle` quiescent point of `cycle`.
     pub(crate) fn encode_chunk_into(
         &self,
         app: &A,
@@ -1137,199 +1084,61 @@ impl<A: Application> Worker<A> {
         cycle: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), String> {
-        use crate::snapshot as snap;
+        use crate::snapshot::{put_blob_with, put_seq, Put};
         let width = self.grid.width;
-        snap::put_u64(buf, self.max_pu_fs);
-        snap::put_u64(buf, self.frame_tasks);
-        snap::put_u64(buf, self.frame_injected);
-        snap::put_u64(buf, self.frame_ejected);
-        snap::put_frame_log(buf, self.frames.log());
-        snap::put_u32(buf, shards.len() as u32);
+        (
+            self.max_pu_fs,
+            self.frame_tasks,
+            self.frame_injected,
+            self.frame_ejected,
+        )
+            .put(buf);
+        self.frames.log().put(buf);
+        // planes: one `PlaneRecord` per shard
+        (shards.len() as u32).put(buf);
         for sh in shards {
-            snap::put_noc_counters(buf, sh.counters());
-            snap::put_latency(buf, sh.latency());
-            let packets = sh.snapshot_packets(width);
-            snap::put_u32(buf, packets.len() as u32);
-            for (tile, port, pkt) in packets {
-                snap::put_u32(buf, tile);
-                snap::put_u8(buf, port);
-                snap::put_packet(buf, pkt);
-            }
-            let links = sh.snapshot_links(width, cycle);
-            snap::put_u32(buf, links.len() as u32);
-            for (tile, dir, until) in links {
-                snap::put_u32(buf, tile);
-                snap::put_u8(buf, dir);
-                snap::put_u64(buf, until);
-            }
-            let rr = sh.snapshot_rr(width);
-            snap::put_u32(buf, rr.len() as u32);
-            for (tile, dir, v) in rr {
-                snap::put_u32(buf, tile);
-                snap::put_u8(buf, dir);
-                snap::put_u8(buf, v);
-            }
-            let busy = sh.snapshot_busy_frame(width);
-            snap::put_u32(buf, busy.len() as u32);
-            for (tile, v) in busy {
-                snap::put_u32(buf, tile);
-                snap::put_u32(buf, v);
-            }
+            sh.counters().put(buf);
+            sh.latency().put(buf);
+            sh.snapshot_packets(width).put(buf);
+            sh.snapshot_links(width, cycle).put(buf);
+            sh.snapshot_rr(width).put(buf);
+            sh.snapshot_busy_frame(width).put(buf);
         }
-        snap::put_u32(buf, self.tiles.len() as u32);
+        // tiles: one `TileRecord` each
+        (self.tiles.len() as u32).put(buf);
         for (local, t) in self.tiles.iter().enumerate() {
             let tile_g = self.slice.global(local);
-            snap::put_u32(buf, tile_g);
-            snap::put_bool(buf, self.init_pending[local]);
-            snap::put_u32(buf, self.pu_busy_frame[local]);
-            snap::put_u8(buf, t.sched.rr_last());
-            snap::put_u64s(
-                buf,
-                &self.pu_clock[local * self.pus..(local + 1) * self.pus],
-            );
-            snap::put_pu_counters(buf, &t.counters);
-            snap::put_mem_counters(buf, t.mem.counters());
-            match t.mem.snapshot_cache() {
-                Some(json) => snap::put_bytes(buf, json.as_bytes()),
-                None => snap::put_u32(buf, 0),
-            }
-            let iqs = t.iqs.as_slice();
-            snap::put_u32(buf, iqs.len() as u32);
-            for q in iqs {
-                snap::put_u32(buf, q.len() as u32);
-                for p in q {
-                    snap::put_payload(buf, p);
-                }
-            }
-            let cqs = t.cqs.as_slice();
-            snap::put_u32(buf, cqs.len() as u32);
-            for q in cqs {
-                snap::put_u32(buf, q.len() as u32);
-                for m in q {
-                    snap::put_out_msg(buf, m);
-                }
-            }
+            (
+                tile_g,
+                self.init_pending[local],
+                self.pu_busy_frame[local],
+                t.sched.rr_last(),
+            )
+                .put(buf);
+            self.pu_clock[local * self.pus..(local + 1) * self.pus].put(buf);
+            t.counters.put(buf);
+            t.mem.counters().put(buf);
+            t.mem.snapshot_cache().as_deref().unwrap_or("").put(buf);
+            t.iqs.as_slice().put(buf);
+            t.cqs.as_slice().put(buf);
             match self.scripted.get(local) {
-                Some(q) => {
-                    snap::put_u32(buf, q.len() as u32);
-                    for s in q {
-                        snap::put_scheduled_send(buf, s);
-                    }
-                }
-                None => snap::put_u32(buf, 0),
+                Some(q) => q.put(buf),
+                None => 0u32.put(buf),
             }
-            // app blob: reserve the length prefix, let the app append in
-            // place, then patch the prefix with the appended size
-            let at = buf.len();
-            snap::put_u32(buf, 0);
-            app.snapshot_tile(&self.states[local], buf)
+            put_blob_with(buf, |blob| app.snapshot_tile(&self.states[local], blob))
                 .map_err(|e| format!("tile {tile_g}: {e}"))?;
-            let len = (buf.len() - at - 4) as u32;
-            buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
         // only the owning worker ever advances a channel's clock; the
         // other workers' copies stay at zero, so non-zero == owned
-        let n_ch = self
-            .channels
-            .iter()
-            .filter(|ch| ch.transactions != 0)
-            .count();
-        snap::put_u32(buf, n_ch as u32);
-        for (id, ch) in self.channels.iter().enumerate() {
-            if ch.transactions != 0 {
-                snap::put_u32(buf, id as u32);
-                snap::put_u64(buf, ch.transactions);
-            }
-        }
+        put_seq(
+            buf,
+            self.channels
+                .iter()
+                .enumerate()
+                .filter(|(_, ch)| ch.transactions != 0)
+                .map(|(id, ch)| (id as u32, ch.transactions)),
+        );
         Ok(())
-    }
-
-    /// Assembles this worker's checkpoint chunk: every tile's dynamic
-    /// state, every owned NoC shard's queued packets and link clocks, the
-    /// owned DRAM channels, and the open-frame telemetry. Must be called
-    /// at the post-`begin_cycle` quiescent point of `cycle`.
-    ///
-    /// The live driver streams chunks through [`Self::encode_chunk_into`]
-    /// instead; this reference builder survives as the debug-mode
-    /// cross-check oracle (and the encode/decode round-trip tests).
-    #[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
-    pub(crate) fn snapshot_chunk(
-        &self,
-        app: &A,
-        shards: &[&mut Shard],
-        cycle: u64,
-    ) -> Result<crate::snapshot::WorkerChunk, String> {
-        use crate::snapshot::{PlaneRecord, TileRecord, WorkerChunk};
-        let width = self.grid.width;
-        let planes: Vec<PlaneRecord> = shards
-            .iter()
-            .map(|sh| PlaneRecord {
-                counters: *sh.counters(),
-                latency: sh.latency().clone(),
-                packets: sh
-                    .snapshot_packets(width)
-                    .into_iter()
-                    .map(|(tile, port, pkt)| (tile, port, pkt.clone()))
-                    .collect(),
-                links: sh.snapshot_links(width, cycle),
-                rr: sh.snapshot_rr(width),
-                busy_frame: sh.snapshot_busy_frame(width),
-            })
-            .collect();
-        let mut tiles = Vec::with_capacity(self.tiles.len());
-        for (local, t) in self.tiles.iter().enumerate() {
-            let tile_g = self.slice.global(local);
-            let mut app_bytes = Vec::new();
-            app.snapshot_tile(&self.states[local], &mut app_bytes)
-                .map_err(|e| format!("tile {tile_g}: {e}"))?;
-            tiles.push(TileRecord {
-                tile: tile_g,
-                init_pending: self.init_pending[local],
-                pu_busy_frame: self.pu_busy_frame[local],
-                rr_last: t.sched.rr_last(),
-                pu_clock: self.pu_clock[local * self.pus..(local + 1) * self.pus].to_vec(),
-                pu: t.counters,
-                mem: *t.mem.counters(),
-                cache: t.mem.snapshot_cache(),
-                iqs: t
-                    .iqs
-                    .as_slice()
-                    .iter()
-                    .map(|q| q.iter().cloned().collect())
-                    .collect(),
-                cqs: t
-                    .cqs
-                    .as_slice()
-                    .iter()
-                    .map(|q| q.iter().cloned().collect())
-                    .collect(),
-                scripted: self
-                    .scripted
-                    .get(local)
-                    .map(|q| q.iter().cloned().collect())
-                    .unwrap_or_default(),
-                app: app_bytes,
-            });
-        }
-        // only the owning worker ever advances a channel's clock; the
-        // other workers' copies stay at zero, so non-zero == owned
-        let channels = self
-            .channels
-            .iter()
-            .enumerate()
-            .filter(|&(_, ch)| ch.transactions != 0)
-            .map(|(id, ch)| (id as u32, ch.transactions))
-            .collect();
-        Ok(WorkerChunk {
-            max_pu_fs: self.max_pu_fs,
-            frame_tasks: self.frame_tasks,
-            frame_injected: self.frame_injected,
-            frame_ejected: self.frame_ejected,
-            frames: self.frames.log().clone(),
-            planes,
-            tiles,
-            channels,
-        })
     }
 
     /// Overwrites this worker's dynamic state from a validated snapshot
@@ -1346,10 +1155,11 @@ impl<A: Application> Worker<A> {
         widx: usize,
     ) -> Result<(), SimError> {
         let fail = |why: String| SimError::Snapshot(why);
-        self.kernel = snap.kernel;
+        self.kernel = snap.at.kernel;
+        let total_tiles = self.grid.total_tiles;
         for local in 0..self.tiles.len() {
             let g = self.slice.global(local);
-            let rec = &snap.tiles[g as usize];
+            let rec = &snap.state.tiles[g as usize];
             if rec.pu_clock.len() != self.pus {
                 return Err(fail(format!(
                     "tile {g}: snapshot has {} PU clocks, configuration has {}",
@@ -1367,28 +1177,46 @@ impl<A: Application> Worker<A> {
                     "tile {g}: snapshot declares more task types than the application"
                 )));
             }
+            // the TSU cursor names the task type served last
+            if usize::from(rec.rr_last) >= ntasks.max(1) {
+                return Err(fail(format!(
+                    "tile {g}: scheduler cursor {} is outside the {ntasks} task types",
+                    rec.rr_last
+                )));
+            }
+            // queued and scheduled messages become packets: their
+            // destination and task index the grid and the queue banks
+            let cq_addrs = rec.cqs.iter().flatten().map(|m| (m.dst, m.task));
+            let scripted_addrs = rec.scripted.iter().map(|s| (s.dst, s.task));
+            for (dst, task) in cq_addrs.chain(scripted_addrs) {
+                if dst >= total_tiles || usize::from(task) >= ntasks {
+                    return Err(fail(format!(
+                        "tile {g}: a queued message names tile {dst}, task {task}, outside \
+                         the {total_tiles} tiles x {ntasks} task types"
+                    )));
+                }
+            }
             t.sched.set_rr_last(rec.rr_last);
             t.counters = rec.pu;
             t.mem.restore_counters(rec.mem);
-            if let Some(json) = &rec.cache {
+            if !rec.cache.is_empty() {
                 t.mem
-                    .restore_cache(json)
+                    .restore_cache(&rec.cache)
                     .map_err(|e| fail(format!("tile {g}: {e}")))?;
             }
+            // a bank the writer had allocated is allocated here too, even
+            // when its queues are empty: re-encoding the restored state
+            // then reproduces the record
             let mut iq_total = 0u32;
             for (task, q) in rec.iqs.iter().enumerate() {
                 iq_total += q.len() as u32;
-                for p in q {
-                    t.iqs.q_mut(task).push_back(p.clone());
-                }
+                t.iqs.q_mut(task).extend(q.iter().cloned());
             }
             self.iq_msgs[local] = iq_total;
             let mut cq_total = 0u32;
             for (task, q) in rec.cqs.iter().enumerate() {
                 cq_total += q.len() as u32;
-                for m in q {
-                    t.cqs.q_mut(task).push_back(m.clone());
-                }
+                t.cqs.q_mut(task).extend(q.iter().cloned());
             }
             self.cq_msgs[local] = cq_total;
             if !self.scripted.is_empty() {
@@ -1410,7 +1238,7 @@ impl<A: Application> Worker<A> {
             count += i64::from(self.init_pending[local]);
             count += i64::from(self.iq_msgs[local]) + i64::from(self.cq_msgs[local]);
         }
-        if snap.kernel == 0 {
+        if snap.at.kernel == 0 {
             count += self.scripted.iter().map(|q| q.len() as i64).sum::<i64>();
         }
         self.msg_count = count;
@@ -1418,16 +1246,17 @@ impl<A: Application> Worker<A> {
         // global; worker 0 adopts them whole and the others contribute
         // zero-delta placeholders, so the positional frame merge at
         // `finish` reconstructs the same log an uninterrupted run keeps
+        let state = &snap.state;
         if widx == 0 {
-            self.max_pu_fs = snap.max_pu_fs;
-            self.frame_tasks = snap.frame_tasks;
-            self.frame_injected = snap.frame_injected;
-            self.frame_ejected = snap.frame_ejected;
-            for f in &snap.frames.frames {
+            self.max_pu_fs = state.max_pu_fs;
+            self.frame_tasks = state.frame_tasks;
+            self.frame_injected = state.frame_injected;
+            self.frame_ejected = state.frame_ejected;
+            for f in &state.frames.frames {
                 self.frames.push(f.clone());
             }
         } else {
-            for f in &snap.frames.frames {
+            for f in &state.frames.frames {
                 self.frames.push(Frame {
                     start_cycle: f.start_cycle,
                     ..Default::default()
@@ -1435,13 +1264,13 @@ impl<A: Application> Worker<A> {
             }
         }
         if let Some(map) = self.channel_map {
-            if !snap.channels.is_empty() {
+            if !state.channels.is_empty() {
                 let mut owned = vec![false; self.channels.len()];
                 for tile in self.slice.iter_tiles() {
                     let (x, y) = (tile % self.grid.width, tile / self.grid.width);
                     owned[map.channel_of(x, y) as usize] = true;
                 }
-                for &(id, tx) in &snap.channels {
+                for &(id, tx) in &state.channels {
                     match owned.get(id as usize) {
                         Some(true) => self.channels[id as usize].transactions = tx,
                         Some(false) => {}
@@ -1627,67 +1456,24 @@ pub(crate) fn validate_snapshot<A: Application>(
     snap: &crate::snapshot::SnapshotData,
 ) -> Result<(), SimError> {
     let fail = |why: String| Err(SimError::Snapshot(why));
-    let want_hash = crate::snapshot::config_hash(cfg);
-    if snap.config_hash != want_hash {
+    let (head, at) = (&snap.header, &snap.at);
+    let want = crate::snapshot::Header::of(cfg, app);
+    if *head != want {
         return fail(format!(
-            "snapshot was taken under a different configuration (hash {:#018x}, expected \
-             {:#018x})",
-            snap.config_hash, want_hash
+            "snapshot was taken under a different configuration, application or grid: it \
+             carries {head:?}, this run is {want:?}"
         ));
     }
-    if snap.app_name != app.name() {
-        return fail(format!(
-            "snapshot belongs to application `{}`, not `{}`",
-            snap.app_name,
-            app.name()
-        ));
-    }
-    if (snap.width, snap.height) != (cfg.width(), cfg.height()) {
-        return fail(format!(
-            "snapshot grid {}x{} does not match the configured {}x{}",
-            snap.width,
-            snap.height,
-            cfg.width(),
-            cfg.height()
-        ));
-    }
-    if snap.pus != cfg.pus_per_tile {
-        return fail(format!(
-            "snapshot has {} PUs per tile, configuration has {}",
-            snap.pus, cfg.pus_per_tile
-        ));
-    }
-    if snap.planes != cfg.noc.num_physical.max(1) {
-        return fail(format!(
-            "snapshot has {} NoC planes, configuration has {}",
-            snap.planes,
-            cfg.noc.num_physical.max(1)
-        ));
-    }
-    if snap.task_types != app.task_types() {
-        return fail(format!(
-            "snapshot has {} task types, application declares {}",
-            snap.task_types,
-            app.task_types()
-        ));
-    }
-    if snap.kernels != app.kernels() {
-        return fail(format!(
-            "snapshot has {} kernels, application declares {}",
-            snap.kernels,
-            app.kernels()
-        ));
-    }
-    if snap.kernel >= snap.kernels {
+    if at.kernel >= head.kernels {
         return fail(format!(
             "snapshot cursor is at kernel {} of {}",
-            snap.kernel, snap.kernels
+            at.kernel, head.kernels
         ));
     }
-    if snap.cycle < snap.base {
+    if at.cycle < at.base {
         return fail(format!(
             "snapshot cycle {} precedes its kernel base {}",
-            snap.cycle, snap.base
+            at.cycle, at.base
         ));
     }
     Ok(())
@@ -1701,57 +1487,57 @@ pub(crate) fn restore_networks(
     networks: &mut [Network],
     snap: &crate::snapshot::SnapshotData,
 ) -> Result<(), SimError> {
-    let fail = |why: String| Err(SimError::Snapshot(why));
-    let total_tiles = snap.width as u64 * snap.height as u64;
+    let head = &snap.header;
+    let total_tiles = u64::from(head.width) * u64::from(head.height);
     for (plane, net) in networks.iter_mut().enumerate() {
-        let Some(rec) = snap.planes_state.get(plane) else {
-            return fail(format!("snapshot is missing NoC plane {plane}"));
+        let fail = |why: String| SimError::Snapshot(format!("plane {plane}: {why}"));
+        let Some(rec) = snap.state.planes.get(plane) else {
+            return Err(fail("missing from the snapshot".into()));
         };
         let (shared, shards) = net.split();
+        // the shard that owns `tile`, for a record whose every index —
+        // what the routers would otherwise index with unchecked — is
+        // `sound`
+        let shard_of = |tile: u32, sound: bool, kind: &str, record: &dyn std::fmt::Debug| {
+            if u64::from(tile) < total_tiles && sound {
+                Ok(shared.shard_of_col[(tile % head.width) as usize] as usize)
+            } else {
+                Err(fail(format!("{kind} record {record:?} is out of range")))
+            }
+        };
+        let dirs = OutDir::ALL.len();
         // the plane-wide counters were captured merged; fold them back
         // into shard 0 so the final cross-shard merge reproduces them
         shards[0].restore_counters(&rec.counters, &rec.latency);
-        for (tile, port, pkt) in &rec.packets {
-            if u64::from(*tile) >= total_tiles {
-                return fail(format!(
-                    "plane {plane}: packet parked at tile {tile}, outside the grid"
-                ));
-            }
-            let Some(&in_port) = InPort::ALL.get(*port as usize) else {
-                return fail(format!(
-                    "plane {plane}: packet at tile {tile} names input port {port}, which \
-                     does not exist"
-                ));
-            };
-            let shard = shared.shard_of_col[(*tile % snap.width) as usize];
-            shards[shard as usize].restore_packet(shared, *tile, in_port, pkt.clone());
+        for record in &rec.packets {
+            let (tile, port, pkt) = record;
+            let in_port = InPort::ALL.get(*port as usize);
+            let sound = in_port.is_some()
+                && u64::from(pkt.dst) < total_tiles
+                && pkt.task < head.task_types
+                && pkt.flits > 0
+                && pkt.vc <= 1;
+            let shard = shard_of(*tile, sound, "packet", record)?;
+            let in_port = *in_port.expect("sound");
+            shards[shard]
+                .restore_packet(shared, *tile, in_port, pkt.clone())
+                .map_err(|why| fail(format!("tile {tile}: {why}")))?;
         }
-        for &(tile, dir, until) in &rec.links {
-            if u64::from(tile) >= total_tiles || dir as usize >= OutDir::ALL.len() {
-                return fail(format!(
-                    "plane {plane}: link record ({tile}, {dir}) is out of range"
-                ));
-            }
-            let shard = shared.shard_of_col[(tile % snap.width) as usize];
-            shards[shard as usize].restore_link(&shared.topo, tile, dir, until);
+        for record in &rec.links {
+            let &(tile, dir, until) = record;
+            let shard = shard_of(tile, (dir as usize) < dirs, "link", record)?;
+            shards[shard].restore_link(&shared.topo, tile, dir, until);
         }
-        for &(tile, dir, val) in &rec.rr {
-            if u64::from(tile) >= total_tiles || dir as usize >= OutDir::ALL.len() {
-                return fail(format!(
-                    "plane {plane}: arbiter record ({tile}, {dir}) is out of range"
-                ));
-            }
-            let shard = shared.shard_of_col[(tile % snap.width) as usize];
-            shards[shard as usize].restore_rr(&shared.topo, tile, dir, val);
+        for record in &rec.rr {
+            // the cursor names the input port served last
+            let &(tile, dir, val) = record;
+            let sound = (dir as usize) < dirs && (val as usize) < InPort::ALL.len();
+            let shard = shard_of(tile, sound, "arbiter", record)?;
+            shards[shard].restore_rr(&shared.topo, tile, dir, val);
         }
-        for &(tile, val) in &rec.busy_frame {
-            if u64::from(tile) >= total_tiles {
-                return fail(format!(
-                    "plane {plane}: busy-frame record for tile {tile} is out of range"
-                ));
-            }
-            let shard = shared.shard_of_col[(tile % snap.width) as usize];
-            shards[shard as usize].restore_busy_frame(&shared.topo, tile, val);
+        for record in &rec.busy_frame {
+            let shard = shard_of(record.0, true, "busy-frame", record)?;
+            shards[shard].restore_busy_frame(&shared.topo, record.0, record.1);
         }
     }
     Ok(())

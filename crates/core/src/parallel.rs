@@ -35,6 +35,7 @@
 use crate::app::Application;
 use crate::engine::{finish, SimSetup, Worker};
 use crate::error::SimError;
+use crate::snapshot::{Header, Progress};
 use crate::tile::SimResult;
 use crate::ward::{TileDiag, WardReport};
 use muchisim_config::SystemConfig;
@@ -159,17 +160,16 @@ impl SyncState {
     }
 }
 
-/// Where a restored run re-enters the cycle loop: the snapshot's kernel,
-/// the cycle it was taken at, and that kernel's base cycle.
+/// Where a restored run re-enters the cycle loop.
 #[derive(Clone, Copy)]
 pub(crate) struct ResumeState {
-    /// Kernel index the snapshot was taken in.
-    pub kernel: u32,
-    /// Cycle to re-enter the loop at (post-`begin_cycle` capture point).
-    pub cycle: u64,
-    /// The kernel's base cycle (restores the per-kernel cycle-limit
-    /// accounting).
-    pub base: u64,
+    /// The snapshot's kernel, the cycle it was taken at (the
+    /// post-`begin_cycle` capture point) and that kernel's base cycle
+    /// (which restores the per-kernel cycle-limit accounting).
+    pub at: Progress,
+    /// Write a snapshot at `at.cycle` itself (test hook,
+    /// `Simulation::resnapshot_on_resume`).
+    pub resnapshot: bool,
 }
 
 /// Shared state for periodic snapshot writes: each worker deposits its
@@ -179,9 +179,9 @@ struct CheckpointState {
     every: u64,
     /// Snapshot file path (written atomically via a temp file).
     path: String,
-    /// The pre-encoded identity header, identical for every snapshot of
-    /// this run.
-    header: Vec<u8>,
+    /// The pre-encoded magic, version and identity header, identical for
+    /// every snapshot of this run.
+    file_prefix: Vec<u8>,
     /// One encoded chunk slot per worker.
     chunks: Vec<std::sync::Mutex<Vec<u8>>>,
     /// First error from any worker or the writer; surfaced after the run.
@@ -273,7 +273,7 @@ fn telemetry_state(
         subs.push(Box::new(ProgressSubscriber::new(t.wards.max_cycles)));
     }
     subs.extend(extra);
-    let start_cycle = resume.map_or(0, |r| r.cycle);
+    let start_cycle = resume.map_or(0, |r| r.at.cycle);
     Ok(Some(TelemetryState {
         every: every.max(1),
         samples: (0..nworkers)
@@ -299,7 +299,6 @@ pub(crate) fn drive<A: Application>(
     app: &A,
     setup: SimSetup<A>,
     cycle_limit: u64,
-    stop_at_limit: bool,
     resume: Option<ResumeState>,
     subscribers: Vec<Box<dyn Subscriber>>,
 ) -> Result<SimResult, SimError> {
@@ -321,16 +320,7 @@ pub(crate) fn drive<A: Application>(
             Some(CheckpointState {
                 every: every.map_or(u64::MAX, |e| e.max(1)),
                 path: path.clone(),
-                header: crate::snapshot::encode_header(
-                    crate::snapshot::config_hash(cfg),
-                    app.name(),
-                    cfg.width(),
-                    cfg.height(),
-                    cfg.pus_per_tile,
-                    cfg.noc.num_physical.max(1),
-                    app.task_types(),
-                    kernels,
-                ),
+                file_prefix: Header::of(cfg, app).file_prefix(),
                 chunks: (0..nworkers)
                     .map(|_| std::sync::Mutex::new(Vec::new()))
                     .collect(),
@@ -479,7 +469,7 @@ pub(crate) fn drive<A: Application>(
             return Err(SimError::Snapshot(why));
         }
     }
-    if sync.limit_hit.load(Ordering::Acquire) && !stop_at_limit {
+    if sync.limit_hit.load(Ordering::Acquire) {
         return Err(SimError::CycleLimitExceeded { limit: cycle_limit });
     }
     if let Some(path) = &cfg.noc_trace {
@@ -525,15 +515,16 @@ fn worker_loop<A: Application>(
     // on resume the restored kernel's state is already in place, so the
     // loop re-enters at the snapshot cycle without a fresh start_kernel
     let (start_kernel, mut resume_cycle) = match resume {
-        Some(r) => (r.kernel, Some(r.cycle)),
+        Some(r) => (r.at.kernel, Some(r.at.cycle)),
         None => (0, None),
     };
-    let mut base = resume.map_or(0, |r| r.base);
+    let mut base = resume.map_or(0, |r| r.at.base);
     // the first checkpoint boundary strictly after the starting cycle;
     // derived from barrier-synchronized values only, so every worker
     // agrees on each snapshot cycle without communicating
-    let mut next_snap = ckpt.map_or(u64::MAX, |c| {
-        (resume.map_or(0, |r| r.cycle) / c.every + 1) * c.every
+    let mut next_snap = ckpt.map_or(u64::MAX, |c| match resume {
+        Some(r) if r.resnapshot => r.at.cycle,
+        _ => (resume.map_or(0, |r| r.at.cycle) / c.every + 1) * c.every,
     });
     for kernel in start_kernel..kernels {
         let mut cycle = match resume_cycle.take() {
@@ -556,9 +547,12 @@ fn worker_loop<A: Application>(
             let trip_snap = telem.map_or(u64::MAX, |t| t.snap_at.load(Ordering::Acquire));
             if cycle >= next_snap || cycle >= trip_snap {
                 if let Some(c) = ckpt {
-                    take_checkpoint(
-                        worker, app, &shards, sync, c, kernel, cycle, base, &mut sense, widx,
-                    )?;
+                    let at = Progress {
+                        kernel,
+                        cycle,
+                        base,
+                    };
+                    take_checkpoint(worker, app, &shards, sync, c, at, &mut sense, widx)?;
                     next_snap = (cycle / c.every + 1) * c.every;
                 }
             }
@@ -737,9 +731,7 @@ fn take_checkpoint<A: Application>(
     shards: &[&mut Shard],
     sync: &SyncState,
     ckpt: &CheckpointState,
-    kernel: u32,
-    cycle: u64,
-    base: u64,
+    at: Progress,
     sense: &mut bool,
     widx: usize,
 ) -> Result<(), Poisoned> {
@@ -748,16 +740,8 @@ fn take_checkpoint<A: Application>(
         // clear() keeps the capacity: snapshot N+1 reuses snapshot N's
         // allocation instead of re-growing a multi-megabyte buffer
         buf.clear();
-        if let Err(why) = worker.encode_chunk_into(app, shards, cycle, &mut buf) {
+        if let Err(why) = worker.encode_chunk_into(app, shards, at.cycle, &mut buf) {
             ckpt.record_error(why);
-        }
-        #[cfg(debug_assertions)]
-        if let Ok(chunk) = worker.snapshot_chunk(app, shards, cycle) {
-            debug_assert_eq!(
-                *buf,
-                chunk.encode(),
-                "streaming chunk encoder diverged from the reference encoder"
-            );
         }
     }
     sync.barrier.wait_leader(sense, || {
@@ -772,14 +756,9 @@ fn take_checkpoint<A: Application>(
             .map(|m| m.lock().expect("checkpoint chunk lock"))
             .collect();
         let chunks: Vec<&[u8]> = guards.iter().map(|g| g.as_slice()).collect();
-        if let Err(why) = crate::snapshot::write_snapshot_file(
-            &ckpt.path,
-            &ckpt.header,
-            kernel,
-            cycle,
-            base,
-            &chunks,
-        ) {
+        if let Err(why) =
+            crate::snapshot::write_snapshot_file(&ckpt.path, &ckpt.file_prefix, at, &chunks)
+        {
             ckpt.record_error(why);
         }
     })

@@ -12,30 +12,29 @@
 //!
 //! All integers are little-endian. Floats are stored as their IEEE-754
 //! bit patterns (`to_bits`), never through a decimal round-trip. Per-tile
-//! PU and memory counter blocks are LEB128 varints ([`put_vu64`]) — the
+//! PU and memory counter blocks are LEB128 varints ([`Var`]) — the
 //! values are mostly small and those two blocks dominate a dense-grid
 //! snapshot's size; everything else is fixed-width.
 //!
 //! ```text
 //! magic            8 B   b"MUCHSNAP"
 //! version          u32   SNAPSHOT_VERSION
-//! config_hash      u64   FNV-1a over the canonical JSON of the config,
-//!                        with host-side knobs (time_leap, active_list,
-//!                        checkpoint_*, telemetry) reset to defaults —
-//!                        resuming under a different leap/worklist/thread
-//!                        /telemetry setting is allowed and bit-identical
-//! app name         len-prefixed UTF-8
-//! width, height, pus_per_tile, planes   u32 each
-//! task_types       u8
-//! kernels          u32
-//! kernel           u32   kernel being executed at the snapshot
-//! cycle            u64   NoC cycle the resumed run re-enters at
-//! base             u64   first cycle of the current kernel
+//! header                 `Header`: the config hash (FNV-1a over the
+//!                        canonical JSON of the config, with the host-side
+//!                        knobs time_leap, active_list, checkpoint_* and
+//!                        telemetry reset to defaults — resuming under
+//!                        different ones is allowed and bit-identical),
+//!                        application name, grid geometry, task-type and
+//!                        kernel counts
+//! progress               `Progress`: kernel, cycle, kernel base cycle
 //! n_chunks         u32   worker chunks (writer's thread count)
-//! chunk × n        len-prefixed worker state (see `WorkerChunk`)
+//! chunk × n              u64 byte length, then a `WorkerChunk`
 //! checksum         u64   [`SnapshotHasher`] (word-parallel FNV-1a) over
 //!                        every preceding byte
 //! ```
+//!
+//! The field order of every record is the order of its one field list
+//! below (`docs/CHECKPOINT.md` tabulates the file header).
 //!
 //! **Compatibility rule**: a snapshot is readable iff its `version` equals
 //! [`SNAPSHOT_VERSION`] and its `config_hash`, application name, grid
@@ -43,11 +42,11 @@
 //! Any model change that alters simulated behavior must bump the version;
 //! there is no cross-version migration — re-run from the start instead.
 
-use crate::app::{OutMsg, ScheduledSend};
+use crate::app::{Application, OutMsg, ScheduledSend};
 use crate::counters::PuCounters;
 use crate::digest::Fnv;
 use crate::error::SimError;
-use crate::frames::FrameLog;
+use crate::frames::{Frame, FrameLog};
 use muchisim_config::SystemConfig;
 use muchisim_mem::MemCounters;
 use muchisim_noc::{LatencyStats, NocCounters, Packet, Payload, ReduceOp};
@@ -62,116 +61,70 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUCHSNAP";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------
-// Little-endian write helpers (public: application crates use these in
-// their `snapshot_tile` hooks).
+// The wire codec. Every record is described once — a `Wire` impl, for
+// structs generated from a single field list by `wire_struct!` — and
+// that one description yields the writer, the reader and the smallest
+// encoded size (which caps corrupt length prefixes). Public: application
+// crates use it in their `snapshot_tile` / `restore_tile` hooks.
 // ---------------------------------------------------------------------
 
-/// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// The writing half of a wire description. Separate from [`Wire`] so
+/// that borrowed views (`&T`, slices, `str`, tuples holding references)
+/// can be written without first building an owned value.
+pub trait Put {
+    /// Appends this value's encoding to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
 }
 
-/// Appends a `u16` (little-endian).
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A type with a wire form: written by [`Put::put`], read back by
+/// [`Wire::get`], never shorter than [`Wire::MIN_SIZE`] bytes.
+///
+/// All integers are little-endian and floats travel as their IEEE-754
+/// bit patterns, so every value round-trips bit-exactly.
+pub trait Wire: Put + Sized {
+    /// The fewest bytes an encoded value occupies. A length prefix that
+    /// claims more elements than `remaining / MIN_SIZE` is corrupt, and
+    /// is rejected before anything is allocated for it.
+    const MIN_SIZE: usize;
+
+    /// Reads one value.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String>;
 }
 
-/// Appends a `u32` (little-endian).
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64` (little-endian).
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f32` as its IEEE-754 bit pattern (bit-exact).
-pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    put_u32(buf, v.to_bits());
-}
-
-/// Appends an `f64` as its IEEE-754 bit pattern (bit-exact).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Appends a `bool` as one byte.
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-/// Appends a length-prefixed byte blob.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Appends a length-prefixed `u32` slice.
-pub fn put_u32s(buf: &mut Vec<u8>, vs: &[u32]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_u32(buf, v);
+/// Appends `items` as a sequence: a `u32` count, then each element. The
+/// count is patched in after the elements, so any iterator will do — a
+/// filtered one included — and nothing is collected first.
+pub fn put_seq<I>(buf: &mut Vec<u8>, items: I)
+where
+    I: IntoIterator,
+    I::Item: Put,
+{
+    let at = buf.len();
+    0u32.put(buf);
+    let mut n = 0u32;
+    for item in items {
+        item.put(buf);
+        n += 1;
     }
+    buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
 }
 
-/// Appends a length-prefixed `u64` slice.
-pub fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_u64(buf, v);
-    }
+/// Appends a blob that `fill` writes in place, prefixed by its length in
+/// bytes (the wire form of a `Vec<u8>`, without the intermediate vector).
+pub(crate) fn put_blob_with<E>(
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
+    let at = buf.len();
+    0u32.put(buf);
+    fill(buf)?;
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
-/// Appends a length-prefixed `f32` slice (bit patterns).
-pub fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_f32(buf, v);
-    }
-}
-
-/// Appends a length-prefixed `f64` slice (bit patterns).
-pub fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_f64(buf, v);
-    }
-}
-
-/// Appends a length-prefixed `bool` slice (one byte each).
-pub fn put_bools(buf: &mut Vec<u8>, vs: &[bool]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_bool(buf, v);
-    }
-}
-
-/// Appends a `u64` as a LEB128 varint: 7 value bits per byte, low group
-/// first, high bit set on every byte but the last. Counter blocks use
-/// this (a tile's counters are mostly small), which shrinks dense-grid
-/// snapshots several-fold; monotonically large values like femtosecond
-/// clocks stay fixed-width `u64`.
-pub fn put_vu64(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-// ---------------------------------------------------------------------
-// Bounds-checked little-endian reader.
-// ---------------------------------------------------------------------
-
-/// A bounds-checked little-endian reader over a byte slice. Every
-/// accessor returns a descriptive error instead of panicking on
-/// truncated or corrupt input.
+/// A bounds-checked reader over a byte slice. Every accessor returns a
+/// descriptive error instead of panicking on truncated or corrupt input.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -202,69 +155,44 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    /// Reads one value of any [`Wire`] type.
+    pub fn get<T: Wire>(&mut self) -> Result<T, String> {
+        T::get(self)
     }
 
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f32` bit pattern.
-    pub fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool` byte (anything non-zero is `true`).
-    pub fn bool_(&mut self) -> Result<bool, String> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Reads a LEB128 varint `u64` (see [`put_vu64`]).
-    pub fn vu64(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(format!("varint overflows u64 at offset {}", self.pos));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(format!(
-                    "varint longer than 10 bytes at offset {}",
-                    self.pos
-                ));
-            }
+    /// Reads a sequence written by [`put_seq`]. The claimed count is
+    /// checked against the bytes actually present — `T::MIN_SIZE` each —
+    /// so a corrupt prefix errors instead of allocating.
+    pub fn seq<T: Wire>(&mut self) -> Result<Vec<T>, String> {
+        let n = self.count_of(T::MIN_SIZE)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(self)?);
         }
+        Ok(out)
     }
 
-    /// Reads a length, guarding against lengths that exceed the bytes
-    /// actually present (corrupt files must error, not allocate).
-    fn len_capped(&mut self, elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes.max(1)) > self.remaining() {
+    /// Reads a sequence into `dst`, whose length the caller has already
+    /// fixed (an application's per-tile arrays are sized by its dataset):
+    /// a sequence of any other length is an error naming `what`.
+    pub fn seq_into<T: Wire>(&mut self, dst: &mut Vec<T>, what: &str) -> Result<(), String> {
+        let got = self.seq::<T>()?;
+        if got.len() != dst.len() {
+            return Err(format!(
+                "{what}: snapshot holds {} values, this run has {}",
+                got.len(),
+                dst.len()
+            ));
+        }
+        *dst = got;
+        Ok(())
+    }
+
+    /// Reads a `u32` element count whose elements occupy at least
+    /// `min_size` bytes each.
+    fn count_of(&mut self, min_size: usize) -> Result<usize, String> {
+        let n = self.get::<u32>()? as usize;
+        if n.saturating_mul(min_size) > self.remaining() {
             return Err(format!(
                 "corrupt length {n} at offset {} exceeds {} remaining bytes",
                 self.pos,
@@ -274,47 +202,6 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<&'a [u8], String> {
-        let n = self.len_capped(1)?;
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str_(&mut self) -> Result<String, String> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|e| format!("invalid UTF-8: {e}"))
-    }
-
-    /// Reads a length-prefixed `u32` slice.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.len_capped(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    /// Reads a length-prefixed `u64` slice.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.len_capped(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Reads a length-prefixed `f32` slice.
-    pub fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.len_capped(4)?;
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    /// Reads a length-prefixed `f64` slice.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.len_capped(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Reads a length-prefixed `bool` slice.
-    pub fn bools(&mut self) -> Result<Vec<bool>, String> {
-        let n = self.len_capped(1)?;
-        (0..n).map(|_| self.bool_()).collect()
-    }
-
     /// Asserts that every byte was consumed.
     pub fn expect_end(&self) -> Result<(), String> {
         if self.remaining() != 0 {
@@ -322,6 +209,581 @@ impl<'a> ByteReader<'a> {
         }
         Ok(())
     }
+}
+
+impl<T: Put + ?Sized> Put for &T {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+}
+
+/// Fixed-width little-endian numbers (floats: the IEEE-754 bit pattern).
+macro_rules! wire_le {
+    ($($t:ty),+) => {$(
+        impl Put for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+
+        impl Wire for $t {
+            const MIN_SIZE: usize = std::mem::size_of::<$t>();
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                let bytes = r.take(Self::MIN_SIZE)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns the length asked for")))
+            }
+        }
+    )+};
+}
+wire_le!(u8, u16, u32, u64, f32, f64);
+
+impl Put for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+}
+
+impl Wire for bool {
+    const MIN_SIZE: usize = 1;
+
+    /// Anything non-zero is `true`.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        Ok(r.get::<u8>()? != 0)
+    }
+}
+
+/// A `u64` as a LEB128 varint: 7 value bits per byte, low group first,
+/// high bit set on every byte but the last. Counter blocks use this (a
+/// tile's counters are mostly small), which shrinks dense-grid snapshots
+/// several-fold; monotonically large values like femtosecond clocks stay
+/// fixed-width `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Var(pub u64);
+
+impl Put for Var {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut v = self.0;
+        while v >= 0x80 {
+            buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+}
+
+impl Wire for Var {
+    const MIN_SIZE: usize = 1;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = r.get::<u8>()?;
+            if shift == 63 && b > 1 {
+                return Err(format!("varint overflows u64 at offset {}", r.pos));
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(Var(v));
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(format!("varint longer than 10 bytes at offset {}", r.pos));
+            }
+        }
+    }
+}
+
+impl<T: Put> Put for [T] {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self);
+    }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_SIZE: usize = u32::MIN_SIZE;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        r.seq()
+    }
+}
+
+impl<T: Put> Put for std::collections::VecDeque<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self);
+    }
+}
+
+/// UTF-8 text, as its length-prefixed bytes (copied in bulk: cache-model
+/// state travels as JSON text, kilobytes per tile).
+impl Put for str {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Put for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.as_str().put(buf);
+    }
+}
+
+impl Wire for String {
+    const MIN_SIZE: usize = u32::MIN_SIZE;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let n = r.count_of(u8::MIN_SIZE)?;
+        String::from_utf8(r.take(n)?.to_vec()).map_err(|e| format!("invalid UTF-8: {e}"))
+    }
+}
+
+/// Fixed-size arrays: the elements, no length prefix.
+impl<T: Put, const N: usize> Put for [T; N] {
+    fn put(&self, buf: &mut Vec<u8>) {
+        for v in self {
+            v.put(buf);
+        }
+    }
+}
+
+impl<T: Wire + Default + Copy, const N: usize> Wire for [T; N] {
+    const MIN_SIZE: usize = N * T::MIN_SIZE;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = r.get()?;
+        }
+        Ok(out)
+    }
+}
+
+/// Tuples: the members in order.
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Put),+> Put for ($($t,)+) {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+        }
+
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_SIZE: usize = 0 $(+ $t::MIN_SIZE)+;
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                Ok(($(r.get::<$t>()?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+wire_tuple!(A.0, B.1, C.2, D.3);
+
+/// Describes a struct's wire form by listing its fields once, in wire
+/// order; the writer, the reader and `MIN_SIZE` all expand from that
+/// list. Three forms:
+///
+/// * `wire_struct! { struct Name { field: Type, .. } }` also *defines*
+///   the struct, so a record owned by this module has one field list in
+///   the whole source;
+/// * `wire_struct!(Type { field: Type, .. })` describes a struct defined
+///   elsewhere (a mistyped field type fails to compile);
+/// * `wire_struct!(Type as Var { field, .. })` describes a block of
+///   `u64` counters, each a [`Var`] on the wire.
+///
+/// To add a field: add it here, in the position it takes on the wire,
+/// and bump [`SNAPSHOT_VERSION`].
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $f:ident : $ft:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $f: $ft),+
+        }
+        wire_struct!($name { $($f: $ft),+ });
+    };
+    ($ty:ty as Var { $($f:ident),+ $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(Var(self.$f).put(buf);)+
+            }
+        }
+
+        impl Wire for $ty {
+            const MIN_SIZE: usize = [$(stringify!($f)),+].len() * Var::MIN_SIZE;
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                Ok(Self { $($f: r.get::<Var>()?.0),+ })
+            }
+        }
+    };
+    ($ty:ty { $($f:ident : $ft:ty),+ $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$f.put(buf);)+
+            }
+        }
+
+        impl Wire for $ty {
+            const MIN_SIZE: usize = 0 $(+ <$ft as Wire>::MIN_SIZE)+;
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                Ok(Self { $($f: r.get::<$ft>()?),+ })
+            }
+        }
+    };
+}
+
+/// Describes a fieldless choice as one tag byte, from a single
+/// `tag => [value]` table (the match in `put` is exhaustive, so a new
+/// variant without a tag fails to compile).
+macro_rules! wire_tag {
+    ($ty:ty, $what:literal { $($tag:literal => [$($val:tt)+]),+ $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.push(match self {
+                    $($($val)+ => $tag,)+
+                });
+            }
+        }
+
+        impl Wire for $ty {
+            const MIN_SIZE: usize = 1;
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+                Ok(match r.get::<u8>()? {
+                    $($tag => $($val)+,)+
+                    other => return Err(format!(concat!("unknown ", $what, " tag {}"), other)),
+                })
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
+// The records of other modules and crates (hand-described: `OutMsg` and
+// `ScheduledSend` carry no serde derives, and floats must not round-trip
+// through decimal).
+// ---------------------------------------------------------------------
+
+wire_tag!(Option<ReduceOp>, "reduce-op" {
+    0 => [None],
+    1 => [Some(ReduceOp::SumF32)],
+    2 => [Some(ReduceOp::SumU32)],
+    3 => [Some(ReduceOp::MinU32)],
+    4 => [Some(ReduceOp::MinF32)],
+    5 => [Some(ReduceOp::MaxU32)],
+});
+
+/// A payload is the sequence of its words.
+impl Put for Payload {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.as_slice().put(buf);
+    }
+}
+
+impl Wire for Payload {
+    const MIN_SIZE: usize = u32::MIN_SIZE;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        Ok(Payload::from_slice(&r.seq::<u32>()?))
+    }
+}
+
+wire_struct!(Packet {
+    src: u32,
+    dst: u32,
+    task: u8,
+    vc: u8,
+    flits: u16,
+    ready_at: u64,
+    born: u64,
+    reduce: Option<ReduceOp>,
+    payload: Payload,
+});
+
+wire_struct!(OutMsg {
+    dst: u32,
+    task: u8,
+    at_pu_cycle: u64,
+    reduce: Option<ReduceOp>,
+    payload: Payload,
+});
+
+wire_struct!(ScheduledSend {
+    cycle: u64,
+    dst: u32,
+    task: u8,
+    reduce: Option<ReduceOp>,
+    payload: Payload,
+});
+
+wire_struct!(PuCounters as Var {
+    int_ops,
+    fp_ops,
+    ctrl_ops,
+    loads,
+    stores,
+    msgs_sent,
+    tasks_executed,
+    busy_cycles,
+    cq_stall_cycles,
+    app_ops,
+});
+
+wire_struct!(MemCounters as Var {
+    sram_reads,
+    sram_writes,
+    sram_read_bits,
+    sram_write_bits,
+    tag_accesses,
+    cache_hits,
+    cache_misses,
+    writebacks,
+    dram_line_reads,
+    dram_line_writes,
+    prefetch_fills,
+    prefetch_hits,
+    queue_reads,
+    queue_writes,
+});
+
+wire_struct!(NocCounters {
+    injected: u64,
+    ejected: u64,
+    msg_hops: u64,
+    flit_hops_by_class: [u64; 4],
+    onchip_flit_mm: f64,
+    collisions: u64,
+    backpressure: u64,
+    eject_stalls: u64,
+    reduce_combines: u64,
+});
+
+wire_struct!(LatencyStats {
+    count: u64,
+    total_cycles: u64,
+    max_cycles: u64,
+    buckets: [u64; 32],
+});
+
+wire_struct!(Frame {
+    index: u64,
+    start_cycle: u64,
+    tasks_delta: u64,
+    injected_delta: u64,
+    ejected_delta: u64,
+    router_busy: Vec<(u32, u32)>,
+    pu_busy: Vec<(u32, u32)>,
+    iq_occupancy: Vec<(u32, u32)>,
+});
+
+wire_struct!(FrameLog {
+    interval_cycles: u64,
+    frames: Vec<Frame>,
+});
+
+// ---------------------------------------------------------------------
+// Snapshot records (crate-internal; the engine streams them out and
+// applies them).
+// ---------------------------------------------------------------------
+
+wire_struct! {
+    /// One tile's complete dynamic state.
+    #[derive(Debug, Clone)]
+    pub(crate) struct TileRecord {
+        /// Global tile id.
+        pub tile: u32,
+        /// Whether the tile's init task for the current kernel is still due.
+        pub init_pending: bool,
+        /// Router/PU busy cycles accumulated in the current (open) frame.
+        pub pu_busy_frame: u32,
+        /// TSU round-robin pointer.
+        pub rr_last: u8,
+        /// Per-PU clocks (absolute PU-domain femtoseconds/cycles).
+        pub pu_clock: Vec<u64>,
+        /// PU event counters.
+        pub pu: PuCounters,
+        /// Memory event counters.
+        pub mem: MemCounters,
+        /// Cache model state as canonical JSON (empty for scratchpad tiles).
+        pub cache: String,
+        /// Input queues: per task type, queued payloads in FIFO order
+        /// (none at all for a tile whose queue bank was never allocated).
+        pub iqs: Vec<Vec<Payload>>,
+        /// Channel queues: per task type, queued messages in FIFO order.
+        pub cqs: Vec<Vec<OutMsg>>,
+        /// Remaining (unconsumed) scheduled sends.
+        pub scripted: Vec<ScheduledSend>,
+        /// Application tile state (app-defined encoding).
+        pub app: Vec<u8>,
+    }
+}
+
+wire_struct! {
+    /// Per-NoC-plane state contributed by one worker's shard (merged across
+    /// chunks at read time).
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct PlaneRecord {
+        /// NoC counters (merged).
+        pub counters: NocCounters,
+        /// Latency histogram (merged).
+        pub latency: LatencyStats,
+        /// Queued packets: `(global tile, input port index, packet)` in FIFO
+        /// order per queue.
+        pub packets: Vec<(u32, u8, Packet)>,
+        /// Busy output links: `(global tile, direction index, busy_until)`.
+        pub links: Vec<(u32, u8, u64)>,
+        /// Non-zero round-robin pointers: `(global tile, direction, value)`.
+        pub rr: Vec<(u32, u8, u8)>,
+        /// Non-zero per-frame router busy counts: `(global tile, count)`.
+        pub busy_frame: Vec<(u32, u32)>,
+    }
+}
+
+wire_struct! {
+    /// Everything one worker owns, serialized independently and merged by
+    /// the reader. The live driver never builds one: `Worker::
+    /// encode_chunk_into` streams these fields, in this order, straight
+    /// from engine state.
+    #[derive(Debug, Clone)]
+    pub(crate) struct WorkerChunk {
+        /// Maximum PU timestamp seen (femtoseconds), for the kernel barrier.
+        pub max_pu_fs: u64,
+        /// Tasks dispatched in the current (open) frame interval.
+        pub frame_tasks: u64,
+        /// Packets injected in the current frame interval.
+        pub frame_injected: u64,
+        /// Packets ejected in the current frame interval.
+        pub frame_ejected: u64,
+        /// This worker's captured frames.
+        pub frames: FrameLog,
+        /// Per-plane NoC state of this worker's shards.
+        pub planes: Vec<PlaneRecord>,
+        /// Tile records for this worker's slice.
+        pub tiles: Vec<TileRecord>,
+        /// Non-zero HBM channels owned by this worker: `(id, transactions)`.
+        pub channels: Vec<(u32, u64)>,
+    }
+}
+
+wire_struct! {
+    /// The identity header: what a snapshot must agree on with the run
+    /// that resumes it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct Header {
+        /// Normalized config hash the snapshot was written under.
+        pub config_hash: u64,
+        /// Application name.
+        pub app_name: String,
+        /// Grid width in tiles.
+        pub width: u32,
+        /// Grid height in tiles.
+        pub height: u32,
+        /// PUs per tile.
+        pub pus: u32,
+        /// Physical NoC planes.
+        pub planes: u32,
+        /// Task types.
+        pub task_types: u8,
+        /// Kernel count of the application.
+        pub kernels: u32,
+    }
+}
+
+wire_struct! {
+    /// Where in the run a snapshot was taken.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Progress {
+        /// Kernel index being executed at the snapshot.
+        pub kernel: u32,
+        /// NoC cycle the resumed run re-enters at.
+        pub cycle: u64,
+        /// First cycle of the current kernel.
+        pub base: u64,
+    }
+}
+
+impl Header {
+    /// The identity of a run of `app` under `cfg`: what its snapshots
+    /// carry, and what a snapshot must carry to be resumed by it.
+    pub(crate) fn of<A: Application>(cfg: &SystemConfig, app: &A) -> Self {
+        Header {
+            config_hash: config_hash(cfg),
+            app_name: app.name().to_string(),
+            width: cfg.width(),
+            height: cfg.height(),
+            pus: cfg.pus_per_tile,
+            planes: cfg.noc.num_physical.max(1),
+            task_types: app.task_types(),
+            kernels: app.kernels(),
+        }
+    }
+
+    /// The bytes every snapshot of a run starts with: magic, version,
+    /// this header.
+    pub(crate) fn file_prefix(&self) -> Vec<u8> {
+        let mut b = SNAPSHOT_MAGIC.to_vec();
+        SNAPSHOT_VERSION.put(&mut b);
+        self.put(&mut b);
+        b
+    }
+}
+
+impl WorkerChunk {
+    /// Folds another worker's chunk into this one: sums and maxima for
+    /// the run-wide scalars, counters and frames; concatenation for
+    /// everything keyed by global tile or channel id.
+    fn absorb(&mut self, other: WorkerChunk) -> Result<(), String> {
+        self.max_pu_fs = self.max_pu_fs.max(other.max_pu_fs);
+        for (sum, part) in [
+            (&mut self.frame_tasks, other.frame_tasks),
+            (&mut self.frame_injected, other.frame_injected),
+            (&mut self.frame_ejected, other.frame_ejected),
+        ] {
+            *sum = sum
+                .checked_add(part)
+                .ok_or("open-frame counters overflow")?;
+        }
+        self.frames.merge(&other.frames);
+        for (dst, src) in self.planes.iter_mut().zip(other.planes) {
+            dst.counters.merge(&src.counters);
+            dst.latency.merge(&src.latency);
+            dst.packets.extend(src.packets);
+            dst.links.extend(src.links);
+            dst.rr.extend(src.rr);
+            dst.busy_frame.extend(src.busy_frame);
+        }
+        self.tiles.extend(other.tiles);
+        self.channels.extend(other.channels);
+        Ok(())
+    }
+}
+
+/// A fully parsed snapshot, thread-count agnostic: the writers' chunks
+/// are merged into one, every record keyed by global tile id.
+#[derive(Debug)]
+pub(crate) struct SnapshotData {
+    /// The identity header.
+    pub header: Header,
+    /// Where the resumed run re-enters.
+    pub at: Progress,
+    /// All workers' state as one chunk: scalars, counters and frames
+    /// summed, tiles sorted by id, channels by id.
+    pub state: WorkerChunk,
 }
 
 // ---------------------------------------------------------------------
@@ -346,620 +808,6 @@ pub(crate) fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut h = Fnv::new();
     h.bytes(json.as_bytes());
     h.finish()
-}
-
-// ---------------------------------------------------------------------
-// Payload / packet / message codecs (hand-rolled: OutMsg and
-// ScheduledSend carry no serde derives, and floats must not round-trip
-// through decimal).
-// ---------------------------------------------------------------------
-
-fn reduce_tag(op: Option<ReduceOp>) -> u8 {
-    match op {
-        None => 0,
-        Some(ReduceOp::SumF32) => 1,
-        Some(ReduceOp::SumU32) => 2,
-        Some(ReduceOp::MinU32) => 3,
-        Some(ReduceOp::MinF32) => 4,
-        Some(ReduceOp::MaxU32) => 5,
-    }
-}
-
-fn reduce_from_tag(tag: u8) -> Result<Option<ReduceOp>, String> {
-    Ok(match tag {
-        0 => None,
-        1 => Some(ReduceOp::SumF32),
-        2 => Some(ReduceOp::SumU32),
-        3 => Some(ReduceOp::MinU32),
-        4 => Some(ReduceOp::MinF32),
-        5 => Some(ReduceOp::MaxU32),
-        other => return Err(format!("unknown reduce-op tag {other}")),
-    })
-}
-
-pub(crate) fn put_payload(buf: &mut Vec<u8>, p: &Payload) {
-    put_u32s(buf, p.as_slice());
-}
-
-fn read_payload(r: &mut ByteReader<'_>) -> Result<Payload, String> {
-    Ok(Payload::from_slice(&r.u32s()?))
-}
-
-pub(crate) fn put_packet(buf: &mut Vec<u8>, p: &Packet) {
-    put_u32(buf, p.src);
-    put_u32(buf, p.dst);
-    put_u8(buf, p.task);
-    put_u8(buf, p.vc);
-    put_u16(buf, p.flits);
-    put_u64(buf, p.ready_at);
-    put_u64(buf, p.born);
-    put_u8(buf, reduce_tag(p.reduce));
-    put_payload(buf, &p.payload);
-}
-
-pub(crate) fn read_packet(r: &mut ByteReader<'_>) -> Result<Packet, String> {
-    Ok(Packet {
-        src: r.u32()?,
-        dst: r.u32()?,
-        task: r.u8()?,
-        vc: r.u8()?,
-        flits: r.u16()?,
-        ready_at: r.u64()?,
-        born: r.u64()?,
-        reduce: reduce_from_tag(r.u8()?)?,
-        payload: read_payload(r)?,
-    })
-}
-
-pub(crate) fn put_out_msg(buf: &mut Vec<u8>, m: &OutMsg) {
-    put_u32(buf, m.dst);
-    put_u8(buf, m.task);
-    put_u64(buf, m.at_pu_cycle);
-    put_u8(buf, reduce_tag(m.reduce));
-    put_payload(buf, &m.payload);
-}
-
-fn read_out_msg(r: &mut ByteReader<'_>) -> Result<OutMsg, String> {
-    Ok(OutMsg {
-        dst: r.u32()?,
-        task: r.u8()?,
-        at_pu_cycle: r.u64()?,
-        reduce: reduce_from_tag(r.u8()?)?,
-        payload: read_payload(r)?,
-    })
-}
-
-pub(crate) fn put_scheduled_send(buf: &mut Vec<u8>, s: &ScheduledSend) {
-    put_u64(buf, s.cycle);
-    put_u32(buf, s.dst);
-    put_u8(buf, s.task);
-    put_u8(buf, reduce_tag(s.reduce));
-    put_payload(buf, &s.payload);
-}
-
-fn read_scheduled_send(r: &mut ByteReader<'_>) -> Result<ScheduledSend, String> {
-    Ok(ScheduledSend {
-        cycle: r.u64()?,
-        dst: r.u32()?,
-        task: r.u8()?,
-        reduce: reduce_from_tag(r.u8()?)?,
-        payload: read_payload(r)?,
-    })
-}
-
-pub(crate) fn put_pu_counters(buf: &mut Vec<u8>, c: &PuCounters) {
-    for v in [
-        c.int_ops,
-        c.fp_ops,
-        c.ctrl_ops,
-        c.loads,
-        c.stores,
-        c.msgs_sent,
-        c.tasks_executed,
-        c.busy_cycles,
-        c.cq_stall_cycles,
-        c.app_ops,
-    ] {
-        put_vu64(buf, v);
-    }
-}
-
-fn read_pu_counters(r: &mut ByteReader<'_>) -> Result<PuCounters, String> {
-    Ok(PuCounters {
-        int_ops: r.vu64()?,
-        fp_ops: r.vu64()?,
-        ctrl_ops: r.vu64()?,
-        loads: r.vu64()?,
-        stores: r.vu64()?,
-        msgs_sent: r.vu64()?,
-        tasks_executed: r.vu64()?,
-        busy_cycles: r.vu64()?,
-        cq_stall_cycles: r.vu64()?,
-        app_ops: r.vu64()?,
-    })
-}
-
-pub(crate) fn put_mem_counters(buf: &mut Vec<u8>, c: &MemCounters) {
-    for v in [
-        c.sram_reads,
-        c.sram_writes,
-        c.sram_read_bits,
-        c.sram_write_bits,
-        c.tag_accesses,
-        c.cache_hits,
-        c.cache_misses,
-        c.writebacks,
-        c.dram_line_reads,
-        c.dram_line_writes,
-        c.prefetch_fills,
-        c.prefetch_hits,
-        c.queue_reads,
-        c.queue_writes,
-    ] {
-        put_vu64(buf, v);
-    }
-}
-
-fn read_mem_counters(r: &mut ByteReader<'_>) -> Result<MemCounters, String> {
-    Ok(MemCounters {
-        sram_reads: r.vu64()?,
-        sram_writes: r.vu64()?,
-        sram_read_bits: r.vu64()?,
-        sram_write_bits: r.vu64()?,
-        tag_accesses: r.vu64()?,
-        cache_hits: r.vu64()?,
-        cache_misses: r.vu64()?,
-        writebacks: r.vu64()?,
-        dram_line_reads: r.vu64()?,
-        dram_line_writes: r.vu64()?,
-        prefetch_fills: r.vu64()?,
-        prefetch_hits: r.vu64()?,
-        queue_reads: r.vu64()?,
-        queue_writes: r.vu64()?,
-    })
-}
-
-pub(crate) fn put_noc_counters(buf: &mut Vec<u8>, c: &NocCounters) {
-    put_u64(buf, c.injected);
-    put_u64(buf, c.ejected);
-    put_u64(buf, c.msg_hops);
-    for v in c.flit_hops_by_class {
-        put_u64(buf, v);
-    }
-    put_f64(buf, c.onchip_flit_mm);
-    put_u64(buf, c.collisions);
-    put_u64(buf, c.backpressure);
-    put_u64(buf, c.eject_stalls);
-    put_u64(buf, c.reduce_combines);
-}
-
-fn read_noc_counters(r: &mut ByteReader<'_>) -> Result<NocCounters, String> {
-    let mut c = NocCounters {
-        injected: r.u64()?,
-        ejected: r.u64()?,
-        msg_hops: r.u64()?,
-        ..Default::default()
-    };
-    for v in c.flit_hops_by_class.iter_mut() {
-        *v = r.u64()?;
-    }
-    c.onchip_flit_mm = r.f64()?;
-    c.collisions = r.u64()?;
-    c.backpressure = r.u64()?;
-    c.eject_stalls = r.u64()?;
-    c.reduce_combines = r.u64()?;
-    Ok(c)
-}
-
-pub(crate) fn put_latency(buf: &mut Vec<u8>, s: &LatencyStats) {
-    put_u64(buf, s.count);
-    put_u64(buf, s.total_cycles);
-    put_u64(buf, s.max_cycles);
-    for v in s.buckets {
-        put_u64(buf, v);
-    }
-}
-
-fn read_latency(r: &mut ByteReader<'_>) -> Result<LatencyStats, String> {
-    let mut s = LatencyStats {
-        count: r.u64()?,
-        total_cycles: r.u64()?,
-        max_cycles: r.u64()?,
-        ..Default::default()
-    };
-    for v in s.buckets.iter_mut() {
-        *v = r.u64()?;
-    }
-    Ok(s)
-}
-
-pub(crate) fn put_frame_log(buf: &mut Vec<u8>, log: &FrameLog) {
-    put_u64(buf, log.interval_cycles);
-    put_u32(buf, log.frames.len() as u32);
-    for f in &log.frames {
-        put_u64(buf, f.index);
-        put_u64(buf, f.start_cycle);
-        put_u64(buf, f.tasks_delta);
-        put_u64(buf, f.injected_delta);
-        put_u64(buf, f.ejected_delta);
-        for pairs in [&f.router_busy, &f.pu_busy, &f.iq_occupancy] {
-            put_u32(buf, pairs.len() as u32);
-            for &(t, v) in pairs.iter() {
-                put_u32(buf, t);
-                put_u32(buf, v);
-            }
-        }
-    }
-}
-
-fn read_frame_log(r: &mut ByteReader<'_>) -> Result<FrameLog, String> {
-    let interval = r.u64()?;
-    let mut log = FrameLog::new(interval);
-    let n = r.len_capped(40)?;
-    for _ in 0..n {
-        let mut f = crate::frames::Frame {
-            index: r.u64()?,
-            start_cycle: r.u64()?,
-            tasks_delta: r.u64()?,
-            injected_delta: r.u64()?,
-            ejected_delta: r.u64()?,
-            ..Default::default()
-        };
-        for pairs in [&mut f.router_busy, &mut f.pu_busy, &mut f.iq_occupancy] {
-            let m = r.len_capped(8)?;
-            for _ in 0..m {
-                pairs.push((r.u32()?, r.u32()?));
-            }
-        }
-        log.frames.push(f);
-    }
-    Ok(log)
-}
-
-// ---------------------------------------------------------------------
-// Snapshot records (crate-internal; the engine assembles and applies
-// them).
-// ---------------------------------------------------------------------
-
-/// One tile's complete dynamic state.
-#[derive(Debug, Clone)]
-pub(crate) struct TileRecord {
-    /// Global tile id.
-    pub tile: u32,
-    /// Whether the tile's init task for the current kernel is still due.
-    pub init_pending: bool,
-    /// Router/PU busy cycles accumulated in the current (open) frame.
-    pub pu_busy_frame: u32,
-    /// TSU round-robin pointer.
-    pub rr_last: u8,
-    /// Per-PU clocks (absolute PU-domain femtoseconds/cycles).
-    pub pu_clock: Vec<u64>,
-    /// PU event counters.
-    pub pu: PuCounters,
-    /// Memory event counters.
-    pub mem: MemCounters,
-    /// Cache model state as canonical JSON (`None` for scratchpad tiles).
-    pub cache: Option<String>,
-    /// Input queues: per task type, queued payloads in FIFO order.
-    pub iqs: Vec<Vec<Payload>>,
-    /// Channel queues: per task type, queued messages in FIFO order.
-    pub cqs: Vec<Vec<OutMsg>>,
-    /// Remaining (unconsumed) scheduled sends.
-    pub scripted: Vec<ScheduledSend>,
-    /// Application tile state (app-defined encoding).
-    pub app: Vec<u8>,
-}
-
-/// Per-NoC-plane state contributed by one worker's shard (merged across
-/// chunks at read time).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlaneRecord {
-    /// NoC counters (merged).
-    pub counters: NocCounters,
-    /// Latency histogram (merged).
-    pub latency: LatencyStats,
-    /// Queued packets: `(global tile, input port index, packet)` in FIFO
-    /// order per queue.
-    pub packets: Vec<(u32, u8, Packet)>,
-    /// Busy output links: `(global tile, direction index, busy_until)`.
-    pub links: Vec<(u32, u8, u64)>,
-    /// Non-zero round-robin pointers: `(global tile, direction, value)`.
-    pub rr: Vec<(u32, u8, u8)>,
-    /// Non-zero per-frame router busy counts: `(global tile, count)`.
-    pub busy_frame: Vec<(u32, u32)>,
-}
-
-/// Everything one worker owns, serialized independently and merged by
-/// the reader.
-#[derive(Debug, Clone)]
-pub(crate) struct WorkerChunk {
-    /// Maximum PU timestamp seen (femtoseconds), for the kernel barrier.
-    pub max_pu_fs: u64,
-    /// Tasks dispatched in the current (open) frame interval.
-    pub frame_tasks: u64,
-    /// Packets injected in the current frame interval.
-    pub frame_injected: u64,
-    /// Packets ejected in the current frame interval.
-    pub frame_ejected: u64,
-    /// This worker's captured frames.
-    pub frames: FrameLog,
-    /// Per-plane NoC state of this worker's shards.
-    pub planes: Vec<PlaneRecord>,
-    /// Tile records for this worker's slice.
-    pub tiles: Vec<TileRecord>,
-    /// Non-zero HBM channels owned by this worker: `(id, transactions)`.
-    pub channels: Vec<(u32, u64)>,
-}
-
-impl WorkerChunk {
-    /// Reference encoder. The live driver streams the same wire format
-    /// through the engine's `encode_chunk_into` without building a
-    /// `WorkerChunk`; this builder-based version survives as the
-    /// debug-mode cross-check oracle and for round-trip tests.
-    #[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u64(&mut b, self.max_pu_fs);
-        put_u64(&mut b, self.frame_tasks);
-        put_u64(&mut b, self.frame_injected);
-        put_u64(&mut b, self.frame_ejected);
-        put_frame_log(&mut b, &self.frames);
-        put_u32(&mut b, self.planes.len() as u32);
-        for p in &self.planes {
-            put_noc_counters(&mut b, &p.counters);
-            put_latency(&mut b, &p.latency);
-            put_u32(&mut b, p.packets.len() as u32);
-            for (tile, port, pkt) in &p.packets {
-                put_u32(&mut b, *tile);
-                put_u8(&mut b, *port);
-                put_packet(&mut b, pkt);
-            }
-            put_u32(&mut b, p.links.len() as u32);
-            for &(tile, dir, until) in &p.links {
-                put_u32(&mut b, tile);
-                put_u8(&mut b, dir);
-                put_u64(&mut b, until);
-            }
-            put_u32(&mut b, p.rr.len() as u32);
-            for &(tile, dir, v) in &p.rr {
-                put_u32(&mut b, tile);
-                put_u8(&mut b, dir);
-                put_u8(&mut b, v);
-            }
-            put_u32(&mut b, p.busy_frame.len() as u32);
-            for &(tile, v) in &p.busy_frame {
-                put_u32(&mut b, tile);
-                put_u32(&mut b, v);
-            }
-        }
-        put_u32(&mut b, self.tiles.len() as u32);
-        for t in &self.tiles {
-            put_u32(&mut b, t.tile);
-            put_bool(&mut b, t.init_pending);
-            put_u32(&mut b, t.pu_busy_frame);
-            put_u8(&mut b, t.rr_last);
-            put_u64s(&mut b, &t.pu_clock);
-            put_pu_counters(&mut b, &t.pu);
-            put_mem_counters(&mut b, &t.mem);
-            match &t.cache {
-                Some(json) => put_bytes(&mut b, json.as_bytes()),
-                None => put_u32(&mut b, 0),
-            }
-            put_u32(&mut b, t.iqs.len() as u32);
-            for q in &t.iqs {
-                put_u32(&mut b, q.len() as u32);
-                for p in q {
-                    put_payload(&mut b, p);
-                }
-            }
-            put_u32(&mut b, t.cqs.len() as u32);
-            for q in &t.cqs {
-                put_u32(&mut b, q.len() as u32);
-                for m in q {
-                    put_out_msg(&mut b, m);
-                }
-            }
-            put_u32(&mut b, t.scripted.len() as u32);
-            for s in &t.scripted {
-                put_scheduled_send(&mut b, s);
-            }
-            put_bytes(&mut b, &t.app);
-        }
-        put_u32(&mut b, self.channels.len() as u32);
-        for &(id, tx) in &self.channels {
-            put_u32(&mut b, id);
-            put_u64(&mut b, tx);
-        }
-        b
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<WorkerChunk, String> {
-        let max_pu_fs = r.u64()?;
-        let frame_tasks = r.u64()?;
-        let frame_injected = r.u64()?;
-        let frame_ejected = r.u64()?;
-        let frames = read_frame_log(r)?;
-        let n_planes = r.len_capped(1)?;
-        let mut planes = Vec::with_capacity(n_planes);
-        for _ in 0..n_planes {
-            let counters = read_noc_counters(r)?;
-            let latency = read_latency(r)?;
-            let n_pkt = r.len_capped(8)?;
-            let mut packets = Vec::with_capacity(n_pkt);
-            for _ in 0..n_pkt {
-                let tile = r.u32()?;
-                let port = r.u8()?;
-                packets.push((tile, port, read_packet(r)?));
-            }
-            let n_link = r.len_capped(13)?;
-            let mut links = Vec::with_capacity(n_link);
-            for _ in 0..n_link {
-                links.push((r.u32()?, r.u8()?, r.u64()?));
-            }
-            let n_rr = r.len_capped(6)?;
-            let mut rr = Vec::with_capacity(n_rr);
-            for _ in 0..n_rr {
-                rr.push((r.u32()?, r.u8()?, r.u8()?));
-            }
-            let n_bf = r.len_capped(8)?;
-            let mut busy_frame = Vec::with_capacity(n_bf);
-            for _ in 0..n_bf {
-                busy_frame.push((r.u32()?, r.u32()?));
-            }
-            planes.push(PlaneRecord {
-                counters,
-                latency,
-                packets,
-                links,
-                rr,
-                busy_frame,
-            });
-        }
-        let n_tiles = r.len_capped(30)?;
-        let mut tiles = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            let tile = r.u32()?;
-            let init_pending = r.bool_()?;
-            let pu_busy_frame = r.u32()?;
-            let rr_last = r.u8()?;
-            let pu_clock = r.u64s()?;
-            let pu = read_pu_counters(r)?;
-            let mem = read_mem_counters(r)?;
-            let cache_bytes = r.bytes()?;
-            let cache = if cache_bytes.is_empty() {
-                None
-            } else {
-                Some(
-                    String::from_utf8(cache_bytes.to_vec())
-                        .map_err(|e| format!("cache blob not UTF-8: {e}"))?,
-                )
-            };
-            let n_iq = r.len_capped(4)?;
-            let mut iqs = Vec::with_capacity(n_iq);
-            for _ in 0..n_iq {
-                let m = r.len_capped(4)?;
-                iqs.push(
-                    (0..m)
-                        .map(|_| read_payload(r))
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
-            }
-            let n_cq = r.len_capped(4)?;
-            let mut cqs = Vec::with_capacity(n_cq);
-            for _ in 0..n_cq {
-                let m = r.len_capped(4)?;
-                cqs.push(
-                    (0..m)
-                        .map(|_| read_out_msg(r))
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
-            }
-            let n_s = r.len_capped(14)?;
-            let scripted = (0..n_s)
-                .map(|_| read_scheduled_send(r))
-                .collect::<Result<Vec<_>, _>>()?;
-            let app = r.bytes()?.to_vec();
-            tiles.push(TileRecord {
-                tile,
-                init_pending,
-                pu_busy_frame,
-                rr_last,
-                pu_clock,
-                pu,
-                mem,
-                cache,
-                iqs,
-                cqs,
-                scripted,
-                app,
-            });
-        }
-        let n_ch = r.len_capped(12)?;
-        let mut channels = Vec::with_capacity(n_ch);
-        for _ in 0..n_ch {
-            channels.push((r.u32()?, r.u64()?));
-        }
-        Ok(WorkerChunk {
-            max_pu_fs,
-            frame_tasks,
-            frame_injected,
-            frame_ejected,
-            frames,
-            planes,
-            tiles,
-            channels,
-        })
-    }
-}
-
-/// A fully parsed and merged snapshot, thread-count agnostic: every
-/// record is keyed by global tile id.
-#[derive(Debug)]
-pub(crate) struct SnapshotData {
-    /// Normalized config hash the snapshot was written under.
-    pub config_hash: u64,
-    /// Application name.
-    pub app_name: String,
-    /// Grid width in tiles.
-    pub width: u32,
-    /// Grid height in tiles.
-    pub height: u32,
-    /// PUs per tile.
-    pub pus: u32,
-    /// Physical NoC planes.
-    pub planes: u32,
-    /// Task types.
-    pub task_types: u8,
-    /// Kernel count of the application.
-    pub kernels: u32,
-    /// Kernel index being executed at the snapshot.
-    pub kernel: u32,
-    /// NoC cycle the resumed run re-enters at.
-    pub cycle: u64,
-    /// First cycle of the current kernel.
-    pub base: u64,
-    /// Global maximum PU timestamp (femtoseconds).
-    pub max_pu_fs: u64,
-    /// Open-frame task count (global sum).
-    pub frame_tasks: u64,
-    /// Open-frame injection count (global sum).
-    pub frame_injected: u64,
-    /// Open-frame ejection count (global sum).
-    pub frame_ejected: u64,
-    /// Merged frame log (all workers).
-    pub frames: FrameLog,
-    /// Merged per-plane NoC state.
-    pub planes_state: Vec<PlaneRecord>,
-    /// All tile records, sorted by tile id.
-    pub tiles: Vec<TileRecord>,
-    /// Non-zero HBM channels: `(id, transactions)`.
-    pub channels: Vec<(u32, u64)>,
-}
-
-/// Encodes the fixed header (everything before the per-worker chunks).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_header(
-    config_hash_v: u64,
-    app_name: &str,
-    width: u32,
-    height: u32,
-    pus: u32,
-    planes: u32,
-    task_types: u8,
-    kernels: u32,
-) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut b, SNAPSHOT_VERSION);
-    put_u64(&mut b, config_hash_v);
-    put_str(&mut b, app_name);
-    put_u32(&mut b, width);
-    put_u32(&mut b, height);
-    put_u32(&mut b, pus);
-    put_u32(&mut b, planes);
-    put_u8(&mut b, task_types);
-    put_u32(&mut b, kernels);
-    b
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1064,7 +912,7 @@ impl Default for SnapshotHasher {
     }
 }
 
-/// Atomically writes a snapshot file: header + progress scalars +
+/// Atomically writes a snapshot file: identity prefix + progress +
 /// length-prefixed worker chunks + trailing checksum, written to
 /// `<path>.tmp` and renamed into place so an interrupted write never
 /// leaves a torn file at `path`. Single pass: every section is hashed as
@@ -1072,19 +920,14 @@ impl Default for SnapshotHasher {
 /// memory.
 pub(crate) fn write_snapshot_file(
     path: &str,
-    header: &[u8],
-    kernel: u32,
-    cycle: u64,
-    base: u64,
+    file_prefix: &[u8],
+    at: Progress,
     chunks: &[&[u8]],
 ) -> Result<(), String> {
     use std::io::Write;
-    let mut prefix = Vec::with_capacity(header.len() + 24);
-    prefix.extend_from_slice(header);
-    put_u32(&mut prefix, kernel);
-    put_u64(&mut prefix, cycle);
-    put_u64(&mut prefix, base);
-    put_u32(&mut prefix, chunks.len() as u32);
+    let mut prefix = file_prefix.to_vec();
+    at.put(&mut prefix);
+    (chunks.len() as u32).put(&mut prefix);
 
     let tmp = format!("{path}.tmp");
     if let Some(parent) = Path::new(path).parent() {
@@ -1146,77 +989,49 @@ fn parse_snapshot(bytes: &[u8]) -> Result<SnapshotData, String> {
     }
 
     let mut r = ByteReader::new(&body[12..]);
-    let config_hash = r.u64()?;
-    let app_name = r.str_()?;
-    let width = r.u32()?;
-    let height = r.u32()?;
-    let pus = r.u32()?;
-    let planes = r.u32()?;
-    let task_types = r.u8()?;
-    let kernels = r.u32()?;
-    let kernel = r.u32()?;
-    let cycle = r.u64()?;
-    let base = r.u64()?;
-    let n_chunks = r.len_capped(8)?;
+    let header: Header = r.get()?;
+    let at: Progress = r.get()?;
+    // each chunk is at least its own u64 byte length
+    let n_chunks = r.count_of(u64::MIN_SIZE)?;
 
-    let mut max_pu_fs = 0u64;
-    let mut frame_tasks = 0u64;
-    let mut frame_injected = 0u64;
-    let mut frame_ejected = 0u64;
-    let mut frames: Option<FrameLog> = None;
-    let mut planes_state: Vec<PlaneRecord> = (0..planes).map(|_| PlaneRecord::default()).collect();
-    let mut tiles: Vec<TileRecord> = Vec::new();
-    let mut channels: Vec<(u32, u64)> = Vec::new();
-
+    let mut merged: Option<WorkerChunk> = None;
     for i in 0..n_chunks {
-        let len = r.u64()? as usize;
-        if len > r.remaining() {
+        let len = r.get::<u64>()?;
+        if len > r.remaining() as u64 {
             return Err(format!(
                 "chunk {i} claims {len} bytes, only {} left",
                 r.remaining()
             ));
         }
-        let mut cr = ByteReader::new(r.take(len)?);
-        let chunk = WorkerChunk::decode(&mut cr).map_err(|e| format!("chunk {i}: {e}"))?;
+        let mut cr = ByteReader::new(r.take(len as usize)?);
+        let chunk: WorkerChunk = cr.get().map_err(|e| format!("chunk {i}: {e}"))?;
         cr.expect_end().map_err(|e| format!("chunk {i}: {e}"))?;
-
-        max_pu_fs = max_pu_fs.max(chunk.max_pu_fs);
-        frame_tasks += chunk.frame_tasks;
-        frame_injected += chunk.frame_injected;
-        frame_ejected += chunk.frame_ejected;
-        match frames.as_mut() {
-            None => frames = Some(chunk.frames),
-            Some(log) => log.merge(&chunk.frames),
-        }
-        if chunk.planes.len() != planes_state.len() {
+        if chunk.planes.len() as u64 != u64::from(header.planes) {
             return Err(format!(
                 "chunk {i} has {} planes, header says {}",
                 chunk.planes.len(),
-                planes_state.len()
+                header.planes
             ));
         }
-        for (dst, src) in planes_state.iter_mut().zip(chunk.planes) {
-            dst.counters.merge(&src.counters);
-            dst.latency.merge(&src.latency);
-            dst.packets.extend(src.packets);
-            dst.links.extend(src.links);
-            dst.rr.extend(src.rr);
-            dst.busy_frame.extend(src.busy_frame);
+        match merged.as_mut() {
+            None => merged = Some(chunk),
+            Some(all) => all.absorb(chunk).map_err(|e| format!("chunk {i}: {e}"))?,
         }
-        tiles.extend(chunk.tiles);
-        channels.extend(chunk.channels);
     }
     r.expect_end()?;
+    let mut state = merged.ok_or("snapshot holds no worker chunk")?;
 
-    let total = width as u64 * height as u64;
-    if tiles.len() as u64 != total {
+    let total = header.width as u64 * header.height as u64;
+    if state.tiles.len() as u64 != total {
         return Err(format!(
-            "snapshot holds {} tile records for a {width}x{height} grid ({total} tiles)",
-            tiles.len()
+            "snapshot holds {} tile records for a {}x{} grid ({total} tiles)",
+            state.tiles.len(),
+            header.width,
+            header.height
         ));
     }
-    tiles.sort_unstable_by_key(|t| t.tile);
-    for (i, t) in tiles.iter().enumerate() {
+    state.tiles.sort_unstable_by_key(|t| t.tile);
+    for (i, t) in state.tiles.iter().enumerate() {
         if t.tile as u64 != i as u64 {
             return Err(format!(
                 "tile record {i} has id {} (duplicate or gap)",
@@ -1224,198 +1039,289 @@ fn parse_snapshot(bytes: &[u8]) -> Result<SnapshotData, String> {
             ));
         }
     }
-    channels.sort_unstable_by_key(|&(id, _)| id);
-
-    Ok(SnapshotData {
-        config_hash,
-        app_name,
-        width,
-        height,
-        pus,
-        planes,
-        task_types,
-        kernels,
-        kernel,
-        cycle,
-        base,
-        max_pu_fs,
-        frame_tasks,
-        frame_injected,
-        frame_ejected,
-        frames: frames.unwrap_or_else(|| FrameLog::new(1)),
-        planes_state,
-        tiles,
-        channels,
-    })
+    state.channels.sort_unstable_by_key(|&(id, _)| id);
+    Ok(SnapshotData { header, at, state })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn le_helpers_round_trip() {
+    /// `decode(encode(v)) == v`, nothing left over, and `MIN_SIZE` is a
+    /// true lower bound; returns the encoded length.
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> usize {
         let mut b = Vec::new();
-        put_u8(&mut b, 7);
-        put_u16(&mut b, 300);
-        put_u32(&mut b, 70_000);
-        put_u64(&mut b, u64::MAX - 1);
-        put_f32(&mut b, -0.125);
-        put_f64(&mut b, std::f64::consts::PI);
-        put_bool(&mut b, true);
-        put_str(&mut b, "muchisim");
-        put_u32s(&mut b, &[1, 2, 3]);
-        put_u64s(&mut b, &[9]);
-        put_f32s(&mut b, &[1.5, -2.5]);
-        put_f64s(&mut b, &[0.1]);
-        put_bools(&mut b, &[true, false]);
+        v.put(&mut b);
+        assert!(b.len() >= T::MIN_SIZE, "{v:?} encodes below MIN_SIZE");
         let mut r = ByteReader::new(&b);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f32().unwrap(), -0.125);
-        assert_eq!(r.f64().unwrap().to_bits(), std::f64::consts::PI.to_bits());
-        assert!(r.bool_().unwrap());
-        assert_eq!(r.str_().unwrap(), "muchisim");
-        assert_eq!(r.u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u64s().unwrap(), vec![9]);
-        assert_eq!(r.f32s().unwrap(), vec![1.5, -2.5]);
-        assert_eq!(r.f64s().unwrap()[0].to_bits(), 0.1f64.to_bits());
-        assert_eq!(r.bools().unwrap(), vec![true, false]);
+        assert_eq!(&r.get::<T>().unwrap(), v);
         r.expect_end().unwrap();
+        b.len()
+    }
+
+    #[test]
+    fn primitives_round_trip_bit_exactly() {
+        round_trip(&7u8);
+        round_trip(&300u16);
+        round_trip(&70_000u32);
+        round_trip(&(u64::MAX - 1));
+        round_trip(&true);
+        round_trip(&"muchisim".to_string());
+        round_trip(&vec![1u32, 2, 3]);
+        round_trip(&vec![true, false]);
+        round_trip(&vec![(1u32, 2u8, 3u64)]);
+        round_trip(&[9u64; 4]);
+        let mut b = Vec::new();
+        (-0.125f32, std::f64::consts::PI, f32::NAN).put(&mut b);
+        let (x, y, z): (f32, f64, f32) = ByteReader::new(&b).get().unwrap();
+        assert_eq!(x, -0.125);
+        assert_eq!(y.to_bits(), std::f64::consts::PI.to_bits());
+        assert_eq!(z.to_bits(), f32::NAN.to_bits());
+        // the two sequence writers and the slice form agree byte for byte
+        let (mut a, mut c, mut d) = (Vec::new(), Vec::new(), Vec::new());
+        put_seq(&mut a, [5u8, 6, 7]);
+        [5u8, 6, 7][..].put(&mut c);
+        put_seq(
+            &mut d,
+            [4u8, 5, 6, 7, 8].iter().filter(|&&v| (5..8).contains(&v)),
+        );
+        assert_eq!(a, [3, 0, 0, 0, 5, 6, 7]);
+        assert_eq!((&a, &a), (&c, &d));
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_overlong_forms() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX - 1, u64::MAX] {
+            round_trip(&Var(v));
+        }
+        assert_eq!(round_trip(&Var(127)), 1);
+        assert_eq!(round_trip(&Var(u64::MAX)), 10);
+        // an 11th byte, and a 10th byte with bits past 2^64
+        assert!(ByteReader::new(&[0x80; 11]).get::<Var>().is_err());
+        let mut over = [0xFF; 10];
+        over[9] = 0x02;
+        assert!(ByteReader::new(&over).get::<Var>().is_err());
     }
 
     #[test]
     fn reader_rejects_truncation_and_absurd_lengths() {
-        let mut r = ByteReader::new(&[1, 2]);
-        assert!(r.u32().is_err());
-        // length prefix claiming more data than present must error
+        assert!(ByteReader::new(&[1, 2]).get::<u32>().is_err());
+        // a length prefix claiming more elements than bytes present must
+        // error before anything is allocated, whatever the element type
         let mut b = Vec::new();
-        put_u32(&mut b, u32::MAX);
-        let mut r = ByteReader::new(&b);
-        assert!(r.u32s().is_err());
+        u32::MAX.put(&mut b);
+        b.extend_from_slice(&[0; 64]);
+        assert!(ByteReader::new(&b).seq::<u8>().is_err());
+        assert!(ByteReader::new(&b).seq::<u32>().is_err());
+        assert!(ByteReader::new(&b).seq::<Packet>().is_err());
+        assert!(ByteReader::new(&b).seq::<TileRecord>().is_err());
+        assert!(ByteReader::new(&b).get::<String>().is_err());
+        // the cap is the element's own minimum: 66 bytes hold at most
+        // two 33-byte packets
+        for (n, ok) in [(2u32, true), (3, false)] {
+            let mut b = Vec::new();
+            n.put(&mut b);
+            b.extend_from_slice(&[0; 66]);
+            let got = ByteReader::new(&b).count_of(Packet::MIN_SIZE);
+            assert_eq!(got.is_ok(), ok, "{n} packets in 66 bytes");
+        }
         assert_eq!(ByteReader::new(&[]).remaining(), 0);
     }
 
     #[test]
-    fn packet_codec_round_trips() {
-        let pkt = Packet::unicast(3, 99, 2, Payload::from_slice(&[7, 8, 9]), 4)
+    fn every_described_record_round_trips_and_min_size_is_its_empty_form() {
+        let payload = Payload::from_slice(&[7, 8, 9]);
+        let pkt = Packet::unicast(3, 99, 2, payload.clone(), 4)
             .with_reduce(ReduceOp::MaxU32)
             .ready_at(1234)
             .born(1200);
-        let mut b = Vec::new();
-        put_packet(&mut b, &pkt);
-        let mut r = ByteReader::new(&b);
-        let back = read_packet(&mut r).unwrap();
-        assert_eq!(back, pkt);
-        r.expect_end().unwrap();
+        assert_eq!(round_trip(&pkt), Packet::MIN_SIZE + 12);
+        assert_eq!(Packet::MIN_SIZE, 33);
+        let msg = OutMsg {
+            dst: 3,
+            task: 1,
+            payload: Payload::from_slice(&[1, 2]),
+            at_pu_cycle: 88,
+            reduce: Some(ReduceOp::SumU32),
+        };
+        assert_eq!(round_trip(&msg), OutMsg::MIN_SIZE + 8);
+        let send = ScheduledSend {
+            cycle: 50,
+            dst: 1,
+            task: 0,
+            payload: Payload::empty(),
+            reduce: None,
+        };
+        assert_eq!(round_trip(&send), ScheduledSend::MIN_SIZE);
+        round_trip(&payload);
+        assert_eq!(round_trip(&PuCounters::default()), PuCounters::MIN_SIZE);
+        assert_eq!(round_trip(&MemCounters::default()), MemCounters::MIN_SIZE);
+        round_trip(&PuCounters {
+            int_ops: 42,
+            cq_stall_cycles: u64::MAX,
+            ..Default::default()
+        });
+        round_trip(&MemCounters {
+            sram_read_bits: 1 << 40,
+            queue_writes: 7,
+            ..Default::default()
+        });
+        let noc = NocCounters {
+            injected: 9,
+            flit_hops_by_class: [1, 2, 3, 4],
+            onchip_flit_mm: 1.25,
+            reduce_combines: 5,
+            ..Default::default()
+        };
+        assert_eq!(round_trip(&noc), NocCounters::MIN_SIZE);
+        let mut lat = LatencyStats::default();
+        lat.record(17);
+        assert_eq!(round_trip(&lat), LatencyStats::MIN_SIZE);
+        let mut log = FrameLog::new(256);
+        assert_eq!(round_trip(&log), FrameLog::MIN_SIZE);
+        log.frames.push(Frame {
+            index: 0,
+            tasks_delta: 5,
+            router_busy: vec![(1, 2)],
+            iq_occupancy: vec![(3, 4), (5, 6)],
+            ..Default::default()
+        });
+        assert_eq!(round_trip(&log), FrameLog::MIN_SIZE + Frame::MIN_SIZE + 24);
+        let header = Header {
+            config_hash: 0xABCD,
+            app_name: "ping".into(),
+            width: 2,
+            height: 3,
+            pus: 1,
+            planes: 1,
+            task_types: 4,
+            kernels: 5,
+        };
+        assert_eq!(round_trip(&header), Header::MIN_SIZE + 4);
+        let at = Progress {
+            kernel: 1,
+            cycle: 42,
+            base: 7,
+        };
+        assert_eq!(round_trip(&at), 20);
     }
 
     #[test]
     fn reduce_tags_cover_all_ops() {
-        for op in [
+        for (tag, op) in [
             None,
             Some(ReduceOp::SumF32),
             Some(ReduceOp::SumU32),
             Some(ReduceOp::MinU32),
             Some(ReduceOp::MinF32),
             Some(ReduceOp::MaxU32),
-        ] {
-            assert_eq!(reduce_from_tag(reduce_tag(op)).unwrap(), op);
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut b = Vec::new();
+            op.put(&mut b);
+            assert_eq!(b, [tag as u8]);
+            round_trip(&op);
         }
-        assert!(reduce_from_tag(99).is_err());
+        let err = ByteReader::new(&[99]).get::<Option<ReduceOp>>();
+        assert!(err.unwrap_err().contains("reduce-op tag 99"));
     }
 
-    #[test]
-    fn worker_chunk_round_trips() {
-        let chunk = WorkerChunk {
+    fn sample_tile(tile: u32) -> TileRecord {
+        TileRecord {
+            tile,
+            init_pending: true,
+            pu_busy_frame: 4,
+            rr_last: 1,
+            pu_clock: vec![100, 200],
+            pu: PuCounters {
+                int_ops: 42,
+                ..Default::default()
+            },
+            mem: MemCounters {
+                sram_reads: 7,
+                ..Default::default()
+            },
+            cache: "{\"x\":1}".into(),
+            iqs: vec![vec![Payload::from_slice(&[5])], vec![]],
+            cqs: vec![
+                vec![],
+                vec![OutMsg {
+                    dst: 3,
+                    task: 1,
+                    payload: Payload::from_slice(&[1, 2]),
+                    at_pu_cycle: 88,
+                    reduce: Some(ReduceOp::SumU32),
+                }],
+            ],
+            scripted: vec![ScheduledSend {
+                cycle: 50,
+                dst: 1,
+                task: 0,
+                payload: Payload::empty(),
+                reduce: None,
+            }],
+            app: vec![tile as u8, 2, 3],
+        }
+    }
+
+    fn sample_chunk(tiles: u32) -> WorkerChunk {
+        let mut frames = FrameLog::new(256);
+        frames.frames.push(Frame {
+            tasks_delta: 5,
+            router_busy: vec![(1, 2)],
+            ..Default::default()
+        });
+        let mut latency = LatencyStats::default();
+        latency.record(17);
+        WorkerChunk {
             max_pu_fs: 123_456,
             frame_tasks: 10,
             frame_injected: 3,
             frame_ejected: 2,
-            frames: {
-                let mut log = FrameLog::new(256);
-                log.frames.push(crate::frames::Frame {
-                    index: 0,
-                    start_cycle: 0,
-                    tasks_delta: 5,
-                    router_busy: vec![(1, 2)],
-                    ..Default::default()
-                });
-                log
-            },
+            frames,
             planes: vec![PlaneRecord {
                 counters: NocCounters {
                     injected: 9,
                     onchip_flit_mm: 1.25,
                     ..Default::default()
                 },
-                latency: {
-                    let mut l = LatencyStats::default();
-                    l.record(17);
-                    l
-                },
+                latency,
                 packets: vec![(
-                    4,
+                    1,
                     12,
-                    Packet::unicast(0, 4, 1, Payload::from_slice(&[1]), 2).ready_at(7),
+                    Packet::unicast(0, 1, 1, Payload::from_slice(&[1]), 2).ready_at(7),
                 )],
-                links: vec![(4, 8, 99)],
-                rr: vec![(4, 0, 3)],
-                busy_frame: vec![(4, 11)],
+                links: vec![(1, 8, 99)],
+                rr: vec![(1, 0, 3)],
+                busy_frame: vec![(1, 11)],
             }],
-            tiles: vec![TileRecord {
-                tile: 0,
-                init_pending: true,
-                pu_busy_frame: 4,
-                rr_last: 1,
-                pu_clock: vec![100, 200],
-                pu: PuCounters {
-                    int_ops: 42,
-                    ..Default::default()
-                },
-                mem: MemCounters {
-                    sram_reads: 7,
-                    ..Default::default()
-                },
-                cache: Some("{\"x\":1}".into()),
-                iqs: vec![vec![Payload::from_slice(&[5])], vec![]],
-                cqs: vec![
-                    vec![],
-                    vec![OutMsg {
-                        dst: 3,
-                        task: 1,
-                        payload: Payload::from_slice(&[1, 2]),
-                        at_pu_cycle: 88,
-                        reduce: Some(ReduceOp::SumU32),
-                    }],
-                ],
-                scripted: vec![ScheduledSend {
-                    cycle: 50,
-                    dst: 1,
-                    task: 0,
-                    payload: Payload::empty(),
-                    reduce: None,
-                }],
-                app: vec![1, 2, 3],
-            }],
+            tiles: (0..tiles).map(sample_tile).collect(),
             channels: vec![(2, 77)],
-        };
-        let bytes = chunk.encode();
+        }
+    }
+
+    /// A chunk survives encode → decode → encode unchanged: the derived
+    /// writer and reader of every record agree on one layout.
+    #[test]
+    fn worker_chunk_reencodes_to_the_same_bytes() {
+        let mut bytes = Vec::new();
+        sample_chunk(2).put(&mut bytes);
         let mut r = ByteReader::new(&bytes);
-        let back = WorkerChunk::decode(&mut r).unwrap();
+        let back: WorkerChunk = r.get().unwrap();
         r.expect_end().unwrap();
-        assert_eq!(back.max_pu_fs, chunk.max_pu_fs);
-        assert_eq!(back.frames.frames, chunk.frames.frames);
-        assert_eq!(back.planes[0].packets, chunk.planes[0].packets);
-        assert_eq!(back.planes[0].counters, chunk.planes[0].counters);
-        assert_eq!(back.planes[0].latency, chunk.planes[0].latency);
-        assert_eq!(back.tiles[0].iqs, chunk.tiles[0].iqs);
-        assert_eq!(back.tiles[0].cqs, chunk.tiles[0].cqs);
-        assert_eq!(back.tiles[0].scripted, chunk.tiles[0].scripted);
-        assert_eq!(back.tiles[0].cache, chunk.tiles[0].cache);
-        assert_eq!(back.channels, chunk.channels);
+        assert_eq!(back.planes[0].packets, sample_chunk(2).planes[0].packets);
+        assert_eq!(back.tiles[1].cqs, sample_tile(1).cqs);
+        assert_eq!(back.tiles[1].cache, "{\"x\":1}");
+        let mut again = Vec::new();
+        back.put(&mut again);
+        assert_eq!(again, bytes);
+        // the empty chunk is MIN_SIZE bytes, and no shorter prefix parses
+        assert!(bytes.len() > WorkerChunk::MIN_SIZE);
+        for cut in [0, WorkerChunk::MIN_SIZE - 1, bytes.len() - 1] {
+            assert!(ByteReader::new(&bytes[..cut]).get::<WorkerChunk>().is_err());
+        }
     }
 
     #[test]
@@ -1445,39 +1351,38 @@ mod tests {
             .join(format!("roundtrip-{}.ckpt", std::process::id()))
             .to_string_lossy()
             .into_owned();
-        let header = encode_header(0xABCD, "ping", 2, 2, 1, 1, 1, 1);
-        let chunk = WorkerChunk {
-            max_pu_fs: 1,
-            frame_tasks: 0,
-            frame_injected: 0,
-            frame_ejected: 0,
-            frames: FrameLog::new(256),
-            planes: vec![PlaneRecord::default()],
-            tiles: (0..4)
-                .map(|i| TileRecord {
-                    tile: i,
-                    init_pending: false,
-                    pu_busy_frame: 0,
-                    rr_last: 0,
-                    pu_clock: vec![0],
-                    pu: PuCounters::default(),
-                    mem: MemCounters::default(),
-                    cache: None,
-                    iqs: vec![vec![]],
-                    cqs: vec![vec![]],
-                    scripted: vec![],
-                    app: vec![i as u8],
-                })
-                .collect(),
-            channels: vec![],
+        let header = Header {
+            config_hash: 0xABCD,
+            app_name: "ping".into(),
+            width: 2,
+            height: 2,
+            pus: 1,
+            planes: 1,
+            task_types: 2,
+            kernels: 1,
         };
-        write_snapshot_file(&path, &header, 0, 42, 7, &[chunk.encode().as_slice()]).unwrap();
+        let at = Progress {
+            kernel: 0,
+            cycle: 42,
+            base: 7,
+        };
+        // two workers, two tiles each, written out of tile order
+        let (mut lo, mut hi) = (sample_chunk(0), sample_chunk(0));
+        lo.tiles = vec![sample_tile(0), sample_tile(2)];
+        hi.tiles = vec![sample_tile(3), sample_tile(1)];
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        hi.put(&mut a);
+        lo.put(&mut b);
+        write_snapshot_file(&path, &header.file_prefix(), at, &[&a, &b]).unwrap();
         let snap = read_snapshot(&path).unwrap();
-        assert_eq!(snap.app_name, "ping");
-        assert_eq!(snap.cycle, 42);
-        assert_eq!(snap.base, 7);
-        assert_eq!(snap.tiles.len(), 4);
-        assert_eq!(snap.tiles[3].app, vec![3]);
+        assert_eq!((&snap.header, snap.at), (&header, at));
+        let state = &snap.state;
+        assert_eq!(state.tiles.len(), 4);
+        assert_eq!(state.tiles[3].app, vec![3, 2, 3]);
+        assert_eq!(state.frame_tasks, 20);
+        assert_eq!(state.planes[0].counters.injected, 18);
+        assert_eq!(state.planes[0].packets.len(), 2);
+        assert_eq!(state.channels, vec![(2, 77), (2, 77)]);
 
         // flip one byte in the middle: checksum must catch it
         let mut bytes = std::fs::read(&path).unwrap();

@@ -164,11 +164,8 @@ pub struct SimResult {
     pub host_state_bytes: u64,
     /// Result of the application's output check (`None` if it passed).
     pub check_error: Option<String>,
-    /// Tasks executed per grid column (index = column). The measured
-    /// activity profile behind activity-balanced shard splits: feed it to
-    /// `Simulation::run_balanced` (usually from a short
-    /// `Simulation::run_window` calibration) to place shard boundaries
-    /// where the work is.
+    /// Tasks executed per grid column (index = column): how the work
+    /// spread over the grid's width. Part of stored DSE records.
     pub column_activity: Vec<u64>,
     /// How the run ended: `"finished"` for a normal drain, `"ward:<name>"`
     /// when a telemetry ward terminated it (the partial result inside a

@@ -76,6 +76,19 @@ impl CacheModel {
         }
     }
 
+    /// Whether `other` has the same sets, ways, line size and tag-array
+    /// length (a deserialized model is only usable in place of one built
+    /// by [`CacheModel::new`] if it does).
+    pub fn same_geometry(&self, other: &CacheModel) -> bool {
+        (self.num_sets, self.ways, self.line_bytes, self.lines.len())
+            == (
+                other.num_sets,
+                other.ways,
+                other.line_bytes,
+                other.lines.len(),
+            )
+    }
+
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u32 {
         self.line_bytes

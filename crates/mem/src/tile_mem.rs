@@ -215,15 +215,20 @@ impl TileMemory {
     }
 
     /// Overwrites the cache model from a [`TileMemory::snapshot_cache`]
-    /// blob. Errors if this tile is in scratchpad mode or the blob does
-    /// not parse; the static geometry (latencies, line size, prefetch
-    /// policy) is kept from the current configuration.
+    /// blob. Errors if this tile is in scratchpad mode, the blob does not
+    /// parse, or it describes a cache of another shape (sets, ways, line
+    /// size) than the configured one; latencies and the prefetch policy
+    /// are kept from the current configuration.
     pub fn restore_cache(&mut self, json: &str) -> Result<(), String> {
         match &mut self.mode {
             Mode::Scratchpad => Err("snapshot has cache state but tile is a scratchpad".into()),
             Mode::Cache { cache, .. } => {
-                *cache = serde_json::from_str(json)
+                let restored: CacheModel = serde_json::from_str(json)
                     .map_err(|e| format!("cache state does not parse: {e}"))?;
+                if !restored.same_geometry(cache) {
+                    return Err("cache state has a different geometry than configured".into());
+                }
+                *cache = restored;
                 Ok(())
             }
         }

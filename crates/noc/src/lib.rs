@@ -32,8 +32,6 @@
 //!   routers holding traffic, so stepping a mostly-idle million-tile
 //!   plane costs `O(active routers)` per cycle, not `O(all routers)` —
 //!   results are bit-identical either way (`SystemConfig::active_list`).
-//!   [`split_by_activity`] complements [`split_columns`] with shard
-//!   boundaries balanced by measured per-column event weights.
 //!
 //! # Example
 //!
@@ -72,9 +70,7 @@ mod worklist;
 
 pub use counters::{NocCounters, RouterVisits};
 pub use latency::LatencyStats;
-pub use network::{
-    split_by_activity, split_columns, DrainSink, EjectSink, Network, NetworkParams, SharedNet,
-};
+pub use network::{split_columns, DrainSink, EjectSink, Network, NetworkParams, SharedNet};
 pub use packet::{Packet, Payload, ReduceOp};
 pub use port::{InPort, OutDir};
 pub use route::{decide, RouteDecision};

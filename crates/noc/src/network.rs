@@ -37,78 +37,6 @@ pub fn split_columns(width: u32, num_shards: usize, align: u32) -> Vec<u32> {
     boundaries
 }
 
-/// Splits `weights.len()` columns into at most `num_shards` contiguous
-/// ranges whose boundaries are multiples of `align`, balancing the summed
-/// per-column `weights` across ranges. Returns the exclusive end column
-/// of each range, like [`split_columns`].
-///
-/// `weights[c]` is a measured event count for column `c` (tasks executed,
-/// packets routed) from a calibration window; the greedy walk closes each
-/// shard once it holds its fair share of the remaining weight, so a
-/// hotspot column ends up in a narrow shard and idle plains are grouped
-/// into wide ones. With uniform weights this degenerates to (nearly) the
-/// even split of [`split_columns`].
-///
-/// Degenerate inputs degrade like [`split_columns`]: fewer shards than
-/// requested when columns or alignment units run out, a single shard when
-/// `align` exceeds the width, no shards for zero columns. All-zero
-/// weights fall back to the even split.
-pub fn split_by_activity(weights: &[u64], num_shards: usize, align: u32) -> Vec<u32> {
-    let width = weights.len() as u32;
-    if width == 0 {
-        return Vec::new();
-    }
-    let align = align.clamp(1, width);
-    let units = width / align; // last unit absorbs the remainder columns
-    let n = (num_shards as u32).clamp(1, units);
-    // weight of each alignment unit
-    let unit_w: Vec<u64> = (0..units)
-        .map(|u| {
-            let start = (u * align) as usize;
-            let end = if u == units - 1 {
-                width as usize
-            } else {
-                start + align as usize
-            };
-            weights[start..end].iter().sum()
-        })
-        .collect();
-    let mut remaining: u64 = unit_w.iter().sum();
-    if remaining == 0 {
-        return split_columns(width, num_shards, align);
-    }
-    let mut boundaries = Vec::with_capacity(n as usize);
-    let mut unit = 0u32;
-    for shard in 0..n {
-        let shards_left = n - shard;
-        let target = remaining.div_ceil(shards_left as u64);
-        let mut acc = 0u64;
-        // take at least one unit, then keep taking while under target and
-        // while enough units remain to give every later shard one
-        loop {
-            acc += unit_w[unit as usize];
-            unit += 1;
-            let units_left = units - unit;
-            if units_left < shards_left {
-                break; // later shards need the rest
-            }
-            if shard + 1 == n || acc >= target {
-                break;
-            }
-            // stop early if taking the next unit overshoots the target by
-            // more than stopping now undershoots it
-            let next = unit_w[unit as usize];
-            if acc + next > target && (acc + next - target) > (target - acc) {
-                break;
-            }
-        }
-        remaining -= acc;
-        boundaries.push((unit * align).min(width));
-    }
-    *boundaries.last_mut().expect("n >= 1") = width;
-    boundaries
-}
-
 /// Destination for packets that reach their tile (the bridge into the
 /// core simulator's input queues).
 ///
@@ -539,75 +467,6 @@ mod tests {
         assert_eq!(split_columns(0, 4, 1), Vec::<u32>::new());
         assert_eq!(split_columns(0, 0, 0), Vec::<u32>::new());
         assert_eq!(split_columns(5, 0, 1), vec![5]);
-    }
-
-    fn check_valid(bounds: &[u32], width: u32, max_shards: usize, align: u32) {
-        assert!(!bounds.is_empty());
-        assert!(bounds.len() <= max_shards);
-        assert_eq!(*bounds.last().unwrap(), width);
-        let mut start = 0;
-        for (i, &end) in bounds.iter().enumerate() {
-            assert!(end > start, "empty shard in {bounds:?}");
-            if i + 1 < bounds.len() {
-                assert_eq!(end % align, 0, "unaligned boundary in {bounds:?}");
-            }
-            start = end;
-        }
-    }
-
-    #[test]
-    fn split_by_activity_balances_skewed_weights() {
-        // all the work in the first two columns: the first shard should be
-        // narrow, the idle plain grouped into the others
-        let mut w = vec![0u64; 16];
-        w[0] = 100;
-        w[1] = 100;
-        let bounds = split_by_activity(&w, 4, 1);
-        check_valid(&bounds, 16, 4, 1);
-        assert_eq!(bounds[0], 1, "hotspot column gets its own shard");
-        // uniform weights reproduce the even split
-        assert_eq!(split_by_activity(&[5; 16], 4, 1), split_columns(16, 4, 1));
-        assert_eq!(split_by_activity(&[7; 32], 3, 4), split_columns(32, 3, 4));
-    }
-
-    #[test]
-    fn split_by_activity_respects_alignment() {
-        let mut w = vec![1u64; 32];
-        w[..8].fill(50); // hot band on the left
-        let bounds = split_by_activity(&w, 4, 4);
-        check_valid(&bounds, 32, 4, 4);
-        assert!(
-            bounds[0] <= 8,
-            "first shard should stay near the hot band: {bounds:?}"
-        );
-    }
-
-    #[test]
-    fn split_by_activity_degenerate_inputs() {
-        assert_eq!(split_by_activity(&[], 4, 1), Vec::<u32>::new());
-        // zero weights fall back to the even split
-        assert_eq!(split_by_activity(&[0; 8], 2, 1), split_columns(8, 2, 1));
-        // align beyond width collapses to one shard
-        assert_eq!(split_by_activity(&[3; 8], 4, 16), vec![8]);
-        // more shards than columns clamps without empty shards
-        for width in 1..=6usize {
-            for shards in [7usize, 16] {
-                let w: Vec<u64> = (0..width as u64).collect();
-                let bounds = split_by_activity(&w, shards, 1);
-                check_valid(&bounds, width as u32, shards, 1);
-            }
-        }
-        assert_eq!(split_by_activity(&[9; 5], 0, 1), vec![5]);
-    }
-
-    #[test]
-    fn split_by_activity_boundaries_feed_with_boundaries() {
-        let cfg = SystemConfig::builder().chiplet_tiles(8, 2).build().unwrap();
-        let w = [40, 1, 1, 1, 1, 1, 1, 40];
-        let bounds = split_by_activity(&w, 3, 1);
-        check_valid(&bounds, 8, 3, 1);
-        let n = Network::with_boundaries(NetworkParams::from_system(&cfg), &bounds);
-        assert_eq!(n.num_shards(), bounds.len());
     }
 
     #[test]

@@ -953,9 +953,20 @@ impl Shard {
     /// per-router packet count, the wake cache, and the worklist.
     ///
     /// Packets must be restored in their snapshot order (FIFO order is
-    /// load-bearing). Snapshots are taken post-combine, so a restore can
-    /// never trigger an in-network reduction.
-    pub fn restore_packet(&mut self, shared: &SharedNet, tile: u32, port: InPort, pkt: Packet) {
+    /// load-bearing).
+    ///
+    /// # Errors
+    ///
+    /// Snapshots are taken post-combine, so no two packets of one queue
+    /// can reduce into each other; a file that holds such a pair is
+    /// rejected (the shard is then left half-restored and must not run).
+    pub fn restore_packet(
+        &mut self,
+        shared: &SharedNet,
+        tile: u32,
+        port: InPort,
+        pkt: Packet,
+    ) -> Result<(), String> {
         let local = self.local_idx(tile, &shared.topo);
         let qid = shared.topo.queue_id(tile, port);
         shared.occupancy[qid].fetch_add(pkt.flits as u32, Ordering::Relaxed);
@@ -964,9 +975,15 @@ impl Shard {
             self.wake[local] = pkt.ready_at;
         }
         let freed = router_mut(&mut self.routers, &mut self.pool, local).push(port.index(), pkt);
-        assert_eq!(freed, 0, "snapshot is post-combine; restore cannot reduce");
+        if freed != 0 {
+            return Err(format!(
+                "input port {} holds two packets that combine; a snapshot is post-combine",
+                port.index()
+            ));
+        }
         self.queued_msgs[local] += 1;
         self.active.activate(local as u32);
+        Ok(())
     }
 
     /// Restores one output link's `busy_until` clock.

@@ -129,13 +129,13 @@ impl Application for TrafficApp {
     }
 
     fn snapshot_tile(&self, state: &u64, out: &mut Vec<u8>) -> Result<(), String> {
-        muchisim_core::snapshot::put_u64(out, *state);
+        muchisim_core::snapshot::Put::put(state, out);
         Ok(())
     }
 
     fn restore_tile(&self, state: &mut u64, bytes: &[u8]) -> Result<(), String> {
         let mut r = muchisim_core::snapshot::ByteReader::new(bytes);
-        *state = r.u64()?;
+        *state = r.get()?;
         r.expect_end()
     }
 

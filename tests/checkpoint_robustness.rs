@@ -2,13 +2,23 @@
 //! or incompatible checkpoint files must fail with a clean
 //! [`SimError::Snapshot`] — never a panic, never a silently-wrong resume.
 //!
+//! Three layers: a table of whole-file damage (truncation, bad magic,
+//! stale checksum), directed edits of single fields inside a file whose
+//! checksum is valid again (what only the restore path can catch), and
+//! seeded random mutations of two applications' snapshots.
+//!
 //! [`SimError::Snapshot`]: muchisim::core::SimError
 
-use muchisim::apps::{run_benchmark, Benchmark};
-use muchisim::config::{SystemConfig, Verbosity};
-use muchisim::core::snapshot::SnapshotHasher;
+use muchisim::apps::{high_degree_root, run_benchmark, Benchmark, Bfs, Spmv, SyncMode};
+use muchisim::config::{DramConfig, SystemConfig, Verbosity};
+use muchisim::core::snapshot::{ByteReader, Put, SnapshotHasher};
+use muchisim::core::{Application, FrameLog, SimError, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::data::Csr;
+use muchisim::noc::{LatencyStats, NocCounters, Packet, ReduceOp};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 
 fn cfg(side: u32) -> SystemConfig {
@@ -160,4 +170,518 @@ fn damaged_snapshots_fail_with_clean_errors() {
         "app mismatch error is unhelpful: {err}"
     );
     let _ = std::fs::remove_file(&valid_path);
+}
+
+// ---------------------------------------------------------------------
+// Directed edits: one field changed, checksum re-stamped.
+// ---------------------------------------------------------------------
+
+type PacketRecord = (u32, u8, Packet);
+
+/// Byte offsets into a one-chunk, one-plane snapshot file, found by
+/// walking it with the public codec.
+struct Offsets {
+    /// Every length or count prefix up to the tile records.
+    prefixes: Vec<usize>,
+    /// The chunk's `u64` byte length.
+    chunk_len: usize,
+    /// The `u32` count of queued-packet records, and the first byte
+    /// after the last of them.
+    packets: (usize, usize),
+    /// The first arbiter record `(tile u32, dir u8, cursor u8)`, if any.
+    first_rr: Option<usize>,
+    /// The first tile record.
+    first_tile: usize,
+}
+
+fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
+    let body = &bytes[..bytes.len() - 8];
+    let mut r = ByteReader::new(&body[12..]);
+    let mut prefixes = Vec::new();
+    macro_rules! here {
+        () => {
+            body.len() - r.remaining()
+        };
+    }
+    macro_rules! skip {
+        ($t:ty) => {
+            r.get::<$t>().expect("valid snapshot walks")
+        };
+    }
+    skip!(u64); // config hash
+    prefixes.push(here!());
+    skip!(String); // application name
+    skip!((u32, u32, u32, u32)); // width, height, PUs, planes
+    skip!((u8, u32)); // task types, kernels
+    skip!((u32, u64, u64)); // kernel, cycle, base
+    prefixes.push(here!());
+    assert_eq!(skip!(u32), 1, "one writer thread, one chunk");
+    let chunk_len = here!();
+    skip!(u64);
+    skip!((u64, u64, u64, u64)); // PU tail and open-frame counts
+    prefixes.push(here!() + 8); // the frame count follows the interval
+    skip!(FrameLog);
+    prefixes.push(here!());
+    assert_eq!(skip!(u32), 1, "one NoC plane");
+    skip!(NocCounters);
+    skip!(LatencyStats);
+    let packets_at = here!();
+    let packets = r.seq::<PacketRecord>().expect("packet records");
+    let packets_end = here!();
+    prefixes.extend([packets_at, packets_end]);
+    skip!(Vec<(u32, u8, u64)>); // busy links
+    let rr_at = here!();
+    let rr = skip!(Vec<(u32, u8, u8)>);
+    prefixes.extend([rr_at, here!()]);
+    skip!(Vec<(u32, u32)>); // open-frame router busy counts
+    prefixes.push(here!());
+    skip!(u32); // tile count
+    let found = Offsets {
+        prefixes,
+        chunk_len,
+        packets: (packets_at, packets_end),
+        first_rr: (!rr.is_empty()).then_some(rr_at + 4),
+        first_tile: here!(),
+    };
+    (found, packets)
+}
+
+/// Replaces the file's queued-packet records with `edit`'s result,
+/// fixing up the chunk length and the checksum.
+fn edit_packets(bytes: &[u8], edit: impl FnOnce(&mut Vec<PacketRecord>)) -> Vec<u8> {
+    let (at, mut packets) = offsets(bytes);
+    edit(&mut packets);
+    let mut section = Vec::new();
+    packets.put(&mut section);
+    let (start, end) = at.packets;
+    let mut out = bytes[..start].to_vec();
+    out.extend_from_slice(&section);
+    out.extend_from_slice(&bytes[end..]);
+    let old_len = u64::from_le_bytes(bytes[at.chunk_len..at.chunk_len + 8].try_into().unwrap());
+    let new_len = old_len + section.len() as u64 - (end - start) as u64;
+    out[at.chunk_len..at.chunk_len + 8].copy_from_slice(&new_len.to_le_bytes());
+    restamp_checksum(&mut out);
+    out
+}
+
+/// A BFS snapshot taken while packets are queued in the routers and at
+/// least one arbiter has moved.
+fn busy_bfs_snapshot(graph: &Arc<Csr>, tag: &str) -> (String, Vec<u8>) {
+    let path = std::env::temp_dir()
+        .join(format!("muchisim-robust-{}-{tag}.snap", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let probe = run_benchmark(Benchmark::Bfs, cfg(4), graph, 1).expect("probe runs");
+    for tenths in [3, 2, 4, 5, 1, 6] {
+        let mut c = cfg(4);
+        c.checkpoint_path = Some(path.clone());
+        c.checkpoint_every = Some((probe.runtime_cycles * tenths / 10).max(1));
+        // later boundaries overwrite the file: stop at the first
+        let _ = Simulation::new(c, bfs(graph, 16))
+            .expect("valid")
+            .with_cycle_limit(probe.runtime_cycles * tenths / 10 + 1)
+            .run();
+        let bytes = std::fs::read(&path).expect("snapshot file exists");
+        let (at, packets) = offsets(&bytes);
+        if packets.len() >= 2 && at.first_rr.is_some() {
+            return (path, bytes);
+        }
+    }
+    panic!("no cadence caught BFS with packets in flight");
+}
+
+fn bfs(graph: &Arc<Csr>, tiles: u32) -> Bfs {
+    Bfs::new(
+        Arc::clone(graph),
+        tiles,
+        high_degree_root(graph),
+        SyncMode::Async,
+    )
+}
+
+#[test]
+fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
+    let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
+    let (path, valid) = busy_bfs_snapshot(&graph, "fields");
+    let (at, _) = offsets(&valid);
+
+    // the untouched file, and an edit that changes nothing, both resume
+    for bytes in [valid.clone(), edit_packets(&valid, |_| {})] {
+        std::fs::write(&path, &bytes).expect("write snapshot");
+        let mut c = cfg(4);
+        c.checkpoint_path = Some(path.clone());
+        c.checkpoint_resume = true;
+        let resumed = run_benchmark(Benchmark::Bfs, c, &graph, 1).expect("clean resume");
+        assert!(resumed.check_error.is_none(), "{:?}", resumed.check_error);
+    }
+
+    type Edit = Box<dyn Fn(&[u8]) -> Vec<u8>>;
+    let packet = |f: fn(&mut Packet)| -> Edit {
+        Box::new(move |b| edit_packets(b, |pkts| f(&mut pkts[0].2)))
+    };
+    let byte = |offset: usize, value: u8| -> Edit {
+        Box::new(move |b| {
+            let mut out = b.to_vec();
+            out[offset] = value;
+            restamp_checksum(&mut out);
+            out
+        })
+    };
+    let table: Vec<(&str, Edit, &str)> = vec![
+        (
+            "two packets of one queue that combine",
+            Box::new(|b| {
+                edit_packets(b, |pkts| {
+                    pkts[0].2.reduce = Some(ReduceOp::MinU32);
+                    let twin = pkts[0].clone();
+                    pkts.insert(1, twin);
+                })
+            }),
+            "post-combine",
+        ),
+        (
+            "packet destination",
+            packet(|p| p.dst = 16),
+            "packet record",
+        ),
+        ("packet task", packet(|p| p.task = 1), "packet record"),
+        ("packet flits", packet(|p| p.flits = 0), "packet record"),
+        (
+            "packet virtual channel",
+            packet(|p| p.vc = 2),
+            "packet record",
+        ),
+        (
+            "packet input port",
+            Box::new(|b| edit_packets(b, |pkts| pkts[0].1 = 13)),
+            "packet record",
+        ),
+        (
+            "router arbiter cursor",
+            byte(at.first_rr.expect("an arbiter moved") + 5, 13),
+            "arbiter record",
+        ),
+        (
+            // tile u32, init flag, open-frame busy u32, then the cursor
+            "tile scheduler cursor",
+            byte(at.first_tile + 9, 1),
+            "scheduler cursor",
+        ),
+    ];
+    for (name, edit, want) in table {
+        std::fs::write(&path, edit(&valid)).expect("write edited snapshot");
+        let err = resume_error(&path, &graph, cfg(4));
+        assert!(
+            err.contains("snapshot failed"),
+            "{name}: not a SimError::Snapshot: {err}"
+        );
+        assert!(err.contains(want), "{name}: error lacks `{want}`: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+// ---------------------------------------------------------------------
+// Seeded random mutations.
+// ---------------------------------------------------------------------
+
+/// Counts through to the system allocator, remembering the largest
+/// single request made while [`PEAK_REQUEST`] is armed (non-zero).
+struct PeakAlloc;
+
+/// `0` = disarmed; otherwise `1 +` the largest request seen so far.
+static PEAK_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller already upholds; the only thing
+// added is a relaxed update of a statistic.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if PEAK_REQUEST.load(Ordering::Relaxed) != 0 {
+            PEAK_REQUEST.fetch_max(layout.size() + 1, Ordering::Relaxed);
+        }
+        // SAFETY: same layout, same contract
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if PEAK_REQUEST.load(Ordering::Relaxed) != 0 {
+            PEAK_REQUEST.fetch_max(new_size + 1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from `System` with `layout`; same contract
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// SplitMix64: a few lines, seedable, good enough to pick mutations.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Applies one random mutation to `bytes` (at least 64 of them);
+/// `prefixes` are the offsets of the file's real length prefixes.
+fn mutate(bytes: &mut Vec<u8>, prefixes: &[usize], rng: &mut Rng) -> &'static str {
+    let n = bytes.len();
+    // an earlier truncation may have cut some prefixes off
+    let prefixes = &prefixes[..prefixes.partition_point(|&at| at + 4 <= n)];
+    match rng.below(if prefixes.is_empty() { 5 } else { 6 }) {
+        0 => {
+            for _ in 0..=rng.below(4) {
+                let at = rng.below(n);
+                bytes[at] ^= 1 << rng.below(8);
+            }
+            "bit flips"
+        }
+        1 => {
+            bytes.truncate(rng.below(n));
+            "truncation"
+        }
+        2 => {
+            // a run of the file written over, or inserted at, another place
+            let len = 1 + rng.below(32);
+            let from = rng.below(n - len);
+            let run = bytes[from..from + len].to_vec();
+            let to = rng.below(n - len);
+            if rng.below(2) == 0 {
+                bytes[to..to + len].copy_from_slice(&run);
+            } else {
+                bytes.splice(to..to, run);
+            }
+            "splice"
+        }
+        3 => {
+            let from = rng.below(n - 1);
+            let to = (from + 1 + rng.below(64)).min(n);
+            bytes.drain(from..to);
+            "deletion"
+        }
+        4 => {
+            // two equal-length records (or parts of records) trade places
+            let len = 4 + rng.below(24);
+            let a = rng.below(n - 2 * len);
+            let b = a + len + rng.below(n - 2 * len - a + 1);
+            for i in 0..len {
+                bytes.swap(a + i, b + i);
+            }
+            "swapped records"
+        }
+        _ => {
+            let at = prefixes[rng.below(prefixes.len())];
+            let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let new = match rng.below(4) {
+                0 => old.wrapping_add(1),
+                1 => old.wrapping_mul(2).wrapping_add(1),
+                2 => u32::MAX - rng.below(4) as u32,
+                _ => rng.next() as u32,
+            };
+            bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            "inflated length prefix"
+        }
+    }
+}
+
+/// What one hostile resume came to.
+enum Outcome {
+    /// `SimError::Snapshot`: the reader or the restore refused the file.
+    Refused,
+    /// The run resumed and finished.
+    Resumed,
+    /// The file restored — its structure and every index in it are
+    /// sound — and the *run* then stopped on the values it carried: a
+    /// clock far in the future ends at the cycle limit, a payload the
+    /// application cannot index ends in its (caught) worker panic.
+    RunStopped,
+}
+
+fn hostile_resume<A: Application>(
+    cfg: &SystemConfig,
+    app: A,
+    path: &str,
+    cycle_limit: u64,
+) -> Result<Outcome, String> {
+    let mut c = cfg.clone();
+    c.checkpoint_path = Some(path.to_string());
+    c.checkpoint_resume = true;
+    let sim = Simulation::new(c, app)
+        .expect("valid")
+        .with_cycle_limit(cycle_limit);
+    match sim.run() {
+        Ok(_) => Ok(Outcome::Resumed),
+        Err(SimError::Snapshot(_)) => Ok(Outcome::Refused),
+        Err(SimError::CycleLimitExceeded { .. } | SimError::WorkerPanic { .. }) => {
+            Ok(Outcome::RunStopped)
+        }
+        Err(other) => Err(format!("unexpected error kind: {other}")),
+    }
+}
+
+/// Seeded random mutations of a valid snapshot — bit flips, truncation,
+/// splices, deletions, inflated length prefixes, swapped records — with
+/// the checksum re-stamped (7 cases in 8) so the damage reaches the
+/// decoder and the restore path instead of stopping at the checksum.
+///
+/// Every case must end in `SimError::Snapshot` or in a run that the
+/// restored state carries — never in a panic on the resuming thread, a
+/// hang (a watchdog aborts the process, naming the seed), or a single
+/// allocation out of proportion to the file. Decoding and restoring
+/// happen on the calling thread, outside the workers' `catch_unwind`, so
+/// a panic there fails the case; what may legitimately happen *after* a
+/// structurally sound restore is listed at [`Outcome::RunStopped`].
+#[test]
+fn random_mutations_end_in_typed_errors_or_resumed_runs() {
+    const SEEDS: u64 = 512;
+    let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
+    let mut cache_cfg = cfg(4);
+    cache_cfg.sram_kib_per_tile = 4;
+    cache_cfg.memory = muchisim::config::MemoryConfig::Dram(DramConfig::default());
+    cache_cfg.validate().expect("valid cache-backed config");
+
+    // every case reports its seed before it starts; a minute without a
+    // report means the case named last hangs
+    let (report, reports) = std::sync::mpsc::channel::<String>();
+    let watchdog = std::thread::spawn(move || {
+        let mut running = String::from("set-up");
+        loop {
+            match reports.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(case) => running = case,
+                Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => {
+                    eprintln!("hang: {running} did not finish within a minute");
+                    std::process::abort();
+                }
+            }
+        }
+    });
+
+    // panics raised while a hostile file is being resumed are expected
+    // (worker panics) or recorded with their seed (decoder panics):
+    // either way they stay off stderr
+    static QUIET: AtomicUsize = AtomicUsize::new(0);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if QUIET.load(Ordering::Relaxed) == 0 {
+            hook(info);
+        }
+    }));
+    let mut failures = Vec::new();
+    let mut tally = [0usize; 3];
+    for (label, config, spmv) in [
+        ("bfs/scratchpad", cfg(4), false),
+        ("spmv/cache", cache_cfg, true),
+    ] {
+        let run = |path: &str, limit: u64| {
+            if spmv {
+                hostile_resume(&config, Spmv::new(Arc::clone(&graph), 16), path, limit)
+            } else {
+                hostile_resume(&config, bfs(&graph, 16), path, limit)
+            }
+        };
+        let bench = if spmv {
+            Benchmark::Spmv
+        } else {
+            Benchmark::Bfs
+        };
+        let probe = run_benchmark(bench, config.clone(), &graph, 1).expect("probe runs");
+        let path = std::env::temp_dir()
+            .join(format!(
+                "muchisim-robust-{}-gen-{spmv}.snap",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .into_owned();
+        let mut c = config.clone();
+        c.checkpoint_path = Some(path.clone());
+        c.checkpoint_every = Some((probe.runtime_cycles / 2).max(1));
+        run_benchmark(bench, c, &graph, 1).expect("checkpointing run");
+        let valid = std::fs::read(&path).expect("snapshot file exists");
+        let prefixes = offsets(&valid).0.prefixes;
+        let limit = probe.runtime_cycles * 4;
+
+        // what a clean resume asks of the allocator bounds what a
+        // mutated one may: the same, or a few times the file
+        PEAK_REQUEST.store(1, Ordering::Relaxed);
+        assert!(
+            matches!(run(&path, limit), Ok(Outcome::Resumed)),
+            "{label}: clean resume"
+        );
+        let clean_peak = PEAK_REQUEST.swap(0, Ordering::Relaxed);
+        let allowed = clean_peak.max(8 * valid.len());
+
+        for seed in 0..SEEDS {
+            report
+                .send(format!("{label} seed {seed}"))
+                .expect("watchdog runs");
+            let mut rng = Rng(seed ^ (spmv as u64) << 32);
+            let mut bytes = valid.clone();
+            let mut what = Vec::new();
+            for _ in 0..=rng.below(2) {
+                if bytes.len() >= 64 {
+                    what.push(mutate(&mut bytes, &prefixes, &mut rng));
+                }
+            }
+            if bytes.len() >= 8 && rng.below(8) != 0 {
+                restamp_checksum(&mut bytes);
+            }
+            std::fs::write(&path, &bytes).expect("write mutated snapshot");
+            QUIET.store(1, Ordering::Relaxed);
+            PEAK_REQUEST.store(1, Ordering::Relaxed);
+            let outcome = std::panic::catch_unwind(|| run(&path, limit));
+            let peak = PEAK_REQUEST.swap(0, Ordering::Relaxed);
+            QUIET.store(0, Ordering::Relaxed);
+            match outcome {
+                Ok(Ok(Outcome::Refused)) => tally[0] += 1,
+                Ok(Ok(Outcome::Resumed)) => tally[1] += 1,
+                Ok(Ok(Outcome::RunStopped)) => tally[2] += 1,
+                Ok(Err(why)) => failures.push(format!("{label} seed {seed} {what:?}: {why}")),
+                Err(_) => failures.push(format!("{label} seed {seed} {what:?}: PANIC")),
+            }
+            if peak > allowed {
+                failures.push(format!(
+                    "{label} seed {seed} {what:?}: one allocation of {peak} bytes for a {} byte \
+                     file (a clean resume peaks at {clean_peak})",
+                    bytes.len()
+                ));
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+    drop(report);
+    watchdog
+        .join()
+        .expect("watchdog exits once the cases are done");
+    eprintln!(
+        "{} refused, {} resumed, {} stopped by the run",
+        tally[0], tally[1], tally[2]
+    );
+    assert!(
+        failures.is_empty(),
+        "{} of {} mutated snapshots misbehaved:\n{}",
+        failures.len(),
+        2 * SEEDS,
+        failures.join("\n")
+    );
+    assert!(
+        tally[0] > tally[1] + tally[2],
+        "most damage must be refused: {tally:?}"
+    );
 }
