@@ -60,6 +60,14 @@ pub enum ConfigError {
         /// What is wrong with them.
         why: &'static str,
     },
+    /// A size is beyond what the simulator's 32-bit ids and counters can
+    /// hold.
+    LimitExceeded {
+        /// Which size.
+        what: &'static str,
+        /// The largest supported value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -105,6 +113,9 @@ impl fmt::Display for ConfigError {
             ConfigError::Telemetry { why } => {
                 write!(f, "invalid telemetry configuration: {why}")
             }
+            ConfigError::LimitExceeded { what, max } => {
+                write!(f, "{what} exceeds the supported maximum of {max}")
+            }
         }
     }
 }
@@ -131,6 +142,11 @@ mod tests {
             ConfigError::Traffic { why: "rate" }.to_string(),
             ConfigError::Checkpoint { why: "path" }.to_string(),
             ConfigError::Telemetry { why: "cadence" }.to_string(),
+            ConfigError::LimitExceeded {
+                what: "the tile grid",
+                max: 9,
+            }
+            .to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "{m}");

@@ -103,6 +103,11 @@ impl Extent {
     }
 }
 
+/// The largest grid, in tiles, the simulator can address: tile ids and
+/// the ids of a router's 13 input queues (`tile · 13 + port`) are `u32`
+/// everywhere — in packets, snapshots, wake boxes and stall memos.
+pub const MAX_TILES: u64 = u32::MAX as u64 / 13;
+
 /// The four-level tile hierarchy (chiplet ⊂ package ⊂ node ⊂ cluster).
 ///
 /// The global tile grid is *derived*: its width is
@@ -133,17 +138,30 @@ impl Default for Hierarchy {
 }
 
 impl Hierarchy {
-    /// Validates that every level is non-empty.
+    /// Validates that every level is non-empty and that the derived grid
+    /// holds at most [`MAX_TILES`] tiles — after which
+    /// [`Self::grid_width`], [`Self::grid_height`] and every tile or queue
+    /// id computed from them fit their `u32`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (name, e) in [
-            ("chiplet", self.chiplet),
-            ("package", self.package),
-            ("node", self.node),
-            ("cluster", self.cluster),
-        ] {
+        let levels = [self.chiplet, self.package, self.node, self.cluster];
+        for (name, e) in ["chiplet", "package", "node", "cluster"]
+            .into_iter()
+            .zip(levels)
+        {
             if e.x == 0 || e.y == 0 {
                 return Err(ConfigError::EmptyExtent { level: name });
             }
+        }
+        // four u32 factors cannot overflow a u128; each side is bounded
+        // before the two are multiplied
+        let width: u128 = levels.iter().map(|e| u128::from(e.x)).product();
+        let height: u128 = levels.iter().map(|e| u128::from(e.y)).product();
+        let max = u128::from(MAX_TILES);
+        if width > max || height > max || width * height > max {
+            return Err(ConfigError::LimitExceeded {
+                what: "the tile grid (width x height)",
+                max: MAX_TILES,
+            });
         }
         Ok(())
     }
@@ -344,6 +362,49 @@ mod tests {
             ..Hierarchy::default()
         };
         assert!(h.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_grids_beyond_the_id_space() {
+        let too_large = |h: Hierarchy| {
+            assert_eq!(
+                h.validate(),
+                Err(ConfigError::LimitExceeded {
+                    what: "the tile grid (width x height)",
+                    max: MAX_TILES
+                }),
+                "{h:?}"
+            );
+        };
+        // 2^32 tiles: the unchecked product used to wrap to 0
+        too_large(Hierarchy {
+            chiplet: Extent::new(65536, 65536),
+            ..Hierarchy::default()
+        });
+        // a width alone beyond u32 (and beyond u64 with two more levels)
+        too_large(Hierarchy {
+            package: Extent::new(1_000_000, 1),
+            node: Extent::new(1_000_000, 1),
+            ..Hierarchy::default()
+        });
+        too_large(Hierarchy {
+            chiplet: Extent::new(u32::MAX, 1),
+            package: Extent::new(u32::MAX, 1),
+            node: Extent::new(u32::MAX, 1),
+            cluster: Extent::new(u32::MAX, u32::MAX),
+        });
+        // the largest square that fits does
+        let side = (MAX_TILES as f64).sqrt() as u32;
+        let fits = Hierarchy {
+            chiplet: Extent::new(side, side),
+            ..Hierarchy::default()
+        };
+        assert_eq!(fits.validate(), Ok(()));
+        assert!(fits.total_tiles() * 13 <= u64::from(u32::MAX));
+        too_large(Hierarchy {
+            chiplet: Extent::new(side + 1, side + 1),
+            ..Hierarchy::default()
+        });
     }
 
     #[test]

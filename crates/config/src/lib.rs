@@ -44,14 +44,14 @@ mod traffic;
 mod units;
 
 pub use error::ConfigError;
-pub use hierarchy::{Hierarchy, LinkClass, TileCoord};
+pub use hierarchy::{Hierarchy, LinkClass, TileCoord, MAX_TILES};
 pub use params::{
     CostParams, HbmParams, LinkParams, ModelParams, PhyParams, PuParams, SramParams, VoltageModel,
 };
 pub use system::{
     ClockDomain, DramConfig, InterposerKind, MemoryConfig, NocConfig, NocTopology, PrefetchConfig,
     QueueConfig, ReductionTreeConfig, SchedulingPolicy, SystemConfig, SystemConfigBuilder,
-    Verbosity,
+    Verbosity, MAX_QUEUE_FLITS,
 };
 pub use telemetry::{ConvergedWard, TelemetryParams, WardMetric, WardParams};
 pub use traffic::{TrafficParams, TrafficPattern};

@@ -138,6 +138,13 @@ impl Default for NocConfig {
     }
 }
 
+/// The largest capacity, in flits, of a NoC buffer — a router input
+/// queue (`noc.buffer_depth`) or a tile's inject queue (twice
+/// `queues.cq_capacity`). The NoC keeps a queue's reserved flits in the
+/// low 31 bits of a `u32` whose top bit is a flag, and a queue may hold
+/// one message (up to `u16::MAX` flits) beyond its capacity.
+pub const MAX_QUEUE_FLITS: u32 = (1 << 31) - (1 << 16);
+
 /// Sizes of the task queues mapped into the PLM (paper §III-A "Queues").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueConfig {
@@ -476,6 +483,18 @@ impl SystemConfig {
         }
         if self.queues.cq_capacity == 0 {
             return Err(ConfigError::EmptyQueue { queue: "channel" });
+        }
+        if self.noc.buffer_depth > MAX_QUEUE_FLITS {
+            return Err(ConfigError::LimitExceeded {
+                what: "noc.buffer_depth",
+                max: u64::from(MAX_QUEUE_FLITS),
+            });
+        }
+        if self.queues.cq_capacity > MAX_QUEUE_FLITS / 2 {
+            return Err(ConfigError::LimitExceeded {
+                what: "queues.cq_capacity",
+                max: u64::from(MAX_QUEUE_FLITS / 2),
+            });
         }
         if self.pu_clock.operating > self.pu_clock.peak {
             return Err(ConfigError::OperatingAbovePeak { domain: "pu" });
@@ -841,6 +860,31 @@ mod tests {
             .ruche_factor(4)
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn noc_buffers_beyond_the_credit_word_rejected() {
+        let limit = |what, max: u32| ConfigError::LimitExceeded {
+            what,
+            max: u64::from(max),
+        };
+        let mut b = SystemConfig::builder();
+        b.buffer_depth(MAX_QUEUE_FLITS + 1);
+        assert_eq!(
+            b.build().unwrap_err(),
+            limit("noc.buffer_depth", MAX_QUEUE_FLITS)
+        );
+        // the inject queue holds 2 x cq_capacity flits
+        let mut b = SystemConfig::builder();
+        b.queues(64, MAX_QUEUE_FLITS / 2 + 1);
+        assert_eq!(
+            b.build().unwrap_err(),
+            limit("queues.cq_capacity", MAX_QUEUE_FLITS / 2)
+        );
+        let mut b = SystemConfig::builder();
+        b.buffer_depth(MAX_QUEUE_FLITS)
+            .queues(64, MAX_QUEUE_FLITS / 2);
+        assert!(b.build().is_ok());
     }
 
     #[test]

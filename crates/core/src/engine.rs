@@ -99,9 +99,9 @@ impl<A: Application> Simulation<A> {
         self
     }
 
-    /// Test hook: drops every router's stall memo before every NoC step,
-    /// so each stalled visit runs the full evaluation. Results, snapshots
-    /// and checksums must not depend on it (only
+    /// Test hook: wakes every router asleep on credit before every NoC
+    /// step, so each back-pressured router-cycle runs the full evaluation.
+    /// Results, snapshots and checksums must not depend on it (only
     /// [`SimResult::host_router_visits`] and host time do).
     #[doc(hidden)]
     pub fn forget_stall_memos_every_cycle(mut self) -> Self {
@@ -325,7 +325,7 @@ pub(crate) struct Worker<A: Application> {
     /// built-in phase profiler; merged across workers into
     /// [`SimResult::host_phase_ns`]).
     pub phase: HostPhaseNs,
-    /// Test hook: forget every stall memo before every NoC step.
+    /// Test hook: wake every router asleep on credit before every NoC step.
     pub forget_stall_memos: bool,
     /// Worklist of tiles that can act: pending init or IQ work, queued CQ
     /// messages, or an open scripted-send timetable. Tiles activate on
@@ -938,6 +938,10 @@ impl<A: Application> Worker<A> {
         if skipped == 0 {
             return;
         }
+        debug_assert!(
+            shards.iter().all(|s| s.sleepers() == 0),
+            "a router asleep on credit holds a ready head: no horizon lies past the next cycle"
+        );
         let t0 = Instant::now();
         // every tile with work is active (deliveries during this cycle's
         // net_step activated theirs), so the batch accounting only needs

@@ -67,8 +67,8 @@ impl NocCounters {
     }
 }
 
-/// Host-side ledger of what [`crate::Shard::step`] did with each visit
-/// to a router holding traffic.
+/// Host-side ledger of what [`crate::Shard::step`] did with each
+/// router-cycle of a router holding traffic.
 ///
 /// Not simulated state: the four counts describe how the host got to
 /// the result, so they stay out of [`NocCounters`], checksums and
@@ -80,9 +80,13 @@ pub struct RouterVisits {
     /// Full evaluations that moved nothing (back-pressure, busy links,
     /// refused ejections, immature heads).
     pub evaluated_stalled: u64,
-    /// Back-pressured visits answered from the router's stall memo.
+    /// Router-cycles a back-pressured router slept through on its stall
+    /// memo: no visit, the refusal's effects settled from the memo. (The
+    /// field keeps the name stored records carry; until the event-driven
+    /// wake these were visits that replayed the memo.)
     pub replayed: u64,
-    /// Visits skipped by the wake check (no head can move yet).
+    /// Router-cycles skipped by the wake check because no head could
+    /// move yet (immature heads, busy links).
     pub asleep: u64,
 }
 
@@ -95,9 +99,9 @@ impl RouterVisits {
         self.asleep += other.asleep;
     }
 
-    /// Visits that got past the wake check.
+    /// Visits that got past the wake check: the full evaluations.
     pub fn awake(&self) -> u64 {
-        self.evaluated_moved + self.evaluated_stalled + self.replayed
+        self.evaluated_moved + self.evaluated_stalled
     }
 
     /// Share of awake visits that ran the full evaluation for nothing
@@ -117,15 +121,15 @@ mod tests {
     #[test]
     fn router_visits_merge_and_share() {
         let mut a = RouterVisits {
-            evaluated_moved: 6,
+            evaluated_moved: 9,
             evaluated_stalled: 1,
             replayed: 3,
             asleep: 40,
         };
-        assert_eq!(a.awake(), 10);
+        assert_eq!(a.awake(), 10, "slept-through router-cycles are not visits");
         assert_eq!(a.stalled_share(), 0.1);
         a.merge(&a.clone());
-        assert_eq!((a.awake(), a.asleep), (20, 80));
+        assert_eq!((a.awake(), a.replayed, a.asleep), (20, 6, 80));
         assert_eq!(RouterVisits::default().stalled_share(), 0.0);
     }
 

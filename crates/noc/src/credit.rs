@@ -1,0 +1,140 @@
+//! Buffer credit of one router input queue.
+//!
+//! Capacity accounting lives outside the queue so that the upstream
+//! router — possibly in another shard — can reserve space without
+//! touching the queue itself. The same word carries, in its spare top
+//! bit, the *waiter mark* of a router that went to sleep because this
+//! queue refused it (see [`crate::Shard::step`]): whoever returns credit
+//! to a marked queue owes that router a wake.
+//!
+//! Every access is `Relaxed`. A word has one writer per phase of a NoC
+//! cycle — the queue's owner shard in the local phase (frees, combines,
+//! injection), its unique upstream router in the step phase (reserve,
+//! mark) — and the phases are separated by the driver's barriers, whose
+//! `Release`/`Acquire` pair publishes each phase's writes to the next.
+
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
+/// The waiter mark. `SystemConfig::validate` keeps every queue capacity
+/// — plus the one oversized message an empty queue admits — below it.
+const WAITER: u32 = 1 << 31;
+const _: () = assert!(muchisim_config::MAX_QUEUE_FLITS + u16::MAX as u32 <= WAITER);
+
+/// The buffer admission rule: a queue holding `occ` flits of its `cap`
+/// takes `flits` more iff they fit, or it is empty — a single oversized
+/// message (larger than the whole buffer) is allowed into an empty queue
+/// so it can still make progress.
+///
+/// Router-to-router reservation, injection and the stall check all ask
+/// this one function, so a remembered refusal cannot drift from the real
+/// one.
+#[inline]
+pub(crate) fn admits(occ: u32, flits: u32, cap: u32) -> bool {
+    occ == 0 || occ + flits <= cap
+}
+
+/// Flits reserved in one input queue, plus its waiter mark.
+#[derive(Debug, Default)]
+pub struct Credit(AtomicU32);
+
+impl Credit {
+    /// Flits currently reserved.
+    #[inline]
+    pub fn flits(&self) -> u32 {
+        self.0.load(Relaxed) & !WAITER
+    }
+
+    /// Reserves `flits` of a queue with capacity `cap` if the queue
+    /// [`admits`] them (step phase, upstream router). The router that got
+    /// in no longer waits: success drops its mark.
+    #[inline]
+    pub(crate) fn reserve(&self, flits: u32, cap: u32) -> bool {
+        self.0
+            .fetch_update(Relaxed, Relaxed, |v| {
+                let occ = v & !WAITER;
+                admits(occ, flits, cap).then_some(occ + flits)
+            })
+            .is_ok()
+    }
+
+    /// Leaves the waiter mark (step phase, upstream router going to
+    /// sleep on this queue).
+    #[inline]
+    pub(crate) fn mark(&self) {
+        self.0.fetch_or(WAITER, Relaxed);
+    }
+
+    /// Returns `flits` of credit (local phase, owner shard). `true` when
+    /// the queue was marked: the mark is consumed and the caller must
+    /// wake the queue's upstream router.
+    #[inline]
+    #[must_use = "a marked queue's upstream router must be woken"]
+    pub(crate) fn free(&self, flits: u32) -> bool {
+        let prev = self.0.fetch_sub(flits, Relaxed);
+        debug_assert!(prev & !WAITER >= flits, "freed more than was reserved");
+        if prev & WAITER == 0 {
+            return false;
+        }
+        self.0.fetch_and(!WAITER, Relaxed);
+        true
+    }
+
+    /// Applies a net change that needs no admission check and returns no
+    /// credit a router could be waiting for: a committed injection batch
+    /// (the inject queue has no upstream router), a restored packet.
+    #[inline]
+    pub(crate) fn adjust(&self, delta: i64) {
+        match delta.cmp(&0) {
+            std::cmp::Ordering::Greater => {
+                self.0.fetch_add(delta as u32, Relaxed);
+            }
+            std::cmp::Ordering::Less => {
+                self.0.fetch_sub((-delta) as u32, Relaxed);
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reserve_respects_capacity() {
+        let occ = Credit::default();
+        assert!(occ.reserve(3, 4));
+        assert!(!occ.reserve(2, 4));
+        assert!(occ.reserve(1, 4));
+        assert_eq!(occ.flits(), 4);
+    }
+
+    #[test]
+    fn reserve_allows_oversized_when_empty() {
+        let occ = Credit::default();
+        assert!(occ.reserve(10, 4));
+        assert!(!occ.reserve(1, 4));
+    }
+
+    #[test]
+    fn the_mark_rides_along_without_counting_as_flits() {
+        let occ = Credit::default();
+        assert!(occ.reserve(4, 4));
+        occ.mark();
+        occ.mark(); // a second sleep on the same queue: still one mark
+        assert_eq!(occ.flits(), 4);
+        assert!(!occ.reserve(1, 4), "the mark does not make room");
+        assert!(occ.free(1), "the first free consumes the mark");
+        assert!(!occ.free(1), "one wake per mark");
+        assert_eq!(occ.flits(), 2);
+        // a marked queue that empties admits an oversized packet, and
+        // getting in drops the mark
+        occ.mark();
+        assert!(!occ.reserve(3, 4));
+        occ.adjust(-2);
+        assert!(occ.reserve(9, 4));
+        assert_eq!(occ.flits(), 9);
+        assert!(!occ.free(9), "the router that got in no longer waits");
+        assert_eq!(occ.flits(), 0);
+    }
+}

@@ -57,6 +57,7 @@
 #![warn(missing_debug_implementations)]
 
 mod counters;
+mod credit;
 mod latency;
 mod network;
 mod packet;
@@ -69,6 +70,7 @@ mod trace;
 mod worklist;
 
 pub use counters::{NocCounters, RouterVisits};
+pub use credit::Credit;
 pub use latency::LatencyStats;
 pub use network::{split_columns, DrainSink, EjectSink, Network, NetworkParams, SharedNet};
 pub use packet::{Packet, Payload, ReduceOp};

@@ -1,6 +1,7 @@
 //! The whole-network facade: shards + shared state.
 
 use crate::counters::NocCounters;
+use crate::credit::Credit;
 use crate::packet::Packet;
 use crate::port::InPort;
 use crate::shard::Shard;
@@ -8,7 +9,7 @@ use crate::topo::TopoInfo;
 use muchisim_config::SystemConfig;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Splits `width` columns into at most `num_shards` contiguous ranges
 /// whose boundaries are multiples of `align`, returning the exclusive end
@@ -124,15 +125,24 @@ impl NetworkParams {
 /// routers to another's, tagged with the destination tile and input port.
 pub(crate) type Mailbox = Mutex<Vec<(u32, InPort, Packet)>>;
 
-/// State shared by all shards: topology, the queue-occupancy table, and
-/// the single-producer cross-shard mailboxes.
+/// A single-producer cross-shard wake box, the mailboxes' sibling: tile
+/// ids of the consumer's routers that sleep on a queue of the producer
+/// which has just returned credit. Filled in the producer's local phase,
+/// drained at the top of the consumer's [`Shard::step`] of the same
+/// cycle, so it is empty at every decision point.
+pub(crate) type WakeBox = Mutex<Vec<u32>>;
+
+/// State shared by all shards: topology, the queue-credit table, and the
+/// single-producer cross-shard mailboxes and wake boxes.
 pub struct SharedNet {
     /// Topology and latency data.
     pub topo: TopoInfo,
-    /// Flits reserved per input queue (global queue id).
-    pub occupancy: Vec<AtomicU32>,
+    /// Credit of each input queue (global queue id).
+    pub occupancy: Vec<Credit>,
     /// `mailboxes[consumer][producer]`.
     mailboxes: Vec<Vec<Mailbox>>,
+    /// `wake_boxes[consumer][producer]`.
+    wake_boxes: Vec<Vec<WakeBox>>,
     /// Shard owning each column.
     pub shard_of_col: Vec<u32>,
     /// Inject queue capacity in flits.
@@ -152,6 +162,11 @@ impl SharedNet {
         &self.mailboxes[consumer][producer]
     }
 
+    /// The wake box written by `producer` and drained by `consumer`.
+    pub(crate) fn wake_box(&self, consumer: usize, producer: usize) -> &WakeBox {
+        &self.wake_boxes[consumer][producer]
+    }
+
     /// Packets currently inside this plane (injected − ejected − combined).
     pub fn in_flight(&self) -> i64 {
         self.in_flight.load(Ordering::Acquire)
@@ -162,9 +177,21 @@ impl SharedNet {
         self.mailboxes.iter().flatten().all(|m| m.lock().is_empty())
     }
 
-    /// Host heap bytes of the shared state: the occupancy table, the
-    /// column→shard map, and the cross-shard mailboxes.
+    /// Host heap bytes of the shared state: the credit table, the
+    /// column→shard map, and the cross-shard mailboxes and wake boxes.
     pub fn heap_bytes(&self) -> u64 {
+        let wake_boxes: u64 = self
+            .wake_boxes
+            .iter()
+            .map(|row| {
+                std::mem::size_of::<Vec<WakeBox>>() as u64
+                    + row.capacity() as u64 * std::mem::size_of::<WakeBox>() as u64
+                    + row
+                        .iter()
+                        .map(|b| b.lock().capacity() as u64 * 4)
+                        .sum::<u64>()
+            })
+            .sum();
         let mailboxes: u64 = self
             .mailboxes
             .iter()
@@ -184,10 +211,11 @@ impl SharedNet {
                         .sum::<u64>()
             })
             .sum();
-        self.occupancy.capacity() as u64 * std::mem::size_of::<AtomicU32>() as u64
+        self.occupancy.capacity() as u64 * std::mem::size_of::<Credit>() as u64
             + self.shard_of_col.capacity() as u64 * 4
             + self.mailboxes.capacity() as u64 * std::mem::size_of::<Vec<Mailbox>>() as u64
             + mailboxes
+            + wake_boxes
     }
 
     /// The earliest cycle after `now` at which a packet currently parked
@@ -271,8 +299,11 @@ impl Network {
             ));
             start = end;
         }
-        let occupancy = (0..topo.num_queues()).map(|_| AtomicU32::new(0)).collect();
+        let occupancy = (0..topo.num_queues()).map(|_| Credit::default()).collect();
         let mailboxes = (0..n)
+            .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+            .collect();
+        let wake_boxes = (0..n)
             .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
             .collect();
         Network {
@@ -280,6 +311,7 @@ impl Network {
                 topo,
                 occupancy,
                 mailboxes,
+                wake_boxes,
                 shard_of_col,
                 inject_capacity_flits: params.inject_capacity_flits,
                 in_flight: AtomicI64::new(0),

@@ -9,6 +9,9 @@ use serde::{Deserialize, Serialize};
 
 /// Number of input queues per router.
 pub const IN_PORTS: usize = 13;
+// every queue id of the largest grid `SystemConfig::validate` lets through
+// fits the `u32` that wake boxes and stall memos carry
+const _: () = assert!(muchisim_config::MAX_TILES * IN_PORTS as u64 <= u32::MAX as u64);
 /// Number of output directions per router.
 pub const OUT_DIRS: usize = 9;
 

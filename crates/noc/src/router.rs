@@ -39,13 +39,14 @@ fn combine_sig(port: usize, pkt: &Packet) -> Option<CombineSig> {
 /// nothing moved, no ejection was attempted, and *every* ready head aimed
 /// at a free link was refused by its downstream queue.
 ///
-/// Until one of the inputs below changes, the next full visit would
-/// decide exactly the same thing, so [`crate::shard::Shard::step`]
-/// replays the verdict's per-cycle effects instead of re-deriving it. The
-/// verdict is a pure function of the queue heads (any change of a head
-/// forgets the memo, see [`RouterState::push`]), of which candidate links
-/// are busy and which heads are immature (`until`), and of the watched
-/// downstream occupancy words (`watch`).
+/// Until one of its inputs changes, the next full visit would decide
+/// exactly the same thing, so the router *sleeps* on the verdict (see
+/// [`crate::shard::Shard::step`]) and its per-cycle effects are settled
+/// when it wakes. The verdict is a pure function of the queue heads
+/// (a push that changes one wakes the router, see [`Pushed`]), of which
+/// candidate links are busy and which heads are immature (`until`), and
+/// of the credit of the watched downstream queues (`watch`, each marked
+/// so that returned credit wakes the router).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StallMemo {
     /// First cycle at which the verdict may change on its own: a busy
@@ -63,15 +64,29 @@ pub(crate) struct StallMemo {
     /// ascending bit order is the order the arbiter sees them in.
     pub cands: [u16; OUT_DIRS],
     /// The distinct downstream queues the candidates were refused by, as
-    /// `(global queue id, occupancy seen)`.
+    /// `(global queue id, flits seen reserved)`. The sleeper reads only
+    /// the ids (to leave its marks); the flits let the debug oracle see
+    /// a credit that returned without a wake.
     pub watch: [(u32, u32); IN_PORTS],
 }
 
 impl StallMemo {
-    /// The watched `(queue id, occupancy seen)` pairs.
+    /// The watched `(queue id, flits seen)` pairs.
     pub fn watched(&self) -> &[(u32, u32)] {
         &self.watch[..self.n_watch as usize]
     }
+}
+
+/// What [`RouterState::push`] did with a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pushed {
+    /// Flits freed by combining into a queued packet (0 if enqueued).
+    pub freed: u32,
+    /// Whether a queue head changed: a push into an empty queue, or a
+    /// combine into the head (which may delay its `ready_at`). Only then
+    /// can the router decide differently than before — a push behind an
+    /// existing head cannot — so only then must a sleeping router wake.
+    pub new_head: bool,
 }
 
 /// The mutable state of one router.
@@ -95,40 +110,46 @@ pub struct RouterState {
     /// signature: the bounded replacement for scanning the whole input
     /// FIFO per reducible push.
     combine: HashMap<CombineSig, u32>,
-    /// The last stalled verdict. Boxed and allocated on the first stall,
+    /// The verdict this router last slept on and the shard tick of the
+    /// full visit that built it. Boxed and allocated on the first stall,
     /// so a router that never stalls pays one null pointer; the box is
     /// recycled with the router through the shard pool. Derived state:
     /// never serialized, rebuilt by the next full visit.
-    stall: Option<Box<StallMemo>>,
-    /// Whether `stall` still describes the queue heads.
-    stall_live: bool,
+    stall: Option<Box<(StallMemo, u64)>>,
+    /// Whether the router is asleep on `stall`: the verdict's per-cycle
+    /// effects since that tick are still owed to its arbitration
+    /// pointers (and are being paid to the counters by the shard).
+    asleep: bool,
 }
 
 impl RouterState {
-    /// The stalled verdict of the last full visit, if no head changed
-    /// since.
-    #[inline]
-    pub(crate) fn stall_memo(&self) -> Option<&StallMemo> {
-        if self.stall_live {
-            self.stall.as_deref()
-        } else {
-            None
-        }
-    }
-
-    /// Records the verdict of the full visit that just ended.
-    pub(crate) fn set_stall_memo(&mut self, memo: StallMemo) {
+    /// Goes to sleep on `memo`, the verdict of the full visit that just
+    /// ended in shard tick `tick`.
+    pub(crate) fn sleep_on(&mut self, memo: StallMemo, tick: u64) {
         match &mut self.stall {
-            Some(slot) => **slot = memo,
-            None => self.stall = Some(Box::new(memo)),
+            Some(slot) => **slot = (memo, tick),
+            None => self.stall = Some(Box::new((memo, tick))),
         }
-        self.stall_live = true;
+        self.asleep = true;
     }
 
-    /// Drops the stalled verdict; the next visit evaluates in full.
+    /// The verdict the router is asleep on and the tick it was built in.
     #[inline]
-    pub(crate) fn forget_stall_memo(&mut self) {
-        self.stall_live = false;
+    pub(crate) fn sleeping(&self) -> Option<(&StallMemo, u64)> {
+        match &self.stall {
+            Some(slot) if self.asleep => Some((&slot.0, slot.1)),
+            _ => None,
+        }
+    }
+
+    /// Ends the sleep, handing out what the caller must settle.
+    #[inline]
+    pub(crate) fn wake_up(&mut self) -> Option<(&StallMemo, u64)> {
+        let slept = std::mem::take(&mut self.asleep);
+        match &self.stall {
+            Some(slot) if slept => Some((&slot.0, slot.1)),
+            _ => None,
+        }
     }
 
     /// Whether every input queue is empty.
@@ -145,14 +166,7 @@ impl RouterState {
 
     /// Pushes a packet into input queue `port`, combining with the queued
     /// reducible packet of the same signature when one exists.
-    ///
-    /// Returns the flits freed by combining (0 if simply enqueued).
-    ///
-    /// A push that changes a queue head — into an empty queue, or
-    /// combining into the head (which may delay its `ready_at`) — forgets
-    /// the stall memo; a push behind an existing head cannot change what
-    /// the router decides.
-    pub fn push(&mut self, port: usize, pkt: Packet) -> u32 {
+    pub fn push(&mut self, port: usize, pkt: Packet) -> Pushed {
         if let Some(sig) = combine_sig(port, &pkt) {
             match self.combine.entry(sig) {
                 Entry::Occupied(slot) => {
@@ -160,22 +174,20 @@ impl RouterState {
                     let queued = &mut self.queues[port][idx];
                     debug_assert!(queued.can_combine(&pkt), "combine index out of sync");
                     queued.combine(&pkt);
-                    if idx == 0 {
-                        self.stall_live = false;
-                    }
-                    return pkt.flits as u32;
+                    return Pushed {
+                        freed: pkt.flits as u32,
+                        new_head: idx == 0,
+                    };
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(self.pops[port].wrapping_add(self.queues[port].len() as u32));
                 }
             }
         }
-        if self.queues[port].is_empty() {
-            self.stall_live = false;
-            self.port_mask |= 1 << port;
-        }
+        let new_head = self.queues[port].is_empty();
+        self.port_mask |= 1 << port;
         self.queues[port].push_back(pkt);
-        0
+        Pushed { freed: 0, new_head }
     }
 
     /// Pops the head of input queue `port`.
@@ -184,6 +196,7 @@ impl RouterState {
     ///
     /// Panics if the queue is empty.
     pub fn pop(&mut self, port: usize) -> Packet {
+        debug_assert!(!self.asleep, "a sleeper settles before it moves a packet");
         let pkt = self.queues[port]
             .pop_front()
             .expect("pop from empty router queue");
@@ -191,7 +204,6 @@ impl RouterState {
             self.port_mask &= !(1 << port);
         }
         self.pops[port] = self.pops[port].wrapping_add(1);
-        self.stall_live = false;
         if let Some(sig) = combine_sig(port, &pkt) {
             // the signature is unique in the queue, so the head is the
             // indexed instance
@@ -211,7 +223,6 @@ impl RouterState {
         }
         self.queues[port].push_front(pkt);
         self.port_mask |= 1 << port;
-        self.stall_live = false;
     }
 
     /// Resets bookkeeping so a drained router's box can serve another
@@ -223,9 +234,9 @@ impl RouterState {
             "recycling a router that still holds packets"
         );
         debug_assert!(self.combine.is_empty(), "combine index leaked an entry");
+        debug_assert!(!self.asleep, "a drained router cannot be asleep on credit");
         self.port_mask = 0;
         self.pops = [0; IN_PORTS];
-        self.stall_live = false;
     }
 
     /// Host heap bytes owned by this router's queues (buffer capacity
@@ -242,7 +253,7 @@ impl RouterState {
             + self
                 .stall
                 .as_ref()
-                .map_or(0, |_| std::mem::size_of::<StallMemo>() as u64)
+                .map_or(0, |_| std::mem::size_of::<(StallMemo, u64)>() as u64)
     }
 }
 
@@ -270,8 +281,8 @@ mod tests {
     #[test]
     fn push_combines_reducible_packets() {
         let mut r = RouterState::default();
-        assert_eq!(r.push(0, pkt(9, 7, 10)), 0);
-        let freed = r.push(0, pkt(9, 7, 4));
+        assert_eq!(r.push(0, pkt(9, 7, 10)).freed, 0);
+        let freed = r.push(0, pkt(9, 7, 4)).freed;
         assert_eq!(freed, 2, "combined packet frees its flits");
         let head = r.pop(0);
         assert_eq!(head.payload.word(1), 4);
@@ -282,7 +293,7 @@ mod tests {
     fn push_does_not_combine_across_keys() {
         let mut r = RouterState::default();
         r.push(0, pkt(9, 7, 10));
-        assert_eq!(r.push(0, pkt(9, 8, 4)), 0);
+        assert_eq!(r.push(0, pkt(9, 8, 4)).freed, 0);
         assert_eq!(r.pop(0).payload.word(0), 7);
         assert_eq!(r.pop(0).payload.word(0), 8);
     }
@@ -298,12 +309,12 @@ mod tests {
         // 64 distinct-key reducible packets + one plain packet in front
         r.push(3, Packet::unicast(0, 9, 1, Payload::from_slice(&[999]), 1));
         for key in 0..64 {
-            assert_eq!(r.push(3, pkt(9, key, key + 100)), 0);
+            assert_eq!(r.push(3, pkt(9, key, key + 100)).freed, 0);
         }
         // a second wave combines into every queued packet, regardless of
         // how deep it sits
         for key in 0..64 {
-            assert_eq!(r.push(3, pkt(9, key, 1)), 2, "key {key} must combine");
+            assert_eq!(r.push(3, pkt(9, key, 1)).freed, 2, "key {key} must combine");
         }
         // shift the queue: pop the plain head and the first 10 reduced
         // packets, then push a third wave — survivors still combine, the
@@ -313,7 +324,7 @@ mod tests {
             r.pop(3);
         }
         for key in 0..64 {
-            let freed = r.push(3, pkt(9, key, 2));
+            let freed = r.push(3, pkt(9, key, 2)).freed;
             if key < 10 {
                 assert_eq!(freed, 0, "popped key {key} re-enqueues");
             } else {
@@ -324,7 +335,7 @@ mod tests {
         let head = r.pop(3);
         let key = head.payload.word(0);
         r.restore_front(3, head);
-        assert_eq!(r.push(3, pkt(9, key, 3)), 2, "restored head combines");
+        assert_eq!(r.push(3, pkt(9, key, 3)).freed, 2, "restored head combines");
     }
 
     #[test]
@@ -334,13 +345,36 @@ mod tests {
         let mut r = RouterState::default();
         let short =
             Packet::unicast(0, 9, 1, Payload::from_slice(&[7]), 1).with_reduce(ReduceOp::SumU32);
-        assert_eq!(r.push(0, short.clone()), 0);
-        assert_eq!(r.push(0, short), 0, "second short packet also enqueues");
+        assert_eq!(r.push(0, short.clone()).freed, 0);
+        assert_eq!(
+            r.push(0, short).freed,
+            0,
+            "second short packet also enqueues"
+        );
         assert_eq!(r.queues[0].len(), 2);
     }
 
     #[test]
-    fn stall_memo_lives_until_a_head_changes() {
+    fn only_a_changed_head_reports_a_new_head() {
+        let enqueued = |new_head| Pushed { freed: 0, new_head };
+        let combined = |new_head| Pushed { freed: 2, new_head };
+        let mut r = RouterState::default();
+        assert_eq!(r.push(0, pkt(9, 7, 10)), enqueued(true), "empty port");
+        // behind an existing head: the verdict cannot change
+        assert_eq!(r.push(0, pkt(9, 8, 1)), enqueued(false));
+        // combining into a queued non-head packet: same
+        assert_eq!(r.push(0, pkt(9, 8, 0)), combined(false));
+        // combining into the head may delay its ready_at
+        assert_eq!(r.push(0, pkt(9, 7, 3)), combined(true));
+        assert_eq!(
+            r.push(5, pkt(9, 7, 1)),
+            enqueued(true),
+            "another empty port"
+        );
+    }
+
+    #[test]
+    fn a_router_sleeps_on_its_memo_until_woken() {
         let memo = StallMemo {
             until: 9,
             dirs: 1,
@@ -351,37 +385,26 @@ mod tests {
         };
         let mut r = RouterState::default();
         r.push(0, pkt(9, 7, 10));
-        assert!(r.stall_memo().is_none());
-        r.set_stall_memo(memo.clone());
-        assert_eq!(r.stall_memo(), Some(&memo));
-        // behind an existing head: the verdict cannot change
-        r.push(0, pkt(9, 8, 1));
-        assert!(r.stall_memo().is_some());
-        // combining into a queued non-head packet: same
-        assert_eq!(r.push(0, pkt(9, 8, 0)), 2);
-        assert!(r.stall_memo().is_some());
-        // combining into the head may delay its ready_at
-        assert_eq!(r.push(0, pkt(9, 7, 3)), 2);
-        assert!(r.stall_memo().is_none());
-        // a new head in an empty port
-        r.set_stall_memo(memo.clone());
+        assert!(r.sleeping().is_none());
+        assert!(r.wake_up().is_none(), "nothing to settle");
+        r.sleep_on(memo.clone(), 41);
+        assert_eq!(r.sleeping(), Some((&memo, 41)));
+        // pushes do not end the sleep: the shard wakes the router and the
+        // visit settles first
         r.push(5, pkt(9, 7, 1));
-        assert!(r.stall_memo().is_none());
-        // pops and restores
-        r.set_stall_memo(memo.clone());
-        let head = r.pop(5);
-        assert!(r.stall_memo().is_none());
-        r.set_stall_memo(memo.clone());
-        r.restore_front(5, head);
-        assert!(r.stall_memo().is_none());
-        // recycling keeps the allocation, not the verdict
-        r.set_stall_memo(memo);
+        assert_eq!(r.sleeping(), Some((&memo, 41)));
+        assert_eq!(r.wake_up(), Some((&memo, 41)));
+        assert!(
+            r.sleeping().is_none() && r.wake_up().is_none(),
+            "settled once"
+        );
+        // recycling keeps the allocation, not the sleep
         while !r.is_empty() {
             let port = r.port_mask().trailing_zeros() as usize;
             r.pop(port);
         }
         r.reset_for_reuse();
-        assert!(r.stall_memo().is_none());
+        assert!(r.sleeping().is_none());
         assert!(r.heap_bytes() >= std::mem::size_of::<StallMemo>() as u64);
     }
 

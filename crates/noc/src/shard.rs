@@ -4,7 +4,7 @@
 //! §III-C); each shard owns the routers of a contiguous column range.
 //! Packets crossing a shard boundary travel through single-producer
 //! mailboxes and buffer space is reserved through a shared atomic
-//! occupancy table, so stepping shards concurrently is bit-identical to
+//! credit table, so stepping shards concurrently is bit-identical to
 //! stepping them sequentially: every queue has exactly one upstream
 //! router, freed buffer space becomes visible at the next cycle boundary
 //! in both modes, and packets never move in the cycle they arrive.
@@ -21,6 +21,7 @@
 //! box's queue buffers instead of round-tripping the allocator.
 
 use crate::counters::{class_index, NocCounters, RouterVisits};
+use crate::credit::{admits, Credit};
 use crate::latency::LatencyStats;
 use crate::network::{EjectSink, SharedNet};
 use crate::packet::Packet;
@@ -31,29 +32,7 @@ use crate::topo::{FastDiv, TopoInfo};
 use crate::trace::TraceEvent;
 use crate::worklist::ActiveSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// The buffer admission rule: a queue holding `occ` flits of its `cap`
-/// takes `flits` more iff they fit, or it is empty — a single oversized
-/// message (larger than the whole buffer) is allowed into an empty queue
-/// so it can still make progress.
-///
-/// Router-to-router reservation, injection and the stall check all ask
-/// this one function, so a memoized refusal cannot drift from the real
-/// one.
-#[inline]
-fn admits(occ: u32, flits: u32, cap: u32) -> bool {
-    occ == 0 || occ + flits <= cap
-}
-
-/// Reserves `flits` of space in a queue with capacity `cap` if the
-/// queue [`admits`] them.
-fn reserve(occ: &AtomicU32, flits: u32, cap: u32) -> bool {
-    occ.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        admits(v, flits, cap).then_some(v + flits)
-    })
-    .is_ok()
-}
+use std::sync::atomic::Ordering;
 
 /// Per-visit scratch: the ready heads of one router, grouped by the
 /// output direction they route to.
@@ -119,13 +98,13 @@ impl Candidates {
 /// What a full visit at `cycle` that moves nothing has established, given
 /// the scan results `(dirty, ripen)` in `c`: `None` when some candidate
 /// could still move or an ejection would be attempted — otherwise the
-/// verdict the next visits can replay. A verdict with no stalled
-/// direction (`dirs == 0`) means every candidate link is merely busy.
+/// verdict the router can sleep on. A verdict with no stalled direction
+/// (`dirs == 0`) means every candidate link is merely busy.
 ///
 /// All candidates of a free link must be refused, not just the
 /// round-robin pick: the pointer reaches a winner within `n` cycles
 /// otherwise. Read-only, so the debug oracle can re-run it on every
-/// replayed visit.
+/// visit that finds the router asleep.
 #[allow(clippy::too_many_arguments)]
 fn stall_verdict(
     c: &Candidates,
@@ -136,7 +115,7 @@ fn stall_verdict(
     cycle: u64,
     topo: &TopoInfo,
     tile: u32,
-    occupancy: &[AtomicU32],
+    occupancy: &[Credit],
 ) -> Option<StallMemo> {
     let mut memo = StallMemo {
         until: ripen,
@@ -163,7 +142,7 @@ fn stall_verdict(
                 .neighbor(tile, OutDir::BY_INDEX[oi], c.vc[port])
                 .expect("routing chose a non-existent link");
             let qid = topo.queue_id(dest, in_port);
-            let occ = occupancy[qid].load(Ordering::Relaxed);
+            let occ = occupancy[qid].flits();
             let flits = router.queues[port]
                 .front()
                 .expect("candidate has head")
@@ -191,22 +170,46 @@ fn next_rr(mask: u16, last: u8) -> u8 {
     (if above != 0 { above } else { mask }).trailing_zeros() as u8
 }
 
-/// Debug-build oracle for a replayed visit: re-runs the evaluation from
-/// scratch, read-only, and asserts that it moves nothing, attempts no
-/// ejection, and reaches exactly the memo's deltas and next arbitration
-/// pointers — the fast path is checked against the reference verdict on
-/// every replay of every debug test, not trusted.
-#[allow(clippy::too_many_arguments)]
-fn assert_replay_matches_full_visit(
+/// `k` applications of [`next_rr`] in closed form: where the arbitration
+/// pointer of a direction stands after `k` cycles in which the same
+/// candidates `mask` were all refused. The first application lands on a
+/// member of `mask`; every further one steps to the next member,
+/// cyclically.
+fn rotate_rr(mask: u16, last: u8, k: u64) -> u8 {
+    if k == 0 {
+        return last;
+    }
+    let first = next_rr(mask, last);
+    let rank = (mask & ((1 << first) - 1)).count_ones();
+    let target = (u64::from(rank) + (k - 1)) % u64::from(mask.count_ones());
+    let mut rest = mask;
+    for _ in 0..target {
+        rest &= rest - 1;
+    }
+    rest.trailing_zeros() as u8
+}
+
+/// Debug-build oracle for the event-driven wake: a router found asleep on
+/// a stall memo is re-evaluated from scratch, read-only, and must reach
+/// the memo's verdict again — nothing moves, no ejection is attempted,
+/// same stalled directions, candidates and watched credit, and the
+/// verdict has not expired. Anything else means a wake event was missed.
+/// Every skipped visit of every sleeper of every debug test is checked
+/// against per-cycle re-evaluation this way, not trusted.
+fn assert_sleep_is_sound(
     memo: &StallMemo,
     router: &RouterState,
     busy_until: &[u64],
-    rr_ptr: &[u8],
     cycle: u64,
     topo: &TopoInfo,
     tile: u32,
-    occupancy: &[AtomicU32],
+    occupancy: &[Credit],
 ) {
+    assert!(
+        cycle < memo.until,
+        "tile {tile} sleeps past its memo's expiry {} at cycle {cycle}",
+        memo.until
+    );
     let mut c = Candidates::new();
     let (dirty, ripen) = c.scan(router, topo, tile, cycle);
     let fresh = stall_verdict(
@@ -215,18 +218,36 @@ fn assert_replay_matches_full_visit(
     assert_eq!(
         fresh.as_ref(),
         Some(memo),
-        "stall memo of tile {tile} is stale at cycle {cycle}"
+        "tile {tile} slept through a wake event before cycle {cycle}"
     );
-    let mut dirs = memo.dirs;
-    while dirs != 0 {
-        let oi = dirs.trailing_zeros() as usize;
-        dirs &= dirs - 1;
-        assert_eq!(
-            next_rr(memo.cands[oi], rr_ptr[oi]),
-            Shard::round_robin_pick(c.of(oi), rr_ptr[oi]),
-            "replayed arbitration pointer of tile {tile} dir {oi} diverges at cycle {cycle}"
-        );
-    }
+}
+
+/// After a push that changed a queue head of `router`, lowers its `wake`
+/// bound: a router asleep on credit settles and re-evaluates at the next
+/// step (its verdict covered the old heads), any other router may act
+/// once the new head is ripe. A push *behind* a head never comes here:
+/// `wake` is a function of the heads and the link clocks alone, and is
+/// recomputed by the full visit that moves the head out of the way.
+#[inline]
+fn wake_for_new_head(wake: &mut u64, router: &RouterState, ready_at: u64) {
+    *wake = if router.sleeping().is_some() {
+        0
+    } else {
+        (*wake).min(ready_at)
+    };
+}
+
+/// What the routers asleep on credit owe per executed cycle: each would
+/// have been refused again, adding its memo's deltas to the counters.
+/// [`Shard::step`] pays the whole shard's debt in one addition.
+#[derive(Debug, Default)]
+struct Owed {
+    /// Routers asleep on a stall memo.
+    sleepers: u64,
+    /// Σ `memo.collisions` over them.
+    collisions: u64,
+    /// Σ stalled directions over them.
+    backpressure: u64,
 }
 
 /// Lazily materializes the router at `local`, reusing a pooled box when
@@ -263,10 +284,12 @@ pub struct Shard {
     /// Packets queued per router (SoA; the worklist's emptiness check).
     queued_msgs: Vec<u32>,
     /// Earliest cycle at which each router can possibly move a packet
-    /// (SoA wake cache; a lower bound). Heads within a FIFO ripen
-    /// monotonically and every delivery lowers the bound to the new
-    /// packet's `ready_at`, so strictly before `wake` a step visit is a
-    /// provable no-op and skips without touching the router box.
+    /// (SoA wake cache; a lower bound). It is a function of the queue
+    /// heads, the link clocks and — for a router asleep on credit — the
+    /// watched downstream queues; every event that changes one of them
+    /// (a delivery that changes a head, returned credit) lowers it, so
+    /// strictly before `wake` a step visit is a provable no-op and skips
+    /// without touching the router box.
     wake: Vec<u64>,
     /// Cycle until which each output link is busy serializing flits
     /// (SoA, `local * OUT_DIRS + dir`; survives router recycling).
@@ -274,7 +297,14 @@ pub struct Shard {
     /// Round-robin arbitration pointer per output direction (SoA,
     /// `local * OUT_DIRS + dir`; survives router recycling).
     rr_ptr: Vec<u8>,
+    /// Exact at every cycle boundary: what sleepers owe is paid in full
+    /// by each [`Shard::step`].
     counters: NocCounters,
+    /// The per-cycle debt of the routers asleep on credit.
+    owed: Owed,
+    /// Executed [`Shard::step`]s. Sleeps are measured in ticks, not
+    /// cycles: a sleeper is owed one retry per step the shard ran.
+    tick: u64,
     /// Host-side ledger of step visits (not simulated state).
     visits: RouterVisits,
     /// Injection-to-ejection latency of every packet delivered by this
@@ -325,6 +355,8 @@ impl Shard {
             busy_until: vec![0; n * OUT_DIRS],
             rr_ptr: vec![0; n * OUT_DIRS],
             counters: NocCounters::default(),
+            owed: Owed::default(),
+            tick: 0,
             visits: RouterVisits::default(),
             latency: LatencyStats::default(),
             trace: if record_trace { Some(Vec::new()) } else { None },
@@ -356,12 +388,20 @@ impl Shard {
         &self.visits
     }
 
-    /// Test hook: drops every router's stall memo, so the next visit of
-    /// each evaluates in full. Results must not depend on it.
+    /// Routers currently asleep on credit.
+    pub fn sleepers(&self) -> u64 {
+        self.owed.sleepers
+    }
+
+    /// Test hook: wakes every router asleep on credit, so the next visit
+    /// of each settles and evaluates in full. Results must not depend on
+    /// it.
     #[doc(hidden)]
     pub fn forget_stall_memos(&mut self) {
-        for router in self.routers.iter_mut().flatten() {
-            router.forget_stall_memo();
+        for (local, router) in self.routers.iter().enumerate() {
+            if router.as_deref().is_some_and(|r| r.sleeping().is_some()) {
+                self.wake[local] = 0;
+            }
         }
     }
 
@@ -461,20 +501,44 @@ impl Shard {
     }
 
     /// Pushes `pkt` into queue `port` of router `local`, maintaining the
-    /// worklist, the per-router packet count, and the occupancy/in-flight
-    /// balance when the push combines (shared by every delivery site).
+    /// worklist, the per-router packet count, the wake bound, and the
+    /// credit/in-flight balance when the push combines (shared by every
+    /// delivery site).
     fn deliver(&mut self, shared: &SharedNet, local: usize, qid: usize, port: usize, pkt: Packet) {
-        if pkt.ready_at < self.wake[local] {
-            self.wake[local] = pkt.ready_at;
+        let ready_at = pkt.ready_at;
+        let router = router_mut(&mut self.routers, &mut self.pool, local);
+        let pushed = router.push(port, pkt);
+        if pushed.new_head {
+            wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
-        let freed = router_mut(&mut self.routers, &mut self.pool, local).push(port, pkt);
         self.active.activate(local as u32);
-        if freed > 0 {
-            shared.occupancy[qid].fetch_sub(freed, Ordering::Relaxed);
+        if pushed.freed > 0 {
+            if shared.occupancy[qid].free(pushed.freed) {
+                self.wake_upstream(shared, qid);
+            }
             self.counters.reduce_combines += 1;
             shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         } else {
             self.queued_msgs[local] += 1;
+        }
+    }
+
+    /// Wakes the router that feeds queue `qid`, which has just returned
+    /// credit under a waiter mark. Local phase, run by the queue's owner:
+    /// a router of this shard is woken in place, another shard's through
+    /// its wake box, which it drains at the top of this cycle's step.
+    fn wake_upstream(&mut self, shared: &SharedNet, qid: usize) {
+        let topo = &shared.topo;
+        let up = topo
+            .upstream((qid / IN_PORTS) as u32, InPort::ALL[qid % IN_PORTS])
+            .expect("only a queue fed by a router is ever marked");
+        let (x, y) = topo.coords(up);
+        let owner = shared.shard_of_col[x as usize] as usize;
+        if owner == self.idx {
+            let local = self.local_of(x, y);
+            self.wake[local] = 0;
+        } else {
+            shared.wake_box(owner, self.idx).lock().push(up);
         }
     }
 
@@ -490,7 +554,7 @@ impl Shard {
     pub fn inject_batch<'a>(&'a mut self, shared: &'a SharedNet, tile: u32) -> InjectBatch<'a> {
         let local = self.local_idx(tile, &shared.topo);
         let qid = shared.topo.queue_id(tile, InPort::Inject);
-        let occ = shared.occupancy[qid].load(Ordering::Relaxed);
+        let occ = shared.occupancy[qid].flits();
         InjectBatch {
             shard: self,
             shared,
@@ -515,13 +579,18 @@ impl Shard {
         outcome
     }
 
-    /// Applies deferred frees, deferred local pushes, and drains incoming
+    /// Applies deferred frees (waking the routers asleep on the queues
+    /// they return credit to), deferred local pushes, and drains incoming
     /// mailboxes. Must run for every shard (with a barrier in parallel
     /// mode) before any shard's [`Shard::step`] for the same cycle.
     pub fn begin_cycle(&mut self, shared: &SharedNet) {
-        for (qid, flits) in self.pending_frees.drain(..) {
-            shared.occupancy[qid].fetch_sub(flits, Ordering::Relaxed);
+        let mut frees = std::mem::take(&mut self.pending_frees);
+        for (qid, flits) in frees.drain(..) {
+            if shared.occupancy[qid].free(flits) {
+                self.wake_upstream(shared, qid);
+            }
         }
+        self.pending_frees = frees;
         let pushes = std::mem::take(&mut self.pending_pushes);
         for (local, port, qid, pkt) in pushes {
             self.deliver(shared, local, qid, port, pkt);
@@ -547,24 +616,48 @@ impl Shard {
     /// boxes through the free-list. With the worklist disabled it
     /// degrades to the full scan.
     ///
-    /// A router on the list is in one of three states. *Asleep*: no head
-    /// can move before `wake`, the visit returns at once. *Stalled*: its
-    /// last full evaluation moved nothing because every candidate was
-    /// refused downstream, and nothing that verdict depends on has
-    /// changed — the visit replays the verdict's counter and arbitration
-    /// effects from the router's stall memo without looking at a
-    /// packet. Otherwise the router is *evaluated* in full, which is the
-    /// only place packets move and the only place memos are built.
+    /// A router on the list is in one of three states. *Asleep on time*:
+    /// no head can move before `wake` (immature heads, busy links), the
+    /// visit returns at once. *Asleep on credit*: its last full
+    /// evaluation moved nothing because every candidate was refused
+    /// downstream; it left a stall memo, a waiter mark on each refusing
+    /// queue and `wake = memo.until`, and the visit returns at once just
+    /// the same — what the retries it skips would have added to the
+    /// counters is paid by the shard (`owed`), what they would have done
+    /// to its arbitration pointers is settled when it wakes. Otherwise
+    /// the router is *evaluated* in full, which is the only place packets
+    /// move and the only place memos are built.
     ///
-    /// The replay check reads downstream occupancy words. During the
-    /// step phase a word is written only by its queue's unique upstream
-    /// router — here, the stalled router itself — and frees are applied
-    /// in [`Shard::begin_cycle`], before the barrier, so the read is
-    /// race-free and sees the same value in parallel and sequential
-    /// mode.
+    /// A sleeper is woken by the events its verdict depends on, never by
+    /// polling: a changed head (`deliver`, [`InjectBatch::offer`]) and
+    /// returned credit ([`Shard::begin_cycle`] and `deliver` consume the
+    /// mark and wake the queue's upstream router) set `wake = 0`, in
+    /// place or through the wake boxes drained below; the memo's expiry
+    /// is `wake` itself. Marks are written here, in the step phase, by
+    /// the queue's unique upstream router and consumed in the local
+    /// phase by the queue's owner; wake boxes are filled in the local
+    /// phase and drained here in the same cycle — each word has one
+    /// writer per phase, so parallel and sequential runs see the same
+    /// values, and nothing is in flight when the driver decides how far
+    /// to advance.
     pub fn step(&mut self, shared: &SharedNet, cycle: u64, sink: &mut dyn EjectSink) {
         let topo = &shared.topo;
         let width = topo.width;
+        for producer in 0..shared.num_shards() {
+            if producer == self.idx {
+                continue;
+            }
+            for tile in shared.wake_box(self.idx, producer).lock().drain(..) {
+                let local = self.local_idx(tile, topo);
+                self.wake[local] = 0;
+            }
+        }
+        self.tick += 1;
+        // every sleeper would have been refused again this cycle; one that
+        // wakes below takes its share back before it evaluates
+        self.counters.collisions += self.owed.collisions;
+        self.counters.backpressure += self.owed.backpressure;
+        let asleep_on_credit = self.owed.sleepers;
         // split borrows: `router` stays mutably borrowed across the inner
         // loop while counters / pending buffers are updated alongside
         let Shard {
@@ -578,6 +671,8 @@ impl Shard {
             busy_until,
             rr_ptr,
             counters,
+            owed,
+            tick,
             visits,
             latency,
             trace: _,
@@ -586,61 +681,70 @@ impl Shard {
             pending_frees,
             active,
         } = self;
-        let ncols = (cols.end - cols.start) as usize;
+        let tick = *tick;
+        let ncols = cols.end - cols.start;
         let col_start = cols.start;
         active.refresh();
         // lives outside the per-router closure; every full visit leaves
         // `c.n` all-zero for the next one
         let mut c = Candidates::new();
+        let mut settled = 0;
+        let coords_of = |local: usize| {
+            let (y, xr) = div_ncols.divmod(local as u32);
+            (col_start + xr, y)
+        };
         active.retain(|local| {
             let local = local as usize;
             if queued_msgs[local] == 0 {
                 return false;
             }
+            let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
             if wake[local] > cycle {
                 visits.asleep += 1;
-                return true; // no head can ripen before `wake`
-            }
-            let router = routers[local]
-                .as_deref_mut()
-                .expect("queued packets imply a materialized router");
-            let tile = {
-                let (y, xr) = div_ncols.divmod(local as u32);
-                y * width + col_start + xr
-            };
-            let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
-            if let Some(memo) = router.stall_memo() {
-                let unchanged = cycle < memo.until
-                    && memo.watched().iter().all(|&(qid, seen)| {
-                        shared.occupancy[qid as usize].load(Ordering::Relaxed) == seen
-                    });
-                if unchanged {
-                    if cfg!(debug_assertions) {
-                        assert_replay_matches_full_visit(
+                if cfg!(debug_assertions) {
+                    let router = routers[local]
+                        .as_deref()
+                        .expect("queued packets imply a materialized router");
+                    if let Some((memo, _)) = router.sleeping() {
+                        let (x, y) = coords_of(local);
+                        let tile = y * width + x;
+                        assert_sleep_is_sound(
                             memo,
                             router,
-                            &busy_until[links.clone()],
-                            &rr_ptr[links.clone()],
+                            &busy_until[links],
                             cycle,
                             topo,
                             tile,
                             &shared.occupancy,
                         );
                     }
-                    counters.collisions += u64::from(memo.collisions);
-                    counters.backpressure += u64::from(memo.dirs.count_ones());
-                    let rr = &mut rr_ptr[links];
-                    let mut dirs = memo.dirs;
-                    while dirs != 0 {
-                        let oi = dirs.trailing_zeros() as usize;
-                        dirs &= dirs - 1;
-                        rr[oi] = next_rr(memo.cands[oi], rr[oi]);
-                    }
-                    wake[local] = cycle + 1;
-                    visits.replayed += 1;
-                    return true;
                 }
-                router.forget_stall_memo();
+                return true; // nothing it waits for has happened
+            }
+            let router = routers[local]
+                .as_deref_mut()
+                .expect("queued packets imply a materialized router");
+            let (x, y) = coords_of(local);
+            let tile = y * width + x;
+            if let Some((memo, since)) = router.wake_up() {
+                // settle: the retries of the ticks slept through moved
+                // each stalled direction's pointer one candidate on, and
+                // this tick's share of the debt is the evaluation's own
+                let slept = tick - 1 - since;
+                let stalled = u64::from(memo.dirs.count_ones());
+                let rr = &mut rr_ptr[links.clone()];
+                let mut dirs = memo.dirs;
+                while dirs != 0 {
+                    let oi = dirs.trailing_zeros() as usize;
+                    dirs &= dirs - 1;
+                    rr[oi] = rotate_rr(memo.cands[oi], rr[oi], slept);
+                }
+                settled += 1;
+                owed.sleepers -= 1;
+                owed.collisions -= u64::from(memo.collisions);
+                owed.backpressure -= stalled;
+                counters.collisions -= u64::from(memo.collisions);
+                counters.backpressure -= stalled;
             }
             let (mut dirty, ripen) = c.scan(router, topo, tile, cycle);
             if dirty == 0 {
@@ -650,7 +754,7 @@ impl Shard {
                 return true;
             }
             // stalled heads (eject refusal, collision losers, a refusal
-            // the memo cannot cover) retry next cycle
+            // no memo can cover) retry next cycle
             wake[local] = cycle + 1;
             let candidate_dirs = dirty;
             let (collisions0, backpressure0) = (counters.collisions, counters.backpressure);
@@ -702,15 +806,16 @@ impl Shard {
                     continue;
                 }
                 let vc = c.vc[pick];
-                let (dest, in_port, class, hop) = topo
-                    .hop_info(tile, out, vc)
+                let ((dx, dy), in_port, class, hop) = topo
+                    .hop_info(x, y, out, vc)
                     .expect("routing chose a non-existent link");
+                let dest = dy * width + dx;
                 let qid = topo.queue_id(dest, in_port);
                 let flits = router.queues[pick]
                     .front()
                     .expect("candidate has head")
                     .flits as u32;
-                if !reserve(&shared.occupancy[qid], flits, topo.queue_capacity_flits) {
+                if !shared.occupancy[qid].reserve(flits, topo.queue_capacity_flits) {
                     counters.backpressure += 1;
                     continue;
                 }
@@ -725,10 +830,9 @@ impl Shard {
                 if class == muchisim_config::LinkClass::OnChip {
                     counters.onchip_flit_mm += flits as f64 * topo.hop_wire_mm(out);
                 }
-                let (dx, dy) = topo.coords(dest);
                 let dest_shard = shared.shard_of_col[dx as usize] as usize;
                 if dest_shard == *idx {
-                    let dlocal = (dy * ncols as u32 + (dx - col_start)) as usize;
+                    let dlocal = (dy * ncols + (dx - col_start)) as usize;
                     pending_pushes.push((dlocal, in_port.index(), qid, pkt));
                 } else {
                     shared
@@ -757,7 +861,8 @@ impl Shard {
                         tile,
                         &shared.occupancy,
                     ) {
-                        // what this visit just did is what a replay does
+                        // what this visit just did is what every retry
+                        // before `until` would do again
                         debug_assert_eq!(
                             counters.collisions - collisions0,
                             u64::from(memo.collisions)
@@ -766,14 +871,18 @@ impl Shard {
                             counters.backpressure - backpressure0,
                             u64::from(memo.dirs.count_ones())
                         );
-                        if memo.dirs == 0 {
-                            // every candidate link is merely busy: the
-                            // visit is a pure no-op until one frees or a
-                            // head ripens (`deliver` lowers `wake` for
-                            // arrivals that could move sooner)
-                            wake[local] = memo.until;
-                        } else {
-                            router.set_stall_memo(memo);
+                        // a visit is a pure no-op until a busy candidate
+                        // link frees or a head ripens — or, with stalled
+                        // directions, until a watched queue returns credit
+                        wake[local] = memo.until;
+                        if memo.dirs != 0 {
+                            for &(qid, _) in memo.watched() {
+                                shared.occupancy[qid as usize].mark();
+                            }
+                            owed.sleepers += 1;
+                            owed.collisions += u64::from(memo.collisions);
+                            owed.backpressure += u64::from(memo.dirs.count_ones());
+                            router.sleep_on(memo, tick);
                         }
                     }
                 }
@@ -791,6 +900,11 @@ impl Shard {
             wake[local] = u64::MAX;
             false
         });
+        // a sleeper that did not settle was skipped by the wake check: its
+        // router-cycle was answered from the memo, not visited
+        let slept_through = asleep_on_credit - settled;
+        visits.replayed += slept_through;
+        visits.asleep -= slept_through;
     }
 
     fn round_robin_pick(candidates: &[u8], last: u8) -> u8 {
@@ -923,11 +1037,24 @@ impl Shard {
 
     /// Non-zero round-robin arbitration pointers, as
     /// `(global tile, direction index, pointer)`.
+    ///
+    /// Reports *settled* pointers: those of a router asleep on credit are
+    /// rotated, read-only, by the retries it has slept through, so the
+    /// view does not depend on who happens to be asleep.
     pub fn snapshot_rr(&self, width: u32) -> Vec<(u32, u8, u8)> {
         let mut out = Vec::new();
         for local in 0..self.queued_msgs.len() {
+            let sleep = match self.queued_msgs[local] {
+                0 => None,
+                _ => self.routers[local].as_deref().and_then(|r| r.sleeping()),
+            };
             for dir in 0..OUT_DIRS {
-                let v = self.rr_ptr[local * OUT_DIRS + dir];
+                let mut v = self.rr_ptr[local * OUT_DIRS + dir];
+                if let Some((memo, since)) = sleep {
+                    if memo.dirs & (1 << dir) != 0 {
+                        v = rotate_rr(memo.cands[dir], v, self.tick - since);
+                    }
+                }
                 if v != 0 {
                     out.push((self.global_tile(local, width), dir as u8, v));
                 }
@@ -969,13 +1096,15 @@ impl Shard {
     ) -> Result<(), String> {
         let local = self.local_idx(tile, &shared.topo);
         let qid = shared.topo.queue_id(tile, port);
-        shared.occupancy[qid].fetch_add(pkt.flits as u32, Ordering::Relaxed);
+        shared.occupancy[qid].adjust(i64::from(pkt.flits));
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        if pkt.ready_at < self.wake[local] {
-            self.wake[local] = pkt.ready_at;
+        let ready_at = pkt.ready_at;
+        let router = router_mut(&mut self.routers, &mut self.pool, local);
+        let pushed = router.push(port.index(), pkt);
+        if pushed.new_head {
+            wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
-        let freed = router_mut(&mut self.routers, &mut self.pool, local).push(port.index(), pkt);
-        if freed != 0 {
+        if pushed.freed != 0 {
             return Err(format!(
                 "input port {} holds two packets that combine; a snapshot is post-combine",
                 port.index()
@@ -1051,15 +1180,16 @@ impl InjectBatch<'_> {
         if let Some(trace) = &mut self.shard.trace {
             trace.push(TraceEvent::from_packet(&pkt));
         }
-        if pkt.ready_at < self.shard.wake[self.local] {
-            self.shard.wake[self.local] = pkt.ready_at;
+        let ready_at = pkt.ready_at;
+        let router = router_mut(&mut self.shard.routers, &mut self.shard.pool, self.local);
+        let pushed = router.push(InPort::Inject.index(), pkt);
+        if pushed.new_head {
+            wake_for_new_head(&mut self.shard.wake[self.local], router, ready_at);
         }
-        let freed = router_mut(&mut self.shard.routers, &mut self.shard.pool, self.local)
-            .push(InPort::Inject.index(), pkt);
         self.shard.active.activate(self.local as u32);
-        if freed > 0 {
-            self.occ -= freed;
-            self.occ_delta -= i64::from(freed);
+        if pushed.freed > 0 {
+            self.occ -= pushed.freed;
+            self.occ_delta -= i64::from(pushed.freed);
             self.shard.counters.reduce_combines += 1;
             self.in_flight_delta -= 1;
         } else {
@@ -1072,16 +1202,7 @@ impl InjectBatch<'_> {
 
     /// Publishes the batched occupancy and in-flight deltas.
     pub fn commit(self) {
-        match self.occ_delta.cmp(&0) {
-            std::cmp::Ordering::Greater => {
-                self.shared.occupancy[self.qid].fetch_add(self.occ_delta as u32, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                self.shared.occupancy[self.qid]
-                    .fetch_sub((-self.occ_delta) as u32, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
-        }
+        self.shared.occupancy[self.qid].adjust(self.occ_delta);
         if self.in_flight_delta != 0 {
             self.shared
                 .in_flight
@@ -1103,22 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_respects_capacity() {
-        let occ = AtomicU32::new(0);
-        assert!(reserve(&occ, 3, 4));
-        assert!(!reserve(&occ, 2, 4));
-        assert!(reserve(&occ, 1, 4));
-        assert_eq!(occ.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn reserve_allows_oversized_when_empty() {
-        let occ = AtomicU32::new(0);
-        assert!(reserve(&occ, 10, 4));
-        assert!(!reserve(&occ, 1, 4));
-    }
-
-    #[test]
     fn next_rr_is_round_robin_pick_over_a_mask() {
         for mask in 1u16..1 << IN_PORTS {
             let list: Vec<u8> = (0..IN_PORTS as u8)
@@ -1135,6 +1240,26 @@ mod tests {
     }
 
     #[test]
+    fn rotate_rr_is_next_rr_applied_k_times() {
+        for mask in 1u16..1 << IN_PORTS {
+            for last in 0..16u8 {
+                let mut stepped = last;
+                for k in 0..40 {
+                    assert_eq!(
+                        rotate_rr(mask, last, k),
+                        stepped,
+                        "mask {mask:#b} last {last} k {k}"
+                    );
+                    stepped = next_rr(mask, stepped);
+                }
+            }
+        }
+        // far beyond any sleep a test can reach
+        assert_eq!(rotate_rr(0b1010, 1, 1 << 40), 1);
+        assert_eq!(rotate_rr(0b1010, 1, (1 << 40) + 1), 3);
+    }
+
+    #[test]
     fn stall_check_allows_oversized_when_empty() {
         // tile 1 of a 3x1 row holds one 10-flit packet for tile 2, whose
         // buffers take 4 flits
@@ -1144,7 +1269,7 @@ mod tests {
             .build()
             .unwrap();
         let topo = TopoInfo::from_system(&cfg);
-        let occupancy: Vec<AtomicU32> = (0..topo.num_queues()).map(|_| AtomicU32::new(0)).collect();
+        let occupancy: Vec<Credit> = (0..topo.num_queues()).map(|_| Credit::default()).collect();
         let mut router = RouterState::default();
         let inject = InPort::Inject.index();
         router.push(
@@ -1156,14 +1281,14 @@ mod tests {
         assert_eq!((dirty, ripen), (1 << OutDir::E.index(), u64::MAX));
         let links = [0u64; OUT_DIRS];
         let verdict =
-            |occ: &[AtomicU32]| stall_verdict(&c, dirty, ripen, &router, &links, 0, &topo, 1, occ);
+            |occ: &[Credit]| stall_verdict(&c, dirty, ripen, &router, &links, 0, &topo, 1, occ);
         assert_eq!(
             verdict(&occupancy),
             None,
             "an empty queue admits the oversized packet: not a stall"
         );
         let qid = topo.queue_id(2, InPort::FromW0);
-        occupancy[qid].store(1, Ordering::Relaxed);
+        occupancy[qid].adjust(1);
         let memo = verdict(&occupancy).expect("one flit queued downstream refuses ten more");
         assert_eq!(memo.dirs, 1 << OutDir::E.index());
         assert_eq!(memo.cands[OutDir::E.index()], 1 << inject);

@@ -1,6 +1,6 @@
 //! Static topology information shared by all routers.
 
-use crate::port::{InPort, OutDir, IN_PORTS};
+use crate::port::{InPort, OutDir, IN_PORTS, OUT_DIRS};
 use muchisim_config::{Hierarchy, LinkClass, NocTopology, SystemConfig, TileCoord};
 
 /// Division by a runtime-constant divisor via the round-up reciprocal:
@@ -72,6 +72,14 @@ pub struct TopoInfo {
     pub queue_capacity_flits: u32,
     /// Reciprocal divider for `width` (hot: tile id → coordinates).
     pub div_width: FastDiv,
+    /// Per output direction ([`OutDir::index`]; ejection has no link),
+    /// the `(link class, head-flit hop cycles)` of the hop that leaves
+    /// coordinate `c` along the direction's travel axis — `x` for east /
+    /// west hops, `y` for north / south ones. A hop along one axis keeps
+    /// the other coordinate, so its class depends on `c` alone and
+    /// `width + height` entries per direction describe every link of
+    /// the grid. Entries of links that do not exist are never read.
+    link_rows: [Vec<(LinkClass, u64)>; OUT_DIRS - 1],
 }
 
 impl TopoInfo {
@@ -82,7 +90,7 @@ impl TopoInfo {
         let period = cfg.noc_clock.operating.period_ps();
         let hop_ps = link.noc_router_latency_ps + link.noc_wire_latency_ps_per_mm * pitch;
         let hop_cycles = (hop_ps / period).ceil().max(1.0) as u64;
-        TopoInfo {
+        let mut topo = TopoInfo {
             width: cfg.width(),
             height: cfg.height(),
             topology: cfg.noc.topology,
@@ -95,7 +103,56 @@ impl TopoInfo {
             extra_cycles_inter_node: cfg.hop_extra_cycles(LinkClass::InterNode),
             queue_capacity_flits: cfg.noc.buffer_depth,
             div_width: FastDiv::new(cfg.width()),
-        }
+            link_rows: Default::default(),
+        };
+        topo.link_rows = std::array::from_fn(|oi| topo.link_row(OutDir::BY_INDEX[oi]));
+        topo
+    }
+
+    /// The [`Self::link_rows`] row of `dir`, from the hierarchy's own
+    /// classification (which stays the source of truth).
+    fn link_row(&self, dir: OutDir) -> Vec<(LinkClass, u64)> {
+        let along_x = Self::travels_along_x(dir);
+        let len = if along_x { self.width } else { self.height };
+        (0..len)
+            .map(|c| {
+                let (x, y) = if along_x { (c, 0) } else { (0, c) };
+                match self.neighbor_xy(x, y, dir) {
+                    Some((dx, dy)) => self.classify_hop((x, y), (dx, dy), dir),
+                    None => (LinkClass::OnChip, 0),
+                }
+            })
+            .collect()
+    }
+
+    fn travels_along_x(dir: OutDir) -> bool {
+        matches!(dir, OutDir::E | OutDir::W | OutDir::RucheE | OutDir::RucheW)
+    }
+
+    /// Link class and head-flit latency (router traversal + wire + any
+    /// boundary-crossing extra) of the `dir` hop from `from` to `to`.
+    fn classify_hop(&self, from: (u32, u32), to: (u32, u32), dir: OutDir) -> (LinkClass, u64) {
+        let class = self
+            .hierarchy
+            .link_class(TileCoord::new(from.0, from.1), TileCoord::new(to.0, to.1));
+        let extra = match class {
+            LinkClass::OnChip => 0,
+            LinkClass::DieToDie => self.extra_cycles_d2d,
+            LinkClass::OffPackage => self.extra_cycles_off_package,
+            LinkClass::InterNode => self.extra_cycles_inter_node,
+        };
+        let ruche_extra = if dir.is_ruche() {
+            // The long wire costs proportionally more wire delay: half a
+            // base hop per extra tile spanned. Dividing after the
+            // multiplication (with a ceiling) keeps the extra non-zero
+            // even when the base hop is a single cycle — a Ruche wire
+            // spanning R tiles is never as fast as a one-tile hop.
+            ((self.ruche_factor.unwrap_or(1) as u64).saturating_sub(1) * self.hop_cycles_on_chip)
+                .div_ceil(2)
+        } else {
+            0
+        };
+        (class, self.hop_cycles_on_chip + extra + ruche_extra)
     }
 
     /// Total routers (= tiles).
@@ -134,6 +191,7 @@ impl TopoInfo {
     /// of the `dir` link out of `(x, y)`, or `None` if the link does not
     /// exist. Callers that already hold the source coordinates (and need
     /// the destination's) skip the id → coordinate conversions.
+    #[inline]
     fn neighbor_xy(&self, x: u32, y: u32, dir: OutDir) -> Option<(u32, u32)> {
         let torus = self.topology == NocTopology::FoldedTorus;
         let r = self.ruche_factor.unwrap_or(0);
@@ -182,56 +240,63 @@ impl TopoInfo {
         }
     }
 
-    /// Everything a router needs to move a head flit from `cur` via
-    /// `dir` in one lookup: destination router, arrival port, physical
-    /// link class, and total head-flit hop latency in NoC cycles
-    /// (router traversal + wire + any boundary-crossing extra).
-    ///
-    /// [`Self::neighbor`], [`Self::link_class`] and [`Self::hop_cycles`]
-    /// each re-derive the others' intermediate results; the forwarding
-    /// hot loop calls this once per moved packet instead.
-    pub fn hop_info(&self, cur: u32, dir: OutDir, vc: u8) -> Option<(u32, InPort, LinkClass, u64)> {
-        let (cx, cy) = self.coords(cur);
-        let (dx, dy) = self.neighbor_xy(cx, cy, dir)?;
-        let dest = self.tile_at(dx, dy);
-        let in_port = InPort::arrival_port(dir, vc);
-        let class = self
-            .hierarchy
-            .link_class(TileCoord::new(cx, cy), TileCoord::new(dx, dy));
-        let extra = match class {
-            LinkClass::OnChip => 0,
-            LinkClass::DieToDie => self.extra_cycles_d2d,
-            LinkClass::OffPackage => self.extra_cycles_off_package,
-            LinkClass::InterNode => self.extra_cycles_inter_node,
-        };
-        let ruche_extra = if dir.is_ruche() {
-            // The long wire costs proportionally more wire delay: half a
-            // base hop per extra tile spanned. Dividing after the
-            // multiplication (with a ceiling) keeps the extra non-zero
-            // even when the base hop is a single cycle — a Ruche wire
-            // spanning R tiles is never as fast as a one-tile hop.
-            ((self.ruche_factor.unwrap_or(1) as u64).saturating_sub(1) * self.hop_cycles_on_chip)
-                .div_ceil(2)
-        } else {
-            0
-        };
-        Some((
-            dest,
-            in_port,
-            class,
-            self.hop_cycles_on_chip + extra + ruche_extra,
-        ))
+    /// Everything a router at `(x, y)` needs to move a head flit via
+    /// `dir` in one lookup: destination coordinates, arrival port,
+    /// physical link class, and total head-flit hop latency in NoC
+    /// cycles. The forwarding hot loop calls this once per moved packet
+    /// with the coordinates it already holds; class and latency are one
+    /// read of the direction's link row, no division.
+    #[inline]
+    pub fn hop_info(
+        &self,
+        x: u32,
+        y: u32,
+        dir: OutDir,
+        vc: u8,
+    ) -> Option<((u32, u32), InPort, LinkClass, u64)> {
+        let dest = self.neighbor_xy(x, y, dir)?;
+        let along = if Self::travels_along_x(dir) { x } else { y };
+        let (class, cycles) = self.link_rows[dir.index()][along as usize];
+        Some((dest, InPort::arrival_port(dir, vc), class, cycles))
     }
 
     /// The physical link class crossed by hopping from `cur` via `dir`.
     pub fn link_class(&self, cur: u32, dir: OutDir, vc: u8) -> Option<LinkClass> {
-        self.hop_info(cur, dir, vc).map(|(_, _, class, _)| class)
+        let (x, y) = self.coords(cur);
+        self.hop_info(x, y, dir, vc).map(|(_, _, class, _)| class)
     }
 
     /// Total hop latency in NoC cycles for the head flit from `cur` via
     /// `dir` (router traversal + wire + any boundary-crossing extra).
     pub fn hop_cycles(&self, cur: u32, dir: OutDir, vc: u8) -> Option<u64> {
-        self.hop_info(cur, dir, vc).map(|(_, _, _, cycles)| cycles)
+        let (x, y) = self.coords(cur);
+        self.hop_info(x, y, dir, vc).map(|(_, _, _, cycles)| cycles)
+    }
+
+    /// The router that feeds input queue `port` of `tile` — the unique
+    /// writer of that queue's credit during the step phase, and the one
+    /// to wake when the queue returns credit. The inverse of
+    /// [`Self::neighbor`]: `upstream(dest, in_port) == Some(cur)` exactly
+    /// when `neighbor(cur, dir, vc) == Some((dest, in_port))`. `None` for
+    /// the inject port (fed by the tile's PU) and for ports whose link
+    /// does not exist (mesh edge, Ruche link from outside the grid).
+    pub fn upstream(&self, tile: u32, port: InPort) -> Option<u32> {
+        // a packet arriving "from the north" was sent south by the
+        // router whose south neighbor this tile is: step back north
+        let back = match port {
+            InPort::FromN0 | InPort::FromN1 => OutDir::N,
+            InPort::FromS0 | InPort::FromS1 => OutDir::S,
+            InPort::FromE0 | InPort::FromE1 => OutDir::E,
+            InPort::FromW0 | InPort::FromW1 => OutDir::W,
+            InPort::FromRucheN => OutDir::RucheN,
+            InPort::FromRucheS => OutDir::RucheS,
+            InPort::FromRucheE => OutDir::RucheE,
+            InPort::FromRucheW => OutDir::RucheW,
+            InPort::Inject => return None,
+        };
+        let (x, y) = self.coords(tile);
+        let (ux, uy) = self.neighbor_xy(x, y, back)?;
+        Some(self.tile_at(ux, uy))
     }
 
     /// Wire length in mm of the hop (for on-chip wire energy).
@@ -399,6 +464,96 @@ mod tests {
         assert_eq!(ruche, plain + 2);
         // but per tile spanned it is cheaper than stepping
         assert!(ruche < plain * 4, "ruche must still beat 4 plain hops");
+    }
+
+    /// A four-level hierarchy (4x2-tile chiplets, 2x2 chiplets per
+    /// package, 2x1 packages per node, 1x3 nodes: 16 x 12 tiles, every
+    /// link class present in both dimensions or one) on each topology.
+    fn four_level_grids() -> Vec<TopoInfo> {
+        [
+            (NocTopology::Mesh, None),
+            (NocTopology::FoldedTorus, None),
+            (NocTopology::Mesh, Some(2)),
+        ]
+        .into_iter()
+        .map(|(topology, ruche)| {
+            let mut b = SystemConfig::builder();
+            b.chiplet_tiles(4, 2)
+                .package_chiplets(2, 2)
+                .node_packages(2, 1)
+                .cluster_nodes(1, 3)
+                .noc_topology(topology);
+            if let Some(r) = ruche {
+                b.ruche_factor(r);
+            }
+            TopoInfo::from_system(&b.build().expect("valid four-level grid"))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn link_rows_equal_the_direct_computation_on_every_link() {
+        for t in four_level_grids() {
+            let mut classes = std::collections::HashSet::new();
+            for tile in 0..t.num_tiles() {
+                let (x, y) = t.coords(tile);
+                for dir in OutDir::BY_INDEX {
+                    let Some((dx, dy)) = t.neighbor_xy(x, y, dir) else {
+                        assert_eq!(t.hop_info(x, y, dir, 0), None);
+                        continue;
+                    };
+                    let (class, cycles) = t.classify_hop((x, y), (dx, dy), dir);
+                    assert_eq!(
+                        class,
+                        t.hierarchy
+                            .link_class(TileCoord::new(x, y), TileCoord::new(dx, dy))
+                    );
+                    for vc in 0..2 {
+                        assert_eq!(
+                            t.hop_info(x, y, dir, vc),
+                            Some(((dx, dy), InPort::arrival_port(dir, vc), class, cycles)),
+                            "{:?} ruche {:?}: tile ({x}, {y}) via {dir:?}",
+                            t.topology,
+                            t.ruche_factor
+                        );
+                    }
+                    classes.insert(class);
+                }
+            }
+            assert_eq!(classes.len(), 4, "the grid must exercise every link class");
+        }
+    }
+
+    #[test]
+    fn upstream_is_the_inverse_of_neighbor() {
+        for t in four_level_grids() {
+            let mut fed = vec![false; t.num_queues()];
+            for cur in 0..t.num_tiles() {
+                for dir in OutDir::BY_INDEX {
+                    for vc in 0..2 {
+                        let Some((dest, port)) = t.neighbor(cur, dir, vc) else {
+                            continue;
+                        };
+                        assert_eq!(
+                            t.upstream(dest, port),
+                            Some(cur),
+                            "{:?} ruche {:?}: tile {cur} via {dir:?} vc {vc}",
+                            t.topology,
+                            t.ruche_factor
+                        );
+                        fed[t.queue_id(dest, port)] = true;
+                    }
+                }
+            }
+            // and a queue no router feeds has no upstream
+            for tile in 0..t.num_tiles() {
+                for port in InPort::ALL {
+                    if !fed[t.queue_id(tile, port)] {
+                        assert_eq!(t.upstream(tile, port), None, "tile {tile} {port:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Differential tests of the stalled-router replay path: a back-pressured
-//! router answers its visits from a memo of its last verdict instead of
-//! re-deciding, and that must be unobservable.
+//! Differential tests of the event-driven credit wake: a back-pressured
+//! router sleeps on a memo of its last verdict until a queue that
+//! refused it returns credit, instead of re-deciding every cycle, and
+//! that must be unobservable.
 //!
-//! Twin networks receive the same traffic. One of them has every stall
-//! memo dropped before every step (the `forget_stall_memos` test hook),
-//! so each of its visits runs the full evaluation — the retry-every-cycle
-//! behaviour the memo replaces. Counters, arbitration pointers, link
-//! clocks, latency statistics and the ejection stream must agree after
-//! every cycle. Traffic is all-to-few onto tiny buffers, with the
-//! hotspot's ejection gated shut for a while, so back-pressure reaches
-//! far upstream and most router visits are stalled ones. (Debug builds
-//! also run the in-crate oracle on every replayed visit.)
+//! Twin networks receive the same traffic. One of them has every
+//! sleeper woken before every step (the `forget_stall_memos` test hook),
+//! so each of its back-pressured router-cycles runs the full evaluation
+//! — the retry-every-cycle behaviour the sleep replaces. Counters,
+//! settled arbitration pointers, link clocks, latency statistics and the
+//! ejection stream must agree after every cycle. Traffic is all-to-few
+//! onto tiny buffers, with the hotspot's ejection gated shut for a
+//! while, so back-pressure reaches far upstream and most router-cycles
+//! are slept through. (Debug builds also run the in-crate oracle on
+//! every skipped visit of every sleeper.)
 
 use muchisim_config::{NocTopology, SystemConfig};
 use muchisim_noc::{
@@ -67,7 +69,7 @@ fn observe(net: &mut Network, now: u64) -> Observed {
 /// One scripted injection: due cycle, source tile, packet.
 type Send = (u64, u32, Packet);
 
-/// The memoizing network and its retry-every-cycle twin.
+/// The sleeping network and its retry-every-cycle twin.
 struct Twins {
     memo: Network,
     cold: Network,
@@ -130,27 +132,39 @@ impl Twins {
         self.cycle += 1;
     }
 
+    /// One cycle of the script: offers every due send (refused ones stay
+    /// queued, in order), then steps.
+    fn advance(&mut self, sends: &mut Vec<Send>) {
+        let mut retry = Vec::new();
+        for (due, src, pkt) in sends.drain(..) {
+            if due > self.cycle || !self.inject(src, pkt.clone()) {
+                retry.push((due, src, pkt));
+            }
+        }
+        *sends = retry;
+        self.step();
+    }
+
     /// Plays `sends` (retrying refused injections in order every cycle)
     /// until both networks drain.
     fn run(&mut self, mut sends: Vec<Send>) {
         sends.sort_by_key(|s| s.0);
         while !sends.is_empty() || !self.memo.is_empty() {
-            let mut retry = Vec::new();
-            for (due, src, pkt) in sends.drain(..) {
-                if due > self.cycle || !self.inject(src, pkt.clone()) {
-                    retry.push((due, src, pkt));
-                }
-            }
-            sends = retry;
-            self.step();
+            self.advance(&mut sends);
             assert!(self.cycle < 200_000, "traffic failed to drain");
         }
         assert!(self.cold.is_empty());
         assert_eq!(
             self.cold.router_visits().replayed,
             0,
-            "the twin must never replay"
+            "the twin must never sleep through a cycle"
         );
+        assert_eq!(self.sleepers(), 0, "a drained network has no sleepers");
+    }
+
+    /// Routers of the sleeping network currently asleep on credit.
+    fn sleepers(&mut self) -> u64 {
+        self.memo.split().1.iter().map(|s| s.sleepers()).sum()
     }
 }
 
@@ -170,10 +184,12 @@ fn grid(w: u32, h: u32, topology: u8, depth: u32) -> SystemConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// All-to-few traffic on random mesh / torus / ruche grids, 1–4
-    /// shards, 1–3-flit buffers: the twins agree cycle by cycle.
+    /// shards, 1–3-flit buffers: the twins agree cycle by cycle (the name
+    /// predates the sleep: a slept-through router-cycle is what used to
+    /// be a replayed visit).
     #[test]
     fn replayed_visits_are_unobservable(
         shape in (3u32..8, 2u32..7, 0u8..3, 1u32..4),
@@ -214,7 +230,7 @@ fn plain(src: u32, dst: u32, word: u32, flits: u16) -> Packet {
 }
 
 #[test]
-fn hub_congestion_replays_and_stays_identical() {
+fn hub_congestion_sleeps_and_stays_identical() {
     let mut twins = gated_row(300);
     let mut sends = Vec::new();
     for src in 0..4u32 {
@@ -225,15 +241,15 @@ fn hub_congestion_replays_and_stays_identical() {
     twins.run(sends);
     let visits = twins.memo.router_visits();
     // tile 4 itself asks the sink every one of the 300 gated cycles (an
-    // ejection attempt is never memoized); everything upstream replays
+    // ejection attempt is never slept on); everything upstream sleeps
     assert!(
         visits.replayed > 10 * (visits.evaluated_stalled - 300),
-        "the jam behind the gate must be answered from memos: {visits:?}"
+        "the jam behind the gate must be slept through: {visits:?}"
     );
     assert_eq!(
-        visits.awake(),
+        visits.awake() + visits.replayed,
         twins.cold.router_visits().awake(),
-        "replays stand in for full visits one to one"
+        "each router-cycle slept through stands for one full visit of the twin"
     );
 }
 
@@ -243,8 +259,9 @@ fn no_memo_while_another_candidate_would_fit() {
     // closed gate... and tile 2 has two candidates for that queue: a
     // 3-flit packet arriving from the west (2 + 3 > 4: refused) and a
     // 1-flit packet of its own (2 + 1 <= 4: fits). The arbiter offers
-    // the refused one first; the router must not memoize that refusal,
-    // because the round-robin pointer reaches the fitting packet next.
+    // the refused one first; the router must not go to sleep on that
+    // refusal, because the round-robin pointer reaches the fitting
+    // packet next.
     let mut twins = gated_row(200);
     assert!(twins.inject(3, plain(3, 4, 1, 2))); // reaches tile 4, jams at the gate
     twins.step();
@@ -291,7 +308,7 @@ fn no_memo_while_another_candidate_would_fit() {
 #[test]
 fn arrival_into_an_empty_port_wakes_a_stalled_router() {
     // 3×3 mesh, tile 5 (east edge, middle row) refuses ejection: tile 4
-    // jams with eastbound packets and replays. A packet then reaches
+    // jams with eastbound packets and sleeps. A packet then reaches
     // tile 4 from the north through an empty port, bound south — a free
     // direction — and must pass through the jam without delay.
     let mut twins = Twins::new(&grid(3, 3, 0, 2), 1, (400, Some(5)), 0);
@@ -302,17 +319,10 @@ fn arrival_into_an_empty_port_wakes_a_stalled_router() {
     }
     let mut pending = jam;
     for _ in 0..60 {
-        let mut retry = Vec::new();
-        for (due, src, pkt) in pending.drain(..) {
-            if !twins.inject(src, pkt.clone()) {
-                retry.push((due, src, pkt));
-            }
-        }
-        pending = retry;
-        twins.step();
+        twins.advance(&mut pending);
     }
-    let replayed = twins.memo.router_visits().replayed;
-    assert!(replayed > 0, "the jammed routers must be replaying by now");
+    let slept = twins.memo.router_visits().replayed;
+    assert!(slept > 0, "the jammed routers must be asleep by now");
     let sent = twins.cycle;
     assert!(twins.inject(1, plain(1, 7, 99, 1))); // (1,0) -> (1,2), via tile 4
     twins.run(pending);
@@ -328,5 +338,152 @@ fn arrival_into_an_empty_port_wakes_a_stalled_router() {
         "two free hops and an ejection, not a wait behind the jam: {} cycles",
         arrived - sent
     );
-    assert!(twins.memo.router_visits().replayed > replayed);
+    assert!(twins.memo.router_visits().replayed > slept);
+}
+
+/// The wake crosses a shard boundary: on an 8×1 row whose east end is
+/// gated, the last router of shard 0 sleeps on a queue owned by shard 1.
+/// When the gate opens the credit ripples back one router per cycle, and
+/// the sleeper must move in the very cycle the credit reaches it — the
+/// mark it left is consumed in shard 1's local phase, the wake request
+/// crosses through the wake box and is drained at the top of shard 0's
+/// step of the same cycle.
+#[test]
+fn a_sleeper_in_another_shard_moves_the_cycle_its_credit_returns() {
+    const OPEN_AT: u64 = 200;
+    for (shards, boundary) in [(2usize, 3u32), (4, 1)] {
+        let mut twins = Twins::new(&grid(8, 1, 0, 4), shards, (OPEN_AT, None), 0);
+        let cols = twins.memo.split().1[0].cols();
+        assert_eq!(cols, 0..boundary + 1, "shard 0 ends at tile {boundary}");
+        // only shard 0 injects, so every router east of it has a single
+        // candidate and passes the credit on the cycle after it moves
+        let mut sends = Vec::new();
+        for src in 0..=boundary {
+            for i in 0..12u32 {
+                sends.push((0, src, plain(src, 7, src * 16 + i, 2)));
+            }
+        }
+        while twins.cycle < OPEN_AT {
+            twins.advance(&mut sends);
+        }
+        let shard0 = |twins: &mut Twins| {
+            let shard = &twins.memo.split().1[0];
+            (shard.sleepers(), shard.counters().msg_hops)
+        };
+        let (asleep, jammed_hops) = shard0(&mut twins);
+        assert_eq!(
+            asleep,
+            u64::from(boundary) + 1,
+            "every router of shard 0 sleeps behind the gate"
+        );
+        // tile 7 ejects at OPEN_AT, tile 6 moves one cycle later, ...:
+        // tile `boundary` is 7 - boundary routers behind the gate
+        let credit_arrives = OPEN_AT + u64::from(7 - boundary);
+        while twins.cycle < credit_arrives {
+            twins.advance(&mut sends);
+            assert_eq!(
+                shard0(&mut twins),
+                (asleep, jammed_hops),
+                "shard 0 moved before its credit returned (cycle {})",
+                twins.cycle - 1
+            );
+        }
+        twins.advance(&mut sends);
+        assert_eq!(
+            shard0(&mut twins),
+            (asleep - 1, jammed_hops + 1),
+            "{shards} shards: tile {boundary} must move at cycle {credit_arrives}"
+        );
+        twins.run(sends);
+    }
+}
+
+/// Tile 3 of the gated row holds a 2-flit packet `P` for tile 4, whose
+/// west input is full with a 1-flit and a 3-flit packet. Returns the
+/// twins with tile 3 asleep on that queue.
+fn sleeper_behind_a_full_queue(open_at: u64) -> Twins {
+    let mut twins = gated_row(open_at);
+    assert!(twins.inject(3, plain(3, 4, 1, 1)));
+    assert!(twins.inject(3, plain(3, 4, 2, 3)));
+    assert!(twins.inject(3, plain(3, 4, 3, 2))); // P
+    for _ in 0..20 {
+        twins.step();
+    }
+    assert_eq!(twins.memo.counters().msg_hops, 2, "P is still at tile 3");
+    assert_eq!(twins.sleepers(), 1, "tile 3 sleeps on tile 4's west input");
+    twins
+}
+
+/// Full evaluations of tile 3 that moved nothing. The only other router
+/// holding traffic while the gate is shut is tile 4, whose every visit is
+/// a refused ejection.
+fn futile_visits_of_tile_3(twins: &Twins) -> u64 {
+    twins.memo.router_visits().evaluated_stalled - twins.memo.counters().eject_stalls
+}
+
+#[test]
+fn insufficient_credit_wakes_evaluates_and_sleeps_again() {
+    const OPEN_AT: u64 = 50;
+    let mut twins = sleeper_behind_a_full_queue(OPEN_AT);
+    while twins.cycle <= OPEN_AT {
+        twins.step(); // the last of these ejects the 1-flit packet
+    }
+    let before = twins.memo.router_visits();
+    let refused = twins.memo.counters().backpressure;
+    // one flit came back, P needs two: a wake, a full visit, a refusal
+    // (counted like the twin's, `step` compares), and a fresh sleep
+    twins.step();
+    let after = twins.memo.router_visits();
+    assert_eq!(
+        after.evaluated_stalled,
+        before.evaluated_stalled + 1,
+        "the returned flit must wake tile 3"
+    );
+    assert_eq!(after.replayed, before.replayed, "... in that very cycle");
+    assert_eq!(twins.memo.counters().backpressure, refused + 1);
+    assert_eq!(twins.memo.counters().msg_hops, 2, "P cannot move yet");
+    assert_eq!(twins.sleepers(), 1, "tile 3 sleeps again, on a fresh mark");
+    // the 3-flit packet has left by now: P gets in
+    twins.step();
+    assert_eq!(twins.memo.counters().msg_hops, 3);
+    assert_eq!(twins.sleepers(), 0);
+    twins.run(Vec::new());
+}
+
+#[test]
+fn an_immature_arrival_into_an_empty_port_wakes_a_sleeper() {
+    let mut twins = sleeper_behind_a_full_queue(400);
+    // a 3-flit packet from tile 2 reaches tile 3's empty west input with
+    // two cycles of serialization still ahead of it
+    assert!(twins.inject(2, plain(2, 4, 4, 3)));
+    let sent = twins.cycle;
+    let before = futile_visits_of_tile_3(&twins);
+    for _ in 0..2 {
+        twins.step(); // tile 2 forwards it; tile 3 receives it, immature
+    }
+    assert_eq!(
+        futile_visits_of_tile_3(&twins),
+        before + 1,
+        "the new head must wake tile 3 although it cannot move yet"
+    );
+    assert_eq!(
+        twins.sleepers(),
+        1,
+        "... and tile 3 sleeps on until it ripens"
+    );
+    assert_eq!(twins.memo.counters().collisions, 0);
+    while twins.cycle <= sent + 3 {
+        twins.step();
+    }
+    // ripe: two candidates for the east link from now on, one loses the
+    // arbitration every cycle (on the books of the sleeper's debt)
+    assert_eq!(futile_visits_of_tile_3(&twins), before + 2);
+    let collided = twins.memo.counters().collisions;
+    assert!(collided > 0);
+    for _ in 0..10 {
+        twins.step();
+    }
+    assert_eq!(twins.memo.counters().collisions, collided + 10);
+    assert_eq!(futile_visits_of_tile_3(&twins), before + 2);
+    twins.run(Vec::new());
 }

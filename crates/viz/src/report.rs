@@ -56,10 +56,13 @@ pub struct ReportRow {
     /// Router visits that ran the full evaluation for nothing.
     #[serde(default)]
     pub visits_stalled: u64,
-    /// Back-pressured router visits answered from a stall memo.
+    /// Router-cycles a back-pressured router slept through on its stall
+    /// memo, settled without a visit (the column keeps the name stored
+    /// records carry from when these were replayed visits).
     #[serde(default)]
     pub visits_replayed: u64,
-    /// Router visits skipped by the wake check.
+    /// Router-cycles skipped by the wake check because no head could
+    /// move yet (immature heads, busy links).
     #[serde(default)]
     pub visits_asleep: u64,
     /// Median NoC packet latency in cycles (from the log2 histogram).

@@ -26,7 +26,7 @@ use muchisim::core::SimError;
 use muchisim::data::rmat::RmatConfig;
 use muchisim::dse::{
     apply_to_config, parse_assignment, parse_json_or_string, table_from_store, BatchRunner,
-    ExperimentSpec, JsonlStore, Override,
+    DseError, ExperimentSpec, JsonlStore, Override,
 };
 use muchisim::energy::Report;
 use muchisim::traffic::{saturation_sweep, SaturationCurve, TraceReplayApp};
@@ -122,6 +122,13 @@ COMMON OPTIONS:
 fn usage_error(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
     eprintln!("run `muchisim --help` for usage");
+    std::process::exit(2);
+}
+
+/// The command line parsed, but asks for a system the simulator cannot
+/// hold (see `SystemConfig::validate`): one line, same exit code.
+fn config_error(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -304,8 +311,11 @@ fn cmd_run(args: Vec<String>) -> i32 {
     if let Some(path) = &trace_path {
         builder.noc_trace(path.clone());
     }
-    let base = builder.build().unwrap_or_else(|e| usage_error(e));
-    let mut cfg = apply_to_config(&base, &overrides).unwrap_or_else(|e| usage_error(e));
+    let base = builder.build().unwrap_or_else(|e| config_error(e));
+    let mut cfg = apply_to_config(&base, &overrides).unwrap_or_else(|e| match e {
+        DseError::Config(e) => config_error(e),
+        other => usage_error(other),
+    });
     if no_active_list {
         cfg.active_list = false;
     }
@@ -425,8 +435,8 @@ fn cmd_run(args: Vec<String>) -> i32 {
         );
         let rv = &result.host_router_visits;
         println!(
-            "telemetry: router visits moved {} | stalled {} | replayed {} | asleep {} \
-             ({:.1}% of awake visits evaluated for nothing)",
+            "telemetry: router visits moved {} | stalled {} | slept on credit {} | \
+             asleep on time {} ({:.1}% of visits evaluated for nothing)",
             rv.evaluated_moved,
             rv.evaluated_stalled,
             rv.replayed,

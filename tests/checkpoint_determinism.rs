@@ -247,11 +247,13 @@ fn resume_is_host_configuration_agnostic() {
 
 /// Hub congestion: BFS from the highest-degree root of an RMAT-8 graph
 /// on a 32x32 mesh (the `BFS-32x32-mesh-hub@t*` golden rows), where most
-/// router visits are stalled ones answered from stall memos. The memos
-/// are derived state: the snapshot taken mid-jam must be byte-identical
-/// to one written by a run that forgets every memo every cycle, and a
-/// restored run — which starts with cold memos — must land on the
-/// uninterrupted schedule at 1 and 2 threads.
+/// router-cycles are slept through on a stall memo. Memos, sleeps and
+/// waiter marks are derived state: the snapshot taken mid-jam — with
+/// arbitration pointers and counters of sleeping routers still unsettled
+/// in memory — must be byte-identical to one written by a run whose
+/// sleepers are all woken every cycle, and a restored run — where every
+/// router starts awake — must land on the uninterrupted schedule at 1
+/// and 2 threads.
 #[test]
 fn hub_congested_snapshot_ignores_stall_memos_and_resumes() {
     let graph = Arc::new(RmatConfig::scale(8).generate(GRAPH_SEED));
@@ -304,12 +306,12 @@ fn hub_congested_snapshot_ignores_stall_memos_and_resumes() {
     let (cold_path, cold) = write("hub-cold", true);
     assert_eq!(
         cold.host_router_visits.replayed, 0,
-        "the hook forgets every memo"
+        "the hook wakes every sleeper before it can skip a cycle"
     );
     assert_eq!(
-        with_memos.host_router_visits.awake(),
+        with_memos.host_router_visits.awake() + with_memos.host_router_visits.replayed,
         cold.host_router_visits.awake(),
-        "replays stand in for full evaluations one to one"
+        "each router-cycle slept through stands for one full evaluation"
     );
     assert!(
         std::fs::read(&path).expect("snapshot written")
@@ -331,12 +333,12 @@ fn hub_congested_snapshot_ignores_stall_memos_and_resumes() {
             "{threads}-thread resume diverged from the uninterrupted schedule"
         );
         // the ledger restarts at the snapshot: the difference is what had
-        // been replayed by the snapshot cycle, the rest comes after it
+        // been slept through by the snapshot cycle, the rest comes after it
         let after = resumed.host_router_visits.replayed;
         let before = reference.host_router_visits.replayed - after;
         assert!(
             before >= 100 && after >= 100,
-            "the snapshot must sit inside the jam: {before} replays before it, {after} after"
+            "the snapshot must sit inside the jam: {before} router-cycles slept before it, {after} after"
         );
     }
     let _ = std::fs::remove_file(&path);
