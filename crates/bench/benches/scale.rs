@@ -282,10 +282,12 @@ fn main() {
         last.result.bytes_per_tile(),
         last.side
     );
-    // ... and stays within a small fixed budget even at the top size
+    // ... and stays within a small fixed budget at the top size: 582
+    // B/tile measured at 1024x1024, 630 at the smoke run's 256x256
+    let budget = if last.side >= 1024 { 640.0 } else { 704.0 };
     assert!(
-        last.result.bytes_per_tile() < 2048.0,
-        "sparse bytes/tile blew the budget: {:.0}",
+        last.result.bytes_per_tile() < budget,
+        "sparse bytes/tile blew the budget of {budget}: {:.0}",
         last.result.bytes_per_tile()
     );
     // (2) active-tile (weak-scaling) bytes/tile is flat: growing the DUT

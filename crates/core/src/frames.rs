@@ -59,12 +59,19 @@ impl Frame {
     /// ignoring indices and start cycles (used both for same-interval
     /// merges across workers and for adjacent-interval downsampling).
     fn absorb(&mut self, other: &Frame) {
-        self.tasks_delta += other.tasks_delta;
-        self.injected_delta += other.injected_delta;
-        self.ejected_delta += other.ejected_delta;
+        self.checked_absorb(other).expect("frame deltas overflow");
+    }
+
+    /// [`Frame::absorb`] for deltas that come from a file: `None` (with
+    /// `self` partly merged) when one overflows.
+    fn checked_absorb(&mut self, other: &Frame) -> Option<()> {
+        self.tasks_delta = self.tasks_delta.checked_add(other.tasks_delta)?;
+        self.injected_delta = self.injected_delta.checked_add(other.injected_delta)?;
+        self.ejected_delta = self.ejected_delta.checked_add(other.ejected_delta)?;
         self.router_busy.extend_from_slice(&other.router_busy);
         self.pu_busy.extend_from_slice(&other.pu_busy);
         self.iq_occupancy.extend_from_slice(&other.iq_occupancy);
+        Some(())
     }
 
     /// Sums duplicate tile keys in the sparse grids (sorting each by
@@ -183,14 +190,25 @@ impl FrameLog {
     /// still combined positionally — the caller is responsible for only
     /// merging logs captured on the same boundaries, which the engine
     /// guarantees by construction).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a frame delta overflows; logs that come from a file go
+    /// through [`FrameLog::checked_merge`] instead.
     pub fn merge(&mut self, other: &FrameLog) {
+        self.checked_merge(other).expect("frame deltas overflow");
+    }
+
+    /// [`FrameLog::merge`]; `None` (with `self` partly merged) when a
+    /// frame delta overflows.
+    pub fn checked_merge(&mut self, other: &FrameLog) -> Option<()> {
         for (i, f) in other.frames.iter().enumerate() {
-            if i < self.frames.len() {
-                self.frames[i].merge(f);
-            } else {
-                self.frames.push(f.clone());
+            match self.frames.get_mut(i) {
+                Some(mine) => mine.checked_absorb(f)?,
+                None => self.frames.push(f.clone()),
             }
         }
+        Some(())
     }
 }
 

@@ -758,10 +758,16 @@ impl WorkerChunk {
                 .checked_add(part)
                 .ok_or("open-frame counters overflow")?;
         }
-        self.frames.merge(&other.frames);
+        self.frames
+            .checked_merge(&other.frames)
+            .ok_or("frame counters overflow")?;
         for (dst, src) in self.planes.iter_mut().zip(other.planes) {
-            dst.counters.merge(&src.counters);
-            dst.latency.merge(&src.latency);
+            dst.counters
+                .checked_merge(&src.counters)
+                .ok_or("NoC counters overflow")?;
+            dst.latency
+                .checked_merge(&src.latency)
+                .ok_or("latency counters overflow")?;
             dst.packets.extend(src.packets);
             dst.links.extend(src.links);
             dst.rr.extend(src.rr);

@@ -40,20 +40,41 @@ pub struct NocCounters {
     pub reduce_combines: u64,
 }
 
+/// `*sum += part`; `None` when the sum does not fit.
+pub(crate) fn checked_acc(sum: &mut u64, part: u64) -> Option<()> {
+    *sum = sum.checked_add(part)?;
+    Some(())
+}
+
 impl NocCounters {
     /// Accumulates `other` into `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a count overflows; counts that come from a file go
+    /// through [`NocCounters::checked_merge`] instead.
     pub fn merge(&mut self, other: &NocCounters) {
-        self.injected += other.injected;
-        self.ejected += other.ejected;
-        self.msg_hops += other.msg_hops;
-        for i in 0..4 {
-            self.flit_hops_by_class[i] += other.flit_hops_by_class[i];
+        self.checked_merge(other).expect("NoC counters overflow");
+    }
+
+    /// Accumulates `other` into `self`; `None` (with `self` partly
+    /// merged) when a count overflows.
+    pub fn checked_merge(&mut self, other: &NocCounters) -> Option<()> {
+        checked_acc(&mut self.injected, other.injected)?;
+        checked_acc(&mut self.ejected, other.ejected)?;
+        checked_acc(&mut self.msg_hops, other.msg_hops)?;
+        for (sum, &part) in self
+            .flit_hops_by_class
+            .iter_mut()
+            .zip(&other.flit_hops_by_class)
+        {
+            checked_acc(sum, part)?;
         }
         self.onchip_flit_mm += other.onchip_flit_mm;
-        self.collisions += other.collisions;
-        self.backpressure += other.backpressure;
-        self.eject_stalls += other.eject_stalls;
-        self.reduce_combines += other.reduce_combines;
+        checked_acc(&mut self.collisions, other.collisions)?;
+        checked_acc(&mut self.backpressure, other.backpressure)?;
+        checked_acc(&mut self.eject_stalls, other.eject_stalls)?;
+        checked_acc(&mut self.reduce_combines, other.reduce_combines)
     }
 
     /// Total flit hops across all link classes.

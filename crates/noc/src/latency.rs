@@ -13,6 +13,7 @@
 //! plenty to locate a saturation knee that moves latency by orders of
 //! magnitude.
 
+use crate::counters::checked_acc;
 use serde::{Deserialize, Serialize};
 
 /// Number of log₂ buckets (bucket 31 absorbs everything ≥ 2³⁰ cycles).
@@ -58,13 +59,26 @@ impl LatencyStats {
     }
 
     /// Accumulates `other` into `self` (commutative).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a count overflows; statistics that come from a file go
+    /// through [`LatencyStats::checked_merge`] instead.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.count += other.count;
-        self.total_cycles += other.total_cycles;
+        self.checked_merge(other)
+            .expect("latency statistics overflow");
+    }
+
+    /// Accumulates `other` into `self`; `None` (with `self` partly
+    /// merged) when a count overflows.
+    pub fn checked_merge(&mut self, other: &LatencyStats) -> Option<()> {
+        checked_acc(&mut self.count, other.count)?;
+        checked_acc(&mut self.total_cycles, other.total_cycles)?;
         self.max_cycles = self.max_cycles.max(other.max_cycles);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for (sum, &part) in self.buckets.iter_mut().zip(&other.buckets) {
+            checked_acc(sum, part)?;
         }
+        Some(())
     }
 
     /// Mean latency in cycles (0 when nothing was recorded).

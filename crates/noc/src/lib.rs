@@ -76,6 +76,7 @@ pub use network::{split_columns, DrainSink, EjectSink, Network, NetworkParams, S
 pub use packet::{Packet, Payload, ReduceOp};
 pub use port::{InPort, OutDir};
 pub use route::{decide, RouteDecision};
+pub use router::{PacketArena, Pushed, RouterState};
 pub use shard::{InjectBatch, Shard};
 pub use topo::TopoInfo;
 pub use trace::{read_trace_jsonl, sort_events, write_trace_jsonl, TraceEvent};

@@ -870,22 +870,68 @@ mod tests {
 
     #[test]
     fn idle_network_state_is_compact() {
+        // no router box, no packet node: the SoA slots, the pointer table
+        // and the credit words are all an idle router costs
         let n = net(64, 64, 4);
-        let eager_routers = 64 * 64 * std::mem::size_of::<crate::router::RouterState>() as u64;
         let idle = n.state_bytes();
         assert!(
-            idle < eager_routers / 2,
-            "idle 64x64 plane uses {idle} B; eager router state alone would be {eager_routers} B"
+            idle < 64 * 64 * 160,
+            "idle 64x64 plane uses {idle} B, {} per router",
+            idle / (64 * 64)
         );
-        // traffic grows the accounted state
-        let mut n = n;
-        for src in 0..64u32 {
-            n.inject(src, Packet::unicast(src, 4095, 0, Payload::empty(), 2))
+        assert_eq!(n.shards.iter().map(Shard::arena_nodes).sum::<usize>(), 0);
+    }
+
+    #[test]
+    fn state_bytes_follow_the_arena_not_the_traffic_history() {
+        let mut n = net(16, 16, 2);
+        let idle = n.state_bytes();
+        // 17-word payloads spill to the heap: 68 B each on top of the node
+        let words: Vec<u32> = (0..17).collect();
+        let refill = |n: &mut Network| {
+            let mut last = n.state_bytes();
+            // one hop east each, across the shard boundary too: no two
+            // packets meet, so no router stalls and boxes its memo
+            for src in (0..256u32).filter(|src| src % 16 != 15) {
+                n.inject(
+                    src,
+                    Packet::unicast(src, src + 1, 0, Payload::from_slice(&words), 2),
+                )
                 .unwrap();
-        }
-        let mut sink = DrainSink::default();
-        run_to_empty(&mut n, &mut sink, 100_000);
-        assert!(n.state_bytes() > idle);
+                let now = n.state_bytes();
+                assert!(now >= last + 68, "a queued packet and its payload count");
+                last = now;
+            }
+            last
+        };
+        let full = refill(&mut n);
+        assert!(full > idle + 240 * (64 + 68));
+        assert_eq!(n.queued_packets(), 240);
+        // one clock across the waves, each starting on idle links
+        let mut cycle = 0;
+        let mut drain = |n: &mut Network| {
+            let mut sink = DrainSink::default();
+            while !n.is_empty() {
+                n.step(cycle, &mut sink);
+                cycle += 1;
+            }
+            cycle += 1 << 10;
+            assert!(n.shards.iter().all(Shard::is_drained));
+            n.state_bytes()
+        };
+        // the payloads left with their packets; the nodes and the boxes of
+        // the routers on the way stay, vacant and pooled
+        let drained = drain(&mut n);
+        let nodes: usize = n.shards.iter().map(Shard::arena_nodes).sum();
+        assert!(drained > idle && nodes >= 240);
+        // every later wave runs out of the free list and the box pool
+        let refilled = refill(&mut n);
+        assert_eq!(drain(&mut n), drained, "flat across a drain/refill cycle");
+        assert_eq!(refill(&mut n), refilled, "and across the next");
+        assert_eq!(
+            n.shards.iter().map(Shard::arena_nodes).sum::<usize>(),
+            nodes
+        );
     }
 
     #[test]

@@ -1,26 +1,160 @@
-//! Per-router state: input queues and the in-network combine index.
+//! Per-shard packet storage and per-router queue state.
+//!
+//! Every packet queued in a shard lives in that shard's [`PacketArena`]:
+//! one `Vec` of nodes `{Packet, next}` with a LIFO free list threaded
+//! through the vacant ones. A router input queue is a `(head, tail)` pair
+//! of node ids, so a FIFO that holds less than one packet on average costs
+//! eight bytes, not a ring buffer, and a hop between two routers of the
+//! same shard *relinks* a node — [`RouterState::unlink`] at the sender,
+//! [`RouterState::link`] at the receiver one cycle later — without the
+//! packet moving in memory.
+//!
+//! **Node lifetime.** [`PacketArena::alloc`] makes a node live,
+//! [`PacketArena::release`] takes its packet out and returns it to the
+//! free list; in between the node is owned by exactly one queue, or by the
+//! shard's deferred-push buffer between `unlink` and `link`. A `Packet`
+//! is taken *out* of the arena only where it leaves the shard's custody:
+//! ejection into the tile, a cross-shard mailbox, an in-network combine
+//! (the arriving packet dies), and — by reference — a snapshot. Node ids
+//! are indices into one shard's `Vec` and mean nothing in another: that is
+//! why mailboxes and snapshots carry packets, never ids.
 //!
 //! The hot per-cycle scalars (`busy_until`, `rr_ptr`, `queued_msgs`) live
 //! in dense per-shard arrays (see [`crate::shard::Shard`]), not here: the
 //! active-router sweep reads them without chasing the
 //! `Vec<Option<Box<RouterState>>>` pointer table, and they survive when a
 //! drained router's box is recycled through the shard's free-list. What
-//! remains in the box is the cold bulk — the packet FIFOs — plus the
-//! bookkeeping that is only touched when a packet actually moves.
+//! remains in the box is the cold part — the queue links, the combine
+//! index, the stall memo — touched only when a packet actually moves.
 
-use crate::packet::{Packet, ReduceOp};
+use crate::packet::{Packet, Payload, ReduceOp};
 use crate::port::{IN_PORTS, OUT_DIRS};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The "no node" id: an empty queue's head and tail, the last node's
+/// `next`, the end of the free list.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug)]
+struct Node {
+    /// The queued packet; a payload-free placeholder while the node is
+    /// vacant, so a vacant node never owns heap memory.
+    pkt: Packet,
+    /// The next node towards the queue's tail, or the next vacant node.
+    next: u32,
+}
+
+/// The packet storage of one shard (see the module comment).
+#[derive(Debug)]
+pub struct PacketArena {
+    nodes: Vec<Node>,
+    /// Most recently released node: reused first, while it is still warm
+    /// in the cache.
+    free: u32,
+    live: u32,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        PacketArena {
+            nodes: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+}
+
+impl PacketArena {
+    /// Stores `pkt` in a vacant node — the most recently released one, a
+    /// new one only when none is vacant — and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shard already holds `u32::MAX` nodes.
+    pub fn alloc(&mut self, pkt: Packet) -> u32 {
+        self.live += 1;
+        if self.free != NIL {
+            let id = self.free;
+            let node = &mut self.nodes[id as usize];
+            self.free = node.next;
+            node.pkt = pkt;
+            return id;
+        }
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != NIL)
+            .expect("packet arena full: one shard cannot queue 2^32 - 1 packets");
+        self.nodes.push(Node { pkt, next: NIL });
+        id
+    }
+
+    /// Takes the packet out of live node `id` and returns the node to the
+    /// free list.
+    pub fn release(&mut self, id: u32) -> Packet {
+        let node = &mut self.nodes[id as usize];
+        let vacant = Packet::unicast(0, 0, 0, Payload::empty(), 1);
+        let pkt = std::mem::replace(&mut node.pkt, vacant);
+        node.next = self.free;
+        self.free = id;
+        self.live -= 1;
+        pkt
+    }
+
+    /// The packet of live node `id`.
+    #[inline]
+    pub fn get(&self, id: u32) -> &Packet {
+        &self.nodes[id as usize].pkt
+    }
+
+    /// The packet of live node `id`, to stamp in place.
+    #[inline]
+    pub fn get_mut(&mut self, id: u32) -> &mut Packet {
+        &mut self.nodes[id as usize].pkt
+    }
+
+    /// Live nodes: the packets the shard holds.
+    pub fn live(&self) -> usize {
+        self.live as usize
+    }
+
+    /// Nodes ever created (live + vacant); grows only when a packet
+    /// arrives while no node is vacant.
+    pub fn nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether every node is on the free list, by walking it.
+    pub fn all_vacant(&self) -> bool {
+        let mut vacant = 0;
+        let mut id = self.free;
+        while id != NIL && vacant <= self.nodes.len() {
+            vacant += 1;
+            id = self.nodes[id as usize].next;
+        }
+        self.live == 0 && vacant == self.nodes.len()
+    }
+
+    /// Host heap bytes: node capacity plus the payloads that spilled to
+    /// the heap (vacant nodes own none).
+    pub fn heap_bytes(&self) -> u64 {
+        self.nodes.capacity() as u64 * std::mem::size_of::<Node>() as u64
+            + self
+                .nodes
+                .iter()
+                .map(|n| n.pkt.payload.heap_bytes())
+                .sum::<u64>()
+    }
+}
 
 /// Identity of a reducible packet waiting in one input queue: input port,
 /// destination, task, reduction key (payload word 0), and operator.
 ///
-/// [`RouterState::push`] maintains the invariant that at most one queued
+/// [`RouterState::link`] maintains the invariant that at most one queued
 /// packet per signature exists in any input queue — a second arrival
-/// combines into the first instead of enqueueing — so a signature→position
-/// map replaces the old first-match scan of the whole FIFO exactly.
+/// combines into the first instead of enqueueing — so a signature→node
+/// map replaces a first-match scan of the whole FIFO exactly.
 type CombineSig = (u8, u32, u8, u32, ReduceOp);
 
 /// Whether `pkt` participates in in-network combining at all (mirrors the
@@ -32,6 +166,40 @@ fn combine_sig(port: usize, pkt: &Packet) -> Option<CombineSig> {
             Some((port as u8, pkt.dst, pkt.task, pkt.payload.word(0), op))
         }
         _ => None,
+    }
+}
+
+/// The combine index's hasher: one multiply-xor round per field of a
+/// [`CombineSig`]. The map is only ever probed by key — nothing iterates
+/// it — so neither hash values nor bucket order can reach a result, and
+/// the keys are simulated packet headers, not bytes an outsider crafts to
+/// collide, which is what the default SipHash would be paying for.
+#[derive(Debug, Default, Clone, Copy)]
+struct SigHasher(u64);
+
+impl Hasher for SigHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    // a derived `Hash` writes the operator's discriminant as an `isize`
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        // the multiply leaves the entropy in the high bits; the table
+        // picks its bucket from the low ones
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -77,7 +245,7 @@ impl StallMemo {
     }
 }
 
-/// What [`RouterState::push`] did with a packet.
+/// What [`RouterState::link`] did with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pushed {
     /// Flits freed by combining into a queued packet (0 if enqueued).
@@ -89,27 +257,30 @@ pub struct Pushed {
     pub new_head: bool,
 }
 
+/// One input queue: the ids of its first and last node.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
 /// The mutable state of one router.
 ///
-/// Queues are FIFOs; capacity accounting (in flits) lives in the shared
-/// occupancy table so that upstream routers in other shards can reserve
-/// space without touching the queue itself.
-#[derive(Debug, Default)]
+/// Queues are FIFOs of nodes of the owning shard's [`PacketArena`], which
+/// every method that reads or moves a packet takes; capacity accounting
+/// (in flits) lives in the shared occupancy table so that upstream routers
+/// in other shards can reserve space without touching the queue itself.
+#[derive(Debug)]
 pub struct RouterState {
     /// One FIFO per input port.
-    pub queues: [VecDeque<Packet>; IN_PORTS],
+    queues: [Fifo; IN_PORTS],
     /// Bit `p` set ⇔ `queues[p]` is non-empty (the step sweep visits
     /// occupied ports only, instead of scanning all 13 queue heads).
     port_mask: u16,
-    /// Pops per port since the last reset (wrapping). Together with a
-    /// queue position this yields a stable sequence number, which is what
-    /// the combine index stores — positions shift on every pop, sequence
-    /// numbers never do.
-    pops: [u32; IN_PORTS],
-    /// Sequence number of the unique queued reducible packet per
-    /// signature: the bounded replacement for scanning the whole input
-    /// FIFO per reducible push.
-    combine: HashMap<CombineSig, u32>,
+    /// The node of the unique queued reducible packet per signature: the
+    /// bounded replacement for scanning the whole input FIFO per
+    /// reducible push.
+    combine: HashMap<CombineSig, u32, BuildHasherDefault<SigHasher>>,
     /// The verdict this router last slept on and the shard tick of the
     /// full visit that built it. Boxed and allocated on the first stall,
     /// so a router that never stalls pays one null pointer; the box is
@@ -120,6 +291,21 @@ pub struct RouterState {
     /// effects since that tick are still owed to its arbitration
     /// pointers (and are being paid to the counters by the shard).
     asleep: bool,
+}
+
+impl Default for RouterState {
+    fn default() -> Self {
+        RouterState {
+            queues: [Fifo {
+                head: NIL,
+                tail: NIL,
+            }; IN_PORTS],
+            port_mask: 0,
+            combine: HashMap::default(),
+            stall: None,
+            asleep: false,
+        }
+    }
 }
 
 impl RouterState {
@@ -153,7 +339,6 @@ impl RouterState {
     }
 
     /// Whether every input queue is empty.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn is_empty(&self) -> bool {
         self.port_mask == 0
     }
@@ -164,92 +349,143 @@ impl RouterState {
         self.port_mask
     }
 
+    /// The head of input queue `port`.
+    #[inline]
+    pub fn front<'a>(&self, arena: &'a PacketArena, port: usize) -> Option<&'a Packet> {
+        match self.queues[port].head {
+            NIL => None,
+            head => Some(arena.get(head)),
+        }
+    }
+
+    /// The packets of input queue `port`, head first.
+    pub fn iter<'a>(
+        &self,
+        arena: &'a PacketArena,
+        port: usize,
+    ) -> impl Iterator<Item = &'a Packet> + 'a {
+        let mut id = self.queues[port].head;
+        std::iter::from_fn(move || {
+            if id == NIL {
+                return None;
+            }
+            let node = &arena.nodes[id as usize];
+            id = node.next;
+            Some(&node.pkt)
+        })
+    }
+
     /// Pushes a packet into input queue `port`, combining with the queued
     /// reducible packet of the same signature when one exists.
-    pub fn push(&mut self, port: usize, pkt: Packet) -> Pushed {
-        if let Some(sig) = combine_sig(port, &pkt) {
+    pub fn push(&mut self, arena: &mut PacketArena, port: usize, pkt: Packet) -> Pushed {
+        let node = arena.alloc(pkt);
+        self.link(arena, port, node)
+    }
+
+    /// Links live node `node` to the tail of input queue `port` — or, when
+    /// the queue holds a reducible packet of the same signature, combines
+    /// the node's packet into that one and releases the node.
+    pub fn link(&mut self, arena: &mut PacketArena, port: usize, node: u32) -> Pushed {
+        if let Some(sig) = combine_sig(port, arena.get(node)) {
             match self.combine.entry(sig) {
                 Entry::Occupied(slot) => {
-                    let idx = slot.get().wrapping_sub(self.pops[port]) as usize;
-                    let queued = &mut self.queues[port][idx];
-                    debug_assert!(queued.can_combine(&pkt), "combine index out of sync");
-                    queued.combine(&pkt);
+                    let queued = *slot.get();
+                    let pkt = arena.release(node);
+                    arena.get_mut(queued).combine(&pkt);
                     return Pushed {
                         freed: pkt.flits as u32,
-                        new_head: idx == 0,
+                        new_head: self.queues[port].head == queued,
                     };
                 }
                 Entry::Vacant(slot) => {
-                    slot.insert(self.pops[port].wrapping_add(self.queues[port].len() as u32));
+                    slot.insert(node);
                 }
             }
         }
-        let new_head = self.queues[port].is_empty();
-        self.port_mask |= 1 << port;
-        self.queues[port].push_back(pkt);
+        arena.nodes[node as usize].next = NIL;
+        let queue = &mut self.queues[port];
+        let new_head = queue.head == NIL;
+        if new_head {
+            queue.head = node;
+            self.port_mask |= 1 << port;
+        } else {
+            arena.nodes[queue.tail as usize].next = node;
+        }
+        queue.tail = node;
         Pushed { freed: 0, new_head }
     }
 
-    /// Pops the head of input queue `port`.
+    /// Unlinks the head node of input queue `port` and hands it to the
+    /// caller, still live: to stamp and [`RouterState::link`] elsewhere in
+    /// the same arena, or to [`PacketArena::release`].
     ///
     /// # Panics
     ///
     /// Panics if the queue is empty.
-    pub fn pop(&mut self, port: usize) -> Packet {
+    pub fn unlink(&mut self, arena: &PacketArena, port: usize) -> u32 {
         debug_assert!(!self.asleep, "a sleeper settles before it moves a packet");
-        let pkt = self.queues[port]
-            .pop_front()
-            .expect("pop from empty router queue");
-        if self.queues[port].is_empty() {
+        let queue = &mut self.queues[port];
+        let node = queue.head;
+        assert!(node != NIL, "pop from empty router queue");
+        queue.head = arena.nodes[node as usize].next;
+        if queue.head == NIL {
+            queue.tail = NIL;
             self.port_mask &= !(1 << port);
         }
-        self.pops[port] = self.pops[port].wrapping_add(1);
-        if let Some(sig) = combine_sig(port, &pkt) {
+        if let Some(sig) = combine_sig(port, arena.get(node)) {
             // the signature is unique in the queue, so the head is the
             // indexed instance
-            let seq = self.combine.remove(&sig);
-            debug_assert_eq!(seq, Some(self.pops[port].wrapping_sub(1)));
+            let indexed = self.combine.remove(&sig);
+            debug_assert_eq!(indexed, Some(node), "combine index out of sync");
         }
-        pkt
+        node
+    }
+
+    /// Pops the head of input queue `port`, taking the packet out of the
+    /// arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is empty.
+    pub fn pop(&mut self, arena: &mut PacketArena, port: usize) -> Packet {
+        let node = self.unlink(arena, port);
+        arena.release(node)
     }
 
     /// Restores a just-popped packet to the head of queue `port` (eject
     /// refusal: the tile's input queue had no room, retry next cycle).
-    pub fn restore_front(&mut self, port: usize, pkt: Packet) {
-        self.pops[port] = self.pops[port].wrapping_sub(1);
-        if let Some(sig) = combine_sig(port, &pkt) {
-            let prev = self.combine.insert(sig, self.pops[port]);
+    pub fn restore_front(&mut self, arena: &mut PacketArena, port: usize, pkt: Packet) {
+        let node = arena.alloc(pkt);
+        if let Some(sig) = combine_sig(port, arena.get(node)) {
+            let prev = self.combine.insert(sig, node);
             debug_assert!(prev.is_none(), "restored signature already indexed");
         }
-        self.queues[port].push_front(pkt);
-        self.port_mask |= 1 << port;
+        let queue = &mut self.queues[port];
+        arena.nodes[node as usize].next = queue.head;
+        if queue.head == NIL {
+            queue.tail = node;
+            self.port_mask |= 1 << port;
+        }
+        queue.head = node;
     }
 
-    /// Resets bookkeeping so a drained router's box can serve another
-    /// router via the shard free-list. Queue and index *capacity* is
-    /// deliberately kept — recycled buffers are the point of the pool.
-    pub(crate) fn reset_for_reuse(&mut self) {
+    /// Debug-checks that a drained router's box can serve another router
+    /// via the shard free-list as it is: an empty router carries no bit
+    /// that could matter, and the index and memo *capacity* it keeps is
+    /// the point of the pool.
+    pub(crate) fn check_reusable(&self) {
         debug_assert!(
-            self.queues.iter().all(VecDeque::is_empty),
+            self.is_empty() && self.queues.iter().all(|q| q.head == NIL && q.tail == NIL),
             "recycling a router that still holds packets"
         );
         debug_assert!(self.combine.is_empty(), "combine index leaked an entry");
         debug_assert!(!self.asleep, "a drained router cannot be asleep on credit");
-        self.port_mask = 0;
-        self.pops = [0; IN_PORTS];
     }
 
-    /// Host heap bytes owned by this router's queues (buffer capacity
-    /// plus spilled payloads), combine index and stall memo.
+    /// Host heap bytes owned by this router besides its packets (those
+    /// are the arena's): combine index and stall memo.
     pub fn heap_bytes(&self) -> u64 {
-        self.queues
-            .iter()
-            .map(|q| {
-                q.capacity() as u64 * std::mem::size_of::<Packet>() as u64
-                    + q.iter().map(|p| p.payload.heap_bytes()).sum::<u64>()
-            })
-            .sum::<u64>()
-            + self.combine.capacity() as u64 * std::mem::size_of::<(CombineSig, u32)>() as u64
+        self.combine.capacity() as u64 * std::mem::size_of::<(CombineSig, u32)>() as u64
             + self
                 .stall
                 .as_ref()
@@ -260,71 +496,133 @@ impl RouterState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Payload;
 
     fn pkt(dst: u32, key: u32, val: u32) -> Packet {
         Packet::unicast(0, dst, 1, Payload::from_slice(&[key, val]), 2)
             .with_reduce(ReduceOp::MinU32)
     }
 
+    fn plain(dst: u32, word: u32) -> Packet {
+        Packet::unicast(0, dst, 0, Payload::from_slice(&[word]), 1)
+    }
+
     #[test]
     fn push_pop_fifo_order() {
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
-        r.push(0, Packet::unicast(0, 1, 0, Payload::from_slice(&[1]), 1));
-        r.push(0, Packet::unicast(0, 2, 0, Payload::from_slice(&[2]), 1));
+        r.push(&mut a, 0, plain(1, 1));
+        r.push(&mut a, 0, plain(2, 2));
         assert_eq!(r.port_mask(), 1);
-        assert_eq!(r.pop(0).dst, 1);
-        assert_eq!(r.pop(0).dst, 2);
-        assert!(r.is_empty());
+        assert_eq!(r.front(&a, 0).map(|p| p.dst), Some(1));
+        assert_eq!(r.iter(&a, 0).map(|p| p.dst).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(r.pop(&mut a, 0).dst, 1);
+        assert_eq!(r.pop(&mut a, 0).dst, 2);
+        assert!(r.is_empty() && r.front(&a, 0).is_none());
+        assert!(a.all_vacant());
+    }
+
+    #[test]
+    fn a_hop_relinks_the_node_it_unlinked() {
+        let mut a = PacketArena::default();
+        let (mut here, mut there) = (RouterState::default(), RouterState::default());
+        here.push(&mut a, 2, plain(9, 7));
+        there.push(&mut a, 4, plain(9, 8));
+        let node = here.unlink(&a, 2);
+        a.get_mut(node).ready_at = 5;
+        assert!(here.is_empty());
+        assert_eq!(a.live(), 2, "an unlinked node stays live");
+        let pushed = there.link(&mut a, 4, node);
+        assert_eq!(
+            pushed,
+            Pushed {
+                freed: 0,
+                new_head: false
+            }
+        );
+        assert_eq!(a.nodes(), 2, "the hop allocated nothing");
+        assert_eq!(there.pop(&mut a, 4).payload.word(0), 8);
+        let moved = there.pop(&mut a, 4);
+        assert_eq!((moved.payload.word(0), moved.ready_at), (7, 5));
+    }
+
+    #[test]
+    fn released_nodes_are_reused_last_out_first_and_own_no_payload() {
+        let mut a = PacketArena::default();
+        let big: Vec<u32> = (0..16).collect();
+        let ids: Vec<u32> = (0..3)
+            .map(|_| a.alloc(Packet::unicast(0, 1, 0, Payload::from_slice(&big), 17)))
+            .collect();
+        let full = a.heap_bytes();
+        assert_eq!(a.release(ids[0]).payload.as_slice(), &big[..]);
+        a.release(ids[2]);
+        assert_eq!(
+            full - a.heap_bytes(),
+            2 * 64,
+            "a vacant node spills nothing"
+        );
+        assert_eq!((a.live(), a.nodes()), (1, 3));
+        assert_eq!(a.alloc(plain(1, 1)), ids[2]);
+        assert_eq!(a.alloc(plain(1, 2)), ids[0]);
+        assert_eq!(a.alloc(plain(1, 3)), 3, "grows only when none is vacant");
+        assert!(!a.all_vacant());
     }
 
     #[test]
     fn push_combines_reducible_packets() {
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
-        assert_eq!(r.push(0, pkt(9, 7, 10)).freed, 0);
-        let freed = r.push(0, pkt(9, 7, 4)).freed;
+        assert_eq!(r.push(&mut a, 0, pkt(9, 7, 10)).freed, 0);
+        let freed = r.push(&mut a, 0, pkt(9, 7, 4)).freed;
         assert_eq!(freed, 2, "combined packet frees its flits");
-        let head = r.pop(0);
+        assert_eq!(a.live(), 1, "the combined packet's node is released");
+        let head = r.pop(&mut a, 0);
         assert_eq!(head.payload.word(1), 4);
         assert!(r.is_empty());
     }
 
     #[test]
     fn push_does_not_combine_across_keys() {
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
-        r.push(0, pkt(9, 7, 10));
-        assert_eq!(r.push(0, pkt(9, 8, 4)).freed, 0);
-        assert_eq!(r.pop(0).payload.word(0), 7);
-        assert_eq!(r.pop(0).payload.word(0), 8);
+        r.push(&mut a, 0, pkt(9, 7, 10));
+        assert_eq!(r.push(&mut a, 0, pkt(9, 8, 4)).freed, 0);
+        assert_eq!(r.pop(&mut a, 0).payload.word(0), 7);
+        assert_eq!(r.pop(&mut a, 0).payload.word(0), 8);
     }
 
     #[test]
     fn combine_index_survives_deep_queues_and_pops() {
-        // The satellite regression test: the old implementation walked the
-        // whole FIFO per reducible push (quadratic under dense reduction
-        // traffic); the index must keep behaving identically — first (and
-        // only) same-signature packet combines, at any queue depth, even
-        // after the positions under it shift through pops and restores.
+        // The old implementation walked the whole FIFO per reducible push
+        // (quadratic under dense reduction traffic); the index must keep
+        // behaving identically — first (and only) same-signature packet
+        // combines, at any queue depth, even after the queue under it
+        // shifts through pops and restores.
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
         // 64 distinct-key reducible packets + one plain packet in front
-        r.push(3, Packet::unicast(0, 9, 1, Payload::from_slice(&[999]), 1));
+        r.push(
+            &mut a,
+            3,
+            Packet::unicast(0, 9, 1, Payload::from_slice(&[999]), 1),
+        );
         for key in 0..64 {
-            assert_eq!(r.push(3, pkt(9, key, key + 100)).freed, 0);
+            assert_eq!(r.push(&mut a, 3, pkt(9, key, key + 100)).freed, 0);
         }
         // a second wave combines into every queued packet, regardless of
         // how deep it sits
         for key in 0..64 {
-            assert_eq!(r.push(3, pkt(9, key, 1)).freed, 2, "key {key} must combine");
+            let freed = r.push(&mut a, 3, pkt(9, key, 1)).freed;
+            assert_eq!(freed, 2, "key {key} must combine");
         }
         // shift the queue: pop the plain head and the first 10 reduced
         // packets, then push a third wave — survivors still combine, the
         // popped keys re-enqueue
-        assert_eq!(r.pop(3).payload.word(0), 999);
+        assert_eq!(r.pop(&mut a, 3).payload.word(0), 999);
         for _ in 0..10 {
-            r.pop(3);
+            r.pop(&mut a, 3);
         }
         for key in 0..64 {
-            let freed = r.push(3, pkt(9, key, 2)).freed;
+            let freed = r.push(&mut a, 3, pkt(9, key, 2)).freed;
             if key < 10 {
                 assert_eq!(freed, 0, "popped key {key} re-enqueues");
             } else {
@@ -332,45 +630,69 @@ mod tests {
             }
         }
         // restore-front keeps the index consistent too
-        let head = r.pop(3);
+        let head = r.pop(&mut a, 3);
         let key = head.payload.word(0);
-        r.restore_front(3, head);
-        assert_eq!(r.push(3, pkt(9, key, 3)).freed, 2, "restored head combines");
+        r.restore_front(&mut a, 3, head);
+        let freed = r.push(&mut a, 3, pkt(9, key, 3)).freed;
+        assert_eq!(freed, 2, "restored head combines");
+        assert_eq!(a.live(), 64);
     }
 
     #[test]
     fn reduce_without_key_words_never_indexes() {
         // reducible flag but payload < 2 words: can_combine is always
         // false for these, so they enqueue and never join the index
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
         let short =
             Packet::unicast(0, 9, 1, Payload::from_slice(&[7]), 1).with_reduce(ReduceOp::SumU32);
-        assert_eq!(r.push(0, short.clone()).freed, 0);
-        assert_eq!(
-            r.push(0, short).freed,
-            0,
-            "second short packet also enqueues"
-        );
-        assert_eq!(r.queues[0].len(), 2);
+        assert_eq!(r.push(&mut a, 0, short.clone()).freed, 0);
+        let freed = r.push(&mut a, 0, short).freed;
+        assert_eq!(freed, 0, "second short packet also enqueues");
+        assert_eq!(r.iter(&a, 0).count(), 2);
     }
 
     #[test]
     fn only_a_changed_head_reports_a_new_head() {
         let enqueued = |new_head| Pushed { freed: 0, new_head };
         let combined = |new_head| Pushed { freed: 2, new_head };
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
-        assert_eq!(r.push(0, pkt(9, 7, 10)), enqueued(true), "empty port");
-        // behind an existing head: the verdict cannot change
-        assert_eq!(r.push(0, pkt(9, 8, 1)), enqueued(false));
-        // combining into a queued non-head packet: same
-        assert_eq!(r.push(0, pkt(9, 8, 0)), combined(false));
-        // combining into the head may delay its ready_at
-        assert_eq!(r.push(0, pkt(9, 7, 3)), combined(true));
         assert_eq!(
-            r.push(5, pkt(9, 7, 1)),
+            r.push(&mut a, 0, pkt(9, 7, 10)),
+            enqueued(true),
+            "empty port"
+        );
+        // behind an existing head: the verdict cannot change
+        assert_eq!(r.push(&mut a, 0, pkt(9, 8, 1)), enqueued(false));
+        // combining into a queued non-head packet: same
+        assert_eq!(r.push(&mut a, 0, pkt(9, 8, 0)), combined(false));
+        // combining into the head may delay its ready_at
+        assert_eq!(r.push(&mut a, 0, pkt(9, 7, 3)), combined(true));
+        assert_eq!(
+            r.push(&mut a, 5, pkt(9, 7, 1)),
             enqueued(true),
             "another empty port"
         );
+    }
+
+    #[test]
+    fn the_signature_hash_spreads_neighbouring_keys() {
+        use std::hash::{BuildHasher, Hash};
+        let build = BuildHasherDefault::<SigHasher>::default();
+        // the hash table takes its bucket from the low bits and its tag
+        // from the top seven: neither may collapse on dense keys
+        let (mut low, mut top) = ([0u32; 128], [0u32; 128]);
+        for key in 0..4096u32 {
+            let sig: CombineSig = (3, 9, 1, key, ReduceOp::MinU32);
+            let mut h = build.build_hasher();
+            sig.hash(&mut h);
+            low[(h.finish() & 127) as usize] += 1;
+            top[(h.finish() >> 57) as usize] += 1;
+        }
+        for n in low.into_iter().chain(top) {
+            assert!((8..=96).contains(&n), "a bucket of 32 expected holds {n}");
+        }
     }
 
     #[test]
@@ -383,44 +705,37 @@ mod tests {
             cands: [0; OUT_DIRS],
             watch: [(4, 2); IN_PORTS],
         };
+        let mut a = PacketArena::default();
         let mut r = RouterState::default();
-        r.push(0, pkt(9, 7, 10));
+        r.push(&mut a, 0, pkt(9, 7, 10));
         assert!(r.sleeping().is_none());
         assert!(r.wake_up().is_none(), "nothing to settle");
         r.sleep_on(memo.clone(), 41);
         assert_eq!(r.sleeping(), Some((&memo, 41)));
         // pushes do not end the sleep: the shard wakes the router and the
         // visit settles first
-        r.push(5, pkt(9, 7, 1));
+        r.push(&mut a, 5, pkt(9, 7, 1));
         assert_eq!(r.sleeping(), Some((&memo, 41)));
         assert_eq!(r.wake_up(), Some((&memo, 41)));
         assert!(
             r.sleeping().is_none() && r.wake_up().is_none(),
             "settled once"
         );
-        // recycling keeps the allocation, not the sleep
+        // recycling keeps the allocations, not the sleep
         while !r.is_empty() {
             let port = r.port_mask().trailing_zeros() as usize;
-            r.pop(port);
+            r.pop(&mut a, port);
         }
-        r.reset_for_reuse();
+        r.check_reusable();
         assert!(r.sleeping().is_none());
         assert!(r.heap_bytes() >= std::mem::size_of::<StallMemo>() as u64);
     }
 
     #[test]
-    fn reuse_reset_keeps_capacity() {
-        let mut r = RouterState::default();
-        for i in 0..32 {
-            r.push(5, pkt(9, i, i));
-        }
-        let cap_before = r.queues[5].capacity();
-        assert!(cap_before >= 32);
-        while !r.is_empty() {
-            r.pop(5);
-        }
-        r.reset_for_reuse();
-        assert_eq!(r.port_mask(), 0);
-        assert_eq!(r.queues[5].capacity(), cap_before, "buffers are recycled");
+    fn the_router_box_stays_small() {
+        // what a materialized router costs besides its packets: 13 queue
+        // links, the index header, the memo pointer
+        assert!(std::mem::size_of::<RouterState>() <= 176);
+        assert_eq!(std::mem::size_of::<Node>(), 72);
     }
 }

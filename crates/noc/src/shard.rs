@@ -9,16 +9,25 @@
 //! router, freed buffer space becomes visible at the next cycle boundary
 //! in both modes, and packets never move in the cycle they arrive.
 //!
-//! Router state is split hot/cold. The per-cycle scalars the sweeps
-//! actually read — `queued_msgs`, `busy_until`, `rr_ptr` — live in dense
-//! arrays indexed by local router id, so the active-router drain walks
-//! contiguous memory. The cold bulk (the 13 packet FIFOs and the combine
-//! index) lives in a lazily materialized `Box<RouterState>`: a router that
+//! Router state is split three ways. The per-cycle scalars the sweeps
+//! actually read — `queued_msgs`, `wake`, `busy_until`, `rr_ptr` — live in
+//! dense arrays indexed by local router id, so the active-router drain
+//! walks contiguous memory. The packets live in one [`PacketArena`] per
+//! shard (see [`crate::router`]): a router input queue is a pair of node
+//! ids, and a hop to a router of the same shard unlinks the head node,
+//! stamps `vc`/`ready_at` in place, parks the node *id* in
+//! `pending_pushes` and links it to the destination queue at the next
+//! cycle boundary — the packet itself never moves. The shard takes a
+//! `Packet` out of its arena only to eject it, to hand it to another
+//! shard's mailbox (node ids index this shard's arena and mean nothing in
+//! another's), or when an arriving packet combines into a queued one.
+//! What is left per router — 13 queue links, the combine index, the stall
+//! memo — sits in a lazily materialized `Box<RouterState>`: a router that
 //! never sees a packet costs one null pointer plus a few SoA slots. A
 //! *drained* router returns its box to a per-shard free-list — its link
 //! clocks survive in the SoA arrays (they must: `busy_until` keeps
 //! serializing across idle gaps), while the next router to wake reuses the
-//! box's queue buffers instead of round-tripping the allocator.
+//! box and its index allocation instead of round-tripping the allocator.
 
 use crate::counters::{class_index, NocCounters, RouterVisits};
 use crate::credit::{admits, Credit};
@@ -27,7 +36,7 @@ use crate::network::{EjectSink, SharedNet};
 use crate::packet::Packet;
 use crate::port::{InPort, OutDir, IN_PORTS, OUT_DIRS};
 use crate::route;
-use crate::router::{RouterState, StallMemo};
+use crate::router::{PacketArena, RouterState, StallMemo};
 use crate::topo::{FastDiv, TopoInfo};
 use crate::trace::TraceEvent;
 use crate::worklist::ActiveSet;
@@ -70,16 +79,21 @@ impl Candidates {
     /// candidate and the earliest `ready_at` among immature heads
     /// (`u64::MAX` if none).
     #[inline]
-    fn scan(&mut self, router: &RouterState, topo: &TopoInfo, tile: u32, cycle: u64) -> (u16, u64) {
+    fn scan(
+        &mut self,
+        router: &RouterState,
+        arena: &PacketArena,
+        topo: &TopoInfo,
+        tile: u32,
+        cycle: u64,
+    ) -> (u16, u64) {
         let mut ripen = u64::MAX;
         let mut dirty: u16 = 0;
         let mut mask = router.port_mask();
         while mask != 0 {
             let port = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let head = router.queues[port]
-                .front()
-                .expect("mask bit implies a head");
+            let head = router.front(arena, port).expect("mask bit implies a head");
             if head.ready_at <= cycle {
                 let d = route::decide(topo, tile, InPort::ALL[port], head.vc, head.dst);
                 let oi = d.dir.index();
@@ -111,6 +125,7 @@ fn stall_verdict(
     mut dirty: u16,
     ripen: u64,
     router: &RouterState,
+    arena: &PacketArena,
     busy_until: &[u64],
     cycle: u64,
     topo: &TopoInfo,
@@ -143,10 +158,7 @@ fn stall_verdict(
                 .expect("routing chose a non-existent link");
             let qid = topo.queue_id(dest, in_port);
             let occ = occupancy[qid].flits();
-            let flits = router.queues[port]
-                .front()
-                .expect("candidate has head")
-                .flits as u32;
+            let flits = router.front(arena, port).expect("candidate has head").flits as u32;
             if admits(occ, flits, topo.queue_capacity_flits) {
                 return None;
             }
@@ -196,9 +208,11 @@ fn rotate_rr(mask: u16, last: u8, k: u64) -> u8 {
 /// verdict has not expired. Anything else means a wake event was missed.
 /// Every skipped visit of every sleeper of every debug test is checked
 /// against per-cycle re-evaluation this way, not trusted.
+#[allow(clippy::too_many_arguments)]
 fn assert_sleep_is_sound(
     memo: &StallMemo,
     router: &RouterState,
+    arena: &PacketArena,
     busy_until: &[u64],
     cycle: u64,
     topo: &TopoInfo,
@@ -211,9 +225,9 @@ fn assert_sleep_is_sound(
         memo.until
     );
     let mut c = Candidates::new();
-    let (dirty, ripen) = c.scan(router, topo, tile, cycle);
+    let (dirty, ripen) = c.scan(router, arena, topo, tile, cycle);
     let fresh = stall_verdict(
-        &c, dirty, ripen, router, busy_until, cycle, topo, tile, occupancy,
+        &c, dirty, ripen, router, arena, busy_until, cycle, topo, tile, occupancy,
     );
     assert_eq!(
         fresh.as_ref(),
@@ -250,12 +264,25 @@ struct Owed {
     backpressure: u64,
 }
 
+/// A same-shard forward between [`Shard::step`], which unlinked `node`
+/// and stamped its packet, and the next [`Shard::begin_cycle`], which
+/// links it to queue `port` of router `local` (mirrors the mailbox delay
+/// of cross-shard pushes). The global queue id is captured at forward
+/// time so `begin_cycle` does not re-derive it from coordinates.
+#[derive(Debug, Clone, Copy)]
+struct PendingPush {
+    local: u32,
+    node: u32,
+    qid: u32,
+    port: u8,
+}
+
 /// Lazily materializes the router at `local`, reusing a pooled box when
 /// one is available.
 ///
 /// The pool holds `Box`es (not bare `RouterState`s) so a recycled
 /// router moves back into the `Option<Box<_>>` slot as a pointer, never
-/// memcpying the large queue struct.
+/// memcpying the struct.
 #[allow(clippy::vec_box)]
 fn router_mut<'a>(
     routers: &'a mut [Option<Box<RouterState>>],
@@ -273,12 +300,15 @@ pub struct Shard {
     /// Reciprocal divider for the shard's column count (hot: local
     /// router index → shard-relative coordinates).
     div_ncols: FastDiv,
+    /// Every packet this shard holds, queued or parked in
+    /// `pending_pushes`: live nodes == [`Shard::queued_packets`].
+    arena: PacketArena,
     /// Per-router cold state, `None` while the router holds no packets.
     routers: Vec<Option<Box<RouterState>>>,
-    /// Drained router boxes awaiting reuse: the recycled
-    /// `VecDeque<Packet>` buffers that make steady-state dense traffic
-    /// allocator-free. Boxes on purpose — reuse moves a pointer back
-    /// into the `routers` slot, not the struct.
+    /// Drained router boxes awaiting reuse; with the arena's free list
+    /// they make steady-state dense traffic allocator-free. Boxes on
+    /// purpose — reuse moves a pointer back into the `routers` slot, not
+    /// the struct.
     #[allow(clippy::vec_box)]
     pool: Vec<Box<RouterState>>,
     /// Packets queued per router (SoA; the worklist's emptiness check).
@@ -316,11 +346,8 @@ pub struct Shard {
     /// heat-map tracking is disabled (verbosity < V2).
     busy_frame: Vec<u32>,
     /// Pushes into this shard's own queues, applied at the next cycle
-    /// boundary (mirrors the mailbox delay of cross-shard pushes). Each
-    /// entry carries `(local router, input port, global queue id, pkt)`;
-    /// the queue id is captured at forward time so `begin_cycle` does
-    /// not re-derive it from coordinates.
-    pending_pushes: Vec<(usize, usize, usize, Packet)>,
+    /// boundary.
+    pending_pushes: Vec<PendingPush>,
     /// Occupancy decrements from this cycle's pops, applied at the next
     /// cycle boundary (credit-return delay; keeps parallel == sequential).
     pending_frees: Vec<(usize, u32)>,
@@ -348,6 +375,7 @@ impl Shard {
             idx,
             div_ncols: FastDiv::new(cols.end - cols.start),
             cols,
+            arena: PacketArena::default(),
             routers: (0..n).map(|_| None).collect(),
             pool: Vec::new(),
             queued_msgs: vec![0; n],
@@ -426,6 +454,12 @@ impl Shard {
         self.pool.len()
     }
 
+    /// Packet nodes this shard's arena has ever created (live + vacant):
+    /// the high-water mark of packets held at once.
+    pub fn arena_nodes(&self) -> usize {
+        self.arena.nodes()
+    }
+
     fn local_of(&self, x: u32, y: u32) -> usize {
         debug_assert!(
             self.cols.contains(&x),
@@ -447,7 +481,13 @@ impl Shard {
 
     /// Whether all queues and pending buffers of this shard are empty.
     pub fn is_drained(&self) -> bool {
-        self.pending_pushes.is_empty() && self.queued_msgs.iter().all(|&q| q == 0)
+        let drained = self.pending_pushes.is_empty() && self.queued_msgs.iter().all(|&q| q == 0);
+        debug_assert!(
+            !drained || self.arena.all_vacant(),
+            "a drained shard still owns {} packet nodes",
+            self.arena.live()
+        );
+        drained
     }
 
     /// The earliest cycle after `now` at which this shard can move a
@@ -465,8 +505,8 @@ impl Shard {
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let floor = now + 1;
         let mut horizon: Option<u64> = None;
-        for (_, _, _, pkt) in &self.pending_pushes {
-            let c = pkt.ready_at.max(floor);
+        for push in &self.pending_pushes {
+            let c = self.arena.get(push.node).ready_at.max(floor);
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
         }
         // only active routers can hold traffic (every push activates its
@@ -487,7 +527,7 @@ impl Shard {
             while mask != 0 {
                 let port = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let head = r.queues[port].front().expect("mask bit implies a head");
+                let head = r.front(&self.arena, port).expect("mask bit implies a head");
                 let c = head.ready_at.max(floor);
                 horizon = Some(horizon.map_or(c, |h| h.min(c)));
             }
@@ -497,17 +537,20 @@ impl Shard {
 
     /// Packets currently queued (including pending pushes).
     pub fn queued_packets(&self) -> u64 {
-        self.pending_pushes.len() as u64 + self.queued_msgs.iter().map(|&q| q as u64).sum::<u64>()
+        let queued = self.pending_pushes.len() as u64
+            + self.queued_msgs.iter().map(|&q| q as u64).sum::<u64>();
+        debug_assert_eq!(queued, self.arena.live() as u64, "packet nodes leaked");
+        queued
     }
 
-    /// Pushes `pkt` into queue `port` of router `local`, maintaining the
-    /// worklist, the per-router packet count, the wake bound, and the
-    /// credit/in-flight balance when the push combines (shared by every
-    /// delivery site).
-    fn deliver(&mut self, shared: &SharedNet, local: usize, qid: usize, port: usize, pkt: Packet) {
-        let ready_at = pkt.ready_at;
+    /// Links live node `node` into queue `port` of router `local`,
+    /// maintaining the worklist, the per-router packet count, the wake
+    /// bound, and the credit/in-flight balance when the push combines
+    /// (shared by every delivery site).
+    fn deliver(&mut self, shared: &SharedNet, local: usize, qid: usize, port: usize, node: u32) {
+        let ready_at = self.arena.get(node).ready_at;
         let router = router_mut(&mut self.routers, &mut self.pool, local);
-        let pushed = router.push(port, pkt);
+        let pushed = router.link(&mut self.arena, port, node);
         if pushed.new_head {
             wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
@@ -591,10 +634,17 @@ impl Shard {
             }
         }
         self.pending_frees = frees;
-        let pushes = std::mem::take(&mut self.pending_pushes);
-        for (local, port, qid, pkt) in pushes {
-            self.deliver(shared, local, qid, port, pkt);
+        let mut pushes = std::mem::take(&mut self.pending_pushes);
+        for p in pushes.drain(..) {
+            self.deliver(
+                shared,
+                p.local as usize,
+                p.qid as usize,
+                p.port as usize,
+                p.node,
+            );
         }
+        self.pending_pushes = pushes;
         for producer in 0..shared.num_shards() {
             if producer == self.idx {
                 continue;
@@ -603,7 +653,8 @@ impl Shard {
             for (tile, port, pkt) in inbox.drain(..) {
                 let local = self.local_idx(tile, &shared.topo);
                 let qid = shared.topo.queue_id(tile, port);
-                self.deliver(shared, local, qid, port.index(), pkt);
+                let node = self.arena.alloc(pkt);
+                self.deliver(shared, local, qid, port.index(), node);
             }
         }
     }
@@ -664,6 +715,7 @@ impl Shard {
             idx,
             cols,
             div_ncols,
+            arena,
             routers,
             pool,
             queued_msgs,
@@ -711,6 +763,7 @@ impl Shard {
                         assert_sleep_is_sound(
                             memo,
                             router,
+                            arena,
                             &busy_until[links],
                             cycle,
                             topo,
@@ -746,7 +799,7 @@ impl Shard {
                 counters.collisions -= u64::from(memo.collisions);
                 counters.backpressure -= stalled;
             }
-            let (mut dirty, ripen) = c.scan(router, topo, tile, cycle);
+            let (mut dirty, ripen) = c.scan(router, arena, topo, tile, cycle);
             if dirty == 0 {
                 // every head is immature: sleep until the earliest ripens
                 wake[local] = ripen;
@@ -782,7 +835,7 @@ impl Shard {
                 let pick = pick as usize;
                 if out == OutDir::Eject {
                     eject_tried = true;
-                    let pkt = router.pop(pick);
+                    let pkt = router.pop(arena, pick);
                     queued_msgs[local] -= 1;
                     let flits = pkt.flits;
                     let born = pkt.born;
@@ -798,7 +851,7 @@ impl Shard {
                         }
                         Err(pkt) => {
                             // refused: restore head position
-                            router.restore_front(pick, pkt);
+                            router.restore_front(arena, pick, pkt);
                             queued_msgs[local] += 1;
                             counters.eject_stalls += 1;
                         }
@@ -811,17 +864,15 @@ impl Shard {
                     .expect("routing chose a non-existent link");
                 let dest = dy * width + dx;
                 let qid = topo.queue_id(dest, in_port);
-                let flits = router.queues[pick]
-                    .front()
-                    .expect("candidate has head")
-                    .flits as u32;
+                let flits = router.front(arena, pick).expect("candidate has head").flits as u32;
                 if !shared.occupancy[qid].reserve(flits, topo.queue_capacity_flits) {
                     counters.backpressure += 1;
                     continue;
                 }
-                let mut pkt = router.pop(pick);
+                let node = router.unlink(arena, pick);
                 queued_msgs[local] -= 1;
                 pending_frees.push((topo.queue_id(tile, InPort::ALL[pick]), flits));
+                let pkt = arena.get_mut(node);
                 pkt.vc = vc;
                 pkt.ready_at = cycle + hop + (flits as u64 - 1);
                 busy_until[local * OUT_DIRS + oi] = cycle + flits as u64;
@@ -832,13 +883,21 @@ impl Shard {
                 }
                 let dest_shard = shared.shard_of_col[dx as usize] as usize;
                 if dest_shard == *idx {
-                    let dlocal = (dy * ncols + (dx - col_start)) as usize;
-                    pending_pushes.push((dlocal, in_port.index(), qid, pkt));
+                    // the node changes queues, the packet stays where it is
+                    pending_pushes.push(PendingPush {
+                        local: dy * ncols + (dx - col_start),
+                        node,
+                        // tile and queue ids fit `u32` (`MAX_TILES`)
+                        qid: qid as u32,
+                        port: in_port.index() as u8,
+                    });
                 } else {
-                    shared
-                        .mailbox(dest_shard, *idx)
-                        .lock()
-                        .push((dest, in_port, pkt));
+                    // node ids mean nothing in another shard's arena
+                    shared.mailbox(dest_shard, *idx).lock().push((
+                        dest,
+                        in_port,
+                        arena.release(node),
+                    ));
                 }
                 moved = true;
             }
@@ -855,6 +914,7 @@ impl Shard {
                         candidate_dirs,
                         ripen,
                         router,
+                        arena,
                         &busy_until[links],
                         cycle,
                         topo,
@@ -893,8 +953,8 @@ impl Shard {
             if queued_msgs[local] > 0 {
                 return true;
             }
-            let mut drained = routers[local].take().expect("materialized above");
-            drained.reset_for_reuse();
+            let drained = routers[local].take().expect("materialized above");
+            drained.check_reusable();
             pool.push(drained);
             // the next delivery's min() then records its exact ready_at
             wake[local] = u64::MAX;
@@ -930,9 +990,10 @@ impl Shard {
         }
     }
 
-    /// Host heap bytes owned by this shard: the router pointer table, the
-    /// SoA hot-state arrays, every materialized or pooled router's
-    /// queues, the busy grid, and the pending-push/free buffers.
+    /// Host heap bytes owned by this shard: the packet arena (node
+    /// capacity plus spilled payloads), the router pointer table, the SoA
+    /// hot-state arrays, every materialized or pooled router's box, the
+    /// busy grid, and the pending-push/free buffers.
     pub fn heap_bytes(&self) -> u64 {
         let ptr = std::mem::size_of::<Option<Box<RouterState>>>() as u64;
         let per_router =
@@ -953,19 +1014,14 @@ impl Shard {
         });
         routers
             + trace
+            + self.arena.heap_bytes()
             + self.pool.capacity() as u64 * ptr
             + self.queued_msgs.capacity() as u64 * 4
             + self.wake.capacity() as u64 * 8
             + self.busy_until.capacity() as u64 * 8
             + self.rr_ptr.capacity() as u64
             + self.busy_frame.capacity() as u64 * 4
-            + self.pending_pushes.capacity() as u64
-                * std::mem::size_of::<(usize, usize, usize, Packet)>() as u64
-            + self
-                .pending_pushes
-                .iter()
-                .map(|(_, _, _, p)| p.payload.heap_bytes())
-                .sum::<u64>()
+            + self.pending_pushes.capacity() as u64 * std::mem::size_of::<PendingPush>() as u64
             + self.pending_frees.capacity() as u64 * std::mem::size_of::<(usize, u32)>() as u64
             + self.active.heap_bytes()
     }
@@ -1011,8 +1067,8 @@ impl Shard {
                 continue;
             };
             let tile = self.global_tile(local, width);
-            for (port, queue) in router.queues.iter().enumerate() {
-                for pkt in queue {
+            for port in 0..IN_PORTS {
+                for pkt in router.iter(&self.arena, port) {
                     out.push((tile, port as u8, pkt));
                 }
             }
@@ -1100,7 +1156,7 @@ impl Shard {
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         let ready_at = pkt.ready_at;
         let router = router_mut(&mut self.routers, &mut self.pool, local);
-        let pushed = router.push(port.index(), pkt);
+        let pushed = router.push(&mut self.arena, port.index(), pkt);
         if pushed.new_head {
             wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
@@ -1182,7 +1238,7 @@ impl InjectBatch<'_> {
         }
         let ready_at = pkt.ready_at;
         let router = router_mut(&mut self.shard.routers, &mut self.shard.pool, self.local);
-        let pushed = router.push(InPort::Inject.index(), pkt);
+        let pushed = router.push(&mut self.shard.arena, InPort::Inject.index(), pkt);
         if pushed.new_head {
             wake_for_new_head(&mut self.shard.wake[self.local], router, ready_at);
         }
@@ -1270,18 +1326,21 @@ mod tests {
             .unwrap();
         let topo = TopoInfo::from_system(&cfg);
         let occupancy: Vec<Credit> = (0..topo.num_queues()).map(|_| Credit::default()).collect();
+        let mut arena = PacketArena::default();
         let mut router = RouterState::default();
         let inject = InPort::Inject.index();
         router.push(
+            &mut arena,
             inject,
             Packet::unicast(1, 2, 0, crate::Payload::empty(), 10),
         );
         let mut c = Candidates::new();
-        let (dirty, ripen) = c.scan(&router, &topo, 1, 0);
+        let (dirty, ripen) = c.scan(&router, &arena, &topo, 1, 0);
         assert_eq!((dirty, ripen), (1 << OutDir::E.index(), u64::MAX));
         let links = [0u64; OUT_DIRS];
-        let verdict =
-            |occ: &[Credit]| stall_verdict(&c, dirty, ripen, &router, &links, 0, &topo, 1, occ);
+        let verdict = |occ: &[Credit]| {
+            stall_verdict(&c, dirty, ripen, &router, &arena, &links, 0, &topo, 1, occ)
+        };
         assert_eq!(
             verdict(&occupancy),
             None,
@@ -1298,8 +1357,10 @@ mod tests {
         // verdict holds until the link frees
         let mut busy = links;
         busy[OutDir::E.index()] = 7;
-        let asleep = stall_verdict(&c, dirty, ripen, &router, &busy, 0, &topo, 1, &occupancy)
-            .expect("nothing can move");
+        let asleep = stall_verdict(
+            &c, dirty, ripen, &router, &arena, &busy, 0, &topo, 1, &occupancy,
+        )
+        .expect("nothing can move");
         assert_eq!((asleep.dirs, asleep.until), (0, 7));
     }
 

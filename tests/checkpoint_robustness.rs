@@ -185,6 +185,10 @@ struct Offsets {
     prefixes: Vec<usize>,
     /// The chunk's `u64` byte length.
     chunk_len: usize,
+    /// The plane's NoC counters and latency statistics; both lead with a
+    /// `u64` count that is non-zero once a packet has been delivered.
+    counters: usize,
+    latency: usize,
     /// The `u32` count of queued-packet records, and the first byte
     /// after the last of them.
     packets: (usize, usize),
@@ -223,7 +227,9 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
     skip!(FrameLog);
     prefixes.push(here!());
     assert_eq!(skip!(u32), 1, "one NoC plane");
+    let counters = here!();
     skip!(NocCounters);
+    let latency = here!();
     skip!(LatencyStats);
     let packets_at = here!();
     let packets = r.seq::<PacketRecord>().expect("packet records");
@@ -239,6 +245,8 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
     let found = Offsets {
         prefixes,
         chunk_len,
+        counters,
+        latency,
         packets: (packets_at, packets_end),
         first_rr: (!rr.is_empty()).then_some(rr_at + 4),
         first_tile: here!(),
@@ -260,6 +268,23 @@ fn edit_packets(bytes: &[u8], edit: impl FnOnce(&mut Vec<PacketRecord>)) -> Vec<
     let old_len = u64::from_le_bytes(bytes[at.chunk_len..at.chunk_len + 8].try_into().unwrap());
     let new_len = old_len + section.len() as u64 - (end - start) as u64;
     out[at.chunk_len..at.chunk_len + 8].copy_from_slice(&new_len.to_le_bytes());
+    restamp_checksum(&mut out);
+    out
+}
+
+/// Makes a two-chunk file of a one-chunk one: the second chunk is the
+/// first again, with the `u64` at file offset `field` raised to its
+/// maximum, so that summing the two chunks overflows it.
+fn second_chunk_overflowing(bytes: &[u8], field: usize) -> Vec<u8> {
+    let (at, _) = offsets(bytes);
+    let body = bytes.len() - 8;
+    let mut twin = bytes[at.chunk_len..body].to_vec();
+    let field = field - at.chunk_len;
+    twin[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut out = bytes[..body].to_vec();
+    out[at.chunk_len - 4..at.chunk_len].copy_from_slice(&2u32.to_le_bytes());
+    out.extend_from_slice(&twin);
+    out.extend_from_slice(&[0; 8]);
     restamp_checksum(&mut out);
     out
 }
@@ -366,6 +391,18 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             "tile scheduler cursor",
             byte(at.first_tile + 9, 1),
             "scheduler cursor",
+        ),
+        // additive state of a crafted second chunk: summed with checks,
+        // whatever the build's overflow setting
+        (
+            "injected packets of two chunks",
+            Box::new(move |b| second_chunk_overflowing(b, at.counters)),
+            "NoC counters overflow",
+        ),
+        (
+            "latency samples of two chunks",
+            Box::new(move |b| second_chunk_overflowing(b, at.latency)),
+            "latency counters overflow",
         ),
     ];
     for (name, edit, want) in table {

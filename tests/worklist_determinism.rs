@@ -12,9 +12,10 @@
 //! execution mode, so there is no second code path whose results could
 //! diverge. Its behavioral invisibility is pinned the same way as every
 //! layout change: by the golden traces and the mode matrix here staying
-//! bit-identical. The pooled router boxes do have a property suite of
-//! their own (`crates/noc/tests/prop_pool.rs`: recycled vs fresh buffers
-//! are indistinguishable).
+//! bit-identical. The packet arena and the pooled router boxes do have
+//! a property suite of their own (`crates/noc/tests/prop_arena.rs`: the
+//! linked queues against a `VecDeque` model, recycled vs fresh boxes and
+//! nodes indistinguishable).
 
 use muchisim::apps::{run_benchmark, Benchmark};
 use muchisim::config::{DramConfig, SystemConfig, Verbosity};
