@@ -282,9 +282,9 @@ fn main() {
         last.result.bytes_per_tile(),
         last.side
     );
-    // ... and stays within a small fixed budget at the top size: 582
-    // B/tile measured at 1024x1024, 630 at the smoke run's 256x256
-    let budget = if last.side >= 1024 { 640.0 } else { 704.0 };
+    // ... and stays within a small fixed budget at the top size: 272
+    // B/tile measured at 1024x1024, 311 at the smoke run's 256x256
+    let budget = 360.0;
     assert!(
         last.result.bytes_per_tile() < budget,
         "sparse bytes/tile blew the budget of {budget}: {:.0}",

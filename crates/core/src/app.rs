@@ -1,6 +1,6 @@
 //! The application-description API (paper §III-B).
 
-use crate::counters::PuCounters;
+use crate::tile::{materialize, TileCold};
 use muchisim_mem::{AccessKind, ChannelState, TileMemory};
 use muchisim_noc::{Payload, ReduceOp};
 use serde::{Deserialize, Serialize};
@@ -79,7 +79,7 @@ pub struct ScheduledSend {
 }
 
 /// An outgoing message recorded by a task.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OutMsg {
     /// Destination tile.
     pub dst: u32,
@@ -98,7 +98,10 @@ pub struct OutMsg {
 /// memory access, and message sending.
 ///
 /// The handler runs *functionally* on the host; every instrumentation call
-/// advances the simulated PU clock for this task.
+/// advances the simulated PU clock for this task. The first call that
+/// counts an op, accesses memory or sends materializes the tile's cold
+/// state (see `TileCold`): a task that does none of that leaves its tile
+/// without one.
 #[derive(Debug)]
 pub struct TaskCtx<'a> {
     /// The executing tile.
@@ -110,9 +113,9 @@ pub struct TaskCtx<'a> {
     start_cycle: u64,
     /// Cycles accrued so far.
     cycles: u64,
-    mem: &'a mut TileMemory,
+    cold: &'a mut Option<Box<TileCold>>,
+    mem_proto: &'a TileMemory,
     channel: Option<&'a mut ChannelState>,
-    counters: &'a mut PuCounters,
     sends: &'a mut Vec<OutMsg>,
 }
 
@@ -123,9 +126,9 @@ impl<'a> TaskCtx<'a> {
         kernel: u32,
         grid: GridInfo,
         start_cycle: u64,
-        mem: &'a mut TileMemory,
+        cold: &'a mut Option<Box<TileCold>>,
+        mem_proto: &'a TileMemory,
         channel: Option<&'a mut ChannelState>,
-        counters: &'a mut PuCounters,
         sends: &'a mut Vec<OutMsg>,
     ) -> Self {
         TaskCtx {
@@ -134,9 +137,9 @@ impl<'a> TaskCtx<'a> {
             grid,
             start_cycle,
             cycles: 0,
-            mem,
+            cold,
+            mem_proto,
             channel,
-            counters,
             sends,
         }
     }
@@ -158,47 +161,47 @@ impl<'a> TaskCtx<'a> {
 
     /// Counts `n` integer ALU ops (1 cycle each on the in-order PU model).
     pub fn int_ops(&mut self, n: u64) {
-        self.counters.int_ops += n;
+        materialize(self.cold, self.mem_proto).counters.int_ops += n;
         self.cycles += n;
     }
 
     /// Counts `n` floating-point ops (1 cycle each, pipelined FPU).
     pub fn fp_ops(&mut self, n: u64) {
-        self.counters.fp_ops += n;
+        materialize(self.cold, self.mem_proto).counters.fp_ops += n;
         self.cycles += n;
     }
 
     /// Counts `n` control-flow instructions.
     pub fn ctrl_ops(&mut self, n: u64) {
-        self.counters.ctrl_ops += n;
+        materialize(self.cold, self.mem_proto).counters.ctrl_ops += n;
         self.cycles += n;
     }
 
     /// Counts `n` application-level work units (edges traversed, non-zeros
     /// multiplied, elements processed) for TEPS-style throughput.
     pub fn app_ops(&mut self, n: u64) {
-        self.counters.app_ops += n;
+        materialize(self.cold, self.mem_proto).counters.app_ops += n;
     }
 
     /// Performs a load at `addr`; the latency (hit/miss/contention
     /// dependent) is added to the task's cycles.
     pub fn load(&mut self, addr: u64) {
         let now = self.start_cycle + self.cycles;
-        let lat = self
+        let cold = materialize(self.cold, self.mem_proto);
+        cold.counters.loads += 1;
+        self.cycles += cold
             .mem
             .access(addr, AccessKind::Read, now, self.channel.as_deref_mut());
-        self.counters.loads += 1;
-        self.cycles += lat;
     }
 
     /// Performs a store at `addr`.
     pub fn store(&mut self, addr: u64) {
         let now = self.start_cycle + self.cycles;
-        let lat = self
+        let cold = materialize(self.cold, self.mem_proto);
+        cold.counters.stores += 1;
+        self.cycles += cold
             .mem
             .access(addr, AccessKind::Write, now, self.channel.as_deref_mut());
-        self.counters.stores += 1;
-        self.cycles += lat;
     }
 
     /// Virtual address of `local_index` in this tile's logical array
@@ -225,9 +228,9 @@ impl<'a> TaskCtx<'a> {
 
     fn send_inner(&mut self, task: u8, dst: u32, payload: &[u32], reduce: Option<ReduceOp>) {
         // pushing into a queue costs a store-like queue write
-        let lat = self.mem.queue_write(payload.len().max(1) as u64);
-        self.counters.msgs_sent += 1;
-        self.cycles += lat;
+        let cold = materialize(self.cold, self.mem_proto);
+        cold.counters.msgs_sent += 1;
+        self.cycles += cold.mem.queue_write(payload.len().max(1) as u64);
         self.sends.push(OutMsg {
             dst,
             task,
@@ -380,11 +383,14 @@ mod tests {
 
     #[test]
     fn ctx_instrumentation_accrues_cycles() {
-        let cfg = SystemConfig::default();
-        let mut mem = TileMemory::from_system(&cfg);
-        let mut counters = PuCounters::default();
-        let mut sends = Vec::new();
-        let mut ctx = TaskCtx::new(0, 0, grid(), 100, &mut mem, None, &mut counters, &mut sends);
+        let mem = TileMemory::from_system(&SystemConfig::default());
+        let (mut cold, mut sends) = (None, Vec::new());
+        let mut ctx = TaskCtx::new(0, 0, grid(), 100, &mut cold, &mem, None, &mut sends);
+        ctx.add_cycles(0);
+        assert!(
+            ctx.cold.is_none(),
+            "nothing counted yet: nothing materialized"
+        );
         ctx.int_ops(3);
         ctx.fp_ops(2);
         ctx.ctrl_ops(1);
@@ -392,6 +398,7 @@ mod tests {
         assert_eq!(ctx.elapsed_cycles(), 10);
         ctx.load(0x100);
         assert!(ctx.elapsed_cycles() > 10);
+        let counters = cold.expect("materialized by the first op").counters;
         assert_eq!(counters.int_ops, 3);
         assert_eq!(counters.fp_ops, 2);
         assert_eq!(counters.loads, 1);
@@ -399,11 +406,9 @@ mod tests {
 
     #[test]
     fn ctx_send_records_timestamped_message() {
-        let cfg = SystemConfig::default();
-        let mut mem = TileMemory::from_system(&cfg);
-        let mut counters = PuCounters::default();
-        let mut sends = Vec::new();
-        let mut ctx = TaskCtx::new(0, 0, grid(), 50, &mut mem, None, &mut counters, &mut sends);
+        let mem = TileMemory::from_system(&SystemConfig::default());
+        let (mut cold, mut sends) = (None, Vec::new());
+        let mut ctx = TaskCtx::new(0, 0, grid(), 50, &mut cold, &mem, None, &mut sends);
         ctx.int_ops(5);
         ctx.send(1, 9, &[1, 2]);
         assert_eq!(sends.len(), 1);
@@ -413,16 +418,14 @@ mod tests {
         assert_eq!(m.payload.as_slice(), &[1, 2]);
         // sent after the 5 compute cycles plus the queue write
         assert!(m.at_pu_cycle > 55);
-        assert_eq!(counters.msgs_sent, 1);
+        assert_eq!(cold.expect("materialized").counters.msgs_sent, 1);
     }
 
     #[test]
     fn send_reduce_tags_operator() {
-        let cfg = SystemConfig::default();
-        let mut mem = TileMemory::from_system(&cfg);
-        let mut counters = PuCounters::default();
-        let mut sends = Vec::new();
-        let mut ctx = TaskCtx::new(0, 0, grid(), 0, &mut mem, None, &mut counters, &mut sends);
+        let mem = TileMemory::from_system(&SystemConfig::default());
+        let (mut cold, mut sends) = (None, Vec::new());
+        let mut ctx = TaskCtx::new(0, 0, grid(), 0, &mut cold, &mem, None, &mut sends);
         ctx.send_reduce(0, 3, &[9, 5], ReduceOp::MinU32);
         assert_eq!(sends[0].reduce, Some(ReduceOp::MinU32));
     }

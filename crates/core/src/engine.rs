@@ -7,14 +7,14 @@ use crate::frames::{Frame, FrameLog, FrameSink, FrameSpill};
 use crate::horizon::ClockConv;
 use crate::sched::Scheduler;
 use crate::slice::ColSlice;
-use crate::tile::{HostPhaseNs, SimResult, TileEngine};
+use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
 use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
-use muchisim_mem::{ChannelMap, ChannelState};
+use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
 use muchisim_noc::{
-    split_columns, ActiveSet, EjectSink, InPort, Network, NetworkParams, OutDir, Packet, Payload,
-    Shard, SharedNet,
+    split_columns, ActiveSet, Arena, EjectSink, InPort, Network, NetworkParams, OutDir, Packet,
+    Payload, QueueLink, Shard, SharedNet,
 };
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Maximum task types supported by the engine.
@@ -246,16 +246,61 @@ impl<A: Application> SimSetup<A> {
     }
 }
 
+/// A tile's input-queue bank has been written to (bit of `Worker::touched`).
+const IQ_TOUCHED: u8 = 1;
+/// A tile's channel-queue bank has been written to.
+const CQ_TOUCHED: u8 = 2;
+
+/// Tasks a tile has executed and the PU cycles they kept it busy: the two
+/// [`PuCounters`](crate::PuCounters) fields every dispatch writes, init
+/// tasks included, and therefore dense (the rest is in [`TileCold`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Dispatched {
+    tasks: u64,
+    busy_cycles: u64,
+}
+
 /// One host worker: a column slice of tiles plus its DRAM channels.
 ///
-/// The scalars the per-cycle sweeps read live here as dense arrays
-/// indexed by local tile id (`pu_clock`, `iq_msgs`, `cq_msgs`,
-/// `init_pending`, `pu_busy_frame`), not in [`TileEngine`]: the active
-/// worklist drain walks contiguous memory and only dereferences a tile's
-/// cold struct when a task actually dispatches or a message moves.
+/// The layout is the one [`Shard`] has for routers. What all tiles share
+/// is held once (`iq_caps`, `sched`, `mem_proto`). Everything the
+/// per-cycle sweeps and the TSU read is a dense array indexed by local
+/// tile id (`pu_clock`, `iq_msgs`, `cq_msgs`, `init_pending`, the wake
+/// caches, `rr_last`, `dispatched`) or by `local * ntasks + task` (the
+/// queue links), so the active worklist drain walks contiguous memory.
+/// Queued messages are nodes of two per-worker arenas. The rest of a
+/// tile — memory model and task-written counters — is a lazily
+/// materialized [`TileCold`] box.
 pub(crate) struct Worker<A: Application> {
     pub slice: ColSlice,
-    pub tiles: Vec<TileEngine>,
+    /// Task types: the row stride of `iq_links` and `cq_links`.
+    ntasks: usize,
+    /// Per-task IQ capacity in messages.
+    iq_caps: Box<[u32]>,
+    /// The TSU scheduling rule.
+    sched: Scheduler,
+    /// An untouched tile memory, cloned into a tile's cold box on first use.
+    mem_proto: TileMemory,
+    /// Each tile's TSU round-robin pointer (last served task id).
+    rr_last: Vec<u8>,
+    /// `IQ_TOUCHED | CQ_TOUCHED` per tile: whether a message was ever
+    /// pushed into (or a snapshot restored) the tile's IQs / CQs. Not
+    /// simulated state, but on the wire: a snapshot writes no queues at
+    /// all for a bank the `VecDeque` engine had not allocated yet, and
+    /// `ntasks` queues from then on.
+    touched: Vec<u8>,
+    /// One input queue per (tile, task): payloads in `iq_arena` (the
+    /// queue index is the task id).
+    iq_links: Vec<QueueLink>,
+    /// One channel queue per (tile, task), draining into the NoC:
+    /// messages in `cq_arena`.
+    cq_links: Vec<QueueLink>,
+    iq_arena: Arena<Payload>,
+    cq_arena: Arena<OutMsg>,
+    dispatched: Vec<Dispatched>,
+    /// Memory model and task-written counters per tile, `None` until
+    /// [`materialize`]d.
+    cold: Vec<Option<Box<TileCold>>>,
     pub states: Vec<A::Tile>,
     channels: Vec<ChannelState>,
     channel_map: Option<ChannelMap>,
@@ -297,7 +342,7 @@ pub(crate) struct Worker<A: Application> {
     pointer_prefetch: bool,
     /// Per-tile pre-scheduled NoC injections (front = next due), consumed
     /// during kernel 0. Empty for ordinary applications.
-    scripted: Vec<std::collections::VecDeque<ScheduledSend>>,
+    scripted: Vec<VecDeque<ScheduledSend>>,
     /// Pending work: IQ + CQ messages + pending init tasks + scripted
     /// sends not yet injected.
     pub msg_count: i64,
@@ -355,19 +400,11 @@ impl<A: Application> Worker<A> {
                 iq_caps[t as usize] = c;
             }
         }
-        // shared per-worker: every tile clones an Arc'd capacity table and
-        // a scheduler prototype instead of allocating its own copies
-        let iq_caps: Arc<[u32]> = iq_caps.into();
         let policy = if sw.priority_tasks.is_empty() {
             cfg.scheduling.clone()
         } else {
             SchedulingPolicy::Priority(sw.priority_tasks.clone())
         };
-        let sched_proto = Scheduler::new(policy, ntasks);
-        let tiles: Vec<TileEngine> = slice
-            .iter_tiles()
-            .map(|_| TileEngine::new(cfg, ntasks, Arc::clone(&iq_caps), sched_proto.clone()))
-            .collect();
         let states: Vec<A::Tile> = slice
             .iter_tiles()
             .map(|t| app.make_tile(t, &grid))
@@ -380,19 +417,34 @@ impl<A: Application> Worker<A> {
             &cfg.memory,
             MemoryConfig::Dram(d) if d.prefetch.pointer_indirection
         );
-        let mut scripted: Vec<std::collections::VecDeque<ScheduledSend>> = slice
-            .iter_tiles()
-            .map(|t| app.scheduled_sends(t, &grid).into())
-            .collect();
-        if scripted.iter().all(std::collections::VecDeque::is_empty) {
-            scripted = Vec::new();
+        let n = slice.num_tiles();
+        // no table at all unless some tile has a timetable
+        let mut scripted: Vec<VecDeque<ScheduledSend>> = Vec::new();
+        for (local, t) in slice.iter_tiles().enumerate() {
+            let sends = app.scheduled_sends(t, &grid);
+            if !sends.is_empty() {
+                if scripted.is_empty() {
+                    scripted.resize_with(n, VecDeque::new);
+                }
+                scripted[local] = sends.into();
+            }
         }
-        let n = tiles.len();
         let pus = cfg.pus_per_tile.max(1) as usize;
         let active = ActiveSet::new(n, cfg.active_list);
         Worker {
             slice,
-            tiles,
+            ntasks: ntasks as usize,
+            iq_caps: iq_caps.into(),
+            sched: Scheduler::new(policy, ntasks),
+            mem_proto: TileMemory::from_system(cfg),
+            rr_last: vec![Scheduler::initial_rr(ntasks); n],
+            touched: vec![0; n],
+            iq_links: vec![QueueLink::default(); n * ntasks as usize],
+            cq_links: vec![QueueLink::default(); n * ntasks as usize],
+            iq_arena: Arena::default(),
+            cq_arena: Arena::default(),
+            dispatched: vec![Dispatched::default(); n],
+            cold: (0..n).map(|_| None).collect(),
             states,
             channels,
             channel_map,
@@ -447,6 +499,17 @@ impl<A: Application> Worker<A> {
         self.init_pending[local] || self.iq_msgs[local] > 0
     }
 
+    /// Whether any channel queue of tile `local` exceeds the configured
+    /// capacity (send-side backpressure: counted as stall pressure while
+    /// the NoC drains the CQs). Callers gate this on `cq_msgs` being
+    /// non-zero.
+    #[inline]
+    fn cq_over(&self, local: usize) -> bool {
+        self.cq_links[local * self.ntasks..(local + 1) * self.ntasks]
+            .iter()
+            .any(|q| q.len() > self.cq_capacity)
+    }
+
     /// Index of tile `local`'s PU with the earliest clock.
     #[inline]
     fn earliest_pu(&self, local: usize) -> usize {
@@ -466,7 +529,7 @@ impl<A: Application> Worker<A> {
         // every tile owes an init task, so every tile is active
         self.active.activate_all();
         self.init_pending.fill(true);
-        self.msg_count += self.tiles.len() as i64;
+        self.msg_count += self.slice.num_tiles() as i64;
         if kernel == 0 {
             // scripted sends count as pending work until injected, so the
             // quiescence decision cannot fire while a timetable is open
@@ -503,9 +566,12 @@ impl<A: Application> Worker<A> {
             // configured capacity (paper §III-A "Queues"); over-capacity
             // CQs are counted as send-side stall pressure but do not block
             // dispatch, which keeps acyclic task chains deadlock-free.
-            if self.cq_msgs[local] > 0 && self.tiles[local].cq_over(self.cq_capacity) {
-                self.tiles[local].counters.cq_stall_cycles += 1;
+            if self.cq_msgs[local] > 0 && self.cq_over(local) {
+                materialize(&mut self.cold[local], &self.mem_proto)
+                    .counters
+                    .cq_stall_cycles += 1;
             }
+            let queues = local * self.ntasks;
             loop {
                 let pu = self.earliest_pu(local);
                 let pu_clk = self.pu_clock[local * self.pus + pu];
@@ -513,15 +579,16 @@ impl<A: Application> Worker<A> {
                     break;
                 }
                 let start = pu_clk.max(now_pu);
-                let t = &mut self.tiles[local];
                 let (is_init, task, payload) = if self.init_pending[local] {
                     self.init_pending[local] = false;
                     self.msg_count -= 1;
                     (true, 0u8, Payload::empty())
-                } else if let Some(task) = t.sched.pick(t.iqs.as_slice()) {
-                    let payload = t
-                        .iqs
-                        .pop_front(task as usize)
+                } else if let Some(task) = self.sched.pick(
+                    &mut self.rr_last[local],
+                    &self.iq_links[queues..queues + self.ntasks],
+                ) {
+                    let payload = self.iq_links[queues + task as usize]
+                        .pop_front(&mut self.iq_arena)
                         .expect("scheduler picked a non-empty queue");
                     self.iq_msgs[local] -= 1;
                     self.msg_count -= 1;
@@ -529,11 +596,14 @@ impl<A: Application> Worker<A> {
                 } else {
                     break;
                 };
+                let cold = &mut self.cold[local];
                 // dequeue cost for message-triggered tasks
                 let qlat = if is_init {
                     0
                 } else {
-                    t.mem.queue_read(payload.len().max(1) as u64)
+                    materialize(cold, &self.mem_proto)
+                        .mem
+                        .queue_read(payload.len().max(1) as u64)
                 };
                 let channel_idx = self.channel_map.map(|m| {
                     let (x, y) = (tile_g % self.grid.width, tile_g / self.grid.width);
@@ -543,12 +613,15 @@ impl<A: Application> Worker<A> {
                 // *next* queued task of this type will touch, overlapping
                 // it with the current task's execution (paper §III-A).
                 if self.pointer_prefetch && !is_init {
-                    if let Some(next) = t.iqs.front(task as usize) {
+                    if let Some(next) = self.iq_links[queues + task as usize].front(&self.iq_arena)
+                    {
                         if let Some(addr) =
                             app.prefetch_addr(task, next.as_slice(), tile_g, &self.grid)
                         {
                             let ch = channel_idx.map(|i| &mut self.channels[i]);
-                            t.mem.prefetch(addr, start, ch);
+                            materialize(cold, &self.mem_proto)
+                                .mem
+                                .prefetch(addr, start, ch);
                         }
                     }
                 }
@@ -558,9 +631,9 @@ impl<A: Application> Worker<A> {
                     self.kernel,
                     self.grid,
                     start + qlat,
-                    &mut t.mem,
+                    cold,
+                    &self.mem_proto,
                     channel,
-                    &mut t.counters,
                     &mut self.sends,
                 );
                 if is_init {
@@ -572,8 +645,8 @@ impl<A: Application> Worker<A> {
                 let duration = 1 + qlat + ctx.elapsed_cycles();
                 let end = start + duration;
                 self.pu_clock[local * self.pus + pu] = end;
-                t.counters.tasks_executed += 1;
-                t.counters.busy_cycles += duration;
+                self.dispatched[local].tasks += 1;
+                self.dispatched[local].busy_cycles += duration;
                 self.pu_busy_frame[local] =
                     self.pu_busy_frame[local].saturating_add(duration.min(u32::MAX as u64) as u32);
                 self.frame_tasks += 1;
@@ -584,16 +657,21 @@ impl<A: Application> Worker<A> {
                 }
                 // drain produced messages into IQs (local) / CQs (remote)
                 for msg in self.sends.drain(..) {
-                    let t = &mut self.tiles[local];
+                    // the row stride would turn a task id past the bank
+                    // into another tile's queue
+                    let task = msg.task as usize;
+                    assert!(task < self.ntasks, "send to undeclared task type {task}");
                     if msg.dst == tile_g {
-                        t.iqs.q_mut(msg.task as usize).push_back(msg.payload);
+                        self.touched[local] |= IQ_TOUCHED;
+                        self.iq_links[queues + task].push_back(&mut self.iq_arena, msg.payload);
                         self.iq_msgs[local] += 1;
                         self.msg_count += 1;
                     } else {
                         // the new message may become a fresh CQ head:
                         // lower the inject wake cache to its maturity
                         let due = self.clock.noc_cycle_for_pu(msg.at_pu_cycle);
-                        t.cqs.q_mut(msg.task as usize).push_back(msg);
+                        self.touched[local] |= CQ_TOUCHED;
+                        self.cq_links[queues + task].push_back(&mut self.cq_arena, msg);
                         self.cq_msgs[local] += 1;
                         self.msg_count += 1;
                         if due < self.cq_wake[local] {
@@ -638,11 +716,11 @@ impl<A: Application> Worker<A> {
                 continue;
             }
             let tile_g = self.slice.global(local);
-            let t = &mut self.tiles[local];
             // earliest maturity among heads left behind by this pass
             let mut wake = u64::MAX;
-            for task in 0..t.cqs.len() {
-                let Some(head) = t.cqs.front(task) else {
+            for task in 0..self.ntasks {
+                let queue = &mut self.cq_links[local * self.ntasks + task];
+                let Some(head) = queue.front(&self.cq_arena) else {
                     continue;
                 };
                 let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
@@ -655,7 +733,7 @@ impl<A: Application> Worker<A> {
                 }
                 let plane = task % self.planes;
                 let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
-                while let Some(head) = t.cqs.front(task) {
+                while let Some(head) = queue.front(&self.cq_arena) {
                     let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
                     if ready_noc > cycle {
                         // immature head: it matures at ready_noc
@@ -663,38 +741,26 @@ impl<A: Application> Worker<A> {
                         wake = wake.min(ready_noc);
                         break;
                     }
-                    // move the payload out instead of cloning it; a
-                    // refused packet hands it back for restore
-                    let msg = t.cqs.pop_front(task).expect("checked head");
-                    let at_pu_cycle = msg.at_pu_cycle;
-                    let flits = 1 + msg.payload.size_bytes().div_ceil(self.flit_bytes);
-                    let mut pkt =
-                        Packet::unicast(tile_g, msg.dst, task as u8, msg.payload, flits as u16)
-                            .ready_at(cycle);
+                    // header flit + payload, as `Packet::unicast` stores it
+                    let flits = 1 + head.payload.size_bytes().div_ceil(self.flit_bytes);
+                    let flits = (flits as u16).max(1);
+                    if !batch.admits(flits) {
+                        // inject queue full: the head stays where it
+                        // is, retry next cycle
+                        self.tile_horizon = self.tile_horizon.min(cycle + 1);
+                        wake = wake.min(cycle + 1);
+                        break;
+                    }
+                    let msg = queue.pop_front(&mut self.cq_arena).expect("checked head");
+                    let mut pkt = Packet::unicast(tile_g, msg.dst, task as u8, msg.payload, flits)
+                        .ready_at(cycle);
                     if let Some(op) = msg.reduce {
                         pkt = pkt.with_reduce(op);
                     }
-                    match batch.offer(pkt) {
-                        Ok(()) => {
-                            self.cq_msgs[local] -= 1;
-                            self.msg_count -= 1;
-                            self.frame_injected += 1;
-                        }
-                        Err(pkt) => {
-                            // inject queue full: restore the head, retry
-                            // next cycle
-                            t.cqs.q_mut(task).push_front(OutMsg {
-                                dst: pkt.dst,
-                                task: task as u8,
-                                payload: pkt.payload,
-                                at_pu_cycle,
-                                reduce: pkt.reduce,
-                            });
-                            self.tile_horizon = self.tile_horizon.min(cycle + 1);
-                            wake = wake.min(cycle + 1);
-                            break;
-                        }
-                    }
+                    batch.offer(pkt).expect("the batch admits these flits");
+                    self.cq_msgs[local] -= 1;
+                    self.msg_count -= 1;
+                    self.frame_injected += 1;
                 }
                 batch.commit();
             }
@@ -724,6 +790,28 @@ impl<A: Application> Worker<A> {
             self.phase.worklist += w0.elapsed().as_nanos() as u64;
         }
         self.phase.inject += t0.elapsed().as_nanos() as u64;
+        #[cfg(debug_assertions)]
+        self.assert_queues_consistent();
+    }
+
+    /// Debug oracle, run at the end of every `inject_phase`: each active
+    /// tile's links add up to its message counts, and the active tiles'
+    /// queues account for every live arena node — so no tile off the
+    /// worklist holds a message, and no node leaked.
+    #[cfg(debug_assertions)]
+    fn assert_queues_consistent(&self) {
+        let (mut iq_total, mut cq_total) = (0, 0);
+        for local in self.active.iter() {
+            let tile = local as usize * self.ntasks..(local as usize + 1) * self.ntasks;
+            let iq: u32 = self.iq_links[tile.clone()].iter().map(QueueLink::len).sum();
+            let cq: u32 = self.cq_links[tile].iter().map(QueueLink::len).sum();
+            assert_eq!(iq, self.iq_msgs[local as usize], "IQ links of tile {local}");
+            assert_eq!(cq, self.cq_msgs[local as usize], "CQ links of tile {local}");
+            iq_total += iq as usize;
+            cq_total += cq as usize;
+        }
+        assert_eq!(self.iq_arena.live(), iq_total, "IQ payload nodes leaked");
+        assert_eq!(self.cq_arena.live(), cq_total, "CQ message nodes leaked");
     }
 
     /// Drains due pre-scheduled sends into the NoC planes (after the
@@ -816,7 +904,13 @@ impl<A: Application> Worker<A> {
     pub fn net_step(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
         let t0 = Instant::now();
         let mut sink = IqSink {
-            tiles: &mut self.tiles,
+            ntasks: self.ntasks,
+            iq_caps: &self.iq_caps,
+            iq_links: &mut self.iq_links,
+            iq_arena: &mut self.iq_arena,
+            touched: &mut self.touched,
+            cold: &mut self.cold,
+            mem_proto: &self.mem_proto,
             iq_msgs: &mut self.iq_msgs,
             pu_clock: &self.pu_clock,
             pus: self.pus,
@@ -863,7 +957,7 @@ impl<A: Application> Worker<A> {
             for shard in shards.iter_mut() {
                 shard.take_busy(&mut self.busy_grid, self.grid.width);
             }
-            for local in 0..self.tiles.len() {
+            for local in 0..self.slice.num_tiles() {
                 let g = self.slice.global(local);
                 let busy = std::mem::take(&mut self.busy_grid[g as usize]);
                 if busy > 0 {
@@ -950,11 +1044,10 @@ impl<A: Application> Worker<A> {
         self.phase.worklist += t0.elapsed().as_nanos() as u64;
         for local in self.active.iter() {
             let local = local as usize;
-            if self.has_work(local)
-                && self.cq_msgs[local] > 0
-                && self.tiles[local].cq_over(self.cq_capacity)
-            {
-                self.tiles[local].counters.cq_stall_cycles += skipped;
+            if self.has_work(local) && self.cq_msgs[local] > 0 && self.cq_over(local) {
+                materialize(&mut self.cold[local], &self.mem_proto)
+                    .counters
+                    .cq_stall_cycles += skipped;
             }
         }
         if self.verbosity != Verbosity::V0 {
@@ -965,11 +1058,22 @@ impl<A: Application> Worker<A> {
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Merges this worker's tile counters into `total`.
-    pub fn merge_counters(&self, total: &mut SimCounters) {
-        for t in &self.tiles {
-            total.pu.merge(&t.counters);
-            total.mem.merge(t.mem.counters());
+    /// Merges this worker's tile counters into `total` and its tasks per
+    /// column into `column_activity` (index = global column).
+    pub fn merge_counters(&self, total: &mut SimCounters, column_activity: &mut [u64]) {
+        // local ids run row by row over the slice's columns
+        let cols = self.slice.cols.start as usize..self.slice.cols.end as usize;
+        for row in self.dispatched.chunks(cols.len()) {
+            for (col, d) in column_activity[cols.clone()].iter_mut().zip(row) {
+                *col += d.tasks;
+                total.pu.tasks_executed += d.tasks;
+                total.pu.busy_cycles += d.busy_cycles;
+            }
+        }
+        // an absent cold box holds nothing but zeros
+        for cold in self.cold.iter().flatten() {
+            total.pu.merge(&cold.counters);
+            total.mem.merge(cold.mem.counters());
         }
     }
 
@@ -983,7 +1087,7 @@ impl<A: Application> Worker<A> {
             tasks: self.cum_tasks,
             pending: self.msg_count,
             active_tiles: self.active.active_count() as u64,
-            tiles: self.tiles.len() as u64,
+            tiles: self.slice.num_tiles() as u64,
             ..Default::default()
         };
         for shard in shards.iter() {
@@ -1010,7 +1114,7 @@ impl<A: Application> Worker<A> {
     /// (capped at `top`). Only runs on the slow path after a ward trips.
     pub fn telemetry_diag(&self, shards: &[&mut Shard], top: usize) -> Vec<crate::ward::TileDiag> {
         let mut diags: Vec<crate::ward::TileDiag> = Vec::new();
-        for local in 0..self.tiles.len() {
+        for local in 0..self.slice.num_tiles() {
             let tile = self.slice.global(local);
             let parked = shards
                 .iter()
@@ -1032,22 +1136,36 @@ impl<A: Application> Worker<A> {
         diags
     }
 
-    /// Total host bytes of this worker's simulation state: the tile
-    /// engines (with their lazily-allocated queue banks), the SoA
-    /// hot-state arrays, the application tile states, DRAM channels,
-    /// frame telemetry, and scratch buffers.
+    /// Total host bytes of this worker's simulation state: the dense
+    /// per-tile arrays, the two message arenas, the materialized cold
+    /// boxes, the application tile states, DRAM channels, frame
+    /// telemetry, and scratch buffers.
     pub fn state_bytes(&self, app: &A) -> u64 {
-        let tiles = self.tiles.capacity() as u64 * std::mem::size_of::<TileEngine>() as u64
-            + self.tiles.iter().map(TileEngine::heap_bytes).sum::<u64>();
-        let states = self.states.capacity() as u64 * std::mem::size_of::<A::Tile>() as u64
+        use std::mem::size_of;
+        let cold = self.cold.capacity() as u64 * size_of::<Option<Box<TileCold>>>() as u64
+            + self
+                .cold
+                .iter()
+                .flatten()
+                .map(|c| size_of::<TileCold>() as u64 + c.mem.heap_bytes())
+                .sum::<u64>()
+            + self.mem_proto.heap_bytes();
+        let queues = (self.iq_links.capacity() + self.cq_links.capacity()) as u64
+            * size_of::<QueueLink>() as u64
+            + self.iq_arena.heap_bytes(Payload::heap_bytes)
+            + self.cq_arena.heap_bytes(|m| m.payload.heap_bytes());
+        let states = self.states.capacity() as u64 * size_of::<A::Tile>() as u64
             + self
                 .states
                 .iter()
                 .map(|s| app.tile_state_bytes(s))
                 .sum::<u64>();
-        std::mem::size_of::<Self>() as u64
-            + tiles
+        size_of::<Self>() as u64
+            + cold
+            + queues
             + states
+            + self.dispatched.capacity() as u64 * size_of::<Dispatched>() as u64
+            + (self.rr_last.capacity() + self.touched.capacity()) as u64
             + self.pu_clock.capacity() as u64 * 8
             + self.iq_msgs.capacity() as u64 * 4
             + self.cq_msgs.capacity() as u64 * 4
@@ -1055,20 +1173,18 @@ impl<A: Application> Worker<A> {
             + self.pu_wake.capacity() as u64 * 8
             + self.cq_wake.capacity() as u64 * 8
             + self.pu_busy_frame.capacity() as u64 * 4
-            + self.channels.capacity() as u64 * std::mem::size_of::<ChannelState>() as u64
-            // shared per-worker capacity table, counted once
-            + self.tiles.first().map_or(0, |t| t.iq_caps.len() as u64 * 4)
+            + self.channels.capacity() as u64 * size_of::<ChannelState>() as u64
+            + self.iq_caps.len() as u64 * 4
             + self.frames.heap_bytes()
             + self.busy_grid.capacity() as u64 * 4
-            + self.sends.capacity() as u64 * std::mem::size_of::<OutMsg>() as u64
+            + self.sends.capacity() as u64 * size_of::<OutMsg>() as u64
             + self.active.heap_bytes()
-            + self.scripted.capacity() as u64
-                * std::mem::size_of::<std::collections::VecDeque<ScheduledSend>>() as u64
+            + self.scripted.capacity() as u64 * size_of::<VecDeque<ScheduledSend>>() as u64
             + self
                 .scripted
                 .iter()
                 .map(|q| {
-                    q.capacity() as u64 * std::mem::size_of::<ScheduledSend>() as u64
+                    q.capacity() as u64 * size_of::<ScheduledSend>() as u64
                         + q.iter().map(|s| s.payload.heap_bytes()).sum::<u64>()
                 })
                 .sum::<u64>()
@@ -1088,7 +1204,7 @@ impl<A: Application> Worker<A> {
         cycle: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), String> {
-        use crate::snapshot::{put_blob_with, put_seq, Put};
+        use crate::snapshot::{put_blob_with, put_seq, Put, Queued};
         let width = self.grid.width;
         (
             self.max_pu_fs,
@@ -1108,23 +1224,52 @@ impl<A: Application> Worker<A> {
             sh.snapshot_rr(width).put(buf);
             sh.snapshot_busy_frame(width).put(buf);
         }
-        // tiles: one `TileRecord` each
-        (self.tiles.len() as u32).put(buf);
-        for (local, t) in self.tiles.iter().enumerate() {
+        // tiles: one `TileRecord` each; a tile without a cold box writes
+        // what a fresh one holds
+        let fresh_cache = self.mem_proto.snapshot_cache();
+        (self.slice.num_tiles() as u32).put(buf);
+        for (local, cold) in self.cold.iter().enumerate() {
             let tile_g = self.slice.global(local);
             (
                 tile_g,
                 self.init_pending[local],
                 self.pu_busy_frame[local],
-                t.sched.rr_last(),
+                self.rr_last[local],
             )
                 .put(buf);
             self.pu_clock[local * self.pus..(local + 1) * self.pus].put(buf);
-            t.counters.put(buf);
-            t.mem.counters().put(buf);
-            t.mem.snapshot_cache().as_deref().unwrap_or("").put(buf);
-            t.iqs.as_slice().put(buf);
-            t.cqs.as_slice().put(buf);
+            let (mut pu, mem) = match cold {
+                Some(c) => (c.counters, c.mem.counters()),
+                None => (Default::default(), self.mem_proto.counters()),
+            };
+            pu.tasks_executed = self.dispatched[local].tasks;
+            pu.busy_cycles = self.dispatched[local].busy_cycles;
+            (pu, mem).put(buf);
+            match cold {
+                Some(c) => c.mem.snapshot_cache().as_deref().unwrap_or("").put(buf),
+                None => fresh_cache.as_deref().unwrap_or("").put(buf),
+            }
+            // a bank is no queues until first written, `ntasks` after
+            let tile = local * self.ntasks..(local + 1) * self.ntasks;
+            let banked = |bit: u8| {
+                if self.touched[local] & bit != 0 {
+                    tile.clone()
+                } else {
+                    0..0
+                }
+            };
+            put_seq(
+                buf,
+                self.iq_links[banked(IQ_TOUCHED)]
+                    .iter()
+                    .map(|q| Queued(q, &self.iq_arena)),
+            );
+            put_seq(
+                buf,
+                self.cq_links[banked(CQ_TOUCHED)]
+                    .iter()
+                    .map(|q| Queued(q, &self.cq_arena)),
+            );
             match self.scripted.get(local) {
                 Some(q) => q.put(buf),
                 None => 0u32.put(buf),
@@ -1161,7 +1306,9 @@ impl<A: Application> Worker<A> {
         let fail = |why: String| SimError::Snapshot(why);
         self.kernel = snap.at.kernel;
         let total_tiles = self.grid.total_tiles;
-        for local in 0..self.tiles.len() {
+        let ntasks = self.ntasks;
+        let fresh_cache = self.mem_proto.snapshot_cache().unwrap_or_default();
+        for local in 0..self.slice.num_tiles() {
             let g = self.slice.global(local);
             let rec = &snap.state.tiles[g as usize];
             if rec.pu_clock.len() != self.pus {
@@ -1174,8 +1321,6 @@ impl<A: Application> Worker<A> {
             self.init_pending[local] = rec.init_pending;
             self.pu_busy_frame[local] = rec.pu_busy_frame;
             self.pu_clock[local * self.pus..(local + 1) * self.pus].copy_from_slice(&rec.pu_clock);
-            let t = &mut self.tiles[local];
-            let ntasks = t.iqs.len();
             if rec.iqs.len() > ntasks || rec.cqs.len() > ntasks {
                 return Err(fail(format!(
                     "tile {g}: snapshot declares more task types than the application"
@@ -1200,27 +1345,48 @@ impl<A: Application> Worker<A> {
                     )));
                 }
             }
-            t.sched.set_rr_last(rec.rr_last);
-            t.counters = rec.pu;
-            t.mem.restore_counters(rec.mem);
-            if !rec.cache.is_empty() {
-                t.mem
-                    .restore_cache(&rec.cache)
-                    .map_err(|e| fail(format!("tile {g}: {e}")))?;
+            self.rr_last[local] = rec.rr_last;
+            self.dispatched[local] = Dispatched {
+                tasks: rec.pu.tasks_executed,
+                busy_cycles: rec.pu.busy_cycles,
+            };
+            // a record that holds what a fresh tile holds needs no box
+            let pu = crate::PuCounters {
+                tasks_executed: 0,
+                busy_cycles: 0,
+                ..rec.pu
+            };
+            let cached = !rec.cache.is_empty() && rec.cache != fresh_cache;
+            if pu != Default::default() || rec.mem != Default::default() || cached {
+                let cold = materialize(&mut self.cold[local], &self.mem_proto);
+                cold.counters = pu;
+                cold.mem.restore_counters(rec.mem);
+                if !rec.cache.is_empty() {
+                    cold.mem
+                        .restore_cache(&rec.cache)
+                        .map_err(|e| fail(format!("tile {g}: {e}")))?;
+                }
             }
-            // a bank the writer had allocated is allocated here too, even
+            // a bank the writer had written to is marked here too, even
             // when its queues are empty: re-encoding the restored state
             // then reproduces the record
             let mut iq_total = 0u32;
             for (task, q) in rec.iqs.iter().enumerate() {
+                self.touched[local] |= IQ_TOUCHED;
                 iq_total += q.len() as u32;
-                t.iqs.q_mut(task).extend(q.iter().cloned());
+                for payload in q {
+                    self.iq_links[local * ntasks + task]
+                        .push_back(&mut self.iq_arena, payload.clone());
+                }
             }
             self.iq_msgs[local] = iq_total;
             let mut cq_total = 0u32;
             for (task, q) in rec.cqs.iter().enumerate() {
+                self.touched[local] |= CQ_TOUCHED;
                 cq_total += q.len() as u32;
-                t.cqs.q_mut(task).extend(q.iter().cloned());
+                for msg in q {
+                    self.cq_links[local * ntasks + task].push_back(&mut self.cq_arena, msg.clone());
+                }
             }
             self.cq_msgs[local] = cq_total;
             if !self.scripted.is_empty() {
@@ -1238,7 +1404,7 @@ impl<A: Application> Worker<A> {
         // kernel 0) the open scripted timetables, exactly mirroring what
         // `start_kernel` + the phase decrements would have left behind
         let mut count = 0i64;
-        for local in 0..self.tiles.len() {
+        for local in 0..self.slice.num_tiles() {
             count += i64::from(self.init_pending[local]);
             count += i64::from(self.iq_msgs[local]) + i64::from(self.cq_msgs[local]);
         }
@@ -1307,7 +1473,13 @@ impl<A: Application> std::fmt::Debug for Worker<A> {
 
 /// The [`EjectSink`] bridging delivered packets into tile input queues.
 struct IqSink<'a> {
-    tiles: &'a mut [TileEngine],
+    ntasks: usize,
+    iq_caps: &'a [u32],
+    iq_links: &'a mut [QueueLink],
+    iq_arena: &'a mut Arena<Payload>,
+    touched: &'a mut [u8],
+    cold: &'a mut [Option<Box<TileCold>>],
+    mem_proto: &'a TileMemory,
     iq_msgs: &'a mut [u32],
     pu_clock: &'a [u64],
     pus: usize,
@@ -1322,13 +1494,19 @@ struct IqSink<'a> {
 impl EjectSink for IqSink<'_> {
     fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
         let local = self.slice.local(tile);
-        let t = &mut self.tiles[local];
         let task = pkt.task as usize;
-        if t.iqs.q_len(task) >= t.iq_caps[task] as usize {
+        // indexing the capacity table first keeps a task id past the
+        // bank from reaching another tile's link
+        let cap = self.iq_caps[task];
+        let queue = &mut self.iq_links[local * self.ntasks + task];
+        if queue.len() >= cap {
             return Err(pkt);
         }
-        t.mem.queue_write(pkt.payload.len().max(1) as u64);
-        t.iqs.q_mut(task).push_back(pkt.payload);
+        materialize(&mut self.cold[local], self.mem_proto)
+            .mem
+            .queue_write(pkt.payload.len().max(1) as u64);
+        self.touched[local] |= IQ_TOUCHED;
+        queue.push_back(self.iq_arena, pkt.payload);
         self.iq_msgs[local] += 1;
         *self.msg_count += 1;
         *self.delivered += 1;
@@ -1384,12 +1562,8 @@ pub(crate) fn finish<A: Application>(
     let mut column_activity = vec![0u64; cfg.width() as usize];
     let mut host_phase_ns = HostPhaseNs::default();
     for w in &workers {
-        w.merge_counters(&mut counters);
+        w.merge_counters(&mut counters, &mut column_activity);
         host_phase_ns.merge(&w.phase);
-        for (local, t) in w.tiles.iter().enumerate() {
-            let col = w.slice.global(local) % cfg.width();
-            column_activity[col as usize] += t.counters.tasks_executed;
-        }
     }
     let mut noc_latency = muchisim_noc::LatencyStats::default();
     let mut host_router_visits = muchisim_noc::RouterVisits::default();
@@ -1417,19 +1591,23 @@ pub(crate) fn finish<A: Application>(
         frames.merge(w.frames.log());
         w.frames.finish();
     }
-    // gather per-tile states in global order for the result check
+    // gather per-tile states in global order for the result check: the
+    // workers own adjacent column ranges in ascending order and hold
+    // their tiles row by row, so one grid row is each worker's next
+    // `ncols` states in turn
     let total = (cfg.width() * cfg.height()) as usize;
-    let mut slots: Vec<Option<A::Tile>> = (0..total).map(|_| None).collect();
-    for w in &mut workers {
-        let slice = w.slice.clone();
-        for (local, state) in w.states.drain(..).enumerate() {
-            slots[slice.global(local) as usize] = Some(state);
+    let mut states: Vec<A::Tile> = Vec::with_capacity(total);
+    let mut rows: Vec<_> = workers
+        .iter_mut()
+        .map(|w| (w.slice.ncols() as usize, w.states.drain(..)))
+        .collect();
+    for _ in 0..cfg.height() {
+        for (ncols, row) in &mut rows {
+            states.extend(row.take(*ncols));
         }
     }
-    let states: Vec<A::Tile> = slots
-        .into_iter()
-        .map(|s| s.expect("every tile has a state"))
-        .collect();
+    drop(rows);
+    assert_eq!(states.len(), total, "every tile has a state");
     let check_error = app.check(&states).err();
     SimResult {
         runtime_cycles,

@@ -75,7 +75,6 @@ mod error;
 mod frames;
 mod horizon;
 mod parallel;
-mod queues;
 mod sched;
 mod slice;
 pub mod snapshot;

@@ -1,8 +1,7 @@
 //! TSU scheduling policies (paper §III-A "Task Scheduling Unit").
 
 use muchisim_config::SchedulingPolicy;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use muchisim_noc::QueueLink;
 
 /// Which arbitration rule the scheduler applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,19 +11,15 @@ enum PolicyKind {
     OccupancyBased,
 }
 
-/// Scheduler state for one tile's TSU.
-///
-/// The per-tile mutable state is two bytes (the policy kind and the
-/// round-robin pointer); the priority order is shared behind an [`Arc`],
-/// so cloning a prototype scheduler across a million tiles shares one
-/// order table instead of allocating a million copies.
-#[derive(Debug, Clone)]
+/// The TSU scheduling rule of a worker's tiles, held once per worker.
+/// The only per-tile scheduler state is the round-robin pointer, one byte
+/// in the worker's dense arrays, which [`Scheduler::pick`] takes by
+/// reference.
+#[derive(Debug)]
 pub struct Scheduler {
     kind: PolicyKind,
-    /// Round-robin pointer (last served task id).
-    rr_last: u8,
     /// Priority order: task ids, highest priority first (priority policy).
-    order: Arc<[u8]>,
+    order: Box<[u8]>,
 }
 
 impl Scheduler {
@@ -45,35 +40,27 @@ impl Scheduler {
         };
         Scheduler {
             kind,
-            rr_last: task_types.saturating_sub(1),
             order: order.into(),
         }
     }
 
-    /// The round-robin pointer (last served task id), for checkpointing.
-    pub(crate) fn rr_last(&self) -> u8 {
-        self.rr_last
-    }
-
-    /// Restores the round-robin pointer from a checkpoint.
-    pub(crate) fn set_rr_last(&mut self, v: u8) {
-        self.rr_last = v;
+    /// The round-robin pointer (last served task id) a tile starts with:
+    /// the last task id, so the first pick considers task 0 first.
+    pub fn initial_rr(task_types: u8) -> u8 {
+        task_types.saturating_sub(1)
     }
 
     /// Picks the next task-type queue to serve, or `None` if all are
-    /// empty. `iqs[t]` is the input queue of task `t`; an empty slice
-    /// (no queues materialized yet) always yields `None`.
-    pub fn pick<T>(&mut self, iqs: &[VecDeque<T>]) -> Option<u8> {
-        if iqs.is_empty() {
-            return None;
-        }
+    /// empty. `iqs[t]` is the link of the tile's input queue of task `t`
+    /// and `rr_last` the tile's round-robin pointer.
+    pub fn pick(&self, rr_last: &mut u8, iqs: &[QueueLink]) -> Option<u8> {
         match self.kind {
             PolicyKind::RoundRobin => {
                 let n = iqs.len() as u8;
                 for step in 1..=n {
-                    let t = (self.rr_last + step) % n;
+                    let t = (*rr_last + step) % n;
                     if !iqs[t as usize].is_empty() {
-                        self.rr_last = t;
+                        *rr_last = t;
                         return Some(t);
                     }
                 }
@@ -97,71 +84,75 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muchisim_noc::Arena;
 
-    fn queues(lens: &[usize]) -> Vec<VecDeque<u32>> {
+    /// Links of queues holding `lens[t]` messages each.
+    fn queues(lens: &[usize]) -> Vec<QueueLink> {
+        let mut arena: Arena<u32> = Arena::default();
         lens.iter()
-            .map(|&n| (0..n as u32).collect::<VecDeque<u32>>())
+            .map(|&n| {
+                let mut q = QueueLink::default();
+                (0..n as u32).for_each(|v| q.push_back(&mut arena, v));
+                q
+            })
             .collect()
     }
 
     #[test]
     fn round_robin_rotates_fairly() {
-        let mut s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let mut rr = Scheduler::initial_rr(3);
         let iqs = queues(&[2, 2, 2]);
-        assert_eq!(s.pick(&iqs), Some(0));
-        assert_eq!(s.pick(&iqs), Some(1));
-        assert_eq!(s.pick(&iqs), Some(2));
-        assert_eq!(s.pick(&iqs), Some(0));
+        assert_eq!(s.pick(&mut rr, &iqs), Some(0));
+        assert_eq!(s.pick(&mut rr, &iqs), Some(1));
+        assert_eq!(s.pick(&mut rr, &iqs), Some(2));
+        assert_eq!(s.pick(&mut rr, &iqs), Some(0));
     }
 
     #[test]
     fn round_robin_skips_empty() {
-        let mut s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let mut rr = Scheduler::initial_rr(3);
         let iqs = queues(&[0, 2, 0]);
-        assert_eq!(s.pick(&iqs), Some(1));
-        assert_eq!(s.pick(&iqs), Some(1));
-        assert_eq!(s.pick(&queues(&[0, 0, 0])), None);
+        assert_eq!(s.pick(&mut rr, &iqs), Some(1));
+        assert_eq!(s.pick(&mut rr, &iqs), Some(1));
+        assert_eq!(s.pick(&mut rr, &queues(&[0, 0, 0])), None);
     }
 
     #[test]
     fn priority_serves_listed_first() {
-        let mut s = Scheduler::new(SchedulingPolicy::Priority(vec![2, 0]), 3);
-        let iqs = queues(&[1, 5, 1]);
-        assert_eq!(s.pick(&iqs), Some(2));
-        let iqs = queues(&[1, 5, 0]);
-        assert_eq!(s.pick(&iqs), Some(0));
-        let iqs = queues(&[0, 5, 0]);
-        assert_eq!(s.pick(&iqs), Some(1), "unlisted tasks come last");
+        let s = Scheduler::new(SchedulingPolicy::Priority(vec![2, 0]), 3);
+        let mut rr = Scheduler::initial_rr(3);
+        assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 1])), Some(2));
+        assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 0])), Some(0));
+        assert_eq!(
+            s.pick(&mut rr, &queues(&[0, 5, 0])),
+            Some(1),
+            "unlisted tasks come last"
+        );
+        assert_eq!(rr, 2, "only round-robin moves the pointer");
     }
 
     #[test]
     fn occupancy_serves_fullest() {
-        let mut s = Scheduler::new(SchedulingPolicy::OccupancyBased, 3);
-        let iqs = queues(&[1, 5, 3]);
-        assert_eq!(s.pick(&iqs), Some(1));
+        let s = Scheduler::new(SchedulingPolicy::OccupancyBased, 3);
+        let mut rr = Scheduler::initial_rr(3);
+        assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 3])), Some(1));
         // tie broken towards the lower task id
-        let iqs = queues(&[4, 4, 1]);
-        assert_eq!(s.pick(&iqs), Some(0));
+        assert_eq!(s.pick(&mut rr, &queues(&[4, 4, 1])), Some(0));
     }
 
     #[test]
-    fn empty_queue_slice_yields_none() {
-        // lazily-allocated tiles hand an empty slice before any message
-        // arrives; every policy must decline rather than divide by zero
+    fn no_task_types_yields_none() {
+        // an application without message-triggered tasks has no queues;
+        // every policy must decline rather than divide by zero
         for policy in [
             SchedulingPolicy::RoundRobin,
             SchedulingPolicy::Priority(vec![1]),
             SchedulingPolicy::OccupancyBased,
         ] {
-            let mut s = Scheduler::new(policy, 3);
-            assert_eq!(s.pick::<u32>(&[]), None);
+            let s = Scheduler::new(policy, 0);
+            assert_eq!(s.pick(&mut Scheduler::initial_rr(0), &[]), None);
         }
-    }
-
-    #[test]
-    fn clones_share_the_order_table() {
-        let proto = Scheduler::new(SchedulingPolicy::Priority(vec![2, 0]), 3);
-        let clone = proto.clone();
-        assert!(Arc::ptr_eq(&proto.order, &clone.order));
     }
 }

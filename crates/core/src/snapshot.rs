@@ -49,7 +49,7 @@ use crate::error::SimError;
 use crate::frames::{Frame, FrameLog};
 use muchisim_config::SystemConfig;
 use muchisim_mem::MemCounters;
-use muchisim_noc::{LatencyStats, NocCounters, Packet, Payload, ReduceOp};
+use muchisim_noc::{Arena, LatencyStats, NocCounters, Packet, Payload, QueueLink, ReduceOp};
 use std::path::Path;
 
 /// Magic bytes identifying a MuchiSim snapshot file.
@@ -318,6 +318,16 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Put> Put for std::collections::VecDeque<T> {
     fn put(&self, buf: &mut Vec<u8>) {
         put_seq(buf, self);
+    }
+}
+
+/// A queue linked through an arena, as the sequence of its items in
+/// FIFO order (byte for byte what the same items in a `VecDeque` write).
+pub(crate) struct Queued<'a, T>(pub &'a QueueLink, pub &'a Arena<T>);
+
+impl<T: Put> Put for Queued<'_, T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.0.iter(self.1));
     }
 }
 

@@ -1,80 +1,54 @@
-//! Per-tile engine state and the simulation result type.
+//! Per-tile cold state and the simulation result type.
 
-use crate::app::OutMsg;
 use crate::counters::{PuCounters, SimCounters};
 use crate::frames::FrameLog;
-use crate::queues::LazyQueues;
-use crate::sched::Scheduler;
-use muchisim_config::{SystemConfig, TimePs};
+use muchisim_config::TimePs;
 use muchisim_mem::TileMemory;
-use muchisim_noc::Payload;
-use std::sync::Arc;
 
-/// The *cold* engine state of one tile: queue banks, TSU scheduler, the
-/// memory model, and event counters.
+/// The *cold* state of one tile: its memory model and the event counters
+/// that tasks write through [`TaskCtx`](crate::TaskCtx).
 ///
-/// The scalars the per-cycle sweeps actually read — PU clocks, IQ/CQ
-/// message counts, the init-pending flag, the frame busy counter — live
-/// in dense per-worker arrays indexed by local tile id (see
-/// `Worker` in `engine.rs`), so the active-list drain walks contiguous
-/// memory instead of striding through these structs. What remains here is
-/// touched only when a task dispatches or a message actually moves.
-///
-/// The layout is deliberately lean — at the paper's million-tile scales
-/// this struct *is* the host memory footprint. Queue banks allocate on
-/// first use, the IQ capacity table and the scheduler's priority order
-/// are shared across all tiles of a worker, and everything else is
-/// inline.
+/// Everything else a tile owns lives in dense per-worker arrays indexed
+/// by local tile id (see `Worker` in `engine.rs`): the scalars the
+/// per-cycle sweeps read, the TSU's round-robin pointer, one queue link
+/// per (tile, task) for the input and channel queues, and the two
+/// counters every dispatch writes. A tile's slot in the worker's
+/// `Vec<Option<Box<TileCold>>>` stays `None` until [`materialize`] is
+/// called for it — by the first counted op, memory access or send of one
+/// of its tasks, or the first packet delivered to it — so at the paper's
+/// million-tile scales a tile whose init task does nothing costs a null
+/// pointer here. An absent box reads as a fresh one everywhere: zero
+/// counters, an untouched copy of the worker's memory prototype.
 #[derive(Debug)]
-pub(crate) struct TileEngine {
-    /// One input queue per task type (payloads only; the queue index is
-    /// the task id). Allocated on first message.
-    pub iqs: LazyQueues<Payload>,
-    /// Per-task IQ capacity in messages (shared across tiles).
-    pub iq_caps: Arc<[u32]>,
-    /// One channel queue per task type, draining into the NoC.
-    /// Allocated on first remote send.
-    pub cqs: LazyQueues<OutMsg>,
-    /// TSU scheduler.
-    pub sched: Scheduler,
+pub(crate) struct TileCold {
     /// The tile's memory model.
     pub mem: TileMemory,
-    /// PU event counters for this tile.
+    /// PU event counters, except `tasks_executed` and `busy_cycles`:
+    /// those two are the worker's dense `dispatched` array (and stay
+    /// zero here).
     pub counters: PuCounters,
 }
 
-impl TileEngine {
-    pub(crate) fn new(
-        cfg: &SystemConfig,
-        task_types: u8,
-        iq_caps: Arc<[u32]>,
-        sched: Scheduler,
-    ) -> Self {
-        TileEngine {
-            iqs: LazyQueues::new(task_types),
-            iq_caps,
-            cqs: LazyQueues::new(task_types),
-            sched,
-            mem: TileMemory::from_system(cfg),
+/// The cold state behind `slot`, built from the worker's untouched
+/// memory prototype on first use.
+#[inline]
+pub(crate) fn materialize<'a>(
+    slot: &'a mut Option<Box<TileCold>>,
+    mem_proto: &TileMemory,
+) -> &'a mut TileCold {
+    match slot {
+        Some(cold) => cold,
+        None => slot.insert(TileCold::fresh(mem_proto)),
+    }
+}
+
+impl TileCold {
+    #[cold]
+    fn fresh(mem_proto: &TileMemory) -> Box<Self> {
+        Box::new(TileCold {
+            mem: mem_proto.clone(),
             counters: PuCounters::default(),
-        }
-    }
-
-    /// Whether any channel queue exceeds `cap` (send-side backpressure:
-    /// the TSU stalls new dispatches until the NoC drains the CQs). The
-    /// caller gates this on its SoA `cq_msgs` count being non-zero.
-    pub fn cq_over(&self, cap: u32) -> bool {
-        self.cqs.as_slice().iter().any(|q| q.len() > cap as usize)
-    }
-
-    /// Host heap bytes owned by this tile (queue banks and the memory
-    /// model; the capacity table and scheduler order are shared across
-    /// tiles, and the SoA hot arrays are per-worker — both counted once
-    /// by the worker).
-    pub fn heap_bytes(&self) -> u64 {
-        self.iqs.heap_bytes(muchisim_noc::Payload::heap_bytes)
-            + self.cqs.heap_bytes(|m| m.payload.heap_bytes())
-            + self.mem.heap_bytes()
+        })
     }
 }
 
@@ -250,22 +224,22 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muchisim_config::SchedulingPolicy;
-
-    fn tile() -> TileEngine {
-        TileEngine::new(
-            &SystemConfig::default(),
-            2,
-            vec![8, 8].into(),
-            Scheduler::new(SchedulingPolicy::RoundRobin, 2),
-        )
-    }
+    use muchisim_config::SystemConfig;
 
     #[test]
-    fn fresh_tile_is_idle() {
-        let t = tile();
-        assert!(!t.cq_over(4));
-        assert_eq!(t.iqs.as_slice().len(), 0, "queue banks allocate lazily");
+    fn a_slot_materializes_once_from_the_prototype() {
+        let proto = TileMemory::from_system(&SystemConfig::default());
+        let mut slot = None;
+        materialize(&mut slot, &proto).counters.int_ops = 3;
+        materialize(&mut slot, &proto).mem.queue_write(1);
+        let cold = slot.expect("materialized");
+        assert_eq!(cold.counters.int_ops, 3);
+        assert_eq!(cold.mem.counters().queue_writes, 1);
+        assert_eq!(
+            proto.counters().queue_writes,
+            0,
+            "the prototype stays untouched"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum AccessKind {
     Write,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Mode {
     Scratchpad,
     Cache {
@@ -34,8 +34,10 @@ enum Mode {
     },
 }
 
-/// The memory system of one tile.
-#[derive(Debug)]
+/// The memory system of one tile. Cloning an untouched one yields
+/// another tile's fresh memory (the engine builds one per worker and
+/// clones it into each tile on first use).
+#[derive(Debug, Clone)]
 pub struct TileMemory {
     mode: Mode,
     sram_latency: u64,

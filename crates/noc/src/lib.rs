@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod arena;
 mod counters;
 mod credit;
 mod latency;
@@ -69,6 +70,7 @@ mod topo;
 mod trace;
 mod worklist;
 
+pub use arena::{Arena, QueueLink};
 pub use counters::{NocCounters, RouterVisits};
 pub use credit::Credit;
 pub use latency::LatencyStats;

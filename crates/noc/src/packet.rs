@@ -105,6 +105,12 @@ impl Payload {
     }
 }
 
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::empty()
+    }
+}
+
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Payload({:?})", self.as_slice())
@@ -179,6 +185,14 @@ pub struct Packet {
     pub reduce: Option<ReduceOp>,
     /// Payload words.
     pub payload: Payload,
+}
+
+/// A one-flit packet from tile 0 to itself with no payload: what a
+/// vacant arena node holds.
+impl Default for Packet {
+    fn default() -> Self {
+        Packet::unicast(0, 0, 0, Payload::empty(), 1)
+    }
 }
 
 impl Packet {

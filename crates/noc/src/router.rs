@@ -1,23 +1,18 @@
 //! Per-shard packet storage and per-router queue state.
 //!
-//! Every packet queued in a shard lives in that shard's [`PacketArena`]:
-//! one `Vec` of nodes `{Packet, next}` with a LIFO free list threaded
-//! through the vacant ones. A router input queue is a `(head, tail)` pair
-//! of node ids, so a FIFO that holds less than one packet on average costs
-//! eight bytes, not a ring buffer, and a hop between two routers of the
-//! same shard *relinks* a node — [`RouterState::unlink`] at the sender,
-//! [`RouterState::link`] at the receiver one cycle later — without the
-//! packet moving in memory.
+//! Every packet queued in a shard lives in that shard's [`PacketArena`]
+//! (an [`Arena`] of packets, see [`crate::arena`]). A router input queue
+//! is a `(head, tail)` pair of node ids, so a FIFO that holds less than
+//! one packet on average costs eight bytes, not a ring buffer, and a hop
+//! between two routers of the same shard *relinks* a node —
+//! [`RouterState::unlink`] at the sender, [`RouterState::link`] at the
+//! receiver one cycle later — without the packet moving in memory.
 //!
-//! **Node lifetime.** [`PacketArena::alloc`] makes a node live,
-//! [`PacketArena::release`] takes its packet out and returns it to the
-//! free list; in between the node is owned by exactly one queue, or by the
-//! shard's deferred-push buffer between `unlink` and `link`. A `Packet`
-//! is taken *out* of the arena only where it leaves the shard's custody:
-//! ejection into the tile, a cross-shard mailbox, an in-network combine
-//! (the arriving packet dies), and — by reference — a snapshot. Node ids
-//! are indices into one shard's `Vec` and mean nothing in another: that is
-//! why mailboxes and snapshots carry packets, never ids.
+//! A `Packet` is taken *out* of the arena only where it leaves the
+//! shard's custody: ejection into the tile, a cross-shard mailbox, an
+//! in-network combine (the arriving packet dies), and — by reference — a
+//! snapshot. Node ids mean nothing in another shard's arena: that is why
+//! mailboxes and snapshots carry packets, never ids.
 //!
 //! The hot per-cycle scalars (`busy_until`, `rr_ptr`, `queued_msgs`) live
 //! in dense per-shard arrays (see [`crate::shard::Shard`]), not here: the
@@ -27,126 +22,16 @@
 //! remains in the box is the cold part — the queue links, the combine
 //! index, the stall memo — touched only when a packet actually moves.
 
-use crate::packet::{Packet, Payload, ReduceOp};
+use crate::arena::{Arena, NIL};
+use crate::packet::{Packet, ReduceOp};
 use crate::port::{IN_PORTS, OUT_DIRS};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The "no node" id: an empty queue's head and tail, the last node's
-/// `next`, the end of the free list.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct Node {
-    /// The queued packet; a payload-free placeholder while the node is
-    /// vacant, so a vacant node never owns heap memory.
-    pkt: Packet,
-    /// The next node towards the queue's tail, or the next vacant node.
-    next: u32,
-}
-
-/// The packet storage of one shard (see the module comment).
-#[derive(Debug)]
-pub struct PacketArena {
-    nodes: Vec<Node>,
-    /// Most recently released node: reused first, while it is still warm
-    /// in the cache.
-    free: u32,
-    live: u32,
-}
-
-impl Default for PacketArena {
-    fn default() -> Self {
-        PacketArena {
-            nodes: Vec::new(),
-            free: NIL,
-            live: 0,
-        }
-    }
-}
-
-impl PacketArena {
-    /// Stores `pkt` in a vacant node — the most recently released one, a
-    /// new one only when none is vacant — and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the shard already holds `u32::MAX` nodes.
-    pub fn alloc(&mut self, pkt: Packet) -> u32 {
-        self.live += 1;
-        if self.free != NIL {
-            let id = self.free;
-            let node = &mut self.nodes[id as usize];
-            self.free = node.next;
-            node.pkt = pkt;
-            return id;
-        }
-        let id = u32::try_from(self.nodes.len())
-            .ok()
-            .filter(|&id| id != NIL)
-            .expect("packet arena full: one shard cannot queue 2^32 - 1 packets");
-        self.nodes.push(Node { pkt, next: NIL });
-        id
-    }
-
-    /// Takes the packet out of live node `id` and returns the node to the
-    /// free list.
-    pub fn release(&mut self, id: u32) -> Packet {
-        let node = &mut self.nodes[id as usize];
-        let vacant = Packet::unicast(0, 0, 0, Payload::empty(), 1);
-        let pkt = std::mem::replace(&mut node.pkt, vacant);
-        node.next = self.free;
-        self.free = id;
-        self.live -= 1;
-        pkt
-    }
-
-    /// The packet of live node `id`.
-    #[inline]
-    pub fn get(&self, id: u32) -> &Packet {
-        &self.nodes[id as usize].pkt
-    }
-
-    /// The packet of live node `id`, to stamp in place.
-    #[inline]
-    pub fn get_mut(&mut self, id: u32) -> &mut Packet {
-        &mut self.nodes[id as usize].pkt
-    }
-
-    /// Live nodes: the packets the shard holds.
-    pub fn live(&self) -> usize {
-        self.live as usize
-    }
-
-    /// Nodes ever created (live + vacant); grows only when a packet
-    /// arrives while no node is vacant.
-    pub fn nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether every node is on the free list, by walking it.
-    pub fn all_vacant(&self) -> bool {
-        let mut vacant = 0;
-        let mut id = self.free;
-        while id != NIL && vacant <= self.nodes.len() {
-            vacant += 1;
-            id = self.nodes[id as usize].next;
-        }
-        self.live == 0 && vacant == self.nodes.len()
-    }
-
-    /// Host heap bytes: node capacity plus the payloads that spilled to
-    /// the heap (vacant nodes own none).
-    pub fn heap_bytes(&self) -> u64 {
-        self.nodes.capacity() as u64 * std::mem::size_of::<Node>() as u64
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.pkt.payload.heap_bytes())
-                .sum::<u64>()
-    }
-}
+/// The packet storage of one shard: a vacant node holds
+/// `Packet::default()`, which owns no payload.
+pub type PacketArena = Arena<Packet>;
 
 /// Identity of a reducible packet waiting in one input queue: input port,
 /// destination, task, reduction key (payload word 0), and operator.
@@ -364,15 +249,7 @@ impl RouterState {
         arena: &'a PacketArena,
         port: usize,
     ) -> impl Iterator<Item = &'a Packet> + 'a {
-        let mut id = self.queues[port].head;
-        std::iter::from_fn(move || {
-            if id == NIL {
-                return None;
-            }
-            let node = &arena.nodes[id as usize];
-            id = node.next;
-            Some(&node.pkt)
-        })
+        arena.iter_from(self.queues[port].head)
     }
 
     /// Pushes a packet into input queue `port`, combining with the queued
@@ -402,14 +279,14 @@ impl RouterState {
                 }
             }
         }
-        arena.nodes[node as usize].next = NIL;
+        arena.set_next(node, NIL);
         let queue = &mut self.queues[port];
         let new_head = queue.head == NIL;
         if new_head {
             queue.head = node;
             self.port_mask |= 1 << port;
         } else {
-            arena.nodes[queue.tail as usize].next = node;
+            arena.set_next(queue.tail, node);
         }
         queue.tail = node;
         Pushed { freed: 0, new_head }
@@ -427,7 +304,7 @@ impl RouterState {
         let queue = &mut self.queues[port];
         let node = queue.head;
         assert!(node != NIL, "pop from empty router queue");
-        queue.head = arena.nodes[node as usize].next;
+        queue.head = arena.next(node);
         if queue.head == NIL {
             queue.tail = NIL;
             self.port_mask &= !(1 << port);
@@ -461,7 +338,7 @@ impl RouterState {
             debug_assert!(prev.is_none(), "restored signature already indexed");
         }
         let queue = &mut self.queues[port];
-        arena.nodes[node as usize].next = queue.head;
+        arena.set_next(node, queue.head);
         if queue.head == NIL {
             queue.tail = node;
             self.port_mask |= 1 << port;
@@ -496,6 +373,7 @@ impl RouterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Payload;
 
     fn pkt(dst: u32, key: u32, val: u32) -> Packet {
         Packet::unicast(0, dst, 1, Payload::from_slice(&[key, val]), 2)
@@ -546,25 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn released_nodes_are_reused_last_out_first_and_own_no_payload() {
+    fn a_vacant_packet_node_owns_no_payload() {
         let mut a = PacketArena::default();
         let big: Vec<u32> = (0..16).collect();
-        let ids: Vec<u32> = (0..3)
-            .map(|_| a.alloc(Packet::unicast(0, 1, 0, Payload::from_slice(&big), 17)))
-            .collect();
-        let full = a.heap_bytes();
-        assert_eq!(a.release(ids[0]).payload.as_slice(), &big[..]);
-        a.release(ids[2]);
-        assert_eq!(
-            full - a.heap_bytes(),
-            2 * 64,
-            "a vacant node spills nothing"
-        );
-        assert_eq!((a.live(), a.nodes()), (1, 3));
-        assert_eq!(a.alloc(plain(1, 1)), ids[2]);
-        assert_eq!(a.alloc(plain(1, 2)), ids[0]);
-        assert_eq!(a.alloc(plain(1, 3)), 3, "grows only when none is vacant");
-        assert!(!a.all_vacant());
+        let spilled = |p: &Packet| p.payload.heap_bytes();
+        let id = a.alloc(Packet::unicast(0, 1, 0, Payload::from_slice(&big), 17));
+        let full = a.heap_bytes(spilled);
+        assert_eq!(a.release(id).payload.as_slice(), &big[..]);
+        assert_eq!(full - a.heap_bytes(spilled), 64);
+        assert_eq!(*a.get(id), Packet::default());
     }
 
     #[test]
@@ -736,6 +604,5 @@ mod tests {
         // what a materialized router costs besides its packets: 13 queue
         // links, the index header, the memo pointer
         assert!(std::mem::size_of::<RouterState>() <= 176);
-        assert_eq!(std::mem::size_of::<Node>(), 72);
     }
 }

@@ -1014,7 +1014,7 @@ impl Shard {
         });
         routers
             + trace
-            + self.arena.heap_bytes()
+            + self.arena.heap_bytes(|p| p.payload.heap_bytes())
             + self.pool.capacity() as u64 * ptr
             + self.queued_msgs.capacity() as u64 * 4
             + self.wake.capacity() as u64 * 8
@@ -1220,6 +1220,15 @@ pub struct InjectBatch<'a> {
 }
 
 impl InjectBatch<'_> {
+    /// Whether [`InjectBatch::offer`] would take a packet of `flits`
+    /// flits now. Lets a caller leave a message in its own queue instead
+    /// of taking it out, building the packet and putting it back on
+    /// refusal.
+    #[inline]
+    pub fn admits(&self, flits: u16) -> bool {
+        admits(self.occ, flits as u32, self.shared.inject_capacity_flits)
+    }
+
     /// Offers one packet under the same admission rule as
     /// [`Shard::inject`]: admit iff the queue is empty or `flits` fit.
     ///
@@ -1227,10 +1236,10 @@ impl InjectBatch<'_> {
     ///
     /// Returns the packet back if the inject queue is full.
     pub fn offer(&mut self, pkt: Packet) -> Result<(), Packet> {
-        let flits = pkt.flits as u32;
-        if !admits(self.occ, flits, self.shared.inject_capacity_flits) {
+        if !self.admits(pkt.flits) {
             return Err(pkt);
         }
+        let flits = pkt.flits as u32;
         self.occ += flits;
         self.occ_delta += flits as i64;
         if let Some(trace) = &mut self.shard.trace {

@@ -196,10 +196,10 @@ proptest! {
                     prop_assert_eq!(pushed, model[r].push(port, pkt));
                 }
                 3 if !model[r].queues[port].is_empty() => {
-                    let before = arena.heap_bytes();
+                    let before = arena.heap_bytes(spilled);
                     let pkt = routers[r].pop(&mut arena, port);
                     prop_assert_eq!(
-                        before - arena.heap_bytes(),
+                        before - arena.heap_bytes(spilled),
                         spilled(&pkt),
                         "the payload leaves with the packet: a vacant node owns none"
                     );

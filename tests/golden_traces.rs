@@ -15,6 +15,9 @@
 //! `schedule_checksum` of a hub-congested BFS on a 32x32 mesh, run at 2
 //! and at 4 host threads (`@t2` / `@t4` keys).
 //!
+//! Three `MILL-*` rows (one per TSU policy) pin the tile queue paths the
+//! suite leaves cold — see `common/mod.rs` for which and why.
+//!
 //! To regenerate after an *intentional* model change (each test rewrites
 //! only its own rows of the file):
 //!
@@ -28,6 +31,10 @@ use muchisim::core::digest::{schedule_checksum, trace_checksum as checksum};
 use muchisim::data::rmat::RmatConfig;
 use serde_json::JsonValue;
 use std::sync::{Arc, Mutex};
+
+mod common;
+use common::{mill_config, mill_policies, Mill, KICK_CYCLES};
+use muchisim::core::{SimResult, Simulation};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/traces.json");
 const GRAPH_SEED: u64 = 0xC0FF_EE00;
@@ -248,6 +255,102 @@ fn threaded_hub_congested_runs_match_committed_schedule_rows() {
             committed_str(&load_committed(), &key, "schedule_hash"),
             "{key}: schedule diverged from the committed row (runtime {})",
             result.runtime_cycles
+        );
+    }
+    if !blessed.is_empty() {
+        bless_rows(&blessed);
+    }
+}
+
+fn run_mill(cfg: SystemConfig, threads: usize, key: &str) -> SimResult {
+    let result = Simulation::new(cfg, Mill)
+        .expect("valid simulation")
+        .run_parallel(threads)
+        .unwrap_or_else(|e| panic!("{key} failed to run: {e}"));
+    assert!(
+        result.check_error.is_none(),
+        "{key}: {:?}",
+        result.check_error
+    );
+    result
+}
+
+/// The tile queue paths (see `common/mod.rs`): each policy's run must
+/// land on its committed trace under every (leap x active-list)
+/// combination, on its committed schedule at 2 threads, and again when
+/// split into a checkpointed and a resumed half — with the counters
+/// that prove the paths were live.
+#[test]
+fn queue_path_rows_match_committed_checksums() {
+    let mut blessed = Vec::new();
+    for (label, policy) in mill_policies() {
+        let key = format!("MILL-{label}-4x4-mesh");
+        let cfg = mill_config(policy, false);
+        let tiles = cfg.width() * cfg.height();
+        let result = run_mill(cfg.clone(), 1, &key);
+        let (stalls, refused) = (
+            result.counters.pu.cq_stall_cycles,
+            result.counters.noc.eject_stalls,
+        );
+        assert!(
+            stalls > KICK_CYCLES * 15,
+            "{key}: CQ stalls {stalls} span no leap"
+        );
+        assert!(refused > 0, "{key}: no ejection was refused");
+        let trace = |r: &SimResult| format!("{:#018x}", checksum(r, tiles));
+        let schedule = |r: &SimResult| format!("{:#018x}", schedule_checksum(r, tiles));
+        let row = format!(
+            "{{\"hash\": \"{}\", \"schedule_hash\": \"{}\", \"runtime_cycles\": {}, \
+             \"cq_stall_cycles\": {stalls}, \"eject_stalls\": {refused}}}",
+            trace(&result),
+            schedule(&result),
+            result.runtime_cycles
+        );
+        if std::env::var_os("MUCHISIM_BLESS").is_some() {
+            blessed.push((key, row));
+            continue;
+        }
+        let committed = load_committed();
+        let want = committed_str(&committed, &key, "hash");
+        let want_schedule = committed_str(&committed, &key, "schedule_hash");
+        assert_eq!(
+            trace(&result),
+            want,
+            "{key}: trace diverged (runtime {}, CQ stalls {stalls}, refused {refused})",
+            result.runtime_cycles
+        );
+        for (combo, leap, active) in [
+            ("leap only", true, false),
+            ("active-list only", false, true),
+            ("lockstep full-sweep", false, false),
+        ] {
+            let mut c = cfg.clone();
+            c.time_leap = leap;
+            c.active_list = active;
+            let r = run_mill(c, 1, &key);
+            assert_eq!(trace(&r), want, "{key}: {combo}");
+        }
+        let threaded = run_mill(cfg.clone(), 2, &key);
+        assert_eq!(schedule(&threaded), want_schedule, "{key}: 2 threads");
+        // split two thirds in, where tile 0 still holds full IQs and the
+        // senders' banks are allocated and empty again
+        let path = std::env::temp_dir()
+            .join(format!("muchisim-{}-{key}.snap", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let mut c = cfg.clone();
+        c.checkpoint_path = Some(path.clone());
+        c.checkpoint_every = Some(result.runtime_cycles * 2 / 3);
+        let first = run_mill(c.clone(), 1, &key);
+        c.checkpoint_every = None;
+        c.checkpoint_resume = true;
+        let resumed = run_mill(c, 2, &key);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(trace(&first), want, "{key}: checkpointed");
+        assert_eq!(
+            schedule(&resumed),
+            want_schedule,
+            "{key}: resumed on 2 threads"
         );
     }
     if !blessed.is_empty() {

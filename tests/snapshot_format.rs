@@ -28,12 +28,16 @@ use muchisim::data::Csr;
 use muchisim::traffic::TrafficApp;
 use std::sync::{Arc, OnceLock};
 
+mod common;
+use common::{mill_config, mill_policies, Mill};
+
 const SIDE: u32 = 8;
 const GRAPH_SEED: u64 = 0xC0FF_EE00;
 const GRAPH_SCALE: u32 = 5;
 
 /// `(row, file length in bytes, trailing checksum)`, recorded at commit
-/// d4354c6 (PR 12), the parent of the single-codec change.
+/// d4354c6 (PR 12), the parent of the single-codec change — the `mill`
+/// rows at 7ef21f6, the last commit whose tile queues were `VecDeque`s.
 const PINS_V1: &[(&str, u64, u64)] = &[
     ("bfs/sram/t1", 14606, 0x17fbfd097ae80b16),
     ("bfs/sram/t2", 15634, 0x1d8c36a66b5c9943),
@@ -69,6 +73,10 @@ const PINS_V1: &[(&str, u64, u64)] = &[
     ("traffic/cache/t2", 160104, 0xdb3d830d22d16d5a),
     ("traffic-jam/sram/t1", 116055, 0xfdfba23cd0e86864),
     ("traffic-jam/sram/t2", 118175, 0xf135be433ae30c87),
+    ("mill-rr/sram/t1", 18145, 0x4875487caaafb245),
+    ("mill-rr/cache/t2", 56442, 0x53bb87cbf905ec2f),
+    ("mill-priority/sram/t2", 20862, 0xdcf3d09cad88f637),
+    ("mill-occupancy/cache/t1", 54508, 0x1a4345434ccc13c1),
 ];
 
 #[derive(Clone, Copy, Debug)]
@@ -85,6 +93,9 @@ enum App {
     /// Scripted hotspot traffic past saturation: the snapshot lands in a
     /// jam, with deep source queues, busy links and advanced arbiters.
     TrafficJam,
+    /// `common::Mill` under the `mill_policies()` entry of this index:
+    /// full IQs at tile 0, spilled CQs, allocated-but-empty banks.
+    Mill(usize),
 }
 
 impl App {
@@ -99,6 +110,9 @@ impl App {
             App::Spmm => "spmm",
             App::Traffic => "traffic",
             App::TrafficJam => "traffic-jam",
+            App::Mill(0) => "mill-rr",
+            App::Mill(1) => "mill-priority",
+            App::Mill(_) => "mill-occupancy",
         }
     }
 }
@@ -149,10 +163,22 @@ fn matrix() -> Vec<Row> {
             threads,
         });
     }
+    for (policy, cache, threads) in [(0, false, 1), (0, true, 2), (1, false, 2), (2, true, 1)] {
+        rows.push(Row {
+            app: App::Mill(policy),
+            cache,
+            threads,
+        });
+    }
     rows
 }
 
 fn config(row: &Row) -> SystemConfig {
+    if let App::Mill(policy) = row.app {
+        let mut cfg = mill_config(mill_policies()[policy].1.clone(), row.cache);
+        cfg.time_leap = false;
+        return cfg;
+    }
     let mut b = SystemConfig::builder();
     b.chiplet_tiles(SIDE, SIDE)
         .verbosity(Verbosity::V3)
@@ -225,6 +251,7 @@ fn simulate(row: &Row, cfg: SystemConfig, graph: &Arc<Csr>, resnapshot: bool) ->
             let app = TrafficApp::new(&cfg, TrafficPattern::Hotspot).expect("traffic");
             go(row, cfg, app, resnapshot)
         }
+        App::Mill(_) => go(row, cfg, Mill, resnapshot),
     }
 }
 
