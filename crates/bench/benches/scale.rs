@@ -79,9 +79,6 @@ fn config(side: u32) -> SystemConfig {
         .chiplet_tiles(side, side)
         .verbosity(Verbosity::V1)
         .frame_interval_cycles(16_384)
-        // bounded frame memory: at million-tile scale the telemetry must
-        // not become the footprint it measures
-        .frame_budget(64)
         .build()
         .expect("valid scale config")
 }
@@ -314,7 +311,7 @@ fn main() {
          \"workloads\": [\"bfs/rmat-{RMAT_SCALE} (fixed graph, strong scaling)\", \
          \"spmv/grid2d (matrix = DUT grid, weak scaling)\"],\n  \
          \"host_threads\": {swept:?},\n  \"host_cpus\": {host_cpus},\n  \
-         \"frame_budget\": 64,\n  \"active_list\": true,\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"active_list\": true,\n  \"rows\": [\n{}\n  ]\n}}\n",
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

@@ -243,17 +243,6 @@ pub struct SystemConfig {
     pub inter_node_link_mux: u32,
     /// Statistic-frame length in NoC cycles (paper §III-D "frames").
     pub frame_interval_cycles: u64,
-    /// Maximum statistics frames kept in host memory per worker
-    /// (clamped to ≥ 2). When the run produces more, adjacent frames are
-    /// merged pairwise and the effective interval doubles (telemetry
-    /// downsampling), bounding frame memory for arbitrarily long or
-    /// large runs. `None` keeps every frame (the default).
-    pub frame_budget: Option<u32>,
-    /// Path of a JSONL file receiving every full-resolution frame as it
-    /// closes (streaming spill). Works with or without `frame_budget`:
-    /// full fidelity lands on disk while memory holds the (possibly
-    /// downsampled) in-memory log. `None` disables spilling.
-    pub frame_spill: Option<String>,
     /// Path of a JSONL file receiving the full NoC injection trace — one
     /// `(cycle, src, dst, task, payload)` event per packet entering the
     /// network — written when the run completes. A recorded trace can be
@@ -265,8 +254,7 @@ pub struct SystemConfig {
     /// cycle at or past each multiple (so time leaping may land the
     /// snapshot a little late, never early). `None` disables periodic
     /// checkpointing. Requires `checkpoint_path`; incompatible with
-    /// `frame_budget`, `frame_spill` and `noc_trace`, whose streamed /
-    /// downsampled side state is not captured by snapshots.
+    /// `noc_trace`, whose recorded events are not captured by snapshots.
     pub checkpoint_every: Option<u64>,
     /// Snapshot file path (see `muchisim-core`'s `snapshot` module for
     /// the format). Writes are atomic (temp file + rename), so the file
@@ -328,8 +316,6 @@ impl Default for SystemConfig {
             interposer: InterposerKind::default(),
             inter_node_link_mux: 1,
             frame_interval_cycles: 40_000,
-            frame_budget: None,
-            frame_spill: None,
             noc_trace: None,
             checkpoint_every: None,
             checkpoint_path: None,
@@ -525,22 +511,10 @@ impl SystemConfig {
                 why: "checkpoint_resume requires checkpoint_path",
             });
         }
-        if self.checkpoint_every.is_some() || self.checkpoint_resume {
-            if self.frame_budget.is_some() {
-                return Err(ConfigError::Checkpoint {
-                    why: "checkpointing is incompatible with frame_budget",
-                });
-            }
-            if self.frame_spill.is_some() {
-                return Err(ConfigError::Checkpoint {
-                    why: "checkpointing is incompatible with frame_spill",
-                });
-            }
-            if self.noc_trace.is_some() {
-                return Err(ConfigError::Checkpoint {
-                    why: "checkpointing is incompatible with noc_trace",
-                });
-            }
+        if (self.checkpoint_every.is_some() || self.checkpoint_resume) && self.noc_trace.is_some() {
+            return Err(ConfigError::Checkpoint {
+                why: "checkpointing is incompatible with noc_trace",
+            });
         }
         self.traffic.validate()?;
         self.telemetry.validate()?;
@@ -712,19 +686,6 @@ impl SystemConfigBuilder {
     /// Sets the statistics frame interval in NoC cycles.
     pub fn frame_interval_cycles(&mut self, cycles: u64) -> &mut Self {
         self.cfg.frame_interval_cycles = cycles;
-        self
-    }
-
-    /// Bounds in-memory statistics frames per worker (≥ 2); overflowing
-    /// frames merge pairwise (downsampling).
-    pub fn frame_budget(&mut self, budget: u32) -> &mut Self {
-        self.cfg.frame_budget = Some(budget);
-        self
-    }
-
-    /// Streams every full-resolution frame to a JSONL file at `path`.
-    pub fn frame_spill(&mut self, path: impl Into<String>) -> &mut Self {
-        self.cfg.frame_spill = Some(path.into());
         self
     }
 
@@ -979,23 +940,6 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SystemConfig = serde_json::from_str(&json).unwrap();
         assert!(!back.active_list);
-    }
-
-    #[test]
-    fn frame_streaming_knobs_default_off_and_round_trip() {
-        let cfg = SystemConfig::default();
-        assert_eq!(cfg.frame_budget, None);
-        assert_eq!(cfg.frame_spill, None);
-        let cfg = SystemConfig::builder()
-            .frame_budget(512)
-            .frame_spill("target/frames.jsonl")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.frame_budget, Some(512));
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SystemConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.frame_budget, Some(512));
-        assert_eq!(back.frame_spill.as_deref(), Some("target/frames.jsonl"));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, TaskCtx};
 use crate::counters::SimCounters;
 use crate::error::SimError;
-use crate::frames::{Frame, FrameLog, FrameSink, FrameSpill};
 use crate::horizon::ClockConv;
 use crate::sched::Scheduler;
 use crate::slice::ColSlice;
@@ -14,6 +13,7 @@ use muchisim_noc::{
     split_columns, ActiveSet, Arena, EjectSink, InPort, Network, NetworkParams, OutDir, Packet,
     Payload, QueueLink, Shard, SharedNet,
 };
+use muchisim_telemetry::{Cadence, Frame, FrameLog};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -92,8 +92,8 @@ impl<A: Application> Simulation<A> {
 
     /// Attaches an extra telemetry subscriber (e.g. a
     /// [`MemorySubscriber`](muchisim_telemetry::MemorySubscriber) in
-    /// tests). Samples flow only when `SystemConfig::telemetry` sets a
-    /// `sample_every` cadence.
+    /// tests). Samples — and, at verbosity ≥ V1, frames — flow only when
+    /// `SystemConfig::telemetry` sets a `sample_every` cadence.
     pub fn with_subscriber(mut self, subscriber: Box<dyn muchisim_telemetry::Subscriber>) -> Self {
         self.subscribers.push(subscriber);
         self
@@ -148,19 +148,12 @@ impl<A: Application> Simulation<A> {
     /// # Errors
     ///
     /// See [`Simulation::run`]; additionally returns
-    /// [`SimError::FrameSpill`] when `SystemConfig::frame_spill` names a
-    /// path that cannot be created, and [`SimError::Snapshot`] when a
-    /// checkpoint file is corrupt, incompatible with this configuration,
-    /// or cannot be written.
+    /// [`SimError::Telemetry`] when a metrics stream cannot be created or
+    /// written, and [`SimError::Snapshot`] when a checkpoint file is
+    /// corrupt, incompatible with this configuration, or cannot be
+    /// written.
     pub fn run_parallel(mut self, threads: usize) -> Result<SimResult, SimError> {
         let subscribers = std::mem::take(&mut self.subscribers);
-        let spill = match &self.cfg.frame_spill {
-            Some(path) => Some(
-                FrameSpill::create(path, self.cfg.frame_interval_cycles.max(1))
-                    .map_err(SimError::FrameSpill)?,
-            ),
-            None => None,
-        };
         // a resume with no file yet is a fresh start (first run of a
         // restartable job); an existing-but-unreadable file is an error
         let snap = match (&self.cfg.checkpoint_path, self.cfg.checkpoint_resume) {
@@ -169,7 +162,7 @@ impl<A: Application> Simulation<A> {
             }
             _ => None,
         };
-        let mut setup = SimSetup::build(&self.cfg, &self.app, threads, spill);
+        let mut setup = SimSetup::build(&self.cfg, &self.app, threads);
         for w in &mut setup.workers {
             w.forget_stall_memos = self.forget_stall_memos;
         }
@@ -205,12 +198,7 @@ pub(crate) struct SimSetup<A: Application> {
 }
 
 impl<A: Application> SimSetup<A> {
-    pub(crate) fn build(
-        cfg: &SystemConfig,
-        app: &A,
-        threads: usize,
-        spill: Option<FrameSpill>,
-    ) -> Self {
+    pub(crate) fn build(cfg: &SystemConfig, app: &A, threads: usize) -> Self {
         let channel_map = ChannelMap::from_system(cfg);
         let align = channel_map.map_or(1, |m| m.band_cols());
         let boundaries = split_columns(cfg.width(), threads, align);
@@ -228,18 +216,9 @@ impl<A: Application> SimSetup<A> {
         };
         let mut workers = Vec::with_capacity(boundaries.len());
         let mut start = 0;
-        for (widx, &end) in boundaries.iter().enumerate() {
+        for &end in &boundaries {
             let slice = ColSlice::new(start..end, cfg.width(), cfg.height());
-            workers.push(Worker::new(
-                cfg,
-                app,
-                &sw,
-                slice,
-                grid,
-                channel_map,
-                widx,
-                spill.clone(),
-            ));
+            workers.push(Worker::new(cfg, app, &sw, slice, grid, channel_map));
             start = end;
         }
         SimSetup { workers, networks }
@@ -338,7 +317,9 @@ pub(crate) struct Worker<A: Application> {
     /// PU busy cycles per tile in the current statistics frame (SoA).
     pu_busy_frame: Vec<u32>,
     verbosity: Verbosity,
-    frame_interval: u64,
+    /// When a statistics frame closes; `None` at verbosity V0 (no frames
+    /// are recorded).
+    pub frame_cadence: Option<Cadence>,
     pointer_prefetch: bool,
     /// Per-tile pre-scheduled NoC injections (front = next due), consumed
     /// during kernel 0. Empty for ordinary applications.
@@ -353,9 +334,9 @@ pub(crate) struct Worker<A: Application> {
     tile_horizon: u64,
     /// Latest PU completion time seen, in femtoseconds.
     pub max_pu_fs: u64,
-    /// Completed statistics frames (streaming: bounded retention plus
-    /// optional full-resolution JSONL spill).
-    pub frames: FrameSink,
+    /// This worker's partial statistics frames, merged positionally with
+    /// the other workers' in [`finish`].
+    pub frames: FrameLog,
     frame_tasks: u64,
     frame_injected: u64,
     frame_ejected: u64,
@@ -382,7 +363,6 @@ pub(crate) struct Worker<A: Application> {
 }
 
 impl<A: Application> Worker<A> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         cfg: &SystemConfig,
         app: &A,
@@ -390,8 +370,6 @@ impl<A: Application> Worker<A> {
         slice: ColSlice,
         grid: GridInfo,
         channel_map: Option<ChannelMap>,
-        widx: usize,
-        spill: Option<FrameSpill>,
     ) -> Self {
         let ntasks = app.task_types();
         let mut iq_caps = vec![cfg.queues.iq_capacity; ntasks as usize];
@@ -463,18 +441,14 @@ impl<A: Application> Worker<A> {
             cq_wake: vec![0; n],
             pu_busy_frame: vec![0; n],
             verbosity: cfg.verbosity,
-            frame_interval: cfg.frame_interval_cycles.max(1),
+            frame_cadence: (cfg.verbosity != Verbosity::V0)
+                .then(|| Cadence::new(cfg.frame_interval_cycles)),
             pointer_prefetch,
             scripted,
             msg_count: 0,
             tile_horizon: u64::MAX,
             max_pu_fs: 0,
-            frames: FrameSink::new(
-                cfg.frame_interval_cycles,
-                cfg.frame_budget.map(|b| b as usize),
-                widx,
-                spill,
-            ),
+            frames: FrameLog::new(cfg.frame_interval_cycles.max(1)),
             frame_tasks: 0,
             frame_injected: 0,
             frame_ejected: 0,
@@ -544,8 +518,8 @@ impl<A: Application> Worker<A> {
         self.tile_horizon = u64::MAX;
         let now_pu = self.clock.pu_cycle_floor(cycle);
         // fold in tiles activated by deliveries since the last sweep
-        // (net_step, or a leap's backfill); every tile with work is on
-        // the list, so skipping the rest is exact
+        // (net_step); every tile with work is on the list, so skipping
+        // the rest is exact
         self.active.refresh();
         self.phase.worklist += t0.elapsed().as_nanos() as u64;
         for local in self.active.iter() {
@@ -930,24 +904,13 @@ impl<A: Application> Worker<A> {
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Records a statistics frame if `cycle` closes one.
-    pub fn frame_tick(&mut self, shards: &mut [&mut Shard], cycle: u64) {
-        if self.verbosity == Verbosity::V0 {
-            return;
-        }
-        if !(cycle + 1).is_multiple_of(self.frame_interval) {
-            return;
-        }
-        self.capture_frame(shards, cycle + 1 - self.frame_interval);
-    }
-
-    /// Captures the current frame unconditionally (used at kernel end).
-    pub fn capture_frame(&mut self, shards: &mut [&mut Shard], start_cycle: u64) {
-        if self.verbosity == Verbosity::V0 {
-            return;
-        }
+    /// Closes the statistics frame of the block containing `cycle` (the
+    /// driver decides when: on a boundary of [`Worker::frame_cadence`],
+    /// and where a kernel stopped between two).
+    pub fn capture_frame(&mut self, shards: &mut [&mut Shard], cycle: u64) {
+        let cadence = self.frame_cadence.expect("frames are recorded");
         let mut frame = Frame {
-            start_cycle,
+            start_cycle: cadence.block_start(cycle),
             tasks_delta: std::mem::take(&mut self.frame_tasks),
             injected_delta: std::mem::take(&mut self.frame_injected),
             ejected_delta: std::mem::take(&mut self.frame_ejected),
@@ -973,19 +936,6 @@ impl<A: Application> Worker<A> {
             }
         }
         self.frames.push(frame);
-    }
-
-    /// Closes the kernel's last partial statistics frame at drain cycle
-    /// `cycle`.
-    ///
-    /// When the kernel drains exactly on a frame boundary, `frame_tick`
-    /// has already closed the frame covering `cycle`; re-capturing would
-    /// push an empty duplicate with the same `start_cycle`.
-    pub fn close_kernel_frame(&mut self, shards: &mut [&mut Shard], cycle: u64) {
-        if self.verbosity == Verbosity::V0 || (cycle + 1).is_multiple_of(self.frame_interval) {
-            return;
-        }
-        self.capture_frame(shards, cycle - cycle % self.frame_interval);
     }
 
     /// This worker's next-event horizon after finishing `cycle`: the
@@ -1022,16 +972,27 @@ impl<A: Application> Worker<A> {
         horizon.max(floor)
     }
 
-    /// Applies the side effects the lockstep driver would have produced
+    /// Applies the side effect the lockstep driver would have produced
     /// while stepping through the skipped cycles `(cycle, next)`: batch
     /// CQ-stall accounting for backpressured tiles (their state is
-    /// frozen across the gap, so the per-cycle increment is constant)
-    /// and backfilled statistics frames at every crossed boundary.
-    pub fn leap_to(&mut self, shards: &mut [&mut Shard], cycle: u64, next: u64) {
+    /// frozen across the gap, so the per-cycle increment is constant).
+    /// Captures need nothing: the leader clamps every leap to the next
+    /// close of each of the `armed` cadences, so none falls in the gap.
+    pub fn leap_to(
+        &mut self,
+        shards: &mut [&mut Shard],
+        cycle: u64,
+        next: u64,
+        armed: &[Option<Cadence>],
+    ) {
         let skipped = next - cycle - 1;
         if skipped == 0 {
             return;
         }
+        debug_assert!(
+            armed.iter().flatten().all(|c| c.next_close(cycle) >= next),
+            "a leap from {cycle} to {next} skips a capture boundary of {armed:?}"
+        );
         debug_assert!(
             shards.iter().all(|s| s.sleepers() == 0),
             "a router asleep on credit holds a ready head: no horizon lies past the next cycle"
@@ -1048,11 +1009,6 @@ impl<A: Application> Worker<A> {
                 materialize(&mut self.cold[local], &self.mem_proto)
                     .counters
                     .cq_stall_cycles += skipped;
-            }
-        }
-        if self.verbosity != Verbosity::V0 {
-            for start in self.frames.lockstep_capture_starts(cycle, next) {
-                self.capture_frame(shards, start);
             }
         }
         self.phase.net += t0.elapsed().as_nanos() as u64;
@@ -1213,7 +1169,7 @@ impl<A: Application> Worker<A> {
             self.frame_ejected,
         )
             .put(buf);
-        self.frames.log().put(buf);
+        self.frames.put(buf);
         // planes: one `PlaneRecord` per shard
         (shards.len() as u32).put(buf);
         for sh in shards {
@@ -1557,6 +1513,7 @@ pub(crate) fn finish<A: Application>(
     runtime_cycles: u64,
     host_started: Instant,
     threads: usize,
+    telemetry_dropped: u64,
 ) -> SimResult {
     let mut counters = SimCounters::default();
     let mut column_activity = vec![0u64; cfg.width() as usize];
@@ -1578,18 +1535,10 @@ pub(crate) fn finish<A: Application>(
     let runtime = TimePs::ps(runtime_cycles as f64 * cfg.noc_clock.operating.period_ps());
     counters.runtime_cycles = runtime_cycles;
     counters.runtime_secs = runtime.as_secs();
-    // every worker captured at the same boundaries and hit the same
-    // downsampling points, so the sinks agree on the effective interval
-    let effective_interval = workers
-        .first()
-        .map_or(cfg.frame_interval_cycles.max(1), |w| {
-            w.frames.log().interval_cycles
-        });
-    let mut frames = FrameLog::new(effective_interval);
+    // every worker captured at the same boundaries
+    let mut frames = FrameLog::new(cfg.frame_interval_cycles.max(1));
     for w in &workers {
-        debug_assert_eq!(w.frames.log().interval_cycles, effective_interval);
-        frames.merge(w.frames.log());
-        w.frames.finish();
+        frames.merge(&w.frames);
     }
     // gather per-tile states in global order for the result check: the
     // workers own adjacent column ranges in ascending order and hold
@@ -1624,6 +1573,7 @@ pub(crate) fn finish<A: Application>(
         check_error,
         column_activity,
         termination: "finished".into(),
+        telemetry_dropped,
     }
 }
 

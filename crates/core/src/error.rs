@@ -33,11 +33,6 @@ pub enum SimError {
         /// The application's failure description.
         String,
     ),
-    /// The statistics-frame spill file could not be created or written.
-    FrameSpill(
-        /// Description of the I/O failure.
-        String,
-    ),
     /// The NoC trace file could not be created or written.
     Trace(
         /// Description of the I/O failure.
@@ -57,7 +52,8 @@ pub enum SimError {
         /// The structured trip report.
         Box<WardReport>,
     ),
-    /// A telemetry metrics stream could not be created or written.
+    /// A telemetry stream (samples and, at verbosity ≥ V1, frames) could
+    /// not be created or written, or one of its subscribers panicked.
     Telemetry(
         /// Description of the I/O failure.
         String,
@@ -93,7 +89,6 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded the cycle limit of {limit}")
             }
             SimError::CheckFailed(why) => write!(f, "result check failed: {why}"),
-            SimError::FrameSpill(why) => write!(f, "frame spill failed: {why}"),
             SimError::Trace(why) => write!(f, "NoC trace failed: {why}"),
             SimError::Snapshot(why) => write!(f, "snapshot failed: {why}"),
             SimError::Ward(report) => write!(f, "{report}"),

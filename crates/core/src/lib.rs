@@ -72,7 +72,6 @@ mod counters;
 pub mod digest;
 mod engine;
 mod error;
-mod frames;
 mod horizon;
 mod parallel;
 mod sched;
@@ -85,9 +84,10 @@ pub use app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, Task
 pub use counters::{PuCounters, SimCounters};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use frames::{read_spill_jsonl, Frame, FrameLog, FrameSink, FrameSpill};
 pub use horizon::EventHorizon;
 pub use muchisim_noc::{LatencyStats, Payload, ReduceOp, RouterVisits};
-pub use muchisim_telemetry::{MemorySubscriber, MetricsSample, Subscriber, WardTrip};
+pub use muchisim_telemetry::{
+    Frame, FrameLog, MemorySubscriber, MetricsSample, Subscriber, WardTrip,
+};
 pub use tile::{HostPhaseNs, SimResult};
 pub use ward::{TileDiag, WardReport};

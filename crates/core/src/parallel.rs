@@ -19,11 +19,13 @@
 //! [`EventHorizon`](crate::horizon::EventHorizon) values
 //! (tile PU clocks, channel-queue heads, DRAM backlogs, NoC queue heads)
 //! plus the cross-shard mailbox horizon, and when the earliest possible
-//! event is more than one cycle away it jumps the clock straight there.
-//! Skipped cycles are provably event-free, so the jump is exact: workers
-//! backfill the statistics frames and batch the stall counters the
-//! lockstep driver would have produced, and results stay bit-identical
-//! (see `Worker::leap_to`).
+//! event is more than one cycle away it jumps the clock straight there —
+//! but never past the next close of an armed capture [`Cadence`]
+//! (statistics frames at verbosity ≥ V1, telemetry samples when sampling
+//! is on), so every capture boundary is an executed cycle with a decision
+//! barrier. Skipped cycles are provably event-free, so the jump is exact:
+//! workers batch the stall counters the lockstep driver would have
+//! produced, and results stay bit-identical (see `Worker::leap_to`).
 //!
 //! Because every inter-worker interaction is confined to barrier-separated
 //! phases and single-producer queues, a run with N workers is
@@ -41,8 +43,8 @@ use crate::ward::{TileDiag, WardReport};
 use muchisim_config::SystemConfig;
 use muchisim_noc::{Shard, SharedNet};
 use muchisim_telemetry::{
-    CsvSubscriber, JsonlSubscriber, ProgressSubscriber, SampleAggregator, Subscriber, TelemetryHub,
-    WardEngine, WardTrip, WorkerSample,
+    Cadence, CsvSubscriber, Frame, JsonlSubscriber, ProgressSubscriber, SampleAggregator,
+    Subscriber, TelemetryHub, WardEngine, WardTrip, WorkerSample,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -198,23 +200,32 @@ impl CheckpointState {
     }
 }
 
-/// Shared state for the telemetry sample/ward pipeline.
+/// Shared state for the telemetry stream and the ward pipeline.
 ///
-/// Workers deposit [`WorkerSample`]s at sample cycles; the decision-phase
-/// barrier leader merges them, evaluates the wards, and hands the merged
-/// sample to the hub's subscriber thread without blocking. Everything the
-/// wards read is deterministic simulated state, so a trip lands on the
-/// same cycle for any host-thread count or leap/worklist mode.
+/// Workers deposit a [`WorkerSample`] when a sample closes and (when
+/// frames are streamed) a copy of the partial [`Frame`] they just closed;
+/// the barrier leader merges the deposits, evaluates the wards, and hands
+/// the merged records to the hub's subscriber thread without blocking.
+/// Everything the wards read is deterministic simulated state, so a trip
+/// lands on the same cycle for any host-thread count or leap/worklist
+/// mode.
 struct TelemetryState {
-    /// Sample cadence: cycle `c` is a sample cycle when
-    /// `(c + 1) % every == 0` (the end of each `every`-cycle block).
-    every: u64,
-    /// One deposit slot per worker, written before the decision barrier.
+    /// When a sample closes.
+    every: Cadence,
+    /// Whether closed frames ride the stream too: verbosity ≥ V1 and
+    /// somebody subscribed.
+    stream_frames: bool,
+    /// One deposit slot per worker, written before the leader's barrier.
     samples: Vec<Mutex<WorkerSample>>,
-    /// Leader-only aggregation state, locked only at sample cycles.
+    /// One deposit slot per worker for the partial frame it just closed.
+    frames: Vec<Mutex<Frame>>,
+    /// Leader-only aggregation state, locked only when a sample closes.
     leader: Mutex<LeaderState>,
     /// Fan-out to the subscriber thread (never blocks the barrier).
     hub: TelemetryHub,
+    /// A subscriber failed and the run is terminating. Set by the leader
+    /// from the hub's flag, so every worker sees it change at a barrier.
+    stream_dead: AtomicBool,
     /// The first tripped ward, set by the leader.
     trip: Mutex<Option<WardTrip>>,
     /// Cycle at (or after) which the post-mortem trip snapshot must be
@@ -238,8 +249,49 @@ struct LeaderState {
 }
 
 impl TelemetryState {
-    fn is_sample_cycle(&self, cycle: u64) -> bool {
-        (cycle + 1).is_multiple_of(self.every)
+    /// Leader only: merges what the workers deposited for `cycle` and
+    /// streams it, the frame first. The wards see the sample only when
+    /// `judge` (the last sample of a stopped kernel is reported, not
+    /// judged); their first trip is returned.
+    fn publish(
+        &self,
+        cycle: u64,
+        in_net: i64,
+        frame: bool,
+        sample: bool,
+        judge: bool,
+    ) -> Option<WardTrip> {
+        if frame && self.stream_frames {
+            let mut parts = self
+                .frames
+                .iter()
+                .map(|slot| slot.lock().expect("telemetry frame lock"));
+            let mut merged = std::mem::take(&mut *parts.next().expect("at least one worker"));
+            for part in parts {
+                merged.merge(&part);
+            }
+            self.hub.publish_frame(merged);
+        }
+        let mut trip = None;
+        if sample {
+            let mut st = self.leader.lock().expect("telemetry leader lock");
+            let st = &mut *st;
+            st.merged.clear();
+            for slot in &self.samples {
+                st.merged
+                    .push(slot.lock().expect("telemetry sample lock").clone());
+            }
+            let mut sample = st.agg.merge(cycle, &st.merged);
+            sample.pending += in_net;
+            if judge {
+                trip = st.wards.observe(&sample);
+            }
+            self.hub.publish(sample);
+        }
+        if self.hub.failed() {
+            self.stream_dead.store(true, Ordering::Release);
+        }
+        trip
     }
 }
 
@@ -250,6 +302,7 @@ fn telemetry_state(
     resume: Option<ResumeState>,
     extra: Vec<Box<dyn Subscriber>>,
     nworkers: usize,
+    frames: bool,
 ) -> Result<Option<TelemetryState>, SimError> {
     let t = &cfg.telemetry;
     let Some(every) = t.sample_every else {
@@ -275,16 +328,19 @@ fn telemetry_state(
     subs.extend(extra);
     let start_cycle = resume.map_or(0, |r| r.at.cycle);
     Ok(Some(TelemetryState {
-        every: every.max(1),
+        every: Cadence::new(every),
+        stream_frames: frames && !subs.is_empty(),
         samples: (0..nworkers)
             .map(|_| Mutex::new(WorkerSample::default()))
             .collect(),
+        frames: (0..nworkers).map(|_| Mutex::default()).collect(),
         leader: Mutex::new(LeaderState {
             agg: SampleAggregator::new(start_cycle),
             wards: WardEngine::new(t.wards.clone(), start_cycle),
             merged: Vec::with_capacity(nworkers),
         }),
         hub: TelemetryHub::spawn(subs),
+        stream_dead: AtomicBool::new(false),
         trip: Mutex::new(None),
         snap_at: AtomicU64::new(u64::MAX),
         tripped: AtomicBool::new(false),
@@ -329,7 +385,8 @@ pub(crate) fn drive<A: Application>(
         }
         _ => None,
     };
-    let telem = telemetry_state(cfg, resume, subscribers, nworkers)?;
+    let frames = workers[0].frame_cadence.is_some();
+    let telem = telemetry_state(cfg, resume, subscribers, nworkers, frames)?;
     let runtime_cycles;
     {
         // hand each worker its shard of every NoC plane
@@ -410,6 +467,7 @@ pub(crate) fn drive<A: Application>(
     // ward trip (which outranks stream and checkpoint errors — those are
     // folded into its report instead of masking it)
     let mut stream_error: Option<String> = None;
+    let mut telemetry_dropped = 0;
     let mut ward_trip: Option<(WardTrip, Vec<TileDiag>)> = None;
     if let Some(t) = telem {
         let TelemetryState {
@@ -419,6 +477,7 @@ pub(crate) fn drive<A: Application>(
             diags,
             ..
         } = t;
+        telemetry_dropped = hub.dropped();
         stream_error = hub.close().err();
         if tripped.into_inner() {
             let trip = trip
@@ -449,6 +508,7 @@ pub(crate) fn drive<A: Application>(
             runtime_cycles,
             started,
             nworkers,
+            telemetry_dropped,
         );
         partial.termination = format!("ward:{}", trip.ward);
         return Err(SimError::Ward(Box::new(WardReport {
@@ -489,6 +549,7 @@ pub(crate) fn drive<A: Application>(
         runtime_cycles,
         started,
         nworkers,
+        telemetry_dropped,
     ))
 }
 
@@ -512,6 +573,15 @@ fn worker_loop<A: Application>(
     telem: Option<&TelemetryState>,
 ) -> Result<(), Poisoned> {
     let mut sense = false;
+    // the capture schedule, for whichever of the two kinds is armed: a
+    // statistics frame and a telemetry sample close on every boundary of
+    // their cadence inside a kernel's cycle loop, and once more where the
+    // kernel stopped (so the stream ends on the kernel's totals) unless
+    // that was a boundary, which closed them already
+    let armed = [worker.frame_cadence, telem.map(|t| t.every)];
+    let closing = |cycle: u64, kernel_end: bool| {
+        armed.map(|c| c.is_some_and(|c| c.closes(cycle) != kernel_end))
+    };
     // on resume the restored kernel's state is already in place, so the
     // loop re-enters at the snapshot cycle without a fresh start_kernel
     let (start_kernel, mut resume_cycle) = match resume {
@@ -561,22 +631,18 @@ fn worker_loop<A: Application>(
             sync.barrier.wait(&mut sense)?;
             // step phase
             worker.net_step(&mut shards, shareds, cycle);
-            worker.frame_tick(&mut shards, cycle);
+            // this worker's share of what closes now, taken before the
+            // decision barrier so the leader can merge coherent records
+            let [frame, sample] = closing(cycle, false);
+            capture(worker, &mut shards, cycle, frame, sample, telem, widx);
             sync.activity[widx].store(worker.msg_count, Ordering::Release);
             if leap {
                 let h = worker.horizon(&shards, cycle);
                 sync.horizon[widx].store(h, Ordering::Release);
             }
-            // deposit this worker's telemetry share before the decision
-            // barrier so the leader can merge a coherent sample
-            if let Some(t) = telem {
-                if t.is_sample_cycle(cycle) {
-                    *t.samples[widx].lock().expect("telemetry sample lock") =
-                        worker.telemetry_sample(&shards);
-                }
-            }
             // decision phase: the last thread to arrive decides
             sync.barrier.wait_leader(&mut sense, || {
+                let in_net: i64 = shareds.iter().map(|s| s.in_flight()).sum();
                 // a deferred trip snapshot was captured this cycle: the
                 // run stops here, before any normal decision can race it
                 if let Some(t) = telem {
@@ -586,13 +652,13 @@ fn worker_loop<A: Application>(
                         t.tripped.store(true, Ordering::Release);
                         sync.drained_cycle.store(cycle, Ordering::Release);
                         sync.stop.store(true, Ordering::Release);
+                        t.publish(cycle, in_net, frame, sample, false);
                         return;
                     }
                 }
                 let pending: i64 = (0..nworkers)
                     .map(|i| sync.activity[i].load(Ordering::Acquire))
                     .sum();
-                let in_net: i64 = shareds.iter().map(|s| s.in_flight()).sum();
                 if pending == 0 && in_net == 0 {
                     sync.drained_cycle.store(cycle, Ordering::Release);
                     sync.stop.store(true, Ordering::Release);
@@ -623,51 +689,40 @@ fn worker_loop<A: Application>(
                             }
                         }
                     }
-                    if let Some(t) = telem {
-                        // never leap over a sample boundary: clamp to the
-                        // next sample cycle so the cadence stays exact
-                        let r = (cycle + 1) % t.every;
-                        let to_sample = if r == 0 { t.every } else { t.every - r };
-                        next = next.min(cycle.saturating_add(to_sample));
+                    // never leap over a capture boundary: every close of
+                    // an armed cadence is an executed cycle
+                    for cadence in armed.into_iter().flatten() {
+                        next = next.min(cadence.next_close(cycle));
                     }
                     next = next.min(base.saturating_add(cycle_limit));
                     sync.next_cycle.store(next, Ordering::Release);
                 }
-                // merge, stream, and ward-check the sample (after the
-                // stop decision: a drained or limit-hit run still emits
-                // its final sample, but wards no longer fire)
+                // merge, stream, and ward-check what closed this cycle
+                // (after the stop decision: a drained or limit-hit run
+                // still emits its final records, but wards no longer fire)
                 if let Some(t) = telem {
-                    if t.is_sample_cycle(cycle) {
-                        let mut st = t.leader.lock().expect("telemetry leader lock");
-                        let st = &mut *st;
-                        st.merged.clear();
-                        for slot in &t.samples {
-                            st.merged
-                                .push(slot.lock().expect("telemetry sample lock").clone());
-                        }
-                        let mut sample = st.agg.merge(cycle, &st.merged);
-                        sample.pending += in_net;
-                        if !sync.stop.load(Ordering::Relaxed) {
-                            if let Some(trip) = st.wards.observe(&sample) {
-                                if t.snapshot_on_trip && ckpt.is_some() {
-                                    // defer the stop one cycle so every
-                                    // worker reaches the next capture
-                                    // point and writes the post-mortem
-                                    // snapshot first
-                                    *t.trip.lock().expect("telemetry trip lock") = Some(trip);
-                                    t.snap_at.store(cycle + 1, Ordering::Release);
-                                    if leap {
-                                        sync.next_cycle.store(cycle + 1, Ordering::Release);
-                                    }
-                                } else {
-                                    *t.trip.lock().expect("telemetry trip lock") = Some(trip);
-                                    t.tripped.store(true, Ordering::Release);
-                                    sync.drained_cycle.store(cycle, Ordering::Release);
-                                    sync.stop.store(true, Ordering::Release);
-                                }
+                    let stopped = sync.stop.load(Ordering::Relaxed);
+                    if let Some(trip) = t.publish(cycle, in_net, frame, sample, !stopped) {
+                        *t.trip.lock().expect("telemetry trip lock") = Some(trip);
+                        if t.snapshot_on_trip && ckpt.is_some() {
+                            // defer the stop one cycle so every worker
+                            // reaches the next capture point and writes
+                            // the post-mortem snapshot first
+                            t.snap_at.store(cycle + 1, Ordering::Release);
+                            if leap {
+                                sync.next_cycle.store(cycle + 1, Ordering::Release);
                             }
+                        } else {
+                            t.tripped.store(true, Ordering::Release);
+                            sync.drained_cycle.store(cycle, Ordering::Release);
+                            sync.stop.store(true, Ordering::Release);
                         }
-                        t.hub.publish(sample);
+                    }
+                    // a dead stream ends the run here rather than after
+                    // simulating on into the void
+                    if t.stream_dead.load(Ordering::Acquire) {
+                        sync.drained_cycle.store(cycle, Ordering::Release);
+                        sync.stop.store(true, Ordering::Release);
                     }
                 }
             })?;
@@ -680,13 +735,12 @@ fn worker_loop<A: Application>(
                 cycle + 1
             };
             if next > cycle + 1 {
-                worker.leap_to(&mut shards, cycle, next);
+                worker.leap_to(&mut shards, cycle, next, &armed);
             }
             cycle = next;
         }
-        // close the kernel's last partial frame (skipping the re-capture
-        // when the kernel drained exactly on a frame boundary)
-        worker.close_kernel_frame(&mut shards, cycle);
+        let [frame, sample] = closing(cycle, true);
+        capture(worker, &mut shards, cycle, frame, sample, telem, widx);
         // publish this worker's PU tail and compute the kernel barrier
         sync.max_pu_fs[widx].store(worker.max_pu_fs, Ordering::Release);
         sync.barrier.wait(&mut sense)?;
@@ -700,6 +754,10 @@ fn worker_loop<A: Application>(
         sync.barrier.wait_leader(&mut sense, || {
             sync.stop.store(false, Ordering::Release);
             final_cycle.store(base, Ordering::Release);
+            if let Some(t) = telem {
+                let in_net: i64 = shareds.iter().map(|s| s.in_flight()).sum();
+                t.publish(cycle, in_net, frame, sample, false);
+            }
         })?;
         // a tripped ward ends the run here: every worker contributes its
         // queue diagnostics (slow path, only after a trip) and bails out
@@ -710,12 +768,43 @@ fn worker_loop<A: Application>(
                     worker.telemetry_diag(&shards, DIAG_TILES);
                 return Ok(());
             }
+            if t.stream_dead.load(Ordering::Acquire) {
+                return Ok(());
+            }
         }
         if sync.limit_hit.load(Ordering::Acquire) {
             return Ok(());
         }
     }
     Ok(())
+}
+
+/// Worker `widx`'s share of the captures closing at `cycle`: closes its
+/// partial `frame` (depositing a copy when frames are streamed) and
+/// deposits its counters for a `sample`.
+fn capture<A: Application>(
+    worker: &mut Worker<A>,
+    shards: &mut [&mut Shard],
+    cycle: u64,
+    frame: bool,
+    sample: bool,
+    telem: Option<&TelemetryState>,
+    widx: usize,
+) {
+    if frame {
+        worker.capture_frame(shards, cycle);
+    }
+    let Some(t) = telem else { return };
+    if frame && t.stream_frames {
+        let closed = worker.frames.frames.last().expect("a frame just closed");
+        t.frames[widx]
+            .lock()
+            .expect("telemetry frame lock")
+            .clone_from(closed);
+    }
+    if sample {
+        *t.samples[widx].lock().expect("telemetry sample lock") = worker.telemetry_sample(shards);
+    }
 }
 
 /// One synchronized snapshot: every worker encodes its chunk, then the

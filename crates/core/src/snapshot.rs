@@ -46,10 +46,10 @@ use crate::app::{Application, OutMsg, ScheduledSend};
 use crate::counters::PuCounters;
 use crate::digest::Fnv;
 use crate::error::SimError;
-use crate::frames::{Frame, FrameLog};
 use muchisim_config::SystemConfig;
 use muchisim_mem::MemCounters;
 use muchisim_noc::{Arena, LatencyStats, NocCounters, Packet, Payload, QueueLink, ReduceOp};
+use muchisim_telemetry::{Frame, FrameLog};
 use std::path::Path;
 
 /// Magic bytes identifying a MuchiSim snapshot file.
@@ -820,7 +820,15 @@ pub(crate) fn config_hash(cfg: &SystemConfig) -> u64 {
     c.checkpoint_path = None;
     c.checkpoint_resume = false;
     c.telemetry = Default::default();
-    let json = serde_json::to_string(&c).expect("config serializes");
+    let mut json = serde_json::to_string(&c).expect("config serializes");
+    // version-1 snapshots hashed this text when two since-removed keys
+    // sat before `noc_trace` (both `null` in any configuration that could
+    // checkpoint); hashing them still keeps every existing snapshot
+    // resumable without a version bump
+    let at = json
+        .find("\"noc_trace\":")
+        .expect("SystemConfig serializes noc_trace");
+    json.insert_str(at, "\"frame_budget\":null,\"frame_spill\":null,");
     let mut h = Fnv::new();
     h.bytes(json.as_bytes());
     h.finish()

@@ -1,9 +1,9 @@
 //! Per-tile cold state and the simulation result type.
 
 use crate::counters::{PuCounters, SimCounters};
-use crate::frames::FrameLog;
 use muchisim_config::TimePs;
 use muchisim_mem::TileMemory;
+use muchisim_telemetry::FrameLog;
 
 /// The *cold* state of one tile: its memory model and the event counters
 /// that tasks write through [`TaskCtx`](crate::TaskCtx).
@@ -148,6 +148,10 @@ pub struct SimResult {
     /// [`termination_label`](SimResult::termination_label).
     #[serde(default)]
     pub termination: String,
+    /// Telemetry records (samples, frames) the stream's bounded channel
+    /// refused because a subscriber fell behind; 0 without telemetry.
+    #[serde(default)]
+    pub telemetry_dropped: u64,
 }
 
 impl SimResult {
@@ -280,6 +284,7 @@ mod tests {
             check_error: None,
             column_activity: vec![0; 4],
             termination: String::new(),
+            telemetry_dropped: 0,
         };
         assert_eq!(r.termination_label(), "finished");
         assert!((r.slowdown_vs_dut() - 10_000.0).abs() < 1e-6);

@@ -24,7 +24,7 @@ pub enum DseError {
     /// replay writes into it. Names the offending configuration key and
     /// the first run that sets it.
     ResumeIncompatible {
-        /// The rejected configuration key (`"frame_spill"`, `"noc_trace"`,
+        /// The rejected configuration key (`"noc_trace"`,
         /// `"checkpoint_path"`, `"telemetry.metrics_path"` or
         /// `"telemetry.metrics_csv"`).
         key: &'static str,

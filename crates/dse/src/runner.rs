@@ -131,17 +131,13 @@ impl BatchRunner {
     ) -> Result<BatchOutcome, DseError> {
         let threads_per_run = threads_per_run.max(1);
         // single-writer host-side outputs cannot coexist with a batch:
-        // frame spilling, NoC tracing and metrics streams truncate and
-        // write one shared file per simulation (concurrent points would
+        // NoC tracing and metrics streams truncate and write one shared
+        // file per simulation (concurrent points would
         // interleave into the same path and silently corrupt it), and a
         // user-set checkpoint path would make every point resume from
         // whichever point snapshotted last — the runner derives its own
         // per-point paths instead
         for (key, hit) in [
-            (
-                "frame_spill",
-                points.iter().find(|p| p.config.frame_spill.is_some()),
-            ),
             (
                 "noc_trace",
                 points.iter().find(|p| p.config.noc_trace.is_some()),
@@ -373,46 +369,6 @@ mod tests {
             assert_eq!(a.result.runtime_cycles, b.result.runtime_cycles);
             assert_eq!(a.result.counters, b.result.counters);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn frame_spill_points_are_rejected() {
-        let spec = ExperimentSpec::from_json(
-            r#"{
-                "name": "spill_reject",
-                "base": ["hierarchy.chiplet.x=2", "hierarchy.chiplet.y=2",
-                         "frame_spill=\"/tmp/shared.jsonl\""],
-                "axes": [{"name": "sram", "points": [
-                    {"label": "64KiB", "set": ["sram_kib_per_tile=64"]},
-                    {"label": "128KiB", "set": ["sram_kib_per_tile=128"]}
-                ]}],
-                "apps": ["bfs"],
-                "datasets": [{"rmat": {"scale": 5, "seed": 7}}]
-            }"#,
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join(format!("muchisim-dse-spill-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spill_reject.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let mut store = JsonlStore::open(&path).unwrap();
-        let err = BatchRunner::new(2).run_spec(&spec, &mut store).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DseError::ResumeIncompatible {
-                    key: "frame_spill",
-                    ..
-                }
-            ),
-            "wrong variant: {err:?}"
-        );
-        assert!(
-            err.to_string().contains("frame_spill"),
-            "unexpected error: {err}"
-        );
-        assert!(store.records().is_empty(), "nothing may have run");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

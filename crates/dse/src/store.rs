@@ -183,6 +183,7 @@ pub(crate) mod tests {
                 host_state_bytes: 0,
                 check_error: check_error.map(str::to_string),
                 column_activity: Vec::new(),
+                telemetry_dropped: 0,
                 termination: "finished".to_string(),
             },
         }
@@ -209,6 +210,26 @@ pub(crate) mod tests {
             reloaded.records()[1].result.check_error.as_deref(),
             Some("bad")
         );
+    }
+
+    #[test]
+    fn records_written_before_the_frame_keys_were_removed_still_load() {
+        // stores from before PR 19 carry `frame_budget` / `frame_spill`
+        // (always `null` there: sweeps rejected the spill, nothing set
+        // the budget) and no `telemetry_dropped`
+        let line = serde_json::to_string(&record("old", 0, None)).unwrap();
+        let legacy = line
+            .replace(
+                "\"noc_trace\":",
+                "\"frame_budget\":null,\"frame_spill\":null,\"noc_trace\":",
+            )
+            .replace(",\"telemetry_dropped\":0", "");
+        assert_ne!(legacy, line);
+        assert!(!legacy.contains("telemetry_dropped"));
+        let path = temp_path("legacy.jsonl");
+        std::fs::write(&path, format!("{legacy}\n")).unwrap();
+        let store = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.records(), &[record("old", 0, None)]);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! # muchisim-telemetry
 //!
-//! Live observability for the MuchiSim cycle driver: periodic
-//! [`MetricsSample`]s merged by the worker-barrier leader, a bounded
-//! [`TelemetryHub`] channel that decouples the hot loop from subscriber
-//! I/O, pluggable [`Subscriber`]s (JSONL, CSV, in-memory, stdout
-//! progress), and the [`WardEngine`] that evaluates declarative
+//! Live observability for the MuchiSim cycle driver: one capture
+//! schedule ([`Cadence`]) and one stream. Periodic [`MetricsSample`]s and
+//! statistics [`Frame`]s are merged by the worker-barrier leader and
+//! cross a bounded [`TelemetryHub`] channel that decouples the hot loop
+//! from subscriber I/O, to pluggable [`Subscriber`]s (JSONL, CSV,
+//! in-memory, stdout progress); the [`WardEngine`] evaluates declarative
 //! stop-conditions ([`WardParams`](muchisim_config::WardParams)) on the
 //! sample stream.
 //!
 //! The division of labor with `muchisim-core`:
 //!
 //! * each worker deposits a [`WorkerSample`] of its own cumulative
-//!   counters at a sample boundary (cheap: a few dozen u64 reads);
+//!   counters when a sample closes (cheap: a few dozen u64 reads), and a
+//!   copy of its partial frame when a frame closes and someone listens;
 //! * the barrier leader folds them through a [`SampleAggregator`] into
 //!   one [`MetricsSample`] (cumulative values, interval deltas, latency
 //!   percentiles, host throughput);
@@ -29,14 +31,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cadence;
+mod frames;
 mod hub;
 mod sample;
 mod subscribers;
 mod wards;
 
+pub use cadence::Cadence;
+pub use frames::{Frame, FrameLog};
 pub use hub::TelemetryHub;
 pub use sample::{MetricsSample, SampleAggregator, WorkerSample, SCHEMA_VERSION};
 pub use subscribers::{
-    CsvSubscriber, JsonlSubscriber, MemorySubscriber, ProgressSubscriber, Subscriber,
+    CsvSubscriber, FrameRecord, JsonlSubscriber, MemorySubscriber, ProgressSubscriber, Subscriber,
 };
 pub use wards::{WardEngine, WardTrip};

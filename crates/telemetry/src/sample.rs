@@ -5,9 +5,10 @@ use std::time::Instant;
 use muchisim_noc::LatencyStats;
 use serde::{Deserialize, Serialize};
 
-/// Version tag written as the first field of every serialized sample, so
-/// stream consumers can detect schema drift.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Version tag written as the first field of every stream record, so
+/// consumers can detect schema drift. Version 2 added the frame record
+/// kind (`{"v":2,"frame":{…}}`); sample records kept their fields.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One worker's contribution to a sample: its own cumulative counters,
 /// read at the sample boundary (never reset — the aggregator computes

@@ -5,13 +5,17 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::sample::MetricsSample;
+use serde::{Deserialize, Serialize};
+
+use crate::frames::Frame;
+use crate::sample::{MetricsSample, SCHEMA_VERSION};
 
 /// A consumer of the telemetry stream.
 ///
 /// Subscribers run on the hub's own thread, never on a simulation
-/// worker: an I/O error is captured and reported when the stream closes
-/// instead of interrupting the run.
+/// worker: an I/O error is captured there, raises the hub's failure flag
+/// (the driver ends the run at its next publish) and is reported when
+/// the stream closes.
 pub trait Subscriber: Send {
     /// Consumes one sample.
     ///
@@ -21,6 +25,16 @@ pub trait Subscriber: Send {
     /// feeding a failed subscriber and surfaces the first error on
     /// close.
     fn on_sample(&mut self, sample: &MetricsSample) -> Result<(), String>;
+
+    /// Consumes one merged statistics frame (verbosity ≥ V1). Ignored by
+    /// default: most subscribers only chart the scalar samples.
+    ///
+    /// # Errors
+    ///
+    /// As [`on_sample`](Subscriber::on_sample).
+    fn on_frame(&mut self, _frame: &Frame) -> Result<(), String> {
+        Ok(())
+    }
 
     /// Flushes and finalizes the stream.
     ///
@@ -38,8 +52,18 @@ impl std::fmt::Debug for dyn Subscriber {
     }
 }
 
-/// Streams samples as one JSON object per line (the schema-versioned
-/// wire format; field `v` is [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)).
+/// A frame line of the JSONL stream: `{"v":2,"frame":{…}}`. Sample lines
+/// are a flat [`MetricsSample`]; the `frame` key tells the two apart.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FrameRecord {
+    /// Schema version ([`SCHEMA_VERSION`]).
+    pub v: u32,
+    /// The frame, merged across workers.
+    pub frame: Frame,
+}
+
+/// Streams samples and frames as one JSON object per line (the
+/// schema-versioned wire format; field `v` is [`SCHEMA_VERSION`]).
 #[derive(Debug)]
 pub struct JsonlSubscriber {
     out: BufWriter<File>,
@@ -65,6 +89,12 @@ impl Subscriber for JsonlSubscriber {
     fn on_sample(&mut self, sample: &MetricsSample) -> Result<(), String> {
         let line = serde_json::to_string(sample).map_err(|e| e.to_string())?;
         writeln!(self.out, "{line}").map_err(|e| format!("metrics stream write failed: {e}"))
+    }
+
+    fn on_frame(&mut self, frame: &Frame) -> Result<(), String> {
+        let frame = serde_json::to_string(frame).map_err(|e| e.to_string())?;
+        writeln!(self.out, "{{\"v\":{SCHEMA_VERSION},\"frame\":{frame}}}")
+            .map_err(|e| format!("metrics stream write failed: {e}"))
     }
 
     fn on_close(&mut self) -> Result<(), String> {
@@ -156,10 +186,12 @@ impl Subscriber for CsvSubscriber {
     }
 }
 
-/// Collects samples into a shared vector — the test subscriber.
+/// Collects samples and frames into shared vectors — the test
+/// subscriber.
 #[derive(Debug, Default)]
 pub struct MemorySubscriber {
     samples: Arc<Mutex<Vec<MetricsSample>>>,
+    frames: Arc<Mutex<Vec<Frame>>>,
 }
 
 impl MemorySubscriber {
@@ -172,6 +204,11 @@ impl MemorySubscriber {
     pub fn samples(&self) -> Arc<Mutex<Vec<MetricsSample>>> {
         Arc::clone(&self.samples)
     }
+
+    /// A handle to the collected frames (shared with the hub thread).
+    pub fn frames(&self) -> Arc<Mutex<Vec<Frame>>> {
+        Arc::clone(&self.frames)
+    }
 }
 
 impl Subscriber for MemorySubscriber {
@@ -180,6 +217,14 @@ impl Subscriber for MemorySubscriber {
             .lock()
             .map_err(|_| "sample collector poisoned".to_string())?
             .push(sample.clone());
+        Ok(())
+    }
+
+    fn on_frame(&mut self, frame: &Frame) -> Result<(), String> {
+        self.frames
+            .lock()
+            .map_err(|_| "frame collector poisoned".to_string())?
+            .push(frame.clone());
         Ok(())
     }
 }
@@ -312,7 +357,9 @@ mod tests {
         let handle = sub.samples();
         sub.on_sample(&sample(0, 10)).unwrap();
         sub.on_sample(&sample(1, 20)).unwrap();
+        sub.on_frame(&Frame::default()).unwrap();
         assert_eq!(handle.lock().unwrap().len(), 2);
+        assert_eq!(sub.frames().lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -116,9 +116,8 @@ impl TimeSeries {
     /// The tail-imbalance signal the paper highlights: frames where the
     /// max is far above the median indicate a long execution tail.
     ///
-    /// Well-defined on degenerate inputs: an empty series (verbosity V0,
-    /// or a `frame_budget` so tight the run merged into nothing) and
-    /// all-zero frames both report 0 — never NaN, never a panic.
+    /// Well-defined on degenerate inputs: an empty series (verbosity V0)
+    /// and all-zero frames both report 0 — never NaN, never a panic.
     pub fn tail_imbalance(&self) -> f64 {
         self.rows
             .iter()
@@ -172,8 +171,8 @@ mod tests {
 
     #[test]
     fn empty_log_yields_empty_series_and_zero_imbalance() {
-        // frame_budget merging (or verbosity V0) can leave a very short —
-        // or empty — FrameLog; every summary must stay well-defined
+        // verbosity V0 leaves an empty FrameLog; every summary must stay
+        // well-defined
         let ts = TimeSeries::from_frames(&log_with(Vec::new()), Counter::PuBusy, 16);
         assert!(ts.rows.is_empty());
         assert_eq!(ts.tail_imbalance(), 0.0);

@@ -454,6 +454,12 @@ fn cmd_run(args: Vec<String>) -> i32 {
             lat.max_cycles,
             lat.count,
         );
+        if cfg.telemetry.enabled() {
+            println!(
+                "telemetry: stream dropped {} record(s) to a slow subscriber",
+                result.telemetry_dropped
+            );
+        }
     }
     let report = Report::from_counters(&cfg, &result.counters);
     emit(&format!("{}\n", report.to_json()));

@@ -64,3 +64,16 @@ fn a_buffer_depth_that_would_reach_the_credit_flag_is_rejected() {
         "noc.buffer_depth exceeds the supported maximum of 2147418112",
     );
 }
+
+#[test]
+fn the_removed_frame_keys_are_unknown_parameters() {
+    for assignment in ["frame_budget=64", "frame_spill=/tmp/frames.jsonl"] {
+        let (code, stderr) = run(&["run", "bfs", "5", "8", "1", "--set", assignment]);
+        assert_eq!(code, Some(2), "{stderr}");
+        let key = assignment.split('=').next().expect("a key");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(&format!("unknown parameter `{key}`")),
+            "{stderr}"
+        );
+    }
+}
