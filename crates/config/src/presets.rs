@@ -5,18 +5,11 @@
 //! file-based workflow.
 //!
 //! All presets leave the time-leaping cycle driver at its default
-//! (enabled); [`lockstep`] flips any preset back to the one-cycle-at-a-time
-//! driver for host-performance ablations — results are bit-identical
-//! either way.
+//! (enabled); `builder.time_leap(false)` flips any preset back to the
+//! one-cycle-at-a-time driver for host-performance ablations — results
+//! are bit-identical either way.
 
 use crate::system::{DramConfig, NocTopology, SystemConfig, SystemConfigBuilder};
-
-/// Reconfigures `preset` to use the lockstep (non-leaping) cycle driver,
-/// the ablation counterpart of the default time-leaping driver.
-pub fn lockstep(mut preset: SystemConfigBuilder) -> SystemConfigBuilder {
-    preset.time_leap(false);
-    preset
-}
 
 /// A Cerebras-WSE-like wafer: one monolithic die of `side × side` tiles,
 /// 48 KiB of SRAM per tile (scratchpad), a 32-bit 2D mesh (paper §IV-A).
@@ -73,7 +66,8 @@ pub fn to_json(cfg: &SystemConfig) -> String {
 ///
 /// Config files written before the `time_leap` or `active_list` knobs
 /// existed lack those fields; they default to `true` here (the vendored
-/// serde shim has no per-field default mechanism).
+/// serde shim's `#[serde(default)]` fills in `Default::default()`, which
+/// is `false` for a `bool`, and it has no `default = "path"` form).
 ///
 /// # Errors
 ///
@@ -111,7 +105,7 @@ mod tests {
     fn presets_default_to_time_leaping_driver() {
         assert!(wse_like(8).build().unwrap().time_leap);
         assert!(hbm_chiplet_baseline().build().unwrap().time_leap);
-        let off = lockstep(dalorex_like(8)).build().unwrap();
+        let off = dalorex_like(8).time_leap(false).build().unwrap();
         assert!(!off.time_leap);
     }
 
