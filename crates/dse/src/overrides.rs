@@ -87,8 +87,9 @@ pub fn overrides_from_value(value: &Value) -> Result<Vec<Override>, DseError> {
 /// # Errors
 ///
 /// Returns [`DseError::Override`] for unknown paths or type-mismatched
-/// values and [`DseError::Config`] when the resulting configuration fails
-/// validation.
+/// values — a mismatch names the override that breaks the config, as
+/// `` `key=token`: … `` — and [`DseError::Config`] when the resulting
+/// configuration fails validation.
 pub fn apply_to_config(
     cfg: &SystemConfig,
     overrides: &[Override],
@@ -97,10 +98,40 @@ pub fn apply_to_config(
     for (path, value) in overrides {
         set_path(&mut tree, path, value.clone())?;
     }
-    let rebuilt = SystemConfig::from_value(&tree)
-        .map_err(|e| DseError::Override(format!("overridden config does not deserialize: {e}")))?;
+    let rebuilt = SystemConfig::from_value(&tree).map_err(|e| {
+        DseError::Override(match first_breaking(cfg, overrides) {
+            Some(((path, value), e)) => format!("`{path}={}`: {e}", token(value)),
+            None => format!("overridden config does not deserialize: {e}"),
+        })
+    })?;
     rebuilt.validate()?;
     Ok(rebuilt)
+}
+
+/// The first override after which `cfg` no longer deserializes, with the
+/// error, applying them in order and skipping each that a later one
+/// assigns again (its value never reaches the config).
+fn first_breaking<'o>(
+    cfg: &SystemConfig,
+    overrides: &'o [Override],
+) -> Option<(&'o Override, String)> {
+    let mut tree = cfg.to_value();
+    overrides.iter().enumerate().find_map(|(i, o)| {
+        if overrides[i + 1..].iter().any(|later| later.0 == o.0) {
+            return None;
+        }
+        set_path(&mut tree, &o.0, o.1.clone()).ok()?;
+        let e = SystemConfig::from_value(&tree).err()?;
+        Some((o, e.to_string()))
+    })
+}
+
+/// `value` as it was written: a string bare, anything else as JSON.
+fn token(value: &Value) -> String {
+    match value {
+        Value::String(s) => s.clone(),
+        other => serde_json::to_string(other).unwrap_or_else(|_| other.kind().to_string()),
+    }
 }
 
 /// Stores `value` at the dot-separated `path` inside `root`, rejecting
@@ -243,6 +274,24 @@ mod tests {
         assert!(
             matches!(bad_type, Err(DseError::Override(_))),
             "{bad_type:?}"
+        );
+        // the error names the override that breaks the config, not one
+        // overwritten later nor a well-typed one around it
+        let named = |sets: &[&str]| {
+            let sets: Vec<Override> = sets.iter().map(|s| parse_assignment(s).unwrap()).collect();
+            apply_to_config(&cfg, &sets).unwrap_err().to_string()
+        };
+        assert_eq!(
+            named(&["sram_kib_per_tile=64", "noc.width_bits=[1, 2]"]),
+            "invalid parameter override: `noc.width_bits=[1,2]`: expected u32, got array"
+        );
+        assert_eq!(
+            named(&[
+                "sram_kib_per_tile=lots",
+                "pus_per_tile=x",
+                "sram_kib_per_tile=64"
+            ]),
+            "invalid parameter override: `pus_per_tile=x`: expected u32, got string"
         );
         // deserializes fine but fails validation (width not multiple of 8)
         let invalid = apply_to_config(&cfg, &[parse_assignment("noc.width_bits=12").unwrap()]);

@@ -7,11 +7,19 @@
 //! queue refused it (see [`crate::Shard::step`]): whoever returns credit
 //! to a marked queue owes that router a wake.
 //!
-//! Every access is `Relaxed`. A word has one writer per phase of a NoC
-//! cycle — the queue's owner shard in the local phase (frees, combines,
+//! Every access is a `Relaxed` load or a `Relaxed` store — no
+//! read-modify-write. A word has one writer per phase of a NoC cycle —
+//! the queue's owner shard in the local phase (frees, combines,
 //! injection), its unique upstream router in the step phase (reserve,
-//! mark) — and the phases are separated by the driver's barriers, whose
-//! `Release`/`Acquire` pair publishes each phase's writes to the next.
+//! mark) — and no other thread reads it in that phase: the owner reads
+//! its queues' credit only in the local phase, the upstream router only
+//! in the step phase. The phases are separated by the driver's barriers,
+//! whose `Release`/`Acquire` pair publishes each phase's writes to the
+//! next. With one thread per word per phase there is no concurrent update
+//! an atomic RMW could protect against, so a plain load and store update
+//! the word exactly; a lock-prefixed `cmpxchg` or `xadd` would only add
+//! its cost. The words stay atomics so that sharing the table between
+//! threads needs no `unsafe`.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
@@ -49,19 +57,19 @@ impl Credit {
     /// in no longer waits: success drops its mark.
     #[inline]
     pub(crate) fn reserve(&self, flits: u32, cap: u32) -> bool {
-        self.0
-            .fetch_update(Relaxed, Relaxed, |v| {
-                let occ = v & !WAITER;
-                admits(occ, flits, cap).then_some(occ + flits)
-            })
-            .is_ok()
+        let occ = self.flits();
+        if !admits(occ, flits, cap) {
+            return false;
+        }
+        self.0.store(occ + flits, Relaxed);
+        true
     }
 
     /// Leaves the waiter mark (step phase, upstream router going to
     /// sleep on this queue).
     #[inline]
     pub(crate) fn mark(&self) {
-        self.0.fetch_or(WAITER, Relaxed);
+        self.0.store(self.0.load(Relaxed) | WAITER, Relaxed);
     }
 
     /// Returns `flits` of credit (local phase, owner shard). `true` when
@@ -70,13 +78,11 @@ impl Credit {
     #[inline]
     #[must_use = "a marked queue's upstream router must be woken"]
     pub(crate) fn free(&self, flits: u32) -> bool {
-        let prev = self.0.fetch_sub(flits, Relaxed);
-        debug_assert!(prev & !WAITER >= flits, "freed more than was reserved");
-        if prev & WAITER == 0 {
-            return false;
-        }
-        self.0.fetch_and(!WAITER, Relaxed);
-        true
+        let word = self.0.load(Relaxed);
+        let occ = word & !WAITER;
+        debug_assert!(occ >= flits, "freed more than was reserved");
+        self.0.store(occ - flits, Relaxed);
+        word & WAITER != 0
     }
 
     /// Applies a net change that needs no admission check and returns no
@@ -84,14 +90,10 @@ impl Credit {
     /// (the inject queue has no upstream router), a restored packet.
     #[inline]
     pub(crate) fn adjust(&self, delta: i64) {
-        match delta.cmp(&0) {
-            std::cmp::Ordering::Greater => {
-                self.0.fetch_add(delta as u32, Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                self.0.fetch_sub((-delta) as u32, Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
+        if delta != 0 {
+            let word = self.0.load(Relaxed);
+            debug_assert!(i64::from(word & !WAITER) + delta >= 0, "negative credit");
+            self.0.store((i64::from(word) + delta) as u32, Relaxed);
         }
     }
 }

@@ -100,7 +100,12 @@ impl Hasher for SigHasher {
 /// candidate links are busy and which heads are immature (`until`), and
 /// of the credit of the watched downstream queues (`watch`, each marked
 /// so that returned credit wakes the router).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only `watch[..n_watch]` is live: a verdict is built in place in one
+/// per-shard scratch memo (see `stall_verdict` in [`crate::shard`]), so
+/// the entries past `n_watch` carry whatever the last verdict left there,
+/// and neither equality nor [`RouterState::sleep_on`] reads them.
+#[derive(Debug, Default)]
 pub(crate) struct StallMemo {
     /// First cycle at which the verdict may change on its own: a busy
     /// candidate link frees or an immature head ripens (`u64::MAX` when
@@ -129,6 +134,16 @@ impl StallMemo {
         &self.watch[..self.n_watch as usize]
     }
 }
+
+impl PartialEq for StallMemo {
+    fn eq(&self, other: &Self) -> bool {
+        (self.until, self.dirs, self.collisions, self.cands)
+            == (other.until, other.dirs, other.collisions, other.cands)
+            && self.watched() == other.watched()
+    }
+}
+
+impl Eq for StallMemo {}
 
 /// What [`RouterState::link`] did with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,12 +210,18 @@ impl Default for RouterState {
 
 impl RouterState {
     /// Goes to sleep on `memo`, the verdict of the full visit that just
-    /// ended in shard tick `tick`.
-    pub(crate) fn sleep_on(&mut self, memo: StallMemo, tick: u64) {
-        match &mut self.stall {
-            Some(slot) => **slot = (memo, tick),
-            None => self.stall = Some(Box::new((memo, tick))),
-        }
+    /// ended in shard tick `tick`. Copies the live part only: the header,
+    /// `cands` and the watched entries.
+    pub(crate) fn sleep_on(&mut self, memo: &StallMemo, tick: u64) {
+        let slot = self.stall.get_or_insert_with(Box::default);
+        let kept = &mut slot.0;
+        kept.until = memo.until;
+        kept.dirs = memo.dirs;
+        kept.collisions = memo.collisions;
+        kept.n_watch = memo.n_watch;
+        kept.cands = memo.cands;
+        kept.watch[..memo.watched().len()].copy_from_slice(memo.watched());
+        slot.1 = tick;
         self.asleep = true;
     }
 
@@ -578,7 +599,7 @@ mod tests {
         r.push(&mut a, 0, pkt(9, 7, 10));
         assert!(r.sleeping().is_none());
         assert!(r.wake_up().is_none(), "nothing to settle");
-        r.sleep_on(memo.clone(), 41);
+        r.sleep_on(&memo, 41);
         assert_eq!(r.sleeping(), Some((&memo, 41)));
         // pushes do not end the sleep: the shard wakes the router and the
         // visit settles first

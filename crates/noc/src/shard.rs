@@ -110,15 +110,20 @@ impl Candidates {
 }
 
 /// What a full visit at `cycle` that moves nothing has established, given
-/// the scan results `(dirty, ripen)` in `c`: `None` when some candidate
-/// could still move or an ejection would be attempted — otherwise the
-/// verdict the router can sleep on. A verdict with no stalled direction
-/// (`dirs == 0`) means every candidate link is merely busy.
+/// the scan results `(dirty, ripen)` in `c`: `false` when some candidate
+/// could still move or an ejection would be attempted — otherwise `true`,
+/// with `memo` holding the verdict the router can sleep on. A verdict with
+/// no stalled direction (`dirs == 0`) means every candidate link is merely
+/// busy.
+///
+/// The verdict is built in place, in a scratch memo the caller keeps
+/// (one per shard): only its header, `cands` and `watched()` are written,
+/// and on `false` it holds a partial verdict nobody reads.
 ///
 /// All candidates of a free link must be refused, not just the
 /// round-robin pick: the pointer reaches a winner within `n` cycles
-/// otherwise. Read-only, so the debug oracle can re-run it on every
-/// visit that finds the router asleep.
+/// otherwise. Reads nothing but its arguments, so the debug oracle can
+/// re-run it on every router found asleep.
 #[allow(clippy::too_many_arguments)]
 fn stall_verdict(
     c: &Candidates,
@@ -131,15 +136,13 @@ fn stall_verdict(
     topo: &TopoInfo,
     tile: u32,
     occupancy: &[Credit],
-) -> Option<StallMemo> {
-    let mut memo = StallMemo {
-        until: ripen,
-        dirs: 0,
-        collisions: 0,
-        n_watch: 0,
-        cands: [0; OUT_DIRS],
-        watch: [(0, 0); IN_PORTS],
-    };
+    memo: &mut StallMemo,
+) -> bool {
+    memo.until = ripen;
+    memo.dirs = 0;
+    memo.collisions = 0;
+    memo.n_watch = 0;
+    memo.cands = [0; OUT_DIRS];
     while dirty != 0 {
         let oi = dirty.trailing_zeros() as usize;
         dirty &= dirty - 1;
@@ -148,7 +151,7 @@ fn stall_verdict(
             continue;
         }
         if oi == OutDir::Eject.index() {
-            return None; // the sink is asked every cycle, never memoized
+            return false; // the sink is asked every cycle, never memoized
         }
         let cands = c.of(oi);
         for &port in cands {
@@ -160,9 +163,12 @@ fn stall_verdict(
             let occ = occupancy[qid].flits();
             let flits = router.front(arena, port).expect("candidate has head").flits as u32;
             if admits(occ, flits, topo.queue_capacity_flits) {
-                return None;
+                return false;
             }
-            let seen = (u32::try_from(qid).ok()?, occ);
+            let Ok(qid) = u32::try_from(qid) else {
+                return false;
+            };
+            let seen = (qid, occ);
             if !memo.watched().contains(&seen) {
                 memo.watch[memo.n_watch as usize] = seen;
                 memo.n_watch += 1;
@@ -172,7 +178,7 @@ fn stall_verdict(
         memo.dirs |= 1 << oi;
         memo.collisions += (cands.len() - 1) as u8;
     }
-    Some(memo)
+    true
 }
 
 /// The round-robin successor of `last` among the ports set in `mask`:
@@ -206,8 +212,9 @@ fn rotate_rr(mask: u16, last: u8, k: u64) -> u8 {
 /// the memo's verdict again — nothing moves, no ejection is attempted,
 /// same stalled directions, candidates and watched credit, and the
 /// verdict has not expired. Anything else means a wake event was missed.
-/// Every skipped visit of every sleeper of every debug test is checked
-/// against per-cycle re-evaluation this way, not trusted.
+/// Every router-cycle every sleeper of every debug test skips — on the
+/// worklist or off it — is checked against per-cycle re-evaluation this
+/// way, not trusted (see `Shard::check_sleepers`).
 #[allow(clippy::too_many_arguments)]
 fn assert_sleep_is_sound(
     memo: &StallMemo,
@@ -226,13 +233,13 @@ fn assert_sleep_is_sound(
     );
     let mut c = Candidates::new();
     let (dirty, ripen) = c.scan(router, arena, topo, tile, cycle);
-    let fresh = stall_verdict(
-        &c, dirty, ripen, router, arena, busy_until, cycle, topo, tile, occupancy,
+    let mut fresh = StallMemo::default();
+    let stalled = stall_verdict(
+        &c, dirty, ripen, router, arena, busy_until, cycle, topo, tile, occupancy, &mut fresh,
     );
-    assert_eq!(
-        fresh.as_ref(),
-        Some(memo),
-        "tile {tile} slept through a wake event before cycle {cycle}"
+    assert!(
+        stalled && fresh == *memo,
+        "tile {tile} slept through a wake event before cycle {cycle}: asleep on {memo:?}"
     );
 }
 
@@ -262,6 +269,34 @@ struct Owed {
     collisions: u64,
     /// Σ stalled directions over them.
     backpressure: u64,
+    /// Those of them off the worklist: sleepers whose verdict has no
+    /// expiry leave it (always 0 with the worklist disabled).
+    unlisted: u64,
+}
+
+/// Lists router `local`, which holds `queued` packets, on the worklist.
+/// A router that holds traffic and is not listed is asleep on credit with
+/// no expiry (the `active` invariant of [`Shard`]): listing it again
+/// takes it off the `unlisted` count.
+#[inline]
+fn relist(active: &mut ActiveSet, unlisted: &mut u64, queued: u32, local: usize) {
+    let local = local as u32;
+    if queued > 0 && !active.contains(local) {
+        *unlisted -= 1;
+    }
+    active.activate(local);
+}
+
+/// Whether a router holding traffic stays on the worklist after its step
+/// visit: every one does but a sleeper on credit with no expiry
+/// (`wake == u64::MAX`), which joins the `unlisted` count instead. Until
+/// a push lists it again (one behind its heads only up to its next
+/// visit) or a wake event does, the sweep never touches it.
+#[inline]
+fn stays_listed(listing: bool, wake: u64, unlisted: &mut u64) -> bool {
+    let unlist = listing && wake == u64::MAX;
+    *unlisted += u64::from(unlist);
+    !unlist
 }
 
 /// A same-shard forward between [`Shard::step`], which unlinked `node`
@@ -332,6 +367,9 @@ pub struct Shard {
     counters: NocCounters,
     /// The per-cycle debt of the routers asleep on credit.
     owed: Owed,
+    /// Scratch the step builds each stall verdict in; a router that goes
+    /// to sleep copies the live part into its own memo.
+    verdict: StallMemo,
     /// Executed [`Shard::step`]s. Sleeps are measured in ticks, not
     /// cycles: a sleeper is owed one retry per step the shard ran.
     tick: u64,
@@ -353,11 +391,13 @@ pub struct Shard {
     pending_frees: Vec<(usize, u32)>,
     /// Worklist of routers currently holding traffic. Every push site
     /// (inject, deferred pushes, mailbox drains) activates the target;
-    /// [`Shard::step`] deactivates routers it finds drained. The
-    /// invariant "has traffic ⇒ active" holds at every step/horizon
-    /// point because no router *gains* traffic during `step` (same-shard
-    /// forwards defer to `pending_pushes`, cross-shard ones to
-    /// mailboxes).
+    /// [`Shard::step`] deactivates routers it finds drained, and the
+    /// credit sleepers whose verdict has no expiry, which every wake site
+    /// (`wake_upstream`, the wake-box drain, a push) lists again. The
+    /// invariant "holds traffic ⇒ listed, or asleep on credit with no
+    /// expiry" holds at every step/horizon point because no router
+    /// *gains* traffic during `step` (same-shard forwards defer to
+    /// `pending_pushes`, cross-shard ones to mailboxes).
     active: ActiveSet,
 }
 
@@ -384,6 +424,7 @@ impl Shard {
             rr_ptr: vec![0; n * OUT_DIRS],
             counters: NocCounters::default(),
             owed: Owed::default(),
+            verdict: StallMemo::default(),
             tick: 0,
             visits: RouterVisits::default(),
             latency: LatencyStats::default(),
@@ -426,9 +467,10 @@ impl Shard {
     /// it.
     #[doc(hidden)]
     pub fn forget_stall_memos(&mut self) {
-        for (local, router) in self.routers.iter().enumerate() {
-            if router.as_deref().is_some_and(|r| r.sleeping().is_some()) {
-                self.wake[local] = 0;
+        for local in 0..self.routers.len() {
+            let router = self.routers[local].as_deref();
+            if router.is_some_and(|r| r.sleeping().is_some()) {
+                self.wake_now(local);
             }
         }
     }
@@ -504,14 +546,19 @@ impl Shard {
     /// packets ride long-latency (die-to-die, inter-node) links.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let floor = now + 1;
+        if self.owed.sleepers > 0 {
+            // a router asleep on credit holds a ripe head it is refused
+            // every cycle
+            return Some(floor);
+        }
         let mut horizon: Option<u64> = None;
         for push in &self.pending_pushes {
             let c = self.arena.get(push.node).ready_at.max(floor);
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
         }
-        // only active routers can hold traffic (every push activates its
-        // target; step deactivates only drained routers), so the worklist
-        // scan is exact
+        // with no router asleep on credit only listed routers can hold
+        // traffic (every push lists its target; step unlists only drained
+        // routers and sleepers), so the worklist scan is exact
         for local in self.active.iter() {
             if horizon == Some(floor) {
                 return horizon; // cannot get any earlier
@@ -554,7 +601,12 @@ impl Shard {
         if pushed.new_head {
             wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
-        self.active.activate(local as u32);
+        relist(
+            &mut self.active,
+            &mut self.owed.unlisted,
+            self.queued_msgs[local],
+            local,
+        );
         if pushed.freed > 0 {
             if shared.occupancy[qid].free(pushed.freed) {
                 self.wake_upstream(shared, qid);
@@ -578,11 +630,64 @@ impl Shard {
         let (x, y) = topo.coords(up);
         let owner = shared.shard_of_col[x as usize] as usize;
         if owner == self.idx {
-            let local = self.local_of(x, y);
-            self.wake[local] = 0;
+            self.wake_now(self.local_of(x, y));
         } else {
             shared.wake_box(owner, self.idx).lock().push(up);
         }
+    }
+
+    /// Makes router `local` re-evaluate at its next step visit, listing it
+    /// on the worklist if it holds traffic: a credit sleeper with no
+    /// expiry is off the list until woken.
+    fn wake_now(&mut self, local: usize) {
+        self.wake[local] = 0;
+        let queued = self.queued_msgs[local];
+        if queued > 0 {
+            relist(&mut self.active, &mut self.owed.unlisted, queued, local);
+        }
+    }
+
+    /// Debug-build walk over every router holding traffic, listed or not,
+    /// at the top of a step: the `active` invariant, the `unlisted` count,
+    /// and [`assert_sleep_is_sound`] on every sleeper the step will skip.
+    /// Skipped while no router sleeps on credit (nothing is unlisted
+    /// then, and nothing sleeps).
+    fn check_sleepers(&self, shared: &SharedNet, cycle: u64) {
+        assert!(self.owed.unlisted <= self.owed.sleepers);
+        if self.owed.sleepers == 0 {
+            return;
+        }
+        let mut unlisted = 0;
+        for (local, &queued) in self.queued_msgs.iter().enumerate() {
+            if queued == 0 {
+                continue;
+            }
+            let router = self.routers[local]
+                .as_deref()
+                .expect("queued packets imply a materialized router");
+            let sleep = router.sleeping();
+            if !self.active.contains(local as u32) {
+                assert!(
+                    sleep.is_some() && self.wake[local] == u64::MAX,
+                    "router {local} of shard {} holds traffic off the worklist",
+                    self.idx
+                );
+                unlisted += 1;
+            }
+            if let Some((memo, _)) = sleep.filter(|_| self.wake[local] > cycle) {
+                assert_sleep_is_sound(
+                    memo,
+                    router,
+                    &self.arena,
+                    &self.busy_until[local * OUT_DIRS..(local + 1) * OUT_DIRS],
+                    cycle,
+                    &shared.topo,
+                    self.global_tile(local, shared.topo.width),
+                    &shared.occupancy,
+                );
+            }
+        }
+        assert_eq!(unlisted, self.owed.unlisted, "unlisted sleepers miscounted");
     }
 
     /// Opens a batched injection session at `tile`'s local inject queue.
@@ -667,30 +772,33 @@ impl Shard {
     /// boxes through the free-list. With the worklist disabled it
     /// degrades to the full scan.
     ///
-    /// A router on the list is in one of three states. *Asleep on time*:
-    /// no head can move before `wake` (immature heads, busy links), the
-    /// visit returns at once. *Asleep on credit*: its last full
-    /// evaluation moved nothing because every candidate was refused
+    /// A router holding traffic is in one of three states. *Asleep on
+    /// time*: no head can move before `wake` (immature heads, busy
+    /// links), the visit returns at once. *Asleep on credit*: its last
+    /// full evaluation moved nothing because every candidate was refused
     /// downstream; it left a stall memo, a waiter mark on each refusing
-    /// queue and `wake = memo.until`, and the visit returns at once just
-    /// the same — what the retries it skips would have added to the
-    /// counters is paid by the shard (`owed`), what they would have done
-    /// to its arbitration pointers is settled when it wakes. Otherwise
-    /// the router is *evaluated* in full, which is the only place packets
-    /// move and the only place memos are built.
+    /// queue and `wake = memo.until` — what the retries it skips would
+    /// have added to the counters is paid by the shard (`owed`), what
+    /// they would have done to its arbitration pointers is settled when
+    /// it wakes. A sleeper whose verdict has no expiry (no busy link, no
+    /// immature head: `until == u64::MAX`) leaves the worklist and costs
+    /// the sweep nothing until an event lists it again; one with an
+    /// expiry stays listed and returns at once like a router asleep on
+    /// time. Otherwise the router is *evaluated* in full, which is the
+    /// only place packets move and the only place memos are built.
     ///
     /// A sleeper is woken by the events its verdict depends on, never by
     /// polling: a changed head (`deliver`, [`InjectBatch::offer`]) and
     /// returned credit ([`Shard::begin_cycle`] and `deliver` consume the
     /// mark and wake the queue's upstream router) set `wake = 0`, in
     /// place or through the wake boxes drained below; the memo's expiry
-    /// is `wake` itself. Marks are written here, in the step phase, by
-    /// the queue's unique upstream router and consumed in the local
-    /// phase by the queue's owner; wake boxes are filled in the local
-    /// phase and drained here in the same cycle — each word has one
-    /// writer per phase, so parallel and sequential runs see the same
-    /// values, and nothing is in flight when the driver decides how far
-    /// to advance.
+    /// is `wake` itself. Every wake site also lists the router again.
+    /// Marks are written here, in the step phase, by the queue's unique
+    /// upstream router and consumed in the local phase by the queue's
+    /// owner; wake boxes are filled in the local phase and drained here
+    /// in the same cycle — each word has one writer per phase, so
+    /// parallel and sequential runs see the same values, and nothing is
+    /// in flight when the driver decides how far to advance.
     pub fn step(&mut self, shared: &SharedNet, cycle: u64, sink: &mut dyn EjectSink) {
         let topo = &shared.topo;
         let width = topo.width;
@@ -700,8 +808,11 @@ impl Shard {
             }
             for tile in shared.wake_box(self.idx, producer).lock().drain(..) {
                 let local = self.local_idx(tile, topo);
-                self.wake[local] = 0;
+                self.wake_now(local);
             }
+        }
+        if cfg!(debug_assertions) {
+            self.check_sleepers(shared, cycle);
         }
         self.tick += 1;
         // every sleeper would have been refused again this cycle; one that
@@ -709,6 +820,9 @@ impl Shard {
         self.counters.collisions += self.owed.collisions;
         self.counters.backpressure += self.owed.backpressure;
         let asleep_on_credit = self.owed.sleepers;
+        // the sweep visits these, and counts each that does not wake as
+        // asleep on time until the tally below
+        let listed_sleepers = asleep_on_credit - self.owed.unlisted;
         // split borrows: `router` stays mutably borrowed across the inner
         // loop while counters / pending buffers are updated alongside
         let Shard {
@@ -724,6 +838,7 @@ impl Shard {
             rr_ptr,
             counters,
             owed,
+            verdict,
             tick,
             visits,
             latency,
@@ -736,6 +851,7 @@ impl Shard {
         let tick = *tick;
         let ncols = cols.end - cols.start;
         let col_start = cols.start;
+        let listing = active.enabled();
         active.refresh();
         // lives outside the per-router closure; every full visit leaves
         // `c.n` all-zero for the next one
@@ -750,30 +866,13 @@ impl Shard {
             if queued_msgs[local] == 0 {
                 return false;
             }
-            let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
             if wake[local] > cycle {
+                // nothing it waits for has happened; a sleeper with no
+                // expiry listed again by a push behind its heads leaves
                 visits.asleep += 1;
-                if cfg!(debug_assertions) {
-                    let router = routers[local]
-                        .as_deref()
-                        .expect("queued packets imply a materialized router");
-                    if let Some((memo, _)) = router.sleeping() {
-                        let (x, y) = coords_of(local);
-                        let tile = y * width + x;
-                        assert_sleep_is_sound(
-                            memo,
-                            router,
-                            arena,
-                            &busy_until[links],
-                            cycle,
-                            topo,
-                            tile,
-                            &shared.occupancy,
-                        );
-                    }
-                }
-                return true; // nothing it waits for has happened
+                return stays_listed(listing, wake[local], &mut owed.unlisted);
             }
+            let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
             let router = routers[local]
                 .as_deref_mut()
                 .expect("queued packets imply a materialized router");
@@ -908,8 +1007,8 @@ impl Shard {
                 }
             } else {
                 visits.evaluated_stalled += 1;
-                if !eject_tried {
-                    if let Some(memo) = stall_verdict(
+                if !eject_tried
+                    && stall_verdict(
                         &c,
                         candidate_dirs,
                         ripen,
@@ -920,38 +1019,40 @@ impl Shard {
                         topo,
                         tile,
                         &shared.occupancy,
-                    ) {
-                        // what this visit just did is what every retry
-                        // before `until` would do again
-                        debug_assert_eq!(
-                            counters.collisions - collisions0,
-                            u64::from(memo.collisions)
-                        );
-                        debug_assert_eq!(
-                            counters.backpressure - backpressure0,
-                            u64::from(memo.dirs.count_ones())
-                        );
-                        // a visit is a pure no-op until a busy candidate
-                        // link frees or a head ripens — or, with stalled
-                        // directions, until a watched queue returns credit
-                        wake[local] = memo.until;
-                        if memo.dirs != 0 {
-                            for &(qid, _) in memo.watched() {
-                                shared.occupancy[qid as usize].mark();
-                            }
-                            owed.sleepers += 1;
-                            owed.collisions += u64::from(memo.collisions);
-                            owed.backpressure += u64::from(memo.dirs.count_ones());
-                            router.sleep_on(memo, tick);
+                        verdict,
+                    )
+                {
+                    // what this visit just did is what every retry before
+                    // `until` would do again
+                    debug_assert_eq!(
+                        counters.collisions - collisions0,
+                        u64::from(verdict.collisions)
+                    );
+                    debug_assert_eq!(
+                        counters.backpressure - backpressure0,
+                        u64::from(verdict.dirs.count_ones())
+                    );
+                    // a visit is a pure no-op until a busy candidate link
+                    // frees or a head ripens — or, with stalled
+                    // directions, until a watched queue returns credit
+                    wake[local] = verdict.until;
+                    if verdict.dirs != 0 {
+                        for &(qid, _) in verdict.watched() {
+                            shared.occupancy[qid as usize].mark();
                         }
+                        owed.sleepers += 1;
+                        owed.collisions += u64::from(verdict.collisions);
+                        owed.backpressure += u64::from(verdict.dirs.count_ones());
+                        router.sleep_on(verdict, tick);
                     }
                 }
             }
             c.n = [0; OUT_DIRS];
-            // a router with traffic stays on the worklist; a drained
-            // router recycles its box and retires
+            // a router with traffic stays on the worklist (unless it
+            // sleeps on credit with no expiry); a drained router recycles
+            // its box and retires
             if queued_msgs[local] > 0 {
-                return true;
+                return stays_listed(listing, wake[local], &mut owed.unlisted);
             }
             let drained = routers[local].take().expect("materialized above");
             drained.check_reusable();
@@ -960,11 +1061,11 @@ impl Shard {
             wake[local] = u64::MAX;
             false
         });
-        // a sleeper that did not settle was skipped by the wake check: its
-        // router-cycle was answered from the memo, not visited
-        let slept_through = asleep_on_credit - settled;
-        visits.replayed += slept_through;
-        visits.asleep -= slept_through;
+        // a sleeper that did not settle had its router-cycle answered from
+        // the memo: the listed ones by the wake check (counted as asleep on
+        // time above), the unlisted ones without a visit
+        visits.replayed += asleep_on_credit - settled;
+        visits.asleep -= listed_sleepers - settled;
     }
 
     fn round_robin_pick(candidates: &[u8], last: u8) -> u8 {
@@ -1026,12 +1127,13 @@ impl Shard {
             + self.active.heap_bytes()
     }
 
-    /// Routers currently on the active worklist (all traffic-holding
-    /// routers when the worklist is disabled). Activity telemetry for
-    /// scheduling studies; the cycle loop itself never reads this.
+    /// Routers currently on the active worklist, plus the credit
+    /// sleepers that left it (all traffic-holding routers when the
+    /// worklist is disabled). Activity telemetry for scheduling studies;
+    /// the cycle loop itself never reads this.
     pub fn active_routers(&self) -> usize {
         if self.active.enabled() {
-            self.active.active_count()
+            self.active.active_count() + self.owed.unlisted as usize
         } else {
             self.allocated_routers()
         }
@@ -1251,7 +1353,12 @@ impl InjectBatch<'_> {
         if pushed.new_head {
             wake_for_new_head(&mut self.shard.wake[self.local], router, ready_at);
         }
-        self.shard.active.activate(self.local as u32);
+        relist(
+            &mut self.shard.active,
+            &mut self.shard.owed.unlisted,
+            self.shard.queued_msgs[self.local],
+            self.local,
+        );
         if pushed.freed > 0 {
             self.occ -= pushed.freed;
             self.occ_delta -= i64::from(pushed.freed);
@@ -1347,30 +1454,40 @@ mod tests {
         let (dirty, ripen) = c.scan(&router, &arena, &topo, 1, 0);
         assert_eq!((dirty, ripen), (1 << OutDir::E.index(), u64::MAX));
         let links = [0u64; OUT_DIRS];
-        let verdict = |occ: &[Credit]| {
-            stall_verdict(&c, dirty, ripen, &router, &arena, &links, 0, &topo, 1, occ)
+        let mut memo = StallMemo::default();
+        let verdict = |links: &[u64], memo: &mut StallMemo| {
+            stall_verdict(
+                &c, dirty, ripen, &router, &arena, links, 0, &topo, 1, &occupancy, memo,
+            )
         };
-        assert_eq!(
-            verdict(&occupancy),
-            None,
+        assert!(
+            !verdict(&links, &mut memo),
             "an empty queue admits the oversized packet: not a stall"
         );
         let qid = topo.queue_id(2, InPort::FromW0);
         occupancy[qid].adjust(1);
-        let memo = verdict(&occupancy).expect("one flit queued downstream refuses ten more");
+        assert!(
+            verdict(&links, &mut memo),
+            "one flit queued downstream refuses ten more"
+        );
         assert_eq!(memo.dirs, 1 << OutDir::E.index());
         assert_eq!(memo.cands[OutDir::E.index()], 1 << inject);
         assert_eq!(memo.watched(), [(qid as u32, 1)]);
         assert_eq!((memo.collisions, memo.until), (0, u64::MAX));
         // a busy link is not back-pressure: no stalled direction, and the
-        // verdict holds until the link frees
+        // verdict holds until the link frees; the scratch is rebuilt, the
+        // stale watch entry left past `n_watch` is not part of it
         let mut busy = links;
         busy[OutDir::E.index()] = 7;
-        let asleep = stall_verdict(
-            &c, dirty, ripen, &router, &arena, &busy, 0, &topo, 1, &occupancy,
-        )
-        .expect("nothing can move");
-        assert_eq!((asleep.dirs, asleep.until), (0, 7));
+        assert!(verdict(&busy, &mut memo), "nothing can move");
+        assert_eq!((memo.dirs, memo.until), (0, 7));
+        assert_eq!(
+            memo,
+            StallMemo {
+                until: 7,
+                ..StallMemo::default()
+            }
+        );
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! onto tiny buffers, with the hotspot's ejection gated shut for a
 //! while, so back-pressure reaches far upstream and most router-cycles
 //! are slept through. (Debug builds also run the in-crate oracle on
-//! every skipped visit of every sleeper.)
+//! every router-cycle of every sleeper, on the worklist or off it.)
 
 use muchisim_config::{NocTopology, SystemConfig};
 use muchisim_noc::{
     EjectSink, LatencyStats, Network, NetworkParams, NocCounters, Packet, Payload, ReduceOp,
+    RouterVisits,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -250,6 +251,18 @@ fn hub_congestion_sleeps_and_stays_identical() {
         visits.awake() + visits.replayed,
         twins.cold.router_visits().awake(),
         "each router-cycle slept through stands for one full visit of the twin"
+    );
+    // blessed at 20189a8, where every sleeper stayed on the worklist and
+    // was skipped by the wake check: a sleeper off the list changes how
+    // the host gets there, not one count of the ledger
+    assert_eq!(
+        visits,
+        RouterVisits {
+            evaluated_moved: 84,
+            evaluated_stalled: 393,
+            replayed: 1225,
+            asleep: 0,
+        }
     );
 }
 

@@ -11,6 +11,10 @@
 //! deserializer; configuration errors printed as one line (`Config`)
 //! on every subcommand; zero thread counts and repeated flags rejected;
 //! `--no-active-list`, `--telemetry` and `run --threads` removed.
+//!
+//! Four rows changed again at PR 21, where a value the deserializer
+//! rejects is reported with the override that carries it
+//! (`` `key=token`: … ``); their `was:` is the text at 20189a8.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -73,13 +77,13 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["run", "bfs", "--set", "novalue"], Usage, "error: invalid parameter override: `novalue` is not of the form key=value"),
     (&["run", "bfs", "--set", "=1"], Usage, "error: invalid parameter override: `=1` has an empty key"),
     (&["run", "bfs", "5", "4", "1", "--set", "nosuch=1"], Usage, "error: invalid parameter override: unknown parameter `nosuch` in `nosuch`; known keys here: …"),
-    (&["run", "bfs", "5", "4", "1", "--set", "pus_per_tile=lots"], Usage, "error: invalid parameter override: overridden config does not deserialize: …"),
+    (&["run", "bfs", "5", "4", "1", "--set", "pus_per_tile=lots"], Usage, "error: invalid parameter override: `pus_per_tile=lots`: expected u32, got string"), // was: Usage "error: invalid parameter override: overridden config does not deserialize: …"
     (&["run", "bfs", "5", "4", "1", "--set", "pus_per_tile=0"], Config, "error: a tile must contain at least one PU"),
     (&["run", "bfs", "5", "4", "1", "--seed", "abc"], Usage, "error: invalid seed `abc`: invalid digit found in string"),
     (&["run", "bfs", "5", "4", "1", "--seed", "-1"], Usage, "error: invalid seed `-1`: invalid digit found in string"),
-    (&["run", "bfs", "5", "4", "1", "--sample-every", "abc"], Usage, "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"), // was: Usage "error: invalid sample cadence `abc`: invalid digit found in string"
+    (&["run", "bfs", "5", "4", "1", "--sample-every", "abc"], Usage, "error: invalid parameter override: `telemetry.sample_every=abc`: expected u64, got string"), // was: Usage "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"
     (&["run", "bfs", "5", "4", "1", "--sample-every", "0"], Config, "error: invalid telemetry configuration: sample_every must be at least one cycle"), // was: Usage "error: invalid telemetry configuration: sample_every must be at least one cycle"
-    (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--checkpoint-every", "abc"], Usage, "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"), // was: Usage "error: invalid checkpoint cadence `abc`: invalid digit found in string"
+    (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--checkpoint-every", "abc"], Usage, "error: invalid parameter override: `checkpoint_every=abc`: expected u64, got string"), // was: Usage "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"
     (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--checkpoint-every", "0"], Config, "error: invalid checkpoint configuration: checkpoint_every must be at least 1 cycle"), // was: Usage "error: invalid checkpoint configuration: checkpoint_every must be at least 1 cycle"
 
     // ── run: cross-flag rules ────────────────────────────────────────
@@ -91,7 +95,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     // ── run: wards ───────────────────────────────────────────────────
     (&["run", "bfs", "--ward", "noequals"], Usage, "error: --ward needs KEY=VALUE, got `noequals`"),
     (&["run", "bfs", "5", "4", "1", "--ward", "bogus=1"], Usage, "error: unknown ward `bogus`; choose one of: max_cycles, stall, converged, diverged_queue, diverged_latency, snapshot"),
-    (&["run", "bfs", "5", "4", "1", "--ward", "max_cycles=abc"], Usage, "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"), // was: Usage "error: invalid max_cycles ward `abc`: invalid digit found in string"
+    (&["run", "bfs", "5", "4", "1", "--ward", "max_cycles=abc"], Usage, "error: invalid parameter override: `telemetry.wards.max_cycles=abc`: expected u64, got string"), // was: Usage "error: invalid parameter override: overridden config does not deserialize: expected u64, got string"
     (&["run", "bfs", "5", "4", "1", "--ward", "max_cycles=0"], Config, "error: invalid telemetry configuration: max_cycles ward must allow at least one cycle"), // was: Usage "error: invalid telemetry configuration: max_cycles ward must allow at least one cycle"
     (&["run", "bfs", "5", "4", "1", "--ward", "converged=bogus:1"], Usage, "error: unknown converged metric `bogus`; choose one of: tasks, injected, pending, latency_mean"),
     (&["run", "bfs", "5", "4", "1", "--ward", "converged=tasks"], Usage, "error: converged ward needs METRIC:EPSILON[:WINDOW], got `tasks`"), // was: Usage "error: converged ward needs METRIC:EPSILON[:WINDOW]"
