@@ -311,7 +311,7 @@ fn main() {
          \"workloads\": [\"bfs/rmat-{RMAT_SCALE} (fixed graph, strong scaling)\", \
          \"spmv/grid2d (matrix = DUT grid, weak scaling)\"],\n  \
          \"host_threads\": {swept:?},\n  \"host_cpus\": {host_cpus},\n  \
-         \"active_list\": true,\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"rows\": [\n{}\n  ]\n}}\n",
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

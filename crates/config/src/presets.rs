@@ -64,10 +64,10 @@ pub fn to_json(cfg: &SystemConfig) -> String {
 
 /// Loads a configuration from JSON and validates it.
 ///
-/// Config files written before the `time_leap` or `active_list` knobs
-/// existed lack those fields; they default to `true` here (the vendored
-/// serde shim's `#[serde(default)]` fills in `Default::default()`, which
-/// is `false` for a `bool`, and it has no `default = "path"` form).
+/// Config files written before the `time_leap` knob existed lack that
+/// field; it defaults to `true` here (the vendored serde shim's
+/// `#[serde(default)]` fills in `Default::default()`, which is `false`
+/// for a `bool`, and it has no `default = "path"` form).
 ///
 /// # Errors
 ///
@@ -77,9 +77,6 @@ pub fn from_json(json: &str) -> Result<SystemConfig, String> {
     if let serde::value::Value::Object(obj) = &mut value {
         if obj.get("time_leap").is_none() {
             obj.insert("time_leap".to_string(), serde::value::Value::Bool(true));
-        }
-        if obj.get("active_list").is_none() {
-            obj.insert("active_list".to_string(), serde::value::Value::Bool(true));
         }
     }
     let cfg: SystemConfig = serde::Deserialize::from_value(&value).map_err(|e| e.to_string())?;
@@ -136,18 +133,19 @@ mod tests {
     }
 
     #[test]
-    fn json_without_active_list_field_defaults_on() {
+    fn json_with_the_removed_active_list_key_still_loads() {
+        // config files from before the full-sweep mode was removed carry
+        // `active_list`, possibly `false`; the worklist is the only sweep
         let cfg = wse_like(8).build().unwrap();
-        let json = to_json(&cfg).replace("\"active_list\": true,", "");
-        assert!(!json.contains("active_list"), "field not stripped: {json}");
-        let back = from_json(&json).unwrap();
-        assert!(back.active_list);
-        let off = {
-            let mut b = wse_like(8);
-            b.active_list(false);
-            b.build().unwrap()
-        };
-        assert_eq!(from_json(&to_json(&off)).unwrap(), off);
+        let json = to_json(&cfg).replace(
+            "\"time_leap\": true,",
+            "\"time_leap\": true,\n  \"active_list\": false,",
+        );
+        assert!(
+            json.contains("\"active_list\": false"),
+            "key not spliced: {json}"
+        );
+        assert_eq!(from_json(&json).unwrap(), cfg);
     }
 
     #[test]

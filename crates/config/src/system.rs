@@ -284,15 +284,6 @@ pub struct SystemConfig {
     /// with the knob on or off. It exists so ablation studies can measure
     /// the lockstep driver, and as a kill switch (`MUCHISIM_NO_LEAP`).
     pub time_leap: bool,
-    /// Whether workers and NoC shards keep active-element worklists so a
-    /// cycle sweeps only tiles and routers that can act, instead of the
-    /// whole grid.
-    ///
-    /// Like `time_leap`, this is an exact host-time optimization: results
-    /// are bit-identical with the knob on or off (pinned by the golden
-    /// traces and the worklist determinism property test). It exists for
-    /// ablation studies and as a kill switch (`MUCHISIM_NO_ACTIVE_LIST`).
-    pub active_list: bool,
     /// Output verbosity.
     pub verbosity: Verbosity,
     /// Transistor technology node in nm (paper default: 7).
@@ -323,7 +314,6 @@ impl Default for SystemConfig {
             traffic: TrafficParams::default(),
             telemetry: TelemetryParams::default(),
             time_leap: true,
-            active_list: true,
             verbosity: Verbosity::default(),
             technology_nm: 7,
             params: ModelParams::default(),
@@ -727,12 +717,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables or disables the active-tile/router worklists (default on).
-    pub fn active_list(&mut self, enabled: bool) -> &mut Self {
-        self.cfg.active_list = enabled;
-        self
-    }
-
     /// Sets the output verbosity.
     pub fn verbosity(&mut self, v: Verbosity) -> &mut Self {
         self.cfg.verbosity = v;
@@ -930,16 +914,6 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SystemConfig = serde_json::from_str(&json).unwrap();
         assert!(!back.time_leap);
-    }
-
-    #[test]
-    fn active_list_defaults_on_and_is_toggleable() {
-        assert!(SystemConfig::default().active_list);
-        let cfg = SystemConfig::builder().active_list(false).build().unwrap();
-        assert!(!cfg.active_list);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SystemConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.active_list);
     }
 
     #[test]

@@ -93,7 +93,8 @@ pub fn trace_checksum(result: &SimResult, total_tiles: u32) -> u64 {
 /// before hashing, because that one accumulator is an `f64` summed in
 /// worker order — the simulated schedule behind it is identical across
 /// thread counts, but float addition is not associative, so its last
-/// bits follow the shard split (see `tests/worklist_determinism.rs`).
+/// bits follow the shard split (see the `BFS-32x32-mesh-hub@t2`/`@t4`
+/// rows of `tests/golden_traces.rs`).
 ///
 /// Use this to compare runs under *different* host configurations
 /// (thread counts, or a checkpoint written under one split and resumed

@@ -44,10 +44,8 @@ impl<A: Application> Simulation<A> {
     ///
     /// If the `MUCHISIM_NO_LEAP` environment variable is set, the
     /// time-leaping driver is disabled regardless of
-    /// `SystemConfig::time_leap`; if `MUCHISIM_NO_ACTIVE_LIST` is set,
-    /// the active-tile/router worklists are disabled regardless of
-    /// `SystemConfig::active_list` (results are bit-identical either
-    /// way; only host time changes).
+    /// `SystemConfig::time_leap` (results are bit-identical either way;
+    /// only host time changes).
     ///
     /// # Errors
     ///
@@ -62,10 +60,6 @@ impl<A: Application> Simulation<A> {
         // without touching every call site
         if std::env::var_os("MUCHISIM_NO_LEAP").is_some() {
             cfg.time_leap = false;
-        }
-        // same kill-switch pattern for the active-element worklists
-        if std::env::var_os("MUCHISIM_NO_ACTIVE_LIST").is_some() {
-            cfg.active_list = false;
         }
         let n = app.task_types();
         if n > MAX_TASK_TYPES {
@@ -408,7 +402,6 @@ impl<A: Application> Worker<A> {
             }
         }
         let pus = cfg.pus_per_tile.max(1) as usize;
-        let active = ActiveSet::new(n, cfg.active_list);
         Worker {
             slice,
             ntasks: ntasks as usize,
@@ -463,7 +456,7 @@ impl<A: Application> Worker<A> {
             sends: Vec::new(),
             phase: HostPhaseNs::default(),
             forget_stall_memos: false,
-            active,
+            active: ActiveSet::new(n, true),
         }
     }
 
@@ -748,32 +741,43 @@ impl<A: Application> Worker<A> {
         // scripted timetable. Deliveries during net_step re-activate.
         // Reads only the dense SoA arrays — this is the whole-worklist
         // walk the dense regime pays every cycle.
-        if self.active.enabled() {
-            let w0 = Instant::now();
-            let init_pending = &self.init_pending;
-            let iq_msgs = &self.iq_msgs;
-            let cq_msgs = &self.cq_msgs;
-            let scripted = &self.scripted;
-            self.active.retain(|local| {
-                let l = local as usize;
-                init_pending[l]
-                    || iq_msgs[l] > 0
-                    || cq_msgs[l] > 0
-                    || scripted.get(l).is_some_and(|q| !q.is_empty())
-            });
-            self.phase.worklist += w0.elapsed().as_nanos() as u64;
-        }
+        let w0 = Instant::now();
+        let init_pending = &self.init_pending;
+        let iq_msgs = &self.iq_msgs;
+        let cq_msgs = &self.cq_msgs;
+        let scripted = &self.scripted;
+        self.active.retain(|local| {
+            let l = local as usize;
+            init_pending[l]
+                || iq_msgs[l] > 0
+                || cq_msgs[l] > 0
+                || scripted.get(l).is_some_and(|q| !q.is_empty())
+        });
+        self.phase.worklist += w0.elapsed().as_nanos() as u64;
         self.phase.inject += t0.elapsed().as_nanos() as u64;
         #[cfg(debug_assertions)]
         self.assert_queues_consistent();
     }
 
-    /// Debug oracle, run at the end of every `inject_phase`: each active
-    /// tile's links add up to its message counts, and the active tiles'
-    /// queues account for every live arena node — so no tile off the
-    /// worklist holds a message, and no node leaked.
+    /// Debug oracle, run at the end of every `inject_phase`: nothing off
+    /// the worklist can act (no tile off it owes an init task, holds a
+    /// message or has an open timetable), each active tile's links add up
+    /// to its message counts, and the active tiles' queues account for
+    /// every live arena node — so no node leaked.
     #[cfg(debug_assertions)]
     fn assert_queues_consistent(&self) {
+        for local in 0..self.iq_msgs.len() {
+            if self.active.contains(local as u32) {
+                continue;
+            }
+            assert!(
+                !self.init_pending[local]
+                    && self.iq_msgs[local] == 0
+                    && self.cq_msgs[local] == 0
+                    && self.scripted.get(local).is_none_or(VecDeque::is_empty),
+                "tile {local} has work off the worklist"
+            );
+        }
         let (mut iq_total, mut cq_total) = (0, 0);
         for local in self.active.iter() {
             let tile = local as usize * self.ntasks..(local as usize + 1) * self.ntasks;

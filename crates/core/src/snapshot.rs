@@ -21,8 +21,8 @@
 //! version          u32   SNAPSHOT_VERSION
 //! header                 `Header`: the config hash (FNV-1a over the
 //!                        canonical JSON of the config, with the host-side
-//!                        knobs time_leap, active_list, checkpoint_* and
-//!                        telemetry reset to defaults — resuming under
+//!                        knobs time_leap, checkpoint_* and telemetry
+//!                        reset to defaults — resuming under
 //!                        different ones is allowed and bit-identical),
 //!                        application name, grid geometry, task-type and
 //!                        kernel counts
@@ -808,27 +808,31 @@ pub(crate) struct SnapshotData {
 
 /// FNV-1a over the canonical JSON of `cfg` with the host-side knobs that
 /// are *allowed* to differ between the checkpointing and the resuming run
-/// (time leaping, active lists, telemetry, and the checkpoint options
+/// (time leaping, telemetry, and the checkpoint options
 /// themselves) reset to fixed values. Everything that shapes simulated
 /// behavior — geometry, latencies, queue capacities, traffic, verbosity,
 /// frame interval — participates.
 pub(crate) fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut c = cfg.clone();
     c.time_leap = true;
-    c.active_list = true;
     c.checkpoint_every = None;
     c.checkpoint_path = None;
     c.checkpoint_resume = false;
     c.telemetry = Default::default();
     let mut json = serde_json::to_string(&c).expect("config serializes");
-    // version-1 snapshots hashed this text when two since-removed keys
-    // sat before `noc_trace` (both `null` in any configuration that could
-    // checkpoint); hashing them still keeps every existing snapshot
-    // resumable without a version bump
+    // version-1 snapshots hashed this text when three since-removed keys
+    // sat in it: two before `noc_trace` (both `null` in any configuration
+    // that could checkpoint) and `active_list` before `verbosity` (a
+    // host-side knob, reset to `true` like `time_leap`); hashing them
+    // still keeps every existing snapshot resumable without a version bump
     let at = json
         .find("\"noc_trace\":")
         .expect("SystemConfig serializes noc_trace");
     json.insert_str(at, "\"frame_budget\":null,\"frame_spill\":null,");
+    let at = json
+        .find("\"verbosity\":")
+        .expect("SystemConfig serializes verbosity");
+    json.insert_str(at, "\"active_list\":true,");
     let mut h = Fnv::new();
     h.bytes(json.as_bytes());
     h.finish()
@@ -1353,7 +1357,6 @@ mod tests {
         let base = SystemConfig::builder().chiplet_tiles(4, 4).build().unwrap();
         let mut leap_off = base.clone();
         leap_off.time_leap = false;
-        leap_off.active_list = false;
         let mut ckpt = base.clone();
         ckpt.checkpoint_every = Some(100);
         ckpt.checkpoint_path = Some("x.ckpt".into());

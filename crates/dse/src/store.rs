@@ -214,16 +214,19 @@ pub(crate) mod tests {
 
     #[test]
     fn records_written_before_the_frame_keys_were_removed_still_load() {
-        // stores from before PR 19 carry `frame_budget` / `frame_spill`
-        // (always `null` there: sweeps rejected the spill, nothing set
-        // the budget) and no `telemetry_dropped`
+        // older stores carry `frame_budget` / `frame_spill` (always `null`
+        // there: sweeps rejected the spill, nothing set the budget) and
+        // `active_list` (`false` in full-sweep ablations), and no
+        // `telemetry_dropped`
         let line = serde_json::to_string(&record("old", 0, None)).unwrap();
         let legacy = line
             .replace(
                 "\"noc_trace\":",
                 "\"frame_budget\":null,\"frame_spill\":null,\"noc_trace\":",
             )
+            .replace("\"verbosity\":", "\"active_list\":false,\"verbosity\":")
             .replace(",\"telemetry_dropped\":0", "");
+        assert!(legacy.contains("\"active_list\":false"));
         assert_ne!(legacy, line);
         assert!(!legacy.contains("telemetry_dropped"));
         let path = temp_path("legacy.jsonl");

@@ -78,12 +78,6 @@ pub struct NetworkParams {
     /// Whether shards record every injection as a [`crate::TraceEvent`]
     /// (driven by `SystemConfig::noc_trace`).
     pub record_trace: bool,
-    /// Whether shards keep an [`crate::ActiveSet`] worklist of routers
-    /// holding traffic, so [`Shard::step`] and
-    /// [`Shard::next_event_cycle`] skip idle routers (driven by
-    /// `SystemConfig::active_list`; results are bit-identical either
-    /// way).
-    pub active_list: bool,
 }
 
 impl NetworkParams {
@@ -95,7 +89,6 @@ impl NetworkParams {
             inject_capacity_flits: cfg.queues.cq_capacity * 2,
             track_busy: cfg.verbosity >= muchisim_config::Verbosity::V2,
             record_trace: cfg.noc_trace.is_some(),
-            active_list: cfg.active_list,
         }
     }
 
@@ -110,13 +103,6 @@ impl NetworkParams {
     /// Enables or disables injection-trace recording explicitly.
     pub fn record_trace(mut self, enabled: bool) -> Self {
         self.record_trace = enabled;
-        self
-    }
-
-    /// Enables or disables the per-shard active-router worklist
-    /// explicitly (ablations without a full system configuration).
-    pub fn active_list(mut self, enabled: bool) -> Self {
-        self.active_list = enabled;
         self
     }
 }
@@ -295,7 +281,6 @@ impl Network {
                 topo.height,
                 params.track_busy,
                 params.record_trace,
-                params.active_list,
             ));
             start = end;
         }

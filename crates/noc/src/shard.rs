@@ -270,7 +270,7 @@ struct Owed {
     /// Σ stalled directions over them.
     backpressure: u64,
     /// Those of them off the worklist: sleepers whose verdict has no
-    /// expiry leave it (always 0 with the worklist disabled).
+    /// expiry leave it.
     unlisted: u64,
 }
 
@@ -293,8 +293,8 @@ fn relist(active: &mut ActiveSet, unlisted: &mut u64, queued: u32, local: usize)
 /// a push lists it again (one behind its heads only up to its next
 /// visit) or a wake event does, the sweep never touches it.
 #[inline]
-fn stays_listed(listing: bool, wake: u64, unlisted: &mut u64) -> bool {
-    let unlist = listing && wake == u64::MAX;
+fn stays_listed(wake: u64, unlisted: &mut u64) -> bool {
+    let unlist = wake == u64::MAX;
     *unlisted += u64::from(unlist);
     !unlist
 }
@@ -408,7 +408,6 @@ impl Shard {
         height: u32,
         track_busy: bool,
         record_trace: bool,
-        active_list: bool,
     ) -> Self {
         let n = (cols.end - cols.start) as usize * height as usize;
         Shard {
@@ -432,7 +431,7 @@ impl Shard {
             busy_frame: if track_busy { vec![0; n] } else { Vec::new() },
             pending_pushes: Vec::new(),
             pending_frees: Vec::new(),
-            active: ActiveSet::new(n, active_list),
+            active: ActiveSet::new(n, true),
         }
     }
 
@@ -648,15 +647,11 @@ impl Shard {
     }
 
     /// Debug-build walk over every router holding traffic, listed or not,
-    /// at the top of a step: the `active` invariant, the `unlisted` count,
-    /// and [`assert_sleep_is_sound`] on every sleeper the step will skip.
-    /// Skipped while no router sleeps on credit (nothing is unlisted
-    /// then, and nothing sleeps).
+    /// at the top of every step: the `active` invariant (nothing off the
+    /// worklist can act), the `unlisted` count, and
+    /// [`assert_sleep_is_sound`] on every sleeper the step will skip.
     fn check_sleepers(&self, shared: &SharedNet, cycle: u64) {
         assert!(self.owed.unlisted <= self.owed.sleepers);
-        if self.owed.sleepers == 0 {
-            return;
-        }
         let mut unlisted = 0;
         for (local, &queued) in self.queued_msgs.iter().enumerate() {
             if queued == 0 {
@@ -769,8 +764,7 @@ impl Shard {
     /// The sweep walks the active-router worklist in ascending local
     /// order (bit-identical to the full scan: idle routers are pure
     /// no-ops) and deactivates routers it leaves drained, recycling their
-    /// boxes through the free-list. With the worklist disabled it
-    /// degrades to the full scan.
+    /// boxes through the free-list.
     ///
     /// A router holding traffic is in one of three states. *Asleep on
     /// time*: no head can move before `wake` (immature heads, busy
@@ -851,7 +845,6 @@ impl Shard {
         let tick = *tick;
         let ncols = cols.end - cols.start;
         let col_start = cols.start;
-        let listing = active.enabled();
         active.refresh();
         // lives outside the per-router closure; every full visit leaves
         // `c.n` all-zero for the next one
@@ -870,7 +863,7 @@ impl Shard {
                 // nothing it waits for has happened; a sleeper with no
                 // expiry listed again by a push behind its heads leaves
                 visits.asleep += 1;
-                return stays_listed(listing, wake[local], &mut owed.unlisted);
+                return stays_listed(wake[local], &mut owed.unlisted);
             }
             let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
             let router = routers[local]
@@ -1052,7 +1045,7 @@ impl Shard {
             // sleeps on credit with no expiry); a drained router recycles
             // its box and retires
             if queued_msgs[local] > 0 {
-                return stays_listed(listing, wake[local], &mut owed.unlisted);
+                return stays_listed(wake[local], &mut owed.unlisted);
             }
             let drained = routers[local].take().expect("materialized above");
             drained.check_reusable();
@@ -1128,15 +1121,10 @@ impl Shard {
     }
 
     /// Routers currently on the active worklist, plus the credit
-    /// sleepers that left it (all traffic-holding routers when the
-    /// worklist is disabled). Activity telemetry for scheduling studies;
+    /// sleepers that left it. Activity telemetry for scheduling studies;
     /// the cycle loop itself never reads this.
     pub fn active_routers(&self) -> usize {
-        if self.active.enabled() {
-            self.active.active_count() + self.owed.unlisted as usize
-        } else {
-            self.allocated_routers()
-        }
+        self.active.active_count() + self.owed.unlisted as usize
     }
 
     /// Packets queued at `tile`'s router over all its input ports (the
@@ -1492,7 +1480,7 @@ mod tests {
 
     #[test]
     fn fresh_shard_allocates_no_routers() {
-        let mut shard = Shard::new(0, 0..8, 8, false, false, true);
+        let mut shard = Shard::new(0, 0..8, 8, false, false);
         assert_eq!(shard.allocated_routers(), 0);
         assert_eq!(shard.pooled_routers(), 0);
         assert_eq!(shard.active_routers(), 0);

@@ -16,10 +16,12 @@
 //! packet arbitration observe that order. The drain list is therefore
 //! kept *sorted*: activations accumulate in a fresh-list and are merged
 //! (sort + two-way merge) before the next sweep, and removals compact the
-//! list in place without disturbing the order. A disabled set (the
-//! `MUCHISIM_NO_ACTIVE_LIST` kill switch or `SystemConfig::active_list =
-//! false`) degrades every operation to the pre-worklist full sweep, which
-//! is how the ablation jobs prove the worklist is invisible to results.
+//! list in place without disturbing the order.
+//!
+//! The worklist is the only way a cycle visits tiles and routers, so
+//! correctness rests on one invariant: nothing off a worklist can act.
+//! Debug builds check it every cycle (`Worker::assert_queues_consistent`
+//! for tiles, `Shard::check_sleepers` for routers).
 
 /// A set of active element indices over a fixed domain `0..len`,
 /// iterable in ascending order.
@@ -28,13 +30,8 @@
 /// iteration order comes from a sorted drain list. Newly activated
 /// indices are buffered in a fresh-list and merged into the drain list by
 /// [`ActiveSet::refresh`] — callers refresh once per sweep, then iterate.
-///
-/// When constructed disabled, the set allocates nothing and
-/// [`ActiveSet::iter`] yields the whole domain: callers get the
-/// un-optimized full sweep without a second code path.
 #[derive(Debug)]
 pub struct ActiveSet {
-    enabled: bool,
     len: u32,
     /// Dense membership bitset, `len.div_ceil(64)` words.
     bits: Vec<u64>,
@@ -48,28 +45,22 @@ pub struct ActiveSet {
 }
 
 impl ActiveSet {
-    /// Creates a set over the domain `0..len`, empty when enabled,
-    /// allocation-free when disabled.
-    pub fn new(len: usize, enabled: bool) -> Self {
+    /// Creates an empty set over the domain `0..len`.
+    ///
+    /// `tracked` must be `true`: the full-sweep mode that `false` once
+    /// selected (`SystemConfig::active_list = false`) is gone. The
+    /// argument goes with the next change to the benchmark crate, its
+    /// last caller.
+    pub fn new(len: usize, tracked: bool) -> Self {
+        assert!(tracked, "ActiveSet always tracks membership; pass `true`");
         let len = u32::try_from(len).expect("domain fits in u32");
         ActiveSet {
-            enabled,
             len,
-            bits: if enabled {
-                vec![0; (len as usize).div_ceil(64)]
-            } else {
-                Vec::new()
-            },
+            bits: vec![0; (len as usize).div_ceil(64)],
             order: Vec::new(),
             fresh: Vec::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// Whether the worklist optimization is on. When `false`, the set
-    /// tracks nothing and [`ActiveSet::iter`] sweeps the full domain.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Domain size.
@@ -82,31 +73,19 @@ impl ActiveSet {
         self.len == 0
     }
 
-    /// Whether `idx` is currently active. Always `true` when disabled
-    /// (every element is swept).
+    /// Whether `idx` is currently active.
     pub fn contains(&self, idx: u32) -> bool {
-        if !self.enabled {
-            return idx < self.len;
-        }
         self.bits[(idx / 64) as usize] & (1 << (idx % 64)) != 0
     }
 
-    /// Number of active elements (the full domain when disabled).
+    /// Number of active elements.
     pub fn active_count(&self) -> usize {
-        if self.enabled {
-            self.order.len() + self.fresh.len()
-        } else {
-            self.len as usize
-        }
+        self.order.len() + self.fresh.len()
     }
 
-    /// Marks `idx` active. No-op if already active or the set is
-    /// disabled.
+    /// Marks `idx` active. No-op if already active.
     #[inline]
     pub fn activate(&mut self, idx: u32) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(idx < self.len, "index {idx} outside domain {}", self.len);
         let word = &mut self.bits[(idx / 64) as usize];
         let mask = 1u64 << (idx % 64);
@@ -119,9 +98,6 @@ impl ActiveSet {
     /// Marks every element active (kernel start: every tile owes an init
     /// task).
     pub fn activate_all(&mut self) {
-        if !self.enabled {
-            return;
-        }
         self.bits.fill(!0);
         if !self.len.is_multiple_of(64) {
             // keep bits beyond the domain clear so popcount-style
@@ -161,35 +137,19 @@ impl ActiveSet {
         self.fresh.clear();
     }
 
-    /// Iterates the active elements in ascending index order (the whole
-    /// domain when disabled).
+    /// Iterates the active elements in ascending index order.
     ///
     /// Requires a preceding [`ActiveSet::refresh`] with no activations in
     /// between; debug builds assert this.
-    pub fn iter(&self) -> Sweep<'_> {
-        if self.enabled {
-            debug_assert!(self.fresh.is_empty(), "iterating an unrefreshed ActiveSet");
-            Sweep::List(self.order.iter())
-        } else {
-            Sweep::All(0..self.len)
-        }
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        debug_assert!(self.fresh.is_empty(), "iterating an unrefreshed ActiveSet");
+        self.order.iter().copied()
     }
 
     /// Sweeps the active elements in ascending order, deactivating those
     /// for which `keep` returns `false`. The drain list is compacted in
     /// place, so no refresh is needed afterwards.
-    ///
-    /// When the set is disabled this degrades to calling `keep` on every
-    /// domain element and ignoring the verdict — shard/worker sweeps put
-    /// their per-element work inside `keep`, giving both modes one code
-    /// path.
     pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        if !self.enabled {
-            for idx in 0..self.len {
-                let _ = keep(idx);
-            }
-            return;
-        }
         debug_assert!(self.fresh.is_empty(), "retain on an unrefreshed ActiveSet");
         let mut kept = 0;
         for i in 0..self.order.len() {
@@ -211,35 +171,6 @@ impl ActiveSet {
     }
 }
 
-/// Iterator over an [`ActiveSet`]'s elements: the sorted drain list when
-/// the worklist is enabled, the full domain when disabled.
-#[derive(Debug)]
-pub enum Sweep<'a> {
-    /// Full-domain sweep (worklist disabled).
-    All(std::ops::Range<u32>),
-    /// Active-only sweep in ascending order.
-    List(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for Sweep<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            Sweep::All(r) => r.next(),
-            Sweep::List(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Sweep::All(r) => r.size_hint(),
-            Sweep::List(it) => it.size_hint(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,16 +185,6 @@ mod tests {
         s.refresh();
         assert_eq!(collected(&s), Vec::<u32>::new());
         assert_eq!(s.active_count(), 0);
-    }
-
-    #[test]
-    fn disabled_set_iterates_whole_domain() {
-        let s = ActiveSet::new(5, false);
-        assert_eq!(collected(&s), vec![0, 1, 2, 3, 4]);
-        assert_eq!(s.active_count(), 5);
-        assert!(s.contains(3));
-        assert!(!s.contains(5));
-        assert_eq!(s.heap_bytes(), 0);
     }
 
     #[test]
@@ -321,18 +242,6 @@ mod tests {
             s.retain(|idx| idx == 0);
             assert_eq!(collected(&s), vec![0], "len {len}");
         }
-    }
-
-    #[test]
-    fn disabled_retain_still_visits_every_element() {
-        let mut s = ActiveSet::new(6, false);
-        let mut visited = Vec::new();
-        s.retain(|idx| {
-            visited.push(idx);
-            false // verdict ignored when disabled
-        });
-        assert_eq!(visited, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(s.active_count(), 6, "disabled set never shrinks");
     }
 
     #[test]

@@ -117,7 +117,6 @@ const ROWS: &[(&[&str], End, &str)] = &[
 
     // ── run: duplicates and removed switches ─────────────────────────
     (&["run", "bfs", "5", "4", "1", "--seed", "1", "--seed", "2"], Usage, "error: `--seed` given more than once"), // was: Pass "(seed 2)"
-    (&["run", "bfs", "5", "4", "1", "--set", "active_list=false", "--set", "active_list=true"], Pass, "check: PASSED"),
     (&["run", "bfs", "5", "4", "1", "--no-active-list"], Usage, "error: unknown flag `--no-active-list`"), // was: Pass "check: PASSED"
     (&["run", "bfs", "5", "4", "1", "--telemetry"], Usage, "error: unknown flag `--telemetry`"), // was: Pass "telemetry: router visits moved"
     (&["run", "bfs", "5", "4", "--threads", "1"], Usage, "error: unknown flag `--threads`"), // was: Pass "with 1 host threads"
@@ -199,7 +198,6 @@ fn violation(dir: &std::path::Path, (argv, end, text): (&[&str], End, &str)) -> 
         .args(argv)
         .current_dir(dir)
         .env_remove("MUCHISIM_NO_LEAP")
-        .env_remove("MUCHISIM_NO_ACTIVE_LIST")
         .output()
         .expect("muchisim runs");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -66,8 +66,12 @@ fn a_buffer_depth_that_would_reach_the_credit_flag_is_rejected() {
 }
 
 #[test]
-fn the_removed_frame_keys_are_unknown_parameters() {
-    for assignment in ["frame_budget=64", "frame_spill=/tmp/frames.jsonl"] {
+fn the_removed_config_keys_are_unknown_parameters() {
+    for assignment in [
+        "frame_budget=64",
+        "frame_spill=/tmp/frames.jsonl",
+        "active_list=false",
+    ] {
         let (code, stderr) = run(&["run", "bfs", "5", "8", "1", "--set", assignment]);
         assert_eq!(code, Some(2), "{stderr}");
         let key = assignment.split('=').next().expect("a key");

@@ -146,25 +146,17 @@ fn golden_traces_match_committed_checksums() {
             );
             let hash = checksum(&result, tiles);
             if !bless {
-                // time leaping and the active-tile worklists are host-side
-                // shortcuts: every (leap x active-list) combination must
-                // reproduce the committed trace bit-for-bit
-                for (combo, leap, active) in [
-                    ("leap only", true, false),
-                    ("active-list only", false, true),
-                    ("lockstep full-sweep", false, false),
-                ] {
-                    let mut c = cfg.clone();
-                    c.time_leap = leap;
-                    c.active_list = active;
-                    let r = run_benchmark(bench, c, &graph, 1)
-                        .unwrap_or_else(|e| panic!("{key} [{combo}] failed to run: {e}"));
-                    let h = checksum(&r, tiles);
-                    assert_eq!(
-                        h, hash,
-                        "{key}: {combo} diverged from the default leap+active-list run"
-                    );
-                }
+                // time leaping is a host-side shortcut: the lockstep
+                // driver must reproduce the committed trace bit-for-bit
+                let mut c = cfg.clone();
+                c.time_leap = false;
+                let r = run_benchmark(bench, c, &graph, 1)
+                    .unwrap_or_else(|e| panic!("{key} [lockstep] failed to run: {e}"));
+                assert_eq!(
+                    checksum(&r, tiles),
+                    hash,
+                    "{key}: lockstep diverged from the default leaping run"
+                );
             }
             if bless {
                 blessed.push((
@@ -319,17 +311,10 @@ fn queue_path_rows_match_committed_checksums() {
             "{key}: trace diverged (runtime {}, CQ stalls {stalls}, refused {refused})",
             result.runtime_cycles
         );
-        for (combo, leap, active) in [
-            ("leap only", true, false),
-            ("active-list only", false, true),
-            ("lockstep full-sweep", false, false),
-        ] {
-            let mut c = cfg.clone();
-            c.time_leap = leap;
-            c.active_list = active;
-            let r = run_mill(c, 1, &key);
-            assert_eq!(trace(&r), want, "{key}: {combo}");
-        }
+        let mut c = cfg.clone();
+        c.time_leap = false;
+        let r = run_mill(c, 1, &key);
+        assert_eq!(trace(&r), want, "{key}: lockstep");
         let threaded = run_mill(cfg.clone(), 2, &key);
         assert_eq!(schedule(&threaded), want_schedule, "{key}: 2 threads");
         // split two thirds in, where tile 0 still holds full IQs and the

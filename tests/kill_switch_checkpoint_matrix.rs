@@ -1,10 +1,9 @@
-//! Checkpoint/resume under the `MUCHISIM_NO_LEAP` x
-//! `MUCHISIM_NO_ACTIVE_LIST` kill-switch matrix.
+//! Checkpoint/resume under the `MUCHISIM_NO_LEAP` kill switch.
 //!
-//! A snapshot written under the default (leaping, worklist-enabled)
-//! driver must resume bit-identically under every kill-switch
-//! combination, and vice versa: the snapshot captures *simulated* state
-//! only, and the env switches only select host-side execution shortcuts.
+//! A snapshot written under the default (leaping) driver must resume
+//! bit-identically under the lockstep driver, and vice versa: the
+//! snapshot captures *simulated* state only, and the env switch only
+//! selects a host-side execution shortcut.
 //!
 //! Kept in its own integration-test binary with a single `#[test]`
 //! because it mutates the process environment: cargo gives each test
@@ -33,17 +32,12 @@ fn run(c: SystemConfig, graph: &Arc<Csr>) -> SimResult {
     r
 }
 
-/// Sets/unsets the two kill switches to match `(leap_off, active_off)`.
-fn set_switches(leap_off: bool, active_off: bool) {
-    for (name, off) in [
-        ("MUCHISIM_NO_LEAP", leap_off),
-        ("MUCHISIM_NO_ACTIVE_LIST", active_off),
-    ] {
-        if off {
-            std::env::set_var(name, "1");
-        } else {
-            std::env::remove_var(name);
-        }
+/// Sets or unsets the kill switch.
+fn set_no_leap(off: bool) {
+    if off {
+        std::env::set_var("MUCHISIM_NO_LEAP", "1");
+    } else {
+        std::env::remove_var("MUCHISIM_NO_LEAP");
     }
 }
 
@@ -52,22 +46,21 @@ fn checkpoint_resume_is_invariant_under_kill_switches() {
     let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
     let base = cfg();
     let tiles = base.width() * base.height();
-    set_switches(false, false);
+    set_no_leap(false);
     let reference = run(base.clone(), &graph);
     let want = trace_checksum(&reference, tiles);
     let every = (reference.runtime_cycles / 2).max(1);
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    // every writer combo x every resumer combo: 16 split pairs, all
-    // landing on the uninterrupted run's checksum
-    for (w_leap, w_active) in combos {
+    // every writer x every resumer: 4 split pairs, all landing on the
+    // uninterrupted run's checksum
+    for w_leap in [false, true] {
         let path = std::env::temp_dir()
             .join(format!(
-                "muchisim-killswitch-{}-{w_leap}-{w_active}.snap",
+                "muchisim-killswitch-{}-{w_leap}.snap",
                 std::process::id()
             ))
             .to_string_lossy()
             .into_owned();
-        set_switches(w_leap, w_active);
+        set_no_leap(w_leap);
         let mut with_ckpt = base.clone();
         with_ckpt.checkpoint_path = Some(path.clone());
         with_ckpt.checkpoint_every = Some(every);
@@ -75,14 +68,14 @@ fn checkpoint_resume_is_invariant_under_kill_switches() {
         assert_eq!(
             trace_checksum(&writer, tiles),
             want,
-            "checkpointing under (no_leap={w_leap}, no_active={w_active}) perturbed the run"
+            "checkpointing under no_leap={w_leap} perturbed the run"
         );
         assert!(
             std::path::Path::new(&path).exists(),
-            "no snapshot written under (no_leap={w_leap}, no_active={w_active})"
+            "no snapshot written under no_leap={w_leap}"
         );
-        for (r_leap, r_active) in combos {
-            set_switches(r_leap, r_active);
+        for r_leap in [false, true] {
+            set_no_leap(r_leap);
             let mut resume = base.clone();
             resume.checkpoint_path = Some(path.clone());
             resume.checkpoint_resume = true;
@@ -90,11 +83,10 @@ fn checkpoint_resume_is_invariant_under_kill_switches() {
             assert_eq!(
                 trace_checksum(&resumed, tiles),
                 want,
-                "write under (no_leap={w_leap}, no_active={w_active}), resume under \
-                 (no_leap={r_leap}, no_active={r_active}) diverged"
+                "write under no_leap={w_leap}, resume under no_leap={r_leap} diverged"
             );
         }
         let _ = std::fs::remove_file(&path);
     }
-    set_switches(false, false);
+    set_no_leap(false);
 }

@@ -38,6 +38,20 @@ fn run(
     result
 }
 
+/// Empty-worklist leap: after a BFS frontier drains, every tile retires
+/// from the worklist while the idleness-based termination window
+/// (2 x network diameter) still has to elapse. The leap driver must jump
+/// that window with *empty* worklists and land on the same runtime as
+/// the lockstep driver.
+#[test]
+fn empty_worklist_termination_window_leaps_exactly() {
+    let graph = Arc::new(RmatConfig::scale(4).generate(11));
+    let lockstep = run(Benchmark::Bfs, 4, false, 1, false, &graph);
+    let leaping = run(Benchmark::Bfs, 4, false, 1, true, &graph);
+    assert_eq!(leaping.runtime_cycles, lockstep.runtime_cycles);
+    assert_eq!(leaping.counters, lockstep.counters);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

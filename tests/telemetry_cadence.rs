@@ -3,8 +3,7 @@
 //! between kernels (no cycle executes in the kernel-barrier jump, so
 //! there is nothing to observe), and one where each kernel stopped — so
 //! the stream's last record carries the run's totals. The same records,
-//! field for deterministic field, under time-leap × active-list × 1/2/4
-//! host threads.
+//! field for deterministic field, under time-leap × 1/2/4 host threads.
 //!
 //! The oracle does not go through the stream: a lockstep run at
 //! verbosity V1 with one-cycle statistics frames records one frame per
@@ -26,11 +25,10 @@ enum App {
     PageRank,
 }
 
-fn config(side: u32, every: u64, leap: bool, active: bool) -> SystemConfig {
+fn config(side: u32, every: u64, leap: bool) -> SystemConfig {
     let mut cfg = SystemConfig::builder()
         .chiplet_tiles(side, side)
         .time_leap(leap)
-        .active_list(active)
         .build()
         .expect("valid config");
     cfg.telemetry.sample_every = Some(every);
@@ -77,7 +75,7 @@ fn sampled(
 }
 
 /// The fields of a sample that are functions of simulated state alone.
-/// Left out: worklist occupancy (follows the active-list switch),
+/// Left out: worklist occupancy (host-side bookkeeping),
 /// `queued_msgs` (router queues only — a packet crossing a shard boundary
 /// sits in a mailbox at sample time, so it follows the thread count;
 /// `pending` is the split-invariant backlog) and host timing.
@@ -108,7 +106,7 @@ fn one_sample_per_boundary_inside_a_kernel_and_one_per_kernel_end() {
         let what = format!("{app:?} {side}x{side} every {every}");
         // the cycle loops: lockstep, one thread, a frame every cycle,
         // telemetry off (the attached subscriber then hears nothing)
-        let mut every_cycle = config(side, every, false, false);
+        let mut every_cycle = config(side, every, false);
         every_cycle.telemetry.sample_every = None;
         every_cycle.verbosity = Verbosity::V1;
         every_cycle.frame_interval_cycles = 1;
@@ -150,11 +148,10 @@ fn one_sample_per_boundary_inside_a_kernel_and_one_per_kernel_end() {
         expected.sort_unstable();
 
         let mut reference: Option<Vec<MetricsSample>> = None;
-        for (leap, active) in [(true, true), (true, false), (false, true), (false, false)] {
+        for leap in [true, false] {
             for threads in [1usize, 2, 4] {
-                let mode = format!("{what} leap {leap} active {active} threads {threads}");
-                let (result, _, samples) =
-                    sampled(app, config(side, every, leap, active), &graph, threads);
+                let mode = format!("{what} leap {leap} threads {threads}");
+                let (result, _, samples) = sampled(app, config(side, every, leap), &graph, threads);
                 assert_eq!(result.runtime_cycles, oracle.runtime_cycles, "{mode}");
                 assert_eq!(result.counters.pu, oracle.counters.pu, "{mode}");
                 let on_boundary: Vec<u64> = samples

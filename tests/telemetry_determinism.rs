@@ -1,7 +1,7 @@
 //! Sampling is observation, never perturbation: the full golden-trace
 //! suite re-run with telemetry sampling enabled must reproduce every
-//! committed checksum bit-for-bit, across the time-leap x active-list
-//! matrix, and sampled multi-threaded runs must match their unsampled
+//! committed checksum bit-for-bit, under the leaping and the lockstep
+//! driver, and sampled multi-threaded runs must match their unsampled
 //! twins. The sample cadence folds into the time-leap horizon (a leap
 //! never skips a sample boundary), so this suite is what pins that
 //! clamping as behavior-free.
@@ -63,9 +63,8 @@ fn cases() -> Vec<(String, SystemConfig)> {
     out
 }
 
-/// All 72 golden keys with sampling enabled, across the four
-/// (time-leap x active-list) combinations, against the committed
-/// checksums.
+/// All 72 golden keys with sampling enabled, leaping and lockstep,
+/// against the committed checksums.
 #[test]
 fn sampling_reproduces_all_golden_checksums() {
     let text = std::fs::read_to_string(GOLDEN_PATH)
@@ -87,17 +86,11 @@ fn sampling_reproduces_all_golden_checksums() {
                 .and_then(JsonValue::as_str)
                 .unwrap_or_else(|| panic!("{key} missing from {GOLDEN_PATH}"))
                 .to_string();
-            // sampled runs across the speed-layer matrix; every one must
-            // land on the committed (unsampled) checksum
-            for (combo, leap, active) in [
-                ("leap+active", true, true),
-                ("leap only", true, false),
-                ("active only", false, true),
-                ("lockstep", false, false),
-            ] {
+            // sampled runs under both drivers; every one must land on the
+            // committed (unsampled) checksum
+            for (combo, leap) in [("leap", true), ("lockstep", false)] {
                 let mut c = sampled(cfg.clone());
                 c.time_leap = leap;
-                c.active_list = active;
                 let r = run_benchmark(bench, c, &graph, 1)
                     .unwrap_or_else(|e| panic!("{key} [{combo}] failed to run: {e}"));
                 assert!(
