@@ -41,11 +41,6 @@ impl Spmv {
             reference,
         }
     }
-
-    /// Non-zeros in the matrix (the TEPS-equivalent work unit).
-    pub fn num_nonzeros(&self) -> u64 {
-        self.graph.csr.num_edges()
-    }
 }
 
 impl Application for Spmv {

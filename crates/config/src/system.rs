@@ -342,11 +342,6 @@ impl SystemConfig {
         self.hierarchy.total_tiles()
     }
 
-    /// Total PUs in the system.
-    pub fn total_pus(&self) -> u64 {
-        self.total_tiles() * self.pus_per_tile as u64
-    }
-
     /// Network diameter in hops for the configured topology.
     pub fn network_diameter(&self) -> u32 {
         let w = self.width();

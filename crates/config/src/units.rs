@@ -42,11 +42,6 @@ impl Frequency {
         Frequency(mhz * 1e6)
     }
 
-    /// The frequency in hertz.
-    pub fn hz(self) -> f64 {
-        self.0
-    }
-
     /// The frequency in gigahertz.
     pub fn as_ghz(self) -> f64 {
         self.0 / 1e9
@@ -197,11 +192,6 @@ impl Energy {
     /// Creates an energy from picojoules.
     pub fn pj(pj: f64) -> Self {
         Energy(pj)
-    }
-
-    /// The energy in picojoules.
-    pub fn as_pj(self) -> f64 {
-        self.0
     }
 
     /// The energy in joules.

@@ -6,6 +6,7 @@ use crate::error::SimError;
 use crate::horizon::ClockConv;
 use crate::sched::Scheduler;
 use crate::slice::ColSlice;
+use crate::snapshot::{Queued, TileRecord};
 use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
 use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
@@ -219,11 +220,6 @@ impl<A: Application> SimSetup<A> {
     }
 }
 
-/// A tile's input-queue bank has been written to (bit of `Worker::touched`).
-const IQ_TOUCHED: u8 = 1;
-/// A tile's channel-queue bank has been written to.
-const CQ_TOUCHED: u8 = 2;
-
 /// Tasks a tile has executed and the PU cycles they kept it busy: the two
 /// [`PuCounters`](crate::PuCounters) fields every dispatch writes, init
 /// tasks included, and therefore dense (the rest is in [`TileCold`]).
@@ -256,12 +252,6 @@ pub(crate) struct Worker<A: Application> {
     mem_proto: TileMemory,
     /// Each tile's TSU round-robin pointer (last served task id).
     rr_last: Vec<u8>,
-    /// `IQ_TOUCHED | CQ_TOUCHED` per tile: whether a message was ever
-    /// pushed into (or a snapshot restored) the tile's IQs / CQs. Not
-    /// simulated state, but on the wire: a snapshot writes no queues at
-    /// all for a bank the `VecDeque` engine had not allocated yet, and
-    /// `ntasks` queues from then on.
-    touched: Vec<u8>,
     /// One input queue per (tile, task): payloads in `iq_arena` (the
     /// queue index is the task id).
     iq_links: Vec<QueueLink>,
@@ -409,7 +399,6 @@ impl<A: Application> Worker<A> {
             sched: Scheduler::new(policy, ntasks),
             mem_proto: TileMemory::from_system(cfg),
             rr_last: vec![Scheduler::initial_rr(ntasks); n],
-            touched: vec![0; n],
             iq_links: vec![QueueLink::default(); n * ntasks as usize],
             cq_links: vec![QueueLink::default(); n * ntasks as usize],
             iq_arena: Arena::default(),
@@ -629,7 +618,6 @@ impl<A: Application> Worker<A> {
                     let task = msg.task as usize;
                     assert!(task < self.ntasks, "send to undeclared task type {task}");
                     if msg.dst == tile_g {
-                        self.touched[local] |= IQ_TOUCHED;
                         self.iq_links[queues + task].push_back(&mut self.iq_arena, msg.payload);
                         self.iq_msgs[local] += 1;
                         self.msg_count += 1;
@@ -637,7 +625,6 @@ impl<A: Application> Worker<A> {
                         // the new message may become a fresh CQ head:
                         // lower the inject wake cache to its maturity
                         let due = self.clock.noc_cycle_for_pu(msg.at_pu_cycle);
-                        self.touched[local] |= CQ_TOUCHED;
                         self.cq_links[queues + task].push_back(&mut self.cq_arena, msg);
                         self.cq_msgs[local] += 1;
                         self.msg_count += 1;
@@ -886,7 +873,6 @@ impl<A: Application> Worker<A> {
             iq_caps: &self.iq_caps,
             iq_links: &mut self.iq_links,
             iq_arena: &mut self.iq_arena,
-            touched: &mut self.touched,
             cold: &mut self.cold,
             mem_proto: &self.mem_proto,
             iq_msgs: &mut self.iq_msgs,
@@ -1125,7 +1111,7 @@ impl<A: Application> Worker<A> {
             + queues
             + states
             + self.dispatched.capacity() as u64 * size_of::<Dispatched>() as u64
-            + (self.rr_last.capacity() + self.touched.capacity()) as u64
+            + self.rr_last.capacity() as u64
             + self.pu_clock.capacity() as u64 * 8
             + self.iq_msgs.capacity() as u64 * 4
             + self.cq_msgs.capacity() as u64 * 4
@@ -1164,7 +1150,7 @@ impl<A: Application> Worker<A> {
         cycle: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), String> {
-        use crate::snapshot::{put_blob_with, put_seq, Put, Queued};
+        use crate::snapshot::{put_blob_with, put_seq, Put, Var};
         let width = self.grid.width;
         (
             self.max_pu_fs,
@@ -1184,9 +1170,7 @@ impl<A: Application> Worker<A> {
             sh.snapshot_rr(width).put(buf);
             sh.snapshot_busy_frame(width).put(buf);
         }
-        // tiles: one `TileRecord` each; a tile without a cold box writes
-        // what a fresh one holds
-        let fresh_cache = self.mem_proto.snapshot_cache();
+        // tiles: one `TileRecord` each
         (self.slice.num_tiles() as u32).put(buf);
         for (local, cold) in self.cold.iter().enumerate() {
             let tile_g = self.slice.global(local);
@@ -1198,42 +1182,18 @@ impl<A: Application> Worker<A> {
             )
                 .put(buf);
             self.pu_clock[local * self.pus..(local + 1) * self.pus].put(buf);
-            let (mut pu, mem) = match cold {
-                Some(c) => (c.counters, c.mem.counters()),
-                None => (Default::default(), self.mem_proto.counters()),
-            };
-            pu.tasks_executed = self.dispatched[local].tasks;
-            pu.busy_cycles = self.dispatched[local].busy_cycles;
-            (pu, mem).put(buf);
-            match cold {
-                Some(c) => c.mem.snapshot_cache().as_deref().unwrap_or("").put(buf),
-                None => fresh_cache.as_deref().unwrap_or("").put(buf),
+            let d = self.dispatched[local];
+            (Var(d.tasks), Var(d.busy_cycles)).put(buf);
+            // an `Option<ColdRecord>`
+            cold.is_some().put(buf);
+            if let Some(c) = cold {
+                let (tick, lines) = c.mem.cache_state();
+                (c.counters, c.mem.counters(), Var(tick), lines).put(buf);
             }
-            // a bank is no queues until first written, `ntasks` after
             let tile = local * self.ntasks..(local + 1) * self.ntasks;
-            let banked = |bit: u8| {
-                if self.touched[local] & bit != 0 {
-                    tile.clone()
-                } else {
-                    0..0
-                }
-            };
-            put_seq(
-                buf,
-                self.iq_links[banked(IQ_TOUCHED)]
-                    .iter()
-                    .map(|q| Queued(q, &self.iq_arena)),
-            );
-            put_seq(
-                buf,
-                self.cq_links[banked(CQ_TOUCHED)]
-                    .iter()
-                    .map(|q| Queued(q, &self.cq_arena)),
-            );
-            match self.scripted.get(local) {
-                Some(q) => q.put(buf),
-                None => 0u32.put(buf),
-            }
+            put_seq(buf, bank(&self.iq_links[tile.clone()], &self.iq_arena));
+            put_seq(buf, bank(&self.cq_links[tile], &self.cq_arena));
+            put_seq(buf, self.scripted.get(local).into_iter().flatten());
             put_blob_with(buf, |blob| app.snapshot_tile(&self.states[local], blob))
                 .map_err(|e| format!("tile {tile_g}: {e}"))?;
         }
@@ -1265,106 +1225,14 @@ impl<A: Application> Worker<A> {
     ) -> Result<(), SimError> {
         let fail = |why: String| SimError::Snapshot(why);
         self.kernel = snap.at.kernel;
-        let total_tiles = self.grid.total_tiles;
-        let ntasks = self.ntasks;
-        let fresh_cache = self.mem_proto.snapshot_cache().unwrap_or_default();
-        for local in 0..self.slice.num_tiles() {
-            let g = self.slice.global(local);
-            let rec = &snap.state.tiles[g as usize];
-            if rec.pu_clock.len() != self.pus {
-                return Err(fail(format!(
-                    "tile {g}: snapshot has {} PU clocks, configuration has {}",
-                    rec.pu_clock.len(),
-                    self.pus
-                )));
-            }
-            self.init_pending[local] = rec.init_pending;
-            self.pu_busy_frame[local] = rec.pu_busy_frame;
-            self.pu_clock[local * self.pus..(local + 1) * self.pus].copy_from_slice(&rec.pu_clock);
-            if rec.iqs.len() > ntasks || rec.cqs.len() > ntasks {
-                return Err(fail(format!(
-                    "tile {g}: snapshot declares more task types than the application"
-                )));
-            }
-            // the TSU cursor names the task type served last
-            if usize::from(rec.rr_last) >= ntasks.max(1) {
-                return Err(fail(format!(
-                    "tile {g}: scheduler cursor {} is outside the {ntasks} task types",
-                    rec.rr_last
-                )));
-            }
-            // queued and scheduled messages become packets: their
-            // destination and task index the grid and the queue banks
-            let cq_addrs = rec.cqs.iter().flatten().map(|m| (m.dst, m.task));
-            let scripted_addrs = rec.scripted.iter().map(|s| (s.dst, s.task));
-            for (dst, task) in cq_addrs.chain(scripted_addrs) {
-                if dst >= total_tiles || usize::from(task) >= ntasks {
-                    return Err(fail(format!(
-                        "tile {g}: a queued message names tile {dst}, task {task}, outside \
-                         the {total_tiles} tiles x {ntasks} task types"
-                    )));
-                }
-            }
-            self.rr_last[local] = rec.rr_last;
-            self.dispatched[local] = Dispatched {
-                tasks: rec.pu.tasks_executed,
-                busy_cycles: rec.pu.busy_cycles,
-            };
-            // a record that holds what a fresh tile holds needs no box
-            let pu = crate::PuCounters {
-                tasks_executed: 0,
-                busy_cycles: 0,
-                ..rec.pu
-            };
-            let cached = !rec.cache.is_empty() && rec.cache != fresh_cache;
-            if pu != Default::default() || rec.mem != Default::default() || cached {
-                let cold = materialize(&mut self.cold[local], &self.mem_proto);
-                cold.counters = pu;
-                cold.mem.restore_counters(rec.mem);
-                if !rec.cache.is_empty() {
-                    cold.mem
-                        .restore_cache(&rec.cache)
-                        .map_err(|e| fail(format!("tile {g}: {e}")))?;
-                }
-            }
-            // a bank the writer had written to is marked here too, even
-            // when its queues are empty: re-encoding the restored state
-            // then reproduces the record
-            let mut iq_total = 0u32;
-            for (task, q) in rec.iqs.iter().enumerate() {
-                self.touched[local] |= IQ_TOUCHED;
-                iq_total += q.len() as u32;
-                for payload in q {
-                    self.iq_links[local * ntasks + task]
-                        .push_back(&mut self.iq_arena, payload.clone());
-                }
-            }
-            self.iq_msgs[local] = iq_total;
-            let mut cq_total = 0u32;
-            for (task, q) in rec.cqs.iter().enumerate() {
-                self.touched[local] |= CQ_TOUCHED;
-                cq_total += q.len() as u32;
-                for msg in q {
-                    self.cq_links[local * ntasks + task].push_back(&mut self.cq_arena, msg.clone());
-                }
-            }
-            self.cq_msgs[local] = cq_total;
-            if !self.scripted.is_empty() {
-                self.scripted[local] = rec.scripted.iter().cloned().collect();
-            } else if !rec.scripted.is_empty() {
-                return Err(fail(format!(
-                    "tile {g}: snapshot carries scheduled sends the application does not \
-                     declare"
-                )));
-            }
-            app.restore_tile(&mut self.states[local], &rec.app)
-                .map_err(|e| fail(format!("tile {g}: {e}")))?;
-        }
         // pending-work count: init tasks + queued messages + (during
         // kernel 0) the open scripted timetables, exactly mirroring what
         // `start_kernel` + the phase decrements would have left behind
         let mut count = 0i64;
         for local in 0..self.slice.num_tiles() {
+            let g = self.slice.global(local);
+            self.restore_record(app, local, &snap.state.tiles[g as usize])
+                .map_err(|e| fail(format!("tile {g}: {e}")))?;
             count += i64::from(self.init_pending[local]);
             count += i64::from(self.iq_msgs[local]) + i64::from(self.cq_msgs[local]);
         }
@@ -1420,6 +1288,72 @@ impl<A: Application> Worker<A> {
         self.active.activate_all();
         Ok(())
     }
+
+    /// Restores local tile `local` from its snapshot record, checking
+    /// every index the record carries before it is used.
+    fn restore_record(&mut self, app: &A, local: usize, rec: &TileRecord) -> Result<(), String> {
+        let (pus, ntasks, total_tiles) = (self.pus, self.ntasks, self.grid.total_tiles);
+        if rec.pu_clock.len() != pus {
+            return Err(format!(
+                "snapshot has {} PU clocks, configuration has {pus}",
+                rec.pu_clock.len()
+            ));
+        }
+        // the TSU cursor names the task type served last
+        if usize::from(rec.rr_last) >= ntasks.max(1) {
+            return Err(format!(
+                "scheduler cursor {} is outside the {ntasks} task types",
+                rec.rr_last
+            ));
+        }
+        // queued and scheduled messages become packets: their
+        // destination and task index the grid and the queue banks
+        let cq_addrs = rec.cqs.iter().flat_map(|(_, q)| q).map(|m| (m.dst, m.task));
+        let scripted_addrs = rec.scripted.iter().map(|s| (s.dst, s.task));
+        for (dst, task) in cq_addrs.chain(scripted_addrs) {
+            if dst >= total_tiles || usize::from(task) >= ntasks {
+                return Err(format!(
+                    "a queued message names tile {dst}, task {task}, outside the \
+                     {total_tiles} tiles x {ntasks} task types"
+                ));
+            }
+        }
+        if self.scripted.is_empty() && !rec.scripted.is_empty() {
+            return Err("snapshot carries scheduled sends the application does not declare".into());
+        }
+        self.init_pending[local] = rec.init_pending;
+        self.pu_busy_frame[local] = rec.pu_busy_frame;
+        self.pu_clock[local * pus..(local + 1) * pus].copy_from_slice(&rec.pu_clock);
+        self.rr_last[local] = rec.rr_last;
+        self.dispatched[local] = Dispatched {
+            tasks: rec.tasks.0,
+            busy_cycles: rec.busy_cycles.0,
+        };
+        // a box exactly where the writer had one
+        if let Some(saved) = &rec.cold {
+            let cold = materialize(&mut self.cold[local], &self.mem_proto);
+            cold.counters = saved.pu;
+            cold.mem
+                .restore(saved.mem, saved.cache_tick.0, &saved.cache_lines)?;
+        }
+        let tile = local * ntasks..(local + 1) * ntasks;
+        self.iq_msgs[local] = refill(
+            &mut self.iq_links[tile.clone()],
+            &mut self.iq_arena,
+            &rec.iqs,
+            "input",
+        )?;
+        self.cq_msgs[local] = refill(
+            &mut self.cq_links[tile],
+            &mut self.cq_arena,
+            &rec.cqs,
+            "channel",
+        )?;
+        if !self.scripted.is_empty() {
+            self.scripted[local] = rec.scripted.iter().cloned().collect();
+        }
+        app.restore_tile(&mut self.states[local], &rec.app)
+    }
 }
 
 impl<A: Application> std::fmt::Debug for Worker<A> {
@@ -1437,7 +1371,6 @@ struct IqSink<'a> {
     iq_caps: &'a [u32],
     iq_links: &'a mut [QueueLink],
     iq_arena: &'a mut Arena<Payload>,
-    touched: &'a mut [u8],
     cold: &'a mut [Option<Box<TileCold>>],
     mem_proto: &'a TileMemory,
     iq_msgs: &'a mut [u32],
@@ -1465,7 +1398,6 @@ impl EjectSink for IqSink<'_> {
         materialize(&mut self.cold[local], self.mem_proto)
             .mem
             .queue_write(pkt.payload.len().max(1) as u64);
-        self.touched[local] |= IQ_TOUCHED;
         queue.push_back(self.iq_arena, pkt.payload);
         self.iq_msgs[local] += 1;
         *self.msg_count += 1;
@@ -1481,6 +1413,48 @@ impl EjectSink for IqSink<'_> {
         *self.tile_horizon = (*self.tile_horizon).min(self.clock.noc_cycle_for_pu(pu));
         Ok(())
     }
+}
+
+/// A tile's queue `links` (one per task) in the form [`refill`] reads:
+/// the non-empty queues, `(task, items in FIFO order)`, by task.
+fn bank<'a, T>(
+    links: &'a [QueueLink],
+    arena: &'a Arena<T>,
+) -> impl Iterator<Item = (u8, Queued<'a, T>)> {
+    let live = (0u8..).zip(links).filter(|(_, q)| !q.is_empty());
+    live.map(move |(task, q)| (task, Queued(q, arena)))
+}
+
+/// Appends a tile record's sparse bank of `kind` queues to the tile's
+/// `links` (one per task); returns the messages appended. The bank must
+/// be in the encoder's one form: tasks in range and strictly ascending,
+/// every queue non-empty.
+fn refill<T: Clone + Default>(
+    links: &mut [QueueLink],
+    arena: &mut Arena<T>,
+    bank: &[(u8, Vec<T>)],
+    kind: &str,
+) -> Result<u32, String> {
+    let (mut prev, mut total) = (None, 0u32);
+    for (task, items) in bank {
+        let task = usize::from(*task);
+        let why = match prev {
+            _ if task >= links.len() => format!("is outside the {} task types", links.len()),
+            Some(p) if p == task => "is listed twice".into(),
+            Some(p) if p > task => format!("follows the bank of task {p}"),
+            _ if items.is_empty() => "is listed empty".into(),
+            _ => {
+                for item in items {
+                    links[task].push_back(arena, item.clone());
+                }
+                total += items.len() as u32;
+                prev = Some(task);
+                continue;
+            }
+        };
+        return Err(format!("{kind}-queue bank of task {task} {why}"));
+    }
+    Ok(total)
 }
 
 /// Detects cycles in the task-invocation graph.
@@ -1690,5 +1664,19 @@ mod tests {
         assert!(has_cycle(1, &[(0, 0)]));
         assert!(!has_cycle(0, &[]));
         assert!(!has_cycle(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+    }
+
+    /// (The other malformed banks are rows of `checkpoint_robustness`,
+    /// whose snapshots declare one task type.)
+    #[test]
+    fn a_queue_bank_out_of_task_order_is_rejected() {
+        let p = || vec![Payload::from_slice(&[7])];
+        let bank = [(1, p()), (0, p())];
+        let mut links = [QueueLink::default(); 2];
+        let err = refill(&mut links, &mut Arena::default(), &bank, "input");
+        assert_eq!(
+            err.unwrap_err(),
+            "input-queue bank of task 0 follows the bank of task 1"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every layer that can hold latent work — tile engines (queued tasks
 //! waiting for a PU clock), channel queues, DRAM channel backlogs, NoC
-//! shards and cross-shard mailboxes — answers one question: *given the
+//! shards and cross-shard mailboxes — answers one question through its
+//! own `next_event_cycle` (`Worker::horizon` for the tiles): *given the
 //! current cycle, what is the earliest future cycle at which you can do
 //! anything?* The driver min-reduces those horizons across workers and,
 //! when the answer is further than one cycle away, jumps the clock
@@ -15,44 +16,6 @@
 //! clamp to `now + 1` (no leap).
 
 use muchisim_config::SystemConfig;
-use muchisim_mem::ChannelState;
-use muchisim_noc::{Shard, SharedNet};
-
-/// A component that can report when it next has work to do.
-///
-/// `now` and the returned cycle are in the component's own clock domain
-/// (NoC cycles for network components, PU cycles for tiles and DRAM
-/// channels — the driver converts through its internal `ClockConv`).
-pub trait EventHorizon {
-    /// The earliest cycle at or after `now` at which this component can
-    /// produce an event, or `None` if it is completely idle (it will not
-    /// act again until external input arrives).
-    fn next_event_cycle(&self, now: u64) -> Option<u64>;
-}
-
-impl EventHorizon for ChannelState {
-    /// PU-clock domain: when the transaction backlog drains.
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        ChannelState::next_event_cycle(self, now)
-    }
-}
-
-impl EventHorizon for Shard {
-    /// NoC-clock domain: the earliest head `ready_at` among this shard's
-    /// router queues and deferred same-shard pushes.
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        Shard::next_event_cycle(self, now)
-    }
-}
-
-impl EventHorizon for SharedNet {
-    /// NoC-clock domain: the earliest `ready_at` among packets parked in
-    /// cross-shard mailboxes. Only sound after the step-phase barrier —
-    /// the driver's leader action is the one place that calls it.
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        self.mailbox_next_event_cycle(now)
-    }
-}
 
 /// Integer-femtosecond conversions between the PU and NoC clock domains.
 ///
@@ -197,15 +160,5 @@ mod tests {
         assert_eq!(c.pu_cycle_fs(3), 3_000_000);
         assert_eq!(c.noc_cycle_for_fs(3_000_000), 3);
         assert_eq!(c.noc_cycle_for_fs(3_000_001), 4);
-    }
-
-    #[test]
-    fn channel_state_horizon_via_trait() {
-        let mut ch = ChannelState::default();
-        assert_eq!(EventHorizon::next_event_cycle(&ch, 0), None);
-        ch.request(0, 50);
-        ch.request(0, 50);
-        assert_eq!(EventHorizon::next_event_cycle(&ch, 0), Some(2));
-        assert_eq!(EventHorizon::next_event_cycle(&ch, 5), None);
     }
 }

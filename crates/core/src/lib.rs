@@ -25,8 +25,8 @@
 //! [`Simulation::run`] driver is single-threaded; [`Simulation::run_parallel`]
 //! slices the tile grid by columns across host threads (one shard per
 //! thread) and produces **bit-identical** results. By default the driver
-//! is *time-leaping*: every layer holding latent work exposes an
-//! [`EventHorizon`] and the driver jumps over provably event-free cycle
+//! is *time-leaping*: every layer holding latent work reports its
+//! `next_event_cycle` and the driver jumps over provably event-free cycle
 //! ranges, which is again bit-identical to stepping them (disable via
 //! `SystemConfig::time_leap` or the `MUCHISIM_NO_LEAP` environment
 //! variable to measure the lockstep driver).
@@ -84,7 +84,6 @@ pub use app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, Task
 pub use counters::{PuCounters, SimCounters};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use horizon::EventHorizon;
 pub use muchisim_noc::{LatencyStats, Payload, ReduceOp, RouterVisits};
 pub use muchisim_telemetry::{
     Frame, FrameLog, MemorySubscriber, MetricsSample, Subscriber, WardTrip,

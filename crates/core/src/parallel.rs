@@ -15,9 +15,8 @@
 //!    cycle-limit stop, or the next cycle to execute.
 //!
 //! In the default *time-leaping* mode ([`SystemConfig::time_leap`]) the
-//! decision phase min-reduces the per-worker
-//! [`EventHorizon`](crate::horizon::EventHorizon) values
-//! (tile PU clocks, channel-queue heads, DRAM backlogs, NoC queue heads)
+//! decision phase min-reduces the per-worker horizons — each layer's
+//! `next_event_cycle` (tile PU clocks, channel-queue heads, DRAM backlogs, NoC queue heads)
 //! plus the cross-shard mailbox horizon, and when the earliest possible
 //! event is more than one cycle away it jumps the clock straight there —
 //! but never past the next close of an armed capture [`Cadence`]

@@ -8,7 +8,7 @@
 //! its *global* tile id, so a snapshot written by N workers restores
 //! bit-identically under any other worker count.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! All integers are little-endian. Floats are stored as their IEEE-754
 //! bit patterns (`to_bits`), never through a decimal round-trip. Per-tile
@@ -20,12 +20,12 @@
 //! magic            8 B   b"MUCHSNAP"
 //! version          u32   SNAPSHOT_VERSION
 //! header                 `Header`: the config hash (FNV-1a over the
-//!                        canonical JSON of the config, with the host-side
-//!                        knobs time_leap, checkpoint_* and telemetry
-//!                        reset to defaults — resuming under
-//!                        different ones is allowed and bit-identical),
-//!                        application name, grid geometry, task-type and
-//!                        kernel counts
+//!                        sorted `(path, leaf)` pairs where the config
+//!                        differs from the default, host-side knobs
+//!                        time_leap, checkpoint_* and telemetry left out
+//!                        — resuming under different ones is allowed and
+//!                        bit-identical), application name, grid
+//!                        geometry, task-type and kernel counts
 //! progress               `Progress`: kernel, cycle, kernel base cycle
 //! n_chunks         u32   worker chunks (writer's thread count)
 //! chunk × n              u64 byte length, then a `WorkerChunk`
@@ -39,17 +39,19 @@
 //! **Compatibility rule**: a snapshot is readable iff its `version` equals
 //! [`SNAPSHOT_VERSION`] and its `config_hash`, application name, grid
 //! geometry, and task-type count match the resuming configuration exactly.
-//! Any model change that alters simulated behavior must bump the version;
-//! there is no cross-version migration — re-run from the start instead.
+//! Any model change that alters simulated behavior — a changed config
+//! default included — must bump the version; there is no cross-version
+//! migration — re-run from the start instead.
 
 use crate::app::{Application, OutMsg, ScheduledSend};
 use crate::counters::PuCounters;
 use crate::digest::Fnv;
 use crate::error::SimError;
 use muchisim_config::SystemConfig;
-use muchisim_mem::MemCounters;
+use muchisim_mem::{CacheLine, MemCounters};
 use muchisim_noc::{Arena, LatencyStats, NocCounters, Packet, Payload, QueueLink, ReduceOp};
 use muchisim_telemetry::{Frame, FrameLog};
+use serde::{Serialize, Value};
 use std::path::Path;
 
 /// Magic bytes identifying a MuchiSim snapshot file.
@@ -58,7 +60,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUCHSNAP";
 /// Current snapshot format version. Bump on any change to the format *or*
 /// to simulated behavior (golden-trace re-bless); old versions are
 /// rejected with a clean error, never migrated.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // The wire codec. Every record is described once — a `Wire` impl, for
@@ -258,7 +260,7 @@ impl Wire for bool {
 /// tile's counters are mostly small), which shrinks dense-grid snapshots
 /// several-fold; monotonically large values like femtosecond clocks stay
 /// fixed-width `u64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Var(pub u64);
 
 impl Put for Var {
@@ -315,14 +317,8 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Put> Put for std::collections::VecDeque<T> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_seq(buf, self);
-    }
-}
-
 /// A queue linked through an arena, as the sequence of its items in
-/// FIFO order (byte for byte what the same items in a `VecDeque` write).
+/// FIFO order.
 pub(crate) struct Queued<'a, T>(pub &'a QueueLink, pub &'a Arena<T>);
 
 impl<T: Put> Put for Queued<'_, T> {
@@ -331,18 +327,10 @@ impl<T: Put> Put for Queued<'_, T> {
     }
 }
 
-/// UTF-8 text, as its length-prefixed bytes (copied in bulk: cache-model
-/// state travels as JSON text, kilobytes per tile).
-impl Put for str {
-    fn put(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).put(buf);
-        buf.extend_from_slice(self.as_bytes());
-    }
-}
-
+/// UTF-8 text, as its length-prefixed bytes.
 impl Put for String {
     fn put(&self, buf: &mut Vec<u8>) {
-        self.as_str().put(buf);
+        self.as_bytes().put(buf);
     }
 }
 
@@ -571,6 +559,30 @@ wire_struct!(MemCounters as Var {
     queue_writes,
 });
 
+/// A tag-array line: its tag, state bits and LRU stamp, the tag and the
+/// stamp as [`Var`]s (so an invalid, all-zero line takes 5 B).
+impl Put for CacheLine {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let l = self;
+        (Var(l.tag), [l.valid, l.dirty, l.prefetched], Var(l.stamp)).put(buf);
+    }
+}
+
+impl Wire for CacheLine {
+    const MIN_SIZE: usize = <(Var, [bool; 3], Var)>::MIN_SIZE;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let (Var(tag), [valid, dirty, prefetched], Var(stamp)) = r.get()?;
+        Ok(CacheLine {
+            tag,
+            valid,
+            dirty,
+            stamp,
+            prefetched,
+        })
+    }
+}
+
 wire_struct!(NocCounters {
     injected: u64,
     ejected: u64,
@@ -625,21 +637,58 @@ wire_struct! {
         pub rr_last: u8,
         /// Per-PU clocks (absolute PU-domain femtoseconds/cycles).
         pub pu_clock: Vec<u64>,
-        /// PU event counters.
-        pub pu: PuCounters,
-        /// Memory event counters.
-        pub mem: MemCounters,
-        /// Cache model state as canonical JSON (empty for scratchpad tiles).
-        pub cache: String,
-        /// Input queues: per task type, queued payloads in FIFO order
-        /// (none at all for a tile whose queue bank was never allocated).
-        pub iqs: Vec<Vec<Payload>>,
-        /// Channel queues: per task type, queued messages in FIFO order.
-        pub cqs: Vec<Vec<OutMsg>>,
+        /// Tasks dispatched (`PuCounters::tasks_executed`).
+        pub tasks: Var,
+        /// PU cycles they kept the tile busy (`PuCounters::busy_cycles`).
+        pub busy_cycles: Var,
+        /// The tile's cold box, if the writer had materialized one.
+        pub cold: Option<ColdRecord>,
+        /// Non-empty input queues: `(task, payloads in FIFO order)`, in
+        /// ascending task order.
+        pub iqs: Vec<(u8, Vec<Payload>)>,
+        /// Non-empty channel queues: `(task, messages in FIFO order)`, in
+        /// ascending task order.
+        pub cqs: Vec<(u8, Vec<OutMsg>)>,
         /// Remaining (unconsumed) scheduled sends.
         pub scripted: Vec<ScheduledSend>,
         /// Application tile state (app-defined encoding).
         pub app: Vec<u8>,
+    }
+}
+
+wire_struct! {
+    /// What a tile's cold box holds (`TileCold`): the task-written
+    /// counters and the memory model.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub(crate) struct ColdRecord {
+        /// PU event counters (`tasks_executed` and `busy_cycles` stay
+        /// zero here: the tile record carries them).
+        pub pu: PuCounters,
+        /// Memory event counters.
+        pub mem: MemCounters,
+        /// The cache model's LRU clock (0 on a scratchpad).
+        pub cache_tick: Var,
+        /// The cache model's tag array (empty on a scratchpad).
+        pub cache_lines: Vec<CacheLine>,
+    }
+}
+
+/// A cold record behind a presence flag (a `bool`): absent for a tile
+/// without a cold box.
+impl Put for Option<ColdRecord> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(cold) = self {
+            cold.put(buf);
+        }
+    }
+}
+
+impl Wire for Option<ColdRecord> {
+    const MIN_SIZE: usize = 1;
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        r.get::<bool>()?.then(|| r.get()).transpose()
     }
 }
 
@@ -806,35 +855,66 @@ pub(crate) struct SnapshotData {
 // Config identity.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the canonical JSON of `cfg` with the host-side knobs that
-/// are *allowed* to differ between the checkpointing and the resuming run
-/// (time leaping, telemetry, and the checkpoint options
-/// themselves) reset to fixed values. Everything that shapes simulated
-/// behavior — geometry, latencies, queue capacities, traffic, verbosity,
-/// frame interval — participates.
+/// The identity of `cfg` as far as simulated behavior goes: the
+/// [`identity_hash`] of its [`simulated`] tree against the default
+/// config's.
+///
+/// A changed default therefore moves no hash: it is caught by the unit
+/// test that pins the default config's simulated leaves, and by the
+/// `snapshot_format` pins when a pinned run depends on it.
 pub(crate) fn config_hash(cfg: &SystemConfig) -> u64 {
-    let mut c = cfg.clone();
-    c.time_leap = true;
-    c.checkpoint_every = None;
-    c.checkpoint_path = None;
-    c.checkpoint_resume = false;
-    c.telemetry = Default::default();
-    let mut json = serde_json::to_string(&c).expect("config serializes");
-    // version-1 snapshots hashed this text when three since-removed keys
-    // sat in it: two before `noc_trace` (both `null` in any configuration
-    // that could checkpoint) and `active_list` before `verbosity` (a
-    // host-side knob, reset to `true` like `time_leap`); hashing them
-    // still keeps every existing snapshot resumable without a version bump
-    let at = json
-        .find("\"noc_trace\":")
-        .expect("SystemConfig serializes noc_trace");
-    json.insert_str(at, "\"frame_budget\":null,\"frame_spill\":null,");
-    let at = json
-        .find("\"verbosity\":")
-        .expect("SystemConfig serializes verbosity");
-    json.insert_str(at, "\"active_list\":true,");
+    identity_hash(&simulated(cfg), &simulated(&SystemConfig::default()))
+}
+
+/// `cfg`'s value tree without the host-side knobs that *may* differ
+/// between the checkpointing and the resuming run: time leaping,
+/// telemetry, the checkpoint options themselves.
+fn simulated(cfg: &SystemConfig) -> Value {
+    let mut tree = cfg.to_value();
+    if let Value::Object(root) = &mut tree {
+        for key in [
+            "time_leap",
+            "telemetry",
+            "checkpoint_every",
+            "checkpoint_path",
+            "checkpoint_resume",
+        ] {
+            assert!(root.remove(key).is_some(), "no config key {key}");
+        }
+    }
+    tree
+}
+
+/// FNV-1a over the key-sorted `(path, leaf)` pairs at which `tree`
+/// differs from `base`: a key whose value equals the base's contributes
+/// nothing, so adding or deleting a config key at its default moves no
+/// hash. A leaf is anything but a non-empty object (arrays compare
+/// whole); under a key the base lacks, or holds as a non-object, every
+/// leaf of `tree` counts.
+fn identity_hash(tree: &Value, base: &Value) -> u64 {
+    fn diff(path: &str, v: &Value, base: Option<&Value>, out: &mut Vec<String>) {
+        match v {
+            _ if base == Some(v) => {}
+            Value::Object(map) if !map.is_empty() => {
+                for (key, child) in map.iter() {
+                    let base = base.and_then(Value::as_object).and_then(|b| b.get(key));
+                    diff(&format!("{path}/{key}"), child, base, out);
+                }
+            }
+            leaf => {
+                let text = serde_json::to_string(leaf).expect("a value tree serializes");
+                out.push(format!("{path}={text}"));
+            }
+        }
+    }
+    let mut pairs = Vec::new();
+    diff("", tree, Some(base), &mut pairs);
+    pairs.sort_unstable();
     let mut h = Fnv::new();
-    h.bytes(json.as_bytes());
+    for pair in &pairs {
+        h.bytes(pair.as_bytes());
+        h.bytes(&[0]);
+    }
     h.finish()
 }
 
@@ -1189,6 +1269,19 @@ mod tests {
             cq_stall_cycles: u64::MAX,
             ..Default::default()
         });
+        let cold = ColdRecord {
+            cache_lines: vec![CacheLine::default(); 2],
+            ..Default::default()
+        };
+        assert_eq!(round_trip(&None::<ColdRecord>), 1);
+        assert_eq!(round_trip(&Some(cold)), 1 + ColdRecord::MIN_SIZE + 2 * 5);
+        round_trip(&CacheLine {
+            tag: u64::MAX,
+            valid: true,
+            dirty: true,
+            stamp: 1 << 40,
+            prefetched: true,
+        });
         round_trip(&MemCounters {
             sram_read_bits: 1 << 40,
             queue_writes: 7,
@@ -1263,18 +1356,16 @@ mod tests {
             pu_busy_frame: 4,
             rr_last: 1,
             pu_clock: vec![100, 200],
-            pu: PuCounters {
-                int_ops: 42,
+            tasks: Var(3),
+            busy_cycles: Var(300),
+            cold: (tile % 2 == 1).then(|| ColdRecord {
+                cache_tick: Var(9),
+                cache_lines: vec![CacheLine::default(); 3],
                 ..Default::default()
-            },
-            mem: MemCounters {
-                sram_reads: 7,
-                ..Default::default()
-            },
-            cache: "{\"x\":1}".into(),
-            iqs: vec![vec![Payload::from_slice(&[5])], vec![]],
-            cqs: vec![
-                vec![],
+            }),
+            iqs: vec![(0, vec![Payload::from_slice(&[5])])],
+            cqs: vec![(
+                1,
                 vec![OutMsg {
                     dst: 3,
                     task: 1,
@@ -1282,7 +1373,7 @@ mod tests {
                     at_pu_cycle: 88,
                     reduce: Some(ReduceOp::SumU32),
                 }],
-            ],
+            )],
             scripted: vec![ScheduledSend {
                 cycle: 50,
                 dst: 1,
@@ -1341,7 +1432,8 @@ mod tests {
         r.expect_end().unwrap();
         assert_eq!(back.planes[0].packets, sample_chunk(2).planes[0].packets);
         assert_eq!(back.tiles[1].cqs, sample_tile(1).cqs);
-        assert_eq!(back.tiles[1].cache, "{\"x\":1}");
+        assert_eq!(back.tiles[0].cold, None);
+        assert_eq!(back.tiles[1].cold, sample_tile(1).cold);
         let mut again = Vec::new();
         back.put(&mut again);
         assert_eq!(again, bytes);
@@ -1368,6 +1460,53 @@ mod tests {
         assert_eq!(config_hash(&base), config_hash(&telem));
         let other = SystemConfig::builder().chiplet_tiles(8, 8).build().unwrap();
         assert_ne!(config_hash(&base), config_hash(&other));
+        // the default config differs from itself nowhere: the empty hash
+        leap_off = SystemConfig::default();
+        leap_off.time_leap = false;
+        assert_eq!(config_hash(&leap_off), Fnv::new().finish());
+    }
+
+    #[test]
+    fn changing_one_simulated_leaf_moves_the_hash() {
+        let mut deeper = SystemConfig::default();
+        deeper.noc.buffer_depth += 1;
+        let dram = SystemConfig {
+            memory: muchisim_config::MemoryConfig::Dram(Default::default()),
+            ..Default::default()
+        };
+        let hashes = [SystemConfig::default(), deeper, dram].map(|c| config_hash(&c));
+        assert!(hashes[0] != hashes[1] && hashes[0] != hashes[2] && hashes[1] != hashes[2]);
+    }
+
+    /// A changed default moves no [`config_hash`], so this pin is what
+    /// notices one. When it fails, decide whether the new default alters
+    /// simulated behavior (then bump [`SNAPSHOT_VERSION`]; a key added at
+    /// a default that reproduces the old behavior needs no bump), and
+    /// paste the new hash either way.
+    #[test]
+    fn the_default_configs_simulated_leaves_are_pinned() {
+        let h = identity_hash(&simulated(&SystemConfig::default()), &Value::Null);
+        assert_eq!(
+            h, 0xa313_de58_7f82_7e63,
+            "the default config's simulated leaves now hash to {h:#018x}: see this test's doc"
+        );
+    }
+
+    /// Adding or removing a key at its default needs no version bump.
+    #[test]
+    fn a_key_equal_in_both_trees_leaves_the_hash_alone() {
+        let mut deeper = SystemConfig::default();
+        deeper.noc.buffer_depth = 99;
+        let [mut tree, mut base] = [deeper.to_value(), SystemConfig::default().to_value()];
+        let before = identity_hash(&tree, &base);
+        for t in [&mut tree, &mut base] {
+            let Value::Object(root) = t else {
+                unreachable!("a config is an object")
+            };
+            root.insert("a_new_knob".into(), Value::Bool(true));
+        }
+        assert_eq!(identity_hash(&tree, &base), before);
+        assert_ne!(identity_hash(&base, &base), before);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! coherence: misses go straight to the chiplet's memory controller and
 //! dirty victims are written back on eviction.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
@@ -28,21 +26,25 @@ impl AccessOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+/// One line of the tag array (tags and state bits; data is not modeled).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheLine {
+    /// Address tag.
+    pub tag: u64,
+    /// Whether the line holds data.
+    pub valid: bool,
+    /// Whether the line must be written back on eviction.
+    pub dirty: bool,
     /// LRU stamp: larger = more recently used.
-    stamp: u64,
+    pub stamp: u64,
     /// Filled by the prefetcher and not yet demanded.
-    prefetched: bool,
+    pub prefetched: bool,
 }
 
 /// A set-associative write-back cache with LRU replacement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheModel {
-    lines: Vec<Line>,
+    lines: Vec<CacheLine>,
     num_sets: u64,
     ways: u32,
     line_bytes: u32,
@@ -68,7 +70,7 @@ impl CacheModel {
         let num_sets = num_sets.max(1);
         assert!(num_sets >= 1, "PLM too small for a cache");
         CacheModel {
-            lines: vec![Line::default(); (num_sets * ways as u64) as usize],
+            lines: vec![CacheLine::default(); (num_sets * ways as u64) as usize],
             num_sets,
             ways,
             line_bytes,
@@ -76,17 +78,24 @@ impl CacheModel {
         }
     }
 
-    /// Whether `other` has the same sets, ways, line size and tag-array
-    /// length (a deserialized model is only usable in place of one built
-    /// by [`CacheModel::new`] if it does).
-    pub fn same_geometry(&self, other: &CacheModel) -> bool {
-        (self.num_sets, self.ways, self.line_bytes, self.lines.len())
-            == (
-                other.num_sets,
-                other.ways,
-                other.line_bytes,
-                other.lines.len(),
-            )
+    /// The LRU clock (the stamp of the latest access or fill) and the
+    /// tag array, set by set (`ways` lines each).
+    pub fn state(&self) -> (u64, &[CacheLine]) {
+        (self.tick, &self.lines)
+    }
+
+    /// Overwrites the LRU clock and the tag array (checkpoint restore);
+    /// the geometry stays the configured one, and so must the line count.
+    pub fn restore(&mut self, tick: u64, lines: &[CacheLine]) -> Result<(), String> {
+        let (got, want) = (lines.len(), self.lines.len());
+        if got != want {
+            return Err(format!(
+                "cache record holds {got} lines, the configured cache has {want}"
+            ));
+        }
+        self.lines.copy_from_slice(lines);
+        self.tick = tick;
+        Ok(())
     }
 
     /// Line size in bytes.
@@ -107,7 +116,7 @@ impl CacheModel {
     /// Host heap bytes owned by the tag/metadata array (the simulator
     /// models tags only, never data, so this *is* the model's footprint).
     pub fn heap_bytes(&self) -> u64 {
-        self.lines.capacity() as u64 * std::mem::size_of::<Line>() as u64
+        self.lines.capacity() as u64 * std::mem::size_of::<CacheLine>() as u64
     }
 
     fn set_range(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
@@ -149,7 +158,7 @@ impl CacheModel {
             })
             .expect("set is non-empty");
         let writeback = self.lines[victim].valid && self.lines[victim].dirty;
-        self.lines[victim] = Line {
+        self.lines[victim] = CacheLine {
             tag,
             valid: true,
             dirty: write,
@@ -187,7 +196,7 @@ impl CacheModel {
             })
             .expect("set is non-empty");
         let writeback = self.lines[victim].valid && self.lines[victim].dirty;
-        self.lines[victim] = Line {
+        self.lines[victim] = CacheLine {
             tag,
             valid: true,
             dirty: false,
@@ -201,7 +210,7 @@ impl CacheModel {
     pub fn flush(&mut self) -> u64 {
         let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count() as u64;
         for l in &mut self.lines {
-            *l = Line::default();
+            *l = CacheLine::default();
         }
         dirty
     }

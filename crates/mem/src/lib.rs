@@ -28,7 +28,7 @@ mod channel;
 mod counters;
 mod tile_mem;
 
-pub use cache::{AccessOutcome, CacheModel};
+pub use cache::{AccessOutcome, CacheLine, CacheModel};
 pub use channel::{ChannelMap, ChannelState};
 pub use counters::MemCounters;
 pub use tile_mem::{AccessKind, TileMemory};

@@ -6,7 +6,7 @@
 //! memory operations, MuchiSim offers a special dcache function that
 //! returns the latency to fetch a given memory address").
 
-use crate::cache::CacheModel;
+use crate::cache::{CacheLine, CacheModel};
 use crate::channel::ChannelState;
 use crate::counters::MemCounters;
 use muchisim_config::{MemoryConfig, SystemConfig, TimePs};
@@ -204,41 +204,30 @@ impl TileMemory {
         &self.counters
     }
 
-    /// The cache-model state as canonical JSON, or `None` in scratchpad
-    /// mode (which holds no dynamic memory state). All cache fields are
-    /// integers and booleans, so the JSON round-trip is exact.
-    pub fn snapshot_cache(&self) -> Option<String> {
+    /// The cache model's LRU clock and tag array, or `(0, [])` in
+    /// scratchpad mode (which holds no dynamic memory state).
+    pub fn cache_state(&self) -> (u64, &[CacheLine]) {
         match &self.mode {
-            Mode::Scratchpad => None,
-            Mode::Cache { cache, .. } => {
-                Some(serde_json::to_string(cache).expect("cache model serializes"))
-            }
+            Mode::Scratchpad => (0, &[]),
+            Mode::Cache { cache, .. } => cache.state(),
         }
     }
 
-    /// Overwrites the cache model from a [`TileMemory::snapshot_cache`]
-    /// blob. Errors if this tile is in scratchpad mode, the blob does not
-    /// parse, or it describes a cache of another shape (sets, ways, line
-    /// size) than the configured one; latencies and the prefetch policy
-    /// are kept from the current configuration.
-    pub fn restore_cache(&mut self, json: &str) -> Result<(), String> {
-        match &mut self.mode {
-            Mode::Scratchpad => Err("snapshot has cache state but tile is a scratchpad".into()),
-            Mode::Cache { cache, .. } => {
-                let restored: CacheModel = serde_json::from_str(json)
-                    .map_err(|e| format!("cache state does not parse: {e}"))?;
-                if !restored.same_geometry(cache) {
-                    return Err("cache state has a different geometry than configured".into());
-                }
-                *cache = restored;
-                Ok(())
-            }
-        }
-    }
-
-    /// Overwrites the event counters (checkpoint restore).
-    pub fn restore_counters(&mut self, counters: MemCounters) {
+    /// Overwrites the event counters and the [`TileMemory::cache_state`]
+    /// (checkpoint restore). Errors on cache state for a scratchpad, or on
+    /// `lines` that do not fill the configured tag array.
+    pub fn restore(
+        &mut self,
+        counters: MemCounters,
+        tick: u64,
+        lines: &[CacheLine],
+    ) -> Result<(), String> {
         self.counters = counters;
+        match &mut self.mode {
+            Mode::Scratchpad if tick == 0 && lines.is_empty() => Ok(()),
+            Mode::Scratchpad => Err("cache record on a scratchpad tile".into()),
+            Mode::Cache { cache, .. } => cache.restore(tick, lines),
+        }
     }
 
     /// Host heap bytes owned by this tile's memory model (the cache tag

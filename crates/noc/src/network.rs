@@ -158,11 +158,6 @@ impl SharedNet {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Whether every cross-shard mailbox is empty.
-    pub fn mailboxes_empty(&self) -> bool {
-        self.mailboxes.iter().flatten().all(|m| m.lock().is_empty())
-    }
-
     /// Host heap bytes of the shared state: the credit table, the
     /// column→shard map, and the cross-shard mailboxes and wake boxes.
     pub fn heap_bytes(&self) -> u64 {

@@ -172,12 +172,6 @@ impl TopoInfo {
         y * self.width + x
     }
 
-    /// Column of tile `id` (used for shard assignment).
-    #[inline]
-    pub fn col_of(&self, id: u32) -> u32 {
-        self.div_width.divmod(id).1
-    }
-
     /// The neighbor reached from `cur` via `dir` on virtual channel `vc`,
     /// with the input port the packet arrives on, or `None` if the link
     /// does not exist (mesh edge, or Ruche link leaving the grid).

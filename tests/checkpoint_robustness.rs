@@ -11,11 +11,12 @@
 
 use muchisim::apps::{high_degree_root, run_benchmark, Benchmark, Bfs, Spmv, SyncMode};
 use muchisim::config::{DramConfig, SystemConfig, Verbosity};
-use muchisim::core::snapshot::{ByteReader, Put, SnapshotHasher};
-use muchisim::core::{Application, FrameLog, SimError, Simulation};
+use muchisim::core::snapshot::{ByteReader, Put, SnapshotHasher, Var};
+use muchisim::core::{Application, FrameLog, PuCounters, SimError, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::data::Csr;
-use muchisim::noc::{LatencyStats, NocCounters, Packet, ReduceOp};
+use muchisim::mem::{CacheLine, MemCounters};
+use muchisim::noc::{LatencyStats, NocCounters, Packet, Payload, ReduceOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -30,10 +31,20 @@ fn cfg(side: u32) -> SystemConfig {
         .expect("valid config")
 }
 
-/// Writes a valid BFS snapshot to `path` and returns its bytes.
-fn write_valid_snapshot(path: &str, graph: &Arc<Csr>) -> Vec<u8> {
-    let probe = run_benchmark(Benchmark::Bfs, cfg(4), graph, 1).expect("probe runs");
+/// `cfg(4)` with a 4 KiB PLM caching DRAM.
+fn cache_cfg() -> SystemConfig {
     let mut c = cfg(4);
+    c.sram_kib_per_tile = 4;
+    c.memory = muchisim::config::MemoryConfig::Dram(DramConfig::default());
+    c.validate().expect("valid cache-backed config");
+    c
+}
+
+/// Writes a valid BFS snapshot under `config` to `path` and returns its
+/// bytes.
+fn write_valid_snapshot(path: &str, graph: &Arc<Csr>, config: &SystemConfig) -> Vec<u8> {
+    let probe = run_benchmark(Benchmark::Bfs, config.clone(), graph, 1).expect("probe runs");
+    let mut c = config.clone();
     c.checkpoint_path = Some(path.to_string());
     c.checkpoint_every = Some((probe.runtime_cycles / 2).max(1));
     run_benchmark(Benchmark::Bfs, c, graph, 1).expect("checkpointing run");
@@ -69,11 +80,11 @@ fn damaged_snapshots_fail_with_clean_errors() {
         .join(format!("muchisim-robust-{}-valid.snap", std::process::id()))
         .to_string_lossy()
         .into_owned();
-    let valid = write_valid_snapshot(&valid_path, &graph);
+    let valid = write_valid_snapshot(&valid_path, &graph, &cfg(4));
     assert!(valid.len() > 40, "snapshot suspiciously small");
 
     type Mutate = fn(&mut Vec<u8>);
-    let table: [(&str, Mutate, &str); 8] = [
+    let table: [(&str, Mutate, &str); 9] = [
         ("empty file", |b| b.clear(), "snapshot failed"),
         ("truncated header", |b| b.truncate(10), "snapshot failed"),
         (
@@ -113,6 +124,14 @@ fn damaged_snapshots_fail_with_clean_errors() {
                 // version is the u32 right after the 8-byte magic; the
                 // checksum must be re-stamped or it fires first
                 b[8] = b[8].wrapping_add(1);
+                restamp_checksum(b);
+            },
+            "version",
+        ),
+        (
+            "previous version",
+            |b| {
+                b[8] = b[8].wrapping_sub(1);
                 restamp_checksum(b);
             },
             "version",
@@ -196,6 +215,10 @@ struct Offsets {
     first_rr: Option<usize>,
     /// The first tile record.
     first_tile: usize,
+    /// The first tile's cold record (presence byte included) and its
+    /// input-queue bank: `[start, end)` each.
+    cold: (usize, usize),
+    iqs: (usize, usize),
 }
 
 fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
@@ -242,6 +265,16 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
     skip!(Vec<(u32, u32)>); // open-frame router busy counts
     prefixes.push(here!());
     skip!(u32); // tile count
+    let first_tile = here!();
+    skip!((u32, bool, u32, u8)); // tile, init flag, open-frame busy, cursor
+    skip!(Vec<u64>); // PU clocks
+    skip!((Var, Var)); // tasks, busy cycles
+    let cold_at = here!();
+    if skip!(u8) == 1 {
+        skip!((PuCounters, MemCounters, Var, Vec<CacheLine>));
+    }
+    let iqs_at = here!();
+    skip!(Vec<(u8, Vec<Payload>)>);
     let found = Offsets {
         prefixes,
         chunk_len,
@@ -249,21 +282,28 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
         latency,
         packets: (packets_at, packets_end),
         first_rr: (!rr.is_empty()).then_some(rr_at + 4),
-        first_tile: here!(),
+        first_tile,
+        cold: (cold_at, iqs_at),
+        iqs: (iqs_at, here!()),
     };
     (found, packets)
 }
 
-/// Replaces the file's queued-packet records with `edit`'s result,
-/// fixing up the chunk length and the checksum.
+/// Replaces the file's queued-packet records with `edit`'s result.
 fn edit_packets(bytes: &[u8], edit: impl FnOnce(&mut Vec<PacketRecord>)) -> Vec<u8> {
     let (at, mut packets) = offsets(bytes);
     edit(&mut packets);
     let mut section = Vec::new();
     packets.put(&mut section);
-    let (start, end) = at.packets;
+    replace(bytes, at.packets, &section)
+}
+
+/// Replaces the bytes `[start, end)` of the one chunk with `section`,
+/// fixing up the chunk length and the checksum.
+fn replace(bytes: &[u8], (start, end): (usize, usize), section: &[u8]) -> Vec<u8> {
+    let (at, _) = offsets(bytes);
     let mut out = bytes[..start].to_vec();
-    out.extend_from_slice(&section);
+    out.extend_from_slice(section);
     out.extend_from_slice(&bytes[end..]);
     let old_len = u64::from_le_bytes(bytes[at.chunk_len..at.chunk_len + 8].try_into().unwrap());
     let new_len = old_len + section.len() as u64 - (end - start) as u64;
@@ -329,6 +369,10 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
     let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
     let (path, valid) = busy_bfs_snapshot(&graph, "fields");
     let (at, _) = offsets(&valid);
+    // the rows named `... (cache)` edit a snapshot of a cache-backed run
+    let cache_path = format!("{path}.cache");
+    let cached = write_valid_snapshot(&cache_path, &graph, &cache_cfg());
+    let (cache_at, _) = offsets(&cached);
 
     // the untouched file, and an edit that changes nothing, both resume
     for bytes in [valid.clone(), edit_packets(&valid, |_| {})] {
@@ -351,6 +395,20 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             restamp_checksum(&mut out);
             out
         })
+    };
+    // tile 0's input-queue bank, as `banks`
+    let iqs = |banks: Vec<(u8, Vec<Payload>)>| -> Edit {
+        let mut section = Vec::new();
+        banks.put(&mut section);
+        Box::new(move |b| replace(b, at.iqs, &section))
+    };
+    let p = || vec![Payload::from_slice(&[0])];
+    // tile 0's cold record, replaced by one holding a single cache line
+    let one_line = |cold: (usize, usize)| -> Edit {
+        let mut section = vec![1];
+        (PuCounters::default(), MemCounters::default(), Var(0)).put(&mut section);
+        vec![CacheLine::default()].put(&mut section);
+        Box::new(move |b| replace(b, cold, &section))
     };
     let table: Vec<(&str, Edit, &str)> = vec![
         (
@@ -404,10 +462,42 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             Box::new(move |b| second_chunk_overflowing(b, at.latency)),
             "latency counters overflow",
         ),
+        (
+            // BFS declares one task type
+            "queue bank of a task past the task types",
+            iqs(vec![(1, p())]),
+            "input-queue bank of task 1 is outside",
+        ),
+        (
+            "queue bank of a repeated task",
+            iqs(vec![(0, p()), (0, p())]),
+            "input-queue bank of task 0 is listed twice",
+        ),
+        (
+            "queue bank listing an empty queue",
+            iqs(vec![(0, vec![])]),
+            "input-queue bank of task 0 is listed empty",
+        ),
+        (
+            "cold record with cache lines on a scratchpad tile",
+            one_line(at.cold),
+            "cache record on a scratchpad tile",
+        ),
+        (
+            "cache record of the wrong line count (cache)",
+            one_line(cache_at.cold),
+            "cache record holds 1 lines",
+        ),
     ];
     for (name, edit, want) in table {
-        std::fs::write(&path, edit(&valid)).expect("write edited snapshot");
-        let err = resume_error(&path, &graph, cfg(4));
+        let cache = name.ends_with("(cache)");
+        let (path, base, config) = if cache {
+            (&cache_path, &cached, cache_cfg())
+        } else {
+            (&path, &valid, cfg(4))
+        };
+        std::fs::write(path, edit(base)).expect("write edited snapshot");
+        let err = resume_error(path, &graph, config);
         assert!(
             err.contains("snapshot failed"),
             "{name}: not a SimError::Snapshot: {err}"
@@ -415,6 +505,7 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
         assert!(err.contains(want), "{name}: error lacks `{want}`: {err}");
     }
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&cache_path);
 }
 
 // ---------------------------------------------------------------------
@@ -588,10 +679,6 @@ fn hostile_resume<A: Application>(
 fn random_mutations_end_in_typed_errors_or_resumed_runs() {
     const SEEDS: u64 = 512;
     let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
-    let mut cache_cfg = cfg(4);
-    cache_cfg.sram_kib_per_tile = 4;
-    cache_cfg.memory = muchisim::config::MemoryConfig::Dram(DramConfig::default());
-    cache_cfg.validate().expect("valid cache-backed config");
 
     // every case reports its seed before it starts; a minute without a
     // report means the case named last hangs
@@ -624,7 +711,7 @@ fn random_mutations_end_in_typed_errors_or_resumed_runs() {
     let mut tally = [0usize; 3];
     for (label, config, spmv) in [
         ("bfs/scratchpad", cfg(4), false),
-        ("spmv/cache", cache_cfg, true),
+        ("spmv/cache", cache_cfg(), true),
     ] {
         let run = |path: &str, limit: u64| {
             if spmv {

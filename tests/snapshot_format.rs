@@ -3,11 +3,9 @@
 //! The rule in `docs/CHECKPOINT.md` — *bump `SNAPSHOT_VERSION` on any
 //! change to the wire format* — is enforced here: for a fixed matrix of
 //! runs the snapshot file's length and trailing checksum must equal
-//! constants recorded from the commit that last bumped the version (for
-//! version 1: the last commit where the streaming encoder was still
-//! cross-checked against the struct-building one). A codec edit that
-//! moves a byte fails this test; the fix is to bump the version and
-//! re-record, never to edit a pin alone.
+//! constants recorded from the commit that last bumped the version. A
+//! codec edit that moves a byte fails this test; the fix is to bump the
+//! version and re-record, never to edit a pin alone.
 //!
 //! To re-record after a deliberate format change: bump
 //! `SNAPSHOT_VERSION`, run this test, and paste the table the failure
@@ -35,48 +33,49 @@ const SIDE: u32 = 8;
 const GRAPH_SEED: u64 = 0xC0FF_EE00;
 const GRAPH_SCALE: u32 = 5;
 
-/// `(row, file length in bytes, trailing checksum)`, recorded at commit
-/// d4354c6 (PR 12), the parent of the single-codec change — the `mill`
-/// rows at 7ef21f6, the last commit whose tile queues were `VecDeque`s.
-const PINS_V1: &[(&str, u64, u64)] = &[
-    ("bfs/sram/t1", 14606, 0x17fbfd097ae80b16),
-    ("bfs/sram/t2", 15634, 0x1d8c36a66b5c9943),
-    ("bfs/cache/t1", 160848, 0x37c725eb7e4c0361),
-    ("bfs/cache/t2", 162084, 0x30bfc8f0d2e34c4d),
-    ("pagerank/sram/t1", 28170, 0x4ef745bb0a2e3ac8),
-    ("pagerank/sram/t2", 31070, 0x61895c31ebf6cb3d),
-    ("pagerank/cache/t1", 177988, 0x8f161afe8125c39e),
-    ("pagerank/cache/t2", 181772, 0xc3a0c282834d1232),
-    ("spmv/sram/t1", 15732, 0x380c6e3846b6bfbb),
-    ("spmv/sram/t2", 17124, 0x3904ad16703bef86),
-    ("spmv/cache/t1", 170801, 0x25496b30e49c5e5b),
-    ("spmv/cache/t2", 172921, 0x7269dd23d8b1e67a),
-    ("fft/sram/t1", 38020, 0xb7efb8ca6397e09c),
-    ("fft/sram/t2", 38840, 0x3edcfcacdeaa0b7a),
-    ("fft/cache/t1", 185207, 0x0e468361a4cafb2b),
-    ("fft/cache/t2", 186079, 0x9f2afd1597d0e529),
-    ("wcc/sram/t1", 13267, 0x6476aa929df57c35),
-    ("wcc/sram/t2", 14191, 0x8b886ad6b315801d),
-    ("wcc/cache/t1", 157315, 0xe1d01516e4100fc0),
-    ("wcc/cache/t2", 158343, 0x91c379f325d1f707),
-    ("histogram/sram/t1", 10654, 0xb8d6c7006e26b593),
-    ("histogram/sram/t2", 11422, 0xfa9b875b8cab1352),
-    ("histogram/cache/t1", 153618, 0xe5ae45acc0e0a312),
-    ("histogram/cache/t2", 154438, 0x4eee9327d2966152),
-    ("spmm/sram/t1", 28013, 0xad697aa096db195f),
-    ("spmm/sram/t2", 31745, 0x2c1bc2dc149dc085),
-    ("spmm/cache/t1", 175351, 0xe562ce6eeecd0c07),
-    ("spmm/cache/t2", 179811, 0xdcd9e5499393bb0a),
-    ("traffic/sram/t1", 18564, 0x9d5022cdc6124b95),
-    ("traffic/sram/t2", 19176, 0xa478900612840b8c),
-    ("traffic/cache/t1", 159492, 0xed2070f75173c4b9),
-    ("traffic/cache/t2", 160104, 0xdb3d830d22d16d5a),
-    ("traffic-jam/sram/t1", 116055, 0xfdfba23cd0e86864),
-    ("traffic-jam/sram/t2", 118175, 0xf135be433ae30c87),
-    ("mill-rr/sram/t1", 18145, 0x4875487caaafb245),
-    ("mill-rr/cache/t2", 56442, 0x53bb87cbf905ec2f),
-    ("mill-priority/sram/t2", 20862, 0xdcf3d09cad88f637),
-    ("mill-occupancy/cache/t1", 54508, 0x1a4345434ccc13c1),
+/// `(row, file length in bytes, trailing checksum)`, recorded at the
+/// commit that set version 2 (cold tile state only where a cold box
+/// exists, sparse queue banks, a config identity over the differences
+/// from the default configuration).
+const PINS_V2: &[(&str, u64, u64)] = &[
+    ("bfs/sram/t1", 13625, 0x67cf82d270841c63),
+    ("bfs/sram/t2", 14653, 0x16eb09e6ae1f08fe),
+    ("bfs/cache/t1", 22821, 0xe7cb8f232bc6f99b),
+    ("bfs/cache/t2", 24057, 0x830b86dc39f73e59),
+    ("pagerank/sram/t1", 27277, 0xb2b6223d390163fa),
+    ("pagerank/sram/t2", 30177, 0xc13c595305f6011c),
+    ("pagerank/cache/t1", 40900, 0x457d09a20bd4c17f),
+    ("pagerank/cache/t2", 44684, 0x1dbcc5f0517e3814),
+    ("spmv/sram/t1", 14595, 0x0ea708f2d3858790),
+    ("spmv/sram/t2", 15987, 0xc95a7514ab534352),
+    ("spmv/cache/t1", 33446, 0x4514964f73b8d20d),
+    ("spmv/cache/t2", 35566, 0xf2aeacb7c8a3a203),
+    ("fft/sram/t1", 37804, 0xbabaed7defe84d0b),
+    ("fft/sram/t2", 38624, 0x24a94334972daa6c),
+    ("fft/cache/t1", 54080, 0x801f14da5523ab07),
+    ("fft/cache/t2", 54952, 0x8116e83be783ac7d),
+    ("wcc/sram/t1", 12370, 0x33511fd52d0f274f),
+    ("wcc/sram/t2", 13294, 0xdecfabf5dec657dd),
+    ("wcc/cache/t1", 20349, 0xd8d8a49c012d3fdc),
+    ("wcc/cache/t2", 21377, 0xb613eb9c3afd5143),
+    ("histogram/sram/t1", 10543, 0x3e8d860ed1a18283),
+    ("histogram/sram/t2", 11311, 0x9534a5c422a13f84),
+    ("histogram/cache/t1", 22571, 0x9b5e3390d616c4b4),
+    ("histogram/cache/t2", 23391, 0x3be6c1053fc475e9),
+    ("spmm/sram/t1", 26871, 0x3c675cbbdefe7723),
+    ("spmm/sram/t2", 30603, 0xabb6047e1063d5ab),
+    ("spmm/cache/t1", 37931, 0x72647e43dd3349fa),
+    ("spmm/cache/t2", 42391, 0x5bbefdfdeb876dad),
+    ("traffic/sram/t1", 18594, 0xbbad2e3b8e422378),
+    ("traffic/sram/t2", 19206, 0x99cbb00867a5a5be),
+    ("traffic/cache/t1", 28834, 0x0dd1b67266a77add),
+    ("traffic/cache/t2", 29446, 0x1aac30a1504779e9),
+    ("traffic-jam/sram/t1", 116090, 0x1a9ca4aecff6823f),
+    ("traffic-jam/sram/t2", 118210, 0xe233a6cad3ab4df9),
+    ("mill-rr/sram/t1", 18036, 0xaf578bf20f978be8),
+    ("mill-rr/cache/t2", 23655, 0xca400d71d7033026),
+    ("mill-priority/sram/t2", 20748, 0xe401f53a18fd5315),
+    ("mill-occupancy/cache/t1", 21736, 0x090cc1e499aaeb98),
 ];
 
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +93,7 @@ enum App {
     /// jam, with deep source queues, busy links and advanced arbiters.
     TrafficJam,
     /// `common::Mill` under the `mill_policies()` entry of this index:
-    /// full IQs at tile 0, spilled CQs, allocated-but-empty banks.
+    /// full IQs at tile 0, spilled CQs, banks with some queues empty.
     Mill(usize),
 }
 
@@ -321,7 +320,7 @@ fn trailing_checksum(bytes: &[u8]) -> u64 {
 #[test]
 fn snapshot_bytes_match_the_pins_recorded_for_this_version() {
     let pins = match SNAPSHOT_VERSION {
-        1 => PINS_V1,
+        2 => PINS_V2,
         v => panic!("no pins recorded for SNAPSHOT_VERSION {v}: record a PINS_V{v} table"),
     };
     let got: Vec<(String, u64, u64)> = snapshots()
