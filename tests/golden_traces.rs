@@ -15,8 +15,15 @@
 //! `schedule_checksum` of a hub-congested BFS on a 32x32 mesh, run at 2
 //! and at 4 host threads (`@t2` / `@t4` keys).
 //!
-//! Three `MILL-*` rows (one per TSU policy) pin the tile queue paths the
-//! suite leaves cold — see `common/mod.rs` for which and why.
+//! Four `MILL-*` rows (one per TSU policy, and round-robin over two
+//! physical NoCs) pin the tile queue paths the suite leaves cold — see
+//! `common/mod.rs` for which and why.
+//!
+//! Five `TRAF-*` rows pin the scripted-injection path, which no suite
+//! app takes: uniform-random traffic past saturation and hotspot traffic
+//! on an 8x8 mesh and folded torus, plus the uniform torus point at 2
+//! host threads. Past saturation the timetables outrun the inject
+//! queues, so the rows also pin how refused sends wait and retry.
 //!
 //! To regenerate after an *intentional* model change (each test rewrites
 //! only its own rows of the file):
@@ -268,16 +275,22 @@ fn run_mill(cfg: SystemConfig, threads: usize, key: &str) -> SimResult {
 }
 
 /// The tile queue paths (see `common/mod.rs`): each policy's run must
-/// land on its committed trace under every (leap x active-list)
-/// combination, on its committed schedule at 2 threads, and again when
-/// split into a checkpointed and a resumed half — with the counters
-/// that prove the paths were live.
+/// land on its committed trace under both drivers, on its committed
+/// schedule at 2 threads, and again when split into a checkpointed and a
+/// resumed half — with the counters that prove the paths were live. The
+/// `-2planes` row runs round-robin over two physical NoCs: `Mill`'s two
+/// task types then inject on different planes, so one plane's inject
+/// queue can refuse a tile while the other takes its sends.
 #[test]
 fn queue_path_rows_match_committed_checksums() {
     let mut blessed = Vec::new();
-    for (label, policy) in mill_policies() {
-        let key = format!("MILL-{label}-4x4-mesh");
-        let cfg = mill_config(policy, false);
+    let planes = mill_policies().map(|(label, policy)| (label, policy, 1));
+    let two_planes = ("rr", muchisim::config::SchedulingPolicy::RoundRobin, 2);
+    for (label, policy, nocs) in planes.into_iter().chain([two_planes]) {
+        let suffix = if nocs == 1 { "" } else { "-2planes" };
+        let key = format!("MILL-{label}-4x4-mesh{suffix}");
+        let mut cfg = mill_config(policy, false);
+        cfg.noc.num_physical = nocs;
         let tiles = cfg.width() * cfg.height();
         let result = run_mill(cfg.clone(), 1, &key);
         let (stalls, refused) = (
@@ -337,6 +350,138 @@ fn queue_path_rows_match_committed_checksums() {
             want_schedule,
             "{key}: resumed on 2 threads"
         );
+    }
+    if !blessed.is_empty() {
+        bless_rows(&blessed);
+    }
+}
+
+/// Offered load of the `TRAF-*` rows, in packets/tile/cycle: past the
+/// knee of an 8x8 mesh and torus under uniform-random traffic.
+const TRAF_RATE: f64 = 0.4;
+/// Injection window of the `TRAF-*` rows, in NoC cycles.
+const TRAF_WINDOW: u64 = 200;
+
+fn traffic_config(topo: NocTopology) -> SystemConfig {
+    let mut cfg = config(8, topo, None);
+    cfg.traffic.rate = TRAF_RATE;
+    cfg.traffic.cycles = TRAF_WINDOW;
+    cfg
+}
+
+/// The scripted-injection rows: each must land on its committed trace,
+/// runtime and latency sums under both drivers, and accept less than it
+/// offers — the drain outlasts the window only when sends were held back
+/// at full inject queues. The uniform torus point is pinned once more at
+/// 2 host threads, by its split-invariant schedule.
+#[test]
+fn scripted_traffic_rows_match_committed_checksums() {
+    use muchisim::config::TrafficPattern;
+    use muchisim::traffic::run_point;
+    let graph = Arc::new(RmatConfig::scale(2).generate(GRAPH_SEED)); // ignored by traffic
+    let bless = std::env::var_os("MUCHISIM_BLESS").is_some();
+    let mut blessed = Vec::new();
+    let cases = [
+        (
+            "UNIFORM",
+            TrafficPattern::UniformRandom,
+            "mesh",
+            NocTopology::Mesh,
+        ),
+        (
+            "UNIFORM",
+            TrafficPattern::UniformRandom,
+            "torus",
+            NocTopology::FoldedTorus,
+        ),
+        (
+            "HOTSPOT",
+            TrafficPattern::Hotspot,
+            "mesh",
+            NocTopology::Mesh,
+        ),
+        (
+            "HOTSPOT",
+            TrafficPattern::Hotspot,
+            "torus",
+            NocTopology::FoldedTorus,
+        ),
+    ];
+    for (label, pattern, topo_name, topo) in cases {
+        let key = format!("TRAF-{label}-8x8-{topo_name}");
+        let cfg = traffic_config(topo);
+        let tiles = cfg.width() * cfg.height();
+        let bench = Benchmark::Traffic(pattern);
+        let run = |c: SystemConfig, threads: usize| {
+            let r = run_benchmark(bench, c, &graph, threads)
+                .unwrap_or_else(|e| panic!("{key} failed to run: {e}"));
+            assert!(r.check_error.is_none(), "{key}: {:?}", r.check_error);
+            r
+        };
+        let result = run(cfg.clone(), 1);
+        let point = run_point(&cfg, pattern, TRAF_RATE, 1).expect("load point runs");
+        let offered = point.injected as f64 / (f64::from(tiles) * TRAF_WINDOW as f64);
+        assert!(
+            point.achieved < offered,
+            "{key} is meant to be past saturation: accepted {} of {offered} offered",
+            point.achieved
+        );
+        let lat = &result.noc_latency;
+        let row = format!(
+            "{{\"hash\": \"{:#018x}\", \"schedule_hash\": \"{:#018x}\", \"runtime_cycles\": {}, \
+             \"lat_total_cycles\": {}, \"lat_max_cycles\": {}}}",
+            checksum(&result, tiles),
+            schedule_checksum(&result, tiles),
+            result.runtime_cycles,
+            lat.total_cycles,
+            lat.max_cycles
+        );
+        let threaded = (topo == NocTopology::FoldedTorus
+            && pattern == TrafficPattern::UniformRandom)
+            .then(|| {
+                let r = run(cfg.clone(), 2);
+                let row = format!(
+                    "{{\"schedule_hash\": \"{:#018x}\", \"runtime_cycles\": {}, \
+                     \"lat_total_cycles\": {}}}",
+                    schedule_checksum(&r, tiles),
+                    r.runtime_cycles,
+                    r.noc_latency.total_cycles
+                );
+                (format!("{key}@t2"), row)
+            });
+        if bless {
+            blessed.push((key, row));
+            blessed.extend(threaded);
+            continue;
+        }
+        let committed = load_committed();
+        let want = committed
+            .as_object()
+            .and_then(|m| m.get(&key))
+            .unwrap_or_else(|| panic!("{key} missing from {GOLDEN_PATH}; re-bless"));
+        assert_eq!(
+            serde_json::from_str::<JsonValue>(&row).expect("row parses"),
+            *want,
+            "{key}: trace diverged"
+        );
+        let mut c = cfg.clone();
+        c.time_leap = false;
+        let lockstep = run(c, 1);
+        assert_eq!(
+            checksum(&lockstep, tiles),
+            checksum(&result, tiles),
+            "{key}: lockstep"
+        );
+        assert_eq!(lockstep.noc_latency, result.noc_latency, "{key}: lockstep");
+        if let Some((key, row)) = threaded {
+            let want = committed.as_object().and_then(|m| m.get(&key));
+            let want = want.unwrap_or_else(|| panic!("{key} missing from {GOLDEN_PATH}; re-bless"));
+            assert_eq!(
+                serde_json::from_str::<JsonValue>(&row).expect("row parses"),
+                *want,
+                "{key}: schedule diverged"
+            );
+        }
     }
     if !blessed.is_empty() {
         bless_rows(&blessed);
