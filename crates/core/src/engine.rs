@@ -95,8 +95,10 @@ impl<A: Application> Simulation<A> {
     }
 
     /// Test hook: wakes every router asleep on credit before every NoC
-    /// step, so each back-pressured router-cycle runs the full evaluation.
-    /// Results, snapshots and checksums must not depend on it (only
+    /// step, so each back-pressured router-cycle runs the full evaluation,
+    /// and every tile asleep on inject credit before every cycle, so each
+    /// refused send is retried every cycle. Results, snapshots and
+    /// checksums must not depend on it (only
     /// [`SimResult::host_router_visits`] and host time do).
     #[doc(hidden)]
     pub fn forget_stall_memos_every_cycle(mut self) -> Self {
@@ -292,11 +294,15 @@ pub(crate) struct Worker<A: Application> {
     /// Refreshed at the end of every non-skipped visit; PU clocks are
     /// monotone, so a stale value is merely conservative (fewer skips).
     pu_wake: Vec<u64>,
-    /// First NoC cycle at which any of each tile's CQ heads matures (SoA
-    /// wake cache). Strictly before it, `inject_phase` provably injects
-    /// nothing for the tile. Lowered when `pu_phase` enqueues a send
-    /// (the new message may be a fresh head) and recomputed from the
-    /// surviving heads on every non-skipped drain pass.
+    /// First NoC cycle at which any of each tile's CQ heads can inject
+    /// (SoA wake cache): the earliest maturity among heads still waiting
+    /// to mature, `u64::MAX` when every head left is refused by a full
+    /// inject queue — the tile is then *asleep on inject credit*, and the
+    /// free that returns the credit wakes it (`wake_on_credit`). Strictly
+    /// before it, `inject_phase` provably injects nothing for the tile.
+    /// Lowered when `pu_phase` enqueues a send (the new message may be a
+    /// fresh head) and recomputed from the surviving heads on every
+    /// non-skipped drain pass.
     cq_wake: Vec<u64>,
     /// PU busy cycles per tile in the current statistics frame (SoA).
     pu_busy_frame: Vec<u32>,
@@ -308,6 +314,11 @@ pub(crate) struct Worker<A: Application> {
     /// Per-tile pre-scheduled NoC injections (front = next due), consumed
     /// during kernel 0. Empty for ordinary applications.
     scripted: Vec<VecDeque<ScheduledSend>>,
+    /// The timetable's counterpart of `cq_wake`: the cycle each tile's
+    /// next scheduled send is due, `u64::MAX` once the timetable is empty
+    /// or while its due head is refused by a full inject queue (asleep on
+    /// inject credit). Empty, like `scripted`, without a timetable.
+    scripted_wake: Vec<u64>,
     /// Pending work: IQ + CQ messages + pending init tasks + scripted
     /// sends not yet injected.
     pub msg_count: i64,
@@ -335,15 +346,23 @@ pub(crate) struct Worker<A: Application> {
     /// built-in phase profiler; merged across workers into
     /// [`SimResult::host_phase_ns`]).
     pub phase: HostPhaseNs,
-    /// Test hook: wake every router asleep on credit before every NoC step.
+    /// Test hook: wake every router and tile asleep on credit every cycle.
     pub forget_stall_memos: bool,
-    /// Worklist of tiles that can act: pending init or IQ work, queued CQ
-    /// messages, or an open scripted-send timetable. Tiles activate on
-    /// kernel start and on packet delivery (`IqSink::offer`), and are
-    /// retired by the retention pass at the end of `inject_phase`; the
-    /// sweeps in `pu_phase`, `inject_phase`, and `leap_to` then cost
-    /// `O(active tiles)` instead of `O(all tiles)`.
+    /// Worklist of tiles that can act: pending init or IQ work, or sends
+    /// (queued CQ messages, an open scripted-send timetable) that wait to
+    /// mature. Tiles activate on kernel start, on packet delivery
+    /// (`IqSink::offer`) and when returned inject credit wakes them
+    /// (`begin_cycle`), and are retired by the retention pass at the end
+    /// of `inject_phase`; the sweeps in `pu_phase`, `inject_phase`, and
+    /// `leap_to` then cost `O(active tiles)` instead of `O(all tiles)`.
+    /// The invariant: a tile with init or IQ work is listed, and one that
+    /// holds sends is listed or asleep on inject credit — its remaining
+    /// heads all refused, every refusing inject queue marked — and then
+    /// costs the sweeps nothing until the credit returns.
     active: ActiveSet,
+    /// Tiles off the worklist asleep on inject credit (counted in the
+    /// `active_tiles` telemetry gauge like listed ones).
+    unlisted: u64,
 }
 
 impl<A: Application> Worker<A> {
@@ -391,6 +410,11 @@ impl<A: Application> Worker<A> {
                 scripted[local] = sends.into();
             }
         }
+        let scripted_wake = if scripted.is_empty() {
+            Vec::new()
+        } else {
+            vec![0; n]
+        };
         let pus = cfg.pus_per_tile.max(1) as usize;
         Worker {
             slice,
@@ -427,6 +451,7 @@ impl<A: Application> Worker<A> {
                 .then(|| Cadence::new(cfg.frame_interval_cycles)),
             pointer_prefetch,
             scripted,
+            scripted_wake,
             msg_count: 0,
             tile_horizon: u64::MAX,
             max_pu_fs: 0,
@@ -446,6 +471,7 @@ impl<A: Application> Worker<A> {
             phase: HostPhaseNs::default(),
             forget_stall_memos: false,
             active: ActiveSet::new(n, true),
+            unlisted: 0,
         }
     }
 
@@ -453,6 +479,29 @@ impl<A: Application> Worker<A> {
     #[inline]
     fn has_work(&self, local: usize) -> bool {
         self.init_pending[local] || self.iq_msgs[local] > 0
+    }
+
+    /// Whether tile `local` is asleep on inject credit: it holds sends,
+    /// and none waits to mature — every head left was refused.
+    fn asleep_on_credit(&self, local: usize) -> bool {
+        let cq = self.cq_msgs[local] > 0;
+        let timetable = self.scripted.get(local).is_some_and(|q| !q.is_empty());
+        (cq || timetable)
+            && (!cq || self.cq_wake[local] == u64::MAX)
+            && (!timetable || self.scripted_wake[local] == u64::MAX)
+    }
+
+    /// Makes tile `local` retry its refused sends at this cycle's inject
+    /// pass — an inject queue it sleeps on returned credit, or the test
+    /// hook forgets every sleep — and lists it again if it holds sends.
+    fn wake_on_credit(&mut self, local: usize) {
+        self.cq_wake[local] = 0;
+        if let Some(wake) = self.scripted_wake.get_mut(local) {
+            *wake = 0;
+        }
+        if has_sends(&self.cq_msgs, &self.scripted, local) {
+            relist(&mut self.active, &mut self.unlisted, true, local);
+        }
     }
 
     /// Whether any channel queue of tile `local` exceeds the configured
@@ -484,6 +533,7 @@ impl<A: Application> Worker<A> {
         self.kernel = kernel;
         // every tile owes an init task, so every tile is active
         self.active.activate_all();
+        self.unlisted = 0;
         self.init_pending.fill(true);
         self.msg_count += self.slice.num_tiles() as i64;
         if kernel == 0 {
@@ -646,7 +696,8 @@ impl<A: Application> Worker<A> {
     }
 
     /// Drains ready channel-queue heads into the NoC planes, then retires
-    /// tiles with no latent work from the active worklist.
+    /// tiles with no latent work from the active worklist, and tiles
+    /// whose sends all wait for inject credit.
     ///
     /// Each (tile, task) run drains through one [`muchisim_noc::Shard`]
     /// injection batch: admission control runs on a locally cached
@@ -700,9 +751,8 @@ impl<A: Application> Worker<A> {
                     let flits = (flits as u16).max(1);
                     if !batch.admits(flits) {
                         // inject queue full: the head stays where it
-                        // is, retry next cycle
-                        self.tile_horizon = self.tile_horizon.min(cycle + 1);
-                        wake = wake.min(cycle + 1);
+                        // is, and waits for the queue's credit to return
+                        batch.wait_for_credit();
                         break;
                     }
                     let msg = queue.pop_front(&mut self.cq_arena).expect("checked head");
@@ -724,57 +774,100 @@ impl<A: Application> Worker<A> {
             self.scripted_inject_phase(shards, shareds, cycle);
         }
         // retention pass: a tile stays active only while it has latent
-        // work — a pending init/IQ task, a queued CQ message, or an open
-        // scripted timetable. Deliveries during net_step re-activate.
-        // Reads only the dense SoA arrays — this is the whole-worklist
-        // walk the dense regime pays every cycle.
+        // work — a pending init/IQ task, or a queued CQ message or open
+        // scripted timetable waiting to mature. One whose sends all wait
+        // for inject credit sleeps off the list until the credit returns.
+        // Deliveries during net_step re-activate. Reads only the dense
+        // SoA arrays — this is the whole-worklist walk the dense regime
+        // pays every cycle.
         let w0 = Instant::now();
         let init_pending = &self.init_pending;
         let iq_msgs = &self.iq_msgs;
         let cq_msgs = &self.cq_msgs;
+        let cq_wake = &self.cq_wake;
         let scripted = &self.scripted;
+        let scripted_wake = &self.scripted_wake;
+        let unlisted = &mut self.unlisted;
         self.active.retain(|local| {
             let l = local as usize;
-            init_pending[l]
-                || iq_msgs[l] > 0
-                || cq_msgs[l] > 0
-                || scripted.get(l).is_some_and(|q| !q.is_empty())
+            if init_pending[l] || iq_msgs[l] > 0 {
+                return true;
+            }
+            let cq = cq_msgs[l] > 0;
+            let timetable = scripted.get(l).is_some_and(|q| !q.is_empty());
+            if (cq && cq_wake[l] != u64::MAX) || (timetable && scripted_wake[l] != u64::MAX) {
+                return true;
+            }
+            *unlisted += u64::from(cq || timetable);
+            false
         });
         self.phase.worklist += w0.elapsed().as_nanos() as u64;
         self.phase.inject += t0.elapsed().as_nanos() as u64;
         #[cfg(debug_assertions)]
-        self.assert_queues_consistent();
+        self.assert_queues_consistent(shareds);
     }
 
     /// Debug oracle, run at the end of every `inject_phase`: nothing off
-    /// the worklist can act (no tile off it owes an init task, holds a
-    /// message or has an open timetable), each active tile's links add up
-    /// to its message counts, and the active tiles' queues account for
-    /// every live arena node — so no node leaked.
+    /// the worklist can act — no tile off it owes an init task or holds
+    /// an IQ message, and one that holds sends is asleep on inject credit
+    /// with a waiter mark on every inject queue it waits for, so returned
+    /// credit wakes it; `unlisted` counts exactly those. The links of
+    /// each tile that holds messages add up to its message counts, and
+    /// together to every live arena node — so no node leaked.
     #[cfg(debug_assertions)]
-    fn assert_queues_consistent(&self) {
+    fn assert_queues_consistent(&self, shareds: &[&SharedNet]) {
+        let marked = |local: usize, plane: usize| {
+            let tile = self.slice.global(local);
+            let shared = shareds[plane];
+            shared.occupancy[shared.topo.queue_id(tile, InPort::Inject)].marked()
+        };
+        let (mut iq_total, mut cq_total, mut unlisted) = (0, 0, 0);
         for local in 0..self.iq_msgs.len() {
-            if self.active.contains(local as u32) {
+            let listed = self.active.contains(local as u32);
+            let asleep = self.asleep_on_credit(local);
+            if !listed {
+                assert!(
+                    !self.has_work(local),
+                    "tile {local} has work off the worklist"
+                );
+                assert!(
+                    asleep || !has_sends(&self.cq_msgs, &self.scripted, local),
+                    "tile {local} has sends off the worklist, not asleep on inject credit"
+                );
+                unlisted += u64::from(asleep);
+            }
+            if asleep {
+                let tasks = local * self.ntasks..(local + 1) * self.ntasks;
+                for (task, q) in self.cq_links[tasks].iter().enumerate() {
+                    let plane = task % self.planes;
+                    assert!(
+                        q.is_empty() || marked(local, plane),
+                        "tile {local} sleeps on plane {plane}'s inject credit, unmarked"
+                    );
+                }
+                if let Some(head) = self.scripted.get(local).and_then(VecDeque::front) {
+                    let plane = head.task as usize % self.planes;
+                    assert!(
+                        marked(local, plane),
+                        "tile {local}'s timetable sleeps on plane {plane}'s inject credit, unmarked"
+                    );
+                }
+            }
+            if !listed && !asleep {
                 continue;
             }
-            assert!(
-                !self.init_pending[local]
-                    && self.iq_msgs[local] == 0
-                    && self.cq_msgs[local] == 0
-                    && self.scripted.get(local).is_none_or(VecDeque::is_empty),
-                "tile {local} has work off the worklist"
-            );
-        }
-        let (mut iq_total, mut cq_total) = (0, 0);
-        for local in self.active.iter() {
-            let tile = local as usize * self.ntasks..(local as usize + 1) * self.ntasks;
+            let tile = local * self.ntasks..(local + 1) * self.ntasks;
             let iq: u32 = self.iq_links[tile.clone()].iter().map(QueueLink::len).sum();
             let cq: u32 = self.cq_links[tile].iter().map(QueueLink::len).sum();
-            assert_eq!(iq, self.iq_msgs[local as usize], "IQ links of tile {local}");
-            assert_eq!(cq, self.cq_msgs[local as usize], "CQ links of tile {local}");
+            assert_eq!(iq, self.iq_msgs[local], "IQ links of tile {local}");
+            assert_eq!(cq, self.cq_msgs[local], "CQ links of tile {local}");
             iq_total += iq as usize;
             cq_total += cq as usize;
         }
+        assert_eq!(
+            unlisted, self.unlisted,
+            "tiles asleep off the worklist miscounted"
+        );
         assert_eq!(self.iq_arena.live(), iq_total, "IQ payload nodes leaked");
         assert_eq!(self.cq_arena.live(), cq_total, "CQ message nodes leaked");
     }
@@ -782,74 +875,65 @@ impl<A: Application> Worker<A> {
     /// Drains due pre-scheduled sends into the NoC planes (after the
     /// channel queues, so apps mixing both keep CQ traffic first within a
     /// cycle). Runs of consecutive same-plane due heads share one
-    /// injection batch.
+    /// injection batch; a head the inject queue refuses stays at the
+    /// front, holding back the rest of the timetable.
     fn scripted_inject_phase(
         &mut self,
         shards: &mut [&mut Shard],
         shareds: &[&SharedNet],
         cycle: u64,
     ) {
-        // scripted tiles stay on the worklist until their timetable
-        // drains (the retention pass keeps them), so the active sweep
-        // sees every due head
+        // a tile with an open timetable stays on the worklist while its
+        // head waits to come due (the retention pass keeps it), so the
+        // active sweep sees every due head
         for local in self.active.iter() {
             let local = local as usize;
+            // strictly before the wake nothing is due, and a tile asleep
+            // on inject credit (`u64::MAX`) waits for returned credit
+            if cycle < self.scripted_wake[local] {
+                self.tile_horizon = self.tile_horizon.min(self.scripted_wake[local]);
+                continue;
+            }
             let tile_g = self.slice.global(local);
-            'tile: while let Some(head) = self.scripted[local].front() {
+            let queue = &mut self.scripted[local];
+            // the next due cycle of the sends this pass leaves behind
+            let mut wake = u64::MAX;
+            'runs: while let Some(head) = queue.front() {
                 if head.cycle > cycle {
                     // not due yet: the schedule is sorted, so this head is
                     // this tile's next injection event
-                    self.tile_horizon = self.tile_horizon.min(head.cycle);
+                    wake = head.cycle;
                     break;
                 }
                 let plane = head.task as usize % self.planes;
                 let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
-                let mut stalled = false;
-                while let Some(head) = self.scripted[local].front() {
-                    if head.cycle > cycle {
-                        self.tile_horizon = self.tile_horizon.min(head.cycle);
-                        stalled = true;
-                        break;
+                while let Some(head) = queue.front() {
+                    if head.cycle > cycle || head.task as usize % self.planes != plane {
+                        break; // not due, or the plane changed: close this run's batch
                     }
-                    if head.task as usize % self.planes != plane {
-                        break; // plane changed: close this run's batch
+                    let flits = (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
+                    if !batch.admits(flits) {
+                        // inject queue full: the head stays where it is,
+                        // and waits for the queue's credit to return
+                        batch.wait_for_credit();
+                        batch.commit();
+                        break 'runs;
                     }
-                    let head = self.scripted[local].pop_front().expect("checked head");
-                    let born = head.cycle;
-                    let flits = 1 + head.payload.size_bytes().div_ceil(self.flit_bytes);
-                    let mut pkt =
-                        Packet::unicast(tile_g, head.dst, head.task, head.payload, flits as u16)
-                            .ready_at(cycle)
-                            .born(born);
+                    let head = queue.pop_front().expect("checked head");
+                    let mut pkt = Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
+                        .ready_at(cycle)
+                        .born(head.cycle);
                     if let Some(op) = head.reduce {
                         pkt = pkt.with_reduce(op);
                     }
-                    match batch.offer(pkt) {
-                        Ok(()) => {
-                            self.msg_count -= 1;
-                            self.frame_injected += 1;
-                        }
-                        Err(pkt) => {
-                            // inject queue full: restore the head, retry
-                            // next cycle
-                            self.scripted[local].push_front(ScheduledSend {
-                                cycle: born,
-                                dst: pkt.dst,
-                                task: pkt.task,
-                                payload: pkt.payload,
-                                reduce: pkt.reduce,
-                            });
-                            self.tile_horizon = self.tile_horizon.min(cycle + 1);
-                            stalled = true;
-                            break;
-                        }
-                    }
+                    batch.offer(pkt).expect("the batch admits these flits");
+                    self.msg_count -= 1;
+                    self.frame_injected += 1;
                 }
                 batch.commit();
-                if stalled {
-                    break 'tile;
-                }
             }
+            self.tile_horizon = self.tile_horizon.min(wake);
+            self.scripted_wake[local] = wake;
         }
     }
 
@@ -857,10 +941,25 @@ impl<A: Application> Worker<A> {
     /// deferred pushes, mailbox drains) for the next cycle. Must run for
     /// all shards (with a barrier in parallel mode) before any shard's
     /// step for that cycle.
+    ///
+    /// Returned inject credit wakes the tiles asleep on it here, before
+    /// this cycle's inject pass — the first pass a retry could have
+    /// succeeded in.
     pub fn begin_cycle(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet]) {
         let t0 = Instant::now();
         for (shard, shared) in shards.iter_mut().zip(shareds) {
             shard.begin_cycle(shared);
+            for tile in shard.drain_woken_tiles() {
+                let local = self.slice.local(tile);
+                self.wake_on_credit(local);
+            }
+        }
+        if self.forget_stall_memos {
+            for local in 0..self.slice.num_tiles() {
+                if self.asleep_on_credit(local) {
+                    self.wake_on_credit(local);
+                }
+            }
         }
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
@@ -884,6 +983,9 @@ impl<A: Application> Worker<A> {
             tile_horizon: &mut self.tile_horizon,
             clock: self.clock,
             active: &mut self.active,
+            cq_msgs: &self.cq_msgs,
+            scripted: &self.scripted,
+            unlisted: &mut self.unlisted,
         };
         for (shard, shared) in shards.iter_mut().zip(shareds) {
             if self.forget_stall_memos {
@@ -984,8 +1086,8 @@ impl<A: Application> Worker<A> {
             "a leap from {cycle} to {next} skips a capture boundary of {armed:?}"
         );
         debug_assert!(
-            shards.iter().all(|s| s.sleepers() == 0),
-            "a router asleep on credit holds a ready head: no horizon lies past the next cycle"
+            shards.iter().all(|s| s.sleepers() == 0 && s.inject_waiters() == 0),
+            "a router or tile asleep on credit holds a ready send: no horizon lies past the next cycle"
         );
         let t0 = Instant::now();
         // every tile with work is active (deliveries during this cycle's
@@ -1032,7 +1134,7 @@ impl<A: Application> Worker<A> {
         let mut s = muchisim_telemetry::WorkerSample {
             tasks: self.cum_tasks,
             pending: self.msg_count,
-            active_tiles: self.active.active_count() as u64,
+            active_tiles: self.active.active_count() as u64 + self.unlisted,
             tiles: self.slice.num_tiles() as u64,
             ..Default::default()
         };
@@ -1118,6 +1220,7 @@ impl<A: Application> Worker<A> {
             + self.init_pending.capacity() as u64
             + self.pu_wake.capacity() as u64 * 8
             + self.cq_wake.capacity() as u64 * 8
+            + self.scripted_wake.capacity() as u64 * 8
             + self.pu_busy_frame.capacity() as u64 * 4
             + self.channels.capacity() as u64 * size_of::<ChannelState>() as u64
             + self.iq_caps.len() as u64 * 4
@@ -1284,8 +1387,11 @@ impl<A: Application> Worker<A> {
         }
         // every tile with restored work must be on the worklist; a
         // superset is exact (idle tiles retire on the first retention
-        // pass without observable effect)
+        // pass without observable effect). Waiter marks are not restored:
+        // every wake cache is zero, so a refused send retries on the
+        // first cycle and marks its inject queue again.
         self.active.activate_all();
+        self.unlisted = 0;
         Ok(())
     }
 
@@ -1382,6 +1488,9 @@ struct IqSink<'a> {
     tile_horizon: &'a mut u64,
     clock: ClockConv,
     active: &'a mut ActiveSet,
+    cq_msgs: &'a [u32],
+    scripted: &'a [VecDeque<ScheduledSend>],
+    unlisted: &'a mut u64,
 }
 
 impl EjectSink for IqSink<'_> {
@@ -1402,8 +1511,10 @@ impl EjectSink for IqSink<'_> {
         self.iq_msgs[local] += 1;
         *self.msg_count += 1;
         *self.delivered += 1;
-        // a delivery is the one event that wakes an idle tile
-        self.active.activate(local as u32);
+        // a delivery is the one event that wakes an idle tile; it lists a
+        // tile asleep on inject credit too
+        let sends = has_sends(self.cq_msgs, self.scripted, local);
+        relist(self.active, self.unlisted, sends, local);
         // the delivery may be dispatchable as soon as a PU frees up
         let pu = self.pu_clock[local * self.pus..(local + 1) * self.pus]
             .iter()
@@ -1413,6 +1524,25 @@ impl EjectSink for IqSink<'_> {
         *self.tile_horizon = (*self.tile_horizon).min(self.clock.noc_cycle_for_pu(pu));
         Ok(())
     }
+}
+
+/// Whether tile `local` holds sends for the NoC: queued CQ messages or an
+/// open timetable.
+#[inline]
+fn has_sends(cq_msgs: &[u32], scripted: &[VecDeque<ScheduledSend>], local: usize) -> bool {
+    cq_msgs[local] > 0 || scripted.get(local).is_some_and(|q| !q.is_empty())
+}
+
+/// Lists tile `local` on the worklist. A tile off the list that holds
+/// sends (`sends`) is asleep on inject credit — the `active` invariant of
+/// [`Worker`] — so listing it again takes it off the `unlisted` count.
+#[inline]
+fn relist(active: &mut ActiveSet, unlisted: &mut u64, sends: bool, local: usize) {
+    let local = local as u32;
+    if sends && !active.contains(local) {
+        *unlisted -= 1;
+    }
+    active.activate(local);
 }
 
 /// A tile's queue `links` (one per task) in the form [`refill`] reads:

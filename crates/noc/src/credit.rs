@@ -3,23 +3,29 @@
 //! Capacity accounting lives outside the queue so that the upstream
 //! router — possibly in another shard — can reserve space without
 //! touching the queue itself. The same word carries, in its spare top
-//! bit, the *waiter mark* of a router that went to sleep because this
-//! queue refused it (see [`crate::Shard::step`]): whoever returns credit
-//! to a marked queue owes that router a wake.
+//! bit, the *waiter mark* of whoever went to sleep because this queue
+//! refused it: a router (see [`crate::Shard::step`]), or — on an inject
+//! queue, whose upstream is its own tile — a tile whose send did not fit
+//! (see [`crate::InjectBatch::wait_for_credit`]). Whoever returns credit
+//! to a marked queue owes that router or tile a wake.
 //!
 //! Every access is a `Relaxed` load or a `Relaxed` store — no
-//! read-modify-write. A word has one writer per phase of a NoC cycle —
-//! the queue's owner shard in the local phase (frees, combines,
-//! injection), its unique upstream router in the step phase (reserve,
-//! mark) — and no other thread reads it in that phase: the owner reads
-//! its queues' credit only in the local phase, the upstream router only
-//! in the step phase. The phases are separated by the driver's barriers,
-//! whose `Release`/`Acquire` pair publishes each phase's writes to the
-//! next. With one thread per word per phase there is no concurrent update
-//! an atomic RMW could protect against, so a plain load and store update
-//! the word exactly; a lock-prefixed `cmpxchg` or `xadd` would only add
-//! its cost. The words stay atomics so that sharing the table between
-//! threads needs no `unsafe`.
+//! read-modify-write. A word has one writer per phase of a NoC cycle. A
+//! router queue's word is written by the queue's owner shard in the local
+//! phase (frees, combines) and by its unique upstream router in the step
+//! phase (reserve, mark). An inject queue's word is written in the local
+//! phase only, and only by the worker that owns both the queue and its
+//! tile: injection batches and the tile's mark, then the frees its shard
+//! applies at the next cycle boundary; no router ever reserves on or
+//! marks an inject queue. No other thread reads a word in its writer's
+//! phase: the owner reads its queues' credit only in the local phase, the
+//! upstream router only in the step phase. The phases are separated by
+//! the driver's barriers, whose `Release`/`Acquire` pair publishes each
+//! phase's writes to the next. With one thread per word per phase there
+//! is no concurrent update an atomic RMW could protect against, so a
+//! plain load and store update the word exactly; a lock-prefixed
+//! `cmpxchg` or `xadd` would only add its cost. The words stay atomics so
+//! that sharing the table between threads needs no `unsafe`.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
@@ -65,8 +71,16 @@ impl Credit {
         true
     }
 
+    /// Whether a waiter mark is set: someone sleeps until this queue
+    /// returns credit.
+    #[inline]
+    pub fn marked(&self) -> bool {
+        self.0.load(Relaxed) & WAITER != 0
+    }
+
     /// Leaves the waiter mark (step phase, upstream router going to
-    /// sleep on this queue).
+    /// sleep on this queue; local phase, a tile going to sleep on its
+    /// inject queue).
     #[inline]
     pub(crate) fn mark(&self) {
         self.0.store(self.0.load(Relaxed) | WAITER, Relaxed);
@@ -74,7 +88,7 @@ impl Credit {
 
     /// Returns `flits` of credit (local phase, owner shard). `true` when
     /// the queue was marked: the mark is consumed and the caller must
-    /// wake the queue's upstream router.
+    /// wake the queue's upstream router, or its tile.
     #[inline]
     #[must_use = "a marked queue's upstream router must be woken"]
     pub(crate) fn free(&self, flits: u32) -> bool {
@@ -86,8 +100,9 @@ impl Credit {
     }
 
     /// Applies a net change that needs no admission check and returns no
-    /// credit a router could be waiting for: a committed injection batch
-    /// (the inject queue has no upstream router), a restored packet.
+    /// credit anyone could be waiting for: a committed injection batch
+    /// (its own tile is the only one that waits on an inject queue, and it
+    /// is the one injecting), a restored packet. The mark rides along.
     #[inline]
     pub(crate) fn adjust(&self, delta: i64) {
         if delta != 0 {
@@ -122,11 +137,14 @@ mod tests {
     fn the_mark_rides_along_without_counting_as_flits() {
         let occ = Credit::default();
         assert!(occ.reserve(4, 4));
+        assert!(!occ.marked());
         occ.mark();
         occ.mark(); // a second sleep on the same queue: still one mark
+        assert!(occ.marked());
         assert_eq!(occ.flits(), 4);
         assert!(!occ.reserve(1, 4), "the mark does not make room");
         assert!(occ.free(1), "the first free consumes the mark");
+        assert!(!occ.marked());
         assert!(!occ.free(1), "one wake per mark");
         assert_eq!(occ.flits(), 2);
         // a marked queue that empties admits an oversized packet, and
@@ -134,6 +152,7 @@ mod tests {
         occ.mark();
         assert!(!occ.reserve(3, 4));
         occ.adjust(-2);
+        assert!(occ.marked(), "a batch commit keeps the mark");
         assert!(occ.reserve(9, 4));
         assert_eq!(occ.flits(), 9);
         assert!(!occ.free(9), "the router that got in no longer waits");

@@ -367,6 +367,13 @@ pub struct Shard {
     counters: NocCounters,
     /// The per-cycle debt of the routers asleep on credit.
     owed: Owed,
+    /// Inject queues carrying a waiter mark: each has a tile asleep on
+    /// its credit (see [`InjectBatch::wait_for_credit`]).
+    inject_waiters: u64,
+    /// Tiles whose inject queue returned credit under a waiter mark at
+    /// this cycle boundary, for their worker to wake (global ids; see
+    /// [`Shard::drain_woken_tiles`]).
+    woken_tiles: Vec<u32>,
     /// Scratch the step builds each stall verdict in; a router that goes
     /// to sleep copies the live part into its own memo.
     verdict: StallMemo,
@@ -423,6 +430,8 @@ impl Shard {
             rr_ptr: vec![0; n * OUT_DIRS],
             counters: NocCounters::default(),
             owed: Owed::default(),
+            inject_waiters: 0,
+            woken_tiles: Vec::new(),
             verdict: StallMemo::default(),
             tick: 0,
             visits: RouterVisits::default(),
@@ -459,6 +468,20 @@ impl Shard {
     /// Routers currently asleep on credit.
     pub fn sleepers(&self) -> u64 {
         self.owed.sleepers
+    }
+
+    /// Inject queues of this shard with a tile asleep on their credit.
+    pub fn inject_waiters(&self) -> u64 {
+        self.inject_waiters
+    }
+
+    /// The tiles to wake because their inject queue returned credit under
+    /// a waiter mark at this cycle's [`Shard::begin_cycle`] (global ids, in
+    /// the order the credit returned). A tile and the router holding its
+    /// inject queue always belong to the same worker, which drains this
+    /// right after `begin_cycle`, before its inject pass of the cycle.
+    pub fn drain_woken_tiles(&mut self) -> std::vec::Drain<'_, u32> {
+        self.woken_tiles.drain(..)
     }
 
     /// Test hook: wakes every router asleep on credit, so the next visit
@@ -545,9 +568,10 @@ impl Shard {
     /// packets ride long-latency (die-to-die, inter-node) links.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let floor = now + 1;
-        if self.owed.sleepers > 0 {
+        if self.owed.sleepers > 0 || self.inject_waiters > 0 {
             // a router asleep on credit holds a ripe head it is refused
-            // every cycle
+            // every cycle, a tile asleep on inject credit a due send; the
+            // credit either waits for may return at the next boundary
             return Some(floor);
         }
         let mut horizon: Option<u64> = None;
@@ -617,15 +641,23 @@ impl Shard {
         }
     }
 
-    /// Wakes the router that feeds queue `qid`, which has just returned
-    /// credit under a waiter mark. Local phase, run by the queue's owner:
-    /// a router of this shard is woken in place, another shard's through
-    /// its wake box, which it drains at the top of this cycle's step.
+    /// Wakes whoever feeds queue `qid`, which has just returned credit
+    /// under a waiter mark. Local phase, run by the queue's owner: an
+    /// inject queue's tile is listed for its worker to wake
+    /// ([`Shard::drain_woken_tiles`]), a router of this shard is woken in
+    /// place, another shard's through its wake box, which it drains at
+    /// the top of this cycle's step.
     fn wake_upstream(&mut self, shared: &SharedNet, qid: usize) {
         let topo = &shared.topo;
+        let (tile, port) = ((qid / IN_PORTS) as u32, InPort::ALL[qid % IN_PORTS]);
+        if port == InPort::Inject {
+            self.inject_waiters -= 1;
+            self.woken_tiles.push(tile);
+            return;
+        }
         let up = topo
-            .upstream((qid / IN_PORTS) as u32, InPort::ALL[qid % IN_PORTS])
-            .expect("only a queue fed by a router is ever marked");
+            .upstream(tile, port)
+            .expect("a queue fed by neither a tile nor a router is never marked");
         let (x, y) = topo.coords(up);
         let owner = shared.shard_of_col[x as usize] as usize;
         if owner == self.idx {
@@ -789,10 +821,12 @@ impl Shard {
     /// is `wake` itself. Every wake site also lists the router again.
     /// Marks are written here, in the step phase, by the queue's unique
     /// upstream router and consumed in the local phase by the queue's
-    /// owner; wake boxes are filled in the local phase and drained here
-    /// in the same cycle — each word has one writer per phase, so
-    /// parallel and sequential runs see the same values, and nothing is
-    /// in flight when the driver decides how far to advance.
+    /// owner (an inject queue's mark is its tile's, written and consumed
+    /// in the local phase, see [`InjectBatch::wait_for_credit`]); wake
+    /// boxes are filled in the local phase and drained here in the same
+    /// cycle — each word has one writer per phase, so parallel and
+    /// sequential runs see the same values, and nothing is in flight
+    /// when the driver decides how far to advance.
     pub fn step(&mut self, shared: &SharedNet, cycle: u64, sink: &mut dyn EjectSink) {
         let topo = &shared.topo;
         let width = topo.width;
@@ -832,6 +866,8 @@ impl Shard {
             rr_ptr,
             counters,
             owed,
+            inject_waiters: _,
+            woken_tiles: _,
             verdict,
             tick,
             visits,
@@ -1117,6 +1153,7 @@ impl Shard {
             + self.busy_frame.capacity() as u64 * 4
             + self.pending_pushes.capacity() as u64 * std::mem::size_of::<PendingPush>() as u64
             + self.pending_frees.capacity() as u64 * std::mem::size_of::<(usize, u32)>() as u64
+            + self.woken_tiles.capacity() as u64 * 4
             + self.active.heap_bytes()
     }
 
@@ -1319,6 +1356,23 @@ impl InjectBatch<'_> {
         admits(self.occ, flits as u32, self.shared.inject_capacity_flits)
     }
 
+    /// Leaves the waiter mark on this inject queue: its tile goes to
+    /// sleep on the queue's credit after a refusal (local phase, the
+    /// queue's owner). The next free of the queue consumes the mark and
+    /// lists the tile in [`Shard::drain_woken_tiles`]; until then
+    /// [`Shard::next_event_cycle`] answers the next cycle, as it does
+    /// while a router sleeps on credit. A refusal means the queue holds
+    /// flits, so that free is on its way.
+    #[inline]
+    pub fn wait_for_credit(&mut self) {
+        let credit = &self.shared.occupancy[self.qid];
+        debug_assert!(self.occ > 0, "an empty inject queue refuses nothing");
+        if !credit.marked() {
+            credit.mark();
+            self.shard.inject_waiters += 1;
+        }
+    }
+
     /// Offers one packet under the same admission rule as
     /// [`Shard::inject`]: admit iff the queue is empty or `flits` fit.
     ///
@@ -1476,6 +1530,48 @@ mod tests {
                 ..StallMemo::default()
             }
         );
+    }
+
+    #[test]
+    fn a_tile_refused_by_its_inject_queue_wakes_when_the_credit_returns() {
+        // tile 0 of a 2x1 row sends 3-flit packets through an inject
+        // queue of 4 flits (twice the channel-queue capacity of 2)
+        let cfg = muchisim_config::SystemConfig::builder()
+            .chiplet_tiles(2, 1)
+            .queues(4, 2)
+            .build()
+            .unwrap();
+        let mut net = crate::Network::new(crate::NetworkParams::from_system(&cfg), 1);
+        let (shared, shards) = net.split();
+        let shard = &mut shards[0];
+        let pkt = || Packet::unicast(0, 1, 0, crate::Payload::empty(), 3);
+        let mut batch = shard.inject_batch(shared, 0);
+        batch.offer(pkt()).unwrap();
+        assert!(!batch.admits(3), "3 + 3 flits do not fit in 4");
+        batch.wait_for_credit();
+        batch.wait_for_credit(); // refused again: still one waiter
+        batch.commit();
+        let credit = &shared.occupancy[shared.topo.queue_id(0, InPort::Inject)];
+        assert!(credit.marked());
+        assert_eq!(shard.inject_waiters(), 1);
+        assert_eq!(
+            shard.next_event_cycle(5),
+            Some(6),
+            "the credit may return next cycle"
+        );
+        // the router forwards the packet; its credit returns, and wakes
+        // the tile, at the boundary after the pop
+        let mut sink = crate::DrainSink::default();
+        let mut woken = Vec::new();
+        for cycle in 0..3 {
+            shard.begin_cycle(shared);
+            woken.extend(shard.drain_woken_tiles().map(|t| (cycle, t)));
+            shard.step(shared, cycle, &mut sink);
+        }
+        assert_eq!(woken, [(1, 0)], "woken once, at the boundary after the pop");
+        assert!(!credit.marked(), "the free consumed the mark");
+        assert_eq!(shard.inject_waiters(), 0);
+        assert!(shard.inject_batch(shared, 0).admits(3), "the retry gets in");
     }
 
     #[test]
