@@ -6,7 +6,6 @@
 //! / series the paper reports. `EXPERIMENTS.md` records the
 //! paper-vs-measured shapes.
 
-use muchisim_config::SystemConfig;
 use muchisim_data::rmat::RmatConfig;
 use muchisim_data::Csr;
 use std::sync::Arc;
@@ -22,14 +21,6 @@ pub const BENCH_SEED: u64 = 0x6D75_6368_6953_696D;
 /// every experiment in a bench shares one host copy.
 pub fn bench_graph(scale: u32) -> Arc<Csr> {
     Arc::new(RmatConfig::scale(scale).generate(BENCH_SEED))
-}
-
-/// A square monolithic DUT of `side × side` tiles.
-pub fn square_dut(side: u32) -> SystemConfig {
-    SystemConfig::builder()
-        .chiplet_tiles(side, side)
-        .build()
-        .expect("valid config")
 }
 
 /// Geometric mean.
@@ -52,7 +43,6 @@ mod tests {
     #[test]
     fn helpers_work() {
         assert_eq!(bench_graph(6).num_vertices(), 64);
-        assert_eq!(square_dut(8).total_tiles(), 64);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
     }
 }

@@ -35,14 +35,6 @@ impl TileCoord {
         self.y * width + self.x
     }
 
-    /// Inverse of [`TileCoord::id`].
-    pub fn from_id(id: u32, width: u32) -> Self {
-        TileCoord {
-            x: id % width,
-            y: id / width,
-        }
-    }
-
     /// Manhattan distance to `other`.
     pub fn manhattan(self, other: TileCoord) -> u32 {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
@@ -186,16 +178,6 @@ impl Hierarchy {
         self.package.count() * self.node.count() * self.cluster.count()
     }
 
-    /// Total number of chip packages in the system.
-    pub fn total_packages(&self) -> u64 {
-        self.node.count() * self.cluster.count()
-    }
-
-    /// Total number of cluster nodes.
-    pub fn total_nodes(&self) -> u64 {
-        self.cluster.count()
-    }
-
     /// Tiles per chiplet.
     pub fn tiles_per_chiplet(&self) -> u64 {
         self.chiplet.count()
@@ -269,8 +251,6 @@ mod tests {
         assert_eq!(h.grid_height(), 16);
         assert_eq!(h.total_tiles(), 256);
         assert_eq!(h.total_chiplets(), 2 * 2 * 2 * 2);
-        assert_eq!(h.total_packages(), 2 * 2);
-        assert_eq!(h.total_nodes(), 2);
     }
 
     #[test]
@@ -278,7 +258,6 @@ mod tests {
         let c = TileCoord::new(3, 5);
         let id = c.id(16);
         assert_eq!(id, 83);
-        assert_eq!(TileCoord::from_id(id, 16), c);
     }
 
     #[test]

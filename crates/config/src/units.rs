@@ -67,11 +67,6 @@ impl Frequency {
     pub fn cycles_for_ps(self, ps: f64) -> u64 {
         (ps / self.period_ps()).ceil() as u64
     }
-
-    /// Converts a number of cycles of this clock to picoseconds.
-    pub fn ps_for_cycles(self, cycles: u64) -> f64 {
-        cycles as f64 * self.period_ps()
-    }
 }
 
 impl Default for Frequency {
@@ -319,7 +314,6 @@ mod tests {
         assert_eq!(f.period_ps(), 1000.0);
         assert_eq!(f.cycles_for_ps(1000.0), 1);
         assert_eq!(f.cycles_for_ps(1001.0), 2);
-        assert_eq!(f.ps_for_cycles(3), 3000.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
 use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
 use muchisim_noc::{
-    split_columns, ActiveSet, Arena, EjectSink, InPort, Network, NetworkParams, OutDir, Packet,
-    Payload, QueueLink, Shard, SharedNet,
+    split_columns, ActiveSet, Arena, EjectSink, InPort, Keep, Network, NetworkParams, OutDir,
+    Packet, Payload, QueueLink, Shard, SharedNet,
 };
 use muchisim_telemetry::{Cadence, Frame, FrameLog};
 use std::collections::VecDeque;
@@ -294,16 +294,17 @@ pub(crate) struct Worker<A: Application> {
     /// Refreshed at the end of every non-skipped visit; PU clocks are
     /// monotone, so a stale value is merely conservative (fewer skips).
     pu_wake: Vec<u64>,
-    /// First NoC cycle at which any of each tile's CQ heads can inject
-    /// (SoA wake cache): the earliest maturity among heads still waiting
-    /// to mature, `u64::MAX` when every head left is refused by a full
-    /// inject queue — the tile is then *asleep on inject credit*, and the
-    /// free that returns the credit wakes it (`wake_on_credit`). Strictly
-    /// before it, `inject_phase` provably injects nothing for the tile.
-    /// Lowered when `pu_phase` enqueues a send (the new message may be a
-    /// fresh head) and recomputed from the surviving heads on every
-    /// non-skipped drain pass.
-    cq_wake: Vec<u64>,
+    /// First NoC cycle at which any of each tile's sends — CQ heads and
+    /// its timetable's head — can inject (SoA wake cache): the earliest
+    /// maturity or due cycle among heads still waiting for one, `u64::MAX`
+    /// when every head left is refused by a full inject queue — the tile
+    /// is then *asleep on inject credit*, and the free that returns the
+    /// credit wakes it (`wake_on_credit`). Strictly before it,
+    /// `inject_phase` provably injects nothing for the tile. Lowered when
+    /// `pu_phase` enqueues a send (the new message may be a fresh head)
+    /// and recomputed from the surviving heads on every non-skipped drain
+    /// pass.
+    send_wake: Vec<u64>,
     /// PU busy cycles per tile in the current statistics frame (SoA).
     pu_busy_frame: Vec<u32>,
     verbosity: Verbosity,
@@ -314,11 +315,6 @@ pub(crate) struct Worker<A: Application> {
     /// Per-tile pre-scheduled NoC injections (front = next due), consumed
     /// during kernel 0. Empty for ordinary applications.
     scripted: Vec<VecDeque<ScheduledSend>>,
-    /// The timetable's counterpart of `cq_wake`: the cycle each tile's
-    /// next scheduled send is due, `u64::MAX` once the timetable is empty
-    /// or while its due head is refused by a full inject queue (asleep on
-    /// inject credit). Empty, like `scripted`, without a timetable.
-    scripted_wake: Vec<u64>,
     /// Pending work: IQ + CQ messages + pending init tasks + scripted
     /// sends not yet injected.
     pub msg_count: i64,
@@ -340,6 +336,8 @@ pub(crate) struct Worker<A: Application> {
     /// snapshots — after a resume, telemetry deltas restart from the
     /// restore point, exactly like the ward engine's state.
     cum_tasks: u64,
+    /// Router busy cycles of the closing frame, summed over the planes
+    /// by local tile id; empty below verbosity V2.
     busy_grid: Vec<u32>,
     sends: Vec<OutMsg>,
     /// Host nanoseconds spent per driver phase by this worker (the
@@ -350,19 +348,17 @@ pub(crate) struct Worker<A: Application> {
     pub forget_stall_memos: bool,
     /// Worklist of tiles that can act: pending init or IQ work, or sends
     /// (queued CQ messages, an open scripted-send timetable) that wait to
-    /// mature. Tiles activate on kernel start, on packet delivery
-    /// (`IqSink::offer`) and when returned inject credit wakes them
-    /// (`begin_cycle`), and are retired by the retention pass at the end
-    /// of `inject_phase`; the sweeps in `pu_phase`, `inject_phase`, and
-    /// `leap_to` then cost `O(active tiles)` instead of `O(all tiles)`.
-    /// The invariant: a tile with init or IQ work is listed, and one that
-    /// holds sends is listed or asleep on inject credit — its remaining
-    /// heads all refused, every refusing inject queue marked — and then
-    /// costs the sweeps nothing until the credit returns.
+    /// mature. Tiles activate on kernel start, on packet delivery (the
+    /// worker's [`EjectSink::offer`]) and when returned inject credit
+    /// wakes them (`begin_cycle`), and are retired by the retention pass
+    /// at the end of `inject_phase`; the sweeps in `pu_phase`,
+    /// `inject_phase`, and `leap_to` then cost `O(active tiles)` instead
+    /// of `O(all tiles)`. The invariant: a tile with init or IQ work is
+    /// listed, and one that holds sends is listed or parked asleep on
+    /// inject credit — its remaining heads all refused, every refusing
+    /// inject queue marked — and then costs the sweeps nothing until the
+    /// credit returns.
     active: ActiveSet,
-    /// Tiles off the worklist asleep on inject credit (counted in the
-    /// `active_tiles` telemetry gauge like listed ones).
-    unlisted: u64,
 }
 
 impl<A: Application> Worker<A> {
@@ -410,11 +406,6 @@ impl<A: Application> Worker<A> {
                 scripted[local] = sends.into();
             }
         }
-        let scripted_wake = if scripted.is_empty() {
-            Vec::new()
-        } else {
-            vec![0; n]
-        };
         let pus = cfg.pus_per_tile.max(1) as usize;
         Worker {
             slice,
@@ -444,14 +435,13 @@ impl<A: Application> Worker<A> {
             cq_msgs: vec![0; n],
             init_pending: vec![false; n],
             pu_wake: vec![0; n],
-            cq_wake: vec![0; n],
+            send_wake: vec![0; n],
             pu_busy_frame: vec![0; n],
             verbosity: cfg.verbosity,
             frame_cadence: (cfg.verbosity != Verbosity::V0)
                 .then(|| Cadence::new(cfg.frame_interval_cycles)),
             pointer_prefetch,
             scripted,
-            scripted_wake,
             msg_count: 0,
             tile_horizon: u64::MAX,
             max_pu_fs: 0,
@@ -463,7 +453,7 @@ impl<A: Application> Worker<A> {
             // the per-tile scratch grid is only ever read by V2+ frame
             // captures; below that it would be dead weight per worker
             busy_grid: if cfg.verbosity >= Verbosity::V2 {
-                vec![0; (cfg.width() * cfg.height()) as usize]
+                vec![0; n]
             } else {
                 Vec::new()
             },
@@ -471,7 +461,6 @@ impl<A: Application> Worker<A> {
             phase: HostPhaseNs::default(),
             forget_stall_memos: false,
             active: ActiveSet::new(n, true),
-            unlisted: 0,
         }
     }
 
@@ -484,23 +473,16 @@ impl<A: Application> Worker<A> {
     /// Whether tile `local` is asleep on inject credit: it holds sends,
     /// and none waits to mature — every head left was refused.
     fn asleep_on_credit(&self, local: usize) -> bool {
-        let cq = self.cq_msgs[local] > 0;
-        let timetable = self.scripted.get(local).is_some_and(|q| !q.is_empty());
-        (cq || timetable)
-            && (!cq || self.cq_wake[local] == u64::MAX)
-            && (!timetable || self.scripted_wake[local] == u64::MAX)
+        self.send_wake[local] == u64::MAX && has_sends(&self.cq_msgs, &self.scripted, local)
     }
 
     /// Makes tile `local` retry its refused sends at this cycle's inject
     /// pass — an inject queue it sleeps on returned credit, or the test
     /// hook forgets every sleep — and lists it again if it holds sends.
     fn wake_on_credit(&mut self, local: usize) {
-        self.cq_wake[local] = 0;
-        if let Some(wake) = self.scripted_wake.get_mut(local) {
-            *wake = 0;
-        }
+        self.send_wake[local] = 0;
         if has_sends(&self.cq_msgs, &self.scripted, local) {
-            relist(&mut self.active, &mut self.unlisted, true, local);
+            self.active.activate(local as u32);
         }
     }
 
@@ -533,7 +515,6 @@ impl<A: Application> Worker<A> {
         self.kernel = kernel;
         // every tile owes an init task, so every tile is active
         self.active.activate_all();
-        self.unlisted = 0;
         self.init_pending.fill(true);
         self.msg_count += self.slice.num_tiles() as i64;
         if kernel == 0 {
@@ -678,8 +659,8 @@ impl<A: Application> Worker<A> {
                         self.cq_links[queues + task].push_back(&mut self.cq_arena, msg);
                         self.cq_msgs[local] += 1;
                         self.msg_count += 1;
-                        if due < self.cq_wake[local] {
-                            self.cq_wake[local] = due;
+                        if due < self.send_wake[local] {
+                            self.send_wake[local] = due;
                         }
                     }
                 }
@@ -695,15 +676,19 @@ impl<A: Application> Worker<A> {
         self.phase.pu += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Drains ready channel-queue heads into the NoC planes, then retires
-    /// tiles with no latent work from the active worklist, and tiles
-    /// whose sends all wait for inject credit.
+    /// Drains ready sends into the NoC planes — each tile's channel-queue
+    /// heads, then its due timetable entries — then retires tiles with no
+    /// latent work from the active worklist, and parks tiles whose sends
+    /// all wait for inject credit.
     ///
-    /// Each (tile, task) run drains through one [`muchisim_noc::Shard`]
-    /// injection batch: admission control runs on a locally cached
-    /// occupancy value and the occupancy/in-flight atomics are updated
-    /// once per run, not once per packet (exact because the inject queue
-    /// is single-writer during the barrier-separated local phase).
+    /// Each run of same-plane sends drains through one
+    /// [`muchisim_noc::Shard`] injection batch: admission control runs on
+    /// a locally cached occupancy value and the occupancy/in-flight
+    /// atomics are updated once per run, not once per packet (exact
+    /// because the inject queue is single-writer during the
+    /// barrier-separated local phase). A head the inject queue refuses
+    /// stays at the front of its queue or timetable, holding back the
+    /// rest behind it.
     pub fn inject_phase(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
         let t0 = Instant::now();
         // the set is unchanged since pu_phase's refresh: task sends
@@ -711,17 +696,18 @@ impl<A: Application> Worker<A> {
         // retires between the two sweeps
         for local in self.active.iter() {
             let local = local as usize;
-            if self.cq_msgs[local] == 0 {
+            if !has_sends(&self.cq_msgs, &self.scripted, local) {
                 continue;
             }
-            // every queued head matures no earlier than `cq_wake`:
+            // every head matures or comes due no earlier than `send_wake`:
             // strictly before it the drain pass is a provable no-op
-            if cycle < self.cq_wake[local] {
-                self.tile_horizon = self.tile_horizon.min(self.cq_wake[local]);
+            if cycle < self.send_wake[local] {
+                self.tile_horizon = self.tile_horizon.min(self.send_wake[local]);
                 continue;
             }
             let tile_g = self.slice.global(local);
-            // earliest maturity among heads left behind by this pass
+            // earliest maturity or due cycle among heads left behind by
+            // this pass
             let mut wake = u64::MAX;
             for task in 0..self.ntasks {
                 let queue = &mut self.cq_links[local * self.ntasks + task];
@@ -730,9 +716,7 @@ impl<A: Application> Worker<A> {
                 };
                 let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
                 if ready_noc > cycle {
-                    // immature head: no batch to open, it matures at
-                    // ready_noc
-                    self.tile_horizon = self.tile_horizon.min(ready_noc);
+                    // immature head: no batch to open
                     wake = wake.min(ready_noc);
                     continue;
                 }
@@ -741,8 +725,6 @@ impl<A: Application> Worker<A> {
                 while let Some(head) = queue.front(&self.cq_arena) {
                     let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
                     if ready_noc > cycle {
-                        // immature head: it matures at ready_noc
-                        self.tile_horizon = self.tile_horizon.min(ready_noc);
                         wake = wake.min(ready_noc);
                         break;
                     }
@@ -768,38 +750,73 @@ impl<A: Application> Worker<A> {
                 }
                 batch.commit();
             }
-            self.cq_wake[local] = wake;
-        }
-        if !self.scripted.is_empty() {
-            self.scripted_inject_phase(shards, shareds, cycle);
+            // the timetable after the channel queues, so apps mixing both
+            // keep CQ traffic first within a tile's cycle; runs of
+            // consecutive same-plane due heads share one batch
+            if let Some(queue) = self.scripted.get_mut(local) {
+                'runs: while let Some(head) = queue.front() {
+                    if head.cycle > cycle {
+                        // not due yet: the schedule is sorted, so this head is
+                        // the timetable's next injection event
+                        wake = wake.min(head.cycle);
+                        break;
+                    }
+                    let plane = head.task as usize % self.planes;
+                    let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
+                    while let Some(head) = queue.front() {
+                        if head.cycle > cycle || head.task as usize % self.planes != plane {
+                            break; // not due, or the plane changed: close this run's batch
+                        }
+                        let flits =
+                            (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
+                        if !batch.admits(flits) {
+                            // inject queue full: the head stays where it is,
+                            // and waits for the queue's credit to return
+                            batch.wait_for_credit();
+                            batch.commit();
+                            break 'runs;
+                        }
+                        let head = queue.pop_front().expect("checked head");
+                        let mut pkt =
+                            Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
+                                .ready_at(cycle)
+                                .born(head.cycle);
+                        if let Some(op) = head.reduce {
+                            pkt = pkt.with_reduce(op);
+                        }
+                        batch.offer(pkt).expect("the batch admits these flits");
+                        self.msg_count -= 1;
+                        self.frame_injected += 1;
+                    }
+                    batch.commit();
+                }
+            }
+            self.tile_horizon = self.tile_horizon.min(wake);
+            self.send_wake[local] = wake;
         }
         // retention pass: a tile stays active only while it has latent
-        // work — a pending init/IQ task, or a queued CQ message or open
-        // scripted timetable waiting to mature. One whose sends all wait
-        // for inject credit sleeps off the list until the credit returns.
-        // Deliveries during net_step re-activate. Reads only the dense
-        // SoA arrays — this is the whole-worklist walk the dense regime
-        // pays every cycle.
+        // work — a pending init/IQ task, or a send waiting to mature or
+        // come due. One whose sends all wait for inject credit parks until
+        // the credit returns. Deliveries during net_step re-activate.
+        // Reads only the dense SoA arrays — this is the whole-worklist
+        // walk the dense regime pays every cycle.
         let w0 = Instant::now();
         let init_pending = &self.init_pending;
         let iq_msgs = &self.iq_msgs;
         let cq_msgs = &self.cq_msgs;
-        let cq_wake = &self.cq_wake;
         let scripted = &self.scripted;
-        let scripted_wake = &self.scripted_wake;
-        let unlisted = &mut self.unlisted;
+        let send_wake = &self.send_wake;
         self.active.retain(|local| {
             let l = local as usize;
             if init_pending[l] || iq_msgs[l] > 0 {
-                return true;
+                Keep::Listed
+            } else if !has_sends(cq_msgs, scripted, l) {
+                Keep::Dropped
+            } else if send_wake[l] == u64::MAX {
+                Keep::Parked
+            } else {
+                Keep::Listed
             }
-            let cq = cq_msgs[l] > 0;
-            let timetable = scripted.get(l).is_some_and(|q| !q.is_empty());
-            if (cq && cq_wake[l] != u64::MAX) || (timetable && scripted_wake[l] != u64::MAX) {
-                return true;
-            }
-            *unlisted += u64::from(cq || timetable);
-            false
         });
         self.phase.worklist += w0.elapsed().as_nanos() as u64;
         self.phase.inject += t0.elapsed().as_nanos() as u64;
@@ -811,7 +828,7 @@ impl<A: Application> Worker<A> {
     /// the worklist can act — no tile off it owes an init task or holds
     /// an IQ message, and one that holds sends is asleep on inject credit
     /// with a waiter mark on every inject queue it waits for, so returned
-    /// credit wakes it; `unlisted` counts exactly those. The links of
+    /// credit wakes it, and parked exactly then. The links of
     /// each tile that holds messages add up to its message counts, and
     /// together to every live arena node — so no node leaked.
     #[cfg(debug_assertions)]
@@ -821,7 +838,7 @@ impl<A: Application> Worker<A> {
             let shared = shareds[plane];
             shared.occupancy[shared.topo.queue_id(tile, InPort::Inject)].marked()
         };
-        let (mut iq_total, mut cq_total, mut unlisted) = (0, 0, 0);
+        let (mut iq_total, mut cq_total, mut parked) = (0, 0, 0);
         for local in 0..self.iq_msgs.len() {
             let listed = self.active.contains(local as u32);
             let asleep = self.asleep_on_credit(local);
@@ -834,7 +851,12 @@ impl<A: Application> Worker<A> {
                     asleep || !has_sends(&self.cq_msgs, &self.scripted, local),
                     "tile {local} has sends off the worklist, not asleep on inject credit"
                 );
-                unlisted += u64::from(asleep);
+                assert_eq!(
+                    asleep,
+                    self.active.is_parked(local as u32),
+                    "tile {local} off the worklist: asleep on inject credit iff parked"
+                );
+                parked += usize::from(asleep);
             }
             if asleep {
                 let tasks = local * self.ntasks..(local + 1) * self.ntasks;
@@ -865,76 +887,12 @@ impl<A: Application> Worker<A> {
             cq_total += cq as usize;
         }
         assert_eq!(
-            unlisted, self.unlisted,
+            parked,
+            self.active.parked_count(),
             "tiles asleep off the worklist miscounted"
         );
         assert_eq!(self.iq_arena.live(), iq_total, "IQ payload nodes leaked");
         assert_eq!(self.cq_arena.live(), cq_total, "CQ message nodes leaked");
-    }
-
-    /// Drains due pre-scheduled sends into the NoC planes (after the
-    /// channel queues, so apps mixing both keep CQ traffic first within a
-    /// cycle). Runs of consecutive same-plane due heads share one
-    /// injection batch; a head the inject queue refuses stays at the
-    /// front, holding back the rest of the timetable.
-    fn scripted_inject_phase(
-        &mut self,
-        shards: &mut [&mut Shard],
-        shareds: &[&SharedNet],
-        cycle: u64,
-    ) {
-        // a tile with an open timetable stays on the worklist while its
-        // head waits to come due (the retention pass keeps it), so the
-        // active sweep sees every due head
-        for local in self.active.iter() {
-            let local = local as usize;
-            // strictly before the wake nothing is due, and a tile asleep
-            // on inject credit (`u64::MAX`) waits for returned credit
-            if cycle < self.scripted_wake[local] {
-                self.tile_horizon = self.tile_horizon.min(self.scripted_wake[local]);
-                continue;
-            }
-            let tile_g = self.slice.global(local);
-            let queue = &mut self.scripted[local];
-            // the next due cycle of the sends this pass leaves behind
-            let mut wake = u64::MAX;
-            'runs: while let Some(head) = queue.front() {
-                if head.cycle > cycle {
-                    // not due yet: the schedule is sorted, so this head is
-                    // this tile's next injection event
-                    wake = head.cycle;
-                    break;
-                }
-                let plane = head.task as usize % self.planes;
-                let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
-                while let Some(head) = queue.front() {
-                    if head.cycle > cycle || head.task as usize % self.planes != plane {
-                        break; // not due, or the plane changed: close this run's batch
-                    }
-                    let flits = (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
-                    if !batch.admits(flits) {
-                        // inject queue full: the head stays where it is,
-                        // and waits for the queue's credit to return
-                        batch.wait_for_credit();
-                        batch.commit();
-                        break 'runs;
-                    }
-                    let head = queue.pop_front().expect("checked head");
-                    let mut pkt = Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
-                        .ready_at(cycle)
-                        .born(head.cycle);
-                    if let Some(op) = head.reduce {
-                        pkt = pkt.with_reduce(op);
-                    }
-                    batch.offer(pkt).expect("the batch admits these flits");
-                    self.msg_count -= 1;
-                    self.frame_injected += 1;
-                }
-                batch.commit();
-            }
-            self.tile_horizon = self.tile_horizon.min(wake);
-            self.scripted_wake[local] = wake;
-        }
     }
 
     /// Applies every shard's cycle-boundary bookkeeping (deferred frees,
@@ -964,34 +922,15 @@ impl<A: Application> Worker<A> {
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Steps this worker's shard of every NoC plane for `cycle`.
+    /// Steps this worker's shard of every NoC plane for `cycle`, the worker
+    /// itself taking the ejected packets ([`EjectSink`]).
     pub fn net_step(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
         let t0 = Instant::now();
-        let mut sink = IqSink {
-            ntasks: self.ntasks,
-            iq_caps: &self.iq_caps,
-            iq_links: &mut self.iq_links,
-            iq_arena: &mut self.iq_arena,
-            cold: &mut self.cold,
-            mem_proto: &self.mem_proto,
-            iq_msgs: &mut self.iq_msgs,
-            pu_clock: &self.pu_clock,
-            pus: self.pus,
-            slice: &self.slice,
-            msg_count: &mut self.msg_count,
-            delivered: &mut self.frame_ejected,
-            tile_horizon: &mut self.tile_horizon,
-            clock: self.clock,
-            active: &mut self.active,
-            cq_msgs: &self.cq_msgs,
-            scripted: &self.scripted,
-            unlisted: &mut self.unlisted,
-        };
         for (shard, shared) in shards.iter_mut().zip(shareds) {
             if self.forget_stall_memos {
                 shard.forget_stall_memos();
             }
-            shard.step(shared, cycle, &mut sink);
+            shard.step(shared, cycle, self);
         }
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
@@ -1010,11 +949,11 @@ impl<A: Application> Worker<A> {
         };
         if self.verbosity >= Verbosity::V2 {
             for shard in shards.iter_mut() {
-                shard.take_busy(&mut self.busy_grid, self.grid.width);
+                shard.take_busy(&mut self.busy_grid);
             }
             for local in 0..self.slice.num_tiles() {
                 let g = self.slice.global(local);
-                let busy = std::mem::take(&mut self.busy_grid[g as usize]);
+                let busy = std::mem::take(&mut self.busy_grid[local]);
                 if busy > 0 {
                     frame.router_busy.push((g, busy));
                 }
@@ -1134,7 +1073,7 @@ impl<A: Application> Worker<A> {
         let mut s = muchisim_telemetry::WorkerSample {
             tasks: self.cum_tasks,
             pending: self.msg_count,
-            active_tiles: self.active.active_count() as u64 + self.unlisted,
+            active_tiles: (self.active.active_count() + self.active.parked_count()) as u64,
             tiles: self.slice.num_tiles() as u64,
             ..Default::default()
         };
@@ -1219,8 +1158,7 @@ impl<A: Application> Worker<A> {
             + self.cq_msgs.capacity() as u64 * 4
             + self.init_pending.capacity() as u64
             + self.pu_wake.capacity() as u64 * 8
-            + self.cq_wake.capacity() as u64 * 8
-            + self.scripted_wake.capacity() as u64 * 8
+            + self.send_wake.capacity() as u64 * 8
             + self.pu_busy_frame.capacity() as u64 * 4
             + self.channels.capacity() as u64 * size_of::<ChannelState>() as u64
             + self.iq_caps.len() as u64 * 4
@@ -1391,7 +1329,6 @@ impl<A: Application> Worker<A> {
         // every wake cache is zero, so a refused send retries on the
         // first cycle and marks its inject queue again.
         self.active.activate_all();
-        self.unlisted = 0;
         Ok(())
     }
 
@@ -1471,29 +1408,9 @@ impl<A: Application> std::fmt::Debug for Worker<A> {
     }
 }
 
-/// The [`EjectSink`] bridging delivered packets into tile input queues.
-struct IqSink<'a> {
-    ntasks: usize,
-    iq_caps: &'a [u32],
-    iq_links: &'a mut [QueueLink],
-    iq_arena: &'a mut Arena<Payload>,
-    cold: &'a mut [Option<Box<TileCold>>],
-    mem_proto: &'a TileMemory,
-    iq_msgs: &'a mut [u32],
-    pu_clock: &'a [u64],
-    pus: usize,
-    slice: &'a ColSlice,
-    msg_count: &'a mut i64,
-    delivered: &'a mut u64,
-    tile_horizon: &'a mut u64,
-    clock: ClockConv,
-    active: &'a mut ActiveSet,
-    cq_msgs: &'a [u32],
-    scripted: &'a [VecDeque<ScheduledSend>],
-    unlisted: &'a mut u64,
-}
-
-impl EjectSink for IqSink<'_> {
+/// The [`EjectSink`] [`Worker::net_step`] steps its shards into: a
+/// delivered packet joins its tile's input queue.
+impl<A: Application> EjectSink for Worker<A> {
     fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
         let local = self.slice.local(tile);
         let task = pkt.task as usize;
@@ -1504,24 +1421,19 @@ impl EjectSink for IqSink<'_> {
         if queue.len() >= cap {
             return Err(pkt);
         }
-        materialize(&mut self.cold[local], self.mem_proto)
+        materialize(&mut self.cold[local], &self.mem_proto)
             .mem
             .queue_write(pkt.payload.len().max(1) as u64);
-        queue.push_back(self.iq_arena, pkt.payload);
+        queue.push_back(&mut self.iq_arena, pkt.payload);
         self.iq_msgs[local] += 1;
-        *self.msg_count += 1;
-        *self.delivered += 1;
+        self.msg_count += 1;
+        self.frame_ejected += 1;
         // a delivery is the one event that wakes an idle tile; it lists a
-        // tile asleep on inject credit too
-        let sends = has_sends(self.cq_msgs, self.scripted, local);
-        relist(self.active, self.unlisted, sends, local);
+        // tile parked on inject credit too
+        self.active.activate(local as u32);
         // the delivery may be dispatchable as soon as a PU frees up
-        let pu = self.pu_clock[local * self.pus..(local + 1) * self.pus]
-            .iter()
-            .copied()
-            .min()
-            .expect("every tile has at least one PU");
-        *self.tile_horizon = (*self.tile_horizon).min(self.clock.noc_cycle_for_pu(pu));
+        let pu = self.pu_clock[local * self.pus + self.earliest_pu(local)];
+        self.tile_horizon = self.tile_horizon.min(self.clock.noc_cycle_for_pu(pu));
         Ok(())
     }
 }
@@ -1531,18 +1443,6 @@ impl EjectSink for IqSink<'_> {
 #[inline]
 fn has_sends(cq_msgs: &[u32], scripted: &[VecDeque<ScheduledSend>], local: usize) -> bool {
     cq_msgs[local] > 0 || scripted.get(local).is_some_and(|q| !q.is_empty())
-}
-
-/// Lists tile `local` on the worklist. A tile off the list that holds
-/// sends (`sends`) is asleep on inject credit — the `active` invariant of
-/// [`Worker`] — so listing it again takes it off the `unlisted` count.
-#[inline]
-fn relist(active: &mut ActiveSet, unlisted: &mut u64, sends: bool, local: usize) {
-    let local = local as u32;
-    if sends && !active.contains(local) {
-        *unlisted -= 1;
-    }
-    active.activate(local);
 }
 
 /// A tile's queue `links` (one per task) in the form [`refill`] reads:

@@ -59,8 +59,8 @@ impl TileCold {
 /// phase per cycle per worker), so their cost is far below one packet
 /// move; they are always on. `worklist` isolates the active-list
 /// bookkeeping inside the swept phases (refresh + retention passes) so
-/// the dense-regime overhead the kill switch recovers is attributed, not
-/// guessed.
+/// what the worklists cost in the dense regime, where nearly every tile
+/// stays listed, is attributed, not guessed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct HostPhaseNs {
     /// PU phase: TSU dispatch + task execution (`pu_phase`).

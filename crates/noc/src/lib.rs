@@ -32,8 +32,8 @@
 //!   routers holding traffic, so stepping a mostly-idle million-tile
 //!   plane costs `O(active routers)` per cycle, not `O(all routers)`. The
 //!   worklist is the only sweep there is; debug builds check every step
-//!   that no router holding traffic is off it unless asleep on credit
-//!   with no expiry.
+//!   that no router holding traffic is off it unless parked asleep on
+//!   credit with no expiry.
 //!
 //! # Example
 //!
@@ -84,4 +84,4 @@ pub use router::{PacketArena, Pushed, RouterState};
 pub use shard::{InjectBatch, Shard};
 pub use topo::TopoInfo;
 pub use trace::{read_trace_jsonl, sort_events, write_trace_jsonl, TraceEvent};
-pub use worklist::ActiveSet;
+pub use worklist::{ActiveSet, Keep};

@@ -414,9 +414,13 @@ impl Network {
     /// Collects and resets per-router busy-cycle counts into `grid`
     /// (indexed by tile id) for heat-map frames.
     pub fn take_busy(&mut self, grid: &mut [u32]) {
-        let width = self.shared.topo.width;
+        let topo = &self.shared.topo;
         for s in &mut self.shards {
-            s.take_busy(grid, width);
+            let mut local = vec![0; s.cols().len() * topo.height as usize];
+            s.take_busy(&mut local);
+            for (l, busy) in local.into_iter().enumerate() {
+                grid[s.global_tile(l, topo.width) as usize] += busy;
+            }
         }
     }
 }

@@ -39,7 +39,7 @@ use crate::route;
 use crate::router::{PacketArena, RouterState, StallMemo};
 use crate::topo::{FastDiv, TopoInfo};
 use crate::trace::TraceEvent;
-use crate::worklist::ActiveSet;
+use crate::worklist::{ActiveSet, Keep};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
@@ -269,34 +269,20 @@ struct Owed {
     collisions: u64,
     /// Σ stalled directions over them.
     backpressure: u64,
-    /// Those of them off the worklist: sleepers whose verdict has no
-    /// expiry leave it.
-    unlisted: u64,
 }
 
-/// Lists router `local`, which holds `queued` packets, on the worklist.
-/// A router that holds traffic and is not listed is asleep on credit with
-/// no expiry (the `active` invariant of [`Shard`]): listing it again
-/// takes it off the `unlisted` count.
+/// Where a router holding traffic goes after its step visit: every one
+/// stays listed but a sleeper on credit with no expiry (`wake ==
+/// u64::MAX`), which parks. Until a push lists it again (one behind its
+/// heads only up to its next visit) or a wake event does, the sweep never
+/// touches it.
 #[inline]
-fn relist(active: &mut ActiveSet, unlisted: &mut u64, queued: u32, local: usize) {
-    let local = local as u32;
-    if queued > 0 && !active.contains(local) {
-        *unlisted -= 1;
+fn keep_holding(wake: u64) -> Keep {
+    if wake == u64::MAX {
+        Keep::Parked
+    } else {
+        Keep::Listed
     }
-    active.activate(local);
-}
-
-/// Whether a router holding traffic stays on the worklist after its step
-/// visit: every one does but a sleeper on credit with no expiry
-/// (`wake == u64::MAX`), which joins the `unlisted` count instead. Until
-/// a push lists it again (one behind its heads only up to its next
-/// visit) or a wake event does, the sweep never touches it.
-#[inline]
-fn stays_listed(wake: u64, unlisted: &mut u64) -> bool {
-    let unlist = wake == u64::MAX;
-    *unlisted += u64::from(unlist);
-    !unlist
 }
 
 /// A same-shard forward between [`Shard::step`], which unlinked `node`
@@ -398,11 +384,11 @@ pub struct Shard {
     pending_frees: Vec<(usize, u32)>,
     /// Worklist of routers currently holding traffic. Every push site
     /// (inject, deferred pushes, mailbox drains) activates the target;
-    /// [`Shard::step`] deactivates routers it finds drained, and the
+    /// [`Shard::step`] drops routers it finds drained and parks the
     /// credit sleepers whose verdict has no expiry, which every wake site
     /// (`wake_upstream`, the wake-box drain, a push) lists again. The
-    /// invariant "holds traffic ⇒ listed, or asleep on credit with no
-    /// expiry" holds at every step/horizon point because no router
+    /// invariant "holds traffic ⇒ listed, or parked asleep on credit with
+    /// no expiry" holds at every step/horizon point because no router
     /// *gains* traffic during `step` (same-shard forwards defer to
     /// `pending_pushes`, cross-shard ones to mailboxes).
     active: ActiveSet,
@@ -538,7 +524,7 @@ impl Shard {
         self.local_of(x, y)
     }
 
-    fn global_tile(&self, local: usize, width: u32) -> u32 {
+    pub(crate) fn global_tile(&self, local: usize, width: u32) -> u32 {
         let (y, xr) = self.div_ncols.divmod(local as u32);
         y * width + self.cols.start + xr
     }
@@ -580,8 +566,8 @@ impl Shard {
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
         }
         // with no router asleep on credit only listed routers can hold
-        // traffic (every push lists its target; step unlists only drained
-        // routers and sleepers), so the worklist scan is exact
+        // traffic (every push lists its target; step drops only drained
+        // routers and parks only sleepers), so the worklist scan is exact
         for local in self.active.iter() {
             if horizon == Some(floor) {
                 return horizon; // cannot get any earlier
@@ -624,12 +610,7 @@ impl Shard {
         if pushed.new_head {
             wake_for_new_head(&mut self.wake[local], router, ready_at);
         }
-        relist(
-            &mut self.active,
-            &mut self.owed.unlisted,
-            self.queued_msgs[local],
-            local,
-        );
+        self.active.activate(local as u32);
         if pushed.freed > 0 {
             if shared.occupancy[qid].free(pushed.freed) {
                 self.wake_upstream(shared, qid);
@@ -669,22 +650,22 @@ impl Shard {
 
     /// Makes router `local` re-evaluate at its next step visit, listing it
     /// on the worklist if it holds traffic: a credit sleeper with no
-    /// expiry is off the list until woken.
+    /// expiry is parked until woken.
     fn wake_now(&mut self, local: usize) {
         self.wake[local] = 0;
-        let queued = self.queued_msgs[local];
-        if queued > 0 {
-            relist(&mut self.active, &mut self.owed.unlisted, queued, local);
+        if self.queued_msgs[local] > 0 {
+            self.active.activate(local as u32);
         }
     }
 
     /// Debug-build walk over every router holding traffic, listed or not,
     /// at the top of every step: the `active` invariant (nothing off the
-    /// worklist can act), the `unlisted` count, and
+    /// worklist can act: a router holding traffic off it is a parked
+    /// credit sleeper with no expiry), the parked count, and
     /// [`assert_sleep_is_sound`] on every sleeper the step will skip.
     fn check_sleepers(&self, shared: &SharedNet, cycle: u64) {
-        assert!(self.owed.unlisted <= self.owed.sleepers);
-        let mut unlisted = 0;
+        assert!(self.active.parked_count() as u64 <= self.owed.sleepers);
+        let mut parked = 0;
         for (local, &queued) in self.queued_msgs.iter().enumerate() {
             if queued == 0 {
                 continue;
@@ -695,11 +676,13 @@ impl Shard {
             let sleep = router.sleeping();
             if !self.active.contains(local as u32) {
                 assert!(
-                    sleep.is_some() && self.wake[local] == u64::MAX,
+                    sleep.is_some()
+                        && self.wake[local] == u64::MAX
+                        && self.active.is_parked(local as u32),
                     "router {local} of shard {} holds traffic off the worklist",
                     self.idx
                 );
-                unlisted += 1;
+                parked += 1;
             }
             if let Some((memo, _)) = sleep.filter(|_| self.wake[local] > cycle) {
                 assert_sleep_is_sound(
@@ -714,7 +697,11 @@ impl Shard {
                 );
             }
         }
-        assert_eq!(unlisted, self.owed.unlisted, "unlisted sleepers miscounted");
+        assert_eq!(
+            parked,
+            self.active.parked_count(),
+            "parked sleepers miscounted"
+        );
     }
 
     /// Opens a batched injection session at `tile`'s local inject queue.
@@ -807,8 +794,8 @@ impl Shard {
     /// have added to the counters is paid by the shard (`owed`), what
     /// they would have done to its arbitration pointers is settled when
     /// it wakes. A sleeper whose verdict has no expiry (no busy link, no
-    /// immature head: `until == u64::MAX`) leaves the worklist and costs
-    /// the sweep nothing until an event lists it again; one with an
+    /// immature head: `until == u64::MAX`) parks off the worklist and
+    /// costs the sweep nothing until an event lists it again; one with an
     /// expiry stays listed and returns at once like a router asleep on
     /// time. Otherwise the router is *evaluated* in full, which is the
     /// only place packets move and the only place memos are built.
@@ -850,7 +837,7 @@ impl Shard {
         let asleep_on_credit = self.owed.sleepers;
         // the sweep visits these, and counts each that does not wake as
         // asleep on time until the tally below
-        let listed_sleepers = asleep_on_credit - self.owed.unlisted;
+        let listed_sleepers = asleep_on_credit - self.active.parked_count() as u64;
         // split borrows: `router` stays mutably borrowed across the inner
         // loop while counters / pending buffers are updated alongside
         let Shard {
@@ -893,13 +880,13 @@ impl Shard {
         active.retain(|local| {
             let local = local as usize;
             if queued_msgs[local] == 0 {
-                return false;
+                return Keep::Dropped;
             }
             if wake[local] > cycle {
                 // nothing it waits for has happened; a sleeper with no
-                // expiry listed again by a push behind its heads leaves
+                // expiry listed again by a push behind its heads parks
                 visits.asleep += 1;
-                return stays_listed(wake[local], &mut owed.unlisted);
+                return keep_holding(wake[local]);
             }
             let links = local * OUT_DIRS..(local + 1) * OUT_DIRS;
             let router = routers[local]
@@ -932,7 +919,7 @@ impl Shard {
                 // every head is immature: sleep until the earliest ripens
                 wake[local] = ripen;
                 visits.evaluated_stalled += 1;
-                return true;
+                return Keep::Listed;
             }
             // stalled heads (eject refusal, collision losers, a refusal
             // no memo can cover) retry next cycle
@@ -1078,21 +1065,21 @@ impl Shard {
             }
             c.n = [0; OUT_DIRS];
             // a router with traffic stays on the worklist (unless it
-            // sleeps on credit with no expiry); a drained router recycles
-            // its box and retires
+            // sleeps on credit with no expiry, and parks); a drained
+            // router recycles its box and retires
             if queued_msgs[local] > 0 {
-                return stays_listed(wake[local], &mut owed.unlisted);
+                return keep_holding(wake[local]);
             }
             let drained = routers[local].take().expect("materialized above");
             drained.check_reusable();
             pool.push(drained);
             // the next delivery's min() then records its exact ready_at
             wake[local] = u64::MAX;
-            false
+            Keep::Dropped
         });
         // a sleeper that did not settle had its router-cycle answered from
         // the memo: the listed ones by the wake check (counted as asleep on
-        // time above), the unlisted ones without a visit
+        // time above), the parked ones without a visit
         visits.replayed += asleep_on_credit - settled;
         visits.asleep -= listed_sleepers - settled;
     }
@@ -1105,18 +1092,15 @@ impl Shard {
             .unwrap_or(&candidates[0])
     }
 
-    /// Adds this shard's per-router busy-cycle counts into the global
-    /// `grid` (indexed by tile id) and resets them (one statistics frame).
+    /// Adds this shard's per-router busy-cycle counts into `grid`,
+    /// indexed by local router id (the layout of a worker's column slice),
+    /// and resets them (one statistics frame).
     ///
     /// No-op when busy tracking is disabled (verbosity < V2); the counts
     /// were never accumulated.
-    pub fn take_busy(&mut self, grid: &mut [u32], width: u32) {
-        for local in 0..self.busy_frame.len() {
-            if self.busy_frame[local] > 0 {
-                let tile = self.global_tile(local, width);
-                grid[tile as usize] += self.busy_frame[local];
-                self.busy_frame[local] = 0;
-            }
+    pub fn take_busy(&mut self, grid: &mut [u32]) {
+        for (sum, busy) in grid.iter_mut().zip(&mut self.busy_frame) {
+            *sum += std::mem::take(busy);
         }
     }
 
@@ -1157,11 +1141,11 @@ impl Shard {
             + self.active.heap_bytes()
     }
 
-    /// Routers currently on the active worklist, plus the credit
-    /// sleepers that left it. Activity telemetry for scheduling studies;
-    /// the cycle loop itself never reads this.
+    /// Routers currently on the active worklist, plus the parked credit
+    /// sleepers. Activity telemetry for scheduling studies; the cycle loop
+    /// itself never reads this.
     pub fn active_routers(&self) -> usize {
-        self.active.active_count() + self.owed.unlisted as usize
+        self.active.active_count() + self.active.parked_count()
     }
 
     /// Packets queued at `tile`'s router over all its input ports (the
@@ -1395,12 +1379,7 @@ impl InjectBatch<'_> {
         if pushed.new_head {
             wake_for_new_head(&mut self.shard.wake[self.local], router, ready_at);
         }
-        relist(
-            &mut self.shard.active,
-            &mut self.shard.owed.unlisted,
-            self.shard.queued_msgs[self.local],
-            self.local,
-        );
+        self.shard.active.activate(self.local as u32);
         if pushed.freed > 0 {
             self.occ -= pushed.freed;
             self.occ_delta -= i64::from(pushed.freed);

@@ -56,11 +56,6 @@ impl WardEngine {
         }
     }
 
-    /// True when at least one predicate is configured.
-    pub fn is_armed(&self) -> bool {
-        !self.params.is_empty()
-    }
-
     /// Feeds one sample; returns the first tripped ward, if any.
     pub fn observe(&mut self, s: &MetricsSample) -> Option<WardTrip> {
         let trip = |ward, detail| {
@@ -181,7 +176,6 @@ mod tests {
     #[test]
     fn unarmed_engine_never_trips() {
         let mut e = WardEngine::new(WardParams::default(), 0);
-        assert!(!e.is_armed());
         assert!(e.observe(&sample(1_000_000, 0)).is_none());
     }
 

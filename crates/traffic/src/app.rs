@@ -86,12 +86,6 @@ impl TrafficApp {
     pub fn window_cycles(&self) -> u64 {
         self.params.cycles
     }
-
-    /// Offered load in packets/tile/cycle as actually drawn (the
-    /// Bernoulli realization of `traffic.rate`).
-    pub fn realized_rate(&self) -> f64 {
-        self.offered as f64 / (self.schedules.len() as f64 * self.params.cycles as f64)
-    }
 }
 
 impl Application for TrafficApp {
@@ -218,7 +212,8 @@ mod tests {
     fn realized_rate_tracks_the_offered_rate() {
         let cfg = cfg(0.2);
         let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).unwrap();
-        let r = app.realized_rate();
+        let r =
+            app.offered_packets() as f64 / (cfg.total_tiles() as f64 * app.window_cycles() as f64);
         assert!((0.15..0.25).contains(&r), "realized {r}");
     }
 }
