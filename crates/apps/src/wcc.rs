@@ -48,14 +48,6 @@ impl Wcc {
         self
     }
 
-    /// Number of distinct components in the reference.
-    pub fn component_count(&self) -> usize {
-        let mut roots: Vec<u32> = self.reference.clone();
-        roots.sort_unstable();
-        roots.dedup();
-        roots.len()
-    }
-
     fn propagate(&self, ctx: &mut TaskCtx<'_>, v: u32, label: u32) {
         let local = self.graph.local(v);
         let (lo, hi) = self.graph.read_row(ctx, local);
@@ -226,13 +218,5 @@ mod tests {
         );
         let (labels, _) = host_wcc(&g);
         assert_eq!(labels, vec![0, 0, 0, 3, 3]);
-    }
-
-    #[test]
-    fn component_count_on_directed_input() {
-        // directed chain counts as one weak component after symmetrize
-        let g = Csr::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-        let wcc = Wcc::new(g.into(), 4, SyncMode::Async);
-        assert_eq!(wcc.component_count(), 1);
     }
 }

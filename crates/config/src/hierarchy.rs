@@ -221,12 +221,6 @@ impl Hierarchy {
             LinkClass::OnChip
         }
     }
-
-    /// Network diameter (maximum Manhattan hop distance) of the global grid
-    /// for a mesh; a torus halves each dimension's contribution.
-    pub fn mesh_diameter(&self) -> u32 {
-        (self.grid_width() - 1) + (self.grid_height() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -384,11 +378,5 @@ mod tests {
             chiplet: Extent::new(side + 1, side + 1),
             ..Hierarchy::default()
         });
-    }
-
-    #[test]
-    fn diameter() {
-        let h = two_by_two();
-        assert_eq!(h.mesh_diameter(), 30);
     }
 }

@@ -681,14 +681,11 @@ impl<A: Application> Worker<A> {
     /// latent work from the active worklist, and parks tiles whose sends
     /// all wait for inject credit.
     ///
-    /// Each run of same-plane sends drains through one
-    /// [`muchisim_noc::Shard`] injection batch: admission control runs on
-    /// a locally cached occupancy value and the occupancy/in-flight
-    /// atomics are updated once per run, not once per packet (exact
-    /// because the inject queue is single-writer during the
-    /// barrier-separated local phase). A head the inject queue refuses
-    /// stays at the front of its queue or timetable, holding back the
-    /// rest behind it.
+    /// Each head asks its plane's inject queue first
+    /// ([`Shard::inject_admits`]) and leaves its queue only when admitted:
+    /// a refused head stays at the front of its queue or timetable,
+    /// holding back the rest behind it, and its tile waits for the
+    /// queue's credit ([`Shard::wait_for_credit`]).
     pub fn inject_phase(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
         let t0 = Instant::now();
         // the set is unchanged since pu_phase's refresh: task sends
@@ -716,12 +713,11 @@ impl<A: Application> Worker<A> {
                 };
                 let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
                 if ready_noc > cycle {
-                    // immature head: no batch to open
                     wake = wake.min(ready_noc);
                     continue;
                 }
                 let plane = task % self.planes;
-                let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
+                let (shard, shared) = (&mut *shards[plane], shareds[plane]);
                 while let Some(head) = queue.front(&self.cq_arena) {
                     let ready_noc = self.clock.noc_cycle_for_pu(head.at_pu_cycle);
                     if ready_noc > cycle {
@@ -731,10 +727,10 @@ impl<A: Application> Worker<A> {
                     // header flit + payload, as `Packet::unicast` stores it
                     let flits = 1 + head.payload.size_bytes().div_ceil(self.flit_bytes);
                     let flits = (flits as u16).max(1);
-                    if !batch.admits(flits) {
+                    if !shard.inject_admits(shared, tile_g, flits) {
                         // inject queue full: the head stays where it
                         // is, and waits for the queue's credit to return
-                        batch.wait_for_credit();
+                        shard.wait_for_credit(shared, tile_g);
                         break;
                     }
                     let msg = queue.pop_front(&mut self.cq_arena).expect("checked head");
@@ -743,18 +739,16 @@ impl<A: Application> Worker<A> {
                     if let Some(op) = msg.reduce {
                         pkt = pkt.with_reduce(op);
                     }
-                    batch.offer(pkt).expect("the batch admits these flits");
+                    shard.inject(shared, tile_g, pkt).expect("admitted");
                     self.cq_msgs[local] -= 1;
                     self.msg_count -= 1;
                     self.frame_injected += 1;
                 }
-                batch.commit();
             }
             // the timetable after the channel queues, so apps mixing both
-            // keep CQ traffic first within a tile's cycle; runs of
-            // consecutive same-plane due heads share one batch
+            // keep CQ traffic first within a tile's cycle
             if let Some(queue) = self.scripted.get_mut(local) {
-                'runs: while let Some(head) = queue.front() {
+                while let Some(head) = queue.front() {
                     if head.cycle > cycle {
                         // not due yet: the schedule is sorted, so this head is
                         // the timetable's next injection event
@@ -762,33 +756,24 @@ impl<A: Application> Worker<A> {
                         break;
                     }
                     let plane = head.task as usize % self.planes;
-                    let mut batch = shards[plane].inject_batch(shareds[plane], tile_g);
-                    while let Some(head) = queue.front() {
-                        if head.cycle > cycle || head.task as usize % self.planes != plane {
-                            break; // not due, or the plane changed: close this run's batch
-                        }
-                        let flits =
-                            (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
-                        if !batch.admits(flits) {
-                            // inject queue full: the head stays where it is,
-                            // and waits for the queue's credit to return
-                            batch.wait_for_credit();
-                            batch.commit();
-                            break 'runs;
-                        }
-                        let head = queue.pop_front().expect("checked head");
-                        let mut pkt =
-                            Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
-                                .ready_at(cycle)
-                                .born(head.cycle);
-                        if let Some(op) = head.reduce {
-                            pkt = pkt.with_reduce(op);
-                        }
-                        batch.offer(pkt).expect("the batch admits these flits");
-                        self.msg_count -= 1;
-                        self.frame_injected += 1;
+                    let (shard, shared) = (&mut *shards[plane], shareds[plane]);
+                    let flits = (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
+                    if !shard.inject_admits(shared, tile_g, flits) {
+                        // inject queue full: the head stays where it is,
+                        // and waits for the queue's credit to return
+                        shard.wait_for_credit(shared, tile_g);
+                        break;
                     }
-                    batch.commit();
+                    let head = queue.pop_front().expect("checked head");
+                    let mut pkt = Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
+                        .ready_at(cycle)
+                        .born(head.cycle);
+                    if let Some(op) = head.reduce {
+                        pkt = pkt.with_reduce(op);
+                    }
+                    shard.inject(shared, tile_g, pkt).expect("admitted");
+                    self.msg_count -= 1;
+                    self.frame_injected += 1;
                 }
             }
             self.tile_horizon = self.tile_horizon.min(wake);
@@ -1064,6 +1049,16 @@ impl<A: Application> Worker<A> {
         }
     }
 
+    /// This worker's share of the run's pending work: its tiles' queued
+    /// messages, init tasks and scripted sends, plus the packets in flight
+    /// by its shards' counters. A share may be negative — its shards may
+    /// eject more than they inject — but both parts sum over the workers
+    /// to non-negative totals, so the shares sum to zero only when the run
+    /// has nothing left anywhere.
+    pub fn pending(&self, shards: &[&mut Shard]) -> i64 {
+        self.msg_count + shards.iter().map(|s| s.counters().in_flight()).sum::<i64>()
+    }
+
     /// Deposits this worker's share of a telemetry sample: cumulative
     /// task/message counters, activity gauges, and NoC statistics over
     /// its shards. Cheap (no per-tile sweep), read-only, and built from
@@ -1072,7 +1067,7 @@ impl<A: Application> Worker<A> {
     pub fn telemetry_sample(&self, shards: &[&mut Shard]) -> muchisim_telemetry::WorkerSample {
         let mut s = muchisim_telemetry::WorkerSample {
             tasks: self.cum_tasks,
-            pending: self.msg_count,
+            pending: self.pending(shards),
             active_tiles: (self.active.active_count() + self.active.parked_count()) as u64,
             tiles: self.slice.num_tiles() as u64,
             ..Default::default()
@@ -1409,22 +1404,23 @@ impl<A: Application> std::fmt::Debug for Worker<A> {
 }
 
 /// The [`EjectSink`] [`Worker::net_step`] steps its shards into: a
-/// delivered packet joins its tile's input queue.
+/// delivered packet joins its tile's input queue, if it has room.
 impl<A: Application> EjectSink for Worker<A> {
-    fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
-        let local = self.slice.local(tile);
+    fn admits(&mut self, tile: u32, pkt: &Packet) -> bool {
         let task = pkt.task as usize;
         // indexing the capacity table first keeps a task id past the
         // bank from reaching another tile's link
         let cap = self.iq_caps[task];
-        let queue = &mut self.iq_links[local * self.ntasks + task];
-        if queue.len() >= cap {
-            return Err(pkt);
-        }
+        self.iq_links[self.slice.local(tile) * self.ntasks + task].len() < cap
+    }
+
+    fn accept(&mut self, tile: u32, pkt: Packet) {
+        let local = self.slice.local(tile);
         materialize(&mut self.cold[local], &self.mem_proto)
             .mem
             .queue_write(pkt.payload.len().max(1) as u64);
-        queue.push_back(&mut self.iq_arena, pkt.payload);
+        self.iq_links[local * self.ntasks + pkt.task as usize]
+            .push_back(&mut self.iq_arena, pkt.payload);
         self.iq_msgs[local] += 1;
         self.msg_count += 1;
         self.frame_ejected += 1;
@@ -1434,7 +1430,6 @@ impl<A: Application> EjectSink for Worker<A> {
         // the delivery may be dispatchable as soon as a PU frees up
         let pu = self.pu_clock[local * self.pus + self.earliest_pu(local)];
         self.tile_horizon = self.tile_horizon.min(self.clock.noc_cycle_for_pu(pu));
-        Ok(())
     }
 }
 
@@ -1532,7 +1527,12 @@ pub(crate) fn finish<A: Application>(
     }
     let mut noc_latency = muchisim_noc::LatencyStats::default();
     let mut host_router_visits = muchisim_noc::RouterVisits::default();
-    for n in &networks {
+    for (plane, n) in networks.iter().enumerate() {
+        debug_assert_eq!(
+            n.in_flight(),
+            n.queued_packets() as i64,
+            "plane {plane}: injected − ejected − combined is not the packets the plane holds"
+        );
         counters.noc.merge(&n.counters());
         noc_latency.merge(&n.latency());
         host_router_visits.merge(&n.router_visits());
@@ -1621,8 +1621,10 @@ pub(crate) fn validate_snapshot<A: Application>(
 
 /// Replays a validated snapshot's NoC state — queued packets, busy link
 /// clocks, arbiter round-robin cursors, frame telemetry — into freshly
-/// built networks. Occupancy, in-flight, and wake bookkeeping are
-/// recomputed by [`Shard::restore_packet`] rather than deserialized.
+/// built networks. Occupancy and wake bookkeeping are recomputed by
+/// [`Shard::restore_packet`] rather than deserialized; the packets in
+/// flight are the restored counters' balance, so a plane whose counters
+/// disagree with the packets it holds is rejected.
 pub(crate) fn restore_networks(
     networks: &mut [Network],
     snap: &crate::snapshot::SnapshotData,
@@ -1662,6 +1664,13 @@ pub(crate) fn restore_networks(
             shards[shard]
                 .restore_packet(shared, *tile, in_port, pkt.clone())
                 .map_err(|why| fail(format!("tile {tile}: {why}")))?;
+        }
+        let (counted, held) = (rec.counters.in_flight(), rec.packets.len());
+        if counted != held as i64 {
+            return Err(fail(format!(
+                "the counters put {counted} packets in flight (injected − ejected − combined), \
+                 the record holds {held}"
+            )));
         }
         for record in &rec.links {
             let &(tile, dir, until) = record;

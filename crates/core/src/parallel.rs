@@ -9,9 +9,10 @@
 //!    injects ready channel-queue heads into its own shards.
 //! 2. *(barrier)* **step phase** — every shard routes one cycle; ejected
 //!    packets land in the worker's input queues; each worker publishes
-//!    its activity count and (leap mode) its next-event horizon.
+//!    its pending share (its queued messages plus its shards' packets in
+//!    flight) and (leap mode) its next-event horizon.
 //! 3. *(barrier, last arriver decides)* **decision phase** — global
-//!    quiescence (no queued messages anywhere + empty network),
+//!    quiescence (the pending shares sum to zero),
 //!    cycle-limit stop, or the next cycle to execute.
 //!
 //! In the default *time-leaping* mode ([`SystemConfig::time_leap`]) the
@@ -133,7 +134,8 @@ struct SyncState {
     stop: AtomicBool,
     /// Cycle limit exceeded.
     limit_hit: AtomicBool,
-    /// Per-worker pending-message counts, published each cycle.
+    /// Per-worker pending shares ([`Worker::pending`]), published each
+    /// cycle.
     activity: Vec<AtomicI64>,
     /// Per-worker next-event horizons, published each cycle in leap mode.
     horizon: Vec<AtomicU64>,
@@ -252,14 +254,7 @@ impl TelemetryState {
     /// streams it, the frame first. The wards see the sample only when
     /// `judge` (the last sample of a stopped kernel is reported, not
     /// judged); their first trip is returned.
-    fn publish(
-        &self,
-        cycle: u64,
-        in_net: i64,
-        frame: bool,
-        sample: bool,
-        judge: bool,
-    ) -> Option<WardTrip> {
+    fn publish(&self, cycle: u64, frame: bool, sample: bool, judge: bool) -> Option<WardTrip> {
         if frame && self.stream_frames {
             let mut parts = self
                 .frames
@@ -280,8 +275,7 @@ impl TelemetryState {
                 st.merged
                     .push(slot.lock().expect("telemetry sample lock").clone());
             }
-            let mut sample = st.agg.merge(cycle, &st.merged);
-            sample.pending += in_net;
+            let sample = st.agg.merge(cycle, &st.merged);
             if judge {
                 trip = st.wards.observe(&sample);
             }
@@ -634,14 +628,13 @@ fn worker_loop<A: Application>(
             // decision barrier so the leader can merge coherent records
             let [frame, sample] = closing(cycle, false);
             capture(worker, &mut shards, cycle, frame, sample, telem, widx);
-            sync.activity[widx].store(worker.msg_count, Ordering::Release);
+            sync.activity[widx].store(worker.pending(&shards), Ordering::Release);
             if leap {
                 let h = worker.horizon(&shards, cycle);
                 sync.horizon[widx].store(h, Ordering::Release);
             }
             // decision phase: the last thread to arrive decides
             sync.barrier.wait_leader(&mut sense, || {
-                let in_net: i64 = shareds.iter().map(|s| s.in_flight()).sum();
                 // a deferred trip snapshot was captured this cycle: the
                 // run stops here, before any normal decision can race it
                 if let Some(t) = telem {
@@ -651,14 +644,14 @@ fn worker_loop<A: Application>(
                         t.tripped.store(true, Ordering::Release);
                         sync.drained_cycle.store(cycle, Ordering::Release);
                         sync.stop.store(true, Ordering::Release);
-                        t.publish(cycle, in_net, frame, sample, false);
+                        t.publish(cycle, frame, sample, false);
                         return;
                     }
                 }
                 let pending: i64 = (0..nworkers)
                     .map(|i| sync.activity[i].load(Ordering::Acquire))
                     .sum();
-                if pending == 0 && in_net == 0 {
+                if pending == 0 {
                     sync.drained_cycle.store(cycle, Ordering::Release);
                     sync.stop.store(true, Ordering::Release);
                 } else if cycle - base >= cycle_limit {
@@ -701,7 +694,7 @@ fn worker_loop<A: Application>(
                 // still emits its final records, but wards no longer fire)
                 if let Some(t) = telem {
                     let stopped = sync.stop.load(Ordering::Relaxed);
-                    if let Some(trip) = t.publish(cycle, in_net, frame, sample, !stopped) {
+                    if let Some(trip) = t.publish(cycle, frame, sample, !stopped) {
                         *t.trip.lock().expect("telemetry trip lock") = Some(trip);
                         if t.snapshot_on_trip && ckpt.is_some() {
                             // defer the stop one cycle so every worker
@@ -754,8 +747,7 @@ fn worker_loop<A: Application>(
             sync.stop.store(false, Ordering::Release);
             final_cycle.store(base, Ordering::Release);
             if let Some(t) = telem {
-                let in_net: i64 = shareds.iter().map(|s| s.in_flight()).sum();
-                t.publish(cycle, in_net, frame, sample, false);
+                t.publish(cycle, frame, sample, false);
             }
         })?;
         // a tripped ward ends the run here: every worker contributes its

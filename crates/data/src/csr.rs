@@ -185,11 +185,6 @@ impl CsrBuilder {
         self
     }
 
-    /// Adds an unweighted (weight 1.0) directed edge.
-    pub fn arc(&mut self, src: u32, dst: u32) -> &mut Self {
-        self.edge(src, dst, 1.0)
-    }
-
     /// Number of edges added so far.
     pub fn len(&self) -> usize {
         self.edges.len()
@@ -272,7 +267,10 @@ mod tests {
     fn builder_round_trip() {
         let mut b = CsrBuilder::new(4);
         assert!(b.is_empty());
-        b.arc(0, 1).arc(0, 2).edge(1, 3, 3.0).edge(2, 3, 4.0);
+        b.edge(0, 1, 1.0)
+            .edge(0, 2, 1.0)
+            .edge(1, 3, 3.0)
+            .edge(2, 3, 4.0);
         assert_eq!(b.len(), 4);
         let g = b.build();
         assert_eq!(g.neighbors(0), &[1, 2]);

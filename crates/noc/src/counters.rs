@@ -77,6 +77,17 @@ impl NocCounters {
         checked_acc(&mut self.reduce_combines, other.reduce_combines)
     }
 
+    /// Packets in flight by the counters' balance: injected − ejected −
+    /// combined. A shard's share may be negative (its tiles can receive
+    /// more than they send); a plane's shards sum to the packets the plane
+    /// holds. Wrapping, so counts read from a damaged file cannot panic
+    /// here — they fail the restore's comparison with the packets instead.
+    pub fn in_flight(&self) -> i64 {
+        self.injected
+            .wrapping_sub(self.ejected)
+            .wrapping_sub(self.reduce_combines) as i64
+    }
+
     /// Total flit hops across all link classes.
     pub fn total_flit_hops(&self) -> u64 {
         self.flit_hops_by_class.iter().sum()
@@ -167,6 +178,7 @@ mod tests {
             eject_stalls: 3,
             reduce_combines: 4,
         };
+        assert_eq!(a.in_flight(), -5, "a shard may eject more than it injects");
         a.merge(&a.clone());
         assert_eq!(a.injected, 2);
         assert_eq!(a.flit_hops_by_class, [2, 4, 6, 8]);

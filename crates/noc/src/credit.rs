@@ -6,7 +6,7 @@
 //! bit, the *waiter mark* of whoever went to sleep because this queue
 //! refused it: a router (see [`crate::Shard::step`]), or — on an inject
 //! queue, whose upstream is its own tile — a tile whose send did not fit
-//! (see [`crate::InjectBatch::wait_for_credit`]). Whoever returns credit
+//! (see [`crate::Shard::wait_for_credit`]). Whoever returns credit
 //! to a marked queue owes that router or tile a wake.
 //!
 //! Every access is a `Relaxed` load or a `Relaxed` store — no
@@ -15,7 +15,7 @@
 //! phase (frees, combines) and by its unique upstream router in the step
 //! phase (reserve, mark). An inject queue's word is written in the local
 //! phase only, and only by the worker that owns both the queue and its
-//! tile: injection batches and the tile's mark, then the frees its shard
+//! tile: each injection and the tile's mark, then the frees its shard
 //! applies at the next cycle boundary; no router ever reserves on or
 //! marks an inject queue. No other thread reads a word in its writer's
 //! phase: the owner reads its queues' credit only in the local phase, the
@@ -100,9 +100,10 @@ impl Credit {
     }
 
     /// Applies a net change that needs no admission check and returns no
-    /// credit anyone could be waiting for: a committed injection batch
-    /// (its own tile is the only one that waits on an inject queue, and it
-    /// is the one injecting), a restored packet. The mark rides along.
+    /// credit anyone could be waiting for: an injection, less what it
+    /// freed by combining (its own tile is the only one that waits on an
+    /// inject queue, and it is the one injecting), a restored packet. The
+    /// mark rides along.
     #[inline]
     pub(crate) fn adjust(&self, delta: i64) {
         if delta != 0 {
@@ -152,7 +153,7 @@ mod tests {
         occ.mark();
         assert!(!occ.reserve(3, 4));
         occ.adjust(-2);
-        assert!(occ.marked(), "a batch commit keeps the mark");
+        assert!(occ.marked(), "an injection's adjustment keeps the mark");
         assert!(occ.reserve(9, 4));
         assert_eq!(occ.flits(), 9);
         assert!(!occ.free(9), "the router that got in no longer waits");

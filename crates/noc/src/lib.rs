@@ -81,7 +81,7 @@ pub use packet::{Packet, Payload, ReduceOp};
 pub use port::{InPort, OutDir};
 pub use route::{decide, RouteDecision};
 pub use router::{PacketArena, Pushed, RouterState};
-pub use shard::{InjectBatch, Shard};
+pub use shard::Shard;
 pub use topo::TopoInfo;
 pub use trace::{read_trace_jsonl, sort_events, write_trace_jsonl, TraceEvent};
 pub use worklist::{ActiveSet, Keep};

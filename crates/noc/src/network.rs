@@ -9,7 +9,6 @@ use crate::topo::TopoInfo;
 use muchisim_config::SystemConfig;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Splits `width` columns into at most `num_shards` contiguous ranges
 /// whose boundaries are multiples of `align`, returning the exclusive end
@@ -41,12 +40,20 @@ pub fn split_columns(width: u32, num_shards: usize, align: u32) -> Vec<u32> {
 /// Destination for packets that reach their tile (the bridge into the
 /// core simulator's input queues).
 ///
-/// Implementations refuse a packet (returning it) when the destination
-/// queue is full, which back-pressures the network (paper §III-A).
+/// Implementations refuse a packet when the destination queue is full,
+/// which back-pressures the network (paper §III-A). The router asks
+/// before it pops: a refused packet stays at the head of its queue,
+/// untouched.
 pub trait EjectSink {
-    /// Offers `pkt`, delivered at `tile`. Returns the packet back if it
-    /// cannot be accepted this cycle.
-    fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet>;
+    /// Whether `pkt`, at the head of a queue of `tile`'s router, can be
+    /// accepted this cycle.
+    fn admits(&mut self, _tile: u32, _pkt: &Packet) -> bool {
+        true
+    }
+
+    /// Takes `pkt`, delivered at `tile`; called only after
+    /// [`EjectSink::admits`] said yes to it.
+    fn accept(&mut self, tile: u32, pkt: Packet);
 }
 
 /// An [`EjectSink`] that accepts everything, collecting `(tile, packet)`
@@ -58,9 +65,8 @@ pub struct DrainSink {
 }
 
 impl EjectSink for DrainSink {
-    fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
+    fn accept(&mut self, tile: u32, pkt: Packet) {
         self.drained.push((tile, pkt));
-        Ok(())
     }
 }
 
@@ -133,8 +139,6 @@ pub struct SharedNet {
     pub shard_of_col: Vec<u32>,
     /// Inject queue capacity in flits.
     pub inject_capacity_flits: u32,
-    /// Packets currently inside the plane (injected − ejected − combined).
-    pub(crate) in_flight: AtomicI64,
 }
 
 impl SharedNet {
@@ -151,11 +155,6 @@ impl SharedNet {
     /// The wake box written by `producer` and drained by `consumer`.
     pub(crate) fn wake_box(&self, consumer: usize, producer: usize) -> &WakeBox {
         &self.wake_boxes[consumer][producer]
-    }
-
-    /// Packets currently inside this plane (injected − ejected − combined).
-    pub fn in_flight(&self) -> i64 {
-        self.in_flight.load(Ordering::Acquire)
     }
 
     /// Host heap bytes of the shared state: the credit table, the
@@ -294,7 +293,6 @@ impl Network {
                 wake_boxes,
                 shard_of_col,
                 inject_capacity_flits: params.inject_capacity_flits,
-                in_flight: AtomicI64::new(0),
             },
             shards,
         }
@@ -329,6 +327,10 @@ impl Network {
 
     /// Advances the whole plane one cycle (sequential driver):
     /// begin-phase for every shard, then step-phase for every shard.
+    ///
+    /// Debug builds then check the first conservation law: the packets in
+    /// flight by the counters (injected − ejected − combined) are the
+    /// packets the plane holds.
     pub fn step(&mut self, cycle: u64, sink: &mut dyn EjectSink) {
         for shard in &mut self.shards {
             shard.begin_cycle(&self.shared);
@@ -336,21 +338,25 @@ impl Network {
         for shard in &mut self.shards {
             shard.step(&self.shared, cycle, sink);
         }
+        debug_assert_eq!(
+            self.in_flight(),
+            self.queued_packets() as i64,
+            "cycle {cycle}: injected − ejected − combined is not the packets the plane holds"
+        );
     }
 
     /// Whether no packet remains anywhere (queues, pending, mailboxes).
-    ///
-    /// O(1): maintained as an atomic inject/eject/combine balance.
     pub fn is_empty(&self) -> bool {
-        self.shared.in_flight.load(Ordering::Acquire) == 0
+        self.in_flight() == 0
     }
 
-    /// Packets currently inside the plane (O(1) atomic read).
+    /// Packets currently inside the plane: the shards' counters' balance.
     pub fn in_flight(&self) -> i64 {
-        self.shared.in_flight.load(Ordering::Acquire)
+        self.shards.iter().map(|s| s.counters().in_flight()).sum()
     }
 
-    /// Packets currently inside the network.
+    /// Packets currently inside the network, counted where they are:
+    /// router queues, pending pushes and mailboxes.
     pub fn queued_packets(&self) -> u64 {
         let in_shards: u64 = self.shards.iter().map(|s| s.queued_packets()).sum();
         let in_mail: u64 = self
@@ -727,14 +733,12 @@ mod tests {
             calls: u64,
         }
         impl EjectSink for Stingy {
-            fn offer(&mut self, _tile: u32, pkt: Packet) -> Result<(), Packet> {
+            fn admits(&mut self, _tile: u32, _pkt: &Packet) -> bool {
                 self.calls += 1;
-                if self.calls < self.refuse_until {
-                    Err(pkt)
-                } else {
-                    self.accepted += 1;
-                    Ok(())
-                }
+                self.calls >= self.refuse_until
+            }
+            fn accept(&mut self, _tile: u32, _pkt: Packet) {
+                self.accepted += 1;
             }
         }
         let mut n = net(4, 1, 1);

@@ -350,23 +350,6 @@ impl RouterState {
         arena.release(node)
     }
 
-    /// Restores a just-popped packet to the head of queue `port` (eject
-    /// refusal: the tile's input queue had no room, retry next cycle).
-    pub fn restore_front(&mut self, arena: &mut PacketArena, port: usize, pkt: Packet) {
-        let node = arena.alloc(pkt);
-        if let Some(sig) = combine_sig(port, arena.get(node)) {
-            let prev = self.combine.insert(sig, node);
-            debug_assert!(prev.is_none(), "restored signature already indexed");
-        }
-        let queue = &mut self.queues[port];
-        arena.set_next(node, queue.head);
-        if queue.head == NIL {
-            queue.tail = node;
-            self.port_mask |= 1 << port;
-        }
-        queue.head = node;
-    }
-
     /// Debug-checks that a drained router's box can serve another router
     /// via the shard free-list as it is: an empty router carries no bit
     /// that could matter, and the index and memo *capacity* it keeps is
@@ -485,7 +468,7 @@ mod tests {
         // (quadratic under dense reduction traffic); the index must keep
         // behaving identically — first (and only) same-signature packet
         // combines, at any queue depth, even after the queue under it
-        // shifts through pops and restores.
+        // shifts through pops.
         let mut a = PacketArena::default();
         let mut r = RouterState::default();
         // 64 distinct-key reducible packets + one plain packet in front
@@ -518,12 +501,6 @@ mod tests {
                 assert_eq!(freed, 2, "queued key {key} still combines");
             }
         }
-        // restore-front keeps the index consistent too
-        let head = r.pop(&mut a, 3);
-        let key = head.payload.word(0);
-        r.restore_front(&mut a, 3, head);
-        let freed = r.push(&mut a, 3, pkt(9, key, 3)).freed;
-        assert_eq!(freed, 2, "restored head combines");
         assert_eq!(a.live(), 64);
     }
 

@@ -41,7 +41,6 @@ use crate::topo::{FastDiv, TopoInfo};
 use crate::trace::TraceEvent;
 use crate::worklist::{ActiveSet, Keep};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 /// Per-visit scratch: the ready heads of one router, grouped by the
 /// output direction they route to.
@@ -313,6 +312,11 @@ fn router_mut<'a>(
     routers[local].get_or_insert_with(|| pool.pop().unwrap_or_default())
 }
 
+/// The credit word of `tile`'s inject queue.
+fn inject_credit(shared: &SharedNet, tile: u32) -> &Credit {
+    &shared.occupancy[shared.topo.queue_id(tile, InPort::Inject)]
+}
+
 /// One column shard of the network.
 #[derive(Debug)]
 pub struct Shard {
@@ -354,7 +358,7 @@ pub struct Shard {
     /// The per-cycle debt of the routers asleep on credit.
     owed: Owed,
     /// Inject queues carrying a waiter mark: each has a tile asleep on
-    /// its credit (see [`InjectBatch::wait_for_credit`]).
+    /// its credit (see [`Shard::wait_for_credit`]).
     inject_waiters: u64,
     /// Tiles whose inject queue returned credit under a waiter mark at
     /// this cycle boundary, for their worker to wake (global ids; see
@@ -601,7 +605,7 @@ impl Shard {
 
     /// Links live node `node` into queue `port` of router `local`,
     /// maintaining the worklist, the per-router packet count, the wake
-    /// bound, and the credit/in-flight balance when the push combines
+    /// bound, and the credit and combine count when the push combines
     /// (shared by every delivery site).
     fn deliver(&mut self, shared: &SharedNet, local: usize, qid: usize, port: usize, node: u32) {
         let ready_at = self.arena.get(node).ready_at;
@@ -616,7 +620,6 @@ impl Shard {
                 self.wake_upstream(shared, qid);
             }
             self.counters.reduce_combines += 1;
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         } else {
             self.queued_msgs[local] += 1;
         }
@@ -704,41 +707,66 @@ impl Shard {
         );
     }
 
-    /// Opens a batched injection session at `tile`'s local inject queue.
-    ///
-    /// During the driver's local phase the inject queue's occupancy entry
-    /// is touched by this worker alone (frees for it are recorded by this
-    /// same shard and applied at its own `begin_cycle`), so the batch can
-    /// run the admission rule on a local copy and publish one occupancy
-    /// and one in-flight update per run instead of two atomics per
-    /// packet. Dropping the batch without [`InjectBatch::commit`] loses
-    /// those updates; commit is mandatory.
-    pub fn inject_batch<'a>(&'a mut self, shared: &'a SharedNet, tile: u32) -> InjectBatch<'a> {
-        let local = self.local_idx(tile, &shared.topo);
-        let qid = shared.topo.queue_id(tile, InPort::Inject);
-        let occ = shared.occupancy[qid].flits();
-        InjectBatch {
-            shard: self,
-            shared,
-            local,
-            qid,
-            occ,
-            occ_delta: 0,
-            in_flight_delta: 0,
+    /// Whether `tile`'s inject queue admits a packet of `flits` flits now
+    /// (local phase, the queue's owner). Lets a caller leave a message in
+    /// its own queue instead of taking it out, building the packet and
+    /// putting it back on refusal.
+    #[inline]
+    pub fn inject_admits(&self, shared: &SharedNet, tile: u32, flits: u16) -> bool {
+        let occ = inject_credit(shared, tile).flits();
+        admits(occ, flits as u32, shared.inject_capacity_flits)
+    }
+
+    /// Leaves the waiter mark on `tile`'s inject queue: the tile goes to
+    /// sleep on the queue's credit after a refusal (local phase, the
+    /// queue's owner). The next free of the queue consumes the mark and
+    /// lists the tile in [`Shard::drain_woken_tiles`]; until then
+    /// [`Shard::next_event_cycle`] answers the next cycle, as it does
+    /// while a router sleeps on credit. A refusal means the queue holds
+    /// flits, so that free is on its way.
+    #[inline]
+    pub fn wait_for_credit(&mut self, shared: &SharedNet, tile: u32) {
+        let credit = inject_credit(shared, tile);
+        debug_assert!(credit.flits() > 0, "an empty inject queue refuses nothing");
+        if !credit.marked() {
+            credit.mark();
+            self.inject_waiters += 1;
         }
     }
 
-    /// Injects a packet at `tile`'s local inject queue.
+    /// Injects a packet at `tile`'s local inject queue if the queue
+    /// [`Shard::inject_admits`] it, writing the queue's credit in place.
     ///
     /// # Errors
     ///
     /// Returns the packet back if the inject queue is full (the caller's
     /// channel queue keeps it and retries later).
     pub fn inject(&mut self, shared: &SharedNet, tile: u32, pkt: Packet) -> Result<(), Packet> {
-        let mut batch = self.inject_batch(shared, tile);
-        let outcome = batch.offer(pkt);
-        batch.commit();
-        outcome
+        if !self.inject_admits(shared, tile, pkt.flits) {
+            return Err(pkt);
+        }
+        let local = self.local_idx(tile, &shared.topo);
+        let flits = i64::from(pkt.flits);
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent::from_packet(&pkt));
+        }
+        let ready_at = pkt.ready_at;
+        let router = router_mut(&mut self.routers, &mut self.pool, local);
+        let pushed = router.push(&mut self.arena, InPort::Inject.index(), pkt);
+        if pushed.new_head {
+            wake_for_new_head(&mut self.wake[local], router, ready_at);
+        }
+        self.active.activate(local as u32);
+        if pushed.freed > 0 {
+            self.counters.reduce_combines += 1;
+        } else {
+            self.queued_msgs[local] += 1;
+        }
+        self.counters.injected += 1;
+        // neither `reserve` (it drops the mark of the tile asleep on this
+        // queue) nor `free` (it would wake the tile that is injecting)
+        inject_credit(shared, tile).adjust(flits - i64::from(pushed.freed));
+        Ok(())
     }
 
     /// Applies deferred frees (waking the routers asleep on the queues
@@ -801,7 +829,7 @@ impl Shard {
     /// only place packets move and the only place memos are built.
     ///
     /// A sleeper is woken by the events its verdict depends on, never by
-    /// polling: a changed head (`deliver`, [`InjectBatch::offer`]) and
+    /// polling: a changed head (`deliver`, [`Shard::inject`]) and
     /// returned credit ([`Shard::begin_cycle`] and `deliver` consume the
     /// mark and wake the queue's upstream router) set `wake = 0`, in
     /// place or through the wake boxes drained below; the memo's expiry
@@ -809,7 +837,7 @@ impl Shard {
     /// Marks are written here, in the step phase, by the queue's unique
     /// upstream router and consumed in the local phase by the queue's
     /// owner (an inject queue's mark is its tile's, written and consumed
-    /// in the local phase, see [`InjectBatch::wait_for_credit`]); wake
+    /// in the local phase, see [`Shard::wait_for_credit`]); wake
     /// boxes are filled in the local phase and drained here in the same
     /// cycle — each word has one writer per phase, so parallel and
     /// sequential runs see the same values, and nothing is in flight
@@ -950,27 +978,20 @@ impl Shard {
                 let pick = pick as usize;
                 if out == OutDir::Eject {
                     eject_tried = true;
+                    let head = router.front(arena, pick).expect("candidate has head");
+                    if !sink.admits(tile, head) {
+                        // refused: the head stays, retried next cycle
+                        counters.eject_stalls += 1;
+                        continue;
+                    }
                     let pkt = router.pop(arena, pick);
                     queued_msgs[local] -= 1;
-                    let flits = pkt.flits;
-                    let born = pkt.born;
-                    match sink.offer(tile, pkt) {
-                        Ok(()) => {
-                            pending_frees
-                                .push((topo.queue_id(tile, InPort::ALL[pick]), flits as u32));
-                            busy_until[local * OUT_DIRS + oi] = cycle + flits as u64;
-                            counters.ejected += 1;
-                            latency.record(cycle.saturating_sub(born));
-                            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                            moved = true;
-                        }
-                        Err(pkt) => {
-                            // refused: restore head position
-                            router.restore_front(arena, pick, pkt);
-                            queued_msgs[local] += 1;
-                            counters.eject_stalls += 1;
-                        }
-                    }
+                    pending_frees.push((topo.queue_id(tile, InPort::ALL[pick]), pkt.flits as u32));
+                    busy_until[local * OUT_DIRS + oi] = cycle + pkt.flits as u64;
+                    counters.ejected += 1;
+                    latency.record(cycle.saturating_sub(pkt.born));
+                    sink.accept(tile, pkt);
+                    moved = true;
                     continue;
                 }
                 let vc = c.vc[pick];
@@ -1243,8 +1264,9 @@ impl Shard {
     }
 
     /// Re-queues a checkpointed packet into `tile`'s `port` queue,
-    /// rebuilding the occupancy table, the in-flight balance, the
-    /// per-router packet count, the wake cache, and the worklist.
+    /// rebuilding the occupancy table, the per-router packet count, the
+    /// wake cache, and the worklist. (The packets in flight are the
+    /// restored counters' balance, see [`Shard::restore_counters`].)
     ///
     /// Packets must be restored in their snapshot order (FIFO order is
     /// load-bearing).
@@ -1264,7 +1286,6 @@ impl Shard {
         let local = self.local_idx(tile, &shared.topo);
         let qid = shared.topo.queue_id(tile, port);
         shared.occupancy[qid].adjust(i64::from(pkt.flits));
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
         let ready_at = pkt.ready_at;
         let router = router_mut(&mut self.routers, &mut self.pool, local);
         let pushed = router.push(&mut self.arena, port.index(), pkt);
@@ -1308,99 +1329,6 @@ impl Shard {
     pub fn restore_counters(&mut self, counters: &NocCounters, latency: &LatencyStats) {
         self.counters.merge(counters);
         self.latency.merge(latency);
-    }
-}
-
-/// A batched injection session at one tile's inject queue (see
-/// [`Shard::inject_batch`]): admission control runs on a locally cached
-/// occupancy value, and the atomic occupancy/in-flight updates are folded
-/// into one arithmetic update per run at [`InjectBatch::commit`].
-#[derive(Debug)]
-pub struct InjectBatch<'a> {
-    shard: &'a mut Shard,
-    shared: &'a SharedNet,
-    local: usize,
-    qid: usize,
-    /// Local view of `occupancy[qid]`, exact while the batch is open
-    /// (the inject queue is single-writer during the local phase).
-    occ: u32,
-    /// Net occupancy change to publish at commit.
-    occ_delta: i64,
-    /// Net in-flight change to publish at commit.
-    in_flight_delta: i64,
-}
-
-impl InjectBatch<'_> {
-    /// Whether [`InjectBatch::offer`] would take a packet of `flits`
-    /// flits now. Lets a caller leave a message in its own queue instead
-    /// of taking it out, building the packet and putting it back on
-    /// refusal.
-    #[inline]
-    pub fn admits(&self, flits: u16) -> bool {
-        admits(self.occ, flits as u32, self.shared.inject_capacity_flits)
-    }
-
-    /// Leaves the waiter mark on this inject queue: its tile goes to
-    /// sleep on the queue's credit after a refusal (local phase, the
-    /// queue's owner). The next free of the queue consumes the mark and
-    /// lists the tile in [`Shard::drain_woken_tiles`]; until then
-    /// [`Shard::next_event_cycle`] answers the next cycle, as it does
-    /// while a router sleeps on credit. A refusal means the queue holds
-    /// flits, so that free is on its way.
-    #[inline]
-    pub fn wait_for_credit(&mut self) {
-        let credit = &self.shared.occupancy[self.qid];
-        debug_assert!(self.occ > 0, "an empty inject queue refuses nothing");
-        if !credit.marked() {
-            credit.mark();
-            self.shard.inject_waiters += 1;
-        }
-    }
-
-    /// Offers one packet under the same admission rule as
-    /// [`Shard::inject`]: admit iff the queue is empty or `flits` fit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the packet back if the inject queue is full.
-    pub fn offer(&mut self, pkt: Packet) -> Result<(), Packet> {
-        if !self.admits(pkt.flits) {
-            return Err(pkt);
-        }
-        let flits = pkt.flits as u32;
-        self.occ += flits;
-        self.occ_delta += flits as i64;
-        if let Some(trace) = &mut self.shard.trace {
-            trace.push(TraceEvent::from_packet(&pkt));
-        }
-        let ready_at = pkt.ready_at;
-        let router = router_mut(&mut self.shard.routers, &mut self.shard.pool, self.local);
-        let pushed = router.push(&mut self.shard.arena, InPort::Inject.index(), pkt);
-        if pushed.new_head {
-            wake_for_new_head(&mut self.shard.wake[self.local], router, ready_at);
-        }
-        self.shard.active.activate(self.local as u32);
-        if pushed.freed > 0 {
-            self.occ -= pushed.freed;
-            self.occ_delta -= i64::from(pushed.freed);
-            self.shard.counters.reduce_combines += 1;
-            self.in_flight_delta -= 1;
-        } else {
-            self.shard.queued_msgs[self.local] += 1;
-        }
-        self.shard.counters.injected += 1;
-        self.in_flight_delta += 1;
-        Ok(())
-    }
-
-    /// Publishes the batched occupancy and in-flight deltas.
-    pub fn commit(self) {
-        self.shared.occupancy[self.qid].adjust(self.occ_delta);
-        if self.in_flight_delta != 0 {
-            self.shared
-                .in_flight
-                .fetch_add(self.in_flight_delta, Ordering::AcqRel);
-        }
     }
 }
 
@@ -1524,12 +1452,14 @@ mod tests {
         let (shared, shards) = net.split();
         let shard = &mut shards[0];
         let pkt = || Packet::unicast(0, 1, 0, crate::Payload::empty(), 3);
-        let mut batch = shard.inject_batch(shared, 0);
-        batch.offer(pkt()).unwrap();
-        assert!(!batch.admits(3), "3 + 3 flits do not fit in 4");
-        batch.wait_for_credit();
-        batch.wait_for_credit(); // refused again: still one waiter
-        batch.commit();
+        shard.inject(shared, 0, pkt()).unwrap();
+        assert!(
+            !shard.inject_admits(shared, 0, 3),
+            "3 + 3 flits do not fit in 4"
+        );
+        assert!(shard.inject(shared, 0, pkt()).is_err());
+        shard.wait_for_credit(shared, 0);
+        shard.wait_for_credit(shared, 0); // refused again: still one waiter
         let credit = &shared.occupancy[shared.topo.queue_id(0, InPort::Inject)];
         assert!(credit.marked());
         assert_eq!(shard.inject_waiters(), 1);
@@ -1550,7 +1480,7 @@ mod tests {
         assert_eq!(woken, [(1, 0)], "woken once, at the boundary after the pop");
         assert!(!credit.marked(), "the free consumed the mark");
         assert_eq!(shard.inject_waiters(), 0);
-        assert!(shard.inject_batch(shared, 0).admits(3), "the retry gets in");
+        assert!(shard.inject_admits(shared, 0, 3), "the retry gets in");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! lists through one shared [`PacketArena`]; the model is what they
 //! replaced — one `VecDeque<Packet>` per port, a reducible arrival
 //! combining into the first queued packet it can combine with. Random
-//! `push` / `pop` / `restore_front` / unlink-and-relink sequences over
+//! `push` / `pop` / unlink-and-relink sequences over
 //! several routers must leave both with the same FIFO contents, the same
 //! [`Pushed`] verdicts and the same port masks, and the arena must run
 //! out of its free list: it holds exactly as many nodes as packets were
@@ -177,7 +177,7 @@ proptest! {
     /// replaced, under any interleaving over several routers.
     #[test]
     fn linked_queues_match_the_vecdeque_model(
-        ops in vec((0u8..6, any::<u32>(), any::<u32>()), 1..256),
+        ops in vec((0u8..5, any::<u32>(), any::<u32>()), 1..256),
     ) {
         let mut arena = PacketArena::default();
         let mut routers: Vec<RouterState> = (0..ROUTERS).map(|_| RouterState::default()).collect();
@@ -206,11 +206,6 @@ proptest! {
                     prop_assert_eq!(Some(pkt), model[r].queues[port].pop_front());
                 }
                 4 if !model[r].queues[port].is_empty() => {
-                    // a refused ejection: out and back to the front
-                    let pkt = routers[r].pop(&mut arena, port);
-                    routers[r].restore_front(&mut arena, port, pkt);
-                }
-                5 if !model[r].queues[port].is_empty() => {
                     // a hop: the node is unlinked, stamped, linked elsewhere
                     let (to, to_port) =
                         ((b as usize) % ROUTERS, PORTS[(b >> 8) as usize % PORTS.len()]);
@@ -225,7 +220,7 @@ proptest! {
                     prop_assert_eq!(pushed, model[to].push(to_port, pkt));
                     prop_assert_eq!(arena.nodes(), nodes, "a hop allocates nothing");
                 }
-                _ => {} // pop, refusal or hop on an empty queue
+                _ => {} // pop or hop on an empty queue
             }
             let mut queued = 0;
             for (router, reference) in routers.iter().zip(&model) {

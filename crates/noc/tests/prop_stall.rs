@@ -35,14 +35,14 @@ struct Gate {
 }
 
 impl EjectSink for Gate {
-    fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
+    fn admits(&mut self, tile: u32, _pkt: &Packet) -> bool {
         let shut = self.cycle < self.open_at && self.only.is_none_or(|t| t == tile);
         let stuttering = self.stutter > 1 && self.cycle.is_multiple_of(self.stutter);
-        if shut || stuttering {
-            return Err(pkt);
-        }
+        !(shut || stuttering)
+    }
+
+    fn accept(&mut self, tile: u32, pkt: Packet) {
         self.accepted.push((self.cycle, tile, pkt));
-        Ok(())
     }
 }
 

@@ -60,10 +60,14 @@ struct Gate {
 }
 
 impl Gate {
-    fn take(&mut self, tile: u32, id: u32) -> bool {
+    fn open(&self, tile: u32) -> bool {
         let shut = self.cycle < self.open_at && self.only.is_none_or(|t| t == tile);
         let stuttering = self.stutter > 1 && self.cycle.is_multiple_of(self.stutter);
-        let open = !(shut || stuttering);
+        !(shut || stuttering)
+    }
+
+    fn take(&mut self, tile: u32, id: u32) -> bool {
+        let open = self.open(tile);
         if open {
             self.log.push((self.cycle, tile, id));
         }
@@ -72,12 +76,12 @@ impl Gate {
 }
 
 impl EjectSink for Gate {
-    fn offer(&mut self, tile: u32, pkt: Packet) -> Result<(), Packet> {
-        if self.take(tile, pkt.payload.word(0)) {
-            Ok(())
-        } else {
-            Err(pkt)
-        }
+    fn admits(&mut self, tile: u32, _pkt: &Packet) -> bool {
+        self.open(tile)
+    }
+
+    fn accept(&mut self, tile: u32, pkt: Packet) {
+        self.log.push((self.cycle, tile, pkt.payload.word(0)));
     }
 }
 

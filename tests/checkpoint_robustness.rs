@@ -368,7 +368,7 @@ fn bfs(graph: &Arc<Csr>, tiles: u32) -> Bfs {
 fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
     let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
     let (path, valid) = busy_bfs_snapshot(&graph, "fields");
-    let (at, _) = offsets(&valid);
+    let (at, queued) = offsets(&valid);
     // the rows named `... (cache)` edit a snapshot of a cache-backed run
     let cache_path = format!("{path}.cache");
     let cached = write_valid_snapshot(&cache_path, &graph, &cache_cfg());
@@ -410,6 +410,13 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
         vec![CacheLine::default()].put(&mut section);
         Box::new(move |b| replace(b, cold, &section))
     };
+    // one more packet injected than the record holds
+    let unbalanced = format!(
+        "plane 0: the counters put {} packets in flight (injected − ejected − combined), the \
+         record holds {}",
+        queued.len() + 1,
+        queued.len()
+    );
     let table: Vec<(&str, Edit, &str)> = vec![
         (
             "two packets of one queue that combine",
@@ -421,6 +428,18 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
                 })
             }),
             "post-combine",
+        ),
+        (
+            "injected packets of a plane",
+            Box::new(move |b| {
+                let mut out = b.to_vec();
+                let field = &mut out[at.counters..at.counters + 8];
+                let injected = u64::from_le_bytes(field.try_into().unwrap());
+                field.copy_from_slice(&(injected + 1).to_le_bytes());
+                restamp_checksum(&mut out);
+                out
+            }),
+            &unbalanced,
         ),
         (
             "packet destination",

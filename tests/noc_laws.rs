@@ -14,21 +14,27 @@
 //! path comes from `next_hop` below, written from the configuration's
 //! description of routing — dimension-ordered, X before Y; on a folded
 //! torus the shorter way around each ring, the increasing direction on a
-//! tie; a mesh never wraps — and deliberately not from
-//! `muchisim::noc::decide`, which is the code under test. Link latencies
-//! are read from the topology's link rows one hop at a time.
+//! tie; a mesh never wraps; with Ruche channels of length `R`, the Ruche
+//! link while at least `R` hops remain in the current dimension and the
+//! link stays in the grid (Ruche links never wrap) — and deliberately not
+//! from `muchisim::noc::decide`, which is the code under test. Link
+//! latencies are read from the topology's link rows one hop at a time.
 //!
 //! The grids are 2x2 packages of 3x3-tile chiplets, so paths cross
-//! on-chip and die-to-die links with different latencies.
+//! on-chip and die-to-die links with different latencies, on a mesh and a
+//! folded torus, each without and with Ruche channels of length 3.
 
 use muchisim::config::{NocTopology, SystemConfig};
 use muchisim::noc::{DrainSink, Network, NetworkParams, OutDir, Packet, Payload, TopoInfo};
 
-fn config(topology: NocTopology) -> SystemConfig {
+fn config(topology: NocTopology, ruche: Option<u32>) -> SystemConfig {
     let mut b = SystemConfig::builder();
     b.chiplet_tiles(3, 3)
         .package_chiplets(2, 2)
         .noc_topology(topology);
+    if let Some(r) = ruche {
+        b.ruche_factor(r);
+    }
     b.build().expect("valid grid")
 }
 
@@ -56,32 +62,47 @@ fn next_hop(
 ) -> Option<(OutDir, (u32, u32))> {
     let torus = cfg.noc.topology == NocTopology::FoldedTorus;
     let (w, h) = (cfg.width(), cfg.height());
+    // the Ruche length, when at least that many steps remain
+    let ruche = |steps: i64| {
+        cfg.noc
+            .ruche_factor
+            .filter(|&r| steps.unsigned_abs() >= u64::from(r))
+    };
     let dx = ring_steps(x, tx, w, torus);
     if dx != 0 {
-        return Some(if dx > 0 {
-            (OutDir::E, ((x + 1) % w, y))
-        } else {
-            (OutDir::W, ((x + w - 1) % w, y))
+        return Some(match ruche(dx) {
+            Some(r) if dx > 0 && x + r < w => (OutDir::RucheE, (x + r, y)),
+            Some(r) if dx < 0 && x >= r => (OutDir::RucheW, (x - r, y)),
+            _ if dx > 0 => (OutDir::E, ((x + 1) % w, y)),
+            _ => (OutDir::W, ((x + w - 1) % w, y)),
         });
     }
     let dy = ring_steps(y, ty, h, torus);
-    match dy {
-        0 => None,
-        1.. => Some((OutDir::S, (x, (y + 1) % h))),
-        _ => Some((OutDir::N, (x, (y + h - 1) % h))),
+    if dy == 0 {
+        return None;
     }
+    Some(match ruche(dy) {
+        Some(r) if dy > 0 && y + r < h => (OutDir::RucheS, (x, y + r)),
+        Some(r) if dy < 0 && y >= r => (OutDir::RucheN, (x, y - r)),
+        _ if dy > 0 => (OutDir::S, (x, (y + 1) % h)),
+        _ => (OutDir::N, (x, (y + h - 1) % h)),
+    })
 }
 
 #[test]
 fn idle_latency_is_the_sum_of_link_latencies_plus_serialization() {
-    for topology in [NocTopology::Mesh, NocTopology::FoldedTorus] {
-        let cfg = config(topology);
+    let configs = [NocTopology::Mesh, NocTopology::FoldedTorus]
+        .into_iter()
+        .flat_map(|topology| [None, Some(3)].map(|ruche| (topology, ruche)));
+    for (topology, ruche) in configs {
+        let cfg = config(topology, ruche);
         let topo = TopoInfo::from_system(&cfg);
         let (w, tiles) = (cfg.width(), cfg.width() * cfg.height());
         let mut net = Network::new(NetworkParams::from_system(&cfg), 2);
         let mut sink = DrainSink::default();
         let mut cycle = 0u64;
         let mut hop_latencies = std::collections::BTreeSet::new();
+        let mut ruche_hops = 0;
         for src in 0..tiles {
             for dst in 0..tiles {
                 for flits in 1..=3u16 {
@@ -93,6 +114,7 @@ fn idle_latency_is_the_sum_of_link_latencies_plus_serialization() {
                             .hop_cycles(at.1 * w + at.0, dir, 0)
                             .expect("the route uses links that exist");
                         hop_latencies.insert(hop);
+                        ruche_hops += u32::from(dir.is_ruche());
                         expected += hop + u64::from(flits) - 1;
                         at = next;
                     }
@@ -113,7 +135,7 @@ fn idle_latency_is_the_sum_of_link_latencies_plus_serialization() {
                     assert_eq!(
                         cycle - 1 - injected,
                         expected,
-                        "{topology:?}: {flits} flits from tile {src} to tile {dst}"
+                        "{topology:?}, Ruche {ruche:?}: {flits} flits from tile {src} to tile {dst}"
                     );
                     assert!(net.is_empty() && sink.drained.is_empty());
                     // let every link this packet kept busy free up again
@@ -123,7 +145,12 @@ fn idle_latency_is_the_sum_of_link_latencies_plus_serialization() {
         }
         assert!(
             hop_latencies.len() > 1,
-            "{topology:?}: the paths should cross links of different latencies"
+            "{topology:?}, Ruche {ruche:?}: the paths should cross links of different latencies"
+        );
+        assert_eq!(
+            ruche_hops > 0,
+            ruche.is_some(),
+            "{topology:?}, Ruche {ruche:?}: paths cross Ruche links exactly when there are some"
         );
     }
 }
