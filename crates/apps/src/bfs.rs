@@ -54,7 +54,7 @@ impl Bfs {
     }
 
     /// Tags update messages as in-network reducible (MinU32), for
-    /// reduction-tree studies (consuming builder step).
+    /// in-network reduction studies (consuming builder step).
     pub fn with_reduction(mut self, enable: bool) -> Self {
         self.reduction = enable;
         self

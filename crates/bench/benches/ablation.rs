@@ -1,6 +1,6 @@
 //! Ablations over the design parameters DESIGN.md calls out, covering the
 //! additional case studies the paper's repository ships: NoC width (1),
-//! reduction trees (2), PUs per tile (3), scratchpad vs DRAM (4), and
+//! in-network reduction (2), PUs per tile (3), scratchpad vs DRAM (4), and
 //! queue sizes (5), plus the TSU scheduling policies of §III-A.
 
 use muchisim_apps::{high_degree_root, run_benchmark, Benchmark, Bfs, Spmv, SyncMode};
@@ -30,7 +30,7 @@ fn main() {
         "a 4x wider NoC should not be slower"
     );
 
-    muchisim_bench::rule("ablation 2: reduction trees (BFS message elimination)");
+    muchisim_bench::rule("ablation 2: in-network reduction (BFS message elimination)");
     let root = high_degree_root(&graph);
     for reduce in [false, true] {
         let app = Bfs::new(graph.clone(), tiles, root, SyncMode::Async).with_reduction(reduce);

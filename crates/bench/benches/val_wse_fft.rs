@@ -17,18 +17,12 @@
 //! n (8–32; the full 512 needs hours of host time).
 
 use muchisim_apps::Fft3d;
-use muchisim_config::SystemConfig;
+use muchisim_config::{presets, SystemConfig};
 use muchisim_core::Simulation;
 use muchisim_energy::Report;
 
 fn wse_config(n: u32) -> SystemConfig {
-    SystemConfig::builder()
-        .chiplet_tiles(n, n)
-        .sram_kib_per_tile(48)
-        .noc_width_bits(32)
-        .scratchpad()
-        .build()
-        .unwrap()
+    presets::wse_like(n).build().unwrap()
 }
 
 /// Analytic stand-in for the WSE-reported runtime in cycles: three FFT
@@ -106,13 +100,9 @@ fn main() {
 
     // area validation at full WSE scale (model-only; no simulation needed)
     muchisim_bench::rule("WSE area validation");
-    let wse_full = SystemConfig::builder()
-        .chiplet_tiles(922, 922) // 850,084 tiles ~ the WSE's 850,000 cores
-        .sram_kib_per_tile(48) // ~40 GB of on-wafer SRAM
-        .noc_width_bits(32)
-        .scratchpad()
-        .build()
-        .unwrap();
+    // 922 x 922 = 850,084 tiles ~ the WSE's 850,000 cores, with ~40 GB
+    // of on-wafer SRAM
+    let wse_full = wse_config(922);
     let area = muchisim_energy::AreaBreakdown::from_config(&wse_full);
     let real = 46_225.0;
     let overshoot = area.total_compute_mm2 / real - 1.0;

@@ -42,8 +42,6 @@ pub enum ConfigError {
     NoNocs,
     /// The DRAM configuration requests zero channels.
     NoDramChannels,
-    /// The inter-node link multiplexing factor must be non-zero.
-    ZeroLinkMux,
     /// The synthetic-traffic parameters are invalid.
     Traffic {
         /// What is wrong with them.
@@ -103,9 +101,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NoDramChannels => {
                 write!(f, "DRAM configuration requests zero channels")
             }
-            ConfigError::ZeroLinkMux => {
-                write!(f, "inter-node link multiplexing factor must be non-zero")
-            }
             ConfigError::Traffic { why } => write!(f, "invalid traffic parameters: {why}"),
             ConfigError::Checkpoint { why } => {
                 write!(f, "invalid checkpoint configuration: {why}")
@@ -138,7 +133,6 @@ mod tests {
             ConfigError::OperatingAbovePeak { domain: "pu" }.to_string(),
             ConfigError::NoNocs.to_string(),
             ConfigError::NoDramChannels.to_string(),
-            ConfigError::ZeroLinkMux.to_string(),
             ConfigError::Traffic { why: "rate" }.to_string(),
             ConfigError::Checkpoint { why: "path" }.to_string(),
             ConfigError::Telemetry { why: "cadence" }.to_string(),

@@ -50,8 +50,7 @@ pub use params::{
 };
 pub use system::{
     ClockDomain, DramConfig, InterposerKind, MemoryConfig, NocConfig, NocTopology, PrefetchConfig,
-    QueueConfig, ReductionTreeConfig, SchedulingPolicy, SystemConfig, SystemConfigBuilder,
-    Verbosity, MAX_QUEUE_FLITS,
+    QueueConfig, SchedulingPolicy, SystemConfig, SystemConfigBuilder, Verbosity, MAX_QUEUE_FLITS,
 };
 pub use telemetry::{ConvergedWard, TelemetryParams, WardMetric, WardParams};
 pub use traffic::{TrafficParams, TrafficPattern};

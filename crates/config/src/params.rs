@@ -23,10 +23,6 @@ pub struct SramParams {
     ///
     /// Only active banks leak (paper §III-D). Repo-default value.
     pub leakage_w_per_mb: f64,
-    /// Bank size in KiB used by the bank-scaling model (repo default).
-    pub bank_kib: u32,
-    /// Multiplexer-tree energy growth per capacity doubling (paper: +50 %).
-    pub mux_growth_per_doubling: f64,
     /// Extra access latency in ns added at each quadrupling step beyond
     /// 512 KiB (paper: +1 ns).
     pub latency_step_ns: f64,
@@ -43,8 +39,6 @@ impl Default for SramParams {
             write_energy_pj_per_bit: 0.28,
             tag_read_compare_energy_pj: 6.3,
             leakage_w_per_mb: 0.05,
-            bank_kib: 64,
-            mux_growth_per_doubling: 0.5,
             latency_step_ns: 1.0,
             latency_step_threshold_kib: 512,
         }
@@ -60,8 +54,6 @@ pub struct HbmParams {
     pub device_area_mm2: f64,
     /// Channels per device (Table I: 8).
     pub channels_per_device: u32,
-    /// Bandwidth per channel in GB/s (Table I: 64 GB/s).
-    pub channel_bandwidth_gbps: f64,
     /// Memory-controller-to-HBM round-trip latency in ns (Table I: 50 ns).
     pub ctrl_latency_ns: f64,
     /// Access energy in pJ per bit (Table I: 3.7 pJ/bit).
@@ -80,7 +72,6 @@ impl Default for HbmParams {
             device_capacity_gb: 8.0,
             device_area_mm2: 110.0,
             channels_per_device: 8,
-            channel_bandwidth_gbps: 64.0,
             ctrl_latency_ns: 50.0,
             access_energy_pj_per_bit: 3.7,
             refresh_period_ms: 32.0,
@@ -95,21 +86,15 @@ impl Default for HbmParams {
 pub struct PhyParams {
     /// MCM (organic substrate) PHY areal density, Gbit/s per mm².
     pub mcm_areal_gbps_per_mm2: f64,
-    /// MCM PHY beachfront (edge) density, Gbit/s per mm.
-    pub mcm_beachfront_gbps_per_mm: f64,
     /// Silicon-interposer PHY areal density, Gbit/s per mm².
     pub si_areal_gbps_per_mm2: f64,
-    /// Silicon-interposer PHY beachfront density, Gbit/s per mm.
-    pub si_beachfront_gbps_per_mm: f64,
 }
 
 impl Default for PhyParams {
     fn default() -> Self {
         PhyParams {
             mcm_areal_gbps_per_mm2: 690.0,
-            mcm_beachfront_gbps_per_mm: 880.0,
             si_areal_gbps_per_mm2: 1070.0,
-            si_beachfront_gbps_per_mm: 1780.0,
         }
     }
 }
@@ -334,7 +319,6 @@ mod tests {
         assert_eq!(h.device_capacity_gb, 8.0);
         assert_eq!(h.device_area_mm2, 110.0);
         assert_eq!(h.channels_per_device, 8);
-        assert_eq!(h.channel_bandwidth_gbps, 64.0);
         assert_eq!(h.ctrl_latency_ns, 50.0);
         assert_eq!(h.access_energy_pj_per_bit, 3.7);
         assert_eq!(h.refresh_period_ms, 32.0);
@@ -348,9 +332,7 @@ mod tests {
     fn table1_phy_defaults() {
         let p = PhyParams::default();
         assert_eq!(p.mcm_areal_gbps_per_mm2, 690.0);
-        assert_eq!(p.mcm_beachfront_gbps_per_mm, 880.0);
         assert_eq!(p.si_areal_gbps_per_mm2, 1070.0);
-        assert_eq!(p.si_beachfront_gbps_per_mm, 1780.0);
     }
 
     #[test]

@@ -149,6 +149,37 @@ mod tests {
     }
 
     #[test]
+    fn json_with_the_removed_unread_keys_still_loads() {
+        // config files and DSE stores from before the settings that no
+        // model read were removed carry them, at any value
+        let cfg = wse_like(8).build().unwrap();
+        let mut json = to_json(&cfg);
+        for (next_key, removed) in [
+            ("\"time_leap\":", "\"inter_node_link_mux\": 2,"),
+            (
+                "\"buffer_depth\":",
+                "\"reduction_tree\": {\"subtree_width\": 8},",
+            ),
+            (
+                "\"leakage_w_per_mb\":",
+                "\"bank_kib\": 32, \"mux_growth_per_doubling\": 0.7,",
+            ),
+            (
+                "\"channels_per_device\":",
+                "\"channel_bandwidth_gbps\": 32.0,",
+            ),
+            (
+                "\"mcm_areal_gbps_per_mm2\":",
+                "\"mcm_beachfront_gbps_per_mm\": 1.0, \"si_beachfront_gbps_per_mm\": 2.0,",
+            ),
+        ] {
+            assert_eq!(json.matches(next_key).count(), 1, "{next_key}");
+            json = json.replace(next_key, &format!("{removed} {next_key}"));
+        }
+        assert_eq!(from_json(&json).unwrap(), cfg);
+    }
+
+    #[test]
     fn json_rejects_invalid_config() {
         let mut cfg = wse_like(8).build().unwrap();
         cfg.noc.width_bits = 13; // invalid

@@ -94,19 +94,6 @@ impl MemoryConfig {
     }
 }
 
-/// Reduction-tree (Tascade-style) support on the NoC (paper §III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReductionTreeConfig {
-    /// Tiles per reduction subtree (a `k × k` block shares one root).
-    pub subtree_width: u32,
-}
-
-impl Default for ReductionTreeConfig {
-    fn default() -> Self {
-        ReductionTreeConfig { subtree_width: 8 }
-    }
-}
-
 /// Network-on-chip configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
@@ -121,8 +108,6 @@ pub struct NocConfig {
     pub ruche_factor: Option<u32>,
     /// Router port buffer depth in flits.
     pub buffer_depth: u32,
-    /// Optional reduction-tree support.
-    pub reduction_tree: Option<ReductionTreeConfig>,
 }
 
 impl Default for NocConfig {
@@ -133,7 +118,6 @@ impl Default for NocConfig {
             num_physical: 1,
             ruche_factor: None,
             buffer_depth: 4,
-            reduction_tree: None,
         }
     }
 }
@@ -238,9 +222,6 @@ pub struct SystemConfig {
     pub scheduling: SchedulingPolicy,
     /// Chiplet integration style.
     pub interposer: InterposerKind,
-    /// How many edge tiles share one inter-node link (paper §III-A
-    /// "Interconnect links").
-    pub inter_node_link_mux: u32,
     /// Statistic-frame length in NoC cycles (paper §III-D "frames").
     pub frame_interval_cycles: u64,
     /// Path of a JSONL file receiving the full NoC injection trace — one
@@ -305,7 +286,6 @@ impl Default for SystemConfig {
             queues: QueueConfig::default(),
             scheduling: SchedulingPolicy::default(),
             interposer: InterposerKind::default(),
-            inter_node_link_mux: 1,
             frame_interval_cycles: 40_000,
             noc_trace: None,
             checkpoint_every: None,
@@ -478,9 +458,6 @@ impl SystemConfig {
                 return Err(ConfigError::NoDramChannels);
             }
         }
-        if self.inter_node_link_mux == 0 {
-            return Err(ConfigError::ZeroLinkMux);
-        }
         if self.checkpoint_every == Some(0) {
             return Err(ConfigError::Checkpoint {
                 why: "checkpoint_every must be at least 1 cycle",
@@ -635,12 +612,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables Tascade-style reduction trees.
-    pub fn reduction_tree(&mut self, cfg: ReductionTreeConfig) -> &mut Self {
-        self.cfg.noc.reduction_tree = Some(cfg);
-        self
-    }
-
     /// Sets task queue capacities.
     pub fn queues(&mut self, iq: u32, cq: u32) -> &mut Self {
         self.cfg.queues = QueueConfig {
@@ -659,12 +630,6 @@ impl SystemConfigBuilder {
     /// Sets the chiplet integration style.
     pub fn interposer(&mut self, kind: InterposerKind) -> &mut Self {
         self.cfg.interposer = kind;
-        self
-    }
-
-    /// Sets the inter-node link multiplexing factor.
-    pub fn inter_node_link_mux(&mut self, mux: u32) -> &mut Self {
-        self.cfg.inter_node_link_mux = mux;
         self
     }
 

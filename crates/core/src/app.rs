@@ -48,9 +48,6 @@ impl GridInfo {
 pub struct SoftwareConfig {
     /// Per-task-type input-queue capacity overrides (task id, messages).
     pub iq_capacity_override: Vec<(u8, u32)>,
-    /// Task ids to prioritize, highest first (switches the TSU to the
-    /// priority policy when non-empty).
-    pub priority_tasks: Vec<u8>,
 }
 
 /// A pre-scheduled NoC injection: a packet the engine injects for a tile
@@ -272,7 +269,7 @@ pub trait Application: Sync + Send {
         Vec::new()
     }
 
-    /// Software-parameter overrides (queue sizes, priorities).
+    /// Software-parameter overrides: per-task input-queue capacities.
     fn configure(&self, _sw: &mut SoftwareConfig) {}
 
     /// Builds the initial per-tile state.

@@ -8,7 +8,7 @@ use crate::sched::Scheduler;
 use crate::slice::ColSlice;
 use crate::snapshot::{Queued, TileRecord};
 use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
-use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
+use muchisim_config::{MemoryConfig, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
 use muchisim_noc::{
     split_columns, ActiveSet, Arena, EjectSink, InPort, Keep, Network, NetworkParams, OutDir,
@@ -377,11 +377,6 @@ impl<A: Application> Worker<A> {
                 iq_caps[t as usize] = c;
             }
         }
-        let policy = if sw.priority_tasks.is_empty() {
-            cfg.scheduling.clone()
-        } else {
-            SchedulingPolicy::Priority(sw.priority_tasks.clone())
-        };
         let states: Vec<A::Tile> = slice
             .iter_tiles()
             .map(|t| app.make_tile(t, &grid))
@@ -411,7 +406,7 @@ impl<A: Application> Worker<A> {
             slice,
             ntasks: ntasks as usize,
             iq_caps: iq_caps.into(),
-            sched: Scheduler::new(policy, ntasks),
+            sched: Scheduler::new(&cfg.scheduling, ntasks),
             mem_proto: TileMemory::from_system(cfg),
             rr_last: vec![Scheduler::initial_rr(ntasks); n],
             iq_links: vec![QueueLink::default(); n * ntasks as usize],

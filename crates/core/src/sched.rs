@@ -24,8 +24,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Builds a scheduler for `task_types` task ids with `policy`.
-    pub fn new(policy: SchedulingPolicy, task_types: u8) -> Self {
-        let (kind, order): (PolicyKind, Vec<u8>) = match &policy {
+    pub fn new(policy: &SchedulingPolicy, task_types: u8) -> Self {
+        let (kind, order): (PolicyKind, Vec<u8>) = match policy {
             SchedulingPolicy::Priority(listed) => {
                 let mut order = listed.clone();
                 for t in 0..task_types {
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_fairly() {
-        let s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let s = Scheduler::new(&SchedulingPolicy::RoundRobin, 3);
         let mut rr = Scheduler::initial_rr(3);
         let iqs = queues(&[2, 2, 2]);
         assert_eq!(s.pick(&mut rr, &iqs), Some(0));
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn round_robin_skips_empty() {
-        let s = Scheduler::new(SchedulingPolicy::RoundRobin, 3);
+        let s = Scheduler::new(&SchedulingPolicy::RoundRobin, 3);
         let mut rr = Scheduler::initial_rr(3);
         let iqs = queues(&[0, 2, 0]);
         assert_eq!(s.pick(&mut rr, &iqs), Some(1));
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn priority_serves_listed_first() {
-        let s = Scheduler::new(SchedulingPolicy::Priority(vec![2, 0]), 3);
+        let s = Scheduler::new(&SchedulingPolicy::Priority(vec![2, 0]), 3);
         let mut rr = Scheduler::initial_rr(3);
         assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 1])), Some(2));
         assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 0])), Some(0));
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn occupancy_serves_fullest() {
-        let s = Scheduler::new(SchedulingPolicy::OccupancyBased, 3);
+        let s = Scheduler::new(&SchedulingPolicy::OccupancyBased, 3);
         let mut rr = Scheduler::initial_rr(3);
         assert_eq!(s.pick(&mut rr, &queues(&[1, 5, 3])), Some(1));
         // tie broken towards the lower task id
@@ -151,7 +151,7 @@ mod tests {
             SchedulingPolicy::Priority(vec![1]),
             SchedulingPolicy::OccupancyBased,
         ] {
-            let s = Scheduler::new(policy, 0);
+            let s = Scheduler::new(&policy, 0);
             assert_eq!(s.pick(&mut Scheduler::initial_rr(0), &[]), None);
         }
     }

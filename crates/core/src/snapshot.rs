@@ -1480,14 +1480,14 @@ mod tests {
 
     /// A changed default moves no [`config_hash`], so this pin is what
     /// notices one. When it fails, decide whether the new default alters
-    /// simulated behavior (then bump [`SNAPSHOT_VERSION`]; a key added at
-    /// a default that reproduces the old behavior needs no bump), and
-    /// paste the new hash either way.
+    /// simulated behavior (then bump [`SNAPSHOT_VERSION`]; a key added or
+    /// deleted at a default that reproduces the old behavior needs no
+    /// bump), and paste the new hash either way.
     #[test]
     fn the_default_configs_simulated_leaves_are_pinned() {
         let h = identity_hash(&simulated(&SystemConfig::default()), &Value::Null);
         assert_eq!(
-            h, 0xa313_de58_7f82_7e63,
+            h, 0x784a_e6a2_30dd_78a2,
             "the default config's simulated leaves now hash to {h:#018x}: see this test's doc"
         );
     }

@@ -49,7 +49,8 @@ impl AreaBreakdown {
         let tile = pu * cfg.pus_per_tile as f64 + sram + router + p.tsu_area_mm2;
 
         // PHY: edge tiles on each chiplet side need width_bits at the NoC
-        // frequency, per physical NoC.
+        // frequency, per physical NoC. Table I's beachfront densities (880 /
+        // 1780 Gbit/s/mm) are not modelled: PHY area follows areal density only.
         let h = &cfg.hierarchy;
         let multi_chiplet = h.total_chiplets() > 1;
         let phy = if multi_chiplet {

@@ -71,6 +71,8 @@ impl EnergyBreakdown {
             + c.pu.tasks_executed as f64 * p.pu.task_dispatch_energy_pj)
             * pu_scale;
 
+        // energy per bit at any capacity: the paper's +50 % mux-tree energy
+        // per SRAM capacity doubling is not modelled
         let sram_pj = c.mem.sram_read_bits as f64 * p.sram.read_energy_pj_per_bit
             + c.mem.sram_write_bits as f64 * p.sram.write_energy_pj_per_bit
             + c.mem.tag_accesses as f64 * p.sram.tag_read_compare_energy_pj;

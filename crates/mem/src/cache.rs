@@ -205,15 +205,6 @@ impl CacheModel {
         };
         Some(writeback)
     }
-
-    /// Invalidates everything (between kernels, if desired).
-    pub fn flush(&mut self) -> u64 {
-        let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count() as u64;
-        for l in &mut self.lines {
-            *l = CacheLine::default();
-        }
-        dirty
-    }
 }
 
 #[cfg(test)]
@@ -294,16 +285,6 @@ mod tests {
         assert!(pf_hit, "first demand access to a prefetched line");
         let (_, pf_hit2) = c.access(0x2000, false);
         assert!(!pf_hit2);
-    }
-
-    #[test]
-    fn flush_counts_dirty_lines() {
-        let mut c = small_cache();
-        c.access(0, true);
-        c.access(0x40, true);
-        c.access(0x80, false);
-        assert_eq!(c.flush(), 2);
-        assert!(!c.probe(0));
     }
 
     #[test]

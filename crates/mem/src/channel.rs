@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 /// the transactions of each channel. For example, if a request is done at
 /// cycle X, but the memory channel has received Y transactions (where
 /// Y > X), then the delay of this request is Y − X + the round trip to the
-/// memory channel."
+/// memory channel." Table I's 64 GB/s per channel is not modelled: the
+/// one-request-per-cycle rule is the only contention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChannelState {
     /// The cycle at which the next request would be accepted.

@@ -71,11 +71,6 @@ impl TileMemory {
         }
     }
 
-    /// Whether the PLM operates as a cache over DRAM.
-    pub fn is_cache(&self) -> bool {
-        matches!(self.mode, Mode::Cache { .. })
-    }
-
     /// The SRAM access latency in PU cycles (bank-scaled).
     pub fn sram_latency(&self) -> u64 {
         self.sram_latency
@@ -269,7 +264,6 @@ mod tests {
     #[test]
     fn scratchpad_constant_latency() {
         let mut m = scratchpad();
-        assert!(!m.is_cache());
         let l1 = m.access(0x0, AccessKind::Read, 0, None);
         let l2 = m.access(0xFFFF_FFFF, AccessKind::Write, 99, None);
         assert_eq!(l1, m.sram_latency());

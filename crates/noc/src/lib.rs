@@ -19,10 +19,11 @@
 //! * **Timestamps**: each packet carries the earliest NoC cycle at which
 //!   it may move again, updated every hop. This is the mechanism that lets
 //!   PUs be simulated ahead of the network (paper §III-C).
-//! * **Reduction trees**: packets flagged with a [`ReduceOp`] combine
-//!   opportunistically with a queued packet for the same destination, task
-//!   and key — the Tascade-style asynchronous in-network reduction the
-//!   paper evaluates for its Fig. 2 torus+tree configuration.
+//! * **In-network reduction**: packets flagged with a [`ReduceOp`] combine
+//!   opportunistically, in any router queue, with a queued packet for the
+//!   same destination, task and key — asynchronous in-network reduction
+//!   standing in for the Tascade reduction subtrees of the paper's Fig. 2
+//!   torus+tree configuration (no subtrees are built).
 //! * **Column sharding**: the network is split into column [`Shard`]s with
 //!   single-producer mailboxes between them, so the core crate can step
 //!   shards on separate host threads while remaining *bit-identical* to

@@ -97,20 +97,6 @@ impl NetworkParams {
             record_trace: cfg.noc_trace.is_some(),
         }
     }
-
-    /// Enables or disables per-router busy tracking explicitly
-    /// (standalone NoC studies that read [`Network::take_busy`] without a
-    /// full system configuration).
-    pub fn track_busy(mut self, enabled: bool) -> Self {
-        self.track_busy = enabled;
-        self
-    }
-
-    /// Enables or disables injection-trace recording explicitly.
-    pub fn record_trace(mut self, enabled: bool) -> Self {
-        self.record_trace = enabled;
-        self
-    }
 }
 
 /// A single-producer cross-shard mailbox: packets handed from one shard's
@@ -762,11 +748,9 @@ mod tests {
     #[test]
     fn latency_and_trace_recorded_across_shards() {
         let cfg = SystemConfig::builder().chiplet_tiles(4, 1).build().unwrap();
-        let params = NetworkParams::from_system(&cfg).record_trace(true);
-        assert!(
-            !NetworkParams::from_system(&cfg).record_trace,
-            "off by default"
-        );
+        let mut params = NetworkParams::from_system(&cfg);
+        assert!(!params.record_trace, "off by default");
+        params.record_trace = true;
         let mut n = Network::new(params, 2);
         n.inject(
             0,
@@ -797,7 +781,8 @@ mod tests {
         let cfg = SystemConfig::builder().chiplet_tiles(4, 1).build().unwrap();
         // below V2 the config disables tracking; heat-map consumers
         // opt back in explicitly
-        let params = NetworkParams::from_system(&cfg).track_busy(true);
+        let mut params = NetworkParams::from_system(&cfg);
+        params.track_busy = true;
         let mut n = Network::new(params, 1);
         n.inject(0, Packet::unicast(0, 3, 0, Payload::empty(), 1))
             .unwrap();

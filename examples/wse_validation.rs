@@ -8,7 +8,7 @@
 //! ```
 
 use muchisim::apps::Fft3d;
-use muchisim::config::SystemConfig;
+use muchisim::config::presets;
 use muchisim::core::Simulation;
 use muchisim::energy::{AreaBreakdown, Report};
 
@@ -19,12 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "n", "tiles", "cycles", "runtime", "GFLOP/s", "power W"
     );
     for n in [8u32, 16, 32] {
-        let cfg = SystemConfig::builder()
-            .chiplet_tiles(n, n)
-            .sram_kib_per_tile(48)
-            .noc_width_bits(32)
-            .scratchpad()
-            .build()?;
+        let cfg = presets::wse_like(n).build()?;
         let result = Simulation::new(cfg.clone(), Fft3d::new(n as usize, 7))?.run_parallel(8)?;
         assert!(result.check_error.is_none(), "{:?}", result.check_error);
         let report = Report::from_counters(&cfg, &result.counters);
@@ -41,12 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Area model at full wafer scale: the paper reports the simulator's
     // area is 8.8% above the real 46,225 mm^2 WSE.
-    let wafer = SystemConfig::builder()
-        .chiplet_tiles(922, 922) // ~850,000 tiles
-        .sram_kib_per_tile(48) // ~40 GB of SRAM
-        .noc_width_bits(32)
-        .scratchpad()
-        .build()?;
+    // 922 x 922 ~ 850,000 tiles with ~40 GB of SRAM
+    let wafer = presets::wse_like(922).build()?;
     let area = AreaBreakdown::from_config(&wafer);
     println!(
         "\nfull-wafer area model: {:.0} mm^2 vs real 46,225 mm^2 (+{:.1}%; paper: +8.8%)",

@@ -18,7 +18,7 @@
 //! |--------|-------|----------|
 //! | [`config`] | `muchisim-config` | DUT configuration, Table I parameter defaults |
 //! | [`data`] | `muchisim-data` | RMAT/Kronecker datasets, CSR, partitioning |
-//! | [`noc`] | `muchisim-noc` | cycle-level mesh/torus/Ruche NoC with reduction trees |
+//! | [`noc`] | `muchisim-noc` | cycle-level mesh/torus/Ruche NoC with in-network reduction |
 //! | [`mem`] | `muchisim-mem` | PLM scratchpad/cache, SRAM scaling, HBM channels |
 //! | [`core`] | `muchisim-core` | the engine: MTT API, TSU, kernels, parallel driver |
 //! | [`energy`] | `muchisim-energy` | energy / area / cost / yield models, post-processing |

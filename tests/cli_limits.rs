@@ -71,10 +71,15 @@ fn the_removed_config_keys_are_unknown_parameters() {
         "frame_budget=64",
         "frame_spill=/tmp/frames.jsonl",
         "active_list=false",
+        "inter_node_link_mux=2",
+        r#"noc.reduction_tree={"subtree_width":8}"#,
+        "params.sram.bank_kib=64",
     ] {
         let (code, stderr) = run(&["run", "bfs", "5", "8", "1", "--set", assignment]);
         assert_eq!(code, Some(2), "{stderr}");
-        let key = assignment.split('=').next().expect("a key");
+        // a nested path is reported by its last segment
+        let path = assignment.split('=').next().expect("a key");
+        let key = path.rsplit('.').next().expect("a segment");
         assert!(
             stderr.starts_with("error: ") && stderr.contains(&format!("unknown parameter `{key}`")),
             "{stderr}"
