@@ -1,34 +1,25 @@
-//! Shared helpers for the figure-regeneration benches.
+//! Shared helpers for the measurement benches (`leap`, `scale`,
+//! `traffic`), which record the root `BENCH_*.json` files.
 //!
-//! Every table and figure of the paper's evaluation has a bench target in
-//! `benches/`; the experiments run the full code paths at geometrically
-//! scaled-down sizes (DESIGN.md substitution #1) and print the same rows
-//! / series the paper reports. `EXPERIMENTS.md` records the
-//! paper-vs-measured shapes.
+//! The paper's own figures and numbers live elsewhere: the shapes are
+//! asserted by `tests/paper_anchors.rs` and printed by the examples.
 
 use muchisim_data::rmat::RmatConfig;
 use muchisim_data::Csr;
 use std::sync::Arc;
 
-/// Default RMAT scale for the figure benches (paper: RMAT-22/25/26;
-/// scaled down per DESIGN.md).
+/// Default RMAT scale for the benches: the paper runs RMAT-22/25/26; a
+/// bench at that scale would take hours of host time, so they run at
+/// RMAT-11 on correspondingly smaller grids.
 pub const BENCH_RMAT_SCALE: u32 = 11;
 
 /// The shared dataset seed.
-pub const BENCH_SEED: u64 = 0x6D75_6368_6953_696D;
+const BENCH_SEED: u64 = 0x6D75_6368_6953_696D;
 
 /// Generates the shared bench dataset at `scale`, behind an [`Arc`] so
 /// every experiment in a bench shares one host copy.
 pub fn bench_graph(scale: u32) -> Arc<Csr> {
     Arc::new(RmatConfig::scale(scale).generate(BENCH_SEED))
-}
-
-/// Geometric mean.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
 /// Prints a rule line for the bench reports.
@@ -43,6 +34,5 @@ mod tests {
     #[test]
     fn helpers_work() {
         assert_eq!(bench_graph(6).num_vertices(), 64);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
     }
 }

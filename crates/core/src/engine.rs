@@ -5,14 +5,13 @@ use crate::counters::SimCounters;
 use crate::error::SimError;
 use crate::horizon::ClockConv;
 use crate::sched::Scheduler;
-use crate::slice::ColSlice;
 use crate::snapshot::{Queued, TileRecord};
 use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
 use muchisim_config::{MemoryConfig, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
 use muchisim_noc::{
-    split_columns, ActiveSet, Arena, EjectSink, InPort, Keep, Network, NetworkParams, OutDir,
-    Packet, Payload, QueueLink, Shard, SharedNet,
+    split_columns, ActiveSet, Arena, ColSlice, EjectSink, InPort, Keep, Network, NetworkParams,
+    OutDir, Packet, Payload, QueueLink, Shard, SharedNet,
 };
 use muchisim_telemetry::{Cadence, Frame, FrameLog};
 use std::collections::VecDeque;
@@ -233,7 +232,9 @@ struct Dispatched {
 
 /// One host worker: a column slice of tiles plus its DRAM channels.
 ///
-/// The layout is the one [`Shard`] has for routers. What all tiles share
+/// Tiles are laid out by a [`ColSlice`], the one its [`Shard`]s use for
+/// the same columns' routers (so `busy_grid`, which a shard fills by
+/// local router id, is indexed by local tile id). What all tiles share
 /// is held once (`iq_caps`, `sched`, `mem_proto`). Everything the
 /// per-cycle sweeps and the TSU read is a dense array indexed by local
 /// tile id (`pu_clock`, `iq_msgs`, `cq_msgs`, `init_pending`, the wake
@@ -349,7 +350,7 @@ pub(crate) struct Worker<A: Application> {
     /// Worklist of tiles that can act: pending init or IQ work, or sends
     /// (queued CQ messages, an open scripted-send timetable) that wait to
     /// mature. Tiles activate on kernel start, on packet delivery (the
-    /// worker's [`EjectSink::offer`]) and when returned inject credit
+    /// worker's [`EjectSink::accept`]) and when returned inject credit
     /// wakes them (`begin_cycle`), and are retired by the retention pass
     /// at the end of `inject_phase`; the sweeps in `pu_phase`,
     /// `inject_phase`, and `leap_to` then cost `O(active tiles)` instead
@@ -1029,7 +1030,8 @@ impl<A: Application> Worker<A> {
     /// column into `column_activity` (index = global column).
     pub fn merge_counters(&self, total: &mut SimCounters, column_activity: &mut [u64]) {
         // local ids run row by row over the slice's columns
-        let cols = self.slice.cols.start as usize..self.slice.cols.end as usize;
+        let cols = self.slice.cols();
+        let cols = cols.start as usize..cols.end as usize;
         for row in self.dispatched.chunks(cols.len()) {
             for (col, d) in column_activity[cols.clone()].iter_mut().zip(row) {
                 *col += d.tasks;
@@ -1093,10 +1095,7 @@ impl<A: Application> Worker<A> {
         let mut diags: Vec<crate::ward::TileDiag> = Vec::new();
         for local in 0..self.slice.num_tiles() {
             let tile = self.slice.global(local);
-            let parked = shards
-                .iter()
-                .map(|s| s.queued_at(tile, self.grid.width))
-                .sum::<u32>();
+            let parked = shards.iter().map(|s| s.queued_at(tile)).sum::<u32>();
             let d = crate::ward::TileDiag {
                 tile,
                 iq_msgs: self.iq_msgs[local],
@@ -1182,7 +1181,6 @@ impl<A: Application> Worker<A> {
         buf: &mut Vec<u8>,
     ) -> Result<(), String> {
         use crate::snapshot::{put_blob_with, put_seq, Put, Var};
-        let width = self.grid.width;
         (
             self.max_pu_fs,
             self.frame_tasks,
@@ -1196,10 +1194,10 @@ impl<A: Application> Worker<A> {
         for sh in shards {
             sh.counters().put(buf);
             sh.latency().put(buf);
-            sh.snapshot_packets(width).put(buf);
-            sh.snapshot_links(width, cycle).put(buf);
-            sh.snapshot_rr(width).put(buf);
-            sh.snapshot_busy_frame(width).put(buf);
+            sh.snapshot_packets().put(buf);
+            sh.snapshot_links(cycle).put(buf);
+            sh.snapshot_rr().put(buf);
+            sh.snapshot_busy_frame().put(buf);
         }
         // tiles: one `TileRecord` each
         (self.slice.num_tiles() as u32).put(buf);
@@ -1392,7 +1390,7 @@ impl<A: Application> Worker<A> {
 impl<A: Application> std::fmt::Debug for Worker<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Worker")
-            .field("cols", &self.slice.cols)
+            .field("cols", &self.slice.cols())
             .field("msg_count", &self.msg_count)
             .finish()
     }
@@ -1670,18 +1668,18 @@ pub(crate) fn restore_networks(
         for record in &rec.links {
             let &(tile, dir, until) = record;
             let shard = shard_of(tile, (dir as usize) < dirs, "link", record)?;
-            shards[shard].restore_link(&shared.topo, tile, dir, until);
+            shards[shard].restore_link(tile, dir, until);
         }
         for record in &rec.rr {
             // the cursor names the input port served last
             let &(tile, dir, val) = record;
             let sound = (dir as usize) < dirs && (val as usize) < InPort::ALL.len();
             let shard = shard_of(tile, sound, "arbiter", record)?;
-            shards[shard].restore_rr(&shared.topo, tile, dir, val);
+            shards[shard].restore_rr(tile, dir, val);
         }
         for record in &rec.busy_frame {
             let shard = shard_of(record.0, true, "busy-frame", record)?;
-            shards[shard].restore_busy_frame(&shared.topo, record.0, record.1);
+            shards[shard].restore_busy_frame(record.0, record.1);
         }
     }
     Ok(())

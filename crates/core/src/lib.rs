@@ -75,7 +75,6 @@ mod error;
 mod horizon;
 mod parallel;
 mod sched;
-mod slice;
 pub mod snapshot;
 mod tile;
 mod ward;

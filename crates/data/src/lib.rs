@@ -9,7 +9,8 @@
 //! arrays (non-zero values, column indices, row pointers). This crate
 //! reproduces that: a seedable [`rmat`] generator, parameterized
 //! [`synthetic`] stand-ins for the real-world graphs (this reproduction
-//! runs offline, so the SNAP downloads are substituted — see DESIGN.md),
+//! runs offline, so the SNAP downloads are replaced by generators of the
+//! same vertex/edge ratio and degree skew),
 //! the [`Csr`] container, and the equal-chunk [`Partition`] used to scatter
 //! each dataset array across tiles (paper §III-B "Address space and
 //! dataset layout").

@@ -2,10 +2,10 @@
 //!
 //! The paper evaluates Wikipedia (V = 4.2 M, E = 101 M), LiveJournal
 //! (V = 5.3 M, E = 79 M), Amazon (V = 262 K, E = 1.2 M) and Twitter
-//! (V = 81 K, E = 2.4 M). This environment is offline, so those downloads
-//! are substituted (DESIGN.md substitution #2) with deterministic
-//! generators matching each graph's *shape*: vertex/edge ratio and degree
-//! skew, optionally scaled down by a power of two. RMAT quadrant
+//! (V = 81 K, E = 2.4 M). The build runs offline, so those downloads
+//! are substituted with deterministic generators matching each graph's
+//! *shape*: vertex/edge ratio and degree skew, optionally scaled down by
+//! a power of two. RMAT quadrant
 //! probabilities are tuned per profile so the degree tail matches the
 //! qualitative class (social graphs heavier-tailed than co-purchase
 //! graphs).

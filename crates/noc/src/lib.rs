@@ -69,6 +69,7 @@ mod port;
 mod route;
 mod router;
 mod shard;
+mod slice;
 mod topo;
 mod trace;
 mod worklist;
@@ -83,6 +84,7 @@ pub use port::{InPort, OutDir};
 pub use route::{decide, RouteDecision};
 pub use router::{PacketArena, Pushed, RouterState};
 pub use shard::Shard;
+pub use slice::ColSlice;
 pub use topo::TopoInfo;
 pub use trace::{read_trace_jsonl, sort_events, write_trace_jsonl, TraceEvent};
 pub use worklist::{ActiveSet, Keep};

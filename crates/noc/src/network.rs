@@ -5,6 +5,7 @@ use crate::credit::Credit;
 use crate::packet::Packet;
 use crate::port::InPort;
 use crate::shard::Shard;
+use crate::slice::ColSlice;
 use crate::topo::TopoInfo;
 use muchisim_config::SystemConfig;
 use parking_lot::Mutex;
@@ -257,8 +258,7 @@ impl Network {
             }
             shards.push(Shard::new(
                 i,
-                start..end,
-                topo.height,
+                ColSlice::new(start..end, width, topo.height),
                 params.track_busy,
                 params.record_trace,
             ));
@@ -401,19 +401,6 @@ impl Network {
             events.extend(s.take_trace());
         }
         events
-    }
-
-    /// Collects and resets per-router busy-cycle counts into `grid`
-    /// (indexed by tile id) for heat-map frames.
-    pub fn take_busy(&mut self, grid: &mut [u32]) {
-        let topo = &self.shared.topo;
-        for s in &mut self.shards {
-            let mut local = vec![0; s.cols().len() * topo.height as usize];
-            s.take_busy(&mut local);
-            for (l, busy) in local.into_iter().enumerate() {
-                grid[s.global_tile(l, topo.width) as usize] += busy;
-            }
-        }
     }
 }
 
@@ -788,12 +775,13 @@ mod tests {
             .unwrap();
         let mut sink = DrainSink::default();
         run_to_empty(&mut n, &mut sink, 100);
+        // one shard over one row: local router ids are tile ids
         let mut grid = vec![0u32; 4];
-        n.take_busy(&mut grid);
+        n.shards[0].take_busy(&mut grid);
         assert!(grid[0] > 0 && grid[1] > 0 && grid[2] > 0 && grid[3] > 0);
         // second take returns zeros
         let mut grid2 = vec![0u32; 4];
-        n.take_busy(&mut grid2);
+        n.shards[0].take_busy(&mut grid2);
         assert!(grid2.iter().all(|&b| b == 0));
     }
 
@@ -805,7 +793,7 @@ mod tests {
         let mut sink = DrainSink::default();
         run_to_empty(&mut n, &mut sink, 100);
         let mut grid = vec![0u32; 4];
-        n.take_busy(&mut grid);
+        n.shards[0].take_busy(&mut grid);
         assert!(grid.iter().all(|&b| b == 0));
     }
 

@@ -37,7 +37,8 @@ use crate::packet::Packet;
 use crate::port::{InPort, OutDir, IN_PORTS, OUT_DIRS};
 use crate::route;
 use crate::router::{PacketArena, RouterState, StallMemo};
-use crate::topo::{FastDiv, TopoInfo};
+use crate::slice::ColSlice;
+use crate::topo::TopoInfo;
 use crate::trace::TraceEvent;
 use crate::worklist::{ActiveSet, Keep};
 use std::ops::Range;
@@ -321,10 +322,8 @@ fn inject_credit(shared: &SharedNet, tile: u32) -> &Credit {
 #[derive(Debug)]
 pub struct Shard {
     idx: usize,
-    cols: Range<u32>,
-    /// Reciprocal divider for the shard's column count (hot: local
-    /// router index → shard-relative coordinates).
-    div_ncols: FastDiv,
+    /// The owned columns; local router ids follow its layout.
+    slice: ColSlice,
     /// Every packet this shard holds, queued or parked in
     /// `pending_pushes`: live nodes == [`Shard::queued_packets`].
     arena: PacketArena,
@@ -399,18 +398,11 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(
-        idx: usize,
-        cols: Range<u32>,
-        height: u32,
-        track_busy: bool,
-        record_trace: bool,
-    ) -> Self {
-        let n = (cols.end - cols.start) as usize * height as usize;
+    pub(crate) fn new(idx: usize, slice: ColSlice, track_busy: bool, record_trace: bool) -> Self {
+        let n = slice.num_tiles();
         Shard {
             idx,
-            div_ncols: FastDiv::new(cols.end - cols.start),
-            cols,
+            slice,
             arena: PacketArena::default(),
             routers: (0..n).map(|_| None).collect(),
             pool: Vec::new(),
@@ -436,7 +428,7 @@ impl Shard {
 
     /// The column range this shard owns.
     pub fn cols(&self) -> Range<u32> {
-        self.cols.clone()
+        self.slice.cols()
     }
 
     /// Shard index.
@@ -512,25 +504,6 @@ impl Shard {
     /// the high-water mark of packets held at once.
     pub fn arena_nodes(&self) -> usize {
         self.arena.nodes()
-    }
-
-    fn local_of(&self, x: u32, y: u32) -> usize {
-        debug_assert!(
-            self.cols.contains(&x),
-            "column {x} not in shard {}",
-            self.idx
-        );
-        (y * (self.cols.end - self.cols.start) + (x - self.cols.start)) as usize
-    }
-
-    fn local_idx(&self, tile: u32, topo: &TopoInfo) -> usize {
-        let (x, y) = topo.coords(tile);
-        self.local_of(x, y)
-    }
-
-    pub(crate) fn global_tile(&self, local: usize, width: u32) -> u32 {
-        let (y, xr) = self.div_ncols.divmod(local as u32);
-        y * width + self.cols.start + xr
     }
 
     /// Whether all queues and pending buffers of this shard are empty.
@@ -645,7 +618,7 @@ impl Shard {
         let (x, y) = topo.coords(up);
         let owner = shared.shard_of_col[x as usize] as usize;
         if owner == self.idx {
-            self.wake_now(self.local_of(x, y));
+            self.wake_now(self.slice.local_of(x, y));
         } else {
             shared.wake_box(owner, self.idx).lock().push(up);
         }
@@ -695,7 +668,7 @@ impl Shard {
                     &self.busy_until[local * OUT_DIRS..(local + 1) * OUT_DIRS],
                     cycle,
                     &shared.topo,
-                    self.global_tile(local, shared.topo.width),
+                    self.slice.global(local),
                     &shared.occupancy,
                 );
             }
@@ -745,7 +718,7 @@ impl Shard {
         if !self.inject_admits(shared, tile, pkt.flits) {
             return Err(pkt);
         }
-        let local = self.local_idx(tile, &shared.topo);
+        let local = self.slice.local(tile);
         let flits = i64::from(pkt.flits);
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::from_packet(&pkt));
@@ -798,7 +771,7 @@ impl Shard {
             }
             let mut inbox = shared.mailbox(self.idx, producer).lock();
             for (tile, port, pkt) in inbox.drain(..) {
-                let local = self.local_idx(tile, &shared.topo);
+                let local = self.slice.local(tile);
                 let qid = shared.topo.queue_id(tile, port);
                 let node = self.arena.alloc(pkt);
                 self.deliver(shared, local, qid, port.index(), node);
@@ -850,7 +823,7 @@ impl Shard {
                 continue;
             }
             for tile in shared.wake_box(self.idx, producer).lock().drain(..) {
-                let local = self.local_idx(tile, topo);
+                let local = self.slice.local(tile);
                 self.wake_now(local);
             }
         }
@@ -870,8 +843,7 @@ impl Shard {
         // loop while counters / pending buffers are updated alongside
         let Shard {
             idx,
-            cols,
-            div_ncols,
+            slice,
             arena,
             routers,
             pool,
@@ -894,17 +866,11 @@ impl Shard {
             active,
         } = self;
         let tick = *tick;
-        let ncols = cols.end - cols.start;
-        let col_start = cols.start;
         active.refresh();
         // lives outside the per-router closure; every full visit leaves
         // `c.n` all-zero for the next one
         let mut c = Candidates::new();
         let mut settled = 0;
-        let coords_of = |local: usize| {
-            let (y, xr) = div_ncols.divmod(local as u32);
-            (col_start + xr, y)
-        };
         active.retain(|local| {
             let local = local as usize;
             if queued_msgs[local] == 0 {
@@ -920,7 +886,7 @@ impl Shard {
             let router = routers[local]
                 .as_deref_mut()
                 .expect("queued packets imply a materialized router");
-            let (x, y) = coords_of(local);
+            let (x, y) = slice.coords(local);
             let tile = y * width + x;
             if let Some((memo, since)) = router.wake_up() {
                 // settle: the retries of the ticks slept through moved
@@ -1021,7 +987,7 @@ impl Shard {
                 if dest_shard == *idx {
                     // the node changes queues, the packet stays where it is
                     pending_pushes.push(PendingPush {
-                        local: dy * ncols + (dx - col_start),
+                        local: slice.local_of(dx, dy) as u32,
                         node,
                         // tile and queue ids fit `u32` (`MAX_TILES`)
                         qid: qid as u32,
@@ -1171,8 +1137,8 @@ impl Shard {
 
     /// Packets queued at `tile`'s router over all its input ports (the
     /// "parked packets" figure of a ward report).
-    pub fn queued_at(&self, tile: u32, width: u32) -> u32 {
-        self.queued_msgs[self.local_of(tile % width, tile / width)]
+    pub fn queued_at(&self, tile: u32) -> u32 {
+        self.queued_msgs[self.slice.local(tile)]
     }
 
     // -----------------------------------------------------------------
@@ -1188,7 +1154,7 @@ impl Shard {
     ///
     /// Must be called at the post-`begin_cycle` quiescent point; the
     /// deferred buffers are required to be empty.
-    pub fn snapshot_packets(&self, width: u32) -> Vec<(u32, u8, &Packet)> {
+    pub fn snapshot_packets(&self) -> Vec<(u32, u8, &Packet)> {
         debug_assert!(
             self.pending_pushes.is_empty() && self.pending_frees.is_empty(),
             "snapshot requires the post-begin_cycle quiescent point"
@@ -1198,7 +1164,7 @@ impl Shard {
             let Some(router) = slot.as_deref() else {
                 continue;
             };
-            let tile = self.global_tile(local, width);
+            let tile = self.slice.global(local);
             for port in 0..IN_PORTS {
                 for pkt in router.iter(&self.arena, port) {
                     out.push((tile, port as u8, pkt));
@@ -1210,13 +1176,13 @@ impl Shard {
 
     /// Output links still serializing flits at `now`, as
     /// `(global tile, direction index, busy_until)`.
-    pub fn snapshot_links(&self, width: u32, now: u64) -> Vec<(u32, u8, u64)> {
+    pub fn snapshot_links(&self, now: u64) -> Vec<(u32, u8, u64)> {
         let mut out = Vec::new();
         for local in 0..self.queued_msgs.len() {
             for dir in 0..OUT_DIRS {
                 let until = self.busy_until[local * OUT_DIRS + dir];
                 if until > now {
-                    out.push((self.global_tile(local, width), dir as u8, until));
+                    out.push((self.slice.global(local), dir as u8, until));
                 }
             }
         }
@@ -1229,7 +1195,7 @@ impl Shard {
     /// Reports *settled* pointers: those of a router asleep on credit are
     /// rotated, read-only, by the retries it has slept through, so the
     /// view does not depend on who happens to be asleep.
-    pub fn snapshot_rr(&self, width: u32) -> Vec<(u32, u8, u8)> {
+    pub fn snapshot_rr(&self) -> Vec<(u32, u8, u8)> {
         let mut out = Vec::new();
         for local in 0..self.queued_msgs.len() {
             let sleep = match self.queued_msgs[local] {
@@ -1244,7 +1210,7 @@ impl Shard {
                     }
                 }
                 if v != 0 {
-                    out.push((self.global_tile(local, width), dir as u8, v));
+                    out.push((self.slice.global(local), dir as u8, v));
                 }
             }
         }
@@ -1254,12 +1220,12 @@ impl Shard {
     /// Non-zero per-router busy counts of the current (open) statistics
     /// frame, as `(global tile, count)`. Empty when heat-map tracking is
     /// off (verbosity < V2).
-    pub fn snapshot_busy_frame(&self, width: u32) -> Vec<(u32, u32)> {
+    pub fn snapshot_busy_frame(&self) -> Vec<(u32, u32)> {
         self.busy_frame
             .iter()
             .enumerate()
             .filter(|&(_, &v)| v > 0)
-            .map(|(local, &v)| (self.global_tile(local, width), v))
+            .map(|(local, &v)| (self.slice.global(local), v))
             .collect()
     }
 
@@ -1283,7 +1249,7 @@ impl Shard {
         port: InPort,
         pkt: Packet,
     ) -> Result<(), String> {
-        let local = self.local_idx(tile, &shared.topo);
+        let local = self.slice.local(tile);
         let qid = shared.topo.queue_id(tile, port);
         shared.occupancy[qid].adjust(i64::from(pkt.flits));
         let ready_at = pkt.ready_at;
@@ -1304,21 +1270,21 @@ impl Shard {
     }
 
     /// Restores one output link's `busy_until` clock.
-    pub fn restore_link(&mut self, topo: &TopoInfo, tile: u32, dir: u8, until: u64) {
-        let local = self.local_idx(tile, topo);
+    pub fn restore_link(&mut self, tile: u32, dir: u8, until: u64) {
+        let local = self.slice.local(tile);
         self.busy_until[local * OUT_DIRS + dir as usize] = until;
     }
 
     /// Restores one round-robin arbitration pointer.
-    pub fn restore_rr(&mut self, topo: &TopoInfo, tile: u32, dir: u8, val: u8) {
-        let local = self.local_idx(tile, topo);
+    pub fn restore_rr(&mut self, tile: u32, dir: u8, val: u8) {
+        let local = self.slice.local(tile);
         self.rr_ptr[local * OUT_DIRS + dir as usize] = val;
     }
 
     /// Restores one router's open-frame busy count (no-op when heat-map
     /// tracking is off; the count was never captured either).
-    pub fn restore_busy_frame(&mut self, topo: &TopoInfo, tile: u32, val: u32) {
-        let local = self.local_idx(tile, topo);
+    pub fn restore_busy_frame(&mut self, tile: u32, val: u32) {
+        let local = self.slice.local(tile);
         if let Some(b) = self.busy_frame.get_mut(local) {
             *b = val;
         }
@@ -1485,7 +1451,7 @@ mod tests {
 
     #[test]
     fn fresh_shard_allocates_no_routers() {
-        let mut shard = Shard::new(0, 0..8, 8, false, false);
+        let mut shard = Shard::new(0, ColSlice::new(0..8, 8, 8), false, false);
         assert_eq!(shard.allocated_routers(), 0);
         assert_eq!(shard.pooled_routers(), 0);
         assert_eq!(shard.active_routers(), 0);

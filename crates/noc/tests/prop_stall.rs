@@ -57,13 +57,9 @@ type Observed = (
 
 fn observe(net: &mut Network, now: u64) -> Observed {
     let (counters, latency, queued) = (net.counters(), net.latency(), net.queued_packets());
-    let width = net.topo().width;
     let (_, shards) = net.split();
-    let rr = shards.iter().flat_map(|s| s.snapshot_rr(width)).collect();
-    let links = shards
-        .iter()
-        .flat_map(|s| s.snapshot_links(width, now))
-        .collect();
+    let rr = shards.iter().flat_map(|s| s.snapshot_rr()).collect();
+    let links = shards.iter().flat_map(|s| s.snapshot_links(now)).collect();
     (counters, latency, rr, links, queued)
 }
 

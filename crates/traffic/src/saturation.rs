@@ -72,6 +72,48 @@ impl SaturationCurve {
     pub fn saturation_rate(&self, factor: f64) -> Option<f64> {
         self.saturation_point(factor).map(|p| p.achieved)
     }
+
+    /// The curve as CSV with a header row, every point labelled `series`
+    /// (e.g. `"mesh/uniform"`).
+    pub fn to_csv(&self, series: &str) -> String {
+        let mut out = String::from(
+            "series,offered,achieved,avg_latency,p50_latency,p95_latency,p99_latency,max_latency\n",
+        );
+        for p in &self.points {
+            out.push_str(&format!(
+                "{series},{:.4},{:.4},{:.2},{},{},{},{}\n",
+                p.offered,
+                p.achieved,
+                p.avg_latency,
+                p.p50_latency,
+                p.p95_latency,
+                p.p99_latency,
+                p.max_latency
+            ));
+        }
+        out
+    }
+
+    /// The curve as an aligned text table, every point labelled `series`.
+    pub fn to_text(&self, series: &str) -> String {
+        let mut out = format!(
+            "{:<16} {:>8} {:>9} {:>9} {:>6} {:>6} {:>6} {:>7}\n",
+            "series", "offered", "achieved", "avg lat", "p50", "p95", "p99", "max"
+        );
+        for p in &self.points {
+            out.push_str(&format!(
+                "{series:<16} {:>8.4} {:>9.4} {:>9.2} {:>6} {:>6} {:>6} {:>7}\n",
+                p.offered,
+                p.achieved,
+                p.avg_latency,
+                p.p50_latency,
+                p.p95_latency,
+                p.p99_latency,
+                p.max_latency
+            ));
+        }
+        out
+    }
 }
 
 /// Runs one offered-load point: `base` with `traffic.rate = rate` and
@@ -204,5 +246,45 @@ mod tests {
         }
         .saturation_rate(3.0)
         .is_none());
+    }
+
+    fn point(offered: f64, lat: f64) -> LoadPoint {
+        LoadPoint {
+            offered,
+            achieved: offered * 0.9,
+            avg_latency: lat,
+            p50_latency: lat as u64,
+            p95_latency: lat as u64 * 2,
+            p99_latency: lat as u64 * 3,
+            max_latency: lat as u64 * 4,
+            injected: 0,
+            ejected: 0,
+            runtime_cycles: 0,
+        }
+    }
+
+    #[test]
+    fn csv_and_text_agree_on_rows() {
+        let curve = SaturationCurve {
+            pattern: TrafficPattern::UniformRandom,
+            points: vec![point(0.02, 8.5), point(0.3, 210.0)],
+        };
+        let csv = curve.to_csv("mesh");
+        assert!(csv.starts_with("series,offered"));
+        assert_eq!(csv.lines().count(), 3);
+        assert!(csv.contains("mesh,0.3000,0.2700,210.00,210,420,630,840"));
+        let text = curve.to_text("mesh");
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.lines().next().unwrap().contains("avg lat"));
+    }
+
+    #[test]
+    fn empty_curve_renders_headers_only() {
+        let curve = SaturationCurve {
+            pattern: TrafficPattern::UniformRandom,
+            points: Vec::new(),
+        };
+        assert_eq!(curve.to_csv("mesh").lines().count(), 1);
+        assert_eq!(curve.to_text("mesh").lines().count(), 1);
     }
 }

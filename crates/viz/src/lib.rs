@@ -14,18 +14,14 @@
 //!   per-tile counters over the execution, the GUI's time-series pane.
 //! * [`Heatmap`] — tile-grid activity frames as ASCII art or binary PPM
 //!   images; a numbered PPM sequence is the "GIF" of the paper's Fig. 2.
-//! * [`LoadLatencyTable`] — latency-versus-offered-load rows (the
-//!   saturation figure produced by `muchisim-traffic` sweeps).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod heatmap;
-mod loadlat;
 mod report;
 mod series;
 
 pub use heatmap::Heatmap;
-pub use loadlat::{LoadLatencyRow, LoadLatencyTable};
 pub use report::{ReportRow, ReportTable};
 pub use series::{Counter, FrameStats, TimeSeries};

@@ -243,14 +243,6 @@ impl ReportTable {
         out
     }
 
-    /// Geometric mean of `values` (the paper's "Geo" column).
-    pub fn geomean(values: &[f64]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-    }
-
     /// A human-readable aligned table of the key metrics.
     pub fn to_text(&self) -> String {
         let mut out = format!(
@@ -400,11 +392,5 @@ mod tests {
         assert_eq!(norm.len(), 2);
         assert_eq!(norm[0].3, 3.0);
         assert_eq!(norm[1].3, 2.0);
-    }
-
-    #[test]
-    fn geomean_of_factors() {
-        assert!((ReportTable::geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(ReportTable::geomean(&[]), 0.0);
     }
 }

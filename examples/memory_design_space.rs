@@ -29,8 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_file(store_path);
     let mut store = JsonlStore::open(store_path)?;
 
+    // results do not depend on the threads per run; more threads than
+    // cores only makes the spin barriers wait
     let budget = std::thread::available_parallelism().map_or(8, |n| n.get());
-    BatchRunner::new(budget).run_spec(&spec, &mut store)?;
+    let threads = spec.threads_per_run.min(budget);
+    BatchRunner::new(budget).run_points(&spec.expand()?, threads, &mut store)?;
     for record in store.sorted_records() {
         assert!(
             record.result.check_error.is_none(),
@@ -49,6 +52,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {cfg_label:<14} {app:<6} {factor:5.2}x");
     }
 
+    // Fig. 5's headline gains, as geomeans over the apps
+    let gain = |from: &str, to: &str| {
+        let factors: Vec<f64> = table
+            .normalized_to(from, |r| r.app_throughput)
+            .into_iter()
+            .filter(|(cfg_label, ..)| cfg_label == to)
+            .map(|(.., factor)| factor)
+            .collect();
+        geomean(&factors)
+    };
+    println!(
+        "\nSRAM gain (32T/Ch, 1KiB -> 4KiB): {:.2}x geomean (paper: 3.5x for 64 -> 256 KiB)",
+        gain("32T/Ch 1KiB", "32T/Ch 4KiB")
+    );
+    println!(
+        "channel gain (4KiB, 32T/Ch -> 8T/Ch): {:.2}x geomean (paper: ~2x more)",
+        gain("32T/Ch 4KiB", "8T/Ch 4KiB")
+    );
+    println!("cache hit rate by config, geomean over apps (paper: 83% -> 95%):");
+    for point in &spec.axes[0].points {
+        let rates: Vec<f64> = table
+            .rows
+            .iter()
+            .filter(|r| r.config == point.label)
+            .map(|r| r.hit_rate)
+            .collect();
+        println!("  {:<14} {:.3}", point.label, geomean(&rates));
+    }
+
     // The decoupled cost model: re-price the same runs if HBM drops to
     // $3/GB (paper §III-E: "evaluating the performance-per-dollar of a
     // given simulation in the light of different DRAM cost scenarios").
@@ -65,4 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+fn geomean(values: &[f64]) -> f64 {
+    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }

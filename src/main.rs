@@ -32,7 +32,6 @@ use muchisim::dse::{
 };
 use muchisim::energy::Report;
 use muchisim::traffic::{saturation_sweep, TraceReplayApp};
-use muchisim::viz::{LoadLatencyRow, LoadLatencyTable};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 
@@ -351,21 +350,13 @@ fn cmd_traffic_sweep(args: &Args) -> Result<i32, Failure> {
         cfg.traffic.seed,
     );
     let curve = saturation_sweep(&cfg, pattern, &rates, threads)?;
-    let mut table = LoadLatencyTable::default();
-    for p in &curve.points {
-        table.push(LoadLatencyRow {
-            series: format!("{topo}/{}", pattern.label()),
-            offered: p.offered,
-            achieved: p.achieved,
-            avg_latency: p.avg_latency,
-            p50_latency: p.p50_latency,
-            p95_latency: p.p95_latency,
-            p99_latency: p.p99_latency,
-            max_latency: p.max_latency,
-        });
-    }
+    let series = format!("{topo}/{}", pattern.label());
     let csv = args.get("--csv").is_some();
-    emit(&if csv { table.to_csv() } else { table.to_text() });
+    emit(&if csv {
+        curve.to_csv(&series)
+    } else {
+        curve.to_text(&series)
+    });
     match curve.saturation_point(3.0) {
         Some(p) => println!(
             "saturation: offered {:.3} packets/tile/cycle (accepted {:.3}, \
