@@ -11,7 +11,7 @@ use muchisim_apps::{run_benchmark, Benchmark};
 use muchisim_config::{NocTopology, SystemConfig, TrafficPattern};
 use muchisim_core::Simulation;
 use muchisim_noc::read_trace_jsonl;
-use muchisim_traffic::{saturation_sweep, SaturationCurve, TraceReplayApp};
+use muchisim_traffic::{saturation_sweep, SaturationCurve, TrafficApp};
 
 /// Saturation criterion: mean latency above this multiple of the
 /// zero-load mean.
@@ -91,7 +91,7 @@ fn trace_roundtrip() -> (u64, bool) {
     );
     let events = read_trace_jsonl(path).expect("trace parses");
     cfg.noc_trace = None;
-    let app = TraceReplayApp::from_events(events, 16).expect("replay builds");
+    let app = TrafficApp::replay(events, 16).expect("replay builds");
     let packets = app.total_packets();
     let replayed = Simulation::new(cfg, app)
         .unwrap()

@@ -1500,7 +1500,6 @@ fn has_cycle(n: u8, edges: &[(u8, u8)]) -> bool {
 }
 
 /// Assembles the final result (called by the driver).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn finish<A: Application>(
     cfg: &SystemConfig,
     app: &A,
@@ -1508,9 +1507,9 @@ pub(crate) fn finish<A: Application>(
     networks: Vec<Network>,
     runtime_cycles: u64,
     host_started: Instant,
-    threads: usize,
     telemetry_dropped: u64,
 ) -> SimResult {
+    let threads = workers.len();
     let mut counters = SimCounters::default();
     let mut column_activity = vec![0u64; cfg.width() as usize];
     let mut host_phase_ns = HostPhaseNs::default();

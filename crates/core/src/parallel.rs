@@ -27,12 +27,23 @@
 //! workers batch the stall counters the lockstep driver would have
 //! produced, and results stay bit-identical (see `Worker::leap_to`).
 //!
+//! Everything the workers share lives in one [`Run`], built by [`drive`]
+//! and borrowed by every worker: the per-run constants, the barrier, one
+//! [`Stop`] reason, and one [`Slot`] per worker. A worker writes only its
+//! own slot — its pending share, horizon and PU tail as atomics, and one
+//! locked deposit for its snapshot chunk, telemetry sample, closed frame
+//! and ward diagnostics — and the barrier leader reads them all. The
+//! leader alone decides why the run stops ([`Run::halt`]); workers read
+//! the reason after a barrier, and the teardown is one `match` on it.
+//!
 //! Because every inter-worker interaction is confined to barrier-separated
 //! phases and single-producer queues, a run with N workers is
 //! bit-identical to a run with one. The barriers are sense-reversing spin
 //! barriers: at one microsecond-scale cycle cost, OS-level barriers would
 //! dominate the simulation (the paper reaches linear speedup only because
-//! its thread synchronization is similarly cheap).
+//! its thread synchronization is similarly cheap). With more workers than
+//! host cores a waiter yields at once instead, so the late arriver it
+//! waits for gets a core.
 
 use crate::app::Application;
 use crate::engine::{finish, SimSetup, Worker};
@@ -46,8 +57,8 @@ use muchisim_telemetry::{
     Cadence, CsvSubscriber, Frame, JsonlSubscriber, ProgressSubscriber, SampleAggregator,
     Subscriber, TelemetryHub, WardEngine, WardTrip, WorkerSample,
 };
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Worst-backlogged tiles each worker contributes to a ward report (the
@@ -63,6 +74,10 @@ struct Poisoned;
 /// The last thread to arrive may run a closure (the "leader action")
 /// before releasing the others — used for the global stop decision.
 ///
+/// A waiter spins only while every party can hold a core of its own;
+/// with more parties than host cores a spinning waiter would keep the
+/// core the late arriver needs, so it yields at once.
+///
 /// A worker that unwinds [`SpinBarrier::poison`]s the barrier; waiters
 /// see the flag in their spin loop and return [`Poisoned`] instead of
 /// waiting for an arrival that will never come.
@@ -71,15 +86,21 @@ struct SpinBarrier {
     sense: AtomicBool,
     poisoned: AtomicBool,
     n: usize,
+    /// Spins before a waiter starts yielding its core.
+    spins: u32,
 }
 
 impl SpinBarrier {
     fn new(n: usize) -> Self {
+        // a single party never waits: no need to ask the OS for cores
+        let cores_each =
+            n > 1 && std::thread::available_parallelism().is_ok_and(|cores| n <= cores.get());
         SpinBarrier {
             count: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             n,
+            spins: if cores_each { 1 << 14 } else { 0 },
         }
     }
 
@@ -106,8 +127,8 @@ impl SpinBarrier {
                 if self.poisoned.load(Ordering::Relaxed) {
                     return Err(Poisoned);
                 }
-                spins += 1;
-                if spins < 1 << 14 {
+                if spins < self.spins {
+                    spins += 1;
                     std::hint::spin_loop();
                 } else {
                     std::thread::yield_now();
@@ -127,40 +148,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Shared synchronization state for the worker threads.
-struct SyncState {
-    barrier: SpinBarrier,
-    /// Kernel drained (set by the deciding thread).
-    stop: AtomicBool,
-    /// Cycle limit exceeded.
-    limit_hit: AtomicBool,
-    /// Per-worker pending shares ([`Worker::pending`]), published each
-    /// cycle.
-    activity: Vec<AtomicI64>,
-    /// Per-worker next-event horizons, published each cycle in leap mode.
-    horizon: Vec<AtomicU64>,
-    /// The next cycle to execute, decided by the leader (leap mode).
-    next_cycle: AtomicU64,
-    /// Per-worker max PU completion time in femtoseconds, published at
-    /// kernel end.
-    max_pu_fs: Vec<AtomicU64>,
-    /// Cycle at which the current kernel drained.
-    drained_cycle: AtomicU64,
+/// Why the cycle loop stops. The run keeps the highest reason it was
+/// given: the order is the order in which a stopped kernel's exit and
+/// the teardown act on them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Stop {
+    Running,
+    /// The kernel drained; the next kernel (if any) starts.
+    Drained,
+    /// The kernel ran `cycle_limit` cycles without draining.
+    CycleLimit,
+    /// A telemetry subscriber failed: simulating on would feed the void.
+    DeadStream,
+    /// A ward tripped.
+    Ward,
 }
 
-impl SyncState {
-    fn new(n: usize) -> Self {
-        SyncState {
-            barrier: SpinBarrier::new(n),
-            stop: AtomicBool::new(false),
-            limit_hit: AtomicBool::new(false),
-            activity: (0..n).map(|_| AtomicI64::new(0)).collect(),
-            horizon: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            next_cycle: AtomicU64::new(0),
-            max_pu_fs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            drained_cycle: AtomicU64::new(0),
-        }
-    }
+impl Stop {
+    const ALL: [Stop; 5] = [
+        Stop::Running,
+        Stop::Drained,
+        Stop::CycleLimit,
+        Stop::DeadStream,
+        Stop::Ward,
+    ];
 }
 
 /// Where a restored run re-enters the cycle loop.
@@ -175,133 +186,230 @@ pub(crate) struct ResumeState {
     pub resnapshot: bool,
 }
 
-/// Shared state for periodic snapshot writes: each worker deposits its
-/// encoded chunk, then the barrier leader assembles and writes the file.
-struct CheckpointState {
-    /// Snapshot cadence in NoC cycles.
-    every: u64,
-    /// Snapshot file path (written atomically via a temp file).
-    path: String,
-    /// The pre-encoded magic, version and identity header, identical for
-    /// every snapshot of this run.
-    file_prefix: Vec<u8>,
-    /// One encoded chunk slot per worker.
-    chunks: Vec<std::sync::Mutex<Vec<u8>>>,
-    /// First error from any worker or the writer; surfaced after the run.
-    error: std::sync::Mutex<Option<String>>,
+/// One worker's slot in the [`Run`]: written by the worker before a
+/// barrier, read by the leader behind it.
+#[derive(Default)]
+struct Slot {
+    /// The worker's pending share ([`Worker::pending`]), every cycle.
+    pending: AtomicI64,
+    /// The worker's next-event horizon, every cycle in leap mode.
+    horizon: AtomicU64,
+    /// The worker's max PU completion time in femtoseconds, at kernel
+    /// end.
+    max_pu_fs: AtomicU64,
+    deposit: Mutex<Deposit>,
 }
 
-impl CheckpointState {
-    /// Records `why` unless an earlier error already claimed the slot.
-    fn record_error(&self, why: String) {
-        let mut slot = self.error.lock().expect("checkpoint error lock");
-        if slot.is_none() {
-            *slot = Some(why);
-        }
-    }
+/// What a worker hands the leader when a capture closes or the run
+/// ends on a ward.
+#[derive(Default)]
+struct Deposit {
+    /// The worker's encoded snapshot chunk (the buffer is reused).
+    chunk: Vec<u8>,
+    /// The worker's counters at the sample that just closed.
+    sample: WorkerSample,
+    /// A copy of the partial frame the worker just closed (streamed
+    /// frames only).
+    frame: Frame,
+    /// The worker's worst-backlogged tiles, after a ward trip.
+    diag: Vec<TileDiag>,
 }
 
-/// Shared state for the telemetry stream and the ward pipeline.
-///
-/// Workers deposit a [`WorkerSample`] when a sample closes and (when
-/// frames are streamed) a copy of the partial [`Frame`] they just closed;
-/// the barrier leader merges the deposits, evaluates the wards, and hands
-/// the merged records to the hub's subscriber thread without blocking.
-/// Everything the wards read is deterministic simulated state, so a trip
-/// lands on the same cycle for any host-thread count or leap/worklist
-/// mode.
-struct TelemetryState {
-    /// When a sample closes.
-    every: Cadence,
-    /// Whether closed frames ride the stream too: verbosity ≥ V1 and
-    /// somebody subscribed.
-    stream_frames: bool,
-    /// One deposit slot per worker, written before the leader's barrier.
-    samples: Vec<Mutex<WorkerSample>>,
-    /// One deposit slot per worker for the partial frame it just closed.
-    frames: Vec<Mutex<Frame>>,
-    /// Leader-only aggregation state, locked only when a sample closes.
-    leader: Mutex<LeaderState>,
-    /// Fan-out to the subscriber thread (never blocks the barrier).
-    hub: TelemetryHub,
-    /// A subscriber failed and the run is terminating. Set by the leader
-    /// from the hub's flag, so every worker sees it change at a barrier.
-    stream_dead: AtomicBool,
-    /// The first tripped ward, set by the leader.
-    trip: Mutex<Option<WardTrip>>,
-    /// Cycle at (or after) which the post-mortem trip snapshot must be
-    /// taken; `u64::MAX` while no trip snapshot is pending.
-    snap_at: AtomicU64,
-    /// A ward tripped and the run is terminating.
-    tripped: AtomicBool,
-    /// Write a snapshot to the checkpoint path before terminating on a
-    /// trip.
-    snapshot_on_trip: bool,
-    /// Per-worker diagnostic slots, filled once `tripped` is set.
-    diags: Vec<Mutex<Vec<TileDiag>>>,
-}
-
-/// Aggregator + ward engine, owned by whichever thread wins the barrier.
-struct LeaderState {
+/// Aggregator + ward engine, used only inside barrier leader actions.
+struct Leader {
     agg: SampleAggregator,
     wards: WardEngine,
     /// Scratch for the per-sample merge (reused, never reallocated).
     merged: Vec<WorkerSample>,
+    /// The first tripped ward.
+    trip: Option<WardTrip>,
 }
 
-impl TelemetryState {
+/// Everything the workers of one run share.
+struct Run<'a, A: Application> {
+    app: &'a A,
+    /// The shared half of every NoC plane.
+    shareds: Vec<&'a SharedNet>,
+    kernels: u32,
+    cycle_limit: u64,
+    termination: u64,
+    leap: bool,
+    resume: Option<ResumeState>,
+    /// The statistics-frame and telemetry-sample cadences, where armed.
+    armed: [Option<Cadence>; 2],
+    barrier: SpinBarrier,
+    slots: Vec<Slot>,
+    /// The [`Stop`] reason, written only by [`Run::halt`] inside a leader
+    /// action and read after the barrier that releases it.
+    stop: AtomicU8,
+    /// The cycle at which the current kernel stopped.
+    stop_cycle: AtomicU64,
+    /// The next cycle to execute, decided by the leader (leap mode).
+    next_cycle: AtomicU64,
+    /// The last kernel's end cycle: the run's runtime.
+    final_cycle: AtomicU64,
+    /// Snapshot file path, when snapshots are written periodically or
+    /// post-mortem on a ward trip.
+    snap_path: Option<String>,
+    /// Snapshot cadence in NoC cycles (`u64::MAX`: trip snapshots only).
+    snap_every: u64,
+    /// The pre-encoded magic, version and identity header, identical for
+    /// every snapshot of this run.
+    snap_prefix: Vec<u8>,
+    /// First snapshot error from any worker or the writer; surfaced
+    /// after the run.
+    snap_error: Mutex<Option<String>>,
+    /// A ward trip writes a snapshot before the run stops.
+    snap_on_trip: bool,
+    /// Cycle at (or after) which the post-mortem trip snapshot must be
+    /// taken; `u64::MAX` while no trip snapshot is pending.
+    trip_snap_at: AtomicU64,
+    /// Fan-out to the subscriber thread (never blocks the barrier); `None`
+    /// when nobody samples.
+    hub: Option<TelemetryHub>,
+    /// Whether closed frames ride the stream too: verbosity ≥ V1 and
+    /// somebody subscribed.
+    stream_frames: bool,
+    leader: Mutex<Leader>,
+}
+
+impl<A: Application> Run<'_, A> {
+    fn reason(&self) -> Stop {
+        Stop::ALL[usize::from(self.stop.load(Ordering::Acquire))]
+    }
+
+    /// Leader only: stops the run at `cycle` for `why`, unless it already
+    /// stops for a weightier reason.
+    fn halt(&self, cycle: u64, why: Stop) {
+        self.stop_cycle.store(cycle, Ordering::Release);
+        self.stop.fetch_max(why as u8, Ordering::AcqRel);
+    }
+
+    /// Records a snapshot error unless an earlier one claimed the slot.
+    fn snap_failed(&self, why: String) {
+        lock(&self.snap_error).get_or_insert(why);
+    }
+
+    /// The decision phase, run by the last worker to reach the barrier
+    /// after `cycle` of the kernel that started at `base`.
+    fn decide(&self, cycle: u64, base: u64, [frame, sample]: [bool; 2]) {
+        // a deferred trip snapshot was captured this cycle: the run stops
+        // here, before any normal decision can race it
+        if self.trip_snap_at.load(Ordering::Acquire) <= cycle && lock(&self.leader).trip.is_some() {
+            self.halt(cycle, Stop::Ward);
+            self.publish(cycle, frame, sample, false);
+            return;
+        }
+        let pending: i64 = self
+            .slots
+            .iter()
+            .map(|s| s.pending.load(Ordering::Acquire))
+            .sum();
+        if pending == 0 {
+            self.halt(cycle, Stop::Drained);
+        } else if cycle - base >= self.cycle_limit {
+            self.halt(cycle, Stop::CycleLimit);
+        } else if self.leap {
+            // min-reduce the published horizons and jump if nothing can
+            // happen sooner; the cap keeps the cycle-limit check exact
+            let mut next = self
+                .slots
+                .iter()
+                .map(|s| s.horizon.load(Ordering::Acquire))
+                .min()
+                .unwrap_or(u64::MAX);
+            if next == u64::MAX {
+                next = cycle + 1; // defensive: pending work implies a horizon
+            }
+            if next > cycle + 1 {
+                // cross-shard mailboxes (only readable after the step
+                // barrier) can only shorten a prospective leap — their
+                // horizons are >= cycle + 1, so the locking scan is
+                // skipped when no leap is on the table
+                for shared in &self.shareds {
+                    if let Some(c) = shared.mailbox_next_event_cycle(cycle) {
+                        next = next.min(c);
+                    }
+                }
+            }
+            // never leap over a capture boundary: every close of an
+            // armed cadence is an executed cycle
+            for cadence in self.armed.into_iter().flatten() {
+                next = next.min(cadence.next_close(cycle));
+            }
+            next = next.min(base.saturating_add(self.cycle_limit));
+            self.next_cycle.store(next, Ordering::Release);
+        }
+        // merge, stream, and ward-check what closed this cycle (after the
+        // stop decision: a drained or limit-hit run still emits its final
+        // records, but wards no longer fire)
+        if self.publish(cycle, frame, sample, self.reason() == Stop::Running) {
+            if self.snap_on_trip {
+                // defer the stop one cycle so every worker reaches the
+                // next capture point and writes the post-mortem snapshot
+                // first
+                self.trip_snap_at.store(cycle + 1, Ordering::Release);
+                if self.leap {
+                    self.next_cycle.store(cycle + 1, Ordering::Release);
+                }
+            } else {
+                self.halt(cycle, Stop::Ward);
+            }
+        }
+    }
+
     /// Leader only: merges what the workers deposited for `cycle` and
     /// streams it, the frame first. The wards see the sample only when
     /// `judge` (the last sample of a stopped kernel is reported, not
-    /// judged); their first trip is returned.
-    fn publish(&self, cycle: u64, frame: bool, sample: bool, judge: bool) -> Option<WardTrip> {
+    /// judged); returns whether one tripped. A failed subscriber halts
+    /// the run here rather than after simulating on into the void.
+    fn publish(&self, cycle: u64, frame: bool, sample: bool, judge: bool) -> bool {
+        let Some(hub) = &self.hub else { return false };
         if frame && self.stream_frames {
-            let mut parts = self
-                .frames
-                .iter()
-                .map(|slot| slot.lock().expect("telemetry frame lock"));
-            let mut merged = std::mem::take(&mut *parts.next().expect("at least one worker"));
+            let mut parts = self.slots.iter().map(|s| lock(&s.deposit));
+            let mut merged = std::mem::take(&mut parts.next().expect("at least one worker").frame);
             for part in parts {
-                merged.merge(&part);
+                merged.merge(&part.frame);
             }
-            self.hub.publish_frame(merged);
+            hub.publish_frame(merged);
         }
-        let mut trip = None;
+        let mut tripped = false;
         if sample {
-            let mut st = self.leader.lock().expect("telemetry leader lock");
+            let mut st = lock(&self.leader);
             let st = &mut *st;
             st.merged.clear();
-            for slot in &self.samples {
-                st.merged
-                    .push(slot.lock().expect("telemetry sample lock").clone());
+            for slot in &self.slots {
+                st.merged.push(lock(&slot.deposit).sample.clone());
             }
             let sample = st.agg.merge(cycle, &st.merged);
-            if judge {
-                trip = st.wards.observe(&sample);
+            if let Some(trip) = judge.then(|| st.wards.observe(&sample)).flatten() {
+                st.trip = Some(trip);
+                tripped = true;
             }
-            self.hub.publish(sample);
+            hub.publish(sample);
         }
-        if self.hub.failed() {
-            self.stream_dead.store(true, Ordering::Release);
+        if hub.failed() {
+            self.halt(cycle, Stop::DeadStream);
         }
-        trip
+        tripped
     }
 }
 
-/// Builds the telemetry pipeline when the configuration (or an attached
-/// test subscriber) asks for one.
-fn telemetry_state(
+/// Locks one of the run's mutexes. Only a panic while holding it poisons
+/// one, and a worker that panics never completes the barrier behind
+/// which the others would read it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("no worker panics holding a run lock")
+}
+
+/// The telemetry hub, and whether anybody subscribed to it, when the
+/// configuration (or an attached test subscriber) asks for a stream.
+fn telemetry_hub(
     cfg: &SystemConfig,
-    resume: Option<ResumeState>,
     extra: Vec<Box<dyn Subscriber>>,
-    nworkers: usize,
-    frames: bool,
-) -> Result<Option<TelemetryState>, SimError> {
+) -> Result<Option<(TelemetryHub, bool)>, SimError> {
     let t = &cfg.telemetry;
-    let Some(every) = t.sample_every else {
-        return Ok(None);
-    };
-    if !t.wants_sampling() && extra.is_empty() {
+    if t.sample_every.is_none() || (!t.wants_sampling() && extra.is_empty()) {
         return Ok(None);
     }
     let mut subs: Vec<Box<dyn Subscriber>> = Vec::new();
@@ -319,27 +427,8 @@ fn telemetry_state(
         subs.push(Box::new(ProgressSubscriber::new(t.wards.max_cycles)));
     }
     subs.extend(extra);
-    let start_cycle = resume.map_or(0, |r| r.at.cycle);
-    Ok(Some(TelemetryState {
-        every: Cadence::new(every),
-        stream_frames: frames && !subs.is_empty(),
-        samples: (0..nworkers)
-            .map(|_| Mutex::new(WorkerSample::default()))
-            .collect(),
-        frames: (0..nworkers).map(|_| Mutex::default()).collect(),
-        leader: Mutex::new(LeaderState {
-            agg: SampleAggregator::new(start_cycle),
-            wards: WardEngine::new(t.wards.clone(), start_cycle),
-            merged: Vec::with_capacity(nworkers),
-        }),
-        hub: TelemetryHub::spawn(subs),
-        stream_dead: AtomicBool::new(false),
-        trip: Mutex::new(None),
-        snap_at: AtomicU64::new(u64::MAX),
-        tripped: AtomicBool::new(false),
-        snapshot_on_trip: t.snapshot_on_trip,
-        diags: (0..nworkers).map(|_| Mutex::new(Vec::new())).collect(),
-    }))
+    let subscribed = !subs.is_empty();
+    Ok(Some((TelemetryHub::spawn(subs), subscribed)))
 }
 
 /// Runs the whole simulation and assembles the result.
@@ -357,239 +446,214 @@ pub(crate) fn drive<A: Application>(
         mut networks,
     } = setup;
     let nworkers = workers.len();
-    let sync = SyncState::new(nworkers);
-    let termination = cfg.termination_latency_cycles();
-    let kernels = app.kernels();
-    let leap = cfg.time_leap;
-    // a checkpoint slot is also needed without a periodic cadence when a
+    // a snapshot path is also needed without a periodic cadence when a
     // ward trip may want a post-mortem snapshot (cadence u64::MAX then:
     // no periodic boundary is ever crossed)
-    let ckpt = match (&cfg.checkpoint_path, cfg.checkpoint_every) {
-        (Some(path), every) if every.is_some() || cfg.telemetry.snapshot_on_trip => {
-            Some(CheckpointState {
-                every: every.map_or(u64::MAX, |e| e.max(1)),
-                path: path.clone(),
-                file_prefix: Header::of(cfg, app).file_prefix(),
-                chunks: (0..nworkers)
-                    .map(|_| std::sync::Mutex::new(Vec::new()))
-                    .collect(),
-                error: std::sync::Mutex::new(None),
-            })
+    let snap_path = cfg
+        .checkpoint_path
+        .clone()
+        .filter(|_| cfg.checkpoint_every.is_some() || cfg.telemetry.snapshot_on_trip);
+    let frame_cadence = workers[0].frame_cadence;
+    let (hub, subscribed) = telemetry_hub(cfg, subscribers)?.unzip();
+    let stream_frames = frame_cadence.is_some() && subscribed == Some(true);
+    let sample_cadence = hub
+        .as_ref()
+        .and(cfg.telemetry.sample_every)
+        .map(Cadence::new);
+    let start_cycle = resume.map_or(0, |r| r.at.cycle);
+    // hand each worker its shard of every NoC plane
+    let mut shareds: Vec<&SharedNet> = Vec::with_capacity(networks.len());
+    let mut per_worker: Vec<Vec<&mut Shard>> = (0..nworkers).map(|_| Vec::new()).collect();
+    for net in networks.iter_mut() {
+        let (shared, shards) = net.split();
+        shareds.push(shared);
+        debug_assert_eq!(shards.len(), nworkers);
+        for (i, sh) in shards.iter_mut().enumerate() {
+            per_worker[i].push(sh);
         }
-        _ => None,
-    };
-    let frames = workers[0].frame_cadence.is_some();
-    let telem = telemetry_state(cfg, resume, subscribers, nworkers, frames)?;
-    let runtime_cycles;
-    {
-        // hand each worker its shard of every NoC plane
-        let mut shareds: Vec<&SharedNet> = Vec::with_capacity(networks.len());
-        let mut per_worker: Vec<Vec<&mut Shard>> = (0..nworkers).map(|_| Vec::new()).collect();
-        for net in networks.iter_mut() {
-            let (shared, shards) = net.split();
-            shareds.push(shared);
-            debug_assert_eq!(shards.len(), nworkers);
-            for (i, sh) in shards.iter_mut().enumerate() {
-                per_worker[i].push(sh);
-            }
-        }
-        let final_cycle = AtomicU64::new(0);
-        // the first worker to unwind, as `(worker, panic message)`
-        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        // Runs one worker's loop to its end. A panic anywhere inside it
-        // (an app task, a broken invariant) is caught here, recorded, and
-        // poisons the barrier so the peers leave their loops too instead
-        // of spinning for an arrival that will never come.
-        let run_worker = |widx: usize, worker: &mut Worker<A>, shards: Vec<&mut Shard>| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker_loop(
-                    worker,
-                    shards,
-                    &shareds,
-                    app,
-                    &sync,
-                    &final_cycle,
-                    kernels,
-                    cycle_limit,
-                    termination,
-                    leap,
-                    widx,
-                    nworkers,
-                    resume,
-                    ckpt.as_ref(),
-                    telem.as_ref(),
-                )
-            }));
-            if let Err(payload) = outcome {
-                sync.barrier.poison();
-                panicked
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get_or_insert_with(|| (widx, panic_message(payload.as_ref())));
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut rest = per_worker;
-            let my_shards = rest.remove(0);
-            let (first_worker, rest_workers) =
-                workers.split_first_mut().expect("at least one worker");
-            let run_worker = &run_worker;
-            let handles: Vec<_> = rest_workers
-                .iter_mut()
-                .zip(rest)
-                .enumerate()
-                .map(|(i, (worker, shards))| scope.spawn(move || run_worker(i + 1, worker, shards)))
-                .collect();
-            run_worker(0, first_worker, my_shards);
-            for h in handles {
-                h.join()
-                    .expect("worker panics are caught inside the thread");
-            }
-        });
-        if let Some((worker, message)) = panicked
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            // the workers' state is torn mid-cycle: no result to assemble
-            // (the telemetry hub closes its stream when dropped)
-            return Err(SimError::WorkerPanic { worker, message });
-        }
-        runtime_cycles = final_cycle.load(Ordering::Acquire);
     }
-    // telemetry teardown: close the subscriber stream, then surface a
-    // ward trip (which outranks stream and checkpoint errors — those are
-    // folded into its report instead of masking it)
-    let mut stream_error: Option<String> = None;
-    let mut telemetry_dropped = 0;
-    let mut ward_trip: Option<(WardTrip, Vec<TileDiag>)> = None;
-    if let Some(t) = telem {
-        let TelemetryState {
-            hub,
-            trip,
-            tripped,
-            diags,
-            ..
-        } = t;
-        telemetry_dropped = hub.dropped();
-        stream_error = hub.close().err();
-        if tripped.into_inner() {
-            let trip = trip
-                .into_inner()
-                .expect("telemetry trip lock")
-                .expect("tripped implies a recorded trip");
-            let mut tiles: Vec<TileDiag> = diags
+    let run = Run {
+        app,
+        shareds,
+        kernels: app.kernels(),
+        cycle_limit,
+        termination: cfg.termination_latency_cycles(),
+        leap: cfg.time_leap,
+        resume,
+        armed: [frame_cadence, sample_cadence],
+        barrier: SpinBarrier::new(nworkers),
+        slots: (0..nworkers).map(|_| Slot::default()).collect(),
+        stop: AtomicU8::new(Stop::Running as u8),
+        stop_cycle: AtomicU64::new(0),
+        next_cycle: AtomicU64::new(0),
+        final_cycle: AtomicU64::new(0),
+        snap_every: cfg.checkpoint_every.map_or(u64::MAX, |e| e.max(1)),
+        snap_prefix: snap_path
+            .as_ref()
+            .map_or_else(Vec::new, |_| Header::of(cfg, app).file_prefix()),
+        snap_on_trip: cfg.telemetry.snapshot_on_trip && snap_path.is_some(),
+        snap_path,
+        snap_error: Mutex::new(None),
+        trip_snap_at: AtomicU64::new(u64::MAX),
+        hub,
+        stream_frames,
+        leader: Mutex::new(Leader {
+            agg: SampleAggregator::new(start_cycle),
+            wards: WardEngine::new(cfg.telemetry.wards.clone(), start_cycle),
+            merged: Vec::with_capacity(nworkers),
+            trip: None,
+        }),
+    };
+    // the first worker to unwind, as `(worker, panic message)`
+    let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
+    // Runs one worker's loop to its end. A panic anywhere inside it (an
+    // app task, a broken invariant) is caught here, recorded, and poisons
+    // the barrier so the peers leave their loops too instead of spinning
+    // for an arrival that will never come.
+    let run_worker = |widx: usize, worker: &mut Worker<A>, shards: Vec<&mut Shard>| {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker_loop(&run, widx, worker, shards)
+        }));
+        if let Err(payload) = outcome {
+            run.barrier.poison();
+            panicked
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .get_or_insert_with(|| (widx, panic_message(payload.as_ref())));
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut rest = per_worker;
+        let my_shards = rest.remove(0);
+        let (first_worker, rest_workers) = workers.split_first_mut().expect("at least one worker");
+        let run_worker = &run_worker;
+        let handles: Vec<_> = rest_workers
+            .iter_mut()
+            .zip(rest)
+            .enumerate()
+            .map(|(i, (worker, shards))| scope.spawn(move || run_worker(i + 1, worker, shards)))
+            .collect();
+        run_worker(0, first_worker, my_shards);
+        for h in handles {
+            h.join()
+                .expect("worker panics are caught inside the thread");
+        }
+    });
+    if let Some((worker, message)) = panicked
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    {
+        // the workers' state is torn mid-cycle: no result to assemble
+        // (the telemetry hub closes its stream when dropped)
+        return Err(SimError::WorkerPanic { worker, message });
+    }
+    let stop = run.reason();
+    let runtime_cycles = run.final_cycle.into_inner();
+    let snapshot_error = run.snap_error.into_inner().expect("snapshot error lock");
+    // close the subscriber stream; a ward trip outranks stream and
+    // snapshot errors — those are folded into its report instead of
+    // masking it
+    let (telemetry_dropped, stream_error) = match run.hub {
+        Some(hub) => (hub.dropped(), hub.close().err()),
+        None => (0, None),
+    };
+    match (stop, stream_error, snapshot_error) {
+        (Stop::Ward, _, snapshot_error) => {
+            let trip = lock(&run.leader)
+                .trip
+                .take()
+                .expect("a ward stop has a recorded trip");
+            let mut tiles: Vec<TileDiag> = run
+                .slots
                 .into_iter()
-                .flat_map(|m| m.into_inner().expect("telemetry diag lock"))
+                .flat_map(|s| s.deposit.into_inner().expect("deposit lock").diag)
                 .collect();
             tiles.sort_by(|a, b| b.backlog().cmp(&a.backlog()).then(a.tile.cmp(&b.tile)));
             tiles.truncate(DIAG_TILES);
-            ward_trip = Some((trip, tiles));
+            let snapshot_path = (cfg.telemetry.snapshot_on_trip && snapshot_error.is_none())
+                .then(|| cfg.checkpoint_path.clone())
+                .flatten();
+            let mut partial = finish(
+                cfg,
+                app,
+                workers,
+                networks,
+                runtime_cycles,
+                started,
+                telemetry_dropped,
+            );
+            partial.termination = format!("ward:{}", trip.ward);
+            Err(SimError::Ward(Box::new(WardReport {
+                ward: trip.ward.to_string(),
+                cycle: trip.cycle,
+                detail: trip.detail,
+                tiles,
+                snapshot_path,
+                snapshot_error,
+                partial: Some(Box::new(partial)),
+            })))
+        }
+        (_, Some(why), _) => Err(SimError::Telemetry(why)),
+        (_, None, Some(why)) => Err(SimError::Snapshot(why)),
+        (Stop::CycleLimit, None, None) => Err(SimError::CycleLimitExceeded { limit: cycle_limit }),
+        _ => {
+            if let Some(path) = &cfg.noc_trace {
+                // one merged, canonically sorted trace across planes and
+                // shards; a tile's same-cycle packets keep their
+                // channel-queue order
+                let mut events: Vec<muchisim_noc::TraceEvent> = Vec::new();
+                for net in networks.iter_mut() {
+                    events.extend(net.take_trace());
+                }
+                muchisim_noc::write_trace_jsonl(path, &mut events).map_err(SimError::Trace)?;
+            }
+            Ok(finish(
+                cfg,
+                app,
+                workers,
+                networks,
+                runtime_cycles,
+                started,
+                telemetry_dropped,
+            ))
         }
     }
-    if let Some((trip, tiles)) = ward_trip {
-        let snapshot_error = ckpt
-            .as_ref()
-            .and_then(|c| c.error.lock().expect("checkpoint error lock").take());
-        let snapshot_path = (cfg.telemetry.snapshot_on_trip && snapshot_error.is_none())
-            .then(|| cfg.checkpoint_path.clone())
-            .flatten();
-        let mut partial = finish(
-            cfg,
-            app,
-            workers,
-            networks,
-            runtime_cycles,
-            started,
-            nworkers,
-            telemetry_dropped,
-        );
-        partial.termination = format!("ward:{}", trip.ward);
-        return Err(SimError::Ward(Box::new(WardReport {
-            ward: trip.ward.to_string(),
-            cycle: trip.cycle,
-            detail: trip.detail,
-            tiles,
-            snapshot_path,
-            snapshot_error,
-            partial: Some(Box::new(partial)),
-        })));
-    }
-    if let Some(why) = stream_error {
-        return Err(SimError::Telemetry(why));
-    }
-    if let Some(c) = &ckpt {
-        if let Some(why) = c.error.lock().expect("checkpoint error lock").take() {
-            return Err(SimError::Snapshot(why));
-        }
-    }
-    if sync.limit_hit.load(Ordering::Acquire) {
-        return Err(SimError::CycleLimitExceeded { limit: cycle_limit });
-    }
-    if let Some(path) = &cfg.noc_trace {
-        // one merged, canonically sorted trace across planes and shards;
-        // a tile's same-cycle packets keep their channel-queue order
-        let mut events: Vec<muchisim_noc::TraceEvent> = Vec::new();
-        for net in networks.iter_mut() {
-            events.extend(net.take_trace());
-        }
-        muchisim_noc::write_trace_jsonl(path, &mut events).map_err(SimError::Trace)?;
-    }
-    Ok(finish(
-        cfg,
-        app,
-        workers,
-        networks,
-        runtime_cycles,
-        started,
-        nworkers,
-        telemetry_dropped,
-    ))
 }
 
-/// The per-thread kernel + cycle loop.
-#[allow(clippy::too_many_arguments)]
+/// The per-thread kernel + cycle loop of worker `widx`.
 fn worker_loop<A: Application>(
+    run: &Run<'_, A>,
+    widx: usize,
     worker: &mut Worker<A>,
     mut shards: Vec<&mut Shard>,
-    shareds: &[&SharedNet],
-    app: &A,
-    sync: &SyncState,
-    final_cycle: &AtomicU64,
-    kernels: u32,
-    cycle_limit: u64,
-    termination: u64,
-    leap: bool,
-    widx: usize,
-    nworkers: usize,
-    resume: Option<ResumeState>,
-    ckpt: Option<&CheckpointState>,
-    telem: Option<&TelemetryState>,
 ) -> Result<(), Poisoned> {
     let mut sense = false;
+    let slot = &run.slots[widx];
     // the capture schedule, for whichever of the two kinds is armed: a
     // statistics frame and a telemetry sample close on every boundary of
     // their cadence inside a kernel's cycle loop, and once more where the
     // kernel stopped (so the stream ends on the kernel's totals) unless
     // that was a boundary, which closed them already
-    let armed = [worker.frame_cadence, telem.map(|t| t.every)];
     let closing = |cycle: u64, kernel_end: bool| {
-        armed.map(|c| c.is_some_and(|c| c.closes(cycle) != kernel_end))
+        run.armed
+            .map(|c| c.is_some_and(|c| c.closes(cycle) != kernel_end))
     };
     // on resume the restored kernel's state is already in place, so the
     // loop re-enters at the snapshot cycle without a fresh start_kernel
-    let (start_kernel, mut resume_cycle) = match resume {
+    let (start_kernel, mut resume_cycle) = match run.resume {
         Some(r) => (r.at.kernel, Some(r.at.cycle)),
         None => (0, None),
     };
-    let mut base = resume.map_or(0, |r| r.at.base);
-    // the first checkpoint boundary strictly after the starting cycle;
+    let mut base = run.resume.map_or(0, |r| r.at.base);
+    // the first snapshot boundary strictly after the starting cycle;
     // derived from barrier-synchronized values only, so every worker
     // agrees on each snapshot cycle without communicating
-    let mut next_snap = ckpt.map_or(u64::MAX, |c| match resume {
+    let mut next_snap = match run.resume {
+        _ if run.snap_path.is_none() => u64::MAX,
         Some(r) if r.resnapshot => r.at.cycle,
-        _ => (resume.map_or(0, |r| r.at.cycle) / c.every + 1) * c.every,
-    });
-    for kernel in start_kernel..kernels {
+        _ => (run.resume.map_or(0, |r| r.at.cycle) / run.snap_every + 1) * run.snap_every,
+    };
+    for kernel in start_kernel..run.kernels {
         let mut cycle = match resume_cycle.take() {
             Some(c) => c,
             None => {
@@ -599,7 +663,7 @@ fn worker_loop<A: Application>(
         };
         loop {
             // local phase: everything here touches only worker-owned state
-            worker.begin_cycle(&mut shards, shareds);
+            worker.begin_cycle(&mut shards, &run.shareds);
             // the capture point is right after begin_cycle: deferred
             // frees, deferred pushes, and cross-shard mailboxes are all
             // drained, so every in-flight packet sits in a router queue.
@@ -607,164 +671,82 @@ fn worker_loop<A: Application>(
             // executed cycle at or past it is the snapshot cycle. A
             // pending ward-trip snapshot (scheduled by the leader for
             // the cycle after the trip) uses the same capture point.
-            let trip_snap = telem.map_or(u64::MAX, |t| t.snap_at.load(Ordering::Acquire));
-            if cycle >= next_snap || cycle >= trip_snap {
-                if let Some(c) = ckpt {
-                    let at = Progress {
-                        kernel,
-                        cycle,
-                        base,
-                    };
-                    take_checkpoint(worker, app, &shards, sync, c, at, &mut sense, widx)?;
-                    next_snap = (cycle / c.every + 1) * c.every;
-                }
+            let trip_snap = run.trip_snap_at.load(Ordering::Acquire);
+            if run.snap_path.is_some() && (cycle >= next_snap || cycle >= trip_snap) {
+                let at = Progress {
+                    kernel,
+                    cycle,
+                    base,
+                };
+                take_checkpoint(run, widx, worker, &shards, at, &mut sense)?;
+                next_snap = (cycle / run.snap_every + 1) * run.snap_every;
             }
-            worker.pu_phase(app, cycle);
-            worker.inject_phase(&mut shards, shareds, cycle);
-            sync.barrier.wait(&mut sense)?;
+            worker.pu_phase(run.app, cycle);
+            worker.inject_phase(&mut shards, &run.shareds, cycle);
+            run.barrier.wait(&mut sense)?;
             // step phase
-            worker.net_step(&mut shards, shareds, cycle);
+            worker.net_step(&mut shards, &run.shareds, cycle);
             // this worker's share of what closes now, taken before the
             // decision barrier so the leader can merge coherent records
-            let [frame, sample] = closing(cycle, false);
-            capture(worker, &mut shards, cycle, frame, sample, telem, widx);
-            sync.activity[widx].store(worker.pending(&shards), Ordering::Release);
-            if leap {
+            let closes = closing(cycle, false);
+            capture(run, widx, worker, &mut shards, cycle, closes);
+            slot.pending
+                .store(worker.pending(&shards), Ordering::Release);
+            if run.leap {
                 let h = worker.horizon(&shards, cycle);
-                sync.horizon[widx].store(h, Ordering::Release);
+                slot.horizon.store(h, Ordering::Release);
             }
             // decision phase: the last thread to arrive decides
-            sync.barrier.wait_leader(&mut sense, || {
-                // a deferred trip snapshot was captured this cycle: the
-                // run stops here, before any normal decision can race it
-                if let Some(t) = telem {
-                    if t.snap_at.load(Ordering::Acquire) <= cycle
-                        && t.trip.lock().expect("telemetry trip lock").is_some()
-                    {
-                        t.tripped.store(true, Ordering::Release);
-                        sync.drained_cycle.store(cycle, Ordering::Release);
-                        sync.stop.store(true, Ordering::Release);
-                        t.publish(cycle, frame, sample, false);
-                        return;
-                    }
-                }
-                let pending: i64 = (0..nworkers)
-                    .map(|i| sync.activity[i].load(Ordering::Acquire))
-                    .sum();
-                if pending == 0 {
-                    sync.drained_cycle.store(cycle, Ordering::Release);
-                    sync.stop.store(true, Ordering::Release);
-                } else if cycle - base >= cycle_limit {
-                    sync.limit_hit.store(true, Ordering::Release);
-                    sync.drained_cycle.store(cycle, Ordering::Release);
-                    sync.stop.store(true, Ordering::Release);
-                } else if leap {
-                    // min-reduce the published horizons and jump if
-                    // nothing can happen sooner; the cap keeps the
-                    // cycle-limit check exact
-                    let mut next = (0..nworkers)
-                        .map(|i| sync.horizon[i].load(Ordering::Acquire))
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    if next == u64::MAX {
-                        next = cycle + 1; // defensive: pending work implies a horizon
-                    }
-                    if next > cycle + 1 {
-                        // cross-shard mailboxes (only readable after the
-                        // step barrier) can only shorten a prospective
-                        // leap — their horizons are >= cycle + 1, so the
-                        // locking scan is skipped when no leap is on the
-                        // table
-                        for shared in shareds {
-                            if let Some(c) = shared.mailbox_next_event_cycle(cycle) {
-                                next = next.min(c);
-                            }
-                        }
-                    }
-                    // never leap over a capture boundary: every close of
-                    // an armed cadence is an executed cycle
-                    for cadence in armed.into_iter().flatten() {
-                        next = next.min(cadence.next_close(cycle));
-                    }
-                    next = next.min(base.saturating_add(cycle_limit));
-                    sync.next_cycle.store(next, Ordering::Release);
-                }
-                // merge, stream, and ward-check what closed this cycle
-                // (after the stop decision: a drained or limit-hit run
-                // still emits its final records, but wards no longer fire)
-                if let Some(t) = telem {
-                    let stopped = sync.stop.load(Ordering::Relaxed);
-                    if let Some(trip) = t.publish(cycle, frame, sample, !stopped) {
-                        *t.trip.lock().expect("telemetry trip lock") = Some(trip);
-                        if t.snapshot_on_trip && ckpt.is_some() {
-                            // defer the stop one cycle so every worker
-                            // reaches the next capture point and writes
-                            // the post-mortem snapshot first
-                            t.snap_at.store(cycle + 1, Ordering::Release);
-                            if leap {
-                                sync.next_cycle.store(cycle + 1, Ordering::Release);
-                            }
-                        } else {
-                            t.tripped.store(true, Ordering::Release);
-                            sync.drained_cycle.store(cycle, Ordering::Release);
-                            sync.stop.store(true, Ordering::Release);
-                        }
-                    }
-                    // a dead stream ends the run here rather than after
-                    // simulating on into the void
-                    if t.stream_dead.load(Ordering::Acquire) {
-                        sync.drained_cycle.store(cycle, Ordering::Release);
-                        sync.stop.store(true, Ordering::Release);
-                    }
-                }
-            })?;
-            if sync.stop.load(Ordering::Acquire) {
+            run.barrier
+                .wait_leader(&mut sense, || run.decide(cycle, base, closes))?;
+            if run.reason() != Stop::Running {
                 break;
             }
-            let next = if leap {
-                sync.next_cycle.load(Ordering::Acquire)
+            let next = if run.leap {
+                run.next_cycle.load(Ordering::Acquire)
             } else {
                 cycle + 1
             };
             if next > cycle + 1 {
-                worker.leap_to(&mut shards, cycle, next, &armed);
+                worker.leap_to(&mut shards, cycle, next, &run.armed);
             }
             cycle = next;
         }
         let [frame, sample] = closing(cycle, true);
-        capture(worker, &mut shards, cycle, frame, sample, telem, widx);
+        capture(run, widx, worker, &mut shards, cycle, [frame, sample]);
         // publish this worker's PU tail and compute the kernel barrier
-        sync.max_pu_fs[widx].store(worker.max_pu_fs, Ordering::Release);
-        sync.barrier.wait(&mut sense)?;
-        let drained = sync.drained_cycle.load(Ordering::Acquire);
-        let max_pu_fs = (0..nworkers)
-            .map(|i| sync.max_pu_fs[i].load(Ordering::Acquire))
+        slot.max_pu_fs.store(worker.max_pu_fs, Ordering::Release);
+        run.barrier.wait(&mut sense)?;
+        let drained = run.stop_cycle.load(Ordering::Acquire);
+        let max_pu_fs = run
+            .slots
+            .iter()
+            .map(|s| s.max_pu_fs.load(Ordering::Acquire))
             .max()
             .unwrap_or(0);
         let pu_tail_cycle = worker.clock.noc_cycle_for_fs(max_pu_fs);
-        base = drained.max(pu_tail_cycle) + termination;
-        sync.barrier.wait_leader(&mut sense, || {
-            sync.stop.store(false, Ordering::Release);
-            final_cycle.store(base, Ordering::Release);
-            if let Some(t) = telem {
-                t.publish(cycle, frame, sample, false);
-            }
+        base = drained.max(pu_tail_cycle) + run.termination;
+        run.barrier.wait_leader(&mut sense, || {
+            // a drained kernel hands over to the next; every other
+            // reason ends the run
+            let _ = run.stop.compare_exchange(
+                Stop::Drained as u8,
+                Stop::Running as u8,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+            run.final_cycle.store(base, Ordering::Release);
+            run.publish(cycle, frame, sample, false);
         })?;
-        // a tripped ward ends the run here: every worker contributes its
-        // queue diagnostics (slow path, only after a trip) and bails out
-        // of the kernel sequence together
-        if let Some(t) = telem {
-            if t.tripped.load(Ordering::Acquire) {
-                *t.diags[widx].lock().expect("telemetry diag lock") =
-                    worker.telemetry_diag(&shards, DIAG_TILES);
+        match run.reason() {
+            Stop::Running => {}
+            // a tripped ward ends the run here: every worker contributes
+            // its queue diagnostics (slow path, only after a trip)
+            Stop::Ward => {
+                lock(&slot.deposit).diag = worker.telemetry_diag(&shards, DIAG_TILES);
                 return Ok(());
             }
-            if t.stream_dead.load(Ordering::Acquire) {
-                return Ok(());
-            }
-        }
-        if sync.limit_hit.load(Ordering::Acquire) {
-            return Ok(());
+            _ => return Ok(()),
         }
     }
     Ok(())
@@ -774,72 +756,101 @@ fn worker_loop<A: Application>(
 /// partial `frame` (depositing a copy when frames are streamed) and
 /// deposits its counters for a `sample`.
 fn capture<A: Application>(
+    run: &Run<'_, A>,
+    widx: usize,
     worker: &mut Worker<A>,
     shards: &mut [&mut Shard],
     cycle: u64,
-    frame: bool,
-    sample: bool,
-    telem: Option<&TelemetryState>,
-    widx: usize,
+    [frame, sample]: [bool; 2],
 ) {
     if frame {
         worker.capture_frame(shards, cycle);
-    }
-    let Some(t) = telem else { return };
-    if frame && t.stream_frames {
-        let closed = worker.frames.frames.last().expect("a frame just closed");
-        t.frames[widx]
-            .lock()
-            .expect("telemetry frame lock")
-            .clone_from(closed);
+        if run.stream_frames {
+            let closed = worker.frames.frames.last().expect("a frame just closed");
+            lock(&run.slots[widx].deposit).frame.clone_from(closed);
+        }
     }
     if sample {
-        *t.samples[widx].lock().expect("telemetry sample lock") = worker.telemetry_sample(shards);
+        lock(&run.slots[widx].deposit).sample = worker.telemetry_sample(shards);
     }
 }
 
 /// One synchronized snapshot: every worker encodes its chunk, then the
 /// barrier leader stitches the chunks into the snapshot file (written to
 /// a temp file and renamed, so a crash mid-write never corrupts the
-/// previous snapshot). All workers reach this at the same `cycle`, so the
-/// extra barrier pairs up cleanly. Failures are recorded, not raised: the
-/// run continues and the driver surfaces the first error at the end.
-#[allow(clippy::too_many_arguments)]
+/// previous snapshot). All workers reach this at the same `at.cycle`, so
+/// the extra barrier pairs up cleanly. Failures are recorded, not raised:
+/// the run continues and the driver surfaces the first error at the end.
 fn take_checkpoint<A: Application>(
+    run: &Run<'_, A>,
+    widx: usize,
     worker: &Worker<A>,
-    app: &A,
     shards: &[&mut Shard],
-    sync: &SyncState,
-    ckpt: &CheckpointState,
     at: Progress,
     sense: &mut bool,
-    widx: usize,
 ) -> Result<(), Poisoned> {
     {
-        let mut buf = ckpt.chunks[widx].lock().expect("checkpoint chunk lock");
+        let mut deposit = lock(&run.slots[widx].deposit);
         // clear() keeps the capacity: snapshot N+1 reuses snapshot N's
         // allocation instead of re-growing a multi-megabyte buffer
-        buf.clear();
-        if let Err(why) = worker.encode_chunk_into(app, shards, at.cycle, &mut buf) {
-            ckpt.record_error(why);
+        deposit.chunk.clear();
+        if let Err(why) = worker.encode_chunk_into(run.app, shards, at.cycle, &mut deposit.chunk) {
+            run.snap_failed(why);
         }
     }
-    sync.barrier.wait_leader(sense, || {
-        if ckpt.error.lock().expect("checkpoint error lock").is_some() {
+    run.barrier.wait_leader(sense, || {
+        if lock(&run.snap_error).is_some() {
             return;
         }
+        let path = run.snap_path.as_deref().expect("snapshots are written");
         // read the workers' buffers in place — no take, no reassembly;
         // the guards pin the buffers for the duration of the write
-        let guards: Vec<_> = ckpt
-            .chunks
-            .iter()
-            .map(|m| m.lock().expect("checkpoint chunk lock"))
-            .collect();
-        let chunks: Vec<&[u8]> = guards.iter().map(|g| g.as_slice()).collect();
-        if let Err(why) =
-            crate::snapshot::write_snapshot_file(&ckpt.path, &ckpt.file_prefix, at, &chunks)
+        let deposits: Vec<_> = run.slots.iter().map(|s| lock(&s.deposit)).collect();
+        let chunks: Vec<&[u8]> = deposits.iter().map(|d| d.chunk.as_slice()).collect();
+        if let Err(why) = crate::snapshot::write_snapshot_file(path, &run.snap_prefix, at, &chunks)
         {
-            ckpt.record_error(why);
+            run.snap_failed(why);
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_leader_counts_every_arrival_when_workers_outnumber_cores() {
+        const ROUNDS: usize = 300;
+        let n = 4 * std::thread::available_parallelism().map_or(1, |c| c.get());
+        let barrier = SpinBarrier::new(n);
+        assert_eq!(barrier.spins, 0, "more workers than cores must not spin");
+        let arrived = AtomicUsize::new(0);
+        let rounds = AtomicUsize::new(0);
+        let miscounted = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..n {
+                scope.spawn(|| {
+                    let mut sense = false;
+                    for _ in 0..ROUNDS {
+                        // relaxed: the barrier's own acquire/release
+                        // orders each arrival before the leader's count
+                        arrived.fetch_add(1, Ordering::Relaxed);
+                        let waited = barrier.wait_leader(&mut sense, || {
+                            if arrived.swap(0, Ordering::Relaxed) != n {
+                                miscounted.fetch_add(1, Ordering::Relaxed);
+                            }
+                            rounds.fetch_add(1, Ordering::Relaxed);
+                        });
+                        assert!(waited.is_ok(), "nobody poisons this barrier");
+                    }
+                });
+            }
+        });
+        assert_eq!(rounds.into_inner(), ROUNDS);
+        assert_eq!(
+            miscounted.into_inner(),
+            0,
+            "a leader ran before every arrival"
+        );
+    }
 }

@@ -187,17 +187,8 @@ pub struct SampleAggregator {
     start: Instant,
     last_instant: Instant,
     last_cycle: u64,
-    prev: Option<Prev>,
-}
-
-#[derive(Debug)]
-struct Prev {
-    tasks: u64,
-    injected: u64,
-    ejected: u64,
-    flit_hops: u64,
-    lat_count: u64,
-    lat_total_cycles: u64,
+    /// The previous sample's merged totals (all zero before the first).
+    prev: WorkerSample,
 }
 
 impl SampleAggregator {
@@ -210,7 +201,7 @@ impl SampleAggregator {
             start: now,
             last_instant: now,
             last_cycle: start_cycle,
-            prev: None,
+            prev: WorkerSample::default(),
         }
     }
 
@@ -220,17 +211,9 @@ impl SampleAggregator {
         for w in workers {
             total.merge(w);
         }
-
-        let prev = self.prev.take().unwrap_or(Prev {
-            tasks: 0,
-            injected: 0,
-            ejected: 0,
-            flit_hops: 0,
-            lat_count: 0,
-            lat_total_cycles: 0,
-        });
-        let lat_delta_count = total.latency.count - prev.lat_count;
-        let lat_delta_total = total.latency.total_cycles - prev.lat_total_cycles;
+        let prev = &self.prev;
+        let lat_delta_count = total.latency.count - prev.latency.count;
+        let lat_delta_total = total.latency.total_cycles - prev.latency.total_cycles;
 
         let now = Instant::now();
         let interval_s = now.duration_since(self.last_instant).as_secs_f64();
@@ -280,14 +263,7 @@ impl SampleAggregator {
         self.seq += 1;
         self.last_instant = now;
         self.last_cycle = cycle;
-        self.prev = Some(Prev {
-            tasks: total.tasks,
-            injected: total.injected,
-            ejected: total.ejected,
-            flit_hops: total.flit_hops,
-            lat_count: total.latency.count,
-            lat_total_cycles: total.latency.total_cycles,
-        });
+        self.prev = total;
         sample
     }
 }

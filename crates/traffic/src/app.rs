@@ -1,4 +1,4 @@
-//! The synthetic-traffic application.
+//! The timetable application: synthetic traffic and trace replay.
 //!
 //! [`TrafficApp`] implements the engine's [`Application`] trait over a
 //! pre-computed injection timetable, so synthetic traffic runs unmodified
@@ -8,23 +8,40 @@
 //! traffic stresses the *network*, and the per-packet latency statistics
 //! ([`muchisim_core::SimResult::noc_latency`]) are collected by the NoC
 //! itself at the ejection point.
+//!
+//! The timetable comes from a spatial pattern ([`TrafficApp::new`]) or
+//! from a recorded trace ([`TrafficApp::replay`]). A trace recorded from
+//! any run (`SystemConfig::noc_trace`) captures every packet at the NoC
+//! injection point with full fidelity — cycle, endpoints, task, payload
+//! words, reduction operator — so its replay shows the network the same
+//! packets at the same cycles while the original application's compute
+//! never runs. On the recording configuration the NoC evolves
+//! identically (provided ejection is never refused — give the input
+//! queues headroom); under a *different* `noc.*` configuration the same
+//! communication pattern re-simulates in a fraction of full-app time,
+//! which is the point: NoC-only design exploration over real app
+//! traffic.
 
 use crate::patterns::{tile_schedule, PatternMap};
-use muchisim_config::{ConfigError, SystemConfig, TrafficParams, TrafficPattern};
-use muchisim_core::{Application, GridInfo, ScheduledSend, TaskCtx};
+use muchisim_config::{ConfigError, SystemConfig, TrafficPattern};
+use muchisim_core::{Application, GridInfo, Payload, ScheduledSend, TaskCtx};
+use muchisim_noc::{read_trace_jsonl, sort_events, TraceEvent};
 
-/// A synthetic-traffic workload: every tile injects packets on a
-/// deterministic timetable drawn from a spatial pattern and offered load.
+/// A timetable workload: every tile injects packets on a deterministic
+/// timetable, drawn from a spatial pattern and offered load or read from
+/// a recorded trace.
 #[derive(Debug)]
 pub struct TrafficApp {
-    pattern: TrafficPattern,
-    params: TrafficParams,
+    name: &'static str,
     /// Per-tile injection timetables.
     schedules: Vec<Vec<ScheduledSend>>,
-    /// Expected packet deliveries per tile (reduce-free traffic: every
-    /// scheduled packet arrives exactly once).
-    expected: Vec<u64>,
-    offered: u64,
+    task_types: u8,
+    /// Packets each tile must receive, when no packet carries a reduce op
+    /// (then every scheduled packet arrives exactly once). In-network
+    /// reduction may merge packets, which bounds only the total.
+    expected: Option<Vec<u64>>,
+    total_packets: u64,
+    last_cycle: u64,
 }
 
 impl TrafficApp {
@@ -36,55 +53,113 @@ impl TrafficApp {
     /// Returns [`ConfigError::Traffic`] for invalid traffic parameters or
     /// a zero offered load.
     pub fn new(cfg: &SystemConfig, pattern: TrafficPattern) -> Result<Self, ConfigError> {
-        let params = cfg.traffic.clone();
+        let params = &cfg.traffic;
         params.validate()?;
         if params.rate <= 0.0 {
             return Err(ConfigError::Traffic {
                 why: "synthetic traffic needs a positive injection rate",
             });
         }
-        let (w, h) = (cfg.width(), cfg.height());
-        let map = PatternMap::new(pattern, w, h, &params);
-        let total = map.total_tiles();
-        let mut expected = vec![0u64; total as usize];
-        let mut offered = 0u64;
-        let schedules: Vec<Vec<ScheduledSend>> = (0..total)
-            .map(|tile| {
-                let sched = tile_schedule(&map, &params, tile);
-                offered += sched.len() as u64;
-                for s in &sched {
+        let map = PatternMap::new(pattern, cfg.width(), cfg.height(), params);
+        let schedules = (0..map.total_tiles()).map(|tile| tile_schedule(&map, params, tile));
+        let name = match pattern {
+            TrafficPattern::UniformRandom => "traffic-uniform",
+            TrafficPattern::BitComplement => "traffic-bitcomp",
+            TrafficPattern::Transpose => "traffic-transpose",
+            TrafficPattern::Shuffle => "traffic-shuffle",
+            TrafficPattern::NearestNeighbor => "traffic-neighbor",
+            TrafficPattern::Hotspot => "traffic-hotspot",
+        };
+        Ok(Self::timetable(name, schedules))
+    }
+
+    /// Builds a replay of the recorded `events` on a grid of
+    /// `total_tiles`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the trace is empty, references tiles
+    /// outside the grid (replaying on a smaller grid is not meaningful),
+    /// or uses more task types than the engine supports.
+    pub fn replay(mut events: Vec<TraceEvent>, total_tiles: u32) -> Result<Self, String> {
+        if events.is_empty() {
+            return Err("trace holds no events".to_string());
+        }
+        sort_events(&mut events);
+        let mut schedules: Vec<Vec<ScheduledSend>> = vec![Vec::new(); total_tiles as usize];
+        for (i, ev) in events.into_iter().enumerate() {
+            if ev.src >= total_tiles || ev.dst >= total_tiles {
+                return Err(format!(
+                    "trace event {} ({} -> {}) is outside the {total_tiles}-tile grid",
+                    i + 1,
+                    ev.src,
+                    ev.dst
+                ));
+            }
+            if ev.task >= 32 {
+                return Err(format!(
+                    "trace uses task type {}, above the engine maximum",
+                    ev.task
+                ));
+            }
+            schedules[ev.src as usize].push(ScheduledSend {
+                cycle: ev.cycle,
+                dst: ev.dst,
+                task: ev.task,
+                payload: Payload::from_slice(&ev.payload),
+                reduce: ev.reduce,
+            });
+        }
+        Ok(Self::timetable("trace-replay", schedules.into_iter()))
+    }
+
+    /// Reads a JSONL trace file and builds its replay.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file/parse errors and [`TrafficApp::replay`]
+    /// validation.
+    pub fn replay_file(path: &str, total_tiles: u32) -> Result<Self, String> {
+        Self::replay(read_trace_jsonl(path)?, total_tiles)
+    }
+
+    /// The workload over the per-tile timetables `tiles`, its check
+    /// derived from them.
+    fn timetable(
+        name: &'static str,
+        tiles: impl ExactSizeIterator<Item = Vec<ScheduledSend>>,
+    ) -> Self {
+        let mut expected = vec![0u64; tiles.len()];
+        let (mut max_task, mut last_cycle, mut reduces) = (0u8, 0u64, false);
+        // each timetable is accounted as it is made, while still in cache
+        let schedules = tiles
+            .inspect(|sends| {
+                for s in sends {
                     expected[s.dst as usize] += 1;
+                    max_task = max_task.max(s.task);
+                    last_cycle = last_cycle.max(s.cycle);
+                    reduces |= s.reduce.is_some();
                 }
-                sched
             })
             .collect();
-        Ok(TrafficApp {
-            pattern,
-            params,
+        TrafficApp {
+            name,
+            task_types: max_task + 1,
+            total_packets: expected.iter().sum(),
+            expected: (!reduces).then_some(expected),
+            last_cycle,
             schedules,
-            expected,
-            offered,
-        })
+        }
     }
 
-    /// Builds the workload with the pattern from `cfg.traffic.pattern`.
-    pub fn from_config(cfg: &SystemConfig) -> Result<Self, ConfigError> {
-        Self::new(cfg, cfg.traffic.pattern)
+    /// Packets the timetable injects.
+    pub fn total_packets(&self) -> u64 {
+        self.total_packets
     }
 
-    /// The spatial pattern.
-    pub fn pattern(&self) -> TrafficPattern {
-        self.pattern
-    }
-
-    /// Total packets offered across all tiles.
-    pub fn offered_packets(&self) -> u64 {
-        self.offered
-    }
-
-    /// The injection-window length in NoC cycles.
-    pub fn window_cycles(&self) -> u64 {
-        self.params.cycles
+    /// The last scheduled injection cycle.
+    pub fn last_cycle(&self) -> u64 {
+        self.last_cycle
     }
 }
 
@@ -93,18 +168,11 @@ impl Application for TrafficApp {
     type Tile = u64;
 
     fn name(&self) -> &'static str {
-        match self.pattern {
-            TrafficPattern::UniformRandom => "traffic-uniform",
-            TrafficPattern::BitComplement => "traffic-bitcomp",
-            TrafficPattern::Transpose => "traffic-transpose",
-            TrafficPattern::Shuffle => "traffic-shuffle",
-            TrafficPattern::NearestNeighbor => "traffic-neighbor",
-            TrafficPattern::Hotspot => "traffic-hotspot",
-        }
+        self.name
     }
 
     fn task_types(&self) -> u8 {
-        1
+        self.task_types
     }
 
     fn make_tile(&self, _tile: u32, _grid: &GridInfo) -> u64 {
@@ -134,7 +202,19 @@ impl Application for TrafficApp {
     }
 
     fn check(&self, tiles: &[u64]) -> Result<(), String> {
-        for (tile, (&got, &want)) in tiles.iter().zip(&self.expected).enumerate() {
+        let Some(expected) = &self.expected else {
+            // in-network reduction may legitimately merge packets, so the
+            // delivered count is bounded by — not equal to — the injected one
+            let delivered: u64 = tiles.iter().sum();
+            if delivered == 0 || delivered > self.total_packets {
+                return Err(format!(
+                    "delivered {delivered} of {} injected packets",
+                    self.total_packets
+                ));
+            }
+            return Ok(());
+        };
+        for (tile, (&got, &want)) in tiles.iter().zip(expected).enumerate() {
             if got != want {
                 return Err(format!(
                     "tile {tile} received {got} packets, expected {want}"
@@ -148,7 +228,9 @@ impl Application for TrafficApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muchisim_config::TrafficParams;
     use muchisim_core::Simulation;
+    use muchisim_noc::ReduceOp;
 
     fn cfg(rate: f64) -> SystemConfig {
         let traffic = TrafficParams {
@@ -163,11 +245,23 @@ mod tests {
             .unwrap()
     }
 
+    fn ev(cycle: u64, src: u32, dst: u32, task: u8) -> TraceEvent {
+        TraceEvent {
+            cycle,
+            src,
+            dst,
+            task,
+            flits: 2,
+            reduce: None,
+            payload: vec![src],
+        }
+    }
+
     #[test]
     fn traffic_runs_end_to_end_and_checks() {
         let cfg = cfg(0.05);
         let app = TrafficApp::new(&cfg, TrafficPattern::Transpose).unwrap();
-        let offered = app.offered_packets();
+        let offered = app.total_packets();
         assert!(offered > 0);
         let result = Simulation::new(cfg, app).unwrap().run().unwrap();
         assert!(result.check_error.is_none(), "{:?}", result.check_error);
@@ -195,25 +289,75 @@ mod tests {
     #[test]
     fn zero_rate_is_rejected() {
         let cfg = cfg(0.0);
-        let err = TrafficApp::from_config(&cfg).unwrap_err();
+        let err = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).unwrap_err();
         assert!(err.to_string().contains("positive injection rate"));
-    }
-
-    #[test]
-    fn from_config_takes_the_configured_pattern() {
-        let mut cfg = cfg(0.05);
-        cfg.traffic.pattern = TrafficPattern::Hotspot;
-        let app = TrafficApp::from_config(&cfg).unwrap();
-        assert_eq!(app.pattern(), TrafficPattern::Hotspot);
-        assert_eq!(app.name(), "traffic-hotspot");
     }
 
     #[test]
     fn realized_rate_tracks_the_offered_rate() {
         let cfg = cfg(0.2);
         let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).unwrap();
-        let r =
-            app.offered_packets() as f64 / (cfg.total_tiles() as f64 * app.window_cycles() as f64);
+        let r = app.total_packets() as f64 / (cfg.total_tiles() as f64 * cfg.traffic.cycles as f64);
         assert!((0.15..0.25).contains(&r), "realized {r}");
+    }
+
+    #[test]
+    fn events_map_to_per_tile_schedules_in_order() {
+        let app =
+            TrafficApp::replay(vec![ev(9, 1, 0, 1), ev(2, 1, 3, 0), ev(5, 0, 2, 0)], 4).unwrap();
+        assert_eq!(app.name(), "trace-replay");
+        assert_eq!(app.total_packets(), 3);
+        assert_eq!(app.task_types(), 2);
+        assert_eq!(app.last_cycle(), 9);
+        let g = GridInfo {
+            width: 2,
+            height: 2,
+            total_tiles: 4,
+            pus_per_tile: 1,
+        };
+        let t1 = app.scheduled_sends(1, &g);
+        assert_eq!(t1.len(), 2);
+        assert_eq!((t1[0].cycle, t1[0].dst), (2, 3));
+        assert_eq!((t1[1].cycle, t1[1].dst), (9, 0));
+        assert!(app.scheduled_sends(2, &g).is_empty());
+    }
+
+    #[test]
+    fn out_of_grid_and_empty_traces_are_rejected() {
+        let err = TrafficApp::replay(vec![ev(0, 9, 0, 0)], 4).unwrap_err();
+        assert!(err.contains("outside"), "{err}");
+        let err = TrafficApp::replay(Vec::new(), 4).unwrap_err();
+        assert!(err.contains("no events"), "{err}");
+        let err = TrafficApp::replay(vec![ev(0, 0, 1, 33)], 4).unwrap_err();
+        assert!(err.contains("task type"), "{err}");
+    }
+
+    #[test]
+    fn replay_runs_the_schedule() {
+        let events = vec![ev(0, 0, 3, 0), ev(4, 3, 1, 0), ev(4, 3, 2, 0)];
+        let app = TrafficApp::replay(events, 4).unwrap();
+        let cfg = SystemConfig::builder().chiplet_tiles(2, 2).build().unwrap();
+        let result = Simulation::new(cfg, app).unwrap().run().unwrap();
+        assert!(result.check_error.is_none(), "{:?}", result.check_error);
+        assert_eq!(result.counters.noc.injected, 3);
+        assert_eq!(result.counters.noc.ejected, 3);
+    }
+
+    #[test]
+    fn the_check_is_per_tile_without_reduce_ops_and_a_total_bound_with_them() {
+        let exact = TrafficApp::replay(vec![ev(0, 0, 3, 0), ev(1, 1, 3, 0)], 4).unwrap();
+        assert!(exact.check(&[0, 0, 0, 2]).is_ok());
+        let err = exact.check(&[0, 1, 0, 1]).unwrap_err();
+        assert!(
+            err.contains("tile 1 received 1 packets, expected 0"),
+            "{err}"
+        );
+        let mut summed = ev(1, 1, 3, 0);
+        summed.reduce = Some(ReduceOp::SumU32);
+        let merging = TrafficApp::replay(vec![ev(0, 0, 3, 0), summed], 4).unwrap();
+        assert!(merging.check(&[0, 0, 0, 1]).is_ok());
+        assert!(merging.check(&[0, 1, 0, 1]).is_ok());
+        assert!(merging.check(&[0, 0, 0, 0]).is_err());
+        assert!(merging.check(&[0, 1, 0, 2]).is_err());
     }
 }

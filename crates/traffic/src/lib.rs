@@ -14,13 +14,13 @@
 //!   DSE overrides like `traffic.rate=0.08`). Implemented over the
 //!   engine's scheduled-injection hook, so traffic runs through the
 //!   parallel time-leaping driver, telemetry, and the CLI unmodified.
-//! * **Trace replay** ([`TraceReplayApp`]): any run with
+//! * **Trace replay** ([`TrafficApp::replay`]): any run with
 //!   `SystemConfig::noc_trace` set records its injection stream; the
-//!   replay app re-injects it app-free, enabling NoC-only re-simulation
-//!   of a real communication pattern under different `noc.*` configs —
-//!   bit-identical NoC counters on the recording config (given eject
-//!   headroom), and a topology study in a fraction of full-app time
-//!   otherwise.
+//!   same timetable app re-injects it app-free, enabling NoC-only
+//!   re-simulation of a real communication pattern under different
+//!   `noc.*` configs — bit-identical NoC counters on the recording
+//!   config (given eject headroom), and a topology study in a fraction
+//!   of full-app time otherwise.
 //! * **Saturation sweeps** ([`saturation_sweep`]): offered-load axis →
 //!   mean/percentile latency curve plus detected saturation throughput,
 //!   the latency-versus-load figure of every NoC paper.
@@ -45,11 +45,9 @@
 
 mod app;
 mod patterns;
-mod replay;
 mod saturation;
 
 pub use app::TrafficApp;
 pub use muchisim_config::{TrafficParams, TrafficPattern};
 pub use patterns::{tile_schedule, tile_seed, PatternMap};
-pub use replay::TraceReplayApp;
 pub use saturation::{run_point, saturation_sweep, LoadPoint, SaturationCurve};

@@ -132,7 +132,7 @@ pub fn run_point(
     let mut cfg = base.clone();
     cfg.traffic.rate = rate;
     let app = TrafficApp::new(&cfg, pattern)?;
-    let window = app.window_cycles();
+    let window = cfg.traffic.cycles;
     let result = Simulation::new(cfg.clone(), app)?.run_parallel(threads)?;
     if let Some(why) = &result.check_error {
         return Err(SimError::CheckFailed(why.clone()));

@@ -31,7 +31,7 @@ use muchisim::dse::{
     apply_to_config, table_from_store, BatchRunner, DseError, ExperimentSpec, JsonlStore, Override,
 };
 use muchisim::energy::Report;
-use muchisim::traffic::{saturation_sweep, TraceReplayApp};
+use muchisim::traffic::{saturation_sweep, TrafficApp};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 
@@ -377,7 +377,7 @@ fn cmd_traffic_replay(args: &Args) -> Result<i32, Failure> {
     let threads = thread_count(args.get("--threads").unwrap_or("4"))?;
     let cfg = config(args, side, &[])?;
     let tiles = cfg.total_tiles() as u32;
-    let app = TraceReplayApp::from_file(trace_path, tiles).map_err(|e| Failure(1, e))?;
+    let app = TrafficApp::replay_file(trace_path, tiles).map_err(|e| Failure(1, e))?;
     println!(
         "replaying {} packets (last injection at cycle {}) on {side}x{side} \
          with {threads} host threads...",

@@ -18,6 +18,7 @@ use muchisim::data::Csr;
 use muchisim::mem::{CacheLine, MemCounters};
 use muchisim::noc::{LatencyStats, NocCounters, Packet, Payload, ReduceOp};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
@@ -532,20 +533,34 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
 // ---------------------------------------------------------------------
 
 /// Counts through to the system allocator, remembering the largest
-/// single request made while [`PEAK_REQUEST`] is armed (non-zero).
+/// single request a thread makes while its [`PEAK_REQUEST`] is armed
+/// (non-zero).
 struct PeakAlloc;
 
-/// `0` = disarmed; otherwise `1 +` the largest request seen so far.
-static PEAK_REQUEST: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `0` = disarmed; otherwise `1 +` the largest request this thread
+    /// made so far. Per thread, because the resume under test runs on the
+    /// calling thread (one worker) while the sibling tests write
+    /// snapshots through a 1 MiB buffer on theirs.
+    static PEAK_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Notes a request of `size` bytes on the current thread.
+fn note_request(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn down
+    let _ = PEAK_REQUEST.try_with(|peak| {
+        if peak.get() != 0 {
+            peak.set(peak.get().max(size + 1));
+        }
+    });
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one the caller already upholds; the only thing
-// added is a relaxed update of a statistic.
+// added is an update of a thread-local statistic.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if PEAK_REQUEST.load(Ordering::Relaxed) != 0 {
-            PEAK_REQUEST.fetch_max(layout.size() + 1, Ordering::Relaxed);
-        }
+        note_request(layout.size());
         // SAFETY: same layout, same contract
         unsafe { System.alloc(layout) }
     }
@@ -556,9 +571,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if PEAK_REQUEST.load(Ordering::Relaxed) != 0 {
-            PEAK_REQUEST.fetch_max(new_size + 1, Ordering::Relaxed);
-        }
+        note_request(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; same contract
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -762,12 +775,12 @@ fn random_mutations_end_in_typed_errors_or_resumed_runs() {
 
         // what a clean resume asks of the allocator bounds what a
         // mutated one may: the same, or a few times the file
-        PEAK_REQUEST.store(1, Ordering::Relaxed);
+        PEAK_REQUEST.set(1);
         assert!(
             matches!(run(&path, limit), Ok(Outcome::Resumed)),
             "{label}: clean resume"
         );
-        let clean_peak = PEAK_REQUEST.swap(0, Ordering::Relaxed);
+        let clean_peak = PEAK_REQUEST.replace(0);
         let allowed = clean_peak.max(8 * valid.len());
 
         for seed in 0..SEEDS {
@@ -787,9 +800,9 @@ fn random_mutations_end_in_typed_errors_or_resumed_runs() {
             }
             std::fs::write(&path, &bytes).expect("write mutated snapshot");
             QUIET.store(1, Ordering::Relaxed);
-            PEAK_REQUEST.store(1, Ordering::Relaxed);
+            PEAK_REQUEST.set(1);
             let outcome = std::panic::catch_unwind(|| run(&path, limit));
-            let peak = PEAK_REQUEST.swap(0, Ordering::Relaxed);
+            let peak = PEAK_REQUEST.replace(0);
             QUIET.store(0, Ordering::Relaxed);
             match outcome {
                 Ok(Ok(Outcome::Refused)) => tally[0] += 1,

@@ -71,15 +71,19 @@ impl Subscriber for Flaky {
     }
 }
 
-/// Runs `FarFuture` at 2 host threads under a 20 s watchdog.
-fn run_with_watchdog(panic: bool) -> Result<SimResult, SimError> {
+/// Runs `FarFuture` at 2 host threads under a 20 s watchdog, with a
+/// per-kernel cycle limit when one is given.
+fn run_with_watchdog(panic: bool, cycle_limit: Option<u64>) -> Result<SimResult, SimError> {
     let (done, result) = mpsc::channel();
     std::thread::spawn(move || {
         let mut cfg = SystemConfig::builder().chiplet_tiles(4, 4).build().unwrap();
         cfg.telemetry.sample_every = Some(1);
-        let sim = Simulation::new(cfg, FarFuture)
+        let mut sim = Simulation::new(cfg, FarFuture)
             .unwrap()
             .with_subscriber(Box::new(Flaky { seen: 0, panic }));
+        if let Some(limit) = cycle_limit {
+            sim = sim.with_cycle_limit(limit);
+        }
         let _ = done.send(sim.run_parallel(2));
     });
     result
@@ -89,7 +93,7 @@ fn run_with_watchdog(panic: bool) -> Result<SimResult, SimError> {
 
 #[test]
 fn a_failing_subscriber_ends_the_run_with_its_error() {
-    match run_with_watchdog(false) {
+    match run_with_watchdog(false, None) {
         Err(SimError::Telemetry(why)) => assert!(why.contains("disk full"), "{why}"),
         other => panic!("expected a telemetry error, got {other:?}"),
     }
@@ -97,8 +101,21 @@ fn a_failing_subscriber_ends_the_run_with_its_error() {
 
 #[test]
 fn a_panicking_subscriber_is_an_error_not_a_hang() {
-    match run_with_watchdog(true) {
+    match run_with_watchdog(true, None) {
         Err(SimError::Telemetry(why)) => assert!(why.contains("panicked"), "{why}"),
+        other => panic!("expected a telemetry error, got {other:?}"),
+    }
+}
+
+/// A stream that fails on the run's last sample reports its error, not
+/// the cycle limit the run stopped at: with a limit of 2 the third sample
+/// (cycle 2) is both the failing one and the limit cycle's, so the
+/// subscriber fails after the leader decided to stop, and the teardown
+/// has to rank the stream first.
+#[test]
+fn a_failed_stream_outranks_the_cycle_limit() {
+    match run_with_watchdog(false, Some(2)) {
+        Err(SimError::Telemetry(why)) => assert!(why.contains("disk full"), "{why}"),
         other => panic!("expected a telemetry error, got {other:?}"),
     }
 }

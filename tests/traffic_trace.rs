@@ -17,7 +17,7 @@ use muchisim::config::{NocTopology, SystemConfig};
 use muchisim::core::Simulation;
 use muchisim::data::rmat::RmatConfig;
 use muchisim::noc::read_trace_jsonl;
-use muchisim::traffic::TraceReplayApp;
+use muchisim::traffic::TrafficApp;
 use std::sync::Arc;
 
 fn trace_path(name: &str) -> String {
@@ -66,7 +66,7 @@ fn bfs_trace_replays_bit_identically_on_the_same_config() {
     // replay on the identical configuration (recording disabled)
     let mut cfg = recording_config(&path);
     cfg.noc_trace = None;
-    let app = TraceReplayApp::from_file(&path, 16).expect("replay builds");
+    let app = TrafficApp::replay_file(&path, 16).expect("replay builds");
     assert_eq!(app.total_packets(), events.len() as u64);
     let replayed = Simulation::new(cfg, app)
         .unwrap()
@@ -97,7 +97,7 @@ fn bfs_trace_replays_clean_on_a_different_topology() {
         .noc_topology(NocTopology::FoldedTorus)
         .build()
         .unwrap();
-    let app = TraceReplayApp::from_file(&path, 16).expect("replay builds");
+    let app = TrafficApp::replay_file(&path, 16).expect("replay builds");
     let replayed = Simulation::new(cfg, app)
         .unwrap()
         .run()
