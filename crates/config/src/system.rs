@@ -391,17 +391,6 @@ impl SystemConfig {
             .cycles_for_ps(TimePs::ns(latency_ns).as_ps())
     }
 
-    /// Tiles sharing one DRAM channel, or `None` in scratchpad mode.
-    pub fn tiles_per_dram_channel(&self) -> Option<u64> {
-        match &self.memory {
-            MemoryConfig::Scratchpad => None,
-            MemoryConfig::Dram(d) => {
-                let channels = (d.devices_per_chiplet * self.params.hbm.channels_per_device) as u64;
-                Some(self.hierarchy.tiles_per_chiplet() / channels.max(1))
-            }
-        }
-    }
-
     /// Validates the whole configuration.
     ///
     /// # Errors
@@ -825,18 +814,6 @@ mod tests {
             .unwrap();
         // two quadrupling steps: 2.82ns -> 3 cycles
         assert_eq!(huge.sram_latency_cycles(), 3);
-    }
-
-    #[test]
-    fn tiles_per_dram_channel() {
-        let cfg = SystemConfig::builder()
-            .chiplet_tiles(32, 32)
-            .dram(DramConfig::default())
-            .build()
-            .unwrap();
-        assert_eq!(cfg.tiles_per_dram_channel(), Some(128));
-        let spm = SystemConfig::default();
-        assert_eq!(spm.tiles_per_dram_channel(), None);
     }
 
     #[test]

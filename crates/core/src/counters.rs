@@ -45,11 +45,6 @@ impl PuCounters {
         self.cq_stall_cycles += other.cq_stall_cycles;
         self.app_ops += other.app_ops;
     }
-
-    /// Total instructions of all types.
-    pub fn total_ops(&self) -> u64 {
-        self.int_ops + self.fp_ops + self.ctrl_ops + self.loads + self.stores
-    }
 }
 
 /// Everything the energy / cost post-processing needs, aggregated over the

@@ -52,7 +52,6 @@ use muchisim_mem::{CacheLine, MemCounters};
 use muchisim_noc::{Arena, LatencyStats, NocCounters, Packet, Payload, QueueLink, ReduceOp};
 use muchisim_telemetry::{Frame, FrameLog};
 use serde::{Serialize, Value};
-use std::path::Path;
 
 /// Magic bytes identifying a MuchiSim snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUCHSNAP";
@@ -1020,48 +1019,35 @@ impl Default for SnapshotHasher {
     }
 }
 
-/// Atomically writes a snapshot file: identity prefix + progress +
-/// length-prefixed worker chunks + trailing checksum, written to
-/// `<path>.tmp` and renamed into place so an interrupted write never
-/// leaves a torn file at `path`. Single pass: every section is hashed as
-/// it is streamed out, so the multi-megabyte body is never assembled in
-/// memory.
+/// Writes a snapshot file: identity prefix + progress + length-prefixed
+/// worker chunks + trailing checksum, through
+/// [`output::replace`](muchisim_config::output::replace), so an
+/// interrupted write never leaves a torn file at `path`. Single pass:
+/// every section is hashed as it is streamed out, so the multi-megabyte
+/// body is never assembled in memory.
 pub(crate) fn write_snapshot_file(
     path: &str,
     file_prefix: &[u8],
     at: Progress,
     chunks: &[&[u8]],
 ) -> Result<(), String> {
-    use std::io::Write;
     let mut prefix = file_prefix.to_vec();
     at.put(&mut prefix);
     (chunks.len() as u32).put(&mut prefix);
-
-    let tmp = format!("{path}.tmp");
-    if let Some(parent) = Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("creating snapshot directory {}: {e}", parent.display()))?;
+    muchisim_config::output::replace(path, |w| {
+        let mut h = SnapshotHasher::new();
+        h.update(&prefix);
+        w.write_all(&prefix)?;
+        for c in chunks {
+            let len = (c.len() as u64).to_le_bytes();
+            h.update(&len);
+            w.write_all(&len)?;
+            h.update(c);
+            w.write_all(c)?;
         }
-    }
-    let file = std::fs::File::create(&tmp).map_err(|e| format!("creating snapshot {tmp}: {e}"))?;
-    let mut w = std::io::BufWriter::with_capacity(1 << 20, file);
-    let mut h = SnapshotHasher::new();
-    let werr = |e: std::io::Error| format!("writing snapshot {tmp}: {e}");
-    h.update(&prefix);
-    w.write_all(&prefix).map_err(werr)?;
-    for c in chunks {
-        let len = (c.len() as u64).to_le_bytes();
-        h.update(&len);
-        w.write_all(&len).map_err(werr)?;
-        h.update(c);
-        w.write_all(c).map_err(werr)?;
-    }
-    w.write_all(&h.finish().to_le_bytes()).map_err(werr)?;
-    w.into_inner()
-        .map_err(|e| format!("writing snapshot {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("renaming snapshot into {path}: {e}"))?;
-    Ok(())
+        w.write_all(&h.finish().to_le_bytes())
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Reads, checksums, and parses a snapshot file into merged,

@@ -176,24 +176,6 @@ impl SimResult {
         }
     }
 
-    /// DUT operation throughput in ops per host second (Fig. 4's Ops/s).
-    pub fn host_ops_per_sec(&self) -> f64 {
-        if self.host_seconds == 0.0 {
-            0.0
-        } else {
-            self.counters.pu.total_ops() as f64 / self.host_seconds
-        }
-    }
-
-    /// NoC flits routed per host second (Fig. 4's Msg/s).
-    pub fn host_flits_per_sec(&self) -> f64 {
-        if self.host_seconds == 0.0 {
-            0.0
-        } else {
-            self.counters.noc.total_flit_hops() as f64 / self.host_seconds
-        }
-    }
-
     /// Simulated NoC cycles per host second — the simulator-throughput
     /// metric of the scalability table (time leaping included, so sparse
     /// phases push this far above the lockstep rate).

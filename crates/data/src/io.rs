@@ -10,7 +10,6 @@
 
 use crate::csr::Csr;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Magic header for the binary CSR format.
 const MAGIC: &[u8; 8] = b"MUCHICSR";
@@ -142,24 +141,6 @@ pub fn read_csr_binary<R: Read>(reader: R) -> io::Result<Csr> {
     Ok(Csr::from_edges(n, &edges))
 }
 
-/// Convenience: save a graph to `path` in binary CSR format.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn save(graph: &Csr, path: &Path) -> io::Result<()> {
-    write_csr_binary(graph, std::fs::File::create(path)?)
-}
-
-/// Convenience: load a binary CSR file from `path`.
-///
-/// # Errors
-///
-/// Propagates file-system and format errors.
-pub fn load(path: &Path) -> io::Result<Csr> {
-    read_csr_binary(std::fs::File::open(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,14 +190,5 @@ mod tests {
     #[test]
     fn binary_rejects_wrong_magic() {
         assert!(read_csr_binary(&b"NOTACSR0\0\0\0\0"[..]).is_err());
-    }
-
-    #[test]
-    fn file_save_load() {
-        let g = RmatConfig::scale(6).generate(1);
-        let path = std::env::temp_dir().join("muchisim_io_test.csr");
-        save(&g, &path).unwrap();
-        assert_eq!(load(&path).unwrap(), g);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -208,26 +208,19 @@ impl BatchRunner {
                 .or_insert_with(|| Arc::new(point.dataset.generate()));
         }
 
+        let beside_store = |suffix: &str| {
+            let mut os = store.path().as_os_str().to_os_string();
+            os.push(suffix);
+            PathBuf::from(os)
+        };
         // per-point snapshots live next to the store, keyed by run ID,
         // so the two resume layers compose: completed points skip via
         // the store, the interrupted point resumes via its snapshot
-        let ckpt_dir: Option<PathBuf> = self.checkpoint_every.map(|_| {
-            let mut os = store.path().as_os_str().to_os_string();
-            os.push(".ckpt");
-            PathBuf::from(os)
-        });
-
+        let ckpt_dir = self.checkpoint_every.map(|_| beside_store(".ckpt"));
         // live per-point metrics streams live next to the store too, one
         // file per run ID — kept after completion (they are the record of
         // how the point got there), unlike the transient snapshots above
-        let metrics_dir: Option<PathBuf> = self.sample_every.map(|_| {
-            let mut os = store.path().as_os_str().to_os_string();
-            os.push(".metrics");
-            PathBuf::from(os)
-        });
-        if let Some(dir) = &metrics_dir {
-            std::fs::create_dir_all(dir)?;
-        }
+        let metrics_dir = self.sample_every.map(|_| beside_store(".metrics"));
 
         let slots = (self.host_threads / threads_per_run).clamp(1, pending.len().max(1));
         let queue = Mutex::new(pending.into_iter());

@@ -9,12 +9,11 @@
 //! resumable: re-running a sweep skips run IDs already on disk.
 
 use crate::error::DseError;
+use muchisim_config::output;
 use muchisim_config::SystemConfig;
 use muchisim_core::SimResult;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One completed sweep run: identity + inputs + outputs.
@@ -50,9 +49,9 @@ impl JsonlStore {
     ///
     /// A final line that fails to parse is treated as a crash-truncated
     /// append: it is dropped with a warning to stderr and the file is
-    /// truncated back to the last valid record, so the next append starts
-    /// on a clean boundary instead of concatenating onto the garbage. A
-    /// malformed line anywhere else is an error.
+    /// replaced by its lines up to the last valid record, so the next
+    /// append starts on a clean boundary instead of concatenating onto
+    /// the garbage. A malformed line anywhere else is an error.
     ///
     /// # Errors
     ///
@@ -63,30 +62,26 @@ impl JsonlStore {
         let mut records = Vec::new();
         if path.exists() {
             let text = std::fs::read_to_string(&path)?;
-            // byte length of the leading well-formed prefix (whole lines,
-            // newline included)
-            let mut valid_len = 0u64;
-            let lines: Vec<&str> = text.lines().collect();
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
             let last_nonempty = lines.iter().rposition(|line| !line.trim().is_empty());
+            // byte offset of line `i`: the well-formed prefix before it
+            let mut start = 0;
             for (i, line) in lines.iter().enumerate() {
-                let line_bytes = line.len() as u64 + 1; // '\n' (absent on a truncated tail)
                 if line.trim().is_empty() {
-                    valid_len += line_bytes;
+                    start += line.len();
                     continue;
                 }
-                match serde_json::from_str::<RunRecord>(line) {
+                match serde_json::from_str::<RunRecord>(line.trim_end()) {
                     Ok(rec) => {
                         records.push(rec);
-                        valid_len += line_bytes;
+                        start += line.len();
                     }
                     Err(e) if Some(i) == last_nonempty => {
                         eprintln!(
                             "warning: dropping truncated final record in {} ({e})",
                             path.display()
                         );
-                        let file = OpenOptions::new().write(true).open(&path)?;
-                        file.set_len(valid_len.min(text.len() as u64))?;
-                        file.sync_all()?;
+                        output::replace(&path, |w| w.write_all(&text.as_bytes()[..start]))?;
                         break;
                     }
                     Err(e) => {
@@ -125,23 +120,13 @@ impl JsonlStore {
     /// Returns [`DseError::Io`] / [`DseError::Store`] when the record
     /// cannot be serialized or written.
     pub fn append(&mut self, record: RunRecord) -> Result<(), DseError> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
         let mut line = serde_json::to_string(&record)
             .map_err(|e| DseError::Store(format!("serializing record: {e}")))?;
         // one write for line + newline: a crash can leave a truncated
         // line (which open() repairs) but never a complete record missing
         // its terminator, which a later append would corrupt
         line.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
+        output::append(&self.path, line.as_bytes())?;
         self.records.push(record);
         Ok(())
     }
@@ -243,12 +228,20 @@ pub(crate) mod tests {
         // simulate a crash mid-append: a partial record with no newline
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(b"{\"run_id\":\"parti").unwrap();
         }
         // reopening drops the garbage AND truncates the file...
         let mut resumed = JsonlStore::open(&path).unwrap();
         assert_eq!(resumed.records().len(), 1);
+        let first = serde_json::to_string(&record("a", 0, None)).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{first}\n")
+        );
         // ...so the next append lands on a clean line boundary
         resumed.append(record("b", 1, None)).unwrap();
         let reloaded = JsonlStore::open(&path).unwrap();

@@ -8,8 +8,8 @@ use crate::shard::Shard;
 use crate::slice::ColSlice;
 use crate::topo::TopoInfo;
 use muchisim_config::SystemConfig;
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Splits `width` columns into at most `num_shards` contiguous ranges
 /// whose boundaries are multiples of `align`, returning the exclusive end
@@ -111,6 +111,13 @@ pub(crate) type Mailbox = Mutex<Vec<(u32, InPort, Packet)>>;
 /// cycle, so it is empty at every decision point.
 pub(crate) type WakeBox = Mutex<Vec<u32>>;
 
+/// Locks a mailbox or wake box. A poisoned box still yields its guard:
+/// its contents are plain values, and the panic that poisoned it already
+/// fails the run.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// State shared by all shards: topology, the queue-credit table, and the
 /// single-producer cross-shard mailboxes and wake boxes.
 pub struct SharedNet {
@@ -155,7 +162,7 @@ impl SharedNet {
                     + row.capacity() as u64 * std::mem::size_of::<WakeBox>() as u64
                     + row
                         .iter()
-                        .map(|b| b.lock().capacity() as u64 * 4)
+                        .map(|b| lock(b).capacity() as u64 * 4)
                         .sum::<u64>()
             })
             .sum();
@@ -167,7 +174,7 @@ impl SharedNet {
                     + row
                         .iter()
                         .map(|m| {
-                            let inbox = m.lock();
+                            let inbox = lock(m);
                             inbox.capacity() as u64
                                 * std::mem::size_of::<(u32, InPort, Packet)>() as u64
                                 + inbox
@@ -196,7 +203,7 @@ impl SharedNet {
         let floor = now + 1;
         let mut horizon: Option<u64> = None;
         for mailbox in self.mailboxes.iter().flatten() {
-            for (_, _, pkt) in mailbox.lock().iter() {
+            for (_, _, pkt) in lock(mailbox).iter() {
                 let c = pkt.ready_at.max(floor);
                 horizon = Some(horizon.map_or(c, |h| h.min(c)));
             }
@@ -350,7 +357,7 @@ impl Network {
             .mailboxes
             .iter()
             .flatten()
-            .map(|m| m.lock().len() as u64)
+            .map(|m| lock(m).len() as u64)
             .sum();
         in_shards + in_mail
     }

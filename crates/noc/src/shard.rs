@@ -32,7 +32,7 @@
 use crate::counters::{class_index, NocCounters, RouterVisits};
 use crate::credit::{admits, Credit};
 use crate::latency::LatencyStats;
-use crate::network::{EjectSink, SharedNet};
+use crate::network::{lock, EjectSink, SharedNet};
 use crate::packet::Packet;
 use crate::port::{InPort, OutDir, IN_PORTS, OUT_DIRS};
 use crate::route;
@@ -620,7 +620,7 @@ impl Shard {
         if owner == self.idx {
             self.wake_now(self.slice.local_of(x, y));
         } else {
-            shared.wake_box(owner, self.idx).lock().push(up);
+            lock(shared.wake_box(owner, self.idx)).push(up);
         }
     }
 
@@ -769,7 +769,7 @@ impl Shard {
             if producer == self.idx {
                 continue;
             }
-            let mut inbox = shared.mailbox(self.idx, producer).lock();
+            let mut inbox = lock(shared.mailbox(self.idx, producer));
             for (tile, port, pkt) in inbox.drain(..) {
                 let local = self.slice.local(tile);
                 let qid = shared.topo.queue_id(tile, port);
@@ -822,7 +822,7 @@ impl Shard {
             if producer == self.idx {
                 continue;
             }
-            for tile in shared.wake_box(self.idx, producer).lock().drain(..) {
+            for tile in lock(shared.wake_box(self.idx, producer)).drain(..) {
                 let local = self.slice.local(tile);
                 self.wake_now(local);
             }
@@ -995,7 +995,7 @@ impl Shard {
                     });
                 } else {
                     // node ids mean nothing in another shard's arena
-                    shared.mailbox(dest_shard, *idx).lock().push((
+                    lock(shared.mailbox(dest_shard, *idx)).push((
                         dest,
                         in_port,
                         arena.release(node),

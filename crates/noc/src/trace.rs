@@ -14,7 +14,7 @@
 
 use crate::packet::{Packet, ReduceOp};
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufWriter, Write};
+use std::io::BufRead;
 
 /// One packet entering the NoC: everything needed to re-inject it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,29 +62,23 @@ pub fn sort_events(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| (e.cycle, e.src, e.task));
 }
 
-/// Writes `events` (sorted first) to a JSONL file at `path`, creating
-/// parent directories.
+/// Writes `events` (sorted first) to a JSONL file at `path` through
+/// [`output::replace`](muchisim_config::output::replace).
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O or serialization failure.
 pub fn write_trace_jsonl(path: &str, events: &mut [TraceEvent]) -> Result<(), String> {
     sort_events(events);
-    let p = std::path::Path::new(path);
-    if let Some(dir) = p.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    muchisim_config::output::replace(path, |out| {
+        for ev in events.iter() {
+            let line = serde_json::to_string(ev).map_err(std::io::Error::other)?;
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")?;
         }
-    }
-    let file = std::fs::File::create(p).map_err(|e| format!("creating {path}: {e}"))?;
-    let mut out = BufWriter::new(file);
-    for ev in events.iter() {
-        let line = serde_json::to_string(ev).map_err(|e| format!("serializing event: {e}"))?;
-        out.write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    out.flush().map_err(|e| format!("writing {path}: {e}"))
+        Ok(())
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Reads a JSONL trace written by [`write_trace_jsonl`].

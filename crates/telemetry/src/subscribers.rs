@@ -1,10 +1,10 @@
 //! Sample consumers: files, memory, and the stdout progress line.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use muchisim_config::output::Stream;
 use serde::{Deserialize, Serialize};
 
 use crate::frames::Frame;
@@ -66,41 +66,36 @@ pub struct FrameRecord {
 /// schema-versioned wire format; field `v` is [`SCHEMA_VERSION`]).
 #[derive(Debug)]
 pub struct JsonlSubscriber {
-    out: BufWriter<File>,
+    out: Stream,
 }
 
 impl JsonlSubscriber {
-    /// Creates (truncates) the JSONL file at `path`.
+    /// Creates (truncates) the JSONL file at `path` and its missing
+    /// parent directories.
     ///
     /// # Errors
     ///
-    /// Returns a message when the file cannot be created.
+    /// Returns a message naming the path when it cannot be created.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let file = File::create(path)
-            .map_err(|e| format!("cannot create metrics stream {}: {e}", path.display()))?;
-        Ok(JsonlSubscriber {
-            out: BufWriter::new(file),
-        })
+        let out = Stream::create(path).map_err(|e| e.to_string())?;
+        Ok(JsonlSubscriber { out })
     }
 }
 
 impl Subscriber for JsonlSubscriber {
     fn on_sample(&mut self, sample: &MetricsSample) -> Result<(), String> {
         let line = serde_json::to_string(sample).map_err(|e| e.to_string())?;
-        writeln!(self.out, "{line}").map_err(|e| format!("metrics stream write failed: {e}"))
+        writeln!(self.out, "{line}").map_err(|e| e.to_string())
     }
 
     fn on_frame(&mut self, frame: &Frame) -> Result<(), String> {
         let frame = serde_json::to_string(frame).map_err(|e| e.to_string())?;
         writeln!(self.out, "{{\"v\":{SCHEMA_VERSION},\"frame\":{frame}}}")
-            .map_err(|e| format!("metrics stream write failed: {e}"))
+            .map_err(|e| e.to_string())
     }
 
     fn on_close(&mut self) -> Result<(), String> {
-        self.out
-            .flush()
-            .map_err(|e| format!("metrics stream flush failed: {e}"))
+        self.out.flush().map_err(|e| e.to_string())
     }
 }
 
@@ -108,7 +103,7 @@ impl Subscriber for JsonlSubscriber {
 /// spreadsheet-shaped consumers.
 #[derive(Debug)]
 pub struct CsvSubscriber {
-    out: BufWriter<File>,
+    out: Stream,
     wrote_header: bool,
 }
 
@@ -120,17 +115,16 @@ lat_delta_count,lat_delta_mean,phase_pu_ns,phase_inject_ns,phase_net_ns,\
 phase_worklist_ns,host_ns,cyc_per_s";
 
 impl CsvSubscriber {
-    /// Creates (truncates) the CSV file at `path`.
+    /// Creates (truncates) the CSV file at `path` and its missing
+    /// parent directories.
     ///
     /// # Errors
     ///
-    /// Returns a message when the file cannot be created.
+    /// Returns a message naming the path when it cannot be created.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let file = File::create(path)
-            .map_err(|e| format!("cannot create metrics CSV {}: {e}", path.display()))?;
+        let out = Stream::create(path).map_err(|e| e.to_string())?;
         Ok(CsvSubscriber {
-            out: BufWriter::new(file),
+            out,
             wrote_header: false,
         })
     }
@@ -138,7 +132,7 @@ impl CsvSubscriber {
 
 impl Subscriber for CsvSubscriber {
     fn on_sample(&mut self, s: &MetricsSample) -> Result<(), String> {
-        let io = |e| format!("metrics CSV write failed: {e}");
+        let io = |e: std::io::Error| e.to_string();
         if !self.wrote_header {
             writeln!(self.out, "{CSV_HEADER}").map_err(io)?;
             self.wrote_header = true;
@@ -180,9 +174,7 @@ impl Subscriber for CsvSubscriber {
     }
 
     fn on_close(&mut self) -> Result<(), String> {
-        self.out
-            .flush()
-            .map_err(|e| format!("metrics CSV flush failed: {e}"))
+        self.out.flush().map_err(|e| e.to_string())
     }
 }
 

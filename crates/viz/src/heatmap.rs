@@ -65,21 +65,22 @@ impl Heatmap {
     }
 
     /// Writes a numbered PPM frame sequence (`frame_000.ppm`, ...) into
-    /// `dir` — the file-based equivalent of the paper's GIF animation.
+    /// `dir`, each frame through
+    /// [`output::replace`](muchisim_config::output::replace) — the
+    /// file-based equivalent of the paper's GIF animation.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error creating the directory or writing frames.
+    /// Returns the first I/O error, naming its path.
     pub fn write_sequence(
         &self,
         dir: &Path,
         frames: &[Vec<u32>],
         max_value: u32,
     ) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
         for (i, frame) in frames.iter().enumerate() {
             let path = dir.join(format!("frame_{i:03}.ppm"));
-            std::fs::write(path, self.ppm(frame, max_value))?;
+            muchisim_config::output::replace(path, |w| w.write_all(&self.ppm(frame, max_value)))?;
         }
         Ok(())
     }

@@ -203,10 +203,10 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
 
     // the counters file: rerun post-processing later with new parameters
     let counters_path = std::path::Path::new("target").join("counters.json");
-    serde_json::to_string_pretty(&result.counters)
-        .map_err(|e| e.to_string())
-        .and_then(|json| std::fs::write(&counters_path, json).map_err(|e| e.to_string()))
-        .map_err(|e| Failure(1, format!("writing {}: {e}", counters_path.display())))?;
+    let json = serde_json::to_string_pretty(&result.counters)
+        .map_err(|e| Failure(1, format!("serializing the counters: {e}")))?;
+    muchisim::config::output::replace(&counters_path, |w| w.write_all(json.as_bytes()))
+        .map_err(|e| Failure(1, e.to_string()))?;
     println!("counters file written to {}", counters_path.display());
     if let Some(path) = &cfg.noc_trace {
         println!(

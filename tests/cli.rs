@@ -113,6 +113,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["run", "bfs", "5", "4", "1", "--set", "telemetry.sample_every=16", "--ward", "max_cycles=64"], Ward, "ward `max_cycles` tripped"),
     (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--set", "checkpoint_every=0"], Config, "error: invalid checkpoint configuration: checkpoint_every must be at least 1 cycle"),
     (&["run", "bfs", "5", "4", "1", "--metrics", "123"], Pass, "metrics stream written to 123"),
+    (&["run", "bfs", "5", "4", "1", "--metrics", "deep/dir/m.jsonl", "--sample-every", "16"], Pass, "metrics stream written to deep/dir/m.jsonl"), // was: Fail "error: simulation failed: telemetry stream failed: cannot create metrics stream deep/dir/m.jsonl: No such file or directory (os error 2)"
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--seed", "7", "--set", "traffic.seed=9"], Pass, "seed 9"),
 
     // ── run: duplicates and removed switches ─────────────────────────
@@ -183,12 +184,13 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["traffic", "replay", "--trace", "t.jsonl", "--side", "4", "--threads", "1"], Pass, "replay done:"),
 ];
 
-/// A scratch working directory with the `target/` the counters file
-/// goes to, so rows touch nothing in the checkout.
+/// An empty scratch working directory, so rows touch nothing in the
+/// checkout and every `run` row creates the `target/` its counters file
+/// goes to.
 fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("muchisim-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("target")).expect("scratch dir");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
 }
 

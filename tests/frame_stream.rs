@@ -134,10 +134,20 @@ fn an_unwritable_metrics_path_is_a_telemetry_error_before_the_first_cycle() {
     let g = graph();
     let mut cfg = base(Verbosity::V2).build().unwrap();
     cfg.telemetry.sample_every = Some(128);
-    cfg.telemetry.metrics_path = Some("/nonexistent-dir/run.jsonl".into());
+    // missing directories are created, so the path is made unwritable by
+    // a regular file where a directory must go
+    let blocker = std::env::temp_dir().join(format!(
+        "muchisim-frame-stream-blocker-{}",
+        std::process::id()
+    ));
+    std::fs::write(&blocker, b"").unwrap();
+    let path = blocker.join("run.jsonl").to_string_lossy().into_owned();
+    cfg.telemetry.metrics_path = Some(path);
     let bfs = Bfs::new(Arc::clone(&g), TILES, 0, SyncMode::Async);
-    match streamed(cfg, bfs, 1) {
-        Err(SimError::Telemetry(why)) => assert!(why.contains("/nonexistent-dir"), "{why}"),
+    let outcome = streamed(cfg, bfs, 1);
+    let _ = std::fs::remove_file(&blocker);
+    match outcome {
+        Err(SimError::Telemetry(why)) => assert!(why.contains("blocker"), "{why}"),
         other => panic!("expected a telemetry error, got {other:?}"),
     }
 }
