@@ -1,15 +1,16 @@
-//! Named configuration presets: the original repo's `configs/` folder.
+//! The named configuration preset of the paper's §IV-A validation, and
+//! the JSON config-file format.
 //!
-//! Each preset is a starting point the builder can refine; JSON
+//! A preset is a starting point the builder can refine; JSON
 //! round-tripping ([`SystemConfig`] is fully serde-enabled) covers the
 //! file-based workflow.
 //!
-//! All presets leave the time-leaping cycle driver at its default
-//! (enabled); `builder.time_leap(false)` flips any preset back to the
+//! The preset leaves the time-leaping cycle driver at its default
+//! (enabled); `builder.time_leap(false)` flips it back to the
 //! one-cycle-at-a-time driver for host-performance ablations — results
 //! are bit-identical either way.
 
-use crate::system::{DramConfig, NocTopology, SystemConfig, SystemConfigBuilder};
+use crate::system::{NocTopology, SystemConfig, SystemConfigBuilder};
 
 /// A Cerebras-WSE-like wafer: one monolithic die of `side × side` tiles,
 /// 48 KiB of SRAM per tile (scratchpad), a 32-bit 2D mesh (paper §IV-A).
@@ -20,30 +21,6 @@ pub fn wse_like(side: u32) -> SystemConfigBuilder {
         .noc_width_bits(32)
         .noc_topology(NocTopology::Mesh)
         .scratchpad();
-    b
-}
-
-/// A Dalorex-style data-local design: distributed SRAM as main memory,
-/// 64-bit torus, task-based parallelization-friendly queue sizes.
-pub fn dalorex_like(side: u32) -> SystemConfigBuilder {
-    let mut b = SystemConfig::builder();
-    b.chiplet_tiles(side, side)
-        .sram_kib_per_tile(256)
-        .noc_width_bits(64)
-        .noc_topology(NocTopology::FoldedTorus)
-        .queues(64, 32)
-        .scratchpad();
-    b
-}
-
-/// The paper's Fig. 5 baseline: 32×32-tile chiplets, each with one
-/// 8-channel HBM device (128 tiles/channel), 64 KiB PLM used as a cache.
-pub fn hbm_chiplet_baseline() -> SystemConfigBuilder {
-    let mut b = SystemConfig::builder();
-    b.chiplet_tiles(32, 32)
-        .sram_kib_per_tile(64)
-        .noc_topology(NocTopology::FoldedTorus)
-        .dram(DramConfig::default());
     b
 }
 
@@ -81,15 +58,12 @@ mod tests {
     #[test]
     fn presets_build_valid_configs() {
         assert_eq!(wse_like(32).build().unwrap().total_tiles(), 1024);
-        assert!(dalorex_like(16).build().is_ok());
-        assert!(hbm_chiplet_baseline().build().is_ok());
     }
 
     #[test]
     fn presets_default_to_time_leaping_driver() {
         assert!(wse_like(8).build().unwrap().time_leap);
-        assert!(hbm_chiplet_baseline().build().unwrap().time_leap);
-        let off = dalorex_like(8).time_leap(false).build().unwrap();
+        let off = wse_like(8).time_leap(false).build().unwrap();
         assert!(!off.time_leap);
     }
 
@@ -102,7 +76,12 @@ mod tests {
 
     #[test]
     fn json_config_file_round_trip() {
-        let cfg = hbm_chiplet_baseline().build().unwrap();
+        // refined to DRAM-backed tiles, so the memory model's data-carrying
+        // variant round-trips too
+        let cfg = wse_like(32)
+            .dram(crate::system::DramConfig::default())
+            .build()
+            .unwrap();
         let json = to_json(&cfg);
         let back = from_json(&json).unwrap();
         assert_eq!(cfg, back);

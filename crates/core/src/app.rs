@@ -55,12 +55,13 @@ pub struct SoftwareConfig {
 ///
 /// This is the workload-generation primitive behind synthetic traffic and
 /// trace replay (the `muchisim-traffic` crate): the injection schedule is
-/// *data* computed before the run, so the tile's PU stays free to drain
-/// deliveries at full speed and injection timing is exact. When the tile's
-/// inject queue is full at the scheduled cycle the send waits at the head
-/// of its tile's schedule and retries — source queueing delay that the
-/// latency statistics deliberately include (the packet's `born` stamp is
-/// the *scheduled* cycle).
+/// a [`SendStream`] the engine draws from as it injects, so the tile's PU
+/// stays free to drain deliveries at full speed, injection timing is
+/// exact, and the timetable costs memory for its next send only. When
+/// the tile's inject queue is full at the scheduled cycle the send waits
+/// at the head of its tile's schedule and retries — source queueing
+/// delay that the latency statistics deliberately include (the packet's
+/// `born` stamp is the *scheduled* cycle).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledSend {
     /// NoC cycle at which to inject (absolute, from the start of the run).
@@ -74,6 +75,10 @@ pub struct ScheduledSend {
     /// Optional in-network reduction.
     pub reduce: Option<ReduceOp>,
 }
+
+/// A tile's injection timetable as an exact-size stream of sends, in
+/// non-decreasing cycle order (see [`Application::scheduled_sends`]).
+pub type SendStream = Box<dyn ExactSizeIterator<Item = ScheduledSend> + Send>;
 
 /// An outgoing message recorded by a task.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -276,7 +281,7 @@ pub trait Application: Sync + Send {
     fn make_tile(&self, tile: u32, grid: &GridInfo) -> Self::Tile;
 
     /// Pre-scheduled NoC injections for `tile`, in non-decreasing cycle
-    /// order (consumed front to back during kernel 0).
+    /// order, drawn front to back during kernel 0 as they come due.
     ///
     /// The default — no scheduled sends — costs ordinary applications
     /// nothing. Implementations drive the network directly on a fixed
@@ -284,8 +289,13 @@ pub trait Application: Sync + Send {
     /// Scheduled packets still occupy inject queues, arbitrate, back-
     /// pressure, and eject into input queues that dispatch
     /// [`Application::handle`] like any other message.
-    fn scheduled_sends(&self, _tile: u32, _grid: &GridInfo) -> Vec<ScheduledSend> {
-        Vec::new()
+    ///
+    /// The engine keeps only a stream's next send. Every call for a tile
+    /// must yield the same sends: a snapshot writes a tile's remaining
+    /// sends by drawing its stream again and skipping those already
+    /// injected, and a restore checks the snapshot's sends against it.
+    fn scheduled_sends(&self, _tile: u32, _grid: &GridInfo) -> SendStream {
+        Box::new(std::iter::empty())
     }
 
     /// The init task, run once per tile at the start of each kernel.

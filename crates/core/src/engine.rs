@@ -1,6 +1,8 @@
 //! Simulation setup and the sequential driver.
 
-use crate::app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, TaskCtx};
+use crate::app::{
+    Application, GridInfo, OutMsg, ScheduledSend, SendStream, SoftwareConfig, TaskCtx,
+};
 use crate::counters::SimCounters;
 use crate::error::SimError;
 use crate::horizon::ClockConv;
@@ -14,7 +16,6 @@ use muchisim_noc::{
     OutDir, Packet, Payload, QueueLink, Shard, SharedNet,
 };
 use muchisim_telemetry::{Cadence, Frame, FrameLog};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Maximum task types supported by the engine.
@@ -313,9 +314,10 @@ pub(crate) struct Worker<A: Application> {
     /// are recorded).
     pub frame_cadence: Option<Cadence>,
     pointer_prefetch: bool,
-    /// Per-tile pre-scheduled NoC injections (front = next due), consumed
-    /// during kernel 0. Empty for ordinary applications.
-    scripted: Vec<VecDeque<ScheduledSend>>,
+    /// Per-tile open timetables of pre-scheduled NoC injections, drawn
+    /// as they come due during kernel 0; `None` once a tile's is done.
+    /// Empty for ordinary applications.
+    scripted: Vec<Option<Timetable>>,
     /// Pending work: IQ + CQ messages + pending init tasks + scripted
     /// sends not yet injected.
     pub msg_count: i64,
@@ -392,14 +394,13 @@ impl<A: Application> Worker<A> {
         );
         let n = slice.num_tiles();
         // no table at all unless some tile has a timetable
-        let mut scripted: Vec<VecDeque<ScheduledSend>> = Vec::new();
+        let mut scripted: Vec<Option<Timetable>> = Vec::new();
         for (local, t) in slice.iter_tiles().enumerate() {
-            let sends = app.scheduled_sends(t, &grid);
-            if !sends.is_empty() {
+            if let Some(timetable) = Timetable::open(app.scheduled_sends(t, &grid), 0) {
                 if scripted.is_empty() {
-                    scripted.resize_with(n, VecDeque::new);
+                    scripted.resize_with(n, || None);
                 }
-                scripted[local] = sends.into();
+                scripted[local] = Some(timetable);
             }
         }
         let pus = cfg.pus_per_tile.max(1) as usize;
@@ -415,7 +416,9 @@ impl<A: Application> Worker<A> {
             iq_arena: Arena::default(),
             cq_arena: Arena::default(),
             dispatched: vec![Dispatched::default(); n],
-            cold: (0..n).map(|_| None).collect(),
+            // a zeroed allocation (a `None` box is a null pointer): the
+            // pages of tiles that never materialize are never touched
+            cold: vec![None; n],
             states,
             channels,
             channel_map,
@@ -516,7 +519,7 @@ impl<A: Application> Worker<A> {
         if kernel == 0 {
             // scripted sends count as pending work until injected, so the
             // quiescence decision cannot fire while a timetable is open
-            self.msg_count += self.scripted.iter().map(|q| q.len() as i64).sum::<i64>();
+            self.msg_count += open_sends(&self.scripted);
         }
     }
 
@@ -743,8 +746,8 @@ impl<A: Application> Worker<A> {
             }
             // the timetable after the channel queues, so apps mixing both
             // keep CQ traffic first within a tile's cycle
-            if let Some(queue) = self.scripted.get_mut(local) {
-                while let Some(head) = queue.front() {
+            if let Some(slot) = self.scripted.get_mut(local) {
+                while let Some(Timetable { head, .. }) = slot {
                     if head.cycle > cycle {
                         // not due yet: the schedule is sorted, so this head is
                         // the timetable's next injection event
@@ -760,7 +763,7 @@ impl<A: Application> Worker<A> {
                         shard.wait_for_credit(shared, tile_g);
                         break;
                     }
-                    let head = queue.pop_front().expect("checked head");
+                    let head = Timetable::pop(slot);
                     let mut pkt = Packet::unicast(tile_g, head.dst, head.task, head.payload, flits)
                         .ready_at(cycle)
                         .born(head.cycle);
@@ -848,7 +851,7 @@ impl<A: Application> Worker<A> {
                         "tile {local} sleeps on plane {plane}'s inject credit, unmarked"
                     );
                 }
-                if let Some(head) = self.scripted.get(local).and_then(VecDeque::front) {
+                if let Some(Some(Timetable { head, .. })) = self.scripted.get(local) {
                     let plane = head.task as usize % self.planes;
                     assert!(
                         marked(local, plane),
@@ -1100,7 +1103,11 @@ impl<A: Application> Worker<A> {
                 tile,
                 iq_msgs: self.iq_msgs[local],
                 cq_msgs: self.cq_msgs[local],
-                scripted: self.scripted.get(local).map_or(0, |q| q.len() as u32),
+                scripted: self
+                    .scripted
+                    .get(local)
+                    .and_then(Option::as_ref)
+                    .map_or(0, |t| t.len() as u32),
                 parked_packets: parked,
             };
             if d.backlog() > 0 {
@@ -1155,14 +1162,12 @@ impl<A: Application> Worker<A> {
             + self.busy_grid.capacity() as u64 * 4
             + self.sends.capacity() as u64 * size_of::<OutMsg>() as u64
             + self.active.heap_bytes()
-            + self.scripted.capacity() as u64 * size_of::<VecDeque<ScheduledSend>>() as u64
+            + self.scripted.capacity() as u64 * size_of::<Option<Timetable>>() as u64
             + self
                 .scripted
                 .iter()
-                .map(|q| {
-                    q.capacity() as u64 * size_of::<ScheduledSend>() as u64
-                        + q.iter().map(|s| s.payload.heap_bytes()).sum::<u64>()
-                })
+                .flatten()
+                .map(|t| std::mem::size_of_val(&*t.rest) as u64 + t.head.payload.heap_bytes())
                 .sum::<u64>()
     }
 
@@ -1222,7 +1227,24 @@ impl<A: Application> Worker<A> {
             let tile = local * self.ntasks..(local + 1) * self.ntasks;
             put_seq(buf, bank(&self.iq_links[tile.clone()], &self.iq_arena));
             put_seq(buf, bank(&self.cq_links[tile], &self.cq_arena));
-            put_seq(buf, self.scripted.get(local).into_iter().flatten());
+            match self.scripted.get(local) {
+                // the sends not yet injected: the tile's stream drawn
+                // again, past those already injected
+                Some(Some(timetable)) => {
+                    let mut rest = app
+                        .scheduled_sends(tile_g, &self.grid)
+                        .skip(timetable.injected());
+                    let head = rest.next();
+                    if head.as_ref() != Some(&timetable.head) {
+                        return Err(format!(
+                            "tile {tile_g}: the application's timetable draws differently \
+                             a second time"
+                        ));
+                    }
+                    put_seq(buf, head.into_iter().chain(rest));
+                }
+                _ => put_seq(buf, std::iter::empty::<ScheduledSend>()),
+            }
             put_blob_with(buf, |blob| app.snapshot_tile(&self.states[local], blob))
                 .map_err(|e| format!("tile {tile_g}: {e}"))?;
         }
@@ -1266,7 +1288,7 @@ impl<A: Application> Worker<A> {
             count += i64::from(self.iq_msgs[local]) + i64::from(self.cq_msgs[local]);
         }
         if snap.at.kernel == 0 {
-            count += self.scripted.iter().map(|q| q.len() as i64).sum::<i64>();
+            count += open_sends(&self.scripted);
         }
         self.msg_count = count;
         // the snapshot's open-frame scalars and captured frames are
@@ -1320,6 +1342,37 @@ impl<A: Application> Worker<A> {
         Ok(())
     }
 
+    /// Tile `tile_g`'s timetable reopened where a snapshot left it, once
+    /// the snapshot's remaining sends `saved` are checked to be the end
+    /// of the application's stream: the stream drawn again, past the
+    /// sends already injected.
+    fn resume_timetable(
+        &self,
+        app: &A,
+        tile_g: u32,
+        saved: &[ScheduledSend],
+    ) -> Result<Option<Timetable>, String> {
+        let stream = app.scheduled_sends(tile_g, &self.grid);
+        let total = stream.len();
+        let Some(injected) = total.checked_sub(saved.len()) else {
+            return Err(format!(
+                "snapshot holds {} scheduled sends, the application's timetable {total}",
+                saved.len()
+            ));
+        };
+        if let Some(i) = stream.skip(injected).zip(saved).position(|(a, b)| a != *b) {
+            return Err(format!(
+                "scheduled send {i} of the snapshot is not send {} of the application's \
+                 timetable",
+                injected + i
+            ));
+        }
+        Ok(Timetable::open(
+            app.scheduled_sends(tile_g, &self.grid),
+            injected,
+        ))
+    }
+
     /// Restores local tile `local` from its snapshot record, checking
     /// every index the record carries before it is used.
     fn restore_record(&mut self, app: &A, local: usize, rec: &TileRecord) -> Result<(), String> {
@@ -1337,11 +1390,10 @@ impl<A: Application> Worker<A> {
                 rec.rr_last
             ));
         }
-        // queued and scheduled messages become packets: their
-        // destination and task index the grid and the queue banks
-        let cq_addrs = rec.cqs.iter().flat_map(|(_, q)| q).map(|m| (m.dst, m.task));
-        let scripted_addrs = rec.scripted.iter().map(|s| (s.dst, s.task));
-        for (dst, task) in cq_addrs.chain(scripted_addrs) {
+        // queued messages become packets: their destination and task
+        // index the grid and the queue banks (scheduled sends must be the
+        // application's own, which `resume_timetable` checks)
+        for (dst, task) in rec.cqs.iter().flat_map(|(_, q)| q).map(|m| (m.dst, m.task)) {
             if dst >= total_tiles || usize::from(task) >= ntasks {
                 return Err(format!(
                     "a queued message names tile {dst}, task {task}, outside the \
@@ -1351,6 +1403,10 @@ impl<A: Application> Worker<A> {
         }
         if self.scripted.is_empty() && !rec.scripted.is_empty() {
             return Err("snapshot carries scheduled sends the application does not declare".into());
+        }
+        if !self.scripted.is_empty() {
+            let tile = self.slice.global(local);
+            self.scripted[local] = self.resume_timetable(app, tile, &rec.scripted)?;
         }
         self.init_pending[local] = rec.init_pending;
         self.pu_busy_frame[local] = rec.pu_busy_frame;
@@ -1380,9 +1436,6 @@ impl<A: Application> Worker<A> {
             &rec.cqs,
             "channel",
         )?;
-        if !self.scripted.is_empty() {
-            self.scripted[local] = rec.scripted.iter().cloned().collect();
-        }
         app.restore_tile(&mut self.states[local], &rec.app)
     }
 }
@@ -1426,11 +1479,62 @@ impl<A: Application> EjectSink for Worker<A> {
     }
 }
 
+/// A tile's open timetable: its next scheduled send, drawn, and the rest
+/// of its [`SendStream`].
+struct Timetable {
+    head: ScheduledSend,
+    rest: SendStream,
+    /// The stream's length, so `total - len()` sends are injected.
+    total: usize,
+}
+
+impl Timetable {
+    /// `stream` opened past its first `skip` sends; `None` when nothing
+    /// is left.
+    fn open(mut stream: SendStream, skip: usize) -> Option<Self> {
+        let total = stream.len();
+        if skip > 0 {
+            stream.nth(skip - 1);
+        }
+        let head = stream.next()?;
+        Some(Timetable {
+            head,
+            rest: stream,
+            total,
+        })
+    }
+
+    /// Sends not yet injected, the head included.
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// Sends already injected.
+    fn injected(&self) -> usize {
+        self.total - self.len()
+    }
+
+    /// Takes the head of the open timetable in `slot`, drawing the next
+    /// send into its place, or closing the timetable after its last.
+    fn pop(slot: &mut Option<Self>) -> ScheduledSend {
+        let timetable = slot.as_mut().expect("an open timetable");
+        match timetable.rest.next() {
+            Some(next) => std::mem::replace(&mut timetable.head, next),
+            None => slot.take().expect("an open timetable").head,
+        }
+    }
+}
+
+/// Sends not yet injected over all open timetables.
+fn open_sends(scripted: &[Option<Timetable>]) -> i64 {
+    scripted.iter().flatten().map(|t| t.len() as i64).sum()
+}
+
 /// Whether tile `local` holds sends for the NoC: queued CQ messages or an
 /// open timetable.
 #[inline]
-fn has_sends(cq_msgs: &[u32], scripted: &[VecDeque<ScheduledSend>], local: usize) -> bool {
-    cq_msgs[local] > 0 || scripted.get(local).is_some_and(|q| !q.is_empty())
+fn has_sends(cq_msgs: &[u32], scripted: &[Option<Timetable>], local: usize) -> bool {
+    cq_msgs[local] > 0 || scripted.get(local).is_some_and(Option::is_some)
 }
 
 /// A tile's queue `links` (one per task) in the form [`refill`] reads:

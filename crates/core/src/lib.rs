@@ -79,7 +79,7 @@ pub mod snapshot;
 mod tile;
 mod ward;
 
-pub use app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, TaskCtx};
+pub use app::{Application, GridInfo, OutMsg, ScheduledSend, SendStream, SoftwareConfig, TaskCtx};
 pub use counters::{PuCounters, SimCounters};
 pub use engine::Simulation;
 pub use error::SimError;

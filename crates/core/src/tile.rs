@@ -19,7 +19,7 @@ use muchisim_telemetry::FrameLog;
 /// million-tile scales a tile whose init task does nothing costs a null
 /// pointer here. An absent box reads as a fresh one everywhere: zero
 /// counters, an untouched copy of the worker's memory prototype.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct TileCold {
     /// The tile's memory model.
     pub mem: TileMemory,

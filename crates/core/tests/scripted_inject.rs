@@ -4,7 +4,7 @@
 
 use muchisim_config::SystemConfig;
 use muchisim_core::{
-    Application, GridInfo, Payload, ScheduledSend, SimResult, Simulation, TaskCtx,
+    Application, GridInfo, Payload, ScheduledSend, SendStream, SimResult, Simulation, TaskCtx,
 };
 
 /// Every tile sends `per_tile` packets to the next tile (ring), one
@@ -38,17 +38,20 @@ impl Application for RingSchedule {
         assert_eq!(msg[1], 0xBEEF);
     }
 
-    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> Vec<ScheduledSend> {
+    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> SendStream {
         let dst = (tile + 1) % grid.total_tiles;
-        (0..self.per_tile)
-            .map(|i| ScheduledSend {
-                cycle: self.start + i * self.gap,
-                dst,
-                task: 0,
-                payload: Payload::from_slice(&[tile, 0xBEEF]),
-                reduce: None,
-            })
-            .collect()
+        Box::new(
+            (0..self.per_tile)
+                .map(|i| ScheduledSend {
+                    cycle: self.start + i * self.gap,
+                    dst,
+                    task: 0,
+                    payload: Payload::from_slice(&[tile, 0xBEEF]),
+                    reduce: None,
+                })
+                .collect::<Vec<_>>()
+                .into_iter(),
+        )
     }
 
     fn check(&self, tiles: &[u64]) -> Result<(), String> {
@@ -151,16 +154,19 @@ impl Application for Burst {
         ctx.int_ops(1);
     }
 
-    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> Vec<ScheduledSend> {
-        (0..self.per_tile)
-            .map(|i| ScheduledSend {
-                cycle: 0,
-                dst: (tile + 1 + i % (grid.total_tiles - 1)) % grid.total_tiles,
-                task: (i % 2) as u8,
-                payload: Payload::from_slice(&[tile, i, 0, 0]),
-                reduce: None,
-            })
-            .collect()
+    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> SendStream {
+        Box::new(
+            (0..self.per_tile)
+                .map(|i| ScheduledSend {
+                    cycle: 0,
+                    dst: (tile + 1 + i % (grid.total_tiles - 1)) % grid.total_tiles,
+                    task: (i % 2) as u8,
+                    payload: Payload::from_slice(&[tile, i, 0, 0]),
+                    reduce: None,
+                })
+                .collect::<Vec<_>>()
+                .into_iter(),
+        )
     }
 
     fn check(&self, tiles: &[u64]) -> Result<(), String> {

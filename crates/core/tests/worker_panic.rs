@@ -3,7 +3,8 @@
 
 use muchisim_config::SystemConfig;
 use muchisim_core::{
-    Application, GridInfo, Payload, ScheduledSend, SimError, SimResult, Simulation, TaskCtx,
+    Application, GridInfo, Payload, ScheduledSend, SendStream, SimError, SimResult, Simulation,
+    TaskCtx,
 };
 use std::sync::mpsc;
 use std::time::Duration;
@@ -36,14 +37,14 @@ impl Application for Bomb {
         ctx.int_ops(1);
     }
 
-    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> Vec<ScheduledSend> {
-        vec![ScheduledSend {
+    fn scheduled_sends(&self, tile: u32, grid: &GridInfo) -> SendStream {
+        Box::new(std::iter::once(ScheduledSend {
             cycle: 10,
             dst: (tile + 1) % grid.total_tiles,
             task: 0,
             payload: Payload::from_slice(&[tile]),
             reduce: None,
-        }]
+        }))
     }
 
     fn check(&self, _tiles: &[u32]) -> Result<(), String> {

@@ -31,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 mod csr;
-pub mod io;
 mod partition;
 pub mod rmat;
 pub mod synthetic;

@@ -26,9 +26,18 @@ pub enum Payload {
 impl Payload {
     /// An empty payload.
     pub fn empty() -> Self {
-        Payload::Inline {
-            len: 0,
-            words: [0; INLINE_WORDS],
+        Self::zeros(0)
+    }
+
+    /// A payload of `len` zero words.
+    pub fn zeros(len: usize) -> Self {
+        if len <= INLINE_WORDS {
+            Payload::Inline {
+                len: len as u8,
+                words: [0; INLINE_WORDS],
+            }
+        } else {
+            Payload::Heap(vec![0; len].into())
         }
     }
 

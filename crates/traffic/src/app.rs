@@ -1,7 +1,7 @@
 //! The timetable application: synthetic traffic and trace replay.
 //!
 //! [`TrafficApp`] implements the engine's [`Application`] trait over a
-//! pre-computed injection timetable, so synthetic traffic runs unmodified
+//! deterministic injection timetable, so synthetic traffic runs unmodified
 //! through everything the real applications use: the parallel cycle
 //! driver, time leaping, statistics frames, telemetry, DSE sweeps, and
 //! the CLI. The tile "compute" is a one-instruction receive handler —
@@ -22,10 +22,11 @@
 //! which is the point: NoC-only design exploration over real app
 //! traffic.
 
-use crate::patterns::{tile_schedule, PatternMap};
-use muchisim_config::{ConfigError, SystemConfig, TrafficPattern};
-use muchisim_core::{Application, GridInfo, Payload, ScheduledSend, TaskCtx};
+use crate::patterns::{PatternMap, TileSends};
+use muchisim_config::{ConfigError, SystemConfig, TrafficParams, TrafficPattern};
+use muchisim_core::{Application, GridInfo, Payload, ScheduledSend, SendStream, TaskCtx};
 use muchisim_noc::{read_trace_jsonl, sort_events, TraceEvent};
+use std::sync::Arc;
 
 /// A timetable workload: every tile injects packets on a deterministic
 /// timetable, drawn from a spatial pattern and offered load or read from
@@ -33,8 +34,7 @@ use muchisim_noc::{read_trace_jsonl, sort_events, TraceEvent};
 #[derive(Debug)]
 pub struct TrafficApp {
     name: &'static str,
-    /// Per-tile injection timetables.
-    schedules: Vec<Vec<ScheduledSend>>,
+    timetables: Timetables,
     task_types: u8,
     /// Packets each tile must receive, when no packet carries a reduce op
     /// (then every scheduled packet arrives exactly once). In-network
@@ -44,9 +44,25 @@ pub struct TrafficApp {
     last_cycle: u64,
 }
 
+/// Where the tiles' timetables come from.
+#[derive(Debug)]
+enum Timetables {
+    /// Drawn from a pattern whenever asked for: tile `t` sends
+    /// `counts[t]` packets.
+    Drawn {
+        map: Arc<PatternMap>,
+        params: TrafficParams,
+        counts: Vec<usize>,
+    },
+    /// A recorded trace's per-tile lists: data, shared with every stream.
+    Recorded(Arc<Vec<Vec<ScheduledSend>>>),
+}
+
 impl TrafficApp {
     /// Builds the workload for `cfg`'s grid with `pattern`, taking every
-    /// other knob (rate, window, sizes, seed) from `cfg.traffic`.
+    /// other knob (rate, window, sizes, seed) from `cfg.traffic`. The
+    /// timetables are drawn once here to count them and again as the
+    /// engine injects; none is stored.
     ///
     /// # Errors
     ///
@@ -60,8 +76,15 @@ impl TrafficApp {
                 why: "synthetic traffic needs a positive injection rate",
             });
         }
-        let map = PatternMap::new(pattern, cfg.width(), cfg.height(), params);
-        let schedules = (0..map.total_tiles()).map(|tile| tile_schedule(&map, params, tile));
+        let map = Arc::new(PatternMap::new(pattern, cfg.width(), cfg.height(), params));
+        let mut tally = Tally::new(map.total_tiles());
+        let counts = (0..map.total_tiles())
+            .map(|tile| {
+                TileSends::new(Arc::clone(&map), params, tile)
+                    .inspect(|send| tally.add(send))
+                    .count()
+            })
+            .collect();
         let name = match pattern {
             TrafficPattern::UniformRandom => "traffic-uniform",
             TrafficPattern::BitComplement => "traffic-bitcomp",
@@ -70,7 +93,12 @@ impl TrafficApp {
             TrafficPattern::NearestNeighbor => "traffic-neighbor",
             TrafficPattern::Hotspot => "traffic-hotspot",
         };
-        Ok(Self::timetable(name, schedules))
+        let timetables = Timetables::Drawn {
+            map,
+            params: params.clone(),
+            counts,
+        };
+        Ok(tally.into_app(name, timetables))
     }
 
     /// Builds a replay of the recorded `events` on a grid of
@@ -87,6 +115,7 @@ impl TrafficApp {
         }
         sort_events(&mut events);
         let mut schedules: Vec<Vec<ScheduledSend>> = vec![Vec::new(); total_tiles as usize];
+        let mut tally = Tally::new(total_tiles);
         for (i, ev) in events.into_iter().enumerate() {
             if ev.src >= total_tiles || ev.dst >= total_tiles {
                 return Err(format!(
@@ -102,15 +131,17 @@ impl TrafficApp {
                     ev.task
                 ));
             }
-            schedules[ev.src as usize].push(ScheduledSend {
+            let send = ScheduledSend {
                 cycle: ev.cycle,
                 dst: ev.dst,
                 task: ev.task,
                 payload: Payload::from_slice(&ev.payload),
                 reduce: ev.reduce,
-            });
+            };
+            tally.add(&send);
+            schedules[ev.src as usize].push(send);
         }
-        Ok(Self::timetable("trace-replay", schedules.into_iter()))
+        Ok(tally.into_app("trace-replay", Timetables::Recorded(Arc::new(schedules))))
     }
 
     /// Reads a JSONL trace file and builds its replay.
@@ -123,35 +154,6 @@ impl TrafficApp {
         Self::replay(read_trace_jsonl(path)?, total_tiles)
     }
 
-    /// The workload over the per-tile timetables `tiles`, its check
-    /// derived from them.
-    fn timetable(
-        name: &'static str,
-        tiles: impl ExactSizeIterator<Item = Vec<ScheduledSend>>,
-    ) -> Self {
-        let mut expected = vec![0u64; tiles.len()];
-        let (mut max_task, mut last_cycle, mut reduces) = (0u8, 0u64, false);
-        // each timetable is accounted as it is made, while still in cache
-        let schedules = tiles
-            .inspect(|sends| {
-                for s in sends {
-                    expected[s.dst as usize] += 1;
-                    max_task = max_task.max(s.task);
-                    last_cycle = last_cycle.max(s.cycle);
-                    reduces |= s.reduce.is_some();
-                }
-            })
-            .collect();
-        TrafficApp {
-            name,
-            task_types: max_task + 1,
-            total_packets: expected.iter().sum(),
-            expected: (!reduces).then_some(expected),
-            last_cycle,
-            schedules,
-        }
-    }
-
     /// Packets the timetable injects.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
@@ -160,6 +162,45 @@ impl TrafficApp {
     /// The last scheduled injection cycle.
     pub fn last_cycle(&self) -> u64 {
         self.last_cycle
+    }
+}
+
+/// The workload's check and extent, accumulated send by send over every
+/// tile's timetable.
+struct Tally {
+    expected: Vec<u64>,
+    max_task: u8,
+    last_cycle: u64,
+    reduces: bool,
+}
+
+impl Tally {
+    fn new(total_tiles: u32) -> Self {
+        Tally {
+            expected: vec![0; total_tiles as usize],
+            max_task: 0,
+            last_cycle: 0,
+            reduces: false,
+        }
+    }
+
+    fn add(&mut self, send: &ScheduledSend) {
+        self.expected[send.dst as usize] += 1;
+        self.max_task = self.max_task.max(send.task);
+        self.last_cycle = self.last_cycle.max(send.cycle);
+        self.reduces |= send.reduce.is_some();
+    }
+
+    /// The workload over `timetables`, the sends this tally counted.
+    fn into_app(self, name: &'static str, timetables: Timetables) -> TrafficApp {
+        TrafficApp {
+            name,
+            timetables,
+            task_types: self.max_task + 1,
+            total_packets: self.expected.iter().sum(),
+            expected: (!self.reduces).then_some(self.expected),
+            last_cycle: self.last_cycle,
+        }
     }
 }
 
@@ -186,8 +227,22 @@ impl Application for TrafficApp {
         ctx.int_ops(1);
     }
 
-    fn scheduled_sends(&self, tile: u32, _grid: &GridInfo) -> Vec<ScheduledSend> {
-        self.schedules[tile as usize].clone()
+    fn scheduled_sends(&self, tile: u32, _grid: &GridInfo) -> SendStream {
+        let tile = tile as usize;
+        match &self.timetables {
+            Timetables::Drawn {
+                map,
+                params,
+                counts,
+            } => {
+                let mut draw = TileSends::new(Arc::clone(map), params, tile as u32);
+                Box::new((0..counts[tile]).map(move |_| draw.next().expect("a counted send")))
+            }
+            Timetables::Recorded(lists) => {
+                let lists = Arc::clone(lists);
+                Box::new((0..lists[tile].len()).map(move |i| lists[tile][i].clone()))
+            }
+        }
     }
 
     fn snapshot_tile(&self, state: &u64, out: &mut Vec<u8>) -> Result<(), String> {
@@ -286,6 +341,34 @@ mod tests {
         }
     }
 
+    /// The simulation's state per tile does not grow with the injection
+    /// window: a timetable costs the engine its next send, not its list.
+    #[test]
+    fn state_bytes_per_tile_do_not_grow_with_the_window() {
+        let per_tile = |cycles: u64| {
+            let traffic = TrafficParams {
+                rate: 0.02,
+                cycles,
+                ..TrafficParams::default()
+            };
+            let cfg = SystemConfig::builder()
+                .chiplet_tiles(8, 8)
+                .traffic(traffic)
+                .build()
+                .unwrap();
+            let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).unwrap();
+            let result = Simulation::new(cfg, app).unwrap().run().unwrap();
+            assert!(result.check_error.is_none(), "{:?}", result.check_error);
+            result.bytes_per_tile()
+        };
+        let (short, long) = (per_tile(300), per_tile(3_000));
+        eprintln!("state bytes per tile: {short:.0} at 300 cycles, {long:.0} at 3000");
+        assert!(
+            long - short < 128.0,
+            "state grew from {short:.0} to {long:.0} B/tile with a 10x window"
+        );
+    }
+
     #[test]
     fn zero_rate_is_rejected() {
         let cfg = cfg(0.0);
@@ -315,11 +398,11 @@ mod tests {
             total_tiles: 4,
             pus_per_tile: 1,
         };
-        let t1 = app.scheduled_sends(1, &g);
+        let t1: Vec<ScheduledSend> = app.scheduled_sends(1, &g).collect();
         assert_eq!(t1.len(), 2);
         assert_eq!((t1[0].cycle, t1[0].dst), (2, 3));
         assert_eq!((t1[1].cycle, t1[1].dst), (9, 0));
-        assert!(app.scheduled_sends(2, &g).is_empty());
+        assert_eq!(app.scheduled_sends(2, &g).len(), 0);
     }
 
     #[test]

@@ -49,5 +49,5 @@ mod saturation;
 
 pub use app::TrafficApp;
 pub use muchisim_config::{TrafficParams, TrafficPattern};
-pub use patterns::{tile_schedule, tile_seed, PatternMap};
+pub use patterns::{tile_seed, PatternMap};
 pub use saturation::{run_point, saturation_sweep, LoadPoint, SaturationCurve};

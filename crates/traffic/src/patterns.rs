@@ -8,11 +8,12 @@
 //! so offered and received load stay balanced. Randomized patterns
 //! (uniform, hotspot) draw from a caller-supplied RNG.
 //!
-//! [`tile_schedule`] turns a pattern plus [`TrafficParams`] into a
-//! tile's full injection timetable: a Bernoulli(rate) coin per NoC cycle
-//! (the standard open-loop injection process), payload sizes uniform in
-//! the configured word range, everything derived from a per-tile RNG
-//! stream so schedules are identical for any host-thread count.
+//! `TileSends` draws a tile's injection timetable from a pattern plus
+//! [`TrafficParams`], one send at a time as the engine injects it: a
+//! Bernoulli(rate) coin per NoC cycle (the standard open-loop injection
+//! process), payload sizes uniform in the configured word range,
+//! everything derived from a per-tile RNG stream so schedules are
+//! identical for any host-thread count.
 
 use muchisim_config::{TrafficParams, TrafficPattern};
 use muchisim_core::{Payload, ScheduledSend};
@@ -153,42 +154,74 @@ fn seeded_permutation(n: u32, seed: u64) -> Vec<u32> {
     table
 }
 
-/// Generates tile `tile`'s injection timetable: one Bernoulli(rate) coin
-/// per cycle of the injection window, destinations from `map`, payload
-/// sizes uniform in `[payload_words_min, payload_words_max]` words.
-/// Payload word 0 is the per-tile packet sequence number, word 1 (when
-/// present) the source tile.
-pub fn tile_schedule(map: &PatternMap, params: &TrafficParams, tile: u32) -> Vec<ScheduledSend> {
-    let mut rng = SmallRng::seed_from_u64(tile_seed(params.seed, tile));
-    let mut out = Vec::new();
-    let mut seq = 0u32;
-    for cycle in 0..params.cycles {
-        if !rng.gen_bool(params.rate) {
-            continue;
+/// Tile `tile`'s injection timetable, drawn one send at a time: one
+/// Bernoulli(rate) coin per cycle of the injection window, destinations
+/// from the map, payload sizes uniform in `[payload_words_min,
+/// payload_words_max]` words. Payload word 0 is the per-tile packet
+/// sequence number, word 1 (when present) the source tile. Everything
+/// comes from the tile's own RNG stream, so a timetable is the same for
+/// any host-thread count and on every draw.
+#[derive(Debug)]
+pub(crate) struct TileSends {
+    map: Arc<PatternMap>,
+    params: TrafficParams,
+    rng: SmallRng,
+    tile: u32,
+    /// The next cycle whose coin is still to be tossed.
+    cycle: u64,
+    seq: u32,
+}
+
+impl TileSends {
+    /// Tile `tile`'s timetable under `map` and `params`, from its start.
+    pub(crate) fn new(map: Arc<PatternMap>, params: &TrafficParams, tile: u32) -> Self {
+        TileSends {
+            map,
+            params: params.clone(),
+            rng: SmallRng::seed_from_u64(tile_seed(params.seed, tile)),
+            tile,
+            cycle: 0,
+            seq: 0,
         }
-        let dst = map.dest(tile, &mut rng);
-        let words = if params.payload_words_min == params.payload_words_max {
-            params.payload_words_min
-        } else {
-            rng.gen_range(params.payload_words_min..=params.payload_words_max)
-        };
-        let mut payload = vec![0u32; words as usize];
-        if let Some(w) = payload.first_mut() {
-            *w = seq;
-        }
-        if let Some(w) = payload.get_mut(1) {
-            *w = tile;
-        }
-        seq = seq.wrapping_add(1);
-        out.push(ScheduledSend {
-            cycle,
-            dst,
-            task: 0,
-            payload: Payload::from_slice(&payload),
-            reduce: None,
-        });
     }
-    out
+}
+
+impl Iterator for TileSends {
+    type Item = ScheduledSend;
+
+    fn next(&mut self) -> Option<ScheduledSend> {
+        let p = &self.params;
+        while self.cycle < p.cycles {
+            let cycle = self.cycle;
+            self.cycle += 1;
+            if !self.rng.gen_bool(p.rate) {
+                continue;
+            }
+            let dst = self.map.dest(self.tile, &mut self.rng);
+            let words = if p.payload_words_min == p.payload_words_max {
+                p.payload_words_min
+            } else {
+                self.rng
+                    .gen_range(p.payload_words_min..=p.payload_words_max)
+            };
+            let mut payload = Payload::zeros(words as usize);
+            if words > 0 {
+                payload.set_word(0, self.seq);
+            }
+            if words > 1 {
+                payload.set_word(1, self.tile);
+            }
+            self.seq = self.seq.wrapping_add(1);
+            return Some(ScheduledSend {
+                cycle,
+                dst,
+                task: 0,
+                payload,
+                reduce: None,
+            });
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +230,10 @@ mod tests {
 
     fn params() -> TrafficParams {
         TrafficParams::default()
+    }
+
+    fn drawn_schedule(map: &PatternMap, p: &TrafficParams, tile: u32) -> Vec<ScheduledSend> {
+        TileSends::new(Arc::new(map.clone()), p, tile).collect()
     }
 
     #[test]
@@ -267,10 +304,10 @@ mod tests {
         p.cycles = 4_000;
         p.rate = 0.1;
         let map = PatternMap::new(TrafficPattern::UniformRandom, 4, 4, &p);
-        let a = tile_schedule(&map, &p, 3);
-        let b = tile_schedule(&map, &p, 3);
+        let a = drawn_schedule(&map, &p, 3);
+        let b = drawn_schedule(&map, &p, 3);
         assert_eq!(a, b, "same tile, same seed, same schedule");
-        let other = tile_schedule(&map, &p, 4);
+        let other = drawn_schedule(&map, &p, 4);
         assert_ne!(a, other, "tiles draw independent streams");
         // binomial(4000, 0.1): mean 400, generous 5-sigma bounds
         assert!((300..500).contains(&a.len()), "got {} packets", a.len());
@@ -279,7 +316,7 @@ mod tests {
         assert!(a.iter().all(|s| s.cycle < p.cycles));
         let mut hi = p.clone();
         hi.rate = 0.4;
-        let dense = tile_schedule(&map, &hi, 3);
+        let dense = drawn_schedule(&map, &hi, 3);
         assert!(dense.len() > 2 * a.len());
     }
 
@@ -291,7 +328,7 @@ mod tests {
         p.rate = 0.5;
         p.cycles = 400;
         let map = PatternMap::new(TrafficPattern::UniformRandom, 2, 2, &p);
-        let sched = tile_schedule(&map, &p, 0);
+        let sched = drawn_schedule(&map, &p, 0);
         assert!(sched.iter().all(|s| (1..=8).contains(&s.payload.len())));
         let sizes: std::collections::HashSet<usize> =
             sched.iter().map(|s| s.payload.len()).collect();

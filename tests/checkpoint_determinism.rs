@@ -16,11 +16,13 @@
 //! cross-host-configuration matrix as well.
 
 use muchisim::apps::{high_degree_root, run_benchmark, Benchmark, Bfs, SyncMode};
-use muchisim::config::{NocTopology, SystemConfig, Verbosity};
+use muchisim::config::{NocTopology, SystemConfig, TrafficPattern, Verbosity};
 use muchisim::core::digest::{schedule_checksum, trace_checksum};
 use muchisim::core::{SimResult, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::data::Csr;
+use muchisim::noc::read_trace_jsonl;
+use muchisim::traffic::TrafficApp;
 use serde_json::JsonValue;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -335,6 +337,85 @@ fn hub_congested_snapshot_ignores_stall_memos_and_resumes() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Timetable workloads snapshotted halfway through their injection
+/// window resume bit-identically: the snapshot holds each tile's sends
+/// not yet injected, and the resume draws the application's timetable
+/// again and carries on past the sends already injected. Three rows:
+/// uniform traffic below saturation, hotspot traffic past it (deep
+/// source queues at the snapshot), and the replay of a recorded BFS
+/// trace, whose timetables are lists rather than draws.
+#[test]
+fn timetables_resume_mid_window_bit_identically() {
+    let mut cfg = config(8, NocTopology::Mesh, None);
+    cfg.traffic.rate = 0.2;
+    cfg.traffic.cycles = 400;
+    let tiles = cfg.width() * cfg.height();
+    let mid_window = |tag: &str, cfg: &SystemConfig, make: &dyn Fn() -> TrafficApp| {
+        let reference = Simulation::new(cfg.clone(), make())
+            .expect("valid")
+            .run()
+            .expect("uninterrupted run");
+        assert!(
+            reference.check_error.is_none(),
+            "{tag}: {:?}",
+            reference.check_error
+        );
+        let every = make().last_cycle() / 2;
+        assert!(every > 0, "{tag}: a window to split");
+        // later boundaries would overwrite the file: stop after the first
+        let path = snap_path(tag);
+        let mut with_ckpt = cfg.clone();
+        with_ckpt.checkpoint_path = Some(path.clone());
+        with_ckpt.checkpoint_every = Some(every);
+        let _ = Simulation::new(with_ckpt, make())
+            .expect("valid")
+            .with_cycle_limit(every + 1)
+            .run();
+        assert!(std::path::Path::new(&path).exists(), "{tag}: no snapshot");
+        let mut resumed_cfg = cfg.clone();
+        resumed_cfg.checkpoint_path = Some(path.clone());
+        resumed_cfg.checkpoint_resume = true;
+        for threads in [1usize, 2] {
+            let resumed = Simulation::new(resumed_cfg.clone(), make())
+                .expect("valid")
+                .run_parallel(threads)
+                .expect("resumed run");
+            assert!(
+                resumed.check_error.is_none(),
+                "{tag}: {:?}",
+                resumed.check_error
+            );
+            assert_eq!(
+                schedule_checksum(&resumed, tiles),
+                schedule_checksum(&reference, tiles),
+                "{tag}: {threads}-thread resume at cycle {every} diverged from the \
+                 uninterrupted schedule"
+            );
+            if threads == 1 {
+                assert_eq!(
+                    trace_checksum(&resumed, tiles),
+                    trace_checksum(&reference, tiles),
+                    "{tag}: resume at cycle {every} diverged from the uninterrupted run"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    };
+    for pattern in [TrafficPattern::UniformRandom, TrafficPattern::Hotspot] {
+        let make = || TrafficApp::new(&cfg, pattern).expect("valid traffic");
+        mid_window(&format!("{pattern:?}"), &cfg, &make);
+    }
+    let trace = snap_path("bfs-trace");
+    let mut recording = cfg.clone();
+    recording.noc_trace = Some(trace.clone());
+    let graph = Arc::new(RmatConfig::scale(GRAPH_SCALE).generate(GRAPH_SEED));
+    run(Benchmark::Bfs, recording, &graph, 1);
+    let events = read_trace_jsonl(&trace).expect("trace parses");
+    let _ = std::fs::remove_file(&trace);
+    let make = || TrafficApp::replay(events.clone(), tiles).expect("valid replay");
+    mid_window("replay", &cfg, &make);
 }
 
 /// CI smoke: one fast split-and-resume identity (BFS on the 8x8 mesh)

@@ -10,9 +10,11 @@
 //! [`SimError::Snapshot`]: muchisim::core::SimError
 
 use muchisim::apps::{high_degree_root, run_benchmark, Benchmark, Bfs, Spmv, SyncMode};
-use muchisim::config::{DramConfig, SystemConfig, Verbosity};
+use muchisim::config::{DramConfig, SystemConfig, TrafficPattern, Verbosity};
 use muchisim::core::snapshot::{ByteReader, Put, SnapshotHasher, Var};
-use muchisim::core::{Application, FrameLog, PuCounters, SimError, Simulation};
+use muchisim::core::{
+    Application, FrameLog, OutMsg, PuCounters, ScheduledSend, SimError, Simulation,
+};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::data::Csr;
 use muchisim::mem::{CacheLine, MemCounters};
@@ -41,6 +43,33 @@ fn cache_cfg() -> SystemConfig {
     c
 }
 
+/// Uniform traffic: 0.3 packets per tile and cycle, for 300 cycles.
+const TRAFFIC: Benchmark = Benchmark::Traffic(TrafficPattern::UniformRandom);
+
+/// `cfg(4)` offering [`TRAFFIC`]'s load.
+fn traffic_cfg() -> SystemConfig {
+    let mut c = cfg(4);
+    c.traffic.rate = 0.3;
+    c.traffic.cycles = 300;
+    c
+}
+
+/// Writes a snapshot of [`TRAFFIC`] at cycle 150, halfway through its
+/// injection window, to `path` and returns its bytes.
+fn mid_window_traffic_snapshot(path: &str) -> Vec<u8> {
+    let mut c = traffic_cfg();
+    c.checkpoint_path = Some(path.to_string());
+    c.checkpoint_every = Some(150);
+    // later boundaries would overwrite the file: stop after the first
+    let app = muchisim::traffic::TrafficApp::new(&c, TrafficPattern::UniformRandom)
+        .expect("valid traffic");
+    let _ = Simulation::new(c, app)
+        .expect("valid")
+        .with_cycle_limit(151)
+        .run();
+    std::fs::read(path).expect("snapshot file exists")
+}
+
 /// Writes a valid BFS snapshot under `config` to `path` and returns its
 /// bytes.
 fn write_valid_snapshot(path: &str, graph: &Arc<Csr>, config: &SystemConfig) -> Vec<u8> {
@@ -62,12 +91,13 @@ fn restamp_checksum(bytes: &mut [u8]) {
     bytes[n - 8..].copy_from_slice(&h.finish().to_le_bytes());
 }
 
-/// Resumes from `path` and returns the error message (panics on success).
-fn resume_error(path: &str, graph: &Arc<Csr>, config: SystemConfig) -> String {
+/// Resumes `bench` from `path` and returns the error message (panics on
+/// success).
+fn resume_error(bench: Benchmark, path: &str, graph: &Arc<Csr>, config: SystemConfig) -> String {
     let mut c = config;
     c.checkpoint_path = Some(path.to_string());
     c.checkpoint_resume = true;
-    match run_benchmark(Benchmark::Bfs, c, graph, 1) {
+    match run_benchmark(bench, c, graph, 1) {
         Ok(_) => panic!("resume from a damaged snapshot succeeded"),
         Err(e) => e.to_string(),
     }
@@ -156,7 +186,7 @@ fn damaged_snapshots_fail_with_clean_errors() {
             .to_string_lossy()
             .into_owned();
         std::fs::write(&path, &bytes).expect("write mutated snapshot");
-        let err = resume_error(&path, &graph, cfg(4));
+        let err = resume_error(Benchmark::Bfs, &path, &graph, cfg(4));
         assert!(
             err.contains("snapshot failed"),
             "{name}: error is not a clean SimError::Snapshot: {err}"
@@ -167,7 +197,7 @@ fn damaged_snapshots_fail_with_clean_errors() {
 
     // a pristine file under the wrong configuration is rejected by the
     // identity header, with the mismatch spelled out
-    let err = resume_error(&valid_path, &graph, cfg(8));
+    let err = resume_error(Benchmark::Bfs, &valid_path, &graph, cfg(8));
     assert!(
         err.contains("snapshot failed"),
         "config mismatch is not a clean SimError::Snapshot: {err}"
@@ -220,6 +250,8 @@ struct Offsets {
     /// input-queue bank: `[start, end)` each.
     cold: (usize, usize),
     iqs: (usize, usize),
+    /// The first tile's scheduled sends: `[start, end)`.
+    scripted: (usize, usize),
 }
 
 fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
@@ -276,6 +308,10 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
     }
     let iqs_at = here!();
     skip!(Vec<(u8, Vec<Payload>)>);
+    let iqs_end = here!();
+    skip!(Vec<(u8, Vec<OutMsg>)>);
+    let scripted_at = here!();
+    skip!(Vec<ScheduledSend>);
     let found = Offsets {
         prefixes,
         chunk_len,
@@ -285,7 +321,8 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
         first_rr: (!rr.is_empty()).then_some(rr_at + 4),
         first_tile,
         cold: (cold_at, iqs_at),
-        iqs: (iqs_at, here!()),
+        iqs: (iqs_at, iqs_end),
+        scripted: (scripted_at, here!()),
     };
     (found, packets)
 }
@@ -374,6 +411,15 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
     let cache_path = format!("{path}.cache");
     let cached = write_valid_snapshot(&cache_path, &graph, &cache_cfg());
     let (cache_at, _) = offsets(&cached);
+    // and the rows named `... (traffic)` one of traffic, mid-window
+    let traffic_path = format!("{path}.traffic");
+    let traffic = mid_window_traffic_snapshot(&traffic_path);
+    let (traffic_at, _) = offsets(&traffic);
+    let sends_left: Vec<ScheduledSend> =
+        ByteReader::new(&traffic[traffic_at.scripted.0..traffic_at.scripted.1])
+            .get()
+            .expect("scheduled sends");
+    assert!(sends_left.len() >= 2, "tile 0 has sends left at cycle 150");
 
     // the untouched file, and an edit that changes nothing, both resume
     for bytes in [valid.clone(), edit_packets(&valid, |_| {})] {
@@ -404,6 +450,14 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
         Box::new(move |b| replace(b, at.iqs, &section))
     };
     let p = || vec![Payload::from_slice(&[0])];
+    // tile 0's scheduled sends, as `edit` leaves the ones in the file
+    let scripted = |edit: fn(&mut Vec<ScheduledSend>)| -> Edit {
+        let mut sends = sends_left.clone();
+        edit(&mut sends);
+        let mut section = Vec::new();
+        sends.put(&mut section);
+        Box::new(move |b| replace(b, traffic_at.scripted, &section))
+    };
     // tile 0's cold record, replaced by one holding a single cache line
     let one_line = |cold: (usize, usize)| -> Edit {
         let mut section = vec![1];
@@ -508,16 +562,48 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             one_line(cache_at.cold),
             "cache record holds 1 lines",
         ),
+        // a timetable's sends left must be the end of the application's
+        // timetable, which a resume draws again
+        (
+            "scheduled send to another tile (traffic)",
+            scripted(|sends| sends[1].dst = (sends[1].dst + 1) % 16),
+            "tile 0: scheduled send 1 of the snapshot is not send",
+        ),
+        (
+            "scheduled send with another payload (traffic)",
+            scripted(|sends| sends[0].payload.set_word(0, 7_777)),
+            "tile 0: scheduled send 0 of the snapshot is not send",
+        ),
+        (
+            "scheduled send repeated ahead of the sends left (traffic)",
+            scripted(|sends| sends.insert(0, sends[0].clone())),
+            "tile 0: scheduled send 0 of the snapshot is not send",
+        ),
+        (
+            "more scheduled sends than the timetable (traffic)",
+            // a 300-cycle window holds at most 300 sends
+            scripted(|sends| *sends = vec![sends[0].clone(); 301]),
+            "tile 0: snapshot holds",
+        ),
     ];
+    // the sends left rewritten as they are resume clean
+    std::fs::write(&traffic_path, scripted(|_| {})(&traffic)).expect("write snapshot");
+    let mut c = traffic_cfg();
+    c.checkpoint_path = Some(traffic_path.clone());
+    c.checkpoint_resume = true;
+    let resumed = run_benchmark(TRAFFIC, c, &graph, 1).expect("clean traffic resume");
+    assert!(resumed.check_error.is_none(), "{:?}", resumed.check_error);
+
     for (name, edit, want) in table {
-        let cache = name.ends_with("(cache)");
-        let (path, base, config) = if cache {
-            (&cache_path, &cached, cache_cfg())
+        let (bench, path, base, config) = if name.ends_with("(cache)") {
+            (Benchmark::Bfs, &cache_path, &cached, cache_cfg())
+        } else if name.ends_with("(traffic)") {
+            (TRAFFIC, &traffic_path, &traffic, traffic_cfg())
         } else {
-            (&path, &valid, cfg(4))
+            (Benchmark::Bfs, &path, &valid, cfg(4))
         };
         std::fs::write(path, edit(base)).expect("write edited snapshot");
-        let err = resume_error(path, &graph, config);
+        let err = resume_error(bench, path, &graph, config);
         assert!(
             err.contains("snapshot failed"),
             "{name}: not a SimError::Snapshot: {err}"
@@ -526,6 +612,7 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&cache_path);
+    let _ = std::fs::remove_file(&traffic_path);
 }
 
 // ---------------------------------------------------------------------

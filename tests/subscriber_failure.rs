@@ -4,8 +4,8 @@
 
 use muchisim::config::SystemConfig;
 use muchisim::core::{
-    Application, GridInfo, MetricsSample, Payload, ScheduledSend, SimError, SimResult, Simulation,
-    Subscriber, TaskCtx,
+    Application, GridInfo, MetricsSample, Payload, ScheduledSend, SendStream, SimError, SimResult,
+    Simulation, Subscriber, TaskCtx,
 };
 use std::sync::mpsc;
 use std::time::Duration;
@@ -34,17 +34,17 @@ impl Application for FarFuture {
         ctx.int_ops(1);
     }
 
-    fn scheduled_sends(&self, tile: u32, _grid: &GridInfo) -> Vec<ScheduledSend> {
+    fn scheduled_sends(&self, tile: u32, _grid: &GridInfo) -> SendStream {
         if tile != 0 {
-            return Vec::new();
+            return Box::new(std::iter::empty());
         }
-        vec![ScheduledSend {
+        Box::new(std::iter::once(ScheduledSend {
             cycle: 4_000_000_000,
             dst: 1,
             task: 0,
             payload: Payload::from_slice(&[7]),
             reduce: None,
-        }]
+        }))
     }
 
     fn check(&self, _tiles: &[()]) -> Result<(), String> {
