@@ -116,72 +116,6 @@ impl fmt::Display for Benchmark {
     }
 }
 
-/// Builds the [`Simulation`] for `bench` and applies `$run` to it.
-///
-/// The app type differs per arm, so the runner is expanded textually into
-/// each arm (a closure could not be generic over the app type); every
-/// expansion must produce the same `Result<SimResult, SimError>`. This is
-/// the single place that knows how to instantiate a suite application —
-/// [`run_benchmark`] goes through it.
-macro_rules! with_suite_app {
-    ($bench:expr, $cfg:expr, $graph:expr, |$sim:ident| $run:expr) => {{
-        let cfg = $cfg;
-        let graph: &Arc<Csr> = $graph;
-        let tiles = cfg.total_tiles() as u32;
-        match $bench {
-            Benchmark::Bfs => {
-                let root = high_degree_root(graph);
-                let $sim = Simulation::new(
-                    cfg,
-                    Bfs::new(Arc::clone(graph), tiles, root, SyncMode::Async),
-                )?;
-                $run
-            }
-            Benchmark::Sssp => {
-                let root = high_degree_root(graph);
-                let $sim = Simulation::new(
-                    cfg,
-                    Sssp::new(Arc::clone(graph), tiles, root, SyncMode::Async),
-                )?;
-                $run
-            }
-            Benchmark::PageRank => {
-                let $sim = Simulation::new(cfg, PageRank::new(Arc::clone(graph), tiles, 5))?;
-                $run
-            }
-            Benchmark::Wcc => {
-                let $sim =
-                    Simulation::new(cfg, Wcc::new(Arc::clone(graph), tiles, SyncMode::Async))?;
-                $run
-            }
-            Benchmark::Spmv => {
-                let $sim = Simulation::new(cfg, Spmv::new(Arc::clone(graph), tiles))?;
-                $run
-            }
-            Benchmark::Spmm => {
-                let $sim = Simulation::new(cfg, Spmm::new(Arc::clone(graph), tiles, 8))?;
-                $run
-            }
-            Benchmark::Histogram => {
-                let bins = graph.num_vertices();
-                let $sim = Simulation::new(cfg, Histogram::new(Arc::clone(graph), tiles, bins))?;
-                $run
-            }
-            Benchmark::Fft => {
-                let n = cfg.width() as usize;
-                assert_eq!(cfg.width(), cfg.height(), "FFT needs a square grid");
-                let $sim = Simulation::new(cfg, Fft3d::new(n, 7))?;
-                $run
-            }
-            Benchmark::Traffic(pattern) => {
-                let app = TrafficApp::new(&cfg, pattern)?;
-                let $sim = Simulation::new(cfg, app)?;
-                $run
-            }
-        }
-    }};
-}
-
 /// Runs `bench` on `cfg` over `graph` with `threads` host threads,
 /// verifying the functional result.
 ///
@@ -203,7 +137,42 @@ pub fn run_benchmark(
     graph: &Arc<Csr>,
     threads: usize,
 ) -> Result<SimResult, SimError> {
-    with_suite_app!(bench, cfg, graph, |sim| sim.run_parallel(threads))
+    let tiles = cfg.total_tiles() as u32;
+    let g = Arc::clone(graph);
+    match bench {
+        Benchmark::Bfs => {
+            let root = high_degree_root(&g);
+            let app = Bfs::new(g, tiles, root, SyncMode::Async);
+            Simulation::new(cfg, app)?.run_parallel(threads)
+        }
+        Benchmark::Sssp => {
+            let root = high_degree_root(&g);
+            let app = Sssp::new(g, tiles, root, SyncMode::Async);
+            Simulation::new(cfg, app)?.run_parallel(threads)
+        }
+        Benchmark::PageRank => {
+            Simulation::new(cfg, PageRank::new(g, tiles, 5))?.run_parallel(threads)
+        }
+        Benchmark::Wcc => {
+            let app = Wcc::new(g, tiles, SyncMode::Async);
+            Simulation::new(cfg, app)?.run_parallel(threads)
+        }
+        Benchmark::Spmv => Simulation::new(cfg, Spmv::new(g, tiles))?.run_parallel(threads),
+        Benchmark::Spmm => Simulation::new(cfg, Spmm::new(g, tiles, 8))?.run_parallel(threads),
+        Benchmark::Histogram => {
+            let app = Histogram::new(g, tiles, graph.num_vertices());
+            Simulation::new(cfg, app)?.run_parallel(threads)
+        }
+        Benchmark::Fft => {
+            let n = cfg.width() as usize;
+            assert_eq!(cfg.width(), cfg.height(), "FFT needs a square grid");
+            Simulation::new(cfg, Fft3d::new(n, 7))?.run_parallel(threads)
+        }
+        Benchmark::Traffic(pattern) => {
+            let app = TrafficApp::new(&cfg, pattern)?;
+            Simulation::new(cfg, app)?.run_parallel(threads)
+        }
+    }
 }
 
 #[cfg(test)]

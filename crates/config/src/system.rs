@@ -642,12 +642,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Resumes from `checkpoint_path` when the snapshot file exists.
-    pub fn checkpoint_resume(&mut self, enabled: bool) -> &mut Self {
-        self.cfg.checkpoint_resume = enabled;
-        self
-    }
-
     /// Replaces the synthetic-traffic parameters.
     pub fn traffic(&mut self, traffic: TrafficParams) -> &mut Self {
         self.cfg.traffic = traffic;
@@ -669,18 +663,6 @@ impl SystemConfigBuilder {
     /// Sets the output verbosity.
     pub fn verbosity(&mut self, v: Verbosity) -> &mut Self {
         self.cfg.verbosity = v;
-        self
-    }
-
-    /// Sets the technology node in nm.
-    pub fn technology_nm(&mut self, nm: u32) -> &mut Self {
-        self.cfg.technology_nm = nm;
-        self
-    }
-
-    /// Replaces the full model parameter set.
-    pub fn params(&mut self, params: ModelParams) -> &mut Self {
-        self.cfg.params = params;
         self
     }
 

@@ -29,7 +29,6 @@ const MAX_TASK_TYPES: u8 = 32;
 pub struct Simulation<A: Application> {
     cfg: SystemConfig,
     app: A,
-    cycle_limit: u64,
     /// Extra telemetry subscribers attached via
     /// [`Simulation::with_subscriber`] (tests, embedding hosts), fed by
     /// the same sample stream as the configured file subscribers.
@@ -72,17 +71,10 @@ impl<A: Application> Simulation<A> {
         Ok(Simulation {
             cfg,
             app,
-            cycle_limit: u64::MAX / 4,
             subscribers: Vec::new(),
             forget_stall_memos: false,
             resnapshot_on_resume: false,
         })
-    }
-
-    /// Sets an upper bound on simulated NoC cycles per kernel.
-    pub fn with_cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
     }
 
     /// Attaches an extra telemetry subscriber (e.g. a
@@ -126,8 +118,11 @@ impl<A: Application> Simulation<A> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CycleLimitExceeded`] if a kernel fails to
-    /// drain within the cycle limit.
+    /// Returns [`SimError::Ward`], with the partial result, when a
+    /// telemetry ward trips: arming `telemetry.wards.max_cycles` is how a
+    /// run is stopped at a cycle (judged, like every ward, where a
+    /// `telemetry.sample_every` sample closes). Returns
+    /// [`SimError::WorkerPanic`] when an application task panics.
     pub fn run(self) -> Result<SimResult, SimError> {
         self.run_parallel(1)
     }
@@ -146,9 +141,11 @@ impl<A: Application> Simulation<A> {
     ///
     /// See [`Simulation::run`]; additionally returns
     /// [`SimError::Telemetry`] when a metrics stream cannot be created or
-    /// written, and [`SimError::Snapshot`] when a checkpoint file is
-    /// corrupt, incompatible with this configuration, or cannot be
-    /// written.
+    /// written, [`SimError::Snapshot`] when a checkpoint file is corrupt,
+    /// incompatible with this configuration, or cannot be written, and
+    /// [`SimError::Trace`] when the NoC trace cannot be written. A ward
+    /// trip outranks a failed stream or snapshot write: its report names
+    /// them instead.
     pub fn run_parallel(mut self, threads: usize) -> Result<SimResult, SimError> {
         let subscribers = std::mem::take(&mut self.subscribers);
         // a resume with no file yet is a fresh start (first run of a
@@ -177,14 +174,7 @@ impl<A: Application> Simulation<A> {
             }
             None => None,
         };
-        crate::parallel::drive(
-            &self.cfg,
-            &self.app,
-            setup,
-            self.cycle_limit,
-            resume,
-            subscribers,
-        )
+        crate::parallel::drive(&self.cfg, &self.app, setup, resume, subscribers)
     }
 }
 
@@ -1029,18 +1019,11 @@ impl<A: Application> Worker<A> {
         self.phase.net += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Merges this worker's tile counters into `total` and its tasks per
-    /// column into `column_activity` (index = global column).
-    pub fn merge_counters(&self, total: &mut SimCounters, column_activity: &mut [u64]) {
-        // local ids run row by row over the slice's columns
-        let cols = self.slice.cols();
-        let cols = cols.start as usize..cols.end as usize;
-        for row in self.dispatched.chunks(cols.len()) {
-            for (col, d) in column_activity[cols.clone()].iter_mut().zip(row) {
-                *col += d.tasks;
-                total.pu.tasks_executed += d.tasks;
-                total.pu.busy_cycles += d.busy_cycles;
-            }
+    /// Merges this worker's tile counters into `total`.
+    pub fn merge_counters(&self, total: &mut SimCounters) {
+        for d in &self.dispatched {
+            total.pu.tasks_executed += d.tasks;
+            total.pu.busy_cycles += d.busy_cycles;
         }
         // an absent cold box holds nothing but zeros
         for cold in self.cold.iter().flatten() {
@@ -1615,10 +1598,9 @@ pub(crate) fn finish<A: Application>(
 ) -> SimResult {
     let threads = workers.len();
     let mut counters = SimCounters::default();
-    let mut column_activity = vec![0u64; cfg.width() as usize];
     let mut host_phase_ns = HostPhaseNs::default();
     for w in &workers {
-        w.merge_counters(&mut counters, &mut column_activity);
+        w.merge_counters(&mut counters);
         host_phase_ns.merge(&w.phase);
     }
     let mut noc_latency = muchisim_noc::LatencyStats::default();
@@ -1675,7 +1657,6 @@ pub(crate) fn finish<A: Application>(
         total_tiles: total as u64,
         host_state_bytes,
         check_error,
-        column_activity,
         termination: "finished".into(),
         telemetry_dropped,
     }

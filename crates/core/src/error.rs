@@ -23,11 +23,6 @@ pub enum SimError {
     /// The application's task-invocation graph has a cycle, which the
     /// paper forbids to avoid network deadlock (§III-B).
     CyclicTaskGraph,
-    /// The simulation exceeded the configured cycle limit.
-    CycleLimitExceeded {
-        /// The limit that was hit.
-        limit: u64,
-    },
     /// The application's result check failed.
     CheckFailed(
         /// The application's failure description.
@@ -85,9 +80,6 @@ impl fmt::Display for SimError {
                     "task-invocation graph has a cycle (network deadlock hazard)"
                 )
             }
-            SimError::CycleLimitExceeded { limit } => {
-                write!(f, "simulation exceeded the cycle limit of {limit}")
-            }
             SimError::CheckFailed(why) => write!(f, "result check failed: {why}"),
             SimError::Trace(why) => write!(f, "NoC trace failed: {why}"),
             SimError::Snapshot(why) => write!(f, "snapshot failed: {why}"),
@@ -137,6 +129,7 @@ mod tests {
             tiles: Vec::new(),
             snapshot_path: None,
             snapshot_error: None,
+            stream_error: None,
             partial: None,
         }));
         assert!(ward.to_string().contains("ward `stall` tripped"));

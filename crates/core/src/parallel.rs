@@ -12,8 +12,8 @@
 //!    its pending share (its queued messages plus its shards' packets in
 //!    flight) and (leap mode) its next-event horizon.
 //! 3. *(barrier, last arriver decides)* **decision phase** — global
-//!    quiescence (the pending shares sum to zero),
-//!    cycle-limit stop, or the next cycle to execute.
+//!    quiescence (the pending shares sum to zero), a ward or stream stop,
+//!    or the next cycle to execute.
 //!
 //! In the default *time-leaping* mode ([`SystemConfig::time_leap`]) the
 //! decision phase min-reduces the per-worker horizons — each layer's
@@ -156,8 +156,6 @@ enum Stop {
     Running,
     /// The kernel drained; the next kernel (if any) starts.
     Drained,
-    /// The kernel ran `cycle_limit` cycles without draining.
-    CycleLimit,
     /// A telemetry subscriber failed: simulating on would feed the void.
     DeadStream,
     /// A ward tripped.
@@ -165,21 +163,14 @@ enum Stop {
 }
 
 impl Stop {
-    const ALL: [Stop; 5] = [
-        Stop::Running,
-        Stop::Drained,
-        Stop::CycleLimit,
-        Stop::DeadStream,
-        Stop::Ward,
-    ];
+    const ALL: [Stop; 4] = [Stop::Running, Stop::Drained, Stop::DeadStream, Stop::Ward];
 }
 
 /// Where a restored run re-enters the cycle loop.
 #[derive(Clone, Copy)]
 pub(crate) struct ResumeState {
     /// The snapshot's kernel, the cycle it was taken at (the
-    /// post-`begin_cycle` capture point) and that kernel's base cycle
-    /// (which restores the per-kernel cycle-limit accounting).
+    /// post-`begin_cycle` capture point) and that kernel's base cycle.
     pub at: Progress,
     /// Write a snapshot at `at.cycle` itself (test hook,
     /// `Simulation::resnapshot_on_resume`).
@@ -231,7 +222,6 @@ struct Run<'a, A: Application> {
     /// The shared half of every NoC plane.
     shareds: Vec<&'a SharedNet>,
     kernels: u32,
-    cycle_limit: u64,
     termination: u64,
     leap: bool,
     resume: Option<ResumeState>,
@@ -291,8 +281,8 @@ impl<A: Application> Run<'_, A> {
     }
 
     /// The decision phase, run by the last worker to reach the barrier
-    /// after `cycle` of the kernel that started at `base`.
-    fn decide(&self, cycle: u64, base: u64, [frame, sample]: [bool; 2]) {
+    /// after `cycle`.
+    fn decide(&self, cycle: u64, [frame, sample]: [bool; 2]) {
         // a deferred trip snapshot was captured this cycle: the run stops
         // here, before any normal decision can race it
         if self.trip_snap_at.load(Ordering::Acquire) <= cycle && lock(&self.leader).trip.is_some() {
@@ -307,11 +297,9 @@ impl<A: Application> Run<'_, A> {
             .sum();
         if pending == 0 {
             self.halt(cycle, Stop::Drained);
-        } else if cycle - base >= self.cycle_limit {
-            self.halt(cycle, Stop::CycleLimit);
         } else if self.leap {
             // min-reduce the published horizons and jump if nothing can
-            // happen sooner; the cap keeps the cycle-limit check exact
+            // happen sooner
             let mut next = self
                 .slots
                 .iter()
@@ -337,12 +325,11 @@ impl<A: Application> Run<'_, A> {
             for cadence in self.armed.into_iter().flatten() {
                 next = next.min(cadence.next_close(cycle));
             }
-            next = next.min(base.saturating_add(self.cycle_limit));
             self.next_cycle.store(next, Ordering::Release);
         }
         // merge, stream, and ward-check what closed this cycle (after the
-        // stop decision: a drained or limit-hit run still emits its final
-        // records, but wards no longer fire)
+        // stop decision: a drained run still emits its final records, but
+        // wards no longer fire)
         if self.publish(cycle, frame, sample, self.reason() == Stop::Running) {
             if self.snap_on_trip {
                 // defer the stop one cycle so every worker reaches the
@@ -436,7 +423,6 @@ pub(crate) fn drive<A: Application>(
     cfg: &SystemConfig,
     app: &A,
     setup: SimSetup<A>,
-    cycle_limit: u64,
     resume: Option<ResumeState>,
     subscribers: Vec<Box<dyn Subscriber>>,
 ) -> Result<SimResult, SimError> {
@@ -476,7 +462,6 @@ pub(crate) fn drive<A: Application>(
         app,
         shareds,
         kernels: app.kernels(),
-        cycle_limit,
         termination: cfg.termination_latency_cycles(),
         leap: cfg.time_leap,
         resume,
@@ -558,7 +543,7 @@ pub(crate) fn drive<A: Application>(
         None => (0, None),
     };
     match (stop, stream_error, snapshot_error) {
-        (Stop::Ward, _, snapshot_error) => {
+        (Stop::Ward, stream_error, snapshot_error) => {
             let trip = lock(&run.leader)
                 .trip
                 .take()
@@ -590,12 +575,12 @@ pub(crate) fn drive<A: Application>(
                 tiles,
                 snapshot_path,
                 snapshot_error,
+                stream_error,
                 partial: Some(Box::new(partial)),
             })))
         }
         (_, Some(why), _) => Err(SimError::Telemetry(why)),
         (_, None, Some(why)) => Err(SimError::Snapshot(why)),
-        (Stop::CycleLimit, None, None) => Err(SimError::CycleLimitExceeded { limit: cycle_limit }),
         _ => {
             if let Some(path) = &cfg.noc_trace {
                 // one merged, canonically sorted trace across planes and
@@ -698,7 +683,7 @@ fn worker_loop<A: Application>(
             }
             // decision phase: the last thread to arrive decides
             run.barrier
-                .wait_leader(&mut sense, || run.decide(cycle, base, closes))?;
+                .wait_leader(&mut sense, || run.decide(cycle, closes))?;
             if run.reason() != Stop::Running {
                 break;
             }

@@ -3,45 +3,30 @@
 use muchisim_config::SchedulingPolicy;
 use muchisim_noc::QueueLink;
 
-/// Which arbitration rule the scheduler applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PolicyKind {
-    RoundRobin,
-    Priority,
-    OccupancyBased,
-}
-
 /// The TSU scheduling rule of a worker's tiles, held once per worker.
 /// The only per-tile scheduler state is the round-robin pointer, one byte
 /// in the worker's dense arrays, which [`Scheduler::pick`] takes by
 /// reference.
 #[derive(Debug)]
 pub struct Scheduler {
-    kind: PolicyKind,
-    /// Priority order: task ids, highest priority first (priority policy).
-    order: Box<[u8]>,
+    /// The policy; a priority order lists every task id, highest
+    /// priority first.
+    policy: SchedulingPolicy,
 }
 
 impl Scheduler {
-    /// Builds a scheduler for `task_types` task ids with `policy`.
+    /// Builds a scheduler for `task_types` task ids with `policy`; task
+    /// ids a priority order leaves out follow it in id order.
     pub fn new(policy: &SchedulingPolicy, task_types: u8) -> Self {
-        let (kind, order): (PolicyKind, Vec<u8>) = match policy {
-            SchedulingPolicy::Priority(listed) => {
-                let mut order = listed.clone();
-                for t in 0..task_types {
-                    if !order.contains(&t) {
-                        order.push(t);
-                    }
+        let mut policy = policy.clone();
+        if let SchedulingPolicy::Priority(order) = &mut policy {
+            for t in 0..task_types {
+                if !order.contains(&t) {
+                    order.push(t);
                 }
-                (PolicyKind::Priority, order)
             }
-            SchedulingPolicy::RoundRobin => (PolicyKind::RoundRobin, Vec::new()),
-            SchedulingPolicy::OccupancyBased => (PolicyKind::OccupancyBased, Vec::new()),
-        };
-        Scheduler {
-            kind,
-            order: order.into(),
         }
+        Scheduler { policy }
     }
 
     /// The round-robin pointer (last served task id) a tile starts with:
@@ -54,8 +39,8 @@ impl Scheduler {
     /// empty. `iqs[t]` is the link of the tile's input queue of task `t`
     /// and `rr_last` the tile's round-robin pointer.
     pub fn pick(&self, rr_last: &mut u8, iqs: &[QueueLink]) -> Option<u8> {
-        match self.kind {
-            PolicyKind::RoundRobin => {
+        match &self.policy {
+            SchedulingPolicy::RoundRobin => {
                 let n = iqs.len() as u8;
                 for step in 1..=n {
                     let t = (*rr_last + step) % n;
@@ -66,12 +51,11 @@ impl Scheduler {
                 }
                 None
             }
-            PolicyKind::Priority => self
-                .order
+            SchedulingPolicy::Priority(order) => order
                 .iter()
                 .copied()
                 .find(|&t| iqs.get(t as usize).is_some_and(|q| !q.is_empty())),
-            PolicyKind::OccupancyBased => iqs
+            SchedulingPolicy::OccupancyBased => iqs
                 .iter()
                 .enumerate()
                 .filter(|(_, q)| !q.is_empty())

@@ -138,9 +138,6 @@ pub struct SimResult {
     pub host_state_bytes: u64,
     /// Result of the application's output check (`None` if it passed).
     pub check_error: Option<String>,
-    /// Tasks executed per grid column (index = column): how the work
-    /// spread over the grid's width. Part of stored DSE records.
-    pub column_activity: Vec<u64>,
     /// How the run ended: `"finished"` for a normal drain, `"ward:<name>"`
     /// when a telemetry ward terminated it (the partial result inside a
     /// `SimError::Ward` report). Empty in records stored before this
@@ -264,7 +261,6 @@ mod tests {
             total_tiles: 16,
             host_state_bytes: 4096,
             check_error: None,
-            column_activity: vec![0; 4],
             termination: String::new(),
             telemetry_dropped: 0,
         };

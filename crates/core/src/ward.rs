@@ -67,6 +67,10 @@ pub struct WardReport {
     /// Error from the post-mortem snapshot write, when one failed
     /// (recorded here, never masking the ward itself).
     pub snapshot_error: Option<String>,
+    /// Error from the telemetry stream, when a subscriber failed (a
+    /// metrics file that could not be written or closed): recorded here
+    /// like `snapshot_error`.
+    pub stream_error: Option<String>,
     /// The partial result: counters, frames, and latency statistics up
     /// to the trip, with `termination` set to `"ward:<name>"`.
     pub partial: Option<Box<SimResult>>,
@@ -87,6 +91,9 @@ impl std::fmt::Display for WardReport {
         }
         if let Some(err) = &self.snapshot_error {
             write!(f, "\n  post-mortem snapshot failed: {err}")?;
+        }
+        if let Some(err) = &self.stream_error {
+            write!(f, "\n  telemetry stream failed: {err}")?;
         }
         Ok(())
     }
@@ -124,6 +131,7 @@ mod tests {
             }],
             snapshot_path: Some("target/trip.snap".into()),
             snapshot_error: None,
+            stream_error: Some("disk full".into()),
             partial: None,
         };
         let text = r.to_string();
@@ -133,5 +141,9 @@ mod tests {
         );
         assert!(text.contains("tile 3"), "{text}");
         assert!(text.contains("target/trip.snap"), "{text}");
+        assert!(
+            text.contains("telemetry stream failed: disk full"),
+            "{text}"
+        );
     }
 }

@@ -262,14 +262,26 @@ fn verbosity_v0_suppresses_frames() {
     assert!(result.frames.is_empty());
 }
 
+/// The `max_cycles` ward stops a run that would not drain by then, at
+/// the first sample closing at or past its cycle, with the partial result.
 #[test]
-fn cycle_limit_errors_out() {
-    let err = Simulation::new(small_cfg(), Relay { hops: 100_000 })
+fn max_cycles_ward_stops_the_run() {
+    let mut cfg = small_cfg();
+    cfg.telemetry.sample_every = Some(64);
+    cfg.telemetry.wards.max_cycles = Some(100);
+    let err = Simulation::new(cfg, Relay { hops: 100_000 })
         .unwrap()
-        .with_cycle_limit(100)
         .run()
         .unwrap_err();
-    assert!(matches!(err, SimError::CycleLimitExceeded { limit: 100 }));
+    let SimError::Ward(report) = err else {
+        panic!("expected a ward stop, got {err:?}");
+    };
+    assert_eq!((report.ward.as_str(), report.cycle), ("max_cycles", 127));
+    let partial = report
+        .partial
+        .expect("a ward stop carries its partial result");
+    assert_eq!(partial.termination, "ward:max_cycles");
+    assert!(partial.counters.pu.tasks_executed > 0);
 }
 
 #[test]

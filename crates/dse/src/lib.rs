@@ -66,7 +66,7 @@ pub use error::DseError;
 pub use overrides::{
     apply_to_config, overrides_from_value, parse_assignment, parse_json_or_string, Override,
 };
-pub use report::{report_for, repriced_report_for, table_from_store};
+pub use report::{repriced_report_for, table_from_store};
 pub use runner::{BatchOutcome, BatchRunner};
 pub use spec::{slug, Axis, AxisPoint, DatasetSpec, ExperimentSpec, RunPoint};
 pub use store::{JsonlStore, RunRecord};

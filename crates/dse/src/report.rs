@@ -13,11 +13,6 @@ use crate::store::{JsonlStore, RunRecord};
 use muchisim_energy::Report;
 use muchisim_viz::{ReportRow, ReportTable};
 
-/// The energy/cost report of one record, under its stored parameters.
-pub fn report_for(record: &RunRecord) -> Report {
-    Report::from_counters(&record.config, &record.result.counters)
-}
-
 /// The energy/cost report of one record with `overrides` applied to its
 /// stored configuration first — re-pricing without re-simulating.
 ///

@@ -167,7 +167,6 @@ pub(crate) mod tests {
                 total_tiles: 1,
                 host_state_bytes: 0,
                 check_error: check_error.map(str::to_string),
-                column_activity: Vec::new(),
                 telemetry_dropped: 0,
                 termination: "finished".to_string(),
             },
@@ -201,8 +200,8 @@ pub(crate) mod tests {
     fn records_written_before_the_frame_keys_were_removed_still_load() {
         // older stores carry `frame_budget` / `frame_spill` (always `null`
         // there: sweeps rejected the spill, nothing set the budget) and
-        // `active_list` (`false` in full-sweep ablations), and no
-        // `telemetry_dropped`
+        // `active_list` (`false` in full-sweep ablations), results carry
+        // the tasks per grid column, and no `telemetry_dropped`
         let line = serde_json::to_string(&record("old", 0, None)).unwrap();
         let legacy = line
             .replace(
@@ -210,8 +209,13 @@ pub(crate) mod tests {
                 "\"frame_budget\":null,\"frame_spill\":null,\"noc_trace\":",
             )
             .replace("\"verbosity\":", "\"active_list\":false,\"verbosity\":")
+            .replace(
+                "\"termination\":",
+                "\"column_activity\":[3,0,5,1],\"termination\":",
+            )
             .replace(",\"telemetry_dropped\":0", "");
         assert!(legacy.contains("\"active_list\":false"));
+        assert!(legacy.contains("\"column_activity\":[3,0,5,1]"));
         assert_ne!(legacy, line);
         assert!(!legacy.contains("telemetry_dropped"));
         let path = temp_path("legacy.jsonl");

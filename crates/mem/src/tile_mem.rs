@@ -135,25 +135,17 @@ impl TileMemory {
                 }
                 if *next_line {
                     let next = addr + *line_bytes;
-                    if let Some(wb) = cache.prefetch_fill(next) {
-                        self.counters.prefetch_fills += 1;
-                        self.counters.sram_write_bits += *line_bytes * 8;
-                        let _ = channel.request(cycle, *round_trip_cycles);
-                        if wb {
-                            self.counters.writebacks += 1;
-                            self.counters.dram_line_writes += 1;
-                            self.counters.sram_read_bits += *line_bytes * 8;
-                            let _ = channel.request(cycle, *round_trip_cycles);
-                        }
-                    }
+                    self.prefetch(next, cycle, Some(channel));
                 }
                 self.sram_latency + dram_latency
             }
         }
     }
 
-    /// Issues a pointer-indirection prefetch for `addr` (TSU prefetching
-    /// for tasks waiting in the input queue, paper §III-A).
+    /// Prefetches the line holding `addr`: a pointer-indirection
+    /// prefetch (TSU prefetching for tasks waiting in the input queue,
+    /// paper §III-A), or a miss's next-line prefetch. The fill, and the
+    /// dirty victim it evicts, occupy the channel off the critical path.
     ///
     /// No-op in scratchpad mode or when the line is already resident.
     pub fn prefetch(&mut self, addr: u64, cycle: u64, channel: Option<&mut ChannelState>) {
@@ -326,6 +318,38 @@ mod tests {
         assert!(
             pf_lat < plain_lat,
             "prefetching scan latency {pf_lat} should beat {plain_lat}"
+        );
+    }
+
+    /// A write scan with next-line prefetch over twelve times a 4 KiB
+    /// cache: demand misses and prefetch fills both evict dirty lines.
+    /// Pins every counter the two paths touch and the summed latency.
+    #[test]
+    fn next_line_prefetch_accounts_fills_and_victims() {
+        let mut m = cached(4, true);
+        let mut ch = ChannelState::default();
+        let mut latency = 0;
+        for i in 0..512u64 {
+            latency += m.access(i * 96, AccessKind::Write, i * 20, Some(&mut ch));
+        }
+        let c = m.counters();
+        let got = (
+            [
+                c.cache_misses,
+                c.cache_hits,
+                c.prefetch_fills,
+                c.prefetch_hits,
+            ],
+            [c.writebacks, c.dram_line_reads, c.dram_line_writes],
+            [c.sram_read_bits, c.sram_write_bits, latency],
+        );
+        assert_eq!(
+            got,
+            (
+                [256, 256, 256, 256],
+                [480, 256, 480],
+                [245_760, 278_528, 13_312]
+            )
         );
     }
 

@@ -226,8 +226,7 @@ impl Subscriber for MemorySubscriber {
 ///
 /// Rewrites one terminal line per sample (carriage return, no newline
 /// until close). The ETA extrapolates the current rate to
-/// `target_cycle`, when one is known (a cycle limit or a `max_cycles`
-/// ward).
+/// `target_cycle`, when one is known (a `max_cycles` ward).
 #[derive(Debug)]
 pub struct ProgressSubscriber {
     target_cycle: Option<u64>,

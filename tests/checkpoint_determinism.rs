@@ -369,10 +369,10 @@ fn timetables_resume_mid_window_bit_identically() {
         let mut with_ckpt = cfg.clone();
         with_ckpt.checkpoint_path = Some(path.clone());
         with_ckpt.checkpoint_every = Some(every);
-        let _ = Simulation::new(with_ckpt, make())
-            .expect("valid")
-            .with_cycle_limit(every + 1)
-            .run();
+        // the one sample closes at cycle `every + 1`, where the ward trips
+        with_ckpt.telemetry.sample_every = Some(every + 2);
+        with_ckpt.telemetry.wards.max_cycles = Some(every + 1);
+        let _ = Simulation::new(with_ckpt, make()).expect("valid").run();
         assert!(std::path::Path::new(&path).exists(), "{tag}: no snapshot");
         let mut resumed_cfg = cfg.clone();
         resumed_cfg.checkpoint_path = Some(path.clone());

@@ -54,6 +54,13 @@ fn traffic_cfg() -> SystemConfig {
     c
 }
 
+/// Arms the `max_cycles` ward to stop `c`'s run right after it executes
+/// `cycle`: the first sample closes there.
+fn stop_after(c: &mut SystemConfig, cycle: u64) {
+    c.telemetry.sample_every = Some(cycle + 1);
+    c.telemetry.wards.max_cycles = Some(cycle);
+}
+
 /// Writes a snapshot of [`TRAFFIC`] at cycle 150, halfway through its
 /// injection window, to `path` and returns its bytes.
 fn mid_window_traffic_snapshot(path: &str) -> Vec<u8> {
@@ -61,12 +68,10 @@ fn mid_window_traffic_snapshot(path: &str) -> Vec<u8> {
     c.checkpoint_path = Some(path.to_string());
     c.checkpoint_every = Some(150);
     // later boundaries would overwrite the file: stop after the first
+    stop_after(&mut c, 151);
     let app = muchisim::traffic::TrafficApp::new(&c, TrafficPattern::UniformRandom)
         .expect("valid traffic");
-    let _ = Simulation::new(c, app)
-        .expect("valid")
-        .with_cycle_limit(151)
-        .run();
+    let _ = Simulation::new(c, app).expect("valid").run();
     std::fs::read(path).expect("snapshot file exists")
 }
 
@@ -380,10 +385,8 @@ fn busy_bfs_snapshot(graph: &Arc<Csr>, tag: &str) -> (String, Vec<u8>) {
         c.checkpoint_path = Some(path.clone());
         c.checkpoint_every = Some((probe.runtime_cycles * tenths / 10).max(1));
         // later boundaries overwrite the file: stop at the first
-        let _ = Simulation::new(c, bfs(graph, 16))
-            .expect("valid")
-            .with_cycle_limit(probe.runtime_cycles * tenths / 10 + 1)
-            .run();
+        stop_after(&mut c, probe.runtime_cycles * tenths / 10 + 1);
+        let _ = Simulation::new(c, bfs(graph, 16)).expect("valid").run();
         let bytes = std::fs::read(&path).expect("snapshot file exists");
         let (at, packets) = offsets(&bytes);
         if packets.len() >= 2 && at.first_rr.is_some() {
@@ -615,6 +618,67 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
     let _ = std::fs::remove_file(&traffic_path);
 }
 
+/// A structurally valid BFS snapshot whose tile 0 waits on one message
+/// with its PU clock raised 2^50 PU cycles ahead: nothing leaps in
+/// lockstep, so without a stop the resume spins until that clock comes.
+/// The `max_cycles` ward must end it, in a typed `SimError::Ward`,
+/// before the watchdog does.
+#[test]
+fn a_far_future_clock_ends_at_the_ward_in_lockstep() {
+    let graph = Arc::new(RmatConfig::scale(5).generate(0xC0FF_EE00));
+    let path = std::env::temp_dir()
+        .join(format!(
+            "muchisim-robust-{}-far-clock.snap",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    let valid = write_valid_snapshot(&path, &graph, &cfg(4));
+    let (at, _) = offsets(&valid);
+    let mut waiting = Vec::new();
+    vec![(0u8, vec![Payload::from_slice(&[0, 1])])].put(&mut waiting);
+    let mut bytes = replace(&valid, at.iqs, &waiting);
+    // tile u32, init flag, open-frame busy u32, cursor u8, then the PU
+    // clocks' count and the first (only) clock
+    let clock = at.first_tile + 14;
+    bytes[clock..clock + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+    restamp_checksum(&mut bytes);
+    std::fs::write(&path, &bytes).expect("write edited snapshot");
+
+    let probe = run_benchmark(Benchmark::Bfs, cfg(4), &graph, 1).expect("probe runs");
+    let max_cycles = probe.runtime_cycles * 4;
+    let (done, outcome) = std::sync::mpsc::channel();
+    let resume = {
+        let path = path.clone();
+        std::thread::spawn(move || {
+            let mut c = cfg(4);
+            c.time_leap = false;
+            c.checkpoint_path = Some(path);
+            c.checkpoint_resume = true;
+            stop_after(&mut c, max_cycles);
+            let _ = done.send(Simulation::new(c, bfs(&graph, 16)).expect("valid").run());
+        })
+    };
+    let outcome = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the far-future clock hung the resume past its ward");
+    resume.join().expect("the resume thread returns");
+    let _ = std::fs::remove_file(&path);
+    match outcome {
+        Err(SimError::Ward(report)) => {
+            assert_eq!(
+                (report.ward.as_str(), report.cycle),
+                ("max_cycles", max_cycles)
+            );
+            assert!(
+                report.tiles.iter().any(|t| t.tile == 0 && t.iq_msgs >= 1),
+                "tile 0's waiting message is in the report: {report}"
+            );
+        }
+        other => panic!("expected the max_cycles ward, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Seeded random mutations.
 // ---------------------------------------------------------------------
@@ -755,29 +819,27 @@ enum Outcome {
     Resumed,
     /// The file restored — its structure and every index in it are
     /// sound — and the *run* then stopped on the values it carried: a
-    /// clock far in the future ends at the cycle limit, a payload the
-    /// application cannot index ends in its (caught) worker panic.
+    /// clock far in the future ends at the `max_cycles` ward, a payload
+    /// the application cannot index ends in its (caught) worker panic.
     RunStopped,
 }
 
+/// Resumes `app` from `path` with the `max_cycles` ward armed at
+/// `max_cycles`, judged on one coarse sample there.
 fn hostile_resume<A: Application>(
     cfg: &SystemConfig,
     app: A,
     path: &str,
-    cycle_limit: u64,
+    max_cycles: u64,
 ) -> Result<Outcome, String> {
     let mut c = cfg.clone();
     c.checkpoint_path = Some(path.to_string());
     c.checkpoint_resume = true;
-    let sim = Simulation::new(c, app)
-        .expect("valid")
-        .with_cycle_limit(cycle_limit);
-    match sim.run() {
+    stop_after(&mut c, max_cycles);
+    match Simulation::new(c, app).expect("valid").run() {
         Ok(_) => Ok(Outcome::Resumed),
         Err(SimError::Snapshot(_)) => Ok(Outcome::Refused),
-        Err(SimError::CycleLimitExceeded { .. } | SimError::WorkerPanic { .. }) => {
-            Ok(Outcome::RunStopped)
-        }
+        Err(SimError::Ward(_) | SimError::WorkerPanic { .. }) => Ok(Outcome::RunStopped),
         Err(other) => Err(format!("unexpected error kind: {other}")),
     }
 }

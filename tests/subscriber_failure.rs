@@ -71,19 +71,17 @@ impl Subscriber for Flaky {
     }
 }
 
-/// Runs `FarFuture` at 2 host threads under a 20 s watchdog, with a
-/// per-kernel cycle limit when one is given.
-fn run_with_watchdog(panic: bool, cycle_limit: Option<u64>) -> Result<SimResult, SimError> {
+/// Runs `FarFuture` at 2 host threads under a 20 s watchdog, with the
+/// `max_cycles` ward armed when a ceiling is given.
+fn run_with_watchdog(panic: bool, max_cycles: Option<u64>) -> Result<SimResult, SimError> {
     let (done, result) = mpsc::channel();
     std::thread::spawn(move || {
         let mut cfg = SystemConfig::builder().chiplet_tiles(4, 4).build().unwrap();
         cfg.telemetry.sample_every = Some(1);
-        let mut sim = Simulation::new(cfg, FarFuture)
+        cfg.telemetry.wards.max_cycles = max_cycles;
+        let sim = Simulation::new(cfg, FarFuture)
             .unwrap()
             .with_subscriber(Box::new(Flaky { seen: 0, panic }));
-        if let Some(limit) = cycle_limit {
-            sim = sim.with_cycle_limit(limit);
-        }
         let _ = done.send(sim.run_parallel(2));
     });
     result
@@ -107,15 +105,20 @@ fn a_panicking_subscriber_is_an_error_not_a_hang() {
     }
 }
 
-/// A stream that fails on the run's last sample reports its error, not
-/// the cycle limit the run stopped at: with a limit of 2 the third sample
-/// (cycle 2) is both the failing one and the limit cycle's, so the
-/// subscriber fails after the leader decided to stop, and the teardown
-/// has to rank the stream first.
+/// A stream that fails on the sample a ward trips on is named in the
+/// ward's report: with `max_cycles = 2` the third sample (cycle 2) is
+/// both the failing one and the tripping one, so the subscriber fails
+/// after the leader decided to stop, and the teardown has to fold the
+/// stream's error into the report rather than drop it.
 #[test]
-fn a_failed_stream_outranks_the_cycle_limit() {
+fn a_ward_report_names_the_stream_that_failed_on_its_sample() {
     match run_with_watchdog(false, Some(2)) {
-        Err(SimError::Telemetry(why)) => assert!(why.contains("disk full"), "{why}"),
-        other => panic!("expected a telemetry error, got {other:?}"),
+        Err(SimError::Ward(report)) => {
+            assert_eq!((report.ward.as_str(), report.cycle), ("max_cycles", 2));
+            let why = report.stream_error.as_deref().unwrap_or_default();
+            assert!(why.contains("disk full"), "{report}");
+            assert!(report.to_string().contains("disk full"), "{report}");
+        }
+        other => panic!("expected a ward stop, got {other:?}"),
     }
 }

@@ -5,7 +5,7 @@
 //! eject into the full queue, and parks at the destination router
 //! forever. No task executes and no flit moves from then on — the run is
 //! wedged, not quiescent (a parked packet is pending work), so without a
-//! watchdog it would spin to the cycle limit. The stall ward must trip
+//! watchdog it would spin forever. The stall ward must trip
 //! with a diagnostic report that names the wedged tile.
 
 use muchisim::config::SystemConfig;
