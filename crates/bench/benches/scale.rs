@@ -12,6 +12,10 @@
 //!   scaling): every tile owns one matrix row and all traffic is
 //!   near-neighbor, so this measures the active-tile footprint.
 //!
+//! The sparse points run first; the process's peak resident set after
+//! them (`VmHWM`, Linux only) is the resident cost of the largest sparse
+//! grid, asserted per tile beside the capacity-based `bytes_per_tile`.
+//!
 //! From 256×256 up, each point also sweeps host threads 1/4/8/16 —
 //! multi-thread strong scaling as a *measured* axis (the `threads`
 //! column). Thread counts above the recording host's CPU count are
@@ -38,6 +42,24 @@ const RMAT_SCALE: u32 = 10;
 /// Host-thread counts swept at and above `THREAD_SWEEP_MIN_SIDE`.
 const THREAD_SWEEP: [usize; 4] = [1, 4, 8, 16];
 const THREAD_SWEEP_MIN_SIDE: u32 = 256;
+
+/// Footprint ceilings of the sparse (`bfs/rmat-10`) sweep at its largest
+/// grid, in bytes per tile: `(side, capacity-based host_state_bytes,
+/// peak resident set)`. Each is the value measured on a 2-vCPU x86-64
+/// Linux guest plus a margin: capacity 278 B/tile at 256×256 (the smoke
+/// run's largest grid) and 239 at 1024×1024, +10 %; resident 263 and
+/// 149 B/tile, +14 % and +11 % (2.2 and 16 MiB — the smaller grid's
+/// peak is a quarter fixed cost: binary, graph, allocator).
+const SPARSE_CEILINGS: [(u32, f64, f64); 2] = [(256, 305.0, 300.0), (1024, 265.0, 165.0)];
+
+/// The process's peak resident set size in bytes (`VmHWM`), or `None`
+/// where `/proc/self/status` does not report it (off Linux).
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib * 1024)
+}
 
 struct Row {
     workload: &'static str,
@@ -246,16 +268,24 @@ fn main() {
         .collect();
 
     muchisim_bench::rule("simulator throughput & footprint vs grid size and host threads");
-    let mut rows = Vec::new();
-    for &side in sides {
-        let threads: &[usize] = if smoke || side < THREAD_SWEEP_MIN_SIDE {
+    let threads = |side: u32| -> &[usize] {
+        if smoke || side < THREAD_SWEEP_MIN_SIDE {
             &[1]
         } else {
             &swept
-        };
-        let grid = Arc::new(grid_2d(side, side));
-        for &t in threads {
+        }
+    };
+    let mut rows = Vec::new();
+    for &side in sides {
+        for &t in threads(side) {
             rows.push(run("bfs/rmat-10", Benchmark::Bfs, side, t, &rmat));
+        }
+    }
+    // nothing dense has run yet: the peak so far is the sparse sweep's
+    let sparse_peak = peak_rss_bytes();
+    for &side in sides {
+        let grid = Arc::new(grid_2d(side, side));
+        for &t in threads(side) {
             rows.push(run("spmv/grid2d", Benchmark::Spmv, side, t, &grid));
         }
     }
@@ -279,14 +309,36 @@ fn main() {
         last.result.bytes_per_tile(),
         last.side
     );
-    // ... and stays within a small fixed budget at the top size: 272
-    // B/tile measured at 1024x1024, 311 at the smoke run's 256x256
-    let budget = 360.0;
+    // ... and stays within a small fixed budget at the top size, by
+    // capacity and by resident pages
+    let &(_, capacity, resident) = SPARSE_CEILINGS
+        .iter()
+        .find(|c| c.0 == last.side)
+        .expect("a ceiling for the largest grid");
     assert!(
-        last.result.bytes_per_tile() < budget,
-        "sparse bytes/tile blew the budget of {budget}: {:.0}",
+        last.result.bytes_per_tile() < capacity,
+        "sparse bytes/tile at {0}x{0} blew the ceiling of {capacity}: {1:.0}",
+        last.side,
         last.result.bytes_per_tile()
     );
+    match sparse_peak {
+        Some(peak) => {
+            let per_tile = peak as f64 / last.result.total_tiles as f64;
+            println!(
+                "peak resident after the sparse sweep: {:.1} MiB, {per_tile:.0} B/tile at {1}x{1} \
+                 (ceiling {resident})",
+                peak as f64 / (1 << 20) as f64,
+                last.side
+            );
+            assert!(
+                per_tile < resident,
+                "sparse resident bytes/tile at {0}x{0} blew the ceiling of {resident}: \
+                 {per_tile:.0}",
+                last.side
+            );
+        }
+        None => println!("no VmHWM in /proc/self/status: resident ceiling not checked"),
+    }
     // (2) active-tile (weak-scaling) bytes/tile is flat: growing the DUT
     //     16x-256x in tiles must not grow the per-tile footprint
     let spmv: Vec<f64> = rows
@@ -311,7 +363,9 @@ fn main() {
          \"workloads\": [\"bfs/rmat-{RMAT_SCALE} (fixed graph, strong scaling)\", \
          \"spmv/grid2d (matrix = DUT grid, weak scaling)\"],\n  \
          \"host_threads\": {swept:?},\n  \"host_cpus\": {host_cpus},\n  \
+         \"sparse_peak_rss_bytes\": {},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        sparse_peak.map_or("null".to_string(), |b| b.to_string()),
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

@@ -1020,7 +1020,7 @@ impl<A: Application> Worker<A> {
     }
 
     /// Merges this worker's tile counters into `total`.
-    pub fn merge_counters(&self, total: &mut SimCounters) {
+    fn merge_counters(&self, total: &mut SimCounters) {
         for d in &self.dispatched {
             total.pu.tasks_executed += d.tasks;
             total.pu.busy_cycles += d.busy_cycles;
@@ -1626,22 +1626,27 @@ pub(crate) fn finish<A: Application>(
     for w in &workers {
         frames.merge(&w.frames);
     }
-    // gather per-tile states in global order for the result check: the
-    // workers own adjacent column ranges in ascending order and hold
-    // their tiles row by row, so one grid row is each worker's next
-    // `ncols` states in turn
+    // per-tile states in global order for the result check: a lone
+    // worker owns every column and holds its tiles row by row, already
+    // in that order, so its `Vec` moves as it is; otherwise the workers
+    // own adjacent column ranges in ascending order, and one grid row is
+    // each worker's next `ncols` states in turn
     let total = (cfg.width() * cfg.height()) as usize;
-    let mut states: Vec<A::Tile> = Vec::with_capacity(total);
-    let mut rows: Vec<_> = workers
-        .iter_mut()
-        .map(|w| (w.slice.ncols() as usize, w.states.drain(..)))
-        .collect();
-    for _ in 0..cfg.height() {
-        for (ncols, row) in &mut rows {
-            states.extend(row.take(*ncols));
+    let states: Vec<A::Tile> = if let [lone] = &mut workers[..] {
+        std::mem::take(&mut lone.states)
+    } else {
+        let mut states = Vec::with_capacity(total);
+        let mut rows: Vec<_> = workers
+            .iter_mut()
+            .map(|w| (w.slice.ncols() as usize, w.states.drain(..)))
+            .collect();
+        for _ in 0..cfg.height() {
+            for (ncols, row) in &mut rows {
+                states.extend(row.take(*ncols));
+            }
         }
-    }
-    drop(rows);
+        states
+    };
     assert_eq!(states.len(), total, "every tile has a state");
     let check_error = app.check(&states).err();
     SimResult {
@@ -1730,12 +1735,16 @@ pub(crate) fn restore_networks(
         shards[0].restore_counters(&rec.counters, &rec.latency);
         for record in &rec.packets {
             let (tile, port, pkt) = record;
-            let in_port = InPort::ALL.get(*port as usize);
+            // the credit table has a word only for the ports the
+            // topology has, and channel 1 is entered through them alone
+            let in_port = InPort::ALL
+                .get(*port as usize)
+                .filter(|&&p| shared.topo.has_port(p));
             let sound = in_port.is_some()
                 && u64::from(pkt.dst) < total_tiles
                 && pkt.task < head.task_types
                 && pkt.flits > 0
-                && pkt.vc <= 1;
+                && (pkt.vc == 0 || (pkt.vc == 1 && shared.topo.has_port(InPort::FromN1)));
             let shard = shard_of(*tile, sound, "packet", record)?;
             let in_port = *in_port.expect("sound");
             shards[shard]

@@ -123,7 +123,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct SharedNet {
     /// Topology and latency data.
     pub topo: TopoInfo,
-    /// Credit of each input queue (global queue id).
+    /// Credit of each input queue the topology has, by
+    /// [`TopoInfo::queue_id`].
     pub occupancy: Vec<Credit>,
     /// `mailboxes[consumer][producer]`.
     mailboxes: Vec<Vec<Mailbox>>,

@@ -245,7 +245,7 @@ impl Packet {
     }
 
     /// The reduction key: payload word 0, or `None` for empty payloads.
-    pub fn reduce_key(&self) -> Option<u32> {
+    fn reduce_key(&self) -> Option<u32> {
         self.payload.as_slice().first().copied()
     }
 

@@ -7,7 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Number of input queues per router.
+/// Number of input ports a router can have; a topology has 5, 9 or 13
+/// of them (see [`crate::TopoInfo::has_port`]).
 pub const IN_PORTS: usize = 13;
 // every queue id of the largest grid `SystemConfig::validate` lets through
 // fits the `u32` that wake boxes and stall memos carry

@@ -105,7 +105,7 @@ impl Hasher for SigHasher {
 /// per-shard scratch memo (see `stall_verdict` in [`crate::shard`]), so
 /// the entries past `n_watch` carry whatever the last verdict left there,
 /// and neither equality nor [`RouterState::sleep_on`] reads them.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct StallMemo {
     /// First cycle at which the verdict may change on its own: a busy
     /// candidate link frees or an immature head ripens (`u64::MAX` when
@@ -170,7 +170,7 @@ struct Fifo {
 /// every method that reads or moves a packet takes; capacity accounting
 /// (in flits) lives in the shared occupancy table so that upstream routers
 /// in other shards can reserve space without touching the queue itself.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RouterState {
     /// One FIFO per input port.
     queues: [Fifo; IN_PORTS],

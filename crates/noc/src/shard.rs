@@ -404,7 +404,7 @@ impl Shard {
             idx,
             slice,
             arena: PacketArena::default(),
-            routers: (0..n).map(|_| None).collect(),
+            routers: vec![None; n],
             pool: Vec::new(),
             queued_msgs: vec![0; n],
             wake: vec![0; n],
@@ -606,7 +606,7 @@ impl Shard {
     /// the top of this cycle's step.
     fn wake_upstream(&mut self, shared: &SharedNet, qid: usize) {
         let topo = &shared.topo;
-        let (tile, port) = ((qid / IN_PORTS) as u32, InPort::ALL[qid % IN_PORTS]);
+        let (tile, port) = topo.queue_tile_port(qid);
         if port == InPort::Inject {
             self.inject_waiters -= 1;
             self.woken_tiles.push(tile);

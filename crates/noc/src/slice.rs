@@ -50,10 +50,6 @@ impl ColSlice {
 
     /// Number of tiles owned.
     pub fn num_tiles(&self) -> usize {
-        // a `u32` product (tile counts fit): knowing the bound, the
-        // compiler turns the `None` fill of the per-tile box tables into
-        // a zeroed allocation whose pages cost nothing until used — in
-        // `usize` it writes them, 8 B/tile of peak RSS
         (self.ncols() * self.height) as usize
     }
 

@@ -80,7 +80,23 @@ pub struct TopoInfo {
     /// `width + height` entries per direction describe every link of
     /// the grid. Entries of links that do not exist are never read.
     link_rows: [Vec<(LinkClass, u64)>; OUT_DIRS - 1],
+    /// Per input port ([`InPort::index`]), its rank among the ports this
+    /// topology can fill, or [`NO_QUEUE`] for one no packet ever enters:
+    /// a mesh has no VC1 ports, a grid without Ruche channels no Ruche
+    /// ports. The rank is a queue's offset within its tile's block of
+    /// queue ids.
+    port_rank: [u8; IN_PORTS],
+    /// The inverse of `port_rank`: the port of each rank below `ports`.
+    rank_port: [InPort; IN_PORTS],
+    /// Input queues per tile: 5 on a mesh, 9 with Ruche channels or on a
+    /// folded torus, 13 with both.
+    ports: u32,
+    /// Reciprocal divider for `ports` (queue id → tile, rank).
+    div_ports: FastDiv,
 }
+
+/// [`TopoInfo::port_rank`] of a port the topology does not have.
+const NO_QUEUE: u8 = u8::MAX;
 
 impl TopoInfo {
     /// Derives the topology info from a system configuration.
@@ -104,9 +120,38 @@ impl TopoInfo {
             queue_capacity_flits: cfg.noc.buffer_depth,
             div_width: FastDiv::new(cfg.width()),
             link_rows: Default::default(),
+            port_rank: [NO_QUEUE; IN_PORTS],
+            rank_port: [InPort::Inject; IN_PORTS],
+            ports: 0,
+            div_ports: FastDiv::new(1),
         };
         topo.link_rows = std::array::from_fn(|oi| topo.link_row(OutDir::BY_INDEX[oi]));
+        for port in InPort::ALL {
+            if topo.has_port(port) {
+                topo.port_rank[port.index()] = topo.ports as u8;
+                topo.rank_port[topo.ports as usize] = port;
+                topo.ports += 1;
+            }
+        }
+        topo.div_ports = FastDiv::new(topo.ports);
         topo
+    }
+
+    /// Whether a packet can ever enter input port `port` of some router:
+    /// the VC1 ports exist on a folded torus only (only a wrap link moves
+    /// a packet to channel 1), the Ruche ports with Ruche channels only.
+    pub fn has_port(&self, port: InPort) -> bool {
+        match port {
+            InPort::FromN1 | InPort::FromS1 | InPort::FromE1 | InPort::FromW1 => {
+                self.topology == NocTopology::FoldedTorus
+            }
+            InPort::FromRucheN | InPort::FromRucheS | InPort::FromRucheE | InPort::FromRucheW => {
+                self.ruche_factor.is_some()
+            }
+            InPort::FromN0 | InPort::FromS0 | InPort::FromE0 | InPort::FromW0 | InPort::Inject => {
+                true
+            }
+        }
     }
 
     /// The [`Self::link_rows`] row of `dir`, from the hierarchy's own
@@ -168,7 +213,7 @@ impl TopoInfo {
     }
 
     /// Tile id at `(x, y)`.
-    pub fn tile_at(&self, x: u32, y: u32) -> u32 {
+    fn tile_at(&self, x: u32, y: u32) -> u32 {
         y * self.width + x
     }
 
@@ -302,14 +347,33 @@ impl TopoInfo {
         }
     }
 
-    /// Global input-queue id for `(tile, port)`.
+    /// Global input-queue id for `(tile, port)`: each tile owns a block
+    /// of one id per port the topology has ([`Self::has_port`]), in
+    /// [`InPort`] order. The ids are dense, so the credit table holds a
+    /// word only for queues a packet can enter.
+    #[inline]
     pub fn queue_id(&self, tile: u32, port: InPort) -> usize {
-        tile as usize * IN_PORTS + port.index()
+        let rank = self.port_rank[port.index()];
+        debug_assert!(
+            rank != NO_QUEUE,
+            "{port:?} does not exist on a {:?} with Ruche factor {:?}",
+            self.topology,
+            self.ruche_factor
+        );
+        tile as usize * self.ports as usize + rank as usize
+    }
+
+    /// The `(tile, port)` of queue id `qid`: the inverse of
+    /// [`Self::queue_id`]. (Queue ids fit a `u32`, see `IN_PORTS`.)
+    #[inline]
+    pub(crate) fn queue_tile_port(&self, qid: usize) -> (u32, InPort) {
+        let (tile, rank) = self.div_ports.divmod(qid as u32);
+        (tile, self.rank_port[rank as usize])
     }
 
     /// Total input queues in the network.
     pub fn num_queues(&self) -> usize {
-        self.num_tiles() as usize * IN_PORTS
+        self.num_tiles() as usize * self.ports as usize
     }
 }
 
@@ -468,6 +532,7 @@ mod tests {
             (NocTopology::Mesh, None),
             (NocTopology::FoldedTorus, None),
             (NocTopology::Mesh, Some(2)),
+            (NocTopology::FoldedTorus, Some(2)),
         ]
         .into_iter()
         .map(|(topology, ruche)| {
@@ -525,9 +590,15 @@ mod tests {
             for cur in 0..t.num_tiles() {
                 for dir in OutDir::BY_INDEX {
                     for vc in 0..2 {
+                        // a mesh has no channel 1: its VC1 hops lead
+                        // into queues that do not exist
                         let Some((dest, port)) = t.neighbor(cur, dir, vc) else {
                             continue;
                         };
+                        if !t.has_port(port) {
+                            assert_eq!((t.topology, vc), (NocTopology::Mesh, 1));
+                            continue;
+                        }
                         assert_eq!(
                             t.upstream(dest, port),
                             Some(cur),
@@ -541,7 +612,7 @@ mod tests {
             }
             // and a queue no router feeds has no upstream
             for tile in 0..t.num_tiles() {
-                for port in InPort::ALL {
+                for port in InPort::ALL.into_iter().filter(|&p| t.has_port(p)) {
                     if !fed[t.queue_id(tile, port)] {
                         assert_eq!(t.upstream(tile, port), None, "tile {tile} {port:?}");
                     }
@@ -562,16 +633,31 @@ mod tests {
 
     #[test]
     fn queue_ids_dense_and_unique() {
-        let t = mesh_8x8();
-        let mut seen = vec![false; t.num_queues()];
-        for tile in 0..t.num_tiles() {
-            for p in InPort::ALL {
-                let q = t.queue_id(tile, p);
-                assert!(!seen[q]);
-                seen[q] = true;
+        // mesh, folded torus, mesh + Ruche, torus + Ruche
+        for (t, ports) in four_level_grids().into_iter().zip([5, 9, 9, 13]) {
+            let case = format!("{:?} ruche {:?}", t.topology, t.ruche_factor);
+            let have: Vec<InPort> = InPort::ALL.into_iter().filter(|&p| t.has_port(p)).collect();
+            assert_eq!(have.len(), ports, "{case}");
+            assert_eq!(t.num_queues(), t.num_tiles() as usize * ports, "{case}");
+            let mut seen = vec![false; t.num_queues()];
+            for tile in 0..t.num_tiles() {
+                for &p in &have {
+                    let q = t.queue_id(tile, p);
+                    assert!(!seen[q], "{case}: tile {tile} {p:?} reuses queue {q}");
+                    seen[q] = true;
+                    assert_eq!(t.queue_tile_port(q), (tile, p), "{case}");
+                }
             }
+            assert!(seen.iter().all(|&s| s), "{case}: a queue id no port has");
         }
-        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "FromN1 does not exist on a Mesh")]
+    fn a_mesh_has_no_channel_1_queue() {
+        let t = mesh_8x8();
+        let _ = t.queue_id(0, InPort::FromN1);
     }
 
     #[test]

@@ -516,6 +516,23 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             Box::new(|b| edit_packets(b, |pkts| pkts[0].1 = 13)),
             "packet record",
         ),
+        // a mesh has no channel 1, and no queue (nor credit) behind its
+        // ports
+        (
+            "packet on channel 1 of a mesh",
+            packet(|p| p.vc = 1),
+            "packet record",
+        ),
+        (
+            "packet in a channel-1 queue of a mesh",
+            Box::new(|b| edit_packets(b, |pkts| pkts[0].1 = 1)),
+            "packet record",
+        ),
+        (
+            "packet in a Ruche queue of a grid without Ruche channels",
+            Box::new(|b| edit_packets(b, |pkts| pkts[0].1 = 8)),
+            "packet record",
+        ),
         (
             "router arbiter cursor",
             byte(at.first_rr.expect("an arbiter moved") + 5, 13),
