@@ -9,8 +9,7 @@
 //! barrier and the next frontier is replayed from per-tile state.
 
 use crate::common::{arrays, f2w, w2f, GraphData, SyncMode};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -33,6 +32,8 @@ pub struct Bfs {
 pub struct BfsTile {
     dist: Vec<u32>,
 }
+
+tile_state!(BfsTile, "bfs tile" { dist });
 
 impl Bfs {
     /// Builds a BFS of `graph` scattered over `tiles`, from `root`.
@@ -153,21 +154,6 @@ impl Application for Bfs {
         Some(grid.array_addr(self.graph.owner(v), arrays::VERT, self.graph.local(v), 4))
     }
 
-    fn tile_state_bytes(&self, state: &BfsTile) -> u64 {
-        state.dist.capacity() as u64 * 4
-    }
-
-    fn snapshot_tile(&self, state: &BfsTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.dist.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut BfsTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.dist, "bfs tile")?;
-        r.expect_end()
-    }
-
     fn check(&self, tiles: &[BfsTile]) -> Result<(), String> {
         let mut got = Vec::with_capacity(self.reference.len());
         for t in tiles {
@@ -200,6 +186,8 @@ pub struct SsspTile {
     dist: Vec<f32>,
     changed: Vec<bool>,
 }
+
+tile_state!(SsspTile, "sssp tile" { dist, changed });
 
 impl Sssp {
     /// Builds an SSSP of `graph` over `tiles`, from `root`.
@@ -310,23 +298,6 @@ impl Application for Sssp {
                 }
             }
         }
-    }
-
-    fn tile_state_bytes(&self, state: &SsspTile) -> u64 {
-        state.dist.capacity() as u64 * 4 + state.changed.capacity() as u64
-    }
-
-    fn snapshot_tile(&self, state: &SsspTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.dist.put(out);
-        state.changed.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut SsspTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.dist, "sssp tile")?;
-        r.seq_into(&mut state.changed, "sssp tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[SsspTile]) -> Result<(), String> {

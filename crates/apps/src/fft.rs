@@ -16,7 +16,7 @@
 //! the result check uses a relative Frobenius tolerance.
 
 use crate::common::arrays;
-use muchisim_core::snapshot::{put_seq, ByteReader};
+use muchisim_core::snapshot::{put_seq, ByteReader, TileState};
 use muchisim_core::{Application, GridInfo, TaskCtx};
 use muchisim_data::tensor::{fft_in_place, Complex, Tensor3};
 use std::sync::Arc;
@@ -34,6 +34,33 @@ pub struct Fft3d {
 pub struct FftTile {
     pencil: Vec<Complex>,
     recv: Vec<Complex>,
+}
+
+/// The pencil, then the receive buffer, each a sequence of `(re, im)`.
+impl TileState for FftTile {
+    fn put_state(&self, buf: &mut Vec<u8>) {
+        for line in [&self.pencil, &self.recv] {
+            put_seq(buf, line.iter().map(|c| (c.re, c.im)));
+        }
+    }
+
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        for line in [&mut self.pencil, &mut self.recv] {
+            let parts = r.seq::<(f64, f64)>()?;
+            if parts.len() != line.len() {
+                return Err("fft tile: snapshot pencil length does not match".into());
+            }
+            for (c, (re, im)) in line.iter_mut().zip(parts) {
+                (c.re, c.im) = (re, im);
+            }
+        }
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        (self.pencil.capacity() + self.recv.capacity()) as u64
+            * std::mem::size_of::<Complex>() as u64
+    }
 }
 
 impl Fft3d {
@@ -136,32 +163,6 @@ impl Application for Fft3d {
         let im = f32::from_bits(msg[2]) as f64;
         state.recv[slot] = Complex::new(re, im);
         ctx.store(ctx.local_addr(arrays::AUX, slot as u64, 8));
-    }
-
-    fn tile_state_bytes(&self, state: &FftTile) -> u64 {
-        (state.pencil.capacity() + state.recv.capacity()) as u64
-            * std::mem::size_of::<Complex>() as u64
-    }
-
-    fn snapshot_tile(&self, state: &FftTile, out: &mut Vec<u8>) -> Result<(), String> {
-        for line in [&state.pencil, &state.recv] {
-            put_seq(out, line.iter().map(|c| (c.re, c.im)));
-        }
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut FftTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        for line in [&mut state.pencil, &mut state.recv] {
-            let parts = r.seq::<(f64, f64)>()?;
-            if parts.len() != line.len() {
-                return Err("fft tile: snapshot pencil length does not match".into());
-            }
-            for (c, (re, im)) in line.iter_mut().zip(parts) {
-                (c.re, c.im) = (re, im);
-            }
-        }
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[FftTile]) -> Result<(), String> {

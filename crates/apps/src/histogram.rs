@@ -8,8 +8,7 @@
 //! natural candidates for in-network SumU32 reduction.
 
 use crate::common::{arrays, GraphData};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::{Csr, Partition};
 use std::sync::Arc;
 
@@ -28,6 +27,8 @@ pub struct Histogram {
 pub struct HistogramTile {
     counts: Vec<u32>,
 }
+
+tile_state!(HistogramTile, "histogram tile" { counts });
 
 impl Histogram {
     /// Builds a histogram of `graph`'s column indices into `bins` bins on
@@ -103,21 +104,6 @@ impl Application for Histogram {
         ctx.int_ops(1);
         state.counts[local] += count;
         ctx.store(ctx.local_addr(arrays::OUT, local as u64, 4));
-    }
-
-    fn tile_state_bytes(&self, state: &HistogramTile) -> u64 {
-        state.counts.capacity() as u64 * 4
-    }
-
-    fn snapshot_tile(&self, state: &HistogramTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.counts.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut HistogramTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.counts, "histogram tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[HistogramTile]) -> Result<(), String> {

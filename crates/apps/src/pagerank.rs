@@ -6,8 +6,7 @@
 //! accumulated contributions into new ranks.
 
 use crate::common::{arrays, f2w, w2f, GraphData};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -29,6 +28,8 @@ pub struct PageRankTile {
     rank: Vec<f32>,
     acc: Vec<f32>,
 }
+
+tile_state!(PageRankTile, "pagerank tile" { rank, acc });
 
 impl PageRank {
     /// Builds `iterations` PageRank iterations over `graph` on `tiles`.
@@ -131,23 +132,6 @@ impl Application for PageRank {
         ctx.fp_ops(1);
         state.acc[local] += contrib;
         ctx.store(ctx.local_addr(arrays::OUT, local as u64, 4));
-    }
-
-    fn tile_state_bytes(&self, state: &PageRankTile) -> u64 {
-        (state.rank.capacity() + state.acc.capacity()) as u64 * 4
-    }
-
-    fn snapshot_tile(&self, state: &PageRankTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.rank.put(out);
-        state.acc.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut PageRankTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.rank, "pagerank tile")?;
-        r.seq_into(&mut state.acc, "pagerank tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[PageRankTile]) -> Result<(), String> {

@@ -7,8 +7,7 @@
 //! highlights for performance-per-dollar).
 
 use crate::common::{arrays, f2w, w2f, GraphData};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -30,6 +29,8 @@ pub struct Spmm {
 pub struct SpmmTile {
     y: Vec<f32>,
 }
+
+tile_state!(SpmmTile, "spmm tile" { y });
 
 impl Spmm {
     /// Builds `Y = A·X` with `k` dense columns.
@@ -114,21 +115,6 @@ impl Application for Spmm {
                 }
             }
         }
-    }
-
-    fn tile_state_bytes(&self, state: &SpmmTile) -> u64 {
-        state.y.capacity() as u64 * 4
-    }
-
-    fn snapshot_tile(&self, state: &SpmmTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.y.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut SpmmTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.y, "spmm tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[SpmmTile]) -> Result<(), String> {

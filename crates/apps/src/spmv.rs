@@ -9,8 +9,7 @@
 //! paper's deadlock rule requires.
 
 use crate::common::{arrays, f2w, w2f, GraphData};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -31,6 +30,8 @@ pub struct Spmv {
 pub struct SpmvTile {
     y: Vec<f32>,
 }
+
+tile_state!(SpmvTile, "spmv tile" { y });
 
 impl Spmv {
     /// Builds `y = A·x` over `graph` as the matrix, on `tiles`.
@@ -108,21 +109,6 @@ impl Application for Spmv {
         let target = *msg.first()?;
         let array = if task == 0 { arrays::VERT } else { arrays::OUT };
         Some(grid.array_addr(self.graph.owner(target), array, self.graph.local(target), 4))
-    }
-
-    fn tile_state_bytes(&self, state: &SpmvTile) -> u64 {
-        state.y.capacity() as u64 * 4
-    }
-
-    fn snapshot_tile(&self, state: &SpmvTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.y.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut SpmvTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.y, "spmv tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[SpmvTile]) -> Result<(), String> {

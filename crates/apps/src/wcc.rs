@@ -6,8 +6,7 @@
 //! weak connectivity is computed for directed inputs.
 
 use crate::common::{arrays, GraphData, SyncMode};
-use muchisim_core::snapshot::{ByteReader, Put};
-use muchisim_core::{Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -27,6 +26,8 @@ pub struct WccTile {
     label: Vec<u32>,
     changed: Vec<bool>,
 }
+
+tile_state!(WccTile, "wcc tile" { label, changed });
 
 impl Wcc {
     /// Builds WCC over the symmetrized `graph` scattered on `tiles`.
@@ -137,23 +138,6 @@ impl Application for Wcc {
                 }
             }
         }
-    }
-
-    fn tile_state_bytes(&self, state: &WccTile) -> u64 {
-        state.label.capacity() as u64 * 4 + state.changed.capacity() as u64
-    }
-
-    fn snapshot_tile(&self, state: &WccTile, out: &mut Vec<u8>) -> Result<(), String> {
-        state.label.put(out);
-        state.changed.put(out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut WccTile, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        r.seq_into(&mut state.label, "wcc tile")?;
-        r.seq_into(&mut state.changed, "wcc tile")?;
-        r.expect_end()
     }
 
     fn check(&self, tiles: &[WccTile]) -> Result<(), String> {

@@ -179,12 +179,12 @@ impl Hierarchy {
     }
 
     /// Index of the chiplet (in chiplet-grid coordinates) containing `t`.
-    pub fn chiplet_of(&self, t: TileCoord) -> (u32, u32) {
+    fn chiplet_of(&self, t: TileCoord) -> (u32, u32) {
         (t.x / self.chiplet.x, t.y / self.chiplet.y)
     }
 
     /// Index of the package (in package-grid coordinates) containing `t`.
-    pub fn package_of(&self, t: TileCoord) -> (u32, u32) {
+    fn package_of(&self, t: TileCoord) -> (u32, u32) {
         (
             t.x / (self.chiplet.x * self.package.x),
             t.y / (self.chiplet.y * self.package.y),
@@ -192,7 +192,7 @@ impl Hierarchy {
     }
 
     /// Index of the node (in node-grid coordinates) containing `t`.
-    pub fn node_of(&self, t: TileCoord) -> (u32, u32) {
+    fn node_of(&self, t: TileCoord) -> (u32, u32) {
         (
             t.x / (self.chiplet.x * self.package.x * self.node.x),
             t.y / (self.chiplet.y * self.package.y * self.node.y),

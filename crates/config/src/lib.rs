@@ -55,4 +55,4 @@ pub use system::{
 };
 pub use telemetry::{ConvergedWard, TelemetryParams, WardMetric, WardParams};
 pub use traffic::{TrafficParams, TrafficPattern};
-pub use units::{Area, Energy, Frequency, TimePs};
+pub use units::{Frequency, TimePs};

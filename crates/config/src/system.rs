@@ -323,7 +323,7 @@ impl SystemConfig {
     }
 
     /// Network diameter in hops for the configured topology.
-    pub fn network_diameter(&self) -> u32 {
+    fn network_diameter(&self) -> u32 {
         let w = self.width();
         let h = self.height();
         match self.noc.topology {
@@ -341,18 +341,6 @@ impl SystemConfig {
     /// Flit payload width in bytes.
     pub fn flit_bytes(&self) -> u32 {
         self.noc.width_bits / 8
-    }
-
-    /// Number of flits needed to carry `bytes` of message payload plus a
-    /// one-flit destination header.
-    ///
-    /// ```
-    /// use muchisim_config::SystemConfig;
-    /// let cfg = SystemConfig::default(); // 64-bit NoC
-    /// assert_eq!(cfg.flits_for_message(16), 3); // header + 2 payload flits
-    /// ```
-    pub fn flits_for_message(&self, bytes: u32) -> u32 {
-        1 + bytes.div_ceil(self.flit_bytes())
     }
 
     /// Classifies the link crossed between two tile coordinates.
@@ -704,14 +692,6 @@ mod tests {
         let cfg = SystemConfig::default(); // 32x32 mesh
         assert_eq!(cfg.network_diameter(), 62);
         assert_eq!(cfg.termination_latency_cycles(), 124);
-    }
-
-    #[test]
-    fn flit_count_includes_header() {
-        let cfg = SystemConfig::builder().noc_width_bits(32).build().unwrap();
-        assert_eq!(cfg.flits_for_message(4), 2);
-        assert_eq!(cfg.flits_for_message(5), 3);
-        assert_eq!(cfg.flits_for_message(0), 1);
     }
 
     #[test]

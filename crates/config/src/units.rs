@@ -7,11 +7,11 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A clock frequency.
 ///
-/// Stored in hertz. Construct with [`Frequency::ghz`] or [`Frequency::mhz`].
+/// Stored in hertz. Construct with [`Frequency::ghz`].
 ///
 /// ```
 /// use muchisim_config::Frequency;
@@ -30,16 +30,6 @@ impl Frequency {
     pub fn ghz(ghz: f64) -> Self {
         assert!(ghz.is_finite() && ghz > 0.0, "frequency must be positive");
         Frequency(ghz * 1e9)
-    }
-
-    /// Creates a frequency from megahertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mhz` is not finite and positive.
-    pub fn mhz(mhz: f64) -> Self {
-        assert!(mhz.is_finite() && mhz > 0.0, "frequency must be positive");
-        Frequency(mhz * 1e6)
     }
 
     /// The frequency in gigahertz.
@@ -118,11 +108,6 @@ impl TimePs {
         self.0
     }
 
-    /// The duration in nanoseconds.
-    pub fn as_ns(self) -> f64 {
-        self.0 / 1e3
-    }
-
     /// The duration in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 / 1e12
@@ -176,134 +161,6 @@ impl fmt::Display for TimePs {
     }
 }
 
-/// An energy amount in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Energy(f64);
-
-impl Energy {
-    /// Zero energy.
-    pub const ZERO: Energy = Energy(0.0);
-
-    /// Creates an energy from picojoules.
-    pub fn pj(pj: f64) -> Self {
-        Energy(pj)
-    }
-
-    /// The energy in joules.
-    pub fn as_joules(self) -> f64 {
-        self.0 / 1e12
-    }
-
-    /// Average power in watts over `time`.
-    ///
-    /// Returns 0 for a zero-length interval rather than dividing by zero.
-    pub fn power_over(self, time: TimePs) -> f64 {
-        if time.as_secs() == 0.0 {
-            0.0
-        } else {
-            self.as_joules() / time.as_secs()
-        }
-    }
-}
-
-impl Add for Energy {
-    type Output = Energy;
-    fn add(self, rhs: Energy) -> Energy {
-        Energy(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Energy {
-    fn add_assign(&mut self, rhs: Energy) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Mul<f64> for Energy {
-    type Output = Energy;
-    fn mul(self, rhs: f64) -> Energy {
-        Energy(self.0 * rhs)
-    }
-}
-
-impl Sum for Energy {
-    fn sum<I: Iterator<Item = Energy>>(iter: I) -> Energy {
-        Energy(iter.map(|e| e.0).sum())
-    }
-}
-
-impl fmt::Display for Energy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1e12 {
-            write!(f, "{:.3} J", self.0 / 1e12)
-        } else if self.0 >= 1e9 {
-            write!(f, "{:.3} mJ", self.0 / 1e9)
-        } else if self.0 >= 1e6 {
-            write!(f, "{:.3} uJ", self.0 / 1e6)
-        } else {
-            write!(f, "{:.1} pJ", self.0)
-        }
-    }
-}
-
-/// A silicon area in square millimeters.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Area(f64);
-
-impl Area {
-    /// Zero area.
-    pub const ZERO: Area = Area(0.0);
-
-    /// Creates an area from square millimeters.
-    pub fn mm2(mm2: f64) -> Self {
-        Area(mm2)
-    }
-
-    /// The area in square millimeters.
-    pub fn as_mm2(self) -> f64 {
-        self.0
-    }
-}
-
-impl Add for Area {
-    type Output = Area;
-    fn add(self, rhs: Area) -> Area {
-        Area(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Area {
-    fn add_assign(&mut self, rhs: Area) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Mul<f64> for Area {
-    type Output = Area;
-    fn mul(self, rhs: f64) -> Area {
-        Area(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Area {
-    type Output = Area;
-    fn div(self, rhs: f64) -> Area {
-        Area(self.0 / rhs)
-    }
-}
-
-impl Sum for Area {
-    fn sum<I: Iterator<Item = Area>>(iter: I) -> Area {
-        Area(iter.map(|a| a.0).sum())
-    }
-}
-
-impl fmt::Display for Area {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} mm^2", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,13 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn frequency_mhz_constructor() {
-        let f = Frequency::mhz(500.0);
-        assert_eq!(f.period_ps(), 2000.0);
-        assert_eq!(f.as_ghz(), 0.5);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn frequency_rejects_zero() {
         let _ = Frequency::ghz(0.0);
@@ -348,33 +198,17 @@ mod tests {
     fn time_conversions() {
         let t = TimePs::ns(4.0);
         assert_eq!(t.as_ps(), 4000.0);
-        assert_eq!(t.as_ns(), 4.0);
         assert!((TimePs::us(1.0).as_secs() - 1e-6).abs() < 1e-18);
     }
 
     #[test]
     fn time_arithmetic() {
         let t = TimePs::ns(1.0) + TimePs::ns(2.0);
-        assert_eq!(t.as_ns(), 3.0);
-        assert_eq!((t - TimePs::ns(1.0)).as_ns(), 2.0);
-        assert_eq!((t * 2.0).as_ns(), 6.0);
+        assert_eq!(t.as_ps(), 3000.0);
+        assert_eq!((t - TimePs::ns(1.0)).as_ps(), 2000.0);
+        assert_eq!((t * 2.0).as_ps(), 6000.0);
         let sum: TimePs = [TimePs::ns(1.0), TimePs::ns(2.0)].into_iter().sum();
-        assert_eq!(sum.as_ns(), 3.0);
-    }
-
-    #[test]
-    fn energy_power() {
-        // 1 J over 1 s = 1 W
-        let e = Energy::pj(1e12);
-        assert_eq!(e.power_over(TimePs::ps(1e12)), 1.0);
-        assert_eq!(Energy::ZERO.power_over(TimePs::ZERO), 0.0);
-    }
-
-    #[test]
-    fn energy_display_scales() {
-        assert_eq!(format!("{}", Energy::pj(5.0)), "5.0 pJ");
-        assert_eq!(format!("{}", Energy::pj(5e6)), "5.000 uJ");
-        assert_eq!(format!("{}", Energy::pj(5e9)), "5.000 mJ");
+        assert_eq!(sum.as_ps(), 3000.0);
     }
 
     #[test]
@@ -385,16 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn area_arithmetic() {
-        let a = Area::mm2(2.0) + Area::mm2(3.0);
-        assert_eq!(a.as_mm2(), 5.0);
-        assert_eq!((a * 2.0).as_mm2(), 10.0);
-        assert_eq!((a / 2.0).as_mm2(), 2.5);
-    }
-
-    #[test]
     fn frequency_display() {
         assert_eq!(format!("{}", Frequency::ghz(1.0)), "1.000 GHz");
-        assert_eq!(format!("{}", Frequency::mhz(250.0)), "250.000 MHz");
+        assert_eq!(format!("{}", Frequency::ghz(0.25)), "250.000 MHz");
     }
 }

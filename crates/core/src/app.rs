@@ -1,5 +1,6 @@
 //! The application-description API (paper §III-B).
 
+use crate::snapshot::TileState;
 use crate::tile::{materialize, TileCold};
 use muchisim_mem::{AccessKind, ChannelState, TileMemory};
 use muchisim_noc::{Payload, ReduceOp};
@@ -27,7 +28,7 @@ pub struct GridInfo {
 
 impl GridInfo {
     /// Base virtual address of `tile`'s chunk of the global address space.
-    pub fn tile_base(&self, tile: u32) -> u64 {
+    fn tile_base(&self, tile: u32) -> u64 {
         tile as u64 * TILE_SPAN_BYTES
     }
 
@@ -253,8 +254,9 @@ impl<'a> TaskCtx<'a> {
 /// construction.
 pub trait Application: Sync + Send {
     /// Mutable per-tile state (the tile's partition of the dataset
-    /// outputs, frontiers, accumulators, ...).
-    type Tile: Send;
+    /// outputs, frontiers, accumulators, ...), described once for
+    /// snapshots and the footprint figure by [`TileState`].
+    type Tile: Send + TileState;
 
     /// Application name (for logs and reports).
     fn name(&self) -> &'static str;
@@ -322,46 +324,6 @@ pub trait Application: Sync + Send {
     /// Returns a human-readable description of the mismatch.
     fn check(&self, _tiles: &[Self::Tile]) -> Result<(), String> {
         Ok(())
-    }
-
-    /// Host heap bytes owned by one tile state *beyond* its inline size
-    /// (the engine accounts `size_of::<Self::Tile>()` itself), feeding
-    /// the simulator's bytes-per-tile telemetry. Override when `Tile`
-    /// owns heap allocations (per-vertex arrays, buffers, ...).
-    fn tile_state_bytes(&self, _state: &Self::Tile) -> u64 {
-        0
-    }
-
-    /// Serializes one tile's state into `out` for a checkpoint snapshot
-    /// (with the `muchisim_core::snapshot` codec: `Put::put`, `put_seq`;
-    /// floats travel as their bit patterns, so the round trip is exact).
-    ///
-    /// The default refuses, so applications without the hook fail
-    /// checkpointing with a clean error instead of silently dropping
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of why the state cannot be serialized.
-    fn snapshot_tile(&self, _state: &Self::Tile, _out: &mut Vec<u8>) -> Result<(), String> {
-        Err(format!(
-            "application '{}' does not support checkpointing (no snapshot_tile hook)",
-            self.name()
-        ))
-    }
-
-    /// Restores one tile's state from a [`Application::snapshot_tile`]
-    /// blob, overwriting `state` (which was freshly built by
-    /// [`Application::make_tile`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the decode failure.
-    fn restore_tile(&self, _state: &mut Self::Tile, _bytes: &[u8]) -> Result<(), String> {
-        Err(format!(
-            "application '{}' does not support checkpointing (no restore_tile hook)",
-            self.name()
-        ))
     }
 }
 

@@ -1,4 +1,6 @@
-//! Simulation setup and the sequential driver.
+//! Simulation setup, and the worker: one column slice's tiles and the
+//! phases the parallel driver steps them through (`Simulation::run` is
+//! `run_parallel(1)`).
 
 use crate::app::{
     Application, GridInfo, OutMsg, ScheduledSend, SendStream, SoftwareConfig, TaskCtx,
@@ -7,7 +9,7 @@ use crate::counters::SimCounters;
 use crate::error::SimError;
 use crate::horizon::ClockConv;
 use crate::sched::Scheduler;
-use crate::snapshot::{Queued, TileRecord};
+use crate::snapshot::{ByteReader, Queued, TileRecord, TileState};
 use crate::tile::{materialize, HostPhaseNs, SimResult, TileCold};
 use muchisim_config::{MemoryConfig, SystemConfig, TimePs, Verbosity};
 use muchisim_mem::{ChannelMap, ChannelState, TileMemory};
@@ -1106,7 +1108,7 @@ impl<A: Application> Worker<A> {
     /// per-tile arrays, the two message arenas, the materialized cold
     /// boxes, the application tile states, DRAM channels, frame
     /// telemetry, and scratch buffers.
-    pub fn state_bytes(&self, app: &A) -> u64 {
+    pub fn state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let cold = self.cold.capacity() as u64 * size_of::<Option<Box<TileCold>>>() as u64
             + self
@@ -1121,11 +1123,7 @@ impl<A: Application> Worker<A> {
             + self.iq_arena.heap_bytes(Payload::heap_bytes)
             + self.cq_arena.heap_bytes(|m| m.payload.heap_bytes());
         let states = self.states.capacity() as u64 * size_of::<A::Tile>() as u64
-            + self
-                .states
-                .iter()
-                .map(|s| app.tile_state_bytes(s))
-                .sum::<u64>();
+            + self.states.iter().map(TileState::heap_bytes).sum::<u64>();
         size_of::<Self>() as u64
             + cold
             + queues
@@ -1228,8 +1226,7 @@ impl<A: Application> Worker<A> {
                 }
                 _ => put_seq(buf, std::iter::empty::<ScheduledSend>()),
             }
-            put_blob_with(buf, |blob| app.snapshot_tile(&self.states[local], blob))
-                .map_err(|e| format!("tile {tile_g}: {e}"))?;
+            put_blob_with(buf, |blob| self.states[local].put_state(blob));
         }
         // only the owning worker ever advances a channel's clock; the
         // other workers' copies stay at zero, so non-zero == owned
@@ -1419,7 +1416,9 @@ impl<A: Application> Worker<A> {
             &rec.cqs,
             "channel",
         )?;
-        app.restore_tile(&mut self.states[local], &rec.app)
+        let mut r = ByteReader::new(&rec.app);
+        self.states[local].restore(&mut r)?;
+        r.expect_end()
     }
 }
 
@@ -1616,7 +1615,7 @@ pub(crate) fn finish<A: Application>(
         host_router_visits.merge(&n.router_visits());
     }
     // footprint telemetry, measured before the tile states are drained
-    let host_state_bytes = workers.iter().map(|w| w.state_bytes(app)).sum::<u64>()
+    let host_state_bytes = workers.iter().map(Worker::state_bytes).sum::<u64>()
         + networks.iter().map(Network::state_bytes).sum::<u64>();
     let runtime = TimePs::ps(runtime_cycles as f64 * cfg.noc_clock.operating.period_ps());
     counters.runtime_cycles = runtime_cycles;

@@ -21,15 +21,21 @@
 //! contention-dependent.
 //!
 //! The engine advances the NoC every cycle; PUs run ahead of the network,
-//! with message timestamps keeping the two consistent (paper §III-C). The
-//! [`Simulation::run`] driver is single-threaded; [`Simulation::run_parallel`]
-//! slices the tile grid by columns across host threads (one shard per
-//! thread) and produces **bit-identical** results. By default the driver
+//! with message timestamps keeping the two consistent (paper §III-C).
+//! [`Simulation::run_parallel`] slices the tile grid by columns across
+//! host threads (one shard per thread) and produces **bit-identical**
+//! results under any thread count; [`Simulation::run`] is
+//! `run_parallel(1)`. By default the driver
 //! is *time-leaping*: every layer holding latent work reports its
 //! `next_event_cycle` and the driver jumps over provably event-free cycle
 //! ranges, which is again bit-identical to stepping them (disable via
 //! `SystemConfig::time_leap` or the `MUCHISIM_NO_LEAP` environment
 //! variable to measure the lockstep driver).
+//!
+//! An application's per-tile state is snapshotted, restored and counted
+//! through [`snapshot::TileState`], described once: a plain value (the
+//! `u32` below) has it already, and a struct of per-vertex vectors lists
+//! its fields once with [`tile_state!`].
 //!
 //! # Example: ping-pong across the grid
 //!

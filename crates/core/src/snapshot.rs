@@ -65,8 +65,9 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 // The wire codec. Every record is described once — a `Wire` impl, for
 // structs generated from a single field list by `wire_struct!` — and
 // that one description yields the writer, the reader and the smallest
-// encoded size (which caps corrupt length prefixes). Public: application
-// crates use it in their `snapshot_tile` / `restore_tile` hooks.
+// encoded size (which caps corrupt length prefixes). Public: an
+// application's tile state is described with it (`TileState`, through
+// `tile_state!` for a struct of per-vertex vectors).
 // ---------------------------------------------------------------------
 
 /// The writing half of a wire description. Separate from [`Wire`] so
@@ -112,16 +113,12 @@ where
 
 /// Appends a blob that `fill` writes in place, prefixed by its length in
 /// bytes (the wire form of a `Vec<u8>`, without the intermediate vector).
-pub(crate) fn put_blob_with<E>(
-    buf: &mut Vec<u8>,
-    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
-) -> Result<(), E> {
+pub(crate) fn put_blob_with(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
     let at = buf.len();
     0u32.put(buf);
-    fill(buf)?;
+    fill(buf);
     let len = (buf.len() - at - 4) as u32;
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    Ok(())
 }
 
 /// A bounds-checked reader over a byte slice. Every accessor returns a
@@ -471,6 +468,93 @@ macro_rules! wire_tag {
 }
 
 // ---------------------------------------------------------------------
+// Application tile state: the one description of `Application::Tile`
+// that a snapshot writes, a restore reads and the footprint counts.
+// ---------------------------------------------------------------------
+
+/// An application's per-tile state as a snapshot carries it, and the
+/// host heap it owns.
+///
+/// Plain fixed-size [`Wire`] values (a counter, a small array) have it
+/// from a blanket impl; a struct of per-vertex vectors lists its fields
+/// once in [`tile_state!`](crate::tile_state).
+pub trait TileState {
+    /// Appends this state's encoding to `buf`.
+    fn put_state(&self, buf: &mut Vec<u8>);
+
+    /// Overwrites this state, which `Application::make_tile` built for
+    /// the same tile, from `r` (the caller checks that nothing is left
+    /// over).
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), String>;
+
+    /// Host heap bytes owned beyond the inline `size_of::<Self>()`,
+    /// for the simulator's bytes-per-tile figure.
+    fn heap_bytes(&self) -> u64;
+}
+
+impl<T: Wire + Copy> TileState for T {
+    fn put_state(&self, buf: &mut Vec<u8>) {
+        self.put(buf);
+    }
+
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        *self = r.get()?;
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// A tile without state writes nothing.
+impl TileState for () {
+    fn put_state(&self, _buf: &mut Vec<u8>) {}
+
+    fn restore(&mut self, _r: &mut ByteReader<'_>) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// Describes a tile state struct of `Vec` fields by listing the fields
+/// once, in wire order: `tile_state!(BfsTile, "bfs tile" { dist })`.
+///
+/// Each field is written as a sequence; a restore reads each with
+/// [`ByteReader::seq_into`], so a length other than the one `make_tile`
+/// gave is an error naming the label; the heap bytes are each vector's
+/// capacity times its element size.
+#[macro_export]
+macro_rules! tile_state {
+    ($ty:ty, $what:literal { $($f:ident),+ $(,)? }) => {
+        impl $crate::snapshot::TileState for $ty {
+            fn put_state(&self, buf: &mut Vec<u8>) {
+                $($crate::snapshot::Put::put(&self.$f, buf);)+
+            }
+
+            fn restore(
+                &mut self,
+                r: &mut $crate::snapshot::ByteReader<'_>,
+            ) -> Result<(), String> {
+                $(r.seq_into(&mut self.$f, $what)?;)+
+                Ok(())
+            }
+
+            fn heap_bytes(&self) -> u64 {
+                #[allow(clippy::ptr_arg)]
+                fn bytes<T>(v: &Vec<T>) -> u64 {
+                    (v.capacity() * std::mem::size_of::<T>()) as u64
+                }
+                0 $(+ bytes(&self.$f))+
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
 // The records of other modules and crates (hand-described: `OutMsg` and
 // `ScheduledSend` carry no serde derives, and floats must not round-trip
 // through decimal).
@@ -650,7 +734,7 @@ wire_struct! {
         pub cqs: Vec<(u8, Vec<OutMsg>)>,
         /// Remaining (unconsumed) scheduled sends.
         pub scripted: Vec<ScheduledSend>,
-        /// Application tile state (app-defined encoding).
+        /// Application tile state (its `TileState` encoding).
         pub app: Vec<u8>,
     }
 }
@@ -1311,6 +1395,57 @@ mod tests {
             base: 7,
         };
         assert_eq!(round_trip(&at), 20);
+    }
+
+    /// Two per-vertex vectors, described once.
+    #[derive(Debug, PartialEq)]
+    struct TwoFields {
+        dist: Vec<u32>,
+        seen: Vec<bool>,
+    }
+    crate::tile_state!(TwoFields, "two-field tile" { dist, seen });
+
+    #[test]
+    fn a_described_tile_state_round_trips_checks_lengths_and_counts_its_heap() {
+        let made = || TwoFields {
+            dist: vec![0; 3],
+            seen: vec![false; 2],
+        };
+        let state = TwoFields {
+            dist: vec![7, u32::MAX, 0],
+            seen: vec![true, false],
+        };
+        let mut b = Vec::new();
+        state.put_state(&mut b);
+        let mut expect = Vec::new();
+        (&state.dist, &state.seen).put(&mut expect);
+        assert_eq!(b, expect, "the fields in order, each as a sequence");
+        let mut back = made();
+        let mut r = ByteReader::new(&b);
+        back.restore(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(back, state);
+
+        // a field of another length than this run's names the label
+        let mut long = Vec::new();
+        (vec![1u32; 4], &state.seen).put(&mut long);
+        let err = made().restore(&mut ByteReader::new(&long)).unwrap_err();
+        assert_eq!(
+            err,
+            "two-field tile: snapshot holds 4 values, this run has 3"
+        );
+
+        let mut wide = made();
+        wide.dist.reserve_exact(10);
+        let by_hand = wide.dist.capacity() as u64 * 4 + wide.seen.capacity() as u64;
+        assert_eq!(wide.heap_bytes(), by_hand);
+
+        // a plain value is its own wire form and owns no heap
+        let mut b = Vec::new();
+        [3u64, 4].put_state(&mut b);
+        let mut pair = [0u64; 2];
+        pair.restore(&mut ByteReader::new(&b)).unwrap();
+        assert_eq!((pair, pair.heap_bytes(), b.len()), ([3, 4], 0, 16));
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl GraphProfile {
     ];
 
     /// Published vertex count of the real graph.
-    pub fn real_vertices(self) -> u64 {
+    fn real_vertices(self) -> u64 {
         match self {
             GraphProfile::Wikipedia => 4_200_000,
             GraphProfile::LiveJournal => 5_300_000,
@@ -50,7 +50,7 @@ impl GraphProfile {
     }
 
     /// Published edge count of the real graph.
-    pub fn real_edges(self) -> u64 {
+    fn real_edges(self) -> u64 {
         match self {
             GraphProfile::Wikipedia => 101_000_000,
             GraphProfile::LiveJournal => 79_000_000,

@@ -28,7 +28,7 @@ impl Complex {
     }
 
     /// `e^(i·theta)`.
-    pub fn from_polar_unit(theta: f64) -> Self {
+    fn from_polar_unit(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
@@ -36,7 +36,7 @@ impl Complex {
     }
 
     /// Squared magnitude.
-    pub fn norm_sq(self) -> f64 {
+    fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -148,7 +148,7 @@ impl Tensor3 {
     }
 
     /// The pencil (fixed `x`, `y`, varying `z`) as a mutable slice.
-    pub fn pencil_mut(&mut self, x: usize, y: usize) -> &mut [Complex] {
+    fn pencil_mut(&mut self, x: usize, y: usize) -> &mut [Complex] {
         let start = (x * self.n + y) * self.n;
         &mut self.data[start..start + self.n]
     }

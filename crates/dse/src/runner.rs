@@ -12,7 +12,7 @@
 //! points concurrently and out of order changes nothing about the
 //! reported numbers.
 //!
-//! With [`BatchRunner::with_checkpoint_every`], the store-level
+//! With [`BatchRunner::checkpoint_every`] set, the store-level
 //! resumability extends *into* each point: every simulation periodically
 //! snapshots into `<store>.ckpt/<run_id>.ckpt` (see
 //! `muchisim_core::snapshot`), a killed sweep resumes mid-point from the
@@ -83,14 +83,6 @@ impl BatchRunner {
             checkpoint_every: None,
             sample_every: None,
         }
-    }
-
-    /// Enables mid-point checkpoint/resume: each point snapshots every
-    /// `every` cycles (min 1) next to the store and resumes from its
-    /// snapshot when one exists.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every.max(1));
-        self
     }
 
     /// Enables live per-point metrics: each point streams a sample every
@@ -480,10 +472,11 @@ mod tests {
         // (and fresh-starts the rest), reporting numbers identical to
         // the plain sweep
         let mut store = JsonlStore::open(&store_path).unwrap();
-        let outcome = BatchRunner::new(2)
-            .with_checkpoint_every(500)
-            .run_spec(&spec, &mut store)
-            .unwrap();
+        let runner = BatchRunner {
+            checkpoint_every: Some(500),
+            ..BatchRunner::new(2)
+        };
+        let outcome = runner.run_spec(&spec, &mut store).unwrap();
         assert_eq!(outcome.executed, points.len());
         assert_eq!(outcome.check_failures, 0);
         for (a, b) in plain.sorted_records().iter().zip(store.sorted_records()) {

@@ -103,16 +103,6 @@ impl CacheModel {
         self.line_bytes
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
-        self.num_sets
-    }
-
-    /// Total data capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.num_sets * self.ways as u64 * self.line_bytes as u64
-    }
-
     /// Host heap bytes owned by the tag/metadata array (the simulator
     /// models tags only, never data, so this *is* the model's footprint).
     pub fn heap_bytes(&self) -> u64 {
@@ -221,8 +211,7 @@ mod tests {
         // 4 KiB = 32768 bits; line+tag = 512 + (48-6+2)=556 bits -> 58 lines
         // -> 29 sets -> rounded down to 16 sets x 2 ways = 32 lines = 2 KiB
         assert_eq!(c.line_bytes(), 64);
-        assert_eq!(c.num_sets(), 16);
-        assert_eq!(c.capacity_bytes(), 2048);
+        assert_eq!((c.num_sets, c.lines.len()), (16, 32));
     }
 
     #[test]
@@ -245,7 +234,7 @@ mod tests {
         let mut c = small_cache();
         // fill both ways of set 0 with writes; then a third conflicting
         // line must evict a dirty victim
-        let set_stride = c.num_sets() * c.line_bytes() as u64;
+        let set_stride = c.num_sets * c.line_bytes() as u64;
         c.access(0, true);
         c.access(set_stride, true);
         let (o, _) = c.access(2 * set_stride, false);
@@ -255,7 +244,7 @@ mod tests {
     #[test]
     fn clean_eviction_has_no_writeback() {
         let mut c = small_cache();
-        let set_stride = c.num_sets() * c.line_bytes() as u64;
+        let set_stride = c.num_sets * c.line_bytes() as u64;
         c.access(0, false);
         c.access(set_stride, false);
         let (o, _) = c.access(2 * set_stride, false);
@@ -265,7 +254,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = small_cache();
-        let stride = c.num_sets() * c.line_bytes() as u64;
+        let stride = c.num_sets * c.line_bytes() as u64;
         c.access(0, false); // way A
         c.access(stride, false); // way B
         c.access(0, false); // A more recent
@@ -291,7 +280,8 @@ mod tests {
     fn larger_plm_more_capacity() {
         let small = CacheModel::new(64, 512, 4);
         let big = CacheModel::new(256, 512, 4);
-        assert!(big.capacity_bytes() >= 4 * small.capacity_bytes() / 2);
-        assert!(big.capacity_bytes() > small.capacity_bytes());
+        // same lines and ways: capacity goes with the line count
+        assert!(big.lines.len() >= 4 * small.lines.len() / 2);
+        assert!(big.lines.len() > small.lines.len());
     }
 }

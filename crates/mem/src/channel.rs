@@ -98,19 +98,9 @@ impl ChannelMap {
         (chiplet_y * self.chiplets_x + chiplet_x) * self.channels_per_chiplet + band
     }
 
-    /// Tiles sharing one channel.
-    pub fn tiles_per_channel(&self) -> u32 {
-        self.band_cols * self.chiplet_h
-    }
-
     /// Width of a channel's column band.
     pub fn band_cols(&self) -> u32 {
         self.band_cols
-    }
-
-    /// Channels per chiplet after band rounding.
-    pub fn channels_per_chiplet(&self) -> u32 {
-        self.channels_per_chiplet
     }
 }
 
@@ -127,15 +117,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Tiles of a `side`-wide chiplet that `map` sends to channel 0.
+    fn tiles_per_channel(map: &ChannelMap, side: u32) -> usize {
+        (0..side)
+            .flat_map(|y| (0..side).map(move |x| (x, y)))
+            .filter(|&(x, y)| map.channel_of(x, y) == 0)
+            .count()
+    }
+
     #[test]
     fn paper_fig5_tiles_per_channel() {
         // 32x32 chiplet, 8 channels -> 128 tiles/channel in 4-column bands
         let map = ChannelMap::from_system(&dram_cfg(32)).unwrap();
-        assert_eq!(map.tiles_per_channel(), 128);
+        assert_eq!(tiles_per_channel(&map, 32), 128);
         assert_eq!(map.band_cols(), 4);
         // 16x16 chiplet, 8 channels -> 32 tiles/channel
         let map = ChannelMap::from_system(&dram_cfg(16)).unwrap();
-        assert_eq!(map.tiles_per_channel(), 32);
+        assert_eq!(tiles_per_channel(&map, 16), 32);
         assert_eq!(map.band_cols(), 2);
     }
 
@@ -209,7 +207,7 @@ mod tests {
         // 4x4 chiplet with 8 channels: bands clamp to 1 column = 4 channels
         let map = ChannelMap::from_system(&dram_cfg(4)).unwrap();
         assert_eq!(map.band_cols(), 1);
-        assert_eq!(map.channels_per_chiplet(), 4);
-        assert_eq!(map.tiles_per_channel(), 4);
+        assert_eq!(map.channels_per_chiplet, 4);
+        assert_eq!(tiles_per_channel(&map, 4), 4);
     }
 }

@@ -71,11 +71,6 @@ impl TileMemory {
         }
     }
 
-    /// The SRAM access latency in PU cycles (bank-scaled).
-    pub fn sram_latency(&self) -> u64 {
-        self.sram_latency
-    }
-
     /// Performs one word access at `addr` and returns its latency in PU
     /// cycles.
     ///
@@ -258,8 +253,7 @@ mod tests {
         let mut m = scratchpad();
         let l1 = m.access(0x0, AccessKind::Read, 0, None);
         let l2 = m.access(0xFFFF_FFFF, AccessKind::Write, 99, None);
-        assert_eq!(l1, m.sram_latency());
-        assert_eq!(l2, m.sram_latency());
+        assert_eq!((l1, l2), (m.sram_latency, m.sram_latency));
         assert_eq!(m.counters().sram_reads, 1);
         assert_eq!(m.counters().sram_writes, 1);
     }
@@ -271,11 +265,11 @@ mod tests {
         let miss = m.access(0x4000, AccessKind::Read, 0, Some(&mut ch));
         let hit = m.access(0x4000, AccessKind::Read, 100, Some(&mut ch));
         assert!(miss > hit, "miss {miss} must exceed hit {hit}");
-        assert_eq!(hit, m.sram_latency());
+        assert_eq!(hit, m.sram_latency);
         assert_eq!(m.counters().cache_misses, 1);
         assert_eq!(m.counters().cache_hits, 1);
         // 50ns at 1GHz = 50 cycles round trip
-        assert_eq!(miss, m.sram_latency() + 50);
+        assert_eq!(miss, m.sram_latency + 50);
     }
 
     #[test]
@@ -360,7 +354,7 @@ mod tests {
         m.prefetch(0x8000, 0, Some(&mut ch));
         assert_eq!(m.counters().prefetch_fills, 1);
         let lat = m.access(0x8000, AccessKind::Read, 100, Some(&mut ch));
-        assert_eq!(lat, m.sram_latency());
+        assert_eq!(lat, m.sram_latency);
         assert_eq!(m.counters().prefetch_hits, 1);
     }
 
@@ -368,7 +362,7 @@ mod tests {
     fn queue_ops_counted_as_sram_traffic() {
         let mut m = scratchpad();
         let l = m.queue_write(3);
-        assert_eq!(l, m.sram_latency());
+        assert_eq!(l, m.sram_latency);
         m.queue_read(3);
         assert_eq!(m.counters().queue_writes, 1);
         assert_eq!(m.counters().queue_reads, 1);

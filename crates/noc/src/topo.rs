@@ -28,7 +28,7 @@ impl FastDiv {
 
     /// `n / d`.
     #[inline]
-    pub fn div(self, n: u32) -> u32 {
+    fn div(self, n: u32) -> u32 {
         if self.d <= 1 {
             n
         } else {

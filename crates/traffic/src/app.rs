@@ -245,17 +245,6 @@ impl Application for TrafficApp {
         }
     }
 
-    fn snapshot_tile(&self, state: &u64, out: &mut Vec<u8>) -> Result<(), String> {
-        muchisim_core::snapshot::Put::put(state, out);
-        Ok(())
-    }
-
-    fn restore_tile(&self, state: &mut u64, bytes: &[u8]) -> Result<(), String> {
-        let mut r = muchisim_core::snapshot::ByteReader::new(bytes);
-        *state = r.get()?;
-        r.expect_end()
-    }
-
     fn check(&self, tiles: &[u64]) -> Result<(), String> {
         let Some(expected) = &self.expected else {
             // in-network reduction may legitimately merge packets, so the

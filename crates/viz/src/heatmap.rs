@@ -46,7 +46,7 @@ impl Heatmap {
 
     /// Renders one frame as a binary PPM (P6) image with a blue→red ramp,
     /// one pixel per tile.
-    pub fn ppm(&self, grid: &[u32], max_value: u32) -> Vec<u8> {
+    fn ppm(&self, grid: &[u32], max_value: u32) -> Vec<u8> {
         assert_eq!(grid.len(), (self.width * self.height) as usize);
         let max = max_value.max(1) as f64;
         let mut out = Vec::with_capacity(grid.len() * 3 + 32);

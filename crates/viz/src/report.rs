@@ -74,9 +74,8 @@ pub struct ReportRow {
     /// 99th-percentile NoC packet latency in cycles.
     #[serde(default)]
     pub noc_p99: u64,
-    /// How the run ended: `finished`, `ward:<name>`, or an error label.
-    /// Empty in rows stored before the column existed; read through
-    /// [`term_label`](ReportRow::term_label).
+    /// How the run ended: `finished`, `ward:<name>`, or an error label
+    /// ([`SimResult::termination_label`]).
     #[serde(default)]
     pub termination: String,
 }
@@ -119,16 +118,6 @@ impl ReportRow {
             noc_p95: result.noc_latency.percentile(0.95),
             noc_p99: result.noc_latency.percentile(0.99),
             termination: result.termination_label().to_string(),
-        }
-    }
-
-    /// The termination reason, mapping the pre-column empty string to
-    /// `"finished"`.
-    pub fn term_label(&self) -> &str {
-        if self.termination.is_empty() {
-            "finished"
-        } else {
-            &self.termination
         }
     }
 
@@ -204,7 +193,7 @@ impl ReportTable {
                 r.noc_p50,
                 r.noc_p95,
                 r.noc_p99,
-                r.term_label()
+                r.termination
             ));
         }
         out
@@ -274,7 +263,7 @@ impl ReportTable {
                 r.host_bytes_per_tile,
                 r.worklist_share() * 100.0,
                 r.noc_p95,
-                r.term_label()
+                r.termination
             ));
         }
         out
@@ -357,16 +346,10 @@ mod tests {
         let mut warded = row("tight", "BFS", 10.0);
         warded.termination = "ward:stall".into();
         t.push(warded);
-        // a pre-column row deserializes to the empty string
-        let mut legacy = row("old", "BFS", 1.0);
-        legacy.termination = String::new();
-        assert_eq!(legacy.term_label(), "finished");
-        t.push(legacy);
         let text = t.to_text();
         assert!(text.contains("ward:stall"));
         let csv = t.to_csv();
         assert!(csv.contains(",ward:stall\n"));
-        assert!(!csv.contains(",,\n"), "legacy rows must render a label");
     }
 
     #[test]

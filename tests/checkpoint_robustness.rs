@@ -255,8 +255,10 @@ struct Offsets {
     /// input-queue bank: `[start, end)` each.
     cold: (usize, usize),
     iqs: (usize, usize),
-    /// The first tile's scheduled sends: `[start, end)`.
+    /// The first tile's scheduled sends and its application blob:
+    /// `[start, end)` each.
     scripted: (usize, usize),
+    app: (usize, usize),
 }
 
 fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
@@ -317,6 +319,8 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
     skip!(Vec<(u8, Vec<OutMsg>)>);
     let scripted_at = here!();
     skip!(Vec<ScheduledSend>);
+    let app_at = here!();
+    skip!(Vec<u8>);
     let found = Offsets {
         prefixes,
         chunk_len,
@@ -327,7 +331,8 @@ fn offsets(bytes: &[u8]) -> (Offsets, Vec<PacketRecord>) {
         first_tile,
         cold: (cold_at, iqs_at),
         iqs: (iqs_at, iqs_end),
-        scripted: (scripted_at, here!()),
+        scripted: (scripted_at, app_at),
+        app: (app_at, here!()),
     };
     (found, packets)
 }
@@ -468,6 +473,16 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
         vec![CacheLine::default()].put(&mut section);
         Box::new(move |b| replace(b, cold, &section))
     };
+    // tile 0's application blob, as `edit` leaves its bytes
+    let app_blob = |edit: fn(&mut Vec<u8>)| -> Edit {
+        let mut blob: Vec<u8> = ByteReader::new(&valid[at.app.0..at.app.1])
+            .get()
+            .expect("application blob");
+        edit(&mut blob);
+        let mut section = Vec::new();
+        blob.put(&mut section);
+        Box::new(move |b| replace(b, at.app, &section))
+    };
     // one more packet injected than the record holds
     let unbalanced = format!(
         "plane 0: the counters put {} packets in flight (injected − ejected − combined), the \
@@ -571,6 +586,23 @@ fn malformed_fields_behind_a_valid_checksum_are_typed_errors() {
             "queue bank listing an empty queue",
             iqs(vec![(0, vec![])]),
             "input-queue bank of task 0 is listed empty",
+        ),
+        // the application blob holds one distance per vertex of the
+        // tile, and nothing after them
+        (
+            "bfs tile with one distance too many",
+            app_blob(|blob| {
+                let mut dist: Vec<u32> = ByteReader::new(blob).get().expect("distances");
+                dist.push(0);
+                blob.clear();
+                dist.put(blob);
+            }),
+            "bfs tile: snapshot holds",
+        ),
+        (
+            "bfs tile with a trailing byte",
+            app_blob(|blob| blob.push(0)),
+            "trailing bytes",
         ),
         (
             "cold record with cache lines on a scratchpad tile",

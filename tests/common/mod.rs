@@ -24,7 +24,6 @@
 //!   queue banks were used and are empty again.
 
 use muchisim::config::{DramConfig, SchedulingPolicy, SystemConfig, Verbosity};
-use muchisim::core::snapshot::{ByteReader, Put};
 use muchisim::core::{Application, GridInfo, TaskCtx};
 
 /// Messages per kick.
@@ -89,15 +88,6 @@ impl Application for Mill {
         } else {
             Err(format!("tile 0 handled {:?}, expected {want:?}", tiles[0]))
         }
-    }
-    fn snapshot_tile(&self, state: &[u64; 2], out: &mut Vec<u8>) -> Result<(), String> {
-        state.put(out);
-        Ok(())
-    }
-    fn restore_tile(&self, state: &mut [u64; 2], bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(bytes);
-        *state = r.get()?;
-        r.expect_end()
     }
 }
 

@@ -16,7 +16,7 @@
 //! every host mode, `MUCHISIM_NO_LEAP` included.
 
 use muchisim::apps::{
-    high_degree_root, Bfs, Fft3d, Histogram, PageRank, Spmm, Spmv, SyncMode, Wcc,
+    high_degree_root, Bfs, Fft3d, Histogram, PageRank, Spmm, Spmv, Sssp, SyncMode, Wcc,
 };
 use muchisim::config::{DramConfig, SystemConfig, TrafficPattern, Verbosity};
 use muchisim::core::snapshot::SNAPSHOT_VERSION;
@@ -36,7 +36,8 @@ const GRAPH_SCALE: u32 = 5;
 /// `(row, file length in bytes, trailing checksum)`, recorded at the
 /// commit that set version 2 (cold tile state only where a cold box
 /// exists, sparse queue banks, a config identity over the differences
-/// from the default configuration).
+/// from the default configuration). The two SSSP rows were added later,
+/// recorded from the same version-2 codec before any edit to it.
 const PINS_V2: &[(&str, u64, u64)] = &[
     ("bfs/sram/t1", 13625, 0x67cf82d270841c63),
     ("bfs/sram/t2", 14653, 0x16eb09e6ae1f08fe),
@@ -70,6 +71,8 @@ const PINS_V2: &[(&str, u64, u64)] = &[
     ("traffic/sram/t2", 19206, 0x99cbb00867a5a5be),
     ("traffic/cache/t1", 28834, 0x0dd1b67266a77add),
     ("traffic/cache/t2", 29446, 0x1aac30a1504779e9),
+    ("sssp/sram/t1", 13766, 0x2bc865bd8eb7ef4a),
+    ("sssp/cache/t2", 28400, 0x8af0f8a5f2410e1e),
     ("traffic-jam/sram/t1", 116090, 0x1a9ca4aecff6823f),
     ("traffic-jam/sram/t2", 118210, 0xe233a6cad3ab4df9),
     ("mill-rr/sram/t1", 18036, 0xaf578bf20f978be8),
@@ -87,6 +90,9 @@ enum App {
     Wcc,
     Histogram,
     Spmm,
+    /// Barrier-synchronized SSSP: a tile of `f32` distances and `bool`
+    /// changed flags.
+    Sssp,
     /// Scripted uniform-random traffic at a light load.
     Traffic,
     /// Scripted hotspot traffic past saturation: the snapshot lands in a
@@ -107,6 +113,7 @@ impl App {
             App::Wcc => "wcc",
             App::Histogram => "histogram",
             App::Spmm => "spmm",
+            App::Sssp => "sssp",
             App::Traffic => "traffic",
             App::TrafficJam => "traffic-jam",
             App::Mill(0) => "mill-rr",
@@ -154,6 +161,13 @@ fn matrix() -> Vec<Row> {
                 });
             }
         }
+    }
+    for (cache, threads) in [(false, 1), (true, 2)] {
+        rows.push(Row {
+            app: App::Sssp,
+            cache,
+            threads,
+        });
     }
     for threads in [1, 2] {
         rows.push(Row {
@@ -242,6 +256,11 @@ fn simulate(row: &Row, cfg: SystemConfig, graph: &Arc<Csr>, resnapshot: bool) ->
             go(row, cfg, Histogram::new(g, tiles, bins), resnapshot)
         }
         App::Spmm => go(row, cfg, Spmm::new(g, tiles, 8), resnapshot),
+        App::Sssp => {
+            let root = high_degree_root(graph);
+            let app = Sssp::new(g, tiles, root, SyncMode::Barrier);
+            go(row, cfg, app, resnapshot)
+        }
         App::Traffic => {
             let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).expect("traffic");
             go(row, cfg, app, resnapshot)
