@@ -14,7 +14,7 @@ use muchisim_data::Csr;
 use std::sync::Arc;
 
 /// Infinity marker for unreached vertices.
-pub const INF: u32 = u32::MAX;
+pub(crate) const INF: u32 = u32::MAX;
 
 /// Breadth-First Search from a root vertex.
 #[derive(Debug)]
@@ -59,11 +59,6 @@ impl Bfs {
     pub fn with_reduction(mut self, enable: bool) -> Self {
         self.reduction = enable;
         self
-    }
-
-    /// The host-computed reference distances.
-    pub fn reference(&self) -> &[u32] {
-        &self.reference
     }
 
     fn expand(&self, ctx: &mut TaskCtx<'_>, v: u32, next_depth: u32) {
@@ -176,7 +171,6 @@ pub struct Sssp {
     mode: SyncMode,
     reference: Vec<f32>,
     rounds: u32,
-    reduction: bool,
 }
 
 /// Per-tile SSSP state: local distances plus a changed-flag frontier for
@@ -199,14 +193,7 @@ impl Sssp {
             mode,
             reference,
             rounds,
-            reduction: false,
         }
-    }
-
-    /// Tags update messages as in-network reducible (MinF32).
-    pub fn with_reduction(mut self, enable: bool) -> Self {
-        self.reduction = enable;
-        self
     }
 
     fn expand(&self, ctx: &mut TaskCtx<'_>, v: u32, dist_v: f32) {
@@ -220,11 +207,7 @@ impl Sssp {
             ctx.app_ops(1);
             let cand = dist_v + wt;
             let dst = self.graph.owner(w);
-            if self.reduction {
-                ctx.send_reduce(0, dst, &[w, f2w(cand)], ReduceOp::MinF32);
-            } else {
-                ctx.send(0, dst, &[w, f2w(cand)]);
-            }
+            ctx.send(0, dst, &[w, f2w(cand)]);
         }
     }
 }
@@ -407,7 +390,7 @@ mod tests {
     fn reference_reaches_most_of_rmat() {
         let g = RmatConfig::scale(8).generate(3);
         let bfs = Bfs::new(g.into(), 16, 0, SyncMode::Async);
-        let reached = bfs.reference().iter().filter(|&&d| d != INF).count();
+        let reached = bfs.reference.iter().filter(|&&d| d != INF).count();
         assert!(
             reached > 64,
             "root should reach a large component, got {reached}"

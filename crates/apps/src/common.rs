@@ -7,17 +7,17 @@ use std::sync::Arc;
 /// Logical per-tile array ids in the tile's address-space chunk.
 pub(crate) mod arrays {
     /// CSR row pointers.
-    pub const ROW_PTR: u32 = 0;
+    pub(crate) const ROW_PTR: u32 = 0;
     /// CSR column indices.
-    pub const COL_IDX: u32 = 1;
+    pub(crate) const COL_IDX: u32 = 1;
     /// CSR non-zero values.
-    pub const VALUES: u32 = 2;
+    pub(crate) const VALUES: u32 = 2;
     /// Per-vertex state (distances, ranks, labels, input vector).
-    pub const VERT: u32 = 3;
+    pub(crate) const VERT: u32 = 3;
     /// Per-vertex output (accumulators, results).
-    pub const OUT: u32 = 4;
+    pub(crate) const OUT: u32 = 4;
     /// Auxiliary (frontiers, counters, pencil buffers).
-    pub const AUX: u32 = 5;
+    pub(crate) const AUX: u32 = 5;
 }
 
 /// Synchronization variant for the iterative graph kernels (paper §III-G:
@@ -35,7 +35,7 @@ pub enum SyncMode {
 /// A graph scattered across tiles: shared read-only CSR plus the
 /// equal-chunk vertex partition (paper §III-B).
 #[derive(Debug, Clone)]
-pub struct GraphData {
+pub(crate) struct GraphData {
     /// The graph (shared, read-only).
     pub csr: Arc<Csr>,
     /// Vertex → tile partition.
@@ -48,29 +48,29 @@ impl GraphData {
     /// The graph arrives behind an [`Arc`] so that batch runs (many sweep
     /// points over the same dataset) share one host copy instead of
     /// deep-cloning the CSR per simulation.
-    pub fn new(csr: Arc<Csr>, tiles: u32) -> Self {
+    pub(crate) fn new(csr: Arc<Csr>, tiles: u32) -> Self {
         let part = Partition::new(csr.num_vertices() as u64, tiles);
         GraphData { csr, part }
     }
 
     /// The tile owning vertex `v`.
-    pub fn owner(&self, v: u32) -> u32 {
+    pub(crate) fn owner(&self, v: u32) -> u32 {
         self.part.owner_of(v as u64)
     }
 
     /// The local index of `v` within its owner's chunk.
-    pub fn local(&self, v: u32) -> u64 {
+    pub(crate) fn local(&self, v: u32) -> u64 {
         self.part.local_offset(v as u64)
     }
 
     /// The vertex range owned by `tile`.
-    pub fn range_of(&self, tile: u32) -> std::ops::Range<u64> {
+    pub(crate) fn range_of(&self, tile: u32) -> std::ops::Range<u64> {
         self.part.range_of(tile)
     }
 
     /// Instrumented read of vertex `v`'s CSR row bounds on the executing
     /// tile (two row-pointer loads plus address arithmetic).
-    pub fn read_row(&self, ctx: &mut TaskCtx<'_>, local_v: u64) -> (usize, usize) {
+    pub(crate) fn read_row(&self, ctx: &mut TaskCtx<'_>, local_v: u64) -> (usize, usize) {
         ctx.load(ctx.local_addr(arrays::ROW_PTR, local_v, 8));
         ctx.load(ctx.local_addr(arrays::ROW_PTR, local_v + 1, 8));
         ctx.int_ops(2);
@@ -85,20 +85,20 @@ impl GraphData {
     /// Instrumented read of edge slot `k` (column index) on the executing
     /// tile. `row_base` is the first edge slot of the tile's chunk, used
     /// to form the local address.
-    pub fn read_edge(&self, ctx: &mut TaskCtx<'_>, k: usize, row_base: usize) -> u32 {
+    pub(crate) fn read_edge(&self, ctx: &mut TaskCtx<'_>, k: usize, row_base: usize) -> u32 {
         ctx.load(ctx.local_addr(arrays::COL_IDX, (k - row_base) as u64, 4));
         self.csr.col_idx()[k]
     }
 
     /// Instrumented read of edge weight `k`.
-    pub fn read_weight(&self, ctx: &mut TaskCtx<'_>, k: usize, row_base: usize) -> f32 {
+    pub(crate) fn read_weight(&self, ctx: &mut TaskCtx<'_>, k: usize, row_base: usize) -> f32 {
         ctx.load(ctx.local_addr(arrays::VALUES, (k - row_base) as u64, 4));
         self.csr.values()[k]
     }
 
     /// First edge slot of `tile`'s vertex chunk (its CSR arrays start
     /// here, so edge addresses are tile-local).
-    pub fn edge_base(&self, tile: u32) -> usize {
+    pub(crate) fn edge_base(&self, tile: u32) -> usize {
         let range = self.range_of(tile);
         self.csr.row_ptr()[range.start as usize] as usize
     }

@@ -80,11 +80,6 @@ impl Fft3d {
         }
     }
 
-    /// Tensor side length.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Instruments one `n`-point FFT: `(n/2)·log2(n)` butterflies at 10
     /// FLOPs each, with the pencil streaming through the PLM.
     fn instrument_fft(&self, ctx: &mut TaskCtx<'_>) {
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn construction_builds_reference() {
         let f = Fft3d::new(4, 1);
-        assert_eq!(f.n(), 4);
+        assert_eq!(f.n, 4);
         // reference differs from input (non-trivial transform)
         assert!(f.reference.distance(&f.input) > 1e-6);
     }

@@ -8,7 +8,7 @@
 //! natural candidates for in-network SumU32 reduction.
 
 use crate::common::{arrays, GraphData};
-use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, TaskCtx};
 use muchisim_data::{Csr, Partition};
 use std::sync::Arc;
 
@@ -19,7 +19,6 @@ pub struct Histogram {
     bins: u32,
     bin_part: Partition,
     reference: Vec<u32>,
-    reduction: bool,
 }
 
 /// Per-tile histogram state: the local chunk of bin counts.
@@ -45,14 +44,7 @@ impl Histogram {
             bins,
             bin_part: Partition::new(bins as u64, tiles),
             reference,
-            reduction: false,
         }
-    }
-
-    /// Sends increments as in-network SumU32 reductions.
-    pub fn with_reduction(mut self, enable: bool) -> Self {
-        self.reduction = enable;
-        self
     }
 
     fn bin_of(&self, value: u32) -> u32 {
@@ -89,11 +81,7 @@ impl Application for Histogram {
             let value = self.graph.csr.col_idx()[k as usize];
             let bin = self.bin_of(value);
             let dst = self.bin_part.owner_of(bin as u64);
-            if self.reduction {
-                ctx.send_reduce(0, dst, &[bin, 1], ReduceOp::SumU32);
-            } else {
-                ctx.send(0, dst, &[bin, 1]);
-            }
+            ctx.send(0, dst, &[bin, 1]);
         }
     }
 

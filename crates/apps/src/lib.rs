@@ -42,7 +42,7 @@ mod wcc;
 
 pub use bfs::Bfs;
 pub use bfs::Sssp;
-pub use common::{GraphData, SyncMode};
+pub use common::SyncMode;
 pub use fft::Fft3d;
 pub use histogram::Histogram;
 pub use pagerank::PageRank;

@@ -49,11 +49,6 @@ impl PageRank {
         self
     }
 
-    /// The host reference ranks.
-    pub fn reference(&self) -> &[f32] {
-        &self.reference
-    }
-
     fn fold(&self, state: &mut PageRankTile, ctx: &mut TaskCtx<'_>) {
         let n = self.graph.csr.num_vertices() as f32;
         for local in 0..state.rank.len() {

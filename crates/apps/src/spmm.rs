@@ -12,7 +12,7 @@ use muchisim_data::Csr;
 use std::sync::Arc;
 
 /// The deterministic dense input `X[j][c]`.
-pub fn input_x(j: u32, c: u32) -> f32 {
+pub(crate) fn input_x(j: u32, c: u32) -> f32 {
     1.0 / (1.0 + ((j + 3 * c) % 13) as f32)
 }
 
@@ -42,11 +42,6 @@ impl Spmm {
             k,
             reference,
         }
-    }
-
-    /// Dense width K.
-    pub fn k(&self) -> u32 {
-        self.k
     }
 }
 

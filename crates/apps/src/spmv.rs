@@ -14,7 +14,7 @@ use muchisim_data::Csr;
 use std::sync::Arc;
 
 /// The deterministic dense input vector: `x[j] = 1 / (1 + (j mod 17))`.
-pub fn input_x(j: u32) -> f32 {
+pub(crate) fn input_x(j: u32) -> f32 {
     1.0 / (1.0 + (j % 17) as f32)
 }
 

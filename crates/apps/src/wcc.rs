@@ -6,7 +6,7 @@
 //! weak connectivity is computed for directed inputs.
 
 use crate::common::{arrays, GraphData, SyncMode};
-use muchisim_core::{tile_state, Application, GridInfo, ReduceOp, TaskCtx};
+use muchisim_core::{tile_state, Application, GridInfo, TaskCtx};
 use muchisim_data::Csr;
 use std::sync::Arc;
 
@@ -17,7 +17,6 @@ pub struct Wcc {
     mode: SyncMode,
     reference: Vec<u32>,
     rounds: u32,
-    reduction: bool,
 }
 
 /// Per-tile WCC state: local labels plus the changed-flag frontier.
@@ -39,14 +38,7 @@ impl Wcc {
             mode,
             reference,
             rounds,
-            reduction: false,
         }
-    }
-
-    /// Tags label messages as in-network reducible (MinU32).
-    pub fn with_reduction(mut self, enable: bool) -> Self {
-        self.reduction = enable;
-        self
     }
 
     fn propagate(&self, ctx: &mut TaskCtx<'_>, v: u32, label: u32) {
@@ -58,11 +50,7 @@ impl Wcc {
             ctx.int_ops(1);
             ctx.app_ops(1);
             let dst = self.graph.owner(w);
-            if self.reduction {
-                ctx.send_reduce(0, dst, &[w, label], ReduceOp::MinU32);
-            } else {
-                ctx.send(0, dst, &[w, label]);
-            }
+            ctx.send(0, dst, &[w, label]);
         }
     }
 }

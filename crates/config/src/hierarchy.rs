@@ -29,11 +29,6 @@ impl TileCoord {
     pub fn new(x: u32, y: u32) -> Self {
         TileCoord { x, y }
     }
-
-    /// Linear tile id in a grid `width` tiles wide (row-major).
-    pub fn id(self, width: u32) -> u32 {
-        self.y * width + self.x
-    }
 }
 
 impl fmt::Display for TileCoord {
@@ -80,12 +75,12 @@ pub struct Extent {
 
 impl Extent {
     /// Creates an extent.
-    pub fn new(x: u32, y: u32) -> Self {
+    pub(crate) fn new(x: u32, y: u32) -> Self {
         Extent { x, y }
     }
 
     /// Total units contained.
-    pub fn count(self) -> u64 {
+    pub(crate) fn count(self) -> u64 {
         self.x as u64 * self.y as u64
     }
 }
@@ -129,7 +124,7 @@ impl Hierarchy {
     /// holds at most [`MAX_TILES`] tiles — after which
     /// [`Self::grid_width`], [`Self::grid_height`] and every tile or queue
     /// id computed from them fit their `u32`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         let levels = [self.chiplet, self.package, self.node, self.cluster];
         for (name, e) in ["chiplet", "package", "node", "cluster"]
             .into_iter()
@@ -154,17 +149,17 @@ impl Hierarchy {
     }
 
     /// Global grid width in tiles.
-    pub fn grid_width(&self) -> u32 {
+    pub(crate) fn grid_width(&self) -> u32 {
         self.chiplet.x * self.package.x * self.node.x * self.cluster.x
     }
 
     /// Global grid height in tiles.
-    pub fn grid_height(&self) -> u32 {
+    pub(crate) fn grid_height(&self) -> u32 {
         self.chiplet.y * self.package.y * self.node.y * self.cluster.y
     }
 
     /// Total number of tiles in the system.
-    pub fn total_tiles(&self) -> u64 {
+    pub(crate) fn total_tiles(&self) -> u64 {
         self.grid_width() as u64 * self.grid_height() as u64
     }
 
@@ -240,13 +235,6 @@ mod tests {
         assert_eq!(h.grid_height(), 16);
         assert_eq!(h.total_tiles(), 256);
         assert_eq!(h.total_chiplets(), 2 * 2 * 2 * 2);
-    }
-
-    #[test]
-    fn tile_id_round_trip() {
-        let c = TileCoord::new(3, 5);
-        let id = c.id(16);
-        assert_eq!(id, 83);
     }
 
     #[test]

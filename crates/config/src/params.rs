@@ -257,13 +257,7 @@ impl Default for VoltageModel {
 
 impl VoltageModel {
     /// Supply voltage predicted for `freq_ghz` at `node_nm`.
-    ///
-    /// ```
-    /// use muchisim_config::VoltageModel;
-    /// let v = VoltageModel::default().voltage(1.0, 7);
-    /// assert!((v - 0.61).abs() < 1e-9); // 0.06 + 0.13*1 + 0.06*7
-    /// ```
-    pub fn voltage(&self, freq_ghz: f64, node_nm: u32) -> f64 {
+    pub(crate) fn voltage(&self, freq_ghz: f64, node_nm: u32) -> f64 {
         self.base + self.freq_coeff * freq_ghz + self.node_coeff * node_nm as f64
     }
 

@@ -1,7 +1,7 @@
 //! The design-under-test (DUT) configuration and its builder.
 
 use crate::error::ConfigError;
-use crate::hierarchy::{Extent, Hierarchy, LinkClass, TileCoord};
+use crate::hierarchy::{Extent, Hierarchy, LinkClass};
 use crate::params::ModelParams;
 use crate::telemetry::TelemetryParams;
 use crate::traffic::TrafficParams;
@@ -343,11 +343,6 @@ impl SystemConfig {
         self.noc.width_bits / 8
     }
 
-    /// Classifies the link crossed between two tile coordinates.
-    pub fn link_class(&self, a: TileCoord, b: TileCoord) -> LinkClass {
-        self.hierarchy.link_class(a, b)
-    }
-
     /// Extra latency (beyond the router traversal) for one hop over `class`,
     /// in NoC cycles of the operating clock.
     pub fn hop_extra_cycles(&self, class: LinkClass) -> u64 {
@@ -456,6 +451,15 @@ impl SystemConfig {
             });
         }
         self.traffic.validate()?;
+        // a packet counts its flits in 16 bits: the header flit, then the
+        // payload at `flit_bytes` per flit
+        let max_words = (u64::from(u16::MAX) - 1) * u64::from(self.flit_bytes()) / 4;
+        if u64::from(self.traffic.payload_words_max) > max_words {
+            return Err(ConfigError::LimitExceeded {
+                what: "traffic.payload_words_max",
+                max: max_words,
+            });
+        }
         self.telemetry.validate()?;
         if self.telemetry.snapshot_on_trip {
             if self.checkpoint_path.is_none() {
@@ -481,7 +485,7 @@ pub struct SystemConfigBuilder {
 
 impl SystemConfigBuilder {
     /// Starts from [`SystemConfig::default`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SystemConfigBuilder {
             cfg: SystemConfig::default(),
         }
@@ -548,7 +552,7 @@ impl SystemConfigBuilder {
     }
 
     /// Selects scratchpad memory mode (no DRAM).
-    pub fn scratchpad(&mut self) -> &mut Self {
+    pub(crate) fn scratchpad(&mut self) -> &mut Self {
         self.cfg.memory = MemoryConfig::Scratchpad;
         self
     }
@@ -741,6 +745,25 @@ mod tests {
         b.buffer_depth(MAX_QUEUE_FLITS)
             .queues(64, MAX_QUEUE_FLITS / 2);
         assert!(b.build().is_ok());
+    }
+
+    #[test]
+    fn a_traffic_payload_beyond_the_flit_count_rejected() {
+        // 32-bit flits: 65 534 words and the header make 65 535 flits
+        let mut cfg = SystemConfig::builder().noc_width_bits(32).build().unwrap();
+        cfg.traffic.payload_words_max = 65_534;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.traffic.payload_words_max = 65_535;
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            ConfigError::LimitExceeded {
+                what: "traffic.payload_words_max",
+                max: 65_534,
+            }
+        );
+        // twice the width carries twice the words
+        cfg.noc.width_bits = 64;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

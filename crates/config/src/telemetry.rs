@@ -115,7 +115,7 @@ pub struct WardParams {
 
 impl WardParams {
     /// True when no ward is configured.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.max_cycles.is_none()
             && self.stall_cycles.is_none()
             && self.converged.is_none()
@@ -172,7 +172,7 @@ impl TelemetryParams {
     ///
     /// Returns [`ConfigError::Telemetry`](crate::ConfigError::Telemetry)
     /// naming the first invalid setting.
-    pub fn validate(&self) -> Result<(), crate::ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), crate::ConfigError> {
         let bad = |why| Err(crate::ConfigError::Telemetry { why });
         if self.sample_every == Some(0) {
             return bad("sample_every must be at least one cycle");

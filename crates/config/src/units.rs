@@ -86,7 +86,7 @@ pub struct TimePs(f64);
 
 impl TimePs {
     /// Zero duration.
-    pub const ZERO: TimePs = TimePs(0.0);
+    pub(crate) const ZERO: TimePs = TimePs(0.0);
 
     /// Creates a duration from picoseconds.
     pub fn ps(ps: f64) -> Self {

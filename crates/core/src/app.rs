@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// The global address space is contiguous with each tile's PLM assigned a
 /// chunk (paper §III-B); 16 MiB of virtual span per tile is far above any
 /// physical PLM, so per-tile arrays never alias.
-pub const TILE_SPAN_BYTES: u64 = 16 << 20;
+pub(crate) const TILE_SPAN_BYTES: u64 = 16 << 20;
 
 /// Grid geometry visible to tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,7 +153,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// PU cycles accrued by this task so far.
-    pub fn elapsed_cycles(&self) -> u64 {
+    pub(crate) fn elapsed_cycles(&self) -> u64 {
         self.cycles
     }
 

@@ -33,7 +33,7 @@ pub struct PuCounters {
 
 impl PuCounters {
     /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &PuCounters) {
+    pub(crate) fn merge(&mut self, other: &PuCounters) {
         self.int_ops += other.int_ops;
         self.fp_ops += other.fp_ops;
         self.ctrl_ops += other.ctrl_ops;
@@ -64,15 +64,6 @@ pub struct SimCounters {
 }
 
 impl SimCounters {
-    /// Merges another counter set (e.g., per-worker partials).
-    pub fn merge(&mut self, other: &SimCounters) {
-        self.pu.merge(&other.pu);
-        self.mem.merge(&other.mem);
-        self.noc.merge(&other.noc);
-        self.runtime_cycles = self.runtime_cycles.max(other.runtime_cycles);
-        self.runtime_secs = self.runtime_secs.max(other.runtime_secs);
-    }
-
     /// Application throughput in operations per second (TEPS for graph
     /// kernels, non-zeros/s for sparse algebra).
     pub fn app_throughput(&self) -> f64 {
@@ -96,26 +87,6 @@ impl SimCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = SimCounters {
-            runtime_cycles: 10,
-            runtime_secs: 1e-6,
-            ..Default::default()
-        };
-        a.pu.fp_ops = 100;
-        let mut b = SimCounters {
-            runtime_cycles: 20,
-            runtime_secs: 2e-6,
-            ..Default::default()
-        };
-        b.pu.fp_ops = 50;
-        a.merge(&b);
-        assert_eq!(a.pu.fp_ops, 150);
-        assert_eq!(a.runtime_cycles, 20);
-        assert_eq!(a.runtime_secs, 2e-6);
-    }
 
     #[test]
     fn throughput_guards_zero_time() {

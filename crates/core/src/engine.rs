@@ -111,11 +111,6 @@ impl<A: Application> Simulation<A> {
         self
     }
 
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// Runs single-threaded.
     ///
     /// # Errors
@@ -299,7 +294,8 @@ pub(crate) struct Worker<A: Application> {
     /// and recomputed from the surviving heads on every non-skipped drain
     /// pass.
     send_wake: Vec<u64>,
-    /// PU busy cycles per tile in the current statistics frame (SoA).
+    /// PU busy cycles per tile in the current statistics frame (SoA);
+    /// empty below verbosity V2, whose frames do not read it.
     pu_busy_frame: Vec<u32>,
     verbosity: Verbosity,
     /// When a statistics frame closes; `None` at verbosity V0 (no frames
@@ -427,7 +423,11 @@ impl<A: Application> Worker<A> {
             init_pending: vec![false; n],
             pu_wake: vec![0; n],
             send_wake: vec![0; n],
-            pu_busy_frame: vec![0; n],
+            pu_busy_frame: if cfg.verbosity >= Verbosity::V2 {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
             verbosity: cfg.verbosity,
             frame_cadence: (cfg.verbosity != Verbosity::V0)
                 .then(|| Cadence::new(cfg.frame_interval_cycles)),
@@ -502,7 +502,7 @@ impl<A: Application> Worker<A> {
     }
 
     /// Marks every tile's init task pending for `kernel`.
-    pub fn start_kernel(&mut self, kernel: u32) {
+    pub(crate) fn start_kernel(&mut self, kernel: u32) {
         self.kernel = kernel;
         // every tile owes an init task, so every tile is active
         self.active.activate_all();
@@ -517,7 +517,7 @@ impl<A: Application> Worker<A> {
 
     /// Dispatches ready tasks on every PU whose clock has been caught up
     /// by the network time (paper §III-C synchronization rule).
-    pub fn pu_phase(&mut self, app: &A, cycle: u64) {
+    pub(crate) fn pu_phase(&mut self, app: &A, cycle: u64) {
         let t0 = Instant::now();
         self.tile_horizon = u64::MAX;
         let now_pu = self.clock.pu_cycle_floor(cycle);
@@ -625,8 +625,9 @@ impl<A: Application> Worker<A> {
                 self.pu_clock[local * self.pus + pu] = end;
                 self.dispatched[local].tasks += 1;
                 self.dispatched[local].busy_cycles += duration;
-                self.pu_busy_frame[local] =
-                    self.pu_busy_frame[local].saturating_add(duration.min(u32::MAX as u64) as u32);
+                if let Some(busy) = self.pu_busy_frame.get_mut(local) {
+                    *busy = busy.saturating_add(duration.min(u32::MAX as u64) as u32);
+                }
                 self.frame_tasks += 1;
                 self.cum_tasks += 1;
                 let end_fs = self.clock.pu_cycle_fs(end);
@@ -677,7 +678,12 @@ impl<A: Application> Worker<A> {
     /// a refused head stays at the front of its queue or timetable,
     /// holding back the rest behind it, and its tile waits for the
     /// queue's credit ([`Shard::wait_for_credit`]).
-    pub fn inject_phase(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
+    pub(crate) fn inject_phase(
+        &mut self,
+        shards: &mut [&mut Shard],
+        shareds: &[&SharedNet],
+        cycle: u64,
+    ) {
         let t0 = Instant::now();
         // the set is unchanged since pu_phase's refresh: task sends
         // target the sending tile's own queues, so no tile activates or
@@ -715,9 +721,7 @@ impl<A: Application> Worker<A> {
                         wake = wake.min(ready_noc);
                         break;
                     }
-                    // header flit + payload, as `Packet::unicast` stores it
-                    let flits = 1 + head.payload.size_bytes().div_ceil(self.flit_bytes);
-                    let flits = (flits as u16).max(1);
+                    let flits = packet_flits(&head.payload, self.flit_bytes, tile_g, task as u8);
                     if !shard.inject_admits(shared, tile_g, flits) {
                         // inject queue full: the head stays where it
                         // is, and waits for the queue's credit to return
@@ -748,7 +752,7 @@ impl<A: Application> Worker<A> {
                     }
                     let plane = head.task as usize % self.planes;
                     let (shard, shared) = (&mut *shards[plane], shareds[plane]);
-                    let flits = (1 + head.payload.size_bytes().div_ceil(self.flit_bytes)) as u16;
+                    let flits = packet_flits(&head.payload, self.flit_bytes, tile_g, head.task);
                     if !shard.inject_admits(shared, tile_g, flits) {
                         // inject queue full: the head stays where it is,
                         // and waits for the queue's credit to return
@@ -879,7 +883,7 @@ impl<A: Application> Worker<A> {
     /// Returned inject credit wakes the tiles asleep on it here, before
     /// this cycle's inject pass — the first pass a retry could have
     /// succeeded in.
-    pub fn begin_cycle(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet]) {
+    pub(crate) fn begin_cycle(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet]) {
         let t0 = Instant::now();
         for (shard, shared) in shards.iter_mut().zip(shareds) {
             shard.begin_cycle(shared);
@@ -900,7 +904,12 @@ impl<A: Application> Worker<A> {
 
     /// Steps this worker's shard of every NoC plane for `cycle`, the worker
     /// itself taking the ejected packets ([`EjectSink`]).
-    pub fn net_step(&mut self, shards: &mut [&mut Shard], shareds: &[&SharedNet], cycle: u64) {
+    pub(crate) fn net_step(
+        &mut self,
+        shards: &mut [&mut Shard],
+        shareds: &[&SharedNet],
+        cycle: u64,
+    ) {
         let t0 = Instant::now();
         for (shard, shared) in shards.iter_mut().zip(shareds) {
             if self.forget_stall_memos {
@@ -914,7 +923,7 @@ impl<A: Application> Worker<A> {
     /// Closes the statistics frame of the block containing `cycle` (the
     /// driver decides when: on a boundary of [`Worker::frame_cadence`],
     /// and where a kernel stopped between two).
-    pub fn capture_frame(&mut self, shards: &mut [&mut Shard], cycle: u64) {
+    pub(crate) fn capture_frame(&mut self, shards: &mut [&mut Shard], cycle: u64) {
         let cadence = self.frame_cadence.expect("frames are recorded");
         let mut frame = Frame {
             start_cycle: cadence.block_start(cycle),
@@ -956,7 +965,7 @@ impl<A: Application> Worker<A> {
     /// never touch the NoC shards. Cross-shard mailboxes are deliberately
     /// *not* folded in here — other workers may still be writing them;
     /// the driver's leader action adds them after the step barrier.
-    pub fn horizon(&self, shards: &[&mut Shard], cycle: u64) -> u64 {
+    pub(crate) fn horizon(&self, shards: &[&mut Shard], cycle: u64) -> u64 {
         let floor = cycle + 1;
         let mut horizon = self.tile_horizon;
         if horizon <= floor {
@@ -985,7 +994,7 @@ impl<A: Application> Worker<A> {
     /// frozen across the gap, so the per-cycle increment is constant).
     /// Captures need nothing: the leader clamps every leap to the next
     /// close of each of the `armed` cadences, so none falls in the gap.
-    pub fn leap_to(
+    pub(crate) fn leap_to(
         &mut self,
         shards: &mut [&mut Shard],
         cycle: u64,
@@ -1040,7 +1049,7 @@ impl<A: Application> Worker<A> {
     /// eject more than they inject — but both parts sum over the workers
     /// to non-negative totals, so the shares sum to zero only when the run
     /// has nothing left anywhere.
-    pub fn pending(&self, shards: &[&mut Shard]) -> i64 {
+    pub(crate) fn pending(&self, shards: &[&mut Shard]) -> i64 {
         self.msg_count + shards.iter().map(|s| s.counters().in_flight()).sum::<i64>()
     }
 
@@ -1049,7 +1058,10 @@ impl<A: Application> Worker<A> {
     /// its shards. Cheap (no per-tile sweep), read-only, and built from
     /// deterministic simulation state only — host timing is added by the
     /// leader's aggregator.
-    pub fn telemetry_sample(&self, shards: &[&mut Shard]) -> muchisim_telemetry::WorkerSample {
+    pub(crate) fn telemetry_sample(
+        &self,
+        shards: &[&mut Shard],
+    ) -> muchisim_telemetry::WorkerSample {
         let mut s = muchisim_telemetry::WorkerSample {
             tasks: self.cum_tasks,
             pending: self.pending(shards),
@@ -1079,7 +1091,11 @@ impl<A: Application> Worker<A> {
     /// counts plus packets parked in this tile's router input queues,
     /// for every local tile with a non-zero backlog, worst first
     /// (capped at `top`). Only runs on the slow path after a ward trips.
-    pub fn telemetry_diag(&self, shards: &[&mut Shard], top: usize) -> Vec<crate::ward::TileDiag> {
+    pub(crate) fn telemetry_diag(
+        &self,
+        shards: &[&mut Shard],
+        top: usize,
+    ) -> Vec<crate::ward::TileDiag> {
         let mut diags: Vec<crate::ward::TileDiag> = Vec::new();
         for local in 0..self.slice.num_tiles() {
             let tile = self.slice.global(local);
@@ -1108,7 +1124,7 @@ impl<A: Application> Worker<A> {
     /// per-tile arrays, the two message arenas, the materialized cold
     /// boxes, the application tile states, DRAM channels, frame
     /// telemetry, and scratch buffers.
-    pub fn state_bytes(&self) -> u64 {
+    pub(crate) fn state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let cold = self.cold.capacity() as u64 * size_of::<Option<Box<TileCold>>>() as u64
             + self
@@ -1192,7 +1208,8 @@ impl<A: Application> Worker<A> {
             (
                 tile_g,
                 self.init_pending[local],
-                self.pu_busy_frame[local],
+                // 0 below V2, where the field is not kept
+                self.pu_busy_frame.get(local).copied().unwrap_or(0),
                 self.rr_last[local],
             )
                 .put(buf);
@@ -1389,7 +1406,9 @@ impl<A: Application> Worker<A> {
             self.scripted[local] = self.resume_timetable(app, tile, &rec.scripted)?;
         }
         self.init_pending[local] = rec.init_pending;
-        self.pu_busy_frame[local] = rec.pu_busy_frame;
+        if let Some(busy) = self.pu_busy_frame.get_mut(local) {
+            *busy = rec.pu_busy_frame;
+        }
         self.pu_clock[local * pus..(local + 1) * pus].copy_from_slice(&rec.pu_clock);
         self.rr_last[local] = rec.rr_last;
         self.dispatched[local] = Dispatched {
@@ -1510,6 +1529,27 @@ impl Timetable {
 /// Sends not yet injected over all open timetables.
 fn open_sends(scripted: &[Option<Timetable>]) -> i64 {
     scripted.iter().flatten().map(|t| t.len() as i64).sum()
+}
+
+/// Flits of a packet carrying `payload`: one header flit, then the
+/// payload at `flit_bytes` per flit.
+///
+/// # Panics
+///
+/// Panics, naming the sending tile, the task and the payload size, when
+/// the count does not fit a packet's 16-bit flit field.
+/// `SystemConfig::validate` refuses synthetic traffic that large.
+#[inline]
+fn packet_flits(payload: &Payload, flit_bytes: u32, tile: u32, task: u8) -> u16 {
+    let bytes = payload.size_bytes();
+    let flits = 1 + bytes.div_ceil(flit_bytes);
+    u16::try_from(flits).unwrap_or_else(|_| {
+        panic!(
+            "tile {tile} task {task}: a {bytes}-byte payload needs {flits} flits, \
+             more than the {} a packet holds",
+            u16::MAX
+        )
+    })
 }
 
 /// Whether tile `local` holds sends for the NoC: queued CQ messages or an
@@ -1788,6 +1828,20 @@ mod tests {
         assert!(has_cycle(1, &[(0, 0)]));
         assert!(!has_cycle(0, &[]));
         assert!(!has_cycle(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+    }
+
+    #[test]
+    fn a_packet_holds_at_most_u16_max_flits() {
+        // 32-bit flits: the header plus one flit per payload word
+        let words = |n: usize| Payload::from_slice(&vec![0; n]);
+        assert_eq!(packet_flits(&words(0), 4, 0, 0), 1);
+        assert_eq!(packet_flits(&words(65_534), 4, 0, 0), u16::MAX);
+        let refused = std::panic::catch_unwind(|| packet_flits(&words(65_535), 4, 3, 1));
+        let msg = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(
+            msg,
+            "tile 3 task 1: a 262140-byte payload needs 65536 flits, more than the 65535 a packet holds"
+        );
     }
 
     /// (The other malformed banks are rows of `checkpoint_robustness`,

@@ -38,7 +38,7 @@ pub(crate) struct ClockConv {
 }
 
 impl ClockConv {
-    pub fn from_system(cfg: &SystemConfig) -> Self {
+    pub(crate) fn from_system(cfg: &SystemConfig) -> Self {
         let pu_period_fs = cfg.pu_clock.operating.period_fs();
         let noc_period_fs = cfg.noc_clock.operating.period_fs();
         ClockConv {
@@ -50,7 +50,7 @@ impl ClockConv {
 
     /// Whether a PU whose clock stands at `pu_cycle` has been caught up
     /// by NoC time `noc_cycle` (the §III-C dispatch-eligibility rule).
-    pub fn pu_ready(&self, pu_cycle: u64, noc_cycle: u64) -> bool {
+    pub(crate) fn pu_ready(&self, pu_cycle: u64, noc_cycle: u64) -> bool {
         if self.same_period {
             return pu_cycle <= noc_cycle;
         }
@@ -60,7 +60,7 @@ impl ClockConv {
 
     /// The first NoC cycle at or after the PU-clock instant `pu_cycle`
     /// (the cycle at which [`ClockConv::pu_ready`] turns true).
-    pub fn noc_cycle_for_pu(&self, pu_cycle: u64) -> u64 {
+    pub(crate) fn noc_cycle_for_pu(&self, pu_cycle: u64) -> u64 {
         if self.same_period {
             return pu_cycle;
         }
@@ -69,7 +69,7 @@ impl ClockConv {
     }
 
     /// PU cycles fully elapsed at NoC cycle `noc_cycle` (floor).
-    pub fn pu_cycle_floor(&self, noc_cycle: u64) -> u64 {
+    pub(crate) fn pu_cycle_floor(&self, noc_cycle: u64) -> u64 {
         if self.same_period {
             return noc_cycle;
         }
@@ -78,12 +78,12 @@ impl ClockConv {
     }
 
     /// The femtosecond instant of PU cycle `pu_cycle`.
-    pub fn pu_cycle_fs(&self, pu_cycle: u64) -> u64 {
+    pub(crate) fn pu_cycle_fs(&self, pu_cycle: u64) -> u64 {
         u64::try_from(pu_cycle as u128 * self.pu_period_fs as u128).unwrap_or(u64::MAX)
     }
 
     /// The first NoC cycle at or after the absolute instant `fs`.
-    pub fn noc_cycle_for_fs(&self, fs: u64) -> u64 {
+    pub(crate) fn noc_cycle_for_fs(&self, fs: u64) -> u64 {
         (fs as u128).div_ceil(self.noc_period_fs as u128) as u64
     }
 }

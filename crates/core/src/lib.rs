@@ -89,9 +89,7 @@ pub use app::{Application, GridInfo, OutMsg, ScheduledSend, SendStream, Software
 pub use counters::{PuCounters, SimCounters};
 pub use engine::Simulation;
 pub use error::SimError;
-pub use muchisim_noc::{LatencyStats, Payload, ReduceOp, RouterVisits};
-pub use muchisim_telemetry::{
-    Frame, FrameLog, MemorySubscriber, MetricsSample, Subscriber, WardTrip,
-};
+pub use muchisim_noc::{LatencyStats, Payload, ReduceOp};
+pub use muchisim_telemetry::{Frame, FrameLog, MemorySubscriber, MetricsSample, Subscriber};
 pub use tile::{HostPhaseNs, SimResult};
 pub use ward::{TileDiag, WardReport};

@@ -8,7 +8,7 @@ use muchisim_noc::QueueLink;
 /// in the worker's dense arrays, which [`Scheduler::pick`] takes by
 /// reference.
 #[derive(Debug)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     /// The policy; a priority order lists every task id, highest
     /// priority first.
     policy: SchedulingPolicy,
@@ -17,7 +17,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Builds a scheduler for `task_types` task ids with `policy`; task
     /// ids a priority order leaves out follow it in id order.
-    pub fn new(policy: &SchedulingPolicy, task_types: u8) -> Self {
+    pub(crate) fn new(policy: &SchedulingPolicy, task_types: u8) -> Self {
         let mut policy = policy.clone();
         if let SchedulingPolicy::Priority(order) = &mut policy {
             for t in 0..task_types {
@@ -31,14 +31,14 @@ impl Scheduler {
 
     /// The round-robin pointer (last served task id) a tile starts with:
     /// the last task id, so the first pick considers task 0 first.
-    pub fn initial_rr(task_types: u8) -> u8 {
+    pub(crate) fn initial_rr(task_types: u8) -> u8 {
         task_types.saturating_sub(1)
     }
 
     /// Picks the next task-type queue to serve, or `None` if all are
     /// empty. `iqs[t]` is the link of the tile's input queue of task `t`
     /// and `rr_last` the tile's round-robin pointer.
-    pub fn pick(&self, rr_last: &mut u8, iqs: &[QueueLink]) -> Option<u8> {
+    pub(crate) fn pick(&self, rr_last: &mut u8, iqs: &[QueueLink]) -> Option<u8> {
         match &self.policy {
             SchedulingPolicy::RoundRobin => {
                 let n = iqs.len() as u8;

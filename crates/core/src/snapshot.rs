@@ -54,7 +54,7 @@ use muchisim_telemetry::{Frame, FrameLog};
 use serde::{Serialize, Value};
 
 /// Magic bytes identifying a MuchiSim snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUCHSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"MUCHSNAP";
 
 /// Current snapshot format version. Bump on any change to the format *or*
 /// to simulated behavior (golden-trace re-bless); old versions are
@@ -201,7 +201,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Asserts that every byte was consumed.
-    pub fn expect_end(&self) -> Result<(), String> {
+    pub(crate) fn expect_end(&self) -> Result<(), String> {
         if self.remaining() != 0 {
             return Err(format!("{} trailing bytes after record", self.remaining()));
         }
@@ -714,7 +714,8 @@ wire_struct! {
         pub tile: u32,
         /// Whether the tile's init task for the current kernel is still due.
         pub init_pending: bool,
-        /// Router/PU busy cycles accumulated in the current (open) frame.
+        /// PU busy cycles accumulated in the current (open) frame; 0 below
+        /// verbosity V2, which keeps no such count.
         pub pu_busy_frame: u32,
         /// TSU round-robin pointer.
         pub rr_last: u8,

@@ -30,7 +30,7 @@ pub struct TileDiag {
 
 impl TileDiag {
     /// Total backlog attributed to this tile (the ranking key).
-    pub fn backlog(&self) -> u64 {
+    pub(crate) fn backlog(&self) -> u64 {
         self.iq_msgs as u64
             + self.cq_msgs as u64
             + self.scripted as u64

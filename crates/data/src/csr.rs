@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 
 /// A graph / square sparse matrix in CSR format.
 ///
-/// Construct with [`Csr::from_edges`] or incrementally with
-/// [`CsrBuilder`]. Vertex ids are dense `u32` in `0..num_vertices`.
+/// Construct with [`Csr::from_edges`]. Vertex ids are dense `u32` in
+/// `0..num_vertices`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Csr {
     num_vertices: u32,
@@ -113,18 +113,6 @@ impl Csr {
         self.row_ptr.len() as u64 * 8 + self.col_idx.len() as u64 * (4 + 4)
     }
 
-    /// The transposed matrix (in-edges become out-edges).
-    pub fn transpose(&self) -> Csr {
-        let mut edges = Vec::with_capacity(self.col_idx.len());
-        for v in 0..self.num_vertices {
-            let (lo, hi) = self.row_range(v);
-            for k in lo..hi {
-                edges.push((self.col_idx[k], v, self.values[k]));
-            }
-        }
-        Csr::from_edges(self.num_vertices, &edges)
-    }
-
     /// Returns the union of this graph and its transpose (symmetrized),
     /// dropping duplicate edges and self-loops; useful for connectivity
     /// kernels (WCC) on directed inputs.
@@ -162,49 +150,6 @@ impl Csr {
     }
 }
 
-/// Incremental CSR builder (C-BUILDER): push edges in any order, then
-/// [`CsrBuilder::build`].
-#[derive(Debug, Clone, Default)]
-pub struct CsrBuilder {
-    num_vertices: u32,
-    edges: Vec<(u32, u32, f32)>,
-}
-
-impl CsrBuilder {
-    /// Creates a builder for a graph with `num_vertices` vertices.
-    pub fn new(num_vertices: u32) -> Self {
-        CsrBuilder {
-            num_vertices,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Adds a weighted directed edge.
-    pub fn edge(&mut self, src: u32, dst: u32, weight: f32) -> &mut Self {
-        self.edges.push((src, dst, weight));
-        self
-    }
-
-    /// Number of edges added so far.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether no edges have been added.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Builds the CSR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pushed endpoint is out of range.
-    pub fn build(&self) -> Csr {
-        Csr::from_edges(self.num_vertices, &self.edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,20 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_reverses_edges() {
-        let g = diamond().transpose();
-        assert_eq!(g.neighbors(3), &[1, 2]);
-        assert_eq!(g.neighbors(1), &[0]);
-        assert_eq!(g.num_edges(), 4);
-    }
-
-    #[test]
-    fn transpose_twice_is_identity() {
-        let g = diamond();
-        assert_eq!(g.transpose().transpose(), g);
-    }
-
-    #[test]
     fn symmetrize_drops_self_loops_and_dups() {
         let g = Csr::from_edges(3, &[(0, 1, 1.0), (1, 0, 9.0), (1, 1, 5.0)]);
         let s = g.symmetrize();
@@ -261,19 +192,6 @@ mod tests {
         let g = diamond();
         // row_ptr: 5 * 8, col_idx+values: 4 * 8
         assert_eq!(g.footprint_bytes(), 5 * 8 + 4 * 8);
-    }
-
-    #[test]
-    fn builder_round_trip() {
-        let mut b = CsrBuilder::new(4);
-        assert!(b.is_empty());
-        b.edge(0, 1, 1.0)
-            .edge(0, 2, 1.0)
-            .edge(1, 3, 3.0)
-            .edge(2, 3, 4.0);
-        assert_eq!(b.len(), 4);
-        let g = b.build();
-        assert_eq!(g.neighbors(0), &[1, 2]);
     }
 
     #[test]

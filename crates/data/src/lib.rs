@@ -7,13 +7,11 @@
 //! Graph500 standard — plus four SNAP real-world graphs, all stored in
 //! Compressed Sparse Row (CSR) format without any partitioning: three
 //! arrays (non-zero values, column indices, row pointers). This crate
-//! reproduces that: a seedable [`rmat`] generator, parameterized
-//! [`synthetic`] stand-ins for the real-world graphs (this reproduction
-//! runs offline, so the SNAP downloads are replaced by generators of the
-//! same vertex/edge ratio and degree skew),
-//! the [`Csr`] container, and the equal-chunk [`Partition`] used to scatter
-//! each dataset array across tiles (paper §III-B "Address space and
-//! dataset layout").
+//! reproduces the RMAT half: a seedable [`rmat`] generator (this
+//! reproduction runs offline, so the SNAP graphs are not included),
+//! [`synthetic`] uniform-random and grid graphs, the [`Csr`] container,
+//! and the equal-chunk [`Partition`] used to scatter each dataset array
+//! across tiles (paper §III-B "Address space and dataset layout").
 //!
 //! # Example
 //!
@@ -36,5 +34,5 @@ pub mod rmat;
 pub mod synthetic;
 pub mod tensor;
 
-pub use csr::{Csr, CsrBuilder};
+pub use csr::Csr;
 pub use partition::Partition;

@@ -28,16 +28,6 @@ impl Partition {
         Partition { len, parts }
     }
 
-    /// Total elements partitioned.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the partition is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of owners.
     pub fn parts(&self) -> u32 {
         self.parts
@@ -85,12 +75,6 @@ impl Partition {
         start..(start + size)
     }
 
-    /// Number of elements owned by `part`.
-    pub fn chunk_len(&self, part: u32) -> u64 {
-        let r = self.range_of(part);
-        r.end - r.start
-    }
-
     /// The local offset of `index` within its owner's chunk.
     pub fn local_offset(&self, index: u64) -> u64 {
         index - self.range_of(self.owner_of(index)).start
@@ -101,6 +85,11 @@ impl Partition {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn chunk_len(p: &Partition, part: u32) -> u64 {
+        let r = p.range_of(part);
+        r.end - r.start
+    }
 
     #[test]
     fn even_split() {
@@ -116,10 +105,10 @@ mod tests {
     #[test]
     fn uneven_split_front_loaded() {
         let p = Partition::new(10, 4); // sizes 3,3,2,2
-        assert_eq!(p.chunk_len(0), 3);
-        assert_eq!(p.chunk_len(1), 3);
-        assert_eq!(p.chunk_len(2), 2);
-        assert_eq!(p.chunk_len(3), 2);
+        assert_eq!(chunk_len(&p, 0), 3);
+        assert_eq!(chunk_len(&p, 1), 3);
+        assert_eq!(chunk_len(&p, 2), 2);
+        assert_eq!(chunk_len(&p, 3), 2);
         assert_eq!(p.owner_of(5), 1);
         assert_eq!(p.owner_of(6), 2);
     }
@@ -129,7 +118,7 @@ mod tests {
         let p = Partition::new(3, 8);
         assert_eq!(p.owner_of(0), 0);
         assert_eq!(p.owner_of(2), 2);
-        assert_eq!(p.chunk_len(3), 0);
+        assert_eq!(chunk_len(&p, 3), 0);
         assert_eq!(p.range_of(7), 3..3);
     }
 
@@ -149,8 +138,8 @@ mod tests {
     #[test]
     fn empty_partition() {
         let p = Partition::new(0, 4);
-        assert!(p.is_empty());
-        assert_eq!(p.chunk_len(0), 0);
+        assert_eq!(p.len, 0);
+        assert_eq!(chunk_len(&p, 0), 0);
     }
 
     proptest! {
@@ -177,7 +166,7 @@ mod tests {
         #[test]
         fn prop_chunks_differ_by_at_most_one(len in 0u64..10_000, parts in 1u32..64) {
             let p = Partition::new(len, parts);
-            let sizes: Vec<u64> = (0..parts).map(|i| p.chunk_len(i)).collect();
+            let sizes: Vec<u64> = (0..parts).map(|i| chunk_len(&p, i)).collect();
             let min = *sizes.iter().min().unwrap();
             let max = *sizes.iter().max().unwrap();
             prop_assert!(max - min <= 1);

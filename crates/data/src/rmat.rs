@@ -48,12 +48,12 @@ impl RmatConfig {
     }
 
     /// Number of vertices (`2^scale`).
-    pub fn num_vertices(&self) -> u32 {
+    pub(crate) fn num_vertices(&self) -> u32 {
         1u32 << self.scale
     }
 
     /// Number of generated edges (`edge_factor · 2^scale`).
-    pub fn num_edges(&self) -> u64 {
+    pub(crate) fn num_edges(&self) -> u64 {
         self.edge_factor as u64 * self.num_vertices() as u64
     }
 
@@ -120,12 +120,6 @@ impl RmatConfig {
     }
 }
 
-/// Convenience: generate the paper's named dataset `RMAT-{scale}` with the
-/// default seed used across the benchmark harness.
-pub fn rmat(scale: u32) -> Csr {
-    RmatConfig::scale(scale).generate(0x6D75_6368_6953_696D) // "muchiSim"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,13 +173,6 @@ mod tests {
         cfg.weighted = false;
         let g = cfg.generate(4);
         assert!(g.iter_edges().all(|(_, _, w)| w == 1.0));
-    }
-
-    #[test]
-    fn named_helper_matches_config() {
-        let g = rmat(6);
-        assert_eq!(g.num_vertices(), 64);
-        assert_eq!(g.num_edges(), 1024);
     }
 
     proptest! {

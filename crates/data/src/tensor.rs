@@ -132,13 +132,8 @@ impl Tensor3 {
         Tensor3 { n, data }
     }
 
-    /// Side length.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Element at `(x, y, z)`.
-    pub fn get(&self, x: usize, y: usize, z: usize) -> Complex {
+    pub(crate) fn get(&self, x: usize, y: usize, z: usize) -> Complex {
         self.data[(x * self.n + y) * self.n + z]
     }
 

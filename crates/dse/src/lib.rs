@@ -63,9 +63,7 @@ mod spec;
 mod store;
 
 pub use error::DseError;
-pub use overrides::{
-    apply_to_config, overrides_from_value, parse_assignment, parse_json_or_string, Override,
-};
+pub use overrides::{apply_to_config, parse_assignment, Override};
 pub use report::{repriced_report_for, table_from_store};
 pub use runner::{BatchOutcome, BatchRunner};
 pub use spec::{slug, Axis, AxisPoint, DatasetSpec, ExperimentSpec, RunPoint};

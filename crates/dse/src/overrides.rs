@@ -46,7 +46,7 @@ pub fn parse_assignment(text: &str) -> Result<Override, DseError> {
 }
 
 /// Parses `text` as a JSON value, falling back to a plain string.
-pub fn parse_json_or_string(text: &str) -> Value {
+pub(crate) fn parse_json_or_string(text: &str) -> Value {
     serde_json::from_str::<Value>(text).unwrap_or_else(|_| Value::String(text.to_string()))
 }
 
@@ -60,7 +60,7 @@ pub fn parse_json_or_string(text: &str) -> Value {
 ///
 /// Returns [`DseError::Override`] for any other JSON shape or an
 /// unparseable assignment string.
-pub fn overrides_from_value(value: &Value) -> Result<Vec<Override>, DseError> {
+pub(crate) fn overrides_from_value(value: &Value) -> Result<Vec<Override>, DseError> {
     match value {
         Value::Null => Ok(Vec::new()),
         Value::Array(items) => items

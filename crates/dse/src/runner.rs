@@ -12,14 +12,6 @@
 //! points concurrently and out of order changes nothing about the
 //! reported numbers.
 //!
-//! With [`BatchRunner::checkpoint_every`] set, the store-level
-//! resumability extends *into* each point: every simulation periodically
-//! snapshots into `<store>.ckpt/<run_id>.ckpt` (see
-//! `muchisim_core::snapshot`), a killed sweep resumes mid-point from the
-//! latest snapshot, and each point's snapshot is deleted once its record
-//! lands in the store. Checkpointing never changes reported numbers —
-//! the checkpoint determinism suite pins the resumed half bit-for-bit.
-//!
 //! With [`BatchRunner::with_sample_every`], every point additionally
 //! streams a live metrics sample each `sample_every` cycles into its own
 //! `<store>.metrics/<run_id>.jsonl`, so an in-flight sweep can be watched
@@ -62,11 +54,6 @@ pub struct BatchOutcome {
 pub struct BatchRunner {
     /// Total host threads the batch may use at once.
     pub host_threads: usize,
-    /// When set, every point checkpoints its simulated state each
-    /// `checkpoint_every` cycles into `<store>.ckpt/<run_id>.ckpt` and
-    /// resumes from that snapshot if one is present, so a killed sweep
-    /// loses at most `checkpoint_every` cycles of the points in flight.
-    pub checkpoint_every: Option<u64>,
     /// When set, every point streams a metrics sample each `sample_every`
     /// cycles into `<store>.metrics/<run_id>.jsonl` — live per-point
     /// progress for an in-flight sweep. Sampling is pure observation:
@@ -75,12 +62,10 @@ pub struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner budgeted to `host_threads` total threads, without
-    /// mid-point checkpointing.
+    /// A runner budgeted to `host_threads` total threads.
     pub fn new(host_threads: usize) -> Self {
         BatchRunner {
             host_threads: host_threads.max(1),
-            checkpoint_every: None,
             sample_every: None,
         }
     }
@@ -127,8 +112,7 @@ impl BatchRunner {
         // file per simulation (concurrent points would
         // interleave into the same path and silently corrupt it), and a
         // user-set checkpoint path would make every point resume from
-        // whichever point snapshotted last — the runner derives its own
-        // per-point paths instead
+        // whichever point snapshotted last
         for (key, hit) in [
             (
                 "noc_trace",
@@ -205,13 +189,9 @@ impl BatchRunner {
             os.push(suffix);
             PathBuf::from(os)
         };
-        // per-point snapshots live next to the store, keyed by run ID,
-        // so the two resume layers compose: completed points skip via
-        // the store, the interrupted point resumes via its snapshot
-        let ckpt_dir = self.checkpoint_every.map(|_| beside_store(".ckpt"));
-        // live per-point metrics streams live next to the store too, one
-        // file per run ID — kept after completion (they are the record of
-        // how the point got there), unlike the transient snapshots above
+        // live per-point metrics streams live next to the store, one file
+        // per run ID, kept after completion (they are the record of how
+        // the point got there)
         let metrics_dir = self.sample_every.map(|_| beside_store(".metrics"));
 
         let slots = (self.host_threads / threads_per_run).clamp(1, pending.len().max(1));
@@ -227,14 +207,6 @@ impl BatchRunner {
                     };
                     let graph = Arc::clone(&datasets[&point.dataset]);
                     let mut cfg = point.config.clone();
-                    let ckpt_path = ckpt_dir
-                        .as_ref()
-                        .map(|dir| dir.join(format!("{}.ckpt", point.run_id)));
-                    if let Some(path) = &ckpt_path {
-                        cfg.checkpoint_every = self.checkpoint_every;
-                        cfg.checkpoint_path = Some(path.to_string_lossy().into_owned());
-                        cfg.checkpoint_resume = true; // fresh start if absent
-                    }
                     if let Some(dir) = &metrics_dir {
                         let path = dir.join(format!("{}.jsonl", point.run_id));
                         cfg.telemetry.sample_every = self.sample_every;
@@ -249,11 +221,6 @@ impl BatchRunner {
                         }
                         other => other,
                     };
-                    if run.is_ok() {
-                        if let Some(path) = &ckpt_path {
-                            let _ = std::fs::remove_file(path);
-                        }
-                    }
                     let mut guard = sink.lock().expect("sink lock");
                     let (store, errors, outcome) = &mut *guard;
                     match run {
@@ -283,12 +250,6 @@ impl BatchRunner {
                 });
             }
         });
-
-        // best-effort: gone entirely once the last point's snapshot is
-        // deleted (remove_dir refuses a non-empty directory)
-        if let Some(dir) = &ckpt_dir {
-            let _ = std::fs::remove_dir(dir);
-        }
 
         let (_, mut errors, _) = sink.into_inner().expect("sink lock");
         match errors.is_empty() {
@@ -430,64 +391,6 @@ mod tests {
             "unexpected error: {err}"
         );
         assert!(store.records().is_empty(), "nothing may have run");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_batch_resumes_mid_point_and_cleans_up() {
-        let dir =
-            std::env::temp_dir().join(format!("muchisim-dse-midpoint-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = tiny_spec();
-        let points = spec.expand().unwrap();
-
-        // the reference: the same sweep without any checkpointing
-        let plain_path = dir.join("plain.jsonl");
-        let _ = std::fs::remove_file(&plain_path);
-        let mut plain = JsonlStore::open(&plain_path).unwrap();
-        BatchRunner::new(2).run_spec(&spec, &mut plain).unwrap();
-
-        // simulate a sweep killed mid-point: seed the first point's
-        // derived snapshot path with a half-run checkpoint, exactly what
-        // an interrupted checkpointing batch leaves behind
-        let store_path = dir.join("ckpt.jsonl");
-        let _ = std::fs::remove_file(&store_path);
-        let ckpt_dir = dir.join("ckpt.jsonl.ckpt");
-        let graph = Arc::new(points[0].dataset.generate());
-        let probe = run_benchmark(
-            points[0].app,
-            points[0].config.clone(),
-            &graph,
-            spec.threads_per_run,
-        )
-        .unwrap();
-        let seeded = ckpt_dir.join(format!("{}.ckpt", points[0].run_id));
-        let mut half = points[0].config.clone();
-        half.checkpoint_path = Some(seeded.to_string_lossy().into_owned());
-        half.checkpoint_every = Some((probe.runtime_cycles / 2).max(1));
-        run_benchmark(points[0].app, half, &graph, spec.threads_per_run).unwrap();
-        assert!(seeded.exists(), "seeding left no snapshot");
-
-        // the checkpointing batch resumes that point from its snapshot
-        // (and fresh-starts the rest), reporting numbers identical to
-        // the plain sweep
-        let mut store = JsonlStore::open(&store_path).unwrap();
-        let runner = BatchRunner {
-            checkpoint_every: Some(500),
-            ..BatchRunner::new(2)
-        };
-        let outcome = runner.run_spec(&spec, &mut store).unwrap();
-        assert_eq!(outcome.executed, points.len());
-        assert_eq!(outcome.check_failures, 0);
-        for (a, b) in plain.sorted_records().iter().zip(store.sorted_records()) {
-            assert_eq!(a.run_id, b.run_id);
-            assert_eq!(a.result.runtime_cycles, b.result.runtime_cycles);
-            assert_eq!(a.result.counters, b.result.counters);
-        }
-        // every per-point snapshot was deleted on completion, and the
-        // emptied snapshot directory with it
-        assert!(!seeded.exists(), "completed point left its snapshot");
-        assert!(!ckpt_dir.exists(), "empty snapshot directory survived");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -49,8 +49,7 @@ pub enum DatasetSpec {
 impl DatasetSpec {
     /// The dataset label used in reports (e.g. `"RMAT-11"`), following
     /// the paper's naming. Deliberately omits the seed — run identity
-    /// uses [`DatasetSpec::id`], which includes every generator
-    /// parameter.
+    /// uses an id that includes every generator parameter.
     pub fn label(&self) -> String {
         match self {
             DatasetSpec::Rmat { scale, .. } => format!("RMAT-{scale}"),
@@ -64,7 +63,7 @@ impl DatasetSpec {
     /// A fully discriminating identifier: every generator parameter,
     /// seed included, so two datasets differing only in seed never
     /// collide on run IDs (seed sweeps are a supported axis).
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         match self {
             DatasetSpec::Rmat { scale, seed } => format!("RMAT-{scale}-s{seed}"),
             DatasetSpec::Grid { width, height } => format!("GRID-{width}x{height}"),
@@ -77,7 +76,7 @@ impl DatasetSpec {
     }
 
     /// Generates the dataset.
-    pub fn generate(&self) -> Csr {
+    pub(crate) fn generate(&self) -> Csr {
         match *self {
             DatasetSpec::Rmat { scale, seed } => RmatConfig::scale(scale).generate(seed),
             DatasetSpec::Grid { width, height } => grid_2d(width, height),

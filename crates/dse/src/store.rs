@@ -108,7 +108,7 @@ impl JsonlStore {
     }
 
     /// The run IDs already completed.
-    pub fn completed_ids(&self) -> HashSet<String> {
+    pub(crate) fn completed_ids(&self) -> HashSet<String> {
         self.records.iter().map(|r| r.run_id.clone()).collect()
     }
 
@@ -218,6 +218,30 @@ pub(crate) mod tests {
         assert!(legacy.contains("\"column_activity\":[3,0,5,1]"));
         assert_ne!(legacy, line);
         assert!(!legacy.contains("telemetry_dropped"));
+        // and the settings no model read, at any value
+        let mut legacy = legacy;
+        for (next_key, removed) in [
+            ("\"time_leap\":", "\"inter_node_link_mux\":2,"),
+            (
+                "\"buffer_depth\":",
+                "\"reduction_tree\":{\"subtree_width\":8},",
+            ),
+            (
+                "\"leakage_w_per_mb\":",
+                "\"bank_kib\":32,\"mux_growth_per_doubling\":0.7,",
+            ),
+            (
+                "\"channels_per_device\":",
+                "\"channel_bandwidth_gbps\":32.0,",
+            ),
+            (
+                "\"mcm_areal_gbps_per_mm2\":",
+                "\"mcm_beachfront_gbps_per_mm\":1.0,\"si_beachfront_gbps_per_mm\":2.0,",
+            ),
+        ] {
+            assert_eq!(legacy.matches(next_key).count(), 1, "{next_key}");
+            legacy = legacy.replace(next_key, &format!("{removed}{next_key}"));
+        }
         let path = temp_path("legacy.jsonl");
         std::fs::write(&path, format!("{legacy}\n")).unwrap();
         let store = JsonlStore::open(&path).unwrap();

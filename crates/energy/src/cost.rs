@@ -26,7 +26,7 @@ pub struct CostBreakdown {
 
 impl CostBreakdown {
     /// Computes the cost of the configured system given its areas.
-    pub fn from_config(cfg: &SystemConfig, area: &AreaBreakdown) -> Self {
+    pub(crate) fn from_config(cfg: &SystemConfig, area: &AreaBreakdown) -> Self {
         let p = &cfg.params.cost;
         let die_mm2 = area.chiplet_mm2;
         let gross = dies_per_wafer(p.wafer_diameter_mm, p.edge_loss_mm, p.scribe_mm, die_mm2);

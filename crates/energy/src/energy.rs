@@ -44,7 +44,7 @@ impl EnergyBreakdown {
     }
 
     /// Average power in watts over the run.
-    pub fn average_power_w(&self, runtime_secs: f64) -> f64 {
+    pub(crate) fn average_power_w(&self, runtime_secs: f64) -> f64 {
         if runtime_secs == 0.0 {
             0.0
         } else {
@@ -53,7 +53,7 @@ impl EnergyBreakdown {
     }
 
     /// Computes the breakdown from a configuration and counters file.
-    pub fn from_counters(cfg: &SystemConfig, c: &SimCounters) -> Self {
+    pub(crate) fn from_counters(cfg: &SystemConfig, c: &SimCounters) -> Self {
         let p = &cfg.params;
         let node = cfg.technology_nm;
         // dynamic energy scales with V^2 relative to the 1 GHz

@@ -44,4 +44,3 @@ pub use area::AreaBreakdown;
 pub use cost::CostBreakdown;
 pub use energy::EnergyBreakdown;
 pub use report::Report;
-pub use yield_model::{dies_per_wafer, murphy_yield};

@@ -78,15 +78,6 @@ impl Report {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying JSON error message.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -128,18 +119,5 @@ mod tests {
         assert!((after.cost.compute_usd / before.cost.compute_usd - 2.0).abs() < 1e-9);
         assert_eq!(after.runtime_secs, before.runtime_secs);
         assert_eq!(after.energy, before.energy, "energy params unchanged");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let (cfg, c) = sample();
-        let r = Report::from_counters(&cfg, &c);
-        let back = Report::from_json(&r.to_json()).unwrap();
-        // JSON decimal round-off can perturb the last ulp of f64 fields;
-        // compare the metrics that drive decisions
-        assert_eq!(back.runtime_secs, r.runtime_secs);
-        assert!((back.flops - r.flops).abs() < 1.0);
-        assert!((back.cost.total_usd - r.cost.total_usd).abs() < 1e-9);
-        assert!((back.energy.total_pj() - r.energy.total_pj()).abs() < 1.0);
     }
 }

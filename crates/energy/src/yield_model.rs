@@ -5,7 +5,7 @@
 /// with `defect_density` defects per mm².
 ///
 /// `Y = ((1 − e^(−A·D)) / (A·D))²`
-pub fn murphy_yield(area_mm2: f64, defect_density: f64) -> f64 {
+pub(crate) fn murphy_yield(area_mm2: f64, defect_density: f64) -> f64 {
     let ad = area_mm2 * defect_density;
     if ad <= 0.0 {
         return 1.0;
@@ -20,7 +20,12 @@ pub fn murphy_yield(area_mm2: f64, defect_density: f64) -> f64 {
 ///
 /// Uses the standard estimate `π·r²/A − π·d/√(2A)` on the effective
 /// (edge-trimmed) diameter.
-pub fn dies_per_wafer(wafer_mm: f64, edge_loss_mm: f64, scribe_mm: f64, die_mm2: f64) -> u64 {
+pub(crate) fn dies_per_wafer(
+    wafer_mm: f64,
+    edge_loss_mm: f64,
+    scribe_mm: f64,
+    die_mm2: f64,
+) -> u64 {
     let side = die_mm2.sqrt() + scribe_mm;
     let area = side * side;
     let d = (wafer_mm - 2.0 * edge_loss_mm).max(0.0);

@@ -8,7 +8,7 @@
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
+pub(crate) enum AccessOutcome {
     /// The line was present.
     Hit,
     /// The line was absent; `writeback` is true if a dirty victim must be
@@ -21,7 +21,7 @@ pub enum AccessOutcome {
 
 impl AccessOutcome {
     /// Whether this is a hit.
-    pub fn is_hit(self) -> bool {
+    pub(crate) fn is_hit(self) -> bool {
         matches!(self, AccessOutcome::Hit)
     }
 }
@@ -43,7 +43,7 @@ pub struct CacheLine {
 
 /// A set-associative write-back cache with LRU replacement.
 #[derive(Debug, Clone)]
-pub struct CacheModel {
+pub(crate) struct CacheModel {
     lines: Vec<CacheLine>,
     num_sets: u64,
     ways: u32,
@@ -59,7 +59,7 @@ impl CacheModel {
     /// # Panics
     ///
     /// Panics if the PLM is too small to hold even one set.
-    pub fn new(plm_kib: u32, line_bits: u32, ways: u32) -> Self {
+    pub(crate) fn new(plm_kib: u32, line_bits: u32, ways: u32) -> Self {
         assert!(ways >= 1, "cache needs at least one way");
         let line_bytes = line_bits / 8;
         // ~48-bit physical addresses: tag + valid + dirty bits per line.
@@ -80,13 +80,13 @@ impl CacheModel {
 
     /// The LRU clock (the stamp of the latest access or fill) and the
     /// tag array, set by set (`ways` lines each).
-    pub fn state(&self) -> (u64, &[CacheLine]) {
+    pub(crate) fn state(&self) -> (u64, &[CacheLine]) {
         (self.tick, &self.lines)
     }
 
     /// Overwrites the LRU clock and the tag array (checkpoint restore);
     /// the geometry stays the configured one, and so must the line count.
-    pub fn restore(&mut self, tick: u64, lines: &[CacheLine]) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, tick: u64, lines: &[CacheLine]) -> Result<(), String> {
         let (got, want) = (lines.len(), self.lines.len());
         if got != want {
             return Err(format!(
@@ -98,14 +98,9 @@ impl CacheModel {
         Ok(())
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
     /// Host heap bytes owned by the tag/metadata array (the simulator
     /// models tags only, never data, so this *is* the model's footprint).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.lines.capacity() as u64 * std::mem::size_of::<CacheLine>() as u64
     }
 
@@ -121,7 +116,7 @@ impl CacheModel {
     ///
     /// Returns the outcome plus whether the access hit a prefetched line
     /// for the first time.
-    pub fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, bool) {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) -> (AccessOutcome, bool) {
         self.tick += 1;
         let (range, tag) = self.set_range(addr);
         // hit?
@@ -159,7 +154,7 @@ impl CacheModel {
     }
 
     /// Checks residency without disturbing LRU/dirty state.
-    pub fn probe(&self, addr: u64) -> bool {
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (range, tag) = self.set_range(addr);
         range
             .clone()
@@ -169,7 +164,7 @@ impl CacheModel {
     /// Fills `addr`'s line as a prefetch (no dirty bit, marked
     /// prefetched). Returns `Some(writeback)` if a fill happened, or
     /// `None` if the line was already resident.
-    pub fn prefetch_fill(&mut self, addr: u64) -> Option<bool> {
+    pub(crate) fn prefetch_fill(&mut self, addr: u64) -> Option<bool> {
         if self.probe(addr) {
             return None;
         }
@@ -210,7 +205,7 @@ mod tests {
         let c = small_cache();
         // 4 KiB = 32768 bits; line+tag = 512 + (48-6+2)=556 bits -> 58 lines
         // -> 29 sets -> rounded down to 16 sets x 2 ways = 32 lines = 2 KiB
-        assert_eq!(c.line_bytes(), 64);
+        assert_eq!(c.line_bytes, 64);
         assert_eq!((c.num_sets, c.lines.len()), (16, 32));
     }
 
@@ -234,7 +229,7 @@ mod tests {
         let mut c = small_cache();
         // fill both ways of set 0 with writes; then a third conflicting
         // line must evict a dirty victim
-        let set_stride = c.num_sets * c.line_bytes() as u64;
+        let set_stride = c.num_sets * c.line_bytes as u64;
         c.access(0, true);
         c.access(set_stride, true);
         let (o, _) = c.access(2 * set_stride, false);
@@ -244,7 +239,7 @@ mod tests {
     #[test]
     fn clean_eviction_has_no_writeback() {
         let mut c = small_cache();
-        let set_stride = c.num_sets * c.line_bytes() as u64;
+        let set_stride = c.num_sets * c.line_bytes as u64;
         c.access(0, false);
         c.access(set_stride, false);
         let (o, _) = c.access(2 * set_stride, false);
@@ -254,7 +249,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = small_cache();
-        let stride = c.num_sets * c.line_bytes() as u64;
+        let stride = c.num_sets * c.line_bytes as u64;
         c.access(0, false); // way A
         c.access(stride, false); // way B
         c.access(0, false); // A more recent

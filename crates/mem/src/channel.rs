@@ -21,15 +21,10 @@ pub struct ChannelState {
 impl ChannelState {
     /// Issues one line request at `cycle`; returns the total latency in
     /// cycles including the controller round trip `round_trip`.
-    pub fn request(&mut self, cycle: u64, round_trip: u64) -> u64 {
+    pub(crate) fn request(&mut self, cycle: u64, round_trip: u64) -> u64 {
         let queue_wait = self.transactions.saturating_sub(cycle);
         self.transactions = self.transactions.max(cycle) + 1;
         queue_wait + round_trip
-    }
-
-    /// Resets the transaction count (between kernels).
-    pub fn reset(&mut self) {
-        self.transactions = 0;
     }
 
     /// The cycle at which this channel's transaction backlog drains (the
@@ -192,14 +187,6 @@ mod tests {
         assert_eq!(ch.next_event_cycle(0), Some(10));
         assert_eq!(ch.next_event_cycle(9), Some(10));
         assert_eq!(ch.next_event_cycle(10), None);
-    }
-
-    #[test]
-    fn channel_reset() {
-        let mut ch = ChannelState::default();
-        ch.request(0, 50);
-        ch.reset();
-        assert_eq!(ch.transactions, 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn fresh_id(len: usize) -> u32 {
 impl<T> Arena<T> {
     /// The item of live node `id`.
     #[inline]
-    pub fn get(&self, id: u32) -> &T {
+    pub(crate) fn get(&self, id: u32) -> &T {
         &self.nodes[id as usize].item
     }
 
@@ -178,7 +178,7 @@ impl<T: Default> Arena<T> {
     /// Takes the item out of live node `id` and returns the node to the
     /// free list.
     #[inline]
-    pub fn release(&mut self, id: u32) -> T {
+    pub(crate) fn release(&mut self, id: u32) -> T {
         let node = &mut self.nodes[id as usize];
         let item = std::mem::take(&mut node.item);
         node.next = self.free;

@@ -54,7 +54,7 @@ pub struct Credit(AtomicU32);
 impl Credit {
     /// Flits currently reserved.
     #[inline]
-    pub fn flits(&self) -> u32 {
+    pub(crate) fn flits(&self) -> u32 {
         self.0.load(Relaxed) & !WAITER
     }
 

@@ -138,7 +138,7 @@ pub struct SharedNet {
 
 impl SharedNet {
     /// Number of shards.
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.mailboxes.len()
     }
 
@@ -154,7 +154,7 @@ impl SharedNet {
 
     /// Host heap bytes of the shared state: the credit table, the
     /// column→shard map, and the cross-shard mailboxes and wake boxes.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         let wake_boxes: u64 = self
             .wake_boxes
             .iter()
@@ -290,11 +290,6 @@ impl Network {
             },
             shards,
         }
-    }
-
-    /// The shared topology.
-    pub fn topo(&self) -> &TopoInfo {
-        &self.shared.topo
     }
 
     /// Number of shards.
@@ -885,7 +880,7 @@ mod tests {
                 cycle += 1;
             }
             cycle += 1 << 10;
-            assert!(n.shards.iter().all(Shard::is_drained));
+            assert!(n.shards.iter().all(|s| s.queued_packets() == 0));
             n.state_bytes()
         };
         // the payloads left with their packets; the nodes and the boxes of

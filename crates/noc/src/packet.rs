@@ -153,7 +153,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Combines two value words.
-    pub fn combine(self, a: u32, b: u32) -> u32 {
+    pub(crate) fn combine(self, a: u32, b: u32) -> u32 {
         match self {
             ReduceOp::SumF32 => (f32::from_bits(a) + f32::from_bits(b)).to_bits(),
             ReduceOp::SumU32 => a.wrapping_add(b),
@@ -206,13 +206,14 @@ impl Default for Packet {
 
 impl Packet {
     /// Creates an ordinary (non-reducible) packet ready at cycle 0.
+    /// `flits` counts the header flit, so it is at least 1.
     pub fn unicast(src: u32, dst: u32, task: u8, payload: Payload, flits: u16) -> Self {
         Packet {
             src,
             dst,
             task,
             vc: 0,
-            flits: flits.max(1),
+            flits,
             ready_at: 0,
             born: 0,
             reduce: None,
@@ -355,12 +356,6 @@ mod tests {
         let a = Packet::unicast(0, 9, 1, Payload::from_slice(&[7, 10]), 2);
         let b = Packet::unicast(3, 9, 1, Payload::from_slice(&[7, 4]), 2);
         assert!(!a.can_combine(&b));
-    }
-
-    #[test]
-    fn flits_clamped_to_one() {
-        let p = Packet::unicast(0, 1, 0, Payload::empty(), 0);
-        assert_eq!(p.flits, 1);
     }
 
     #[test]

@@ -9,12 +9,12 @@ use serde::{Deserialize, Serialize};
 
 /// Number of input ports a router can have; a topology has 5, 9 or 13
 /// of them (see [`crate::TopoInfo::has_port`]).
-pub const IN_PORTS: usize = 13;
+pub(crate) const IN_PORTS: usize = 13;
 // every queue id of the largest grid `SystemConfig::validate` lets through
 // fits the `u32` that wake boxes and stall memos carry
 const _: () = assert!(muchisim_config::MAX_TILES * IN_PORTS as u64 <= u32::MAX as u64);
 /// Number of output directions per router.
-pub const OUT_DIRS: usize = 9;
+pub(crate) const OUT_DIRS: usize = 9;
 
 /// An input queue of a router, named after where its link comes *from*.
 ///
@@ -62,7 +62,7 @@ impl InPort {
     ];
 
     /// Index in `0..IN_PORTS`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -73,7 +73,7 @@ impl InPort {
     ///
     /// Panics if `dir` is [`OutDir::Eject`] (ejection has no downstream
     /// queue) or `vc > 1`.
-    pub fn arrival_port(dir: OutDir, vc: u8) -> InPort {
+    pub(crate) fn arrival_port(dir: OutDir, vc: u8) -> InPort {
         assert!(vc <= 1, "virtual channel out of range");
         match (dir, vc) {
             (OutDir::N, 0) => InPort::FromS0,
@@ -130,13 +130,13 @@ impl OutDir {
     ];
 
     /// Index in `0..OUT_DIRS`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Directions by [`OutDir::index`] (the inverse of `index`; note
     /// [`OutDir::ALL`] iterates in a different, Eject-first order).
-    pub const BY_INDEX: [OutDir; OUT_DIRS] = [
+    pub(crate) const BY_INDEX: [OutDir; OUT_DIRS] = [
         OutDir::N,
         OutDir::S,
         OutDir::E,

@@ -130,7 +130,7 @@ pub(crate) struct StallMemo {
 
 impl StallMemo {
     /// The watched `(queue id, flits seen)` pairs.
-    pub fn watched(&self) -> &[(u32, u32)] {
+    pub(crate) fn watched(&self) -> &[(u32, u32)] {
         &self.watch[..self.n_watch as usize]
     }
 }
@@ -315,7 +315,7 @@ impl RouterState {
 
     /// Unlinks the head node of input queue `port` and hands it to the
     /// caller, still live: to stamp and [`RouterState::link`] elsewhere in
-    /// the same arena, or to [`PacketArena::release`].
+    /// the same arena, or to give back to the arena.
     ///
     /// # Panics
     ///
@@ -365,7 +365,7 @@ impl RouterState {
 
     /// Host heap bytes owned by this router besides its packets (those
     /// are the arena's): combine index and stall memo.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.combine.capacity() as u64 * std::mem::size_of::<(CombineSig, u32)>() as u64
             + self
                 .stall

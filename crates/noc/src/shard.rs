@@ -431,11 +431,6 @@ impl Shard {
         self.slice.cols()
     }
 
-    /// Shard index.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
     /// Cumulative counters of this shard.
     pub fn counters(&self) -> &NocCounters {
         &self.counters
@@ -443,7 +438,7 @@ impl Shard {
 
     /// What [`Shard::step`] did with its router visits so far (host-side
     /// ledger; starts from zero in a restored run).
-    pub fn router_visits(&self) -> &RouterVisits {
+    pub(crate) fn router_visits(&self) -> &RouterVisits {
         &self.visits
     }
 
@@ -485,7 +480,7 @@ impl Shard {
     }
 
     /// Drains the recorded injection trace (empty when recording is off).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
@@ -504,17 +499,6 @@ impl Shard {
     /// the high-water mark of packets held at once.
     pub fn arena_nodes(&self) -> usize {
         self.arena.nodes()
-    }
-
-    /// Whether all queues and pending buffers of this shard are empty.
-    pub fn is_drained(&self) -> bool {
-        let drained = self.pending_pushes.is_empty() && self.queued_msgs.iter().all(|&q| q == 0);
-        debug_assert!(
-            !drained || self.arena.all_vacant(),
-            "a drained shard still owns {} packet nodes",
-            self.arena.live()
-        );
-        drained
     }
 
     /// The earliest cycle after `now` at which this shard can move a
@@ -1095,7 +1079,7 @@ impl Shard {
     /// capacity plus spilled payloads), the router pointer table, the SoA
     /// hot-state arrays, every materialized or pooled router's box, the
     /// busy grid, and the pending-push/free buffers.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         let ptr = std::mem::size_of::<Option<Box<RouterState>>>() as u64;
         let per_router =
             |r: &RouterState| -> u64 { std::mem::size_of::<RouterState>() as u64 + r.heap_bytes() };
@@ -1455,7 +1439,6 @@ mod tests {
         assert_eq!(shard.allocated_routers(), 0);
         assert_eq!(shard.pooled_routers(), 0);
         assert_eq!(shard.active_routers(), 0);
-        assert!(shard.is_drained());
         assert_eq!(shard.queued_packets(), 0);
         assert_eq!(shard.next_event_cycle(0), None);
         assert!(shard.busy_frame.is_empty(), "untracked shard has no grid");

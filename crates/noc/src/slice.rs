@@ -55,7 +55,7 @@ impl ColSlice {
 
     /// Local index of the tile at `(x, y)`.
     #[inline]
-    pub fn local_of(&self, x: u32, y: u32) -> usize {
+    pub(crate) fn local_of(&self, x: u32, y: u32) -> usize {
         debug_assert!(self.cols.contains(&x), "column {x} not in {:?}", self.cols);
         (y * self.ncols() + (x - self.cols.start)) as usize
     }
@@ -73,7 +73,7 @@ impl ColSlice {
 
     /// Grid coordinates `(x, y)` of a local index.
     #[inline]
-    pub fn coords(&self, local: usize) -> (u32, u32) {
+    pub(crate) fn coords(&self, local: usize) -> (u32, u32) {
         let (y, xr) = self.div_ncols.divmod(local as u32);
         (self.cols.start + xr, y)
     }

@@ -18,7 +18,7 @@ pub struct FastDiv {
 
 impl FastDiv {
     /// Divider for divisor `d ≥ 1`.
-    pub fn new(d: u32) -> Self {
+    pub(crate) fn new(d: u32) -> Self {
         debug_assert!(d >= 1, "division by zero");
         FastDiv {
             d,
@@ -38,7 +38,7 @@ impl FastDiv {
 
     /// `(n / d, n % d)`.
     #[inline]
-    pub fn divmod(self, n: u32) -> (u32, u32) {
+    pub(crate) fn divmod(self, n: u32) -> (u32, u32) {
         let q = self.div(n);
         (q, n - q * self.d)
     }
@@ -201,7 +201,7 @@ impl TopoInfo {
     }
 
     /// Total routers (= tiles).
-    pub fn num_tiles(&self) -> u32 {
+    pub(crate) fn num_tiles(&self) -> u32 {
         self.width * self.height
     }
 
@@ -286,7 +286,7 @@ impl TopoInfo {
     /// with the coordinates it already holds; class and latency are one
     /// read of the direction's link row, no division.
     #[inline]
-    pub fn hop_info(
+    pub(crate) fn hop_info(
         &self,
         x: u32,
         y: u32,
@@ -319,7 +319,7 @@ impl TopoInfo {
     /// when `neighbor(cur, dir, vc) == Some((dest, in_port))`. `None` for
     /// the inject port (fed by the tile's PU) and for ports whose link
     /// does not exist (mesh edge, Ruche link from outside the grid).
-    pub fn upstream(&self, tile: u32, port: InPort) -> Option<u32> {
+    pub(crate) fn upstream(&self, tile: u32, port: InPort) -> Option<u32> {
         // a packet arriving "from the north" was sent south by the
         // router whose south neighbor this tile is: step back north
         let back = match port {
@@ -339,7 +339,7 @@ impl TopoInfo {
     }
 
     /// Wire length in mm of the hop (for on-chip wire energy).
-    pub fn hop_wire_mm(&self, dir: OutDir) -> f64 {
+    pub(crate) fn hop_wire_mm(&self, dir: OutDir) -> f64 {
         if dir.is_ruche() {
             self.ruche_factor.unwrap_or(1) as f64 * self.tile_pitch_mm
         } else {
@@ -372,7 +372,7 @@ impl TopoInfo {
     }
 
     /// Total input queues in the network.
-    pub fn num_queues(&self) -> usize {
+    pub(crate) fn num_queues(&self) -> usize {
         self.num_tiles() as usize * self.ports as usize
     }
 }

@@ -40,7 +40,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Captures the event for `pkt` as it enters the network (the
     /// packet's `ready_at` is its injection cycle at that point).
-    pub fn from_packet(pkt: &Packet) -> Self {
+    pub(crate) fn from_packet(pkt: &Packet) -> Self {
         TraceEvent {
             cycle: pkt.ready_at,
             src: pkt.src,

@@ -63,7 +63,7 @@ impl Frame {
     }
 
     /// Host heap bytes owned by this frame's sparse grids.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         (self.router_busy.capacity() + self.pu_busy.capacity() + self.iq_occupancy.capacity())
             as u64
             * std::mem::size_of::<(u32, u32)>() as u64

@@ -45,7 +45,7 @@ pub struct WorkerSample {
 
 impl WorkerSample {
     /// Accumulates `other` into `self` (commutative).
-    pub fn merge(&mut self, other: &WorkerSample) {
+    pub(crate) fn merge(&mut self, other: &WorkerSample) {
         self.tasks += other.tasks;
         self.pending += other.pending;
         self.active_tiles += other.active_tiles;
@@ -170,7 +170,7 @@ impl Default for MetricsSample {
 
 impl MetricsSample {
     /// Fraction of tiles currently active, in `[0, 1]`.
-    pub fn active_fraction(&self) -> f64 {
+    pub(crate) fn active_fraction(&self) -> f64 {
         if self.total_tiles == 0 {
             0.0
         } else {

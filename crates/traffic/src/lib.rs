@@ -48,6 +48,5 @@ mod patterns;
 mod saturation;
 
 pub use app::TrafficApp;
-pub use muchisim_config::{TrafficParams, TrafficPattern};
 pub use patterns::{tile_seed, PatternMap};
 pub use saturation::{run_point, saturation_sweep, LoadPoint, SaturationCurve};

@@ -76,7 +76,7 @@ impl PatternMap {
     }
 
     /// Total tiles of the grid.
-    pub fn total_tiles(&self) -> u32 {
+    pub(crate) fn total_tiles(&self) -> u32 {
         self.total
     }
 

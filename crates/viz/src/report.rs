@@ -123,7 +123,7 @@ impl ReportRow {
 
     /// Worklist bookkeeping as a fraction of attributed host time (0 when
     /// no phases were recorded).
-    pub fn worklist_share(&self) -> f64 {
+    pub(crate) fn worklist_share(&self) -> f64 {
         let total =
             self.phase_pu_ns + self.phase_inject_ns + self.phase_net_ns + self.phase_worklist_ns;
         if total == 0 {

@@ -14,7 +14,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// One row of a subcommand's flag table.
-pub struct Flag {
+pub(crate) struct Flag {
     pub name: &'static str,
     /// Placeholder for the flag's value; empty for a switch.
     pub metavar: &'static str,
@@ -26,7 +26,7 @@ pub struct Flag {
 
 /// A subcommand: its positional synopsis (one word per positional it
 /// accepts) and its flag table.
-pub struct Command {
+pub(crate) struct Command {
     pub name: &'static str,
     pub positionals: &'static str,
     pub flags: &'static [Flag],
@@ -34,16 +34,16 @@ pub struct Command {
 }
 
 /// A malformed command line; the message backticks the argument at fault.
-pub struct CliError(pub String);
+pub(crate) struct CliError(pub String);
 
 /// Parses `text` as a `what`, naming both when it is not one.
-pub fn parsed<T: FromStr<Err: Display>>(what: &str, text: &str) -> Result<T, CliError> {
+pub(crate) fn parsed<T: FromStr<Err: Display>>(what: &str, text: &str) -> Result<T, CliError> {
     let invalid = |e| CliError(format!("invalid {what} `{text}`: {e}"));
     text.parse().map_err(invalid)
 }
 
 /// `found`, or an error naming `name` and the `known` choices.
-pub fn chosen<T, S: Borrow<str>>(
+pub(crate) fn chosen<T, S: Borrow<str>>(
     found: Option<T>,
     what: &str,
     name: &str,
@@ -54,14 +54,14 @@ pub fn chosen<T, S: Borrow<str>>(
 }
 
 /// An argv split along one command's table.
-pub struct Args {
+pub(crate) struct Args {
     positionals: Vec<String>,
     /// `(flag, value)` in argv order; a switch carries an empty value.
     flags: Vec<(&'static Flag, String)>,
 }
 
 /// Splits `argv` into the positionals and flags of `command`.
-pub fn parse(command: &'static Command, argv: &[&str]) -> Result<Args, CliError> {
+pub(crate) fn parse(command: &'static Command, argv: &[&str]) -> Result<Args, CliError> {
     let (mut positionals, mut flags) = (Vec::new(), Vec::<(&Flag, String)>::new());
     let mut argv = argv.iter();
     while let Some(&arg) = argv.next() {
@@ -150,19 +150,19 @@ fn lower_ward(text: &str) -> Result<String, CliError> {
 
 impl Args {
     /// The value of the flag `name` (empty for a switch), when given.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         let given = self.flags.iter().find(|(flag, _)| flag.name == name);
         given.map(|(_, value)| value.as_str())
     }
 
     /// The value of a flag the command cannot do without.
-    pub fn required(&self, name: &str) -> Result<&str, CliError> {
+    pub(crate) fn required(&self, name: &str) -> Result<&str, CliError> {
         let missing = || CliError(format!("missing the required flag `{name}`"));
         self.get(name).ok_or_else(missing)
     }
 
     /// The `index`-th positional, when given.
-    pub fn positional(&self, index: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, index: usize) -> Option<&str> {
         self.positionals.get(index).map(String::as_str)
     }
 
@@ -170,7 +170,7 @@ impl Args {
     /// subcommand itself fixes), the defaults its flags imply and
     /// `--seed`; then the `--set`s; then every other flag with a key —
     /// so a flag beats a `--set`, which beats a default.
-    pub fn overrides(&self, base: &[&str]) -> Result<Vec<Override>, CliError> {
+    pub(crate) fn overrides(&self, base: &[&str]) -> Result<Vec<Override>, CliError> {
         let mut early: Vec<String> = base.iter().map(|text| text.to_string()).collect();
         let (mut sets, mut late) = (Vec::new(), Vec::new());
         for (flag, value) in &self.flags {
@@ -233,7 +233,7 @@ const SIDE: Flag = flag(
 const THREADS: Flag = flag("--threads", "N", "", "host threads (default 4)");
 
 #[rustfmt::skip]
-pub static RUN: Command = Command {
+pub(crate) static RUN: Command = Command {
     name: "run",
     positionals: "<app> [scale [side [threads]]]",
     about: "Run one benchmark on an RMAT graph, print its report and host summary, and write\n\
@@ -265,7 +265,7 @@ pub static RUN: Command = Command {
 };
 
 #[rustfmt::skip]
-pub static SWEEP: Command = Command {
+pub(crate) static SWEEP: Command = Command {
     name: "sweep",
     positionals: "",
     about: "Expand a JSON experiment spec into run points, execute the ones missing from the\n\
@@ -282,7 +282,7 @@ pub static SWEEP: Command = Command {
 };
 
 #[rustfmt::skip]
-pub static REPORT: Command = Command {
+pub(crate) static REPORT: Command = Command {
     name: "report",
     positionals: "",
     about: "Rebuild the comparison table from a result store without re-simulating; --set\n\
@@ -291,7 +291,7 @@ pub static REPORT: Command = Command {
 };
 
 #[rustfmt::skip]
-pub static TRAFFIC_SWEEP: Command = Command {
+pub(crate) static TRAFFIC_SWEEP: Command = Command {
     name: "traffic sweep",
     positionals: "",
     about: "Run a synthetic pattern across ascending offered loads on a side x side grid with\n\
@@ -309,7 +309,7 @@ pub static TRAFFIC_SWEEP: Command = Command {
 };
 
 #[rustfmt::skip]
-pub static TRAFFIC_REPLAY: Command = Command {
+pub(crate) static TRAFFIC_REPLAY: Command = Command {
     name: "traffic replay",
     positionals: "",
     about: "Re-inject a trace recorded with `run --trace`, app-free, under the configuration\n\
@@ -320,7 +320,7 @@ pub static TRAFFIC_REPLAY: Command = Command {
 static COMMANDS: [&Command; 5] = [&RUN, &SWEEP, &REPORT, &TRAFFIC_SWEEP, &TRAFFIC_REPLAY];
 
 /// Renders `--help` from the tables.
-pub fn help() -> String {
+pub(crate) fn help() -> String {
     let mut out =
         String::from("muchisim: design exploration for multi-chip manycore systems\n\nUSAGE:\n");
     for command in COMMANDS {

@@ -449,6 +449,47 @@ fn checkpoint_smoke_bfs_split_resume_is_bit_identical() {
     );
 }
 
+/// Below verbosity V2 a worker keeps no per-tile PU busy count (no frame
+/// grid reads one), and a snapshot writes 0 in its place: every suite
+/// app still splits and resumes bit-identically at V0 (no frames) and
+/// V1 (frames without grids), on one worker and across two.
+#[test]
+fn split_resume_below_v2_is_bit_identical() {
+    let graph = Arc::new(RmatConfig::scale(GRAPH_SCALE).generate(GRAPH_SEED));
+    for verbosity in [Verbosity::V0, Verbosity::V1] {
+        let mut b = SystemConfig::builder();
+        b.chiplet_tiles(8, 8).verbosity(verbosity);
+        if verbosity == Verbosity::V1 {
+            b.frame_interval_cycles(256);
+        }
+        let cfg = b.build().expect("valid config");
+        let tiles = cfg.width() * cfg.height();
+        for bench in Benchmark::ALL {
+            let tag = format!("{verbosity:?}-{}", bench.label());
+            let reference = run(bench, cfg.clone(), &graph, 1);
+            let want = trace_checksum(&reference, tiles);
+            let every = (reference.runtime_cycles / 2).max(1);
+            let (full, resumed) = split_and_resume(bench, &cfg, &graph, every, &tag, 1, 1);
+            assert_eq!(
+                trace_checksum(&full, tiles),
+                want,
+                "{tag}: checkpointing perturbed the run"
+            );
+            assert_eq!(
+                trace_checksum(&resumed, tiles),
+                want,
+                "{tag}: resume diverged"
+            );
+            let (_, threaded) = split_and_resume(bench, &cfg, &graph, every, &tag, 2, 2);
+            assert_eq!(
+                schedule_checksum(&threaded, tiles),
+                schedule_checksum(&reference, tiles),
+                "{tag}: 2-thread split and resume diverged from the schedule"
+            );
+        }
+    }
+}
+
 /// Property: for a *random* (benchmark, grid side, graph seed, snapshot
 /// fraction), splitting at that fraction of the measured runtime and
 /// resuming reproduces the uninterrupted run's checksum — counters,

@@ -112,6 +112,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     // ── run: one override list — implied default < --set < flag ──────
     (&["run", "bfs", "5", "4", "1", "--set", "telemetry.sample_every=16", "--ward", "max_cycles=64"], Ward, "ward `max_cycles` tripped"),
     (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--set", "checkpoint_every=0"], Config, "error: invalid checkpoint configuration: checkpoint_every must be at least 1 cycle"),
+    (&["run", "traf-uniform", "4", "4", "1", "--set", "noc.width_bits=32", "--set", "traffic.cycles=40", "--set", "traffic.rate=0.05", "--set", "traffic.payload_words_min=66000", "--set", "traffic.payload_words_max=66000"], Config, "error: traffic.payload_words_max exceeds the supported maximum of 65534"), // was: Pass "check: PASSED", each packet's 66 001 flits wrapped to 465
     (&["run", "bfs", "5", "4", "1", "--metrics", "123"], Pass, "metrics stream written to 123"),
     (&["run", "bfs", "5", "4", "1", "--metrics", "deep/dir/m.jsonl", "--sample-every", "16"], Pass, "metrics stream written to deep/dir/m.jsonl"), // was: Fail "error: simulation failed: telemetry stream failed: cannot create metrics stream deep/dir/m.jsonl: No such file or directory (os error 2)"
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--seed", "7", "--set", "traffic.seed=9"], Pass, "seed 9"),
