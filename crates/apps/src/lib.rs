@@ -40,13 +40,12 @@ mod spmv;
 mod suite;
 mod wcc;
 
-pub use bfs::Bfs;
-pub use bfs::Sssp;
+pub use bfs::{Bfs, BfsTile, Sssp, SsspTile};
 pub use common::SyncMode;
-pub use fft::Fft3d;
-pub use histogram::Histogram;
-pub use pagerank::PageRank;
-pub use spmm::Spmm;
-pub use spmv::Spmv;
+pub use fft::{Fft3d, FftTile};
+pub use histogram::{Histogram, HistogramTile};
+pub use pagerank::{PageRank, PageRankTile};
+pub use spmm::{Spmm, SpmmTile};
+pub use spmv::{Spmv, SpmvTile};
 pub use suite::{high_degree_root, run_benchmark, Benchmark};
-pub use wcc::Wcc;
+pub use wcc::{Wcc, WccTile};

@@ -108,6 +108,13 @@ impl Benchmark {
             Benchmark::Traffic(TrafficPattern::Hotspot) => "TRAF-HOTSPOT",
         }
     }
+
+    /// Why this benchmark cannot run on `cfg`'s grid, if it cannot: FFT
+    /// gives each tile of an `n × n` grid one pencil of an `n³` problem.
+    pub fn grid_error(self, cfg: &SystemConfig) -> Option<String> {
+        let (w, h) = (cfg.width(), cfg.height());
+        (self == Benchmark::Fft && w != h).then(|| format!("FFT needs a square grid, not {w}x{h}"))
+    }
 }
 
 impl fmt::Display for Benchmark {
@@ -131,6 +138,10 @@ impl fmt::Display for Benchmark {
 ///
 /// Propagates [`SimError`] from the engine; a failed result check is
 /// reported inside the returned [`SimResult`].
+///
+/// # Panics
+///
+/// When [`Benchmark::grid_error`] refuses `cfg`.
 pub fn run_benchmark(
     bench: Benchmark,
     cfg: SystemConfig,
@@ -164,8 +175,10 @@ pub fn run_benchmark(
             Simulation::new(cfg, app)?.run_parallel(threads)
         }
         Benchmark::Fft => {
+            if let Some(why) = bench.grid_error(&cfg) {
+                panic!("{why}");
+            }
             let n = cfg.width() as usize;
-            assert_eq!(cfg.width(), cfg.height(), "FFT needs a square grid");
             Simulation::new(cfg, Fft3d::new(n, 7))?.run_parallel(threads)
         }
         Benchmark::Traffic(pattern) => {

@@ -45,7 +45,7 @@ mod traffic;
 mod units;
 
 pub use error::ConfigError;
-pub use hierarchy::{Hierarchy, LinkClass, TileCoord, MAX_TILES};
+pub use hierarchy::{Extent, Hierarchy, LinkClass, TileCoord, MAX_TILES};
 pub use params::{
     CostParams, HbmParams, LinkParams, ModelParams, PhyParams, PuParams, SramParams, VoltageModel,
 };

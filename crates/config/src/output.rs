@@ -2,7 +2,10 @@
 //! the counters file, NoC traces, heat-map frames, metrics streams, the
 //! DSE store) is written here. Each entry point creates the missing
 //! parent directories, and every error names the path it failed on.
+//! Every CSV line, to a file or to stdout, is written here too, from its
+//! record's serde form ([`csv_header`], [`csv_row`], [`csv_table`]).
 
+use serde::{Serialize, Value};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -101,6 +104,66 @@ pub fn append(path: impl AsRef<Path>, record: &[u8]) -> io::Result<()> {
         .map_err(|e| failed("appending to", path, e))
 }
 
+/// The CSV header line of `record`: the keys of its serde form, in field
+/// order, ending in a newline. A field that is itself a record
+/// contributes its own columns in its place.
+pub fn csv_header(record: &impl Serialize) -> String {
+    csv_line(record, true)
+}
+
+/// The CSV row line of `record`, its values in [`csv_header`]'s order:
+/// numbers in the JSONL stream's form (what `serde_json` writes), strings
+/// as they are. A cell holding a `,`, a `"` or a line break is quoted per
+/// RFC 4180, its quotes doubled.
+pub fn csv_row(record: &impl Serialize) -> String {
+    csv_line(record, false)
+}
+
+/// A CSV table: the header of `T::default()` (so an empty table still
+/// names its columns), then one row per record.
+pub fn csv_table<T: Serialize + Default>(records: &[T]) -> String {
+    let mut out = csv_header(&T::default());
+    for record in records {
+        out.push_str(&csv_row(record));
+    }
+    out
+}
+
+fn csv_line(record: &impl Serialize, header: bool) -> String {
+    let mut line = String::new();
+    push_cells(&record.to_value(), "", header, &mut line);
+    // every cell ends in a comma; the last one's becomes the newline
+    line.pop();
+    line.push('\n');
+    line
+}
+
+fn push_cells(value: &Value, key: &str, header: bool, line: &mut String) {
+    let json;
+    let text = match value {
+        Value::Object(fields) => {
+            for (key, value) in fields.iter() {
+                push_cells(value, key, header, line);
+            }
+            return;
+        }
+        _ if header => key,
+        Value::String(s) => s,
+        _ => {
+            json = serde_json::to_string(value).expect("a serde value renders as JSON");
+            &json
+        }
+    };
+    if text.contains([',', '"', '\n', '\r']) {
+        line.push('"');
+        line.push_str(&text.replace('"', "\"\""));
+        line.push('"');
+    } else {
+        line.push_str(text);
+    }
+    line.push(',');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,5 +258,84 @@ mod tests {
             "{\"a\":1}\n{\"b\":2}\n"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[derive(Serialize, Default)]
+    struct Point {
+        label: String,
+        count: u64,
+        delta: i64,
+        mean: f64,
+    }
+
+    #[derive(Serialize, Default)]
+    struct Labelled {
+        series: String,
+        point: Point,
+    }
+
+    fn point(label: &str) -> Point {
+        Point {
+            label: label.to_string(),
+            count: 3,
+            delta: -2,
+            mean: 2.0,
+        }
+    }
+
+    /// The cells of one CSV line, read per RFC 4180.
+    fn cells(line: &str) -> Vec<String> {
+        let line = line.strip_suffix('\n').expect("a whole line");
+        let mut cells = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    cells.last_mut().unwrap().push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => cells.push(String::new()),
+                c => cells.last_mut().unwrap().push(c),
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn a_record_is_its_keys_then_its_values_in_field_order() {
+        assert_eq!(csv_header(&point("a")), "label,count,delta,mean\n");
+        assert_eq!(csv_row(&point("a")), "a,3,-2,2.0\n");
+        let third = Point {
+            mean: 1.0 / 3.0,
+            ..point("a")
+        };
+        let json = serde_json::to_string(&third).unwrap();
+        assert!(json.ends_with(&format!(":{}}}", cells(&csv_row(&third))[3])));
+        let labelled = Labelled {
+            series: "mesh".to_string(),
+            point: point("a"),
+        };
+        assert_eq!(csv_header(&labelled), "series,label,count,delta,mean\n");
+        assert_eq!(csv_row(&labelled), "mesh,a,3,-2,2.0\n");
+    }
+
+    #[test]
+    fn a_label_holding_a_comma_and_a_quote_reads_back_as_one_cell() {
+        for label in ["32T/Ch, 256KiB", "the \"big\" one, again", "two\nlines"] {
+            let row = csv_row(&point(label));
+            assert!(row.starts_with('"'), "{row}");
+            assert_eq!(cells(&row), [label, "3", "-2", "2.0"], "{row}");
+        }
+    }
+
+    #[test]
+    fn a_table_names_its_columns_even_when_empty() {
+        assert_eq!(csv_table::<Point>(&[]), "label,count,delta,mean\n");
+        assert_eq!(
+            csv_table(&[point("a"), point("b")]),
+            "label,count,delta,mean\na,3,-2,2.0\nb,3,-2,2.0\n"
+        );
     }
 }

@@ -248,7 +248,7 @@ pub struct SystemConfig {
     pub checkpoint_resume: bool,
     /// Synthetic traffic-generator parameters (used by the traffic
     /// benchmarks; inert for ordinary applications). Sweepable like any
-    /// other field: `traffic.pattern=Transpose`, `traffic.rate=0.08`.
+    /// other field: `traffic.rate=0.08`, `traffic.seed=9`.
     pub traffic: TrafficParams,
     /// Telemetry sampling cadence, metric-stream destinations, and ward
     /// stop-conditions. Default-off; absent in pre-telemetry JSON
@@ -844,7 +844,6 @@ mod tests {
         assert_eq!(cfg.noc_trace, None);
         assert_eq!(cfg.traffic, crate::TrafficParams::default());
         let traffic = crate::TrafficParams {
-            pattern: crate::TrafficPattern::Transpose,
             rate: 0.25,
             ..crate::TrafficParams::default()
         };

@@ -7,9 +7,10 @@
 //! throughput. [`TrafficParams`] is the declarative half of that
 //! capability: plain serializable data living inside
 //! [`SystemConfig`](crate::SystemConfig), so every knob (`traffic.rate`,
-//! `traffic.pattern`, `traffic.seed`, ...) is sweepable through the same
-//! string-keyed overrides as any other DUT parameter. The generator
-//! itself lives in the `muchisim-traffic` crate.
+//! `traffic.seed`, ...) is sweepable through the same string-keyed
+//! overrides as any other DUT parameter. The pattern is the workload's
+//! choice (the `traf-*` suite apps), not a knob. The generator itself
+//! lives in the `muchisim-traffic` crate.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,23 +60,12 @@ impl TrafficPattern {
         }
     }
 
-    /// Parses a pattern from its label or serde variant name,
-    /// case-insensitively. The inverse of [`TrafficPattern::label`].
+    /// Parses a pattern from its label, case-insensitively. The inverse
+    /// of [`TrafficPattern::label`].
     pub fn from_label(name: &str) -> Option<TrafficPattern> {
-        TrafficPattern::ALL.into_iter().find(|p| {
-            p.label().eq_ignore_ascii_case(name) || p.variant_name().eq_ignore_ascii_case(name)
-        })
-    }
-
-    fn variant_name(self) -> &'static str {
-        match self {
-            TrafficPattern::UniformRandom => "UniformRandom",
-            TrafficPattern::BitComplement => "BitComplement",
-            TrafficPattern::Transpose => "Transpose",
-            TrafficPattern::Shuffle => "Shuffle",
-            TrafficPattern::NearestNeighbor => "NearestNeighbor",
-            TrafficPattern::Hotspot => "Hotspot",
-        }
+        TrafficPattern::ALL
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(name))
     }
 }
 
@@ -89,8 +79,6 @@ impl TrafficPattern {
 /// results are bit-identical across host-thread counts and repeat runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficParams {
-    /// Spatial pattern.
-    pub pattern: TrafficPattern,
     /// Offered load in packets per tile per NoC cycle (0 < rate ≤ 1).
     pub rate: f64,
     /// Injection-window length in NoC cycles (the run then drains).
@@ -110,7 +98,6 @@ pub struct TrafficParams {
 impl Default for TrafficParams {
     fn default() -> Self {
         TrafficParams {
-            pattern: TrafficPattern::UniformRandom,
             rate: 0.05,
             cycles: 2_000,
             payload_words_min: 2,
@@ -168,12 +155,6 @@ mod tests {
                 Some(p)
             );
         }
-        // serde variant names parse too (`--set traffic.pattern=Transpose`
-        // and `--pattern transpose` must agree)
-        assert_eq!(
-            TrafficPattern::from_label("UniformRandom"),
-            Some(TrafficPattern::UniformRandom)
-        );
         assert_eq!(TrafficPattern::from_label("nope"), None);
     }
 
@@ -197,7 +178,6 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let p = TrafficParams {
-            pattern: TrafficPattern::Hotspot,
             rate: 0.125,
             ..TrafficParams::default()
         };

@@ -289,7 +289,8 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Returns [`DseError`] when an axis is empty, an override fails to
-    /// apply, or two points collide on the same run ID.
+    /// apply, two points collide on the same run ID, or an app cannot run
+    /// on its point's grid ([`Benchmark::grid_error`]).
     pub fn expand(&self) -> Result<Vec<RunPoint>, DseError> {
         for axis in &self.axes {
             if axis.points.is_empty() {
@@ -327,6 +328,9 @@ impl ExperimentSpec {
                         return Err(spec_err(format!(
                             "duplicate run ID `{run_id}`; axis point labels must be unique"
                         )));
+                    }
+                    if let Some(why) = app.grid_error(&cfg) {
+                        return Err(spec_err(format!("point `{run_id}`: {why}")));
                     }
                     points.push(RunPoint {
                         order: points.len() as u64,
@@ -571,6 +575,22 @@ mod tests {
                 "`{text}` -> `{msg}` (wanted `{needle}`)"
             );
         }
+    }
+
+    #[test]
+    fn an_app_is_refused_a_grid_it_cannot_run_on() {
+        let spec = ExperimentSpec::from_json(
+            r#"{"name": "fft-wide", "apps": ["fft", "bfs"],
+                "base": {"hierarchy.chiplet.x": 8, "hierarchy.chiplet.y": 4},
+                "datasets": [{"rmat": {"scale": 5, "seed": 1}}]}"#,
+        )
+        .unwrap();
+        let err = spec.expand().unwrap_err();
+        assert!(matches!(err, DseError::Spec(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "invalid experiment spec: point `base__FFT__RMAT-5-s1`: FFT needs a square grid, not 8x4"
+        );
     }
 
     #[test]

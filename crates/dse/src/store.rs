@@ -238,6 +238,7 @@ pub(crate) mod tests {
                 "\"mcm_areal_gbps_per_mm2\":",
                 "\"mcm_beachfront_gbps_per_mm\":1.0,\"si_beachfront_gbps_per_mm\":2.0,",
             ),
+            ("\"rate\":", "\"pattern\":\"Transpose\","),
         ] {
             assert_eq!(legacy.matches(next_key).count(), 1, "{next_key}");
             legacy = legacy.replace(next_key, &format!("{removed}{next_key}"));

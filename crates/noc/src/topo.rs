@@ -10,7 +10,7 @@ use muchisim_config::{Hierarchy, LinkClass, NocTopology, SystemConfig, TileCoord
 /// coordinates for every routed packet; a hardware `div` costs ~20+
 /// cycles where the multiply-high costs ~4.
 #[derive(Debug, Clone, Copy)]
-pub struct FastDiv {
+pub(crate) struct FastDiv {
     d: u32,
     /// `⌈2^64 / d⌉`; unused (zero) for `d ≤ 1`.
     magic: u64,
@@ -71,7 +71,7 @@ pub struct TopoInfo {
     /// Buffer capacity per input queue, in flits.
     pub queue_capacity_flits: u32,
     /// Reciprocal divider for `width` (hot: tile id → coordinates).
-    pub div_width: FastDiv,
+    pub(crate) div_width: FastDiv,
     /// Per output direction ([`OutDir::index`]; ejection has no link),
     /// the `(link class, head-flit hop cycles)` of the hop that leaves
     /// coordinate `c` along the direction's travel axis — `x` for east /

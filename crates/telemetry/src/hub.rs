@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::frames::Frame;
-use crate::sample::MetricsSample;
-use crate::subscribers::Subscriber;
+use crate::sample::{MetricsSample, SCHEMA_VERSION};
+use crate::subscribers::{FrameRecord, Subscriber};
 
 /// Channel depth: enough to ride out a subscriber I/O hiccup lasting
 /// hundreds of capture intervals before anything is dropped.
@@ -17,7 +17,7 @@ const CHANNEL_DEPTH: usize = 256;
 #[derive(Debug)]
 enum Record {
     Sample(MetricsSample),
-    Frame(Frame),
+    Frame(FrameRecord),
 }
 
 /// Fans records out to subscribers on a dedicated thread.
@@ -93,7 +93,10 @@ impl TelemetryHub {
     /// Offers a merged statistics frame to the subscriber thread without
     /// blocking.
     pub fn publish_frame(&self, frame: Frame) {
-        self.offer(Record::Frame(frame));
+        self.offer(Record::Frame(FrameRecord {
+            v: SCHEMA_VERSION,
+            frame,
+        }));
     }
 
     fn offer(&self, record: Record) {

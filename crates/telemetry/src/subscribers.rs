@@ -4,11 +4,11 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use muchisim_config::output::Stream;
+use muchisim_config::output::{csv_header, csv_row, Stream};
 use serde::{Deserialize, Serialize};
 
 use crate::frames::Frame;
-use crate::sample::{MetricsSample, SCHEMA_VERSION};
+use crate::sample::MetricsSample;
 
 /// A consumer of the telemetry stream.
 ///
@@ -32,7 +32,7 @@ pub trait Subscriber: Send {
     /// # Errors
     ///
     /// As [`on_sample`](Subscriber::on_sample).
-    fn on_frame(&mut self, _frame: &Frame) -> Result<(), String> {
+    fn on_frame(&mut self, _record: &FrameRecord) -> Result<(), String> {
         Ok(())
     }
 
@@ -56,14 +56,14 @@ impl std::fmt::Debug for dyn Subscriber {
 /// are a flat [`MetricsSample`]; the `frame` key tells the two apart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrameRecord {
-    /// Schema version ([`SCHEMA_VERSION`]).
+    /// Schema version ([`SCHEMA_VERSION`](crate::SCHEMA_VERSION)).
     pub v: u32,
     /// The frame, merged across workers.
     pub frame: Frame,
 }
 
 /// Streams samples and frames as one JSON object per line (the
-/// schema-versioned wire format; field `v` is [`SCHEMA_VERSION`]).
+/// schema-versioned wire format; field `v` is [`SCHEMA_VERSION`](crate::SCHEMA_VERSION)).
 #[derive(Debug)]
 pub struct JsonlSubscriber {
     out: Stream,
@@ -88,10 +88,9 @@ impl Subscriber for JsonlSubscriber {
         writeln!(self.out, "{line}").map_err(|e| e.to_string())
     }
 
-    fn on_frame(&mut self, frame: &Frame) -> Result<(), String> {
-        let frame = serde_json::to_string(frame).map_err(|e| e.to_string())?;
-        writeln!(self.out, "{{\"v\":{SCHEMA_VERSION},\"frame\":{frame}}}")
-            .map_err(|e| e.to_string())
+    fn on_frame(&mut self, record: &FrameRecord) -> Result<(), String> {
+        let line = serde_json::to_string(record).map_err(|e| e.to_string())?;
+        writeln!(self.out, "{line}").map_err(|e| e.to_string())
     }
 
     fn on_close(&mut self) -> Result<(), String> {
@@ -100,77 +99,35 @@ impl Subscriber for JsonlSubscriber {
 }
 
 /// Streams samples as CSV (header + one row per sample), for
-/// spreadsheet-shaped consumers.
+/// spreadsheet-shaped consumers: the columns are [`MetricsSample`]'s
+/// fields, written by [`csv_row`].
 #[derive(Debug)]
 pub struct CsvSubscriber {
     out: Stream,
-    wrote_header: bool,
 }
-
-/// CSV column order (kept in sync with [`MetricsSample`]'s fields).
-const CSV_HEADER: &str = "v,seq,cycle,tasks,tasks_delta,injected,injected_delta,\
-ejected,ejected_delta,flit_hops,flit_hops_delta,pending,queued_msgs,active_tiles,\
-total_tiles,active_routers,lat_count,lat_mean,lat_p50,lat_p95,lat_p99,\
-lat_delta_count,lat_delta_mean,phase_pu_ns,phase_inject_ns,phase_net_ns,\
-phase_worklist_ns,host_ns,cyc_per_s";
 
 impl CsvSubscriber {
     /// Creates (truncates) the CSV file at `path` and its missing
-    /// parent directories.
+    /// parent directories, and writes the header line.
     ///
     /// # Errors
     ///
     /// Returns a message naming the path when it cannot be created.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, String> {
-        let out = Stream::create(path).map_err(|e| e.to_string())?;
-        Ok(CsvSubscriber {
-            out,
-            wrote_header: false,
-        })
+        let mut out = Stream::create(path).map_err(|e| e.to_string())?;
+        let header = csv_header(&MetricsSample::default());
+        out.write_all(header.as_bytes())
+            .map_err(|e| e.to_string())?;
+        Ok(CsvSubscriber { out })
     }
 }
 
 impl Subscriber for CsvSubscriber {
-    fn on_sample(&mut self, s: &MetricsSample) -> Result<(), String> {
-        let io = |e: std::io::Error| e.to_string();
-        if !self.wrote_header {
-            writeln!(self.out, "{CSV_HEADER}").map_err(io)?;
-            self.wrote_header = true;
-        }
-        writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{:.3},{},{},{},{},{},{:.1}",
-            s.v,
-            s.seq,
-            s.cycle,
-            s.tasks,
-            s.tasks_delta,
-            s.injected,
-            s.injected_delta,
-            s.ejected,
-            s.ejected_delta,
-            s.flit_hops,
-            s.flit_hops_delta,
-            s.pending,
-            s.queued_msgs,
-            s.active_tiles,
-            s.total_tiles,
-            s.active_routers,
-            s.lat_count,
-            s.lat_mean,
-            s.lat_p50,
-            s.lat_p95,
-            s.lat_p99,
-            s.lat_delta_count,
-            s.lat_delta_mean,
-            s.phase_pu_ns,
-            s.phase_inject_ns,
-            s.phase_net_ns,
-            s.phase_worklist_ns,
-            s.host_ns,
-            s.cyc_per_s,
-        )
-        .map_err(io)
+    fn on_sample(&mut self, sample: &MetricsSample) -> Result<(), String> {
+        let row = csv_row(sample);
+        self.out
+            .write_all(row.as_bytes())
+            .map_err(|e| e.to_string())
     }
 
     fn on_close(&mut self) -> Result<(), String> {
@@ -212,11 +169,11 @@ impl Subscriber for MemorySubscriber {
         Ok(())
     }
 
-    fn on_frame(&mut self, frame: &Frame) -> Result<(), String> {
+    fn on_frame(&mut self, record: &FrameRecord) -> Result<(), String> {
         self.frames
             .lock()
             .map_err(|_| "frame collector poisoned".to_string())?
-            .push(frame.clone());
+            .push(record.frame.clone());
         Ok(())
     }
 }
@@ -348,7 +305,11 @@ mod tests {
         let handle = sub.samples();
         sub.on_sample(&sample(0, 10)).unwrap();
         sub.on_sample(&sample(1, 20)).unwrap();
-        sub.on_frame(&Frame::default()).unwrap();
+        let record = FrameRecord {
+            v: crate::SCHEMA_VERSION,
+            frame: Frame::default(),
+        };
+        sub.on_frame(&record).unwrap();
         assert_eq!(handle.lock().unwrap().len(), 2);
         assert_eq!(sub.frames().lock().unwrap().len(), 1);
     }

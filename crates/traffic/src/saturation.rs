@@ -9,12 +9,13 @@
 //! backpressure, eject contention), and every point is deterministic.
 
 use crate::app::TrafficApp;
+use muchisim_config::output::csv_table;
 use muchisim_config::{SystemConfig, TrafficPattern};
 use muchisim_core::{SimError, SimResult, Simulation};
 use serde::{Deserialize, Serialize};
 
 /// Measurements at one offered-load point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LoadPoint {
     /// Offered load in packets/tile/cycle (the configured rate).
     pub offered: f64,
@@ -40,6 +41,13 @@ pub struct LoadPoint {
     pub ejected: u64,
     /// Total simulated cycles (drain and termination included).
     pub runtime_cycles: u64,
+}
+
+/// A CSV row of a curve: its series label, then the point's columns.
+#[derive(Default, Serialize)]
+struct SeriesPoint {
+    series: String,
+    point: LoadPoint,
 }
 
 /// A latency-versus-load curve for one pattern on one configuration.
@@ -73,25 +81,18 @@ impl SaturationCurve {
         self.saturation_point(factor).map(|p| p.achieved)
     }
 
-    /// The curve as CSV with a header row, every point labelled `series`
-    /// (e.g. `"mesh/uniform"`).
+    /// The curve as CSV: a `series` column labelling every point (e.g.
+    /// `"mesh/uniform"`), then one column per [`LoadPoint`] field.
     pub fn to_csv(&self, series: &str) -> String {
-        let mut out = String::from(
-            "series,offered,achieved,avg_latency,p50_latency,p95_latency,p99_latency,max_latency\n",
-        );
-        for p in &self.points {
-            out.push_str(&format!(
-                "{series},{:.4},{:.4},{:.2},{},{},{},{}\n",
-                p.offered,
-                p.achieved,
-                p.avg_latency,
-                p.p50_latency,
-                p.p95_latency,
-                p.p99_latency,
-                p.max_latency
-            ));
-        }
-        out
+        let rows: Vec<SeriesPoint> = self
+            .points
+            .iter()
+            .map(|point| SeriesPoint {
+                series: series.to_string(),
+                point: point.clone(),
+            })
+            .collect();
+        csv_table(&rows)
     }
 
     /// The curve as an aligned text table, every point labelled `series`.
@@ -270,9 +271,12 @@ mod tests {
             points: vec![point(0.02, 8.5), point(0.3, 210.0)],
         };
         let csv = curve.to_csv("mesh");
-        assert!(csv.starts_with("series,offered"));
+        assert!(csv.starts_with(
+            "series,offered,achieved,avg_latency,p50_latency,p95_latency,p99_latency,\
+             max_latency,injected,ejected,runtime_cycles\n"
+        ));
         assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("mesh,0.3000,0.2700,210.00,210,420,630,840"));
+        assert!(csv.ends_with("\nmesh,0.3,0.27,210.0,210,420,630,840,0,0,0\n"));
         let text = curve.to_text("mesh");
         assert_eq!(text.lines().count(), 3);
         assert!(text.lines().next().unwrap().contains("avg lat"));

@@ -2,12 +2,13 @@
 //! metrics for combinations of DUT configurations, applications and
 //! datasets, absolute or normalized to a baseline.
 
+use muchisim_config::output::csv_table;
 use muchisim_core::SimResult;
 use muchisim_energy::Report;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The metrics of one evaluation (one config + app + dataset run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ReportRow {
     /// Configuration label (e.g., "32T/Ch 256KiB").
     pub config: String,
@@ -16,7 +17,7 @@ pub struct ReportRow {
     /// Dataset label (e.g., "RMAT-12").
     pub dataset: String,
     /// DUT runtime in seconds.
-    pub runtime_secs: f64,
+    pub runtime_s: f64,
     /// FLOP/s.
     pub flops: f64,
     /// TEPS-style application throughput.
@@ -36,9 +37,9 @@ pub struct ReportRow {
     /// Cache hit rate.
     pub hit_rate: f64,
     /// Host (simulator) seconds.
-    pub sim_secs: f64,
+    pub sim_s: f64,
     /// Simulator throughput in simulated NoC cycles per host second.
-    pub sim_cycles_per_sec: f64,
+    pub sim_cycles_per_s: f64,
     /// Host simulation-state bytes per simulated tile.
     pub host_bytes_per_tile: f64,
     /// Host nanoseconds spent in the PU phase (built-in phase profiler).
@@ -51,33 +52,25 @@ pub struct ReportRow {
     pub phase_worklist_ns: u64,
     /// Router visits that ran the full evaluation and moved a packet
     /// (`SimResult::host_router_visits`).
-    #[serde(default)]
     pub visits_moved: u64,
     /// Router visits that ran the full evaluation for nothing.
-    #[serde(default)]
     pub visits_stalled: u64,
     /// Router-cycles a back-pressured router slept through on its stall
     /// memo, settled without a visit (the column keeps the name stored
     /// records carry from when these were replayed visits).
-    #[serde(default)]
     pub visits_replayed: u64,
     /// Router-cycles skipped by the wake check because no head could
     /// move yet (immature heads, busy links).
-    #[serde(default)]
     pub visits_asleep: u64,
     /// Median NoC packet latency in cycles (from the log2 histogram).
-    #[serde(default)]
     pub noc_p50: u64,
     /// 95th-percentile NoC packet latency in cycles.
-    #[serde(default)]
     pub noc_p95: u64,
     /// 99th-percentile NoC packet latency in cycles.
-    #[serde(default)]
     pub noc_p99: u64,
     /// How the run ended: `finished`, `ward:<name>`, or an error label
     /// ([`SimResult::termination_label`]).
-    #[serde(default)]
-    pub termination: String,
+    pub term: String,
 }
 
 impl ReportRow {
@@ -93,7 +86,7 @@ impl ReportRow {
             config: config.into(),
             app: app.into(),
             dataset: dataset.into(),
-            runtime_secs: result.runtime.as_secs(),
+            runtime_s: result.runtime.as_secs(),
             flops: report.flops,
             app_throughput: report.app_throughput,
             energy_j: report.energy.total_pj() * 1e-12,
@@ -103,8 +96,8 @@ impl ReportRow {
             flops_per_dollar: report.flops_per_dollar,
             msg_hops: result.counters.noc.msg_hops,
             hit_rate: result.counters.mem.hit_rate(),
-            sim_secs: result.host_seconds,
-            sim_cycles_per_sec: result.sim_cycles_per_sec(),
+            sim_s: result.host_seconds,
+            sim_cycles_per_s: result.sim_cycles_per_sec(),
             host_bytes_per_tile: result.bytes_per_tile(),
             phase_pu_ns: result.host_phase_ns.pu,
             phase_inject_ns: result.host_phase_ns.inject,
@@ -117,7 +110,7 @@ impl ReportRow {
             noc_p50: result.noc_latency.percentile(0.50),
             noc_p95: result.noc_latency.percentile(0.95),
             noc_p99: result.noc_latency.percentile(0.99),
-            termination: result.termination_label().to_string(),
+            term: result.termination_label().to_string(),
         }
     }
 
@@ -136,7 +129,7 @@ impl ReportRow {
 
 /// A collection of evaluation rows with table / CSV / normalization
 /// helpers.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportTable {
     /// The rows, in insertion order.
     pub rows: Vec<ReportRow>,
@@ -153,50 +146,9 @@ impl ReportTable {
         self.rows.push(row);
     }
 
-    /// Serializes all rows as CSV.
+    /// Serializes all rows as CSV: one column per [`ReportRow`] field.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "config,app,dataset,runtime_s,flops,app_throughput,energy_j,power_w,\
-             cost_usd,flops_per_watt,flops_per_dollar,msg_hops,hit_rate,sim_s,\
-             sim_cycles_per_s,host_bytes_per_tile,phase_pu_ns,phase_inject_ns,\
-             phase_net_ns,phase_worklist_ns,visits_moved,visits_stalled,\
-             visits_replayed,visits_asleep,noc_p50,noc_p95,noc_p99,term\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{:.6e},{:.4e},{:.4e},{:.4e},{:.3},{:.2},{:.4e},{:.4e},{},{:.4},{:.3},\
-                 {:.4e},{:.1},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.config,
-                r.app,
-                r.dataset,
-                r.runtime_secs,
-                r.flops,
-                r.app_throughput,
-                r.energy_j,
-                r.power_w,
-                r.cost_usd,
-                r.flops_per_watt,
-                r.flops_per_dollar,
-                r.msg_hops,
-                r.hit_rate,
-                r.sim_secs,
-                r.sim_cycles_per_sec,
-                r.host_bytes_per_tile,
-                r.phase_pu_ns,
-                r.phase_inject_ns,
-                r.phase_net_ns,
-                r.phase_worklist_ns,
-                r.visits_moved,
-                r.visits_stalled,
-                r.visits_replayed,
-                r.visits_asleep,
-                r.noc_p50,
-                r.noc_p95,
-                r.noc_p99,
-                r.termination
-            ));
-        }
-        out
+        csv_table(&self.rows)
     }
 
     /// Improvement factors of a metric over a baseline configuration,
@@ -255,15 +207,15 @@ impl ReportTable {
                 r.config,
                 r.app,
                 r.dataset,
-                r.runtime_secs,
+                r.runtime_s,
                 r.flops,
                 r.power_w,
                 r.cost_usd,
-                r.sim_cycles_per_sec,
+                r.sim_cycles_per_s,
                 r.host_bytes_per_tile,
                 r.worklist_share() * 100.0,
                 r.noc_p95,
-                r.termination
+                r.term
             ));
         }
         out
@@ -279,7 +231,7 @@ mod tests {
             config: config.into(),
             app: app.into(),
             dataset: "rmat".into(),
-            runtime_secs: 1.0,
+            runtime_s: 1.0,
             flops,
             app_throughput: flops,
             energy_j: 1.0,
@@ -289,8 +241,8 @@ mod tests {
             flops_per_dollar: flops / 100.0,
             msg_hops: 5,
             hit_rate: 0.9,
-            sim_secs: 0.1,
-            sim_cycles_per_sec: 1e6,
+            sim_s: 0.1,
+            sim_cycles_per_s: 1e6,
             host_bytes_per_tile: 640.0,
             phase_pu_ns: 3,
             phase_inject_ns: 2,
@@ -303,7 +255,7 @@ mod tests {
             noc_p50: 12,
             noc_p95: 48,
             noc_p99: 96,
-            termination: "finished".into(),
+            term: "finished".into(),
         }
     }
 
@@ -340,11 +292,11 @@ mod tests {
     }
 
     #[test]
-    fn termination_column_distinguishes_warded_rows() {
+    fn term_column_distinguishes_warded_rows() {
         let mut t = ReportTable::new();
         t.push(row("open", "BFS", 100.0));
         let mut warded = row("tight", "BFS", 10.0);
-        warded.termination = "ward:stall".into();
+        warded.term = "ward:stall".into();
         t.push(warded);
         let text = t.to_text();
         assert!(text.contains("ward:stall"));

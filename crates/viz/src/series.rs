@@ -2,6 +2,7 @@
 //! min/max, standard deviation and quartiles of a per-tile counter over
 //! the execution — paper §III-F).
 
+use muchisim_config::output::csv_table;
 use muchisim_core::FrameLog;
 use serde::{Deserialize, Serialize};
 
@@ -9,33 +10,33 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FrameStats {
     /// Frame index.
-    pub index: u64,
+    pub frame: u64,
     /// First cycle of the frame.
     pub start_cycle: u64,
     /// Mean over all tiles (absent tiles count as zero).
     pub mean: f64,
     /// Minimum.
     pub min: u32,
-    /// Maximum.
-    pub max: u32,
-    /// Standard deviation.
-    pub stddev: f64,
     /// 25th percentile.
     pub q1: u32,
     /// Median.
     pub median: u32,
     /// 75th percentile.
     pub q3: u32,
+    /// Maximum.
+    pub max: u32,
+    /// Standard deviation.
+    pub stddev: f64,
 }
 
 impl FrameStats {
-    fn from_grid(index: u64, start_cycle: u64, grid: &mut [u32]) -> Self {
+    fn from_grid(frame: u64, start_cycle: u64, grid: &mut [u32]) -> Self {
         if grid.is_empty() {
             // zero-tile grids (degenerate configs, empty logs re-summarized
             // downstream) must yield a well-defined all-zero row, not an
             // index underflow in the quartile lookup
             return FrameStats {
-                index,
+                frame,
                 start_cycle,
                 ..FrameStats::default()
             };
@@ -46,15 +47,15 @@ impl FrameStats {
         grid.sort_unstable();
         let pick = |q: f64| grid[((grid.len() - 1) as f64 * q).round() as usize];
         FrameStats {
-            index,
+            frame,
             start_cycle,
             mean,
             min: *grid.first().unwrap_or(&0),
-            max: *grid.last().unwrap_or(&0),
-            stddev: var.sqrt(),
             q1: pick(0.25),
             median: pick(0.5),
             q3: pick(0.75),
+            max: *grid.last().unwrap_or(&0),
+            stddev: var.sqrt(),
         }
     }
 }
@@ -101,16 +102,9 @@ impl TimeSeries {
         TimeSeries { rows }
     }
 
-    /// Serializes to CSV with a header row.
+    /// Serializes to CSV: one column per [`FrameStats`] field.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("frame,start_cycle,mean,min,q1,median,q3,max,stddev\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{:.4},{},{},{},{},{},{:.4}\n",
-                r.index, r.start_cycle, r.mean, r.min, r.q1, r.median, r.q3, r.max, r.stddev
-            ));
-        }
-        out
+        csv_table(&self.rows)
     }
 
     /// The tail-imbalance signal the paper highlights: frames where the

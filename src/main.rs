@@ -122,6 +122,9 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
     // reproducible; an explicit --set traffic.seed still wins
     let seed: u64 = parsed("seed", args.get("--seed").unwrap_or("42"))?;
     let cfg = config(args, side, &[])?;
+    if let Some(why) = app.grid_error(&cfg) {
+        return Err(Failure(2, why));
+    }
 
     let graph = Arc::new(RmatConfig::scale(scale).generate(seed));
     println!(

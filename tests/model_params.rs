@@ -5,16 +5,18 @@
 //! identical rows. This test scales each numeric leaf under `params`
 //! ×100 (a zero default becomes 1), applies it through the same override
 //! path `--set` uses, and requires that some model output moves on at
-//! least one of two reference DUTs.
+//! least one of two reference DUTs. The traffic generator's settings
+//! (`traffic.*`) get the same guard against the timetable they draw.
 
 use muchisim::config::{
-    ClockDomain, DramConfig, Frequency, InterposerKind, LinkClass, SystemConfig,
+    ClockDomain, DramConfig, Frequency, InterposerKind, LinkClass, SystemConfig, TrafficPattern,
 };
-use muchisim::core::SimCounters;
+use muchisim::core::{Application, GridInfo, SimCounters};
 use muchisim::dse::{apply_to_config, parse_assignment};
 use muchisim::energy::Report;
 use muchisim::mem::{ChannelMap, TileMemory};
 use muchisim::noc::TopoInfo;
+use muchisim::traffic::TrafficApp;
 use serde_json::JsonValue;
 
 /// A DUT on which every model has something to compute: 16×2-tile
@@ -66,14 +68,15 @@ fn busy_counters() -> SimCounters {
     serde_json::from_str(&text).expect("filled counters deserialize")
 }
 
-/// `(path, value)` of every numeric leaf below `v`.
-fn numeric_leaves(v: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
-    if let Some(x) = v.as_f64() {
-        out.push((path.to_string(), x));
-    } else if let Some(map) = v.as_object() {
-        for (k, child) in map.iter() {
-            numeric_leaves(child, &format!("{path}.{k}"), out);
+/// `(path, value)` of every leaf below `v` (anything but an object).
+fn leaves(v: &JsonValue, path: &str, out: &mut Vec<(String, JsonValue)>) {
+    match v.as_object() {
+        Some(map) => {
+            for (k, child) in map.iter() {
+                leaves(child, &format!("{path}.{k}"), out);
+            }
         }
+        None => out.push((path.to_string(), v.clone())),
     }
 }
 
@@ -110,12 +113,16 @@ fn every_model_parameter_moves_a_model_output() {
 
     let params = serde_json::to_string(&duts[0].params).expect("params serialize");
     let params: JsonValue = serde_json::from_str(&params).expect("params parse");
-    let mut leaves = Vec::new();
-    numeric_leaves(&params, "params", &mut leaves);
-    assert!(leaves.len() > 40, "only {} leaves found", leaves.len());
+    let mut all = Vec::new();
+    leaves(&params, "params", &mut all);
+    let numeric: Vec<(String, f64)> = all
+        .into_iter()
+        .filter_map(|(path, v)| Some((path, v.as_f64()?)))
+        .collect();
+    assert!(numeric.len() > 40, "only {} leaves found", numeric.len());
 
     let mut unread = Vec::new();
-    for (path, value) in &leaves {
+    for (path, value) in &numeric {
         let scaled = if *value == 0.0 { 1.0 } else { value * 100.0 };
         let assignment = parse_assignment(&format!("{path}={scaled}")).expect("an assignment");
         let moved = duts.iter().zip(&baselines).any(|(cfg, baseline)| {
@@ -128,4 +135,75 @@ fn every_model_parameter_moves_a_model_output() {
         }
     }
     assert!(unread.is_empty(), "no model reads {unread:?}");
+}
+
+/// Every tile's timetable as a small `Hotspot` workload draws it on `cfg`.
+fn hotspot_timetable(cfg: &SystemConfig) -> String {
+    let app = TrafficApp::new(cfg, TrafficPattern::Hotspot).expect("a valid workload");
+    let grid = GridInfo {
+        width: cfg.width(),
+        height: cfg.height(),
+        total_tiles: cfg.total_tiles() as u32,
+        pus_per_tile: cfg.pus_per_tile,
+    };
+    (0..grid.total_tiles)
+        .map(|tile| {
+            format!(
+                "{:?}\n",
+                app.scheduled_sends(tile, &grid).collect::<Vec<_>>()
+            )
+        })
+        .collect()
+}
+
+/// Other values for a leaf, to try in order: a number doubled, then
+/// halved (a zero becomes one), a variant name every other pattern's.
+fn other_values(v: &JsonValue) -> Vec<JsonValue> {
+    let text = serde_json::to_string(v).expect("a leaf serializes");
+    let others: Vec<String> = if v.as_str().is_some() {
+        TrafficPattern::ALL
+            .iter()
+            .map(|p| serde_json::to_string(p).expect("a pattern serializes"))
+            .filter(|p| *p != text)
+            .collect()
+    } else if text.contains('.') {
+        let x = v.as_f64().expect("a float");
+        vec![format!("{:?}", x * 2.0), format!("{:?}", x / 2.0)]
+    } else {
+        let n = v.as_u64().expect("a number or a variant name");
+        vec![(n * 2).max(1).to_string(), (n / 2).to_string()]
+    };
+    others
+        .iter()
+        .map(|t| serde_json::from_str(t).expect("a JSON value"))
+        .collect()
+}
+
+#[test]
+fn every_traffic_setting_moves_the_drawn_timetable() {
+    // 8x8, so that doubling the 4 hotspots gives 8 distinct tiles
+    let mut base = SystemConfig::builder()
+        .chiplet_tiles(8, 8)
+        .build()
+        .expect("an 8x8 grid");
+    base.traffic.cycles = 100;
+    let baseline = hotspot_timetable(&base);
+
+    let traffic = serde_json::to_string(&base.traffic).expect("traffic serializes");
+    let traffic: JsonValue = serde_json::from_str(&traffic).expect("traffic parses");
+    let mut settings = Vec::new();
+    leaves(&traffic, "traffic", &mut settings);
+    assert!(settings.len() >= 7, "only {} leaves found", settings.len());
+
+    let mut unread = Vec::new();
+    for (path, value) in &settings {
+        let changed = other_values(value)
+            .into_iter()
+            .find_map(|v| apply_to_config(&base, &[(path.clone(), v)]).ok())
+            .unwrap_or_else(|| panic!("no other valid value for {path}"));
+        if hotspot_timetable(&changed) == baseline {
+            unread.push(path.clone());
+        }
+    }
+    assert!(unread.is_empty(), "the drawn timetable ignores {unread:?}");
 }
