@@ -3,7 +3,7 @@
 //! figure-regeneration benches).
 
 use crate::{Bfs, Fft3d, Histogram, PageRank, Spmm, Spmv, Sssp, SyncMode, Wcc};
-use muchisim_config::{SystemConfig, TrafficPattern};
+use muchisim_config::{ConfigError, SystemConfig, TrafficPattern};
 use muchisim_core::{SimError, SimResult, Simulation};
 use muchisim_data::Csr;
 use muchisim_traffic::TrafficApp;
@@ -111,9 +111,12 @@ impl Benchmark {
 
     /// Why this benchmark cannot run on `cfg`'s grid, if it cannot: FFT
     /// gives each tile of an `n × n` grid one pencil of an `n³` problem.
-    pub fn grid_error(self, cfg: &SystemConfig) -> Option<String> {
-        let (w, h) = (cfg.width(), cfg.height());
-        (self == Benchmark::Fft && w != h).then(|| format!("FFT needs a square grid, not {w}x{h}"))
+    pub fn grid_error(self, cfg: &SystemConfig) -> Option<ConfigError> {
+        let (width, height) = (cfg.width(), cfg.height());
+        (self == Benchmark::Fft && width != height).then_some(ConfigError::NonSquareGrid {
+            app: self.label(),
+            grid: (width, height),
+        })
     }
 }
 
@@ -136,18 +139,18 @@ impl fmt::Display for Benchmark {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from the engine; a failed result check is
-/// reported inside the returned [`SimResult`].
-///
-/// # Panics
-///
-/// When [`Benchmark::grid_error`] refuses `cfg`.
+/// Propagates [`SimError`] from the engine, and returns
+/// [`SimError::Config`] when [`Benchmark::grid_error`] refuses `cfg`; a
+/// failed result check is reported inside the returned [`SimResult`].
 pub fn run_benchmark(
     bench: Benchmark,
     cfg: SystemConfig,
     graph: &Arc<Csr>,
     threads: usize,
 ) -> Result<SimResult, SimError> {
+    if let Some(e) = bench.grid_error(&cfg) {
+        return Err(SimError::Config(e));
+    }
     let tiles = cfg.total_tiles() as u32;
     let g = Arc::clone(graph);
     match bench {
@@ -175,9 +178,6 @@ pub fn run_benchmark(
             Simulation::new(cfg, app)?.run_parallel(threads)
         }
         Benchmark::Fft => {
-            if let Some(why) = bench.grid_error(&cfg) {
-                panic!("{why}");
-            }
             let n = cfg.width() as usize;
             Simulation::new(cfg, Fft3d::new(n, 7))?.run_parallel(threads)
         }

@@ -58,6 +58,13 @@ pub enum ConfigError {
         /// What is wrong with them.
         why: &'static str,
     },
+    /// The application cannot run on a grid that is not square.
+    NonSquareGrid {
+        /// The application's label.
+        app: &'static str,
+        /// The grid's width and height in tiles.
+        grid: (u32, u32),
+    },
     /// A size is beyond what the simulator's 32-bit ids and counters can
     /// hold.
     LimitExceeded {
@@ -108,6 +115,9 @@ impl fmt::Display for ConfigError {
             ConfigError::Telemetry { why } => {
                 write!(f, "invalid telemetry configuration: {why}")
             }
+            ConfigError::NonSquareGrid { app, grid: (w, h) } => {
+                write!(f, "a square grid is required by {app}, not {w}x{h}")
+            }
             ConfigError::LimitExceeded { what, max } => {
                 write!(f, "{what} exceeds the supported maximum of {max}")
             }
@@ -136,6 +146,11 @@ mod tests {
             ConfigError::Traffic { why: "rate" }.to_string(),
             ConfigError::Checkpoint { why: "path" }.to_string(),
             ConfigError::Telemetry { why: "cadence" }.to_string(),
+            ConfigError::NonSquareGrid {
+                app: "FFT",
+                grid: (8, 4),
+            }
+            .to_string(),
             ConfigError::LimitExceeded {
                 what: "the tile grid",
                 max: 9,

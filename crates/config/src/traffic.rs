@@ -60,12 +60,13 @@ impl TrafficPattern {
         }
     }
 
-    /// Parses a pattern from its label, case-insensitively. The inverse
-    /// of [`TrafficPattern::label`].
+    /// Parses a pattern from its label or serde variant name,
+    /// case-insensitively. The inverse of [`TrafficPattern::label`].
     pub fn from_label(name: &str) -> Option<TrafficPattern> {
-        TrafficPattern::ALL
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(name))
+        TrafficPattern::ALL.into_iter().find(|p| {
+            p.label().eq_ignore_ascii_case(name)
+                || (p.to_value().as_str()).is_some_and(|v| v.eq_ignore_ascii_case(name))
+        })
     }
 }
 
@@ -155,6 +156,11 @@ mod tests {
                 Some(p)
             );
         }
+        // serde variant names parse too (`--pattern UniformRandom`)
+        assert_eq!(
+            TrafficPattern::from_label("UniformRandom"),
+            Some(TrafficPattern::UniformRandom)
+        );
         assert_eq!(TrafficPattern::from_label("nope"), None);
     }
 

@@ -329,8 +329,8 @@ impl ExperimentSpec {
                             "duplicate run ID `{run_id}`; axis point labels must be unique"
                         )));
                     }
-                    if let Some(why) = app.grid_error(&cfg) {
-                        return Err(spec_err(format!("point `{run_id}`: {why}")));
+                    if let Some(e) = app.grid_error(&cfg) {
+                        return Err(spec_err(format!("point `{run_id}`: {e}")));
                     }
                     points.push(RunPoint {
                         order: points.len() as u64,
@@ -589,7 +589,7 @@ mod tests {
         assert!(matches!(err, DseError::Spec(_)), "{err:?}");
         assert_eq!(
             err.to_string(),
-            "invalid experiment spec: point `base__FFT__RMAT-5-s1`: FFT needs a square grid, not 8x4"
+            "invalid experiment spec: point `base__FFT__RMAT-5-s1`: a square grid is required by FFT, not 8x4"
         );
     }
 

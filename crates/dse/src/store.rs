@@ -47,11 +47,11 @@ impl JsonlStore {
     /// Opens (or prepares to create) the store at `path`, loading any
     /// records already present.
     ///
-    /// A final line that fails to parse is treated as a crash-truncated
-    /// append: it is dropped with a warning to stderr and the file is
-    /// replaced by its lines up to the last valid record, so the next
-    /// append starts on a clean boundary instead of concatenating onto
-    /// the garbage. A malformed line anywhere else is an error.
+    /// A final line that fails to parse and lacks its newline is a
+    /// crash-truncated append: it is dropped with a warning to stderr and
+    /// the file is replaced by its lines up to the last valid record, so
+    /// the next append starts on a clean boundary instead of concatenating
+    /// onto the garbage. Any other malformed line is an error.
     ///
     /// # Errors
     ///
@@ -62,36 +62,28 @@ impl JsonlStore {
         let mut records = Vec::new();
         if path.exists() {
             let text = std::fs::read_to_string(&path)?;
-            let lines: Vec<&str> = text.split_inclusive('\n').collect();
-            let last_nonempty = lines.iter().rposition(|line| !line.trim().is_empty());
             // byte offset of line `i`: the well-formed prefix before it
             let mut start = 0;
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    start += line.len();
-                    continue;
-                }
-                match serde_json::from_str::<RunRecord>(line.trim_end()) {
-                    Ok(rec) => {
-                        records.push(rec);
-                        start += line.len();
-                    }
-                    Err(e) if Some(i) == last_nonempty => {
-                        eprintln!(
-                            "warning: dropping truncated final record in {} ({e})",
-                            path.display()
-                        );
-                        output::replace(&path, |w| w.write_all(&text.as_bytes()[..start]))?;
-                        break;
-                    }
-                    Err(e) => {
-                        return Err(DseError::Store(format!(
-                            "{} line {}: {e}",
-                            path.display(),
-                            i + 1
-                        )));
+            for (i, line) in text.split_inclusive('\n').enumerate() {
+                if !line.trim().is_empty() {
+                    match serde_json::from_str::<RunRecord>(line.trim_end()) {
+                        Ok(rec) => records.push(rec),
+                        // `append` writes a record and its newline at once
+                        Err(e) if !line.ends_with('\n') => {
+                            eprintln!(
+                                "warning: dropping truncated final record in {} ({e})",
+                                path.display()
+                            );
+                            output::replace(&path, |w| w.write_all(&text.as_bytes()[..start]))?;
+                            break;
+                        }
+                        Err(e) => {
+                            let at = format!("{} line {}", path.display(), i + 1);
+                            return Err(DseError::Store(format!("{at}: {e}")));
+                        }
                     }
                 }
+                start += line.len();
             }
         }
         Ok(JsonlStore { path, records })
@@ -276,6 +268,24 @@ pub(crate) mod tests {
         let reloaded = JsonlStore::open(&path).unwrap();
         assert_eq!(reloaded.records().len(), 2);
         assert_eq!(reloaded.records()[1].run_id, "b");
+    }
+
+    #[test]
+    fn a_complete_final_line_that_fails_to_parse_is_refused_not_cut() {
+        // a record of another schema (no `config_label`) is no torn append
+        let path = temp_path("other_schema.jsonl");
+        let line = serde_json::to_string(&record("a", 0, None)).unwrap();
+        let text = format!(
+            "{line}\n{}\n",
+            line.replace("\"config_label\":\"cfg\",", "")
+        );
+        std::fs::write(&path, &text).unwrap();
+        let err = JsonlStore::open(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("line 2: missing field `config_label`"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     }
 
     #[test]

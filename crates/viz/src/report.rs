@@ -292,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn term_column_distinguishes_warded_rows() {
+    fn termination_column_distinguishes_warded_rows() {
         let mut t = ReportTable::new();
         t.push(row("open", "BFS", 100.0));
         let mut warded = row("tight", "BFS", 10.0);

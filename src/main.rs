@@ -62,7 +62,10 @@ impl From<DseError> for Failure {
 
 impl From<SimError> for Failure {
     fn from(e: SimError) -> Self {
-        Failure(1, format!("simulation failed: {e}"))
+        match e {
+            SimError::Config(e) => Failure(2, e.to_string()),
+            other => Failure(1, format!("simulation failed: {other}")),
+        }
     }
 }
 
@@ -122,9 +125,6 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
     // reproducible; an explicit --set traffic.seed still wins
     let seed: u64 = parsed("seed", args.get("--seed").unwrap_or("42"))?;
     let cfg = config(args, side, &[])?;
-    if let Some(why) = app.grid_error(&cfg) {
-        return Err(Failure(2, why));
-    }
 
     let graph = Arc::new(RmatConfig::scale(scale).generate(seed));
     println!(

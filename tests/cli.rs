@@ -114,7 +114,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["run", "bfs", "5", "4", "1", "--checkpoint", "x.snap", "--set", "checkpoint_every=0"], Config, "error: invalid checkpoint configuration: checkpoint_every must be at least 1 cycle"),
     (&["run", "traf-uniform", "4", "4", "1", "--set", "noc.width_bits=32", "--set", "traffic.cycles=40", "--set", "traffic.rate=0.05", "--set", "traffic.payload_words_min=66000", "--set", "traffic.payload_words_max=66000"], Config, "error: traffic.payload_words_max exceeds the supported maximum of 65534"), // was: Pass "check: PASSED", each packet's 66 001 flits wrapped to 465
     (&["run", "traf-uniform", "4", "4", "1", "--set", "traffic.cycles=200", "--set", "traffic.pattern=Transpose"], Usage, "error: invalid parameter override: unknown parameter `pattern` in `traffic.pattern`; known keys here: …"), // was: Pass "check: PASSED", the pattern accepted and ignored
-    (&["run", "fft", "5", "8", "1", "--set", "hierarchy.chiplet.y=4"], Config, "error: FFT needs a square grid, not 8x4"), // was: exit 101, a panic
+    (&["run", "fft", "5", "8", "1", "--set", "hierarchy.chiplet.y=4"], Config, "error: a square grid is required by FFT, not 8x4"), // was: exit 101, a panic
     (&["run", "bfs", "5", "4", "1", "--metrics", "123"], Pass, "metrics stream written to 123"),
     (&["run", "bfs", "5", "4", "1", "--metrics", "deep/dir/m.jsonl", "--sample-every", "16"], Pass, "metrics stream written to deep/dir/m.jsonl"), // was: Fail "error: simulation failed: telemetry stream failed: cannot create metrics stream deep/dir/m.jsonl: No such file or directory (os error 2)"
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--seed", "7", "--set", "traffic.seed=9"], Pass, "seed 9"),
@@ -172,6 +172,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "0"], Usage, "error: invalid thread count `0`: number would be zero for non-zero type"), // was: Pass "saturation:"
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "1", "--topo", "torus", "--seed", "7", "--csv"], Pass, "saturation:"),
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "1", "--topo", "ruche", "--pattern", "transpose"], Pass, "traffic sweep: transpose on 4x4 ruche, 2 rates"),
+    (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--pattern", "UniformRandom"], Pass, "traffic sweep: uniform on 4x4"),
 
     // ── traffic replay ───────────────────────────────────────────────
     (&["traffic", "replay"], Usage, "error: missing the required flag `--trace`"), // was: Usage "error: replay needs --trace FILE"

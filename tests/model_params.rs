@@ -156,27 +156,16 @@ fn hotspot_timetable(cfg: &SystemConfig) -> String {
         .collect()
 }
 
-/// Other values for a leaf, to try in order: a number doubled, then
-/// halved (a zero becomes one), a variant name every other pattern's.
-fn other_values(v: &JsonValue) -> Vec<JsonValue> {
-    let text = serde_json::to_string(v).expect("a leaf serializes");
-    let others: Vec<String> = if v.as_str().is_some() {
-        TrafficPattern::ALL
-            .iter()
-            .map(|p| serde_json::to_string(p).expect("a pattern serializes"))
-            .filter(|p| *p != text)
-            .collect()
-    } else if text.contains('.') {
-        let x = v.as_f64().expect("a float");
-        vec![format!("{:?}", x * 2.0), format!("{:?}", x / 2.0)]
-    } else {
-        let n = v.as_u64().expect("a number or a variant name");
+/// Other values for a numeric leaf, to try in order: doubled (a zero
+/// integer becomes one), then halved. A leaf that is no number has none.
+fn other_values(v: &JsonValue) -> Vec<String> {
+    if let Some(n) = v.as_u64() {
         vec![(n * 2).max(1).to_string(), (n / 2).to_string()]
-    };
-    others
-        .iter()
-        .map(|t| serde_json::from_str(t).expect("a JSON value"))
-        .collect()
+    } else if let Some(x) = v.as_f64() {
+        vec![(x * 2.0).to_string(), (x / 2.0).to_string()]
+    } else {
+        Vec::new()
+    }
 }
 
 #[test]
@@ -199,7 +188,8 @@ fn every_traffic_setting_moves_the_drawn_timetable() {
     for (path, value) in &settings {
         let changed = other_values(value)
             .into_iter()
-            .find_map(|v| apply_to_config(&base, &[(path.clone(), v)]).ok())
+            .filter_map(|v| parse_assignment(&format!("{path}={v}")).ok())
+            .find_map(|assignment| apply_to_config(&base, &[assignment]).ok())
             .unwrap_or_else(|| panic!("no other valid value for {path}"));
         if hotspot_timetable(&changed) == baseline {
             unread.push(path.clone());
