@@ -11,7 +11,7 @@ use muchisim_apps::{run_benchmark, Benchmark};
 use muchisim_config::{NocTopology, SystemConfig, TrafficPattern};
 use muchisim_core::Simulation;
 use muchisim_noc::read_trace_jsonl;
-use muchisim_traffic::{saturation_sweep, SaturationCurve, TrafficApp};
+use muchisim_traffic::{LoadPoint, SaturationCurve, TrafficApp};
 
 /// Saturation criterion: mean latency above this multiple of the
 /// zero-load mean.
@@ -34,6 +34,23 @@ fn config(side: u32, topo: &str) -> SystemConfig {
     cfg.traffic.cycles = WINDOW_CYCLES;
     cfg.traffic.seed = 0x7AFF;
     cfg
+}
+
+/// Uniform-random traffic over `base` at each of `rates`, each point a
+/// run on 2 host threads.
+fn sweep(base: &SystemConfig, rates: &[f64]) -> SaturationCurve {
+    let point = |&rate: &f64| {
+        let mut cfg = base.clone();
+        cfg.traffic.rate = rate;
+        let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).expect("valid app");
+        let sim = Simulation::new(cfg.clone(), app).expect("valid point");
+        let result = sim.run_parallel(2).expect("point runs");
+        assert!(result.check_error.is_none(), "{:?}", result.check_error);
+        LoadPoint::of(&cfg, &result)
+    };
+    SaturationCurve {
+        points: rates.iter().map(point).collect(),
+    }
 }
 
 fn curve_json(topo: &str, curve: &SaturationCurve) -> String {
@@ -116,9 +133,7 @@ fn main() {
     muchisim_bench::rule("latency vs offered load (uniform random)");
     let mut curves = Vec::new();
     for &topo in topos {
-        let cfg = config(side, topo);
-        let curve = saturation_sweep(&cfg, TrafficPattern::UniformRandom, rates, 2)
-            .expect("sweep completes");
+        let curve = sweep(&config(side, topo), rates);
         for p in &curve.points {
             println!(
                 "{topo:<6} offered {:>5.3} | accepted {:>6.4} | avg {:>8.2} cy | \

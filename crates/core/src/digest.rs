@@ -29,7 +29,7 @@ impl Fnv {
     }
 
     /// Folds raw bytes into the hash.
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+    pub fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);

@@ -23,11 +23,6 @@ pub enum SimError {
     /// The application's task-invocation graph has a cycle, which the
     /// paper forbids to avoid network deadlock (§III-B).
     CyclicTaskGraph,
-    /// The application's result check failed.
-    CheckFailed(
-        /// The application's failure description.
-        String,
-    ),
     /// The NoC trace file could not be created or written.
     Trace(
         /// Description of the I/O failure.
@@ -80,7 +75,6 @@ impl fmt::Display for SimError {
                     "task-invocation graph has a cycle (network deadlock hazard)"
                 )
             }
-            SimError::CheckFailed(why) => write!(f, "result check failed: {why}"),
             SimError::Trace(why) => write!(f, "NoC trace failed: {why}"),
             SimError::Snapshot(why) => write!(f, "snapshot failed: {why}"),
             SimError::Ward(report) => write!(f, "{report}"),
@@ -114,9 +108,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(SimError::CyclicTaskGraph.to_string().contains("cycle"));
-        assert!(SimError::CheckFailed("boom".into())
-            .to_string()
-            .contains("boom"));
         let e = SimError::Config(ConfigError::NoPus);
         assert!(e.to_string().contains("invalid configuration"));
         assert!(SimError::Snapshot("bad magic".into())

@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 pub struct BatchOutcome {
     /// Points simulated in this invocation.
     pub executed: usize,
-    /// Points skipped because their run ID was already in the store.
+    /// Points skipped because the store already held their run ID,
+    /// recorded with the point's configuration.
     pub skipped: usize,
     /// Points whose result check failed — counting both fresh executions
     /// and failures already recorded in the store for skipped points, so
@@ -98,8 +99,9 @@ impl BatchRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first engine or store error; completed points remain
-    /// recorded.
+    /// Returns [`DseError::Store`] before anything runs when the store
+    /// holds a point's run ID with another configuration; otherwise the
+    /// first engine or store error, completed points remaining recorded.
     pub fn run_points(
         &self,
         points: &[RunPoint],
@@ -107,74 +109,55 @@ impl BatchRunner {
         store: &mut JsonlStore,
     ) -> Result<BatchOutcome, DseError> {
         let threads_per_run = threads_per_run.max(1);
-        // single-writer host-side outputs cannot coexist with a batch:
-        // NoC tracing and metrics streams truncate and write one shared
-        // file per simulation (concurrent points would
-        // interleave into the same path and silently corrupt it), and a
-        // user-set checkpoint path would make every point resume from
-        // whichever point snapshotted last
-        for (key, hit) in [
-            (
-                "noc_trace",
-                points.iter().find(|p| p.config.noc_trace.is_some()),
-            ),
-            (
-                "checkpoint_path",
-                points.iter().find(|p| p.config.checkpoint_path.is_some()),
-            ),
-            (
-                "telemetry.metrics_path",
-                points
-                    .iter()
-                    .find(|p| p.config.telemetry.metrics_path.is_some()),
-            ),
-            (
-                "telemetry.metrics_csv",
-                points
-                    .iter()
-                    .find(|p| p.config.telemetry.metrics_csv.is_some()),
-            ),
-        ] {
-            if let Some(point) = hit {
-                return Err(DseError::ResumeIncompatible {
-                    key,
-                    run_id: point.run_id.clone(),
-                });
+        let stored: HashMap<&str, &RunRecord> = store
+            .records()
+            .iter()
+            .map(|r| (r.run_id.as_str(), r))
+            .collect();
+        let mut outcome = BatchOutcome::default();
+        let mut pending = Vec::new();
+        for point in points {
+            // single-writer host-side outputs cannot coexist with a
+            // batch: NoC tracing and metrics streams truncate and write
+            // one shared file per simulation (concurrent points would
+            // interleave into the same path and silently corrupt it),
+            // and a user-set checkpoint path would make every point
+            // resume from whichever point snapshotted last
+            let cfg = &point.config;
+            let shared = [
+                ("noc_trace", &cfg.noc_trace),
+                ("checkpoint_path", &cfg.checkpoint_path),
+                ("telemetry.metrics_path", &cfg.telemetry.metrics_path),
+                ("telemetry.metrics_csv", &cfg.telemetry.metrics_csv),
+            ];
+            if let Some(&(key, _)) = shared.iter().find(|(_, path)| path.is_some()) {
+                let run_id = point.run_id.clone();
+                return Err(DseError::ResumeIncompatible { key, run_id });
+            }
+            let Some(record) = stored.get(point.run_id.as_str()) else {
+                pending.push(point);
+                continue;
+            };
+            // run IDs do not encode base overrides: a record stands for
+            // its point only if it ran the point's config
+            if record.config != *cfg {
+                return Err(DseError::Store(format!(
+                    "{} holds run `{}` with another configuration; \
+                     delete it or use another store",
+                    store.path().display(),
+                    point.run_id
+                )));
+            }
+            outcome.skipped += 1;
+            // a ward-terminated record expectably fails the output check
+            // (the run was cut short by design), so it counts as a ward
+            // trip, not a check failure
+            if record.result.termination_label().starts_with("ward:") {
+                outcome.ward_trips += 1;
+            } else if record.result.check_error.is_some() {
+                outcome.check_failures += 1;
             }
         }
-        let done = store.completed_ids();
-        let pending: Vec<&RunPoint> = points
-            .iter()
-            .filter(|p| !done.contains(&p.run_id))
-            .collect();
-        // failures recorded in a previous invocation, now being skipped
-        let skipped_ids: std::collections::HashSet<&str> = points
-            .iter()
-            .filter(|p| done.contains(&p.run_id))
-            .map(|p| p.run_id.as_str())
-            .collect();
-        // a ward-terminated record expectably fails the output check (the
-        // run was cut short by design), so it counts as a ward trip, not
-        // a check failure
-        let stored_failures = store
-            .records()
-            .iter()
-            .filter(|r| skipped_ids.contains(r.run_id.as_str()))
-            .filter(|r| !r.result.termination_label().starts_with("ward:"))
-            .filter(|r| r.result.check_error.is_some())
-            .count();
-        let stored_trips = store
-            .records()
-            .iter()
-            .filter(|r| skipped_ids.contains(r.run_id.as_str()))
-            .filter(|r| r.result.termination_label().starts_with("ward:"))
-            .count();
-        let mut outcome = BatchOutcome {
-            executed: 0,
-            skipped: points.len() - pending.len(),
-            check_failures: stored_failures,
-            ward_trips: stored_trips,
-        };
 
         // Generate each distinct dataset once, shared by every point.
         let mut datasets: HashMap<DatasetSpec, Arc<Csr>> = HashMap::new();
@@ -315,6 +298,33 @@ mod tests {
             assert_eq!(a.result.runtime_cycles, b.result.runtime_cycles);
             assert_eq!(a.result.counters, b.result.counters);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_run_is_skipped_only_under_the_points_config() {
+        let dir = std::env::temp_dir().join(format!("muchisim-dse-stale-{}", std::process::id()));
+        let path = dir.join("stale.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let spec = tiny_spec();
+        let mut store = JsonlStore::open(&path).unwrap();
+        BatchRunner::new(4).run_spec(&spec, &mut store).unwrap();
+        let again = BatchRunner::new(4).run_spec(&spec, &mut store).unwrap();
+        assert_eq!((again.executed, again.skipped), (0, 4));
+
+        // an edited base keeps every run ID and changes every config
+        let mut edited = tiny_spec();
+        edited
+            .base
+            .push(crate::parse_assignment("traffic.seed=9").unwrap());
+        let first = edited.expand().unwrap().remove(0).run_id;
+        let err = BatchRunner::new(4)
+            .run_spec(&edited, &mut store)
+            .unwrap_err();
+        assert!(matches!(err, DseError::Store(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains(&format!("{} holds run `{first}`", path.display())));
+        assert_eq!(store.records().len(), 4, "nothing may have run");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -598,6 +608,7 @@ mod tests {
         // a previous invocation recorded a run whose check failed
         let mut store = JsonlStore::open(&path).unwrap();
         let mut failed = crate::store::tests::record(&points[0].run_id, points[0].order, None);
+        failed.config = points[0].config.clone();
         failed.result.check_error = Some("mismatch at vertex 3".to_string());
         store.append(failed).unwrap();
 

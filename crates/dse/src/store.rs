@@ -13,7 +13,6 @@ use muchisim_config::output;
 use muchisim_config::SystemConfig;
 use muchisim_core::SimResult;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// One completed sweep run: identity + inputs + outputs.
@@ -99,11 +98,6 @@ impl JsonlStore {
         &self.records
     }
 
-    /// The run IDs already completed.
-    pub(crate) fn completed_ids(&self) -> HashSet<String> {
-        self.records.iter().map(|r| r.run_id.clone()).collect()
-    }
-
     /// Appends one record to the file (creating it and parent directories
     /// on first write) and to the in-memory view.
     ///
@@ -181,7 +175,6 @@ pub(crate) mod tests {
         store.append(record("b", 1, Some("bad"))).unwrap();
         let reloaded = JsonlStore::open(&path).unwrap();
         assert_eq!(reloaded.records(), store.records());
-        assert!(reloaded.completed_ids().contains("a"));
         assert_eq!(
             reloaded.records()[1].result.check_error.as_deref(),
             Some("bad")

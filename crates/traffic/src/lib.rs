@@ -21,9 +21,11 @@
 //!   `noc.*` configs — bit-identical NoC counters on the recording
 //!   config (given eject headroom), and a topology study in a fraction
 //!   of full-app time otherwise.
-//! * **Saturation sweeps** ([`saturation_sweep`]): offered-load axis →
-//!   mean/percentile latency curve plus detected saturation throughput,
-//!   the latency-versus-load figure of every NoC paper.
+//! * **Saturation curves** ([`SaturationCurve`]): offered-load points,
+//!   each read off one run by [`LoadPoint::of`], → mean/percentile
+//!   latency curve plus detected saturation throughput, the
+//!   latency-versus-load figure of every NoC paper. `muchisim traffic
+//!   sweep` runs the points through the design-space batch runner.
 //!
 //! # Example
 //!
@@ -49,4 +51,4 @@ mod saturation;
 
 pub use app::TrafficApp;
 pub use patterns::{tile_seed, PatternMap};
-pub use saturation::{run_point, saturation_sweep, LoadPoint, SaturationCurve};
+pub use saturation::{LoadPoint, SaturationCurve};

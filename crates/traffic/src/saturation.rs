@@ -4,14 +4,16 @@
 //! load, measure mean/percentile packet latency at each point, and locate
 //! the *saturation throughput* — the load at which latency departs from
 //! its zero-load plateau and the network stops accepting what is offered.
-//! Each point is one full simulation of a [`TrafficApp`], so the curve
-//! reflects the whole modeled stack (inject queues, link serialization,
-//! backpressure, eject contention), and every point is deterministic.
+//! Each point is one full simulation of a [`TrafficApp`](crate::TrafficApp)
+//! (`muchisim traffic sweep` runs them as design-space points into a
+//! result store), so the curve reflects the whole modeled stack (inject
+//! queues, link serialization, backpressure, eject contention), and
+//! every point is deterministic. [`LoadPoint::of`] reads a point off
+//! a run's configuration and result.
 
-use crate::app::TrafficApp;
 use muchisim_config::output::csv_table;
-use muchisim_config::{SystemConfig, TrafficPattern};
-use muchisim_core::{SimError, SimResult, Simulation};
+use muchisim_config::SystemConfig;
+use muchisim_core::SimResult;
 use serde::{Deserialize, Serialize};
 
 /// Measurements at one offered-load point.
@@ -43,6 +45,33 @@ pub struct LoadPoint {
     pub runtime_cycles: u64,
 }
 
+impl LoadPoint {
+    /// The point a run of `result` under `cfg` measured: offered load
+    /// `cfg.traffic.rate` over the injection window `cfg.traffic.cycles`.
+    pub fn of(cfg: &SystemConfig, result: &SimResult) -> LoadPoint {
+        let tiles = cfg.total_tiles() as f64;
+        // cycles the network was actually busy: runtime minus the fixed
+        // idleness-confirmation tail, floored at the injection window
+        let active = result
+            .runtime_cycles
+            .saturating_sub(cfg.termination_latency_cycles())
+            .max(cfg.traffic.cycles);
+        let lat = &result.noc_latency;
+        LoadPoint {
+            offered: cfg.traffic.rate,
+            achieved: result.counters.noc.ejected as f64 / (tiles * active as f64),
+            avg_latency: lat.mean(),
+            p50_latency: lat.percentile(0.50),
+            p95_latency: lat.percentile(0.95),
+            p99_latency: lat.percentile(0.99),
+            max_latency: lat.max_cycles,
+            injected: result.counters.noc.injected,
+            ejected: result.counters.noc.ejected,
+            runtime_cycles: result.runtime_cycles,
+        }
+    }
+}
+
 /// A CSV row of a curve: its series label, then the point's columns.
 #[derive(Default, Serialize)]
 struct SeriesPoint {
@@ -53,8 +82,6 @@ struct SeriesPoint {
 /// A latency-versus-load curve for one pattern on one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaturationCurve {
-    /// The spatial pattern swept.
-    pub pattern: TrafficPattern,
     /// One measurement per offered rate, in sweep order.
     pub points: Vec<LoadPoint>,
 }
@@ -117,76 +144,12 @@ impl SaturationCurve {
     }
 }
 
-/// Runs one offered-load point: `base` with `traffic.rate = rate` and
-/// `pattern`, on `threads` host threads.
-///
-/// # Errors
-///
-/// Propagates configuration and engine errors; a failed delivery check
-/// (lost packets) is promoted to [`SimError::CheckFailed`].
-pub fn run_point(
-    base: &SystemConfig,
-    pattern: TrafficPattern,
-    rate: f64,
-    threads: usize,
-) -> Result<LoadPoint, SimError> {
-    let mut cfg = base.clone();
-    cfg.traffic.rate = rate;
-    let app = TrafficApp::new(&cfg, pattern)?;
-    let window = cfg.traffic.cycles;
-    let result = Simulation::new(cfg.clone(), app)?.run_parallel(threads)?;
-    if let Some(why) = &result.check_error {
-        return Err(SimError::CheckFailed(why.clone()));
-    }
-    Ok(load_point(&cfg, &result, rate, window))
-}
-
-fn load_point(cfg: &SystemConfig, result: &SimResult, rate: f64, window: u64) -> LoadPoint {
-    let tiles = cfg.total_tiles() as f64;
-    // cycles the network was actually busy: runtime minus the fixed
-    // idleness-confirmation tail, floored at the injection window
-    let active = result
-        .runtime_cycles
-        .saturating_sub(cfg.termination_latency_cycles())
-        .max(window);
-    let lat = &result.noc_latency;
-    LoadPoint {
-        offered: rate,
-        achieved: result.counters.noc.ejected as f64 / (tiles * active as f64),
-        avg_latency: lat.mean(),
-        p50_latency: lat.percentile(0.50),
-        p95_latency: lat.percentile(0.95),
-        p99_latency: lat.percentile(0.99),
-        max_latency: lat.max_cycles,
-        injected: result.counters.noc.injected,
-        ejected: result.counters.noc.ejected,
-        runtime_cycles: result.runtime_cycles,
-    }
-}
-
-/// Sweeps `rates` (ascending offered load) for `pattern` over `base`,
-/// producing the latency-versus-load curve.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn saturation_sweep(
-    base: &SystemConfig,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    threads: usize,
-) -> Result<SaturationCurve, SimError> {
-    let points = rates
-        .iter()
-        .map(|&rate| run_point(base, pattern, rate, threads))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SaturationCurve { pattern, points })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muchisim_config::TrafficParams;
+    use crate::TrafficApp;
+    use muchisim_config::{TrafficParams, TrafficPattern};
+    use muchisim_core::Simulation;
 
     fn base() -> SystemConfig {
         let traffic = TrafficParams {
@@ -201,10 +164,24 @@ mod tests {
             .unwrap()
     }
 
+    /// Uniform-random traffic on [`base`] at each of `rates`.
+    fn sweep(rates: &[f64]) -> SaturationCurve {
+        let point = |&rate: &f64| {
+            let mut cfg = base();
+            cfg.traffic.rate = rate;
+            let app = TrafficApp::new(&cfg, TrafficPattern::UniformRandom).unwrap();
+            let result = Simulation::new(cfg.clone(), app).unwrap().run().unwrap();
+            assert!(result.check_error.is_none(), "{:?}", result.check_error);
+            LoadPoint::of(&cfg, &result)
+        };
+        SaturationCurve {
+            points: rates.iter().map(point).collect(),
+        }
+    }
+
     #[test]
     fn latency_grows_with_offered_load() {
-        let curve =
-            saturation_sweep(&base(), TrafficPattern::UniformRandom, &[0.02, 0.6], 1).unwrap();
+        let curve = sweep(&[0.02, 0.6]);
         assert_eq!(curve.points.len(), 2);
         let (lo, hi) = (&curve.points[0], &curve.points[1]);
         assert!(lo.avg_latency > 0.0);
@@ -224,8 +201,7 @@ mod tests {
 
     #[test]
     fn saturation_detection_finds_the_knee() {
-        let curve =
-            saturation_sweep(&base(), TrafficPattern::UniformRandom, &[0.02, 0.1, 0.6], 1).unwrap();
+        let curve = sweep(&[0.02, 0.1, 0.6]);
         let sat = curve
             .saturation_point(3.0)
             .expect("0.6 saturates a 4x4 mesh");
@@ -237,16 +213,12 @@ mod tests {
         );
         // an unsaturated curve reports none
         let calm = SaturationCurve {
-            pattern: TrafficPattern::UniformRandom,
             points: curve.points[..2].to_vec(),
         };
         assert!(calm.saturation_point(3.0).is_none());
-        assert!(SaturationCurve {
-            pattern: TrafficPattern::UniformRandom,
-            points: Vec::new()
-        }
-        .saturation_rate(3.0)
-        .is_none());
+        assert!(SaturationCurve { points: Vec::new() }
+            .saturation_rate(3.0)
+            .is_none());
     }
 
     fn point(offered: f64, lat: f64) -> LoadPoint {
@@ -267,7 +239,6 @@ mod tests {
     #[test]
     fn csv_and_text_agree_on_rows() {
         let curve = SaturationCurve {
-            pattern: TrafficPattern::UniformRandom,
             points: vec![point(0.02, 8.5), point(0.3, 210.0)],
         };
         let csv = curve.to_csv("mesh");
@@ -284,10 +255,7 @@ mod tests {
 
     #[test]
     fn empty_curve_renders_headers_only() {
-        let curve = SaturationCurve {
-            pattern: TrafficPattern::UniformRandom,
-            points: Vec::new(),
-        };
+        let curve = SaturationCurve { points: Vec::new() };
         assert_eq!(curve.to_csv("mesh").lines().count(), 1);
         assert_eq!(curve.to_text("mesh").lines().count(), 1);
     }

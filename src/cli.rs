@@ -78,10 +78,10 @@ pub(crate) fn parse(command: &'static Command, argv: &[&str]) -> Result<Args, Cl
         if !flag.repeatable && flags.iter().any(|(given, _)| given.name == arg) {
             return Err(CliError(format!("`{arg}` given more than once")));
         }
-        let value = match (flag.metavar, argv.next()) {
-            ("", _) => "",
-            (_, Some(&value)) => value,
-            (metavar, None) => return Err(CliError(format!("`{arg}` needs a value ({metavar})"))),
+        let missing = || CliError(format!("`{arg}` needs a value ({})", flag.metavar));
+        let value = match flag.metavar {
+            "" => "", // a switch takes nothing from argv
+            _ => *argv.next().ok_or_else(missing)?,
         };
         flags.push((flag, value.to_string()));
     }
@@ -230,17 +230,18 @@ const SIDE: Flag = flag(
     "",
     "square grid side in tiles (default: sweep 8, replay 16)",
 );
-const THREADS: Flag = flag("--threads", "N", "", "host threads (default 4)");
+const THREADS: Flag = flag("--threads", "N", "", "host threads per run (default 4)");
 
 #[rustfmt::skip]
 pub(crate) static RUN: Command = Command {
     name: "run",
     positionals: "<app> [scale [side [threads]]]",
-    about: "Run one benchmark on an RMAT graph, print its report and host summary, and write\n\
-        target/counters.json. <app> is a suite label (bfs, sssp, page, wcc, spmv, spmm, histo,\n\
-        fft) or a synthetic-traffic workload (traf-uniform, traf-bitcomp, traf-transpose,\n\
-        traf-shuffle, traf-neighbor, traf-hotspot); scale is the RMAT scale (default 11), side\n\
-        the square grid side in tiles (16), threads the host threads (8).",
+    about: "Run one benchmark on an RMAT graph and print its report and host summary. <app> is\n\
+        a suite label (bfs, sssp, page, wcc, spmv, spmm, histo, fft) or a synthetic-traffic\n\
+        workload (traf-uniform, traf-bitcomp, traf-transpose, traf-shuffle, traf-neighbor,\n\
+        traf-hotspot); scale is the RMAT scale (default 11), side the square grid side in tiles\n\
+        (16), threads the host threads (8). To re-price a run later without re-simulating, run\n\
+        it as a one-point spec with `sweep`, then `report --store FILE --set params.KEY=VALUE`.",
     flags: &[
         flag("--seed", "N", "traffic.seed", "seed the dataset generator (default 42) and traffic.seed"),
         flag("--trace", "FILE", "noc_trace", "record every NoC injection to FILE (JSONL) for `traffic replay`"),
@@ -295,7 +296,10 @@ pub(crate) static TRAFFIC_SWEEP: Command = Command {
     name: "traffic sweep",
     positionals: "",
     about: "Run a synthetic pattern across ascending offered loads on a side x side grid with\n\
-        4 PUs per tile; print the latency-vs-load table and the detected saturation rate.",
+        4 PUs per tile; print the latency-vs-load table and the detected saturation rate. The\n\
+        rates run as sweep points, concurrently, into a store under target/dse/ named by the\n\
+        configuration: rerunning the same command resumes it and simulates only what is\n\
+        missing. With --csv, stdout is the CSV alone and the other lines go to stderr.",
     flags: &[
         flag("--pattern", "P", "", "uniform (default), bitcomp, transpose, shuffle, neighbor, hotspot"),
         flag("--rates", "R,R,...", "", "strictly ascending offered loads in packets/tile/cycle"),

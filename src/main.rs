@@ -3,8 +3,8 @@
 //! Four subcommands cover the paper's workflow end to end:
 //!
 //! * `muchisim run <app> [scale [side [threads]]]` — one simulation,
-//!   report and host summary printed, counters file written for later
-//!   post-processing.
+//!   report and host summary printed. A run kept for later
+//!   post-processing is a one-point `sweep` into a store.
 //! * `muchisim sweep --spec FILE` — a declarative design-space sweep
 //!   (see [`muchisim::dse`]): points run concurrently, results stream
 //!   into a resumable JSONL store, completed run IDs are skipped.
@@ -12,8 +12,9 @@
 //!   comparison table, optionally re-priced with `--set` overrides
 //!   (energy/cost post-processing without re-simulation).
 //! * `muchisim traffic sweep|replay` — NoC characterization: synthetic
-//!   latency-vs-load saturation sweeps and app-free replay of a
-//!   recorded communication trace (see [`muchisim::traffic`]).
+//!   latency-vs-load saturation sweeps (one rate axis run through the
+//!   same batch runner into a store, so a rerun resumes) and app-free
+//!   replay of a recorded communication trace (see [`muchisim::traffic`]).
 //!
 //! Every flag is a row of a table in [`cli`], and one that sets a
 //! configuration field is an alias for `--set key=value` ([`config`]).
@@ -25,13 +26,15 @@ mod cli;
 use cli::{chosen, parse, parsed, Args, CliError};
 use muchisim::apps::{run_benchmark, Benchmark};
 use muchisim::config::{SystemConfig, TrafficPattern};
+use muchisim::core::digest::Fnv;
 use muchisim::core::{SimError, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use muchisim::dse::{
-    apply_to_config, table_from_store, BatchRunner, DseError, ExperimentSpec, JsonlStore, Override,
+    apply_to_config, parse_assignment, slug, table_from_store, Axis, AxisPoint, BatchOutcome,
+    BatchRunner, DatasetSpec, DseError, ExperimentSpec, JsonlStore, Override,
 };
 use muchisim::energy::Report;
-use muchisim::traffic::{saturation_sweep, TrafficApp};
+use muchisim::traffic::{LoadPoint, SaturationCurve, TrafficApp};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 
@@ -55,6 +58,7 @@ impl From<DseError> for Failure {
         match e {
             DseError::Config(e) => Failure(2, e.to_string()),
             DseError::Spec(_) | DseError::Override(_) => usage(e),
+            DseError::Sim(e) => e.into(),
             other => Failure(1, other.to_string()),
         }
     }
@@ -99,12 +103,19 @@ fn dispatch(argv: &[&str]) -> Result<i32, Failure> {
 
 /// The one route from a command line to a `SystemConfig`: the defaults,
 /// overridden by a `side`×`side` grid, what the subcommand fixes
-/// (`base`) and every `--set` and flag of `args`, validated once.
-fn config(args: &Args, side: u32, base: &[&str]) -> Result<SystemConfig, Failure> {
+/// (`base`) and every `--set` and flag of `args`, validated once; with
+/// the overrides that built it.
+fn config(args: &Args, side: u32, base: &[&str]) -> Result<(SystemConfig, Vec<Override>), Failure> {
     let x = format!("hierarchy.chiplet.x={side}");
     let y = format!("hierarchy.chiplet.y={side}");
     let overrides = args.overrides(&[&[x.as_str(), &y], base].concat())?;
-    Ok(apply_to_config(&SystemConfig::default(), &overrides)?)
+    let cfg = apply_to_config(&SystemConfig::default(), &overrides)?;
+    Ok((cfg, overrides))
+}
+
+/// Where a sweep named `name` keeps its results unless told otherwise.
+fn default_store(name: &str) -> String {
+    format!("target/dse/{}.jsonl", slug(name))
 }
 
 /// The host-thread count of `text`: at least one.
@@ -124,13 +135,15 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
     // --seed drives both generators so one flag makes the whole run
     // reproducible; an explicit --set traffic.seed still wins
     let seed: u64 = parsed("seed", args.get("--seed").unwrap_or("42"))?;
-    let cfg = config(args, side, &[])?;
+    let (cfg, _) = config(args, side, &[])?;
 
     let graph = Arc::new(RmatConfig::scale(scale).generate(seed));
     println!(
-        "running {} on RMAT-{scale} (seed {seed}) over {side}x{side} tiles \
+        "running {} on RMAT-{scale} (seed {seed}) over {}x{} tiles \
          with {threads} host threads...",
-        app.label()
+        app.label(),
+        cfg.width(),
+        cfg.height(),
     );
     let result = match run_benchmark(app, cfg.clone(), &graph, threads) {
         Ok(result) => result,
@@ -203,14 +216,6 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
     }
     let report = Report::from_counters(&cfg, &result.counters);
     emit(&format!("{}\n", report.to_json()));
-
-    // the counters file: rerun post-processing later with new parameters
-    let counters_path = std::path::Path::new("target").join("counters.json");
-    let json = serde_json::to_string_pretty(&result.counters)
-        .map_err(|e| Failure(1, format!("serializing the counters: {e}")))?;
-    muchisim::config::output::replace(&counters_path, |w| w.write_all(json.as_bytes()))
-        .map_err(|e| Failure(1, e.to_string()))?;
-    println!("counters file written to {}", counters_path.display());
     if let Some(path) = &cfg.noc_trace {
         println!(
             "NoC trace written to {path} (replay with `muchisim traffic replay --trace {path}`)"
@@ -241,21 +246,13 @@ fn cmd_sweep(args: &Args) -> Result<i32, Failure> {
     if let Some(seed) = args.get("--seed") {
         let seed: u64 = parsed("seed", seed)?;
         // one flag reseeds the whole sweep's synthetic traffic; applied
-        // to the base so every axis point inherits it
+        // to the base so every axis point inherits it, and each seed
+        // gets its own default store (a store holding another seed's
+        // records for the same run IDs is refused by the runner)
         spec.base.extend(args.overrides(&[])?);
-        // run IDs don't encode base overrides, so a differently-seeded
-        // sweep must not resume a same-named store and skip everything;
-        // renaming the spec gives each seed its own default store (an
-        // explicit --store is the caller's responsibility and is warned)
         spec.name = format!("{}-seed{seed}", spec.name);
-        if args.get("--store").is_some() {
-            eprintln!(
-                "warning: --seed changes results but not run IDs; \
-                 use a fresh --store per seed or completed IDs will be skipped"
-            );
-        }
     }
-    let default_store = format!("target/dse/{}.jsonl", muchisim::dse::slug(&spec.name));
+    let default_store = default_store(&spec.name);
     let store_path = args.get("--store").unwrap_or(&default_store);
 
     let points = spec.expand()?;
@@ -279,26 +276,34 @@ fn cmd_sweep(args: &Args) -> Result<i32, Failure> {
         );
     }
     let outcome = runner.run_points(&points, spec.threads_per_run, &mut store)?;
-    println!(
-        "executed {} points, skipped {} already-completed points ({})",
+    report_outcome(&outcome, &store, false);
+    print_table(&store, &[], args.get("--csv").is_some())?;
+    Ok(i32::from(outcome.check_failures > 0))
+}
+
+/// Says what a batch did: the executed/skipped line and any ward trips on
+/// stdout, or on stderr when stdout carries a CSV (`prose_to_stderr`);
+/// failed result checks always as a warning on stderr.
+fn report_outcome(outcome: &BatchOutcome, store: &JsonlStore, prose_to_stderr: bool) {
+    let mut text = format!(
+        "executed {} points, skipped {} already-completed points ({})\n",
         outcome.executed,
         outcome.skipped,
         store.path().display()
     );
     if outcome.ward_trips > 0 {
-        println!(
-            "{} point(s) were terminated by a telemetry ward (see the `term` column)",
+        text += &format!(
+            "{} point(s) were terminated by a telemetry ward (see the `term` column)\n",
             outcome.ward_trips
         );
     }
+    prose(&text, prose_to_stderr);
     if outcome.check_failures > 0 {
         eprintln!(
             "warning: {} run(s) failed their result check",
             outcome.check_failures
         );
     }
-    print_table(&store, &[], args.get("--csv").is_some())?;
-    Ok(i32::from(outcome.check_failures > 0))
 }
 
 fn cmd_report(args: &Args) -> Result<i32, Failure> {
@@ -331,11 +336,11 @@ fn cmd_traffic_sweep(args: &Args) -> Result<i32, Failure> {
     let list = args.get("--rates").unwrap_or("0.02,0.05,0.1,0.2,0.35,0.5");
     let rates = list
         .split(',')
-        .map(|rate| parsed("offered rate", rate.trim()))
-        .collect::<Result<Vec<f64>, _>>()?;
+        .map(|text| Ok((text.trim(), parsed("offered rate", text.trim())?)))
+        .collect::<Result<Vec<(&str, f64)>, CliError>>()?;
     // saturation detection baselines on the first point, so the list
     // must really be ascending offered load
-    if rates.windows(2).any(|w| w[0] >= w[1]) {
+    if rates.windows(2).any(|w| w[0].1 >= w[1].1) {
         let unordered = format!("--rates must be strictly ascending (got {list})");
         return Err(usage(unordered));
     }
@@ -344,41 +349,80 @@ fn cmd_traffic_sweep(args: &Args) -> Result<i32, Failure> {
     let topo = args.get("--topo").unwrap_or("mesh");
     // 4 PUs per tile, so receive handlers never bottleneck ahead of the
     // network
-    let cfg = config(args, side, &["pus_per_tile=4"])?;
-    println!(
-        "traffic sweep: {} on {side}x{side} {topo}, {} rates, window {} cycles, seed {}",
+    let (cfg, base) = config(args, side, &["pus_per_tile=4"])?;
+    let csv = args.get("--csv").is_some();
+    let title = format!(
+        "traffic sweep: {} on {side}x{side} {topo}, {} rates, window {} cycles, seed {}\n",
         pattern.label(),
         rates.len(),
         cfg.traffic.cycles,
         cfg.traffic.seed,
     );
-    let curve = saturation_sweep(&cfg, pattern, &rates, threads)?;
+    prose(&title, csv);
+    let rate_point = |&(label, rate): &(&str, f64)| {
+        let set = vec![parse_assignment(&format!("traffic.rate={rate}"))?];
+        let label = label.to_string();
+        Ok(AxisPoint { label, set })
+    };
+    // the store is named by the base config, so only this sweep's
+    // command line (whatever its --threads) finds it again
+    let mut hash = Fnv::new();
+    let json = serde_json::to_string(&cfg).expect("a config serializes");
+    hash.bytes(json.as_bytes());
+    let spec = ExperimentSpec {
+        name: format!("traffic-sweep-{:016x}", hash.finish()),
+        threads_per_run: threads,
+        base,
+        axes: vec![Axis {
+            name: "rate".to_string(),
+            points: rates
+                .iter()
+                .map(rate_point)
+                .collect::<Result<_, DseError>>()?,
+        }],
+        apps: vec![Benchmark::Traffic(pattern)],
+        // traffic ignores the dataset; the smallest RMAT stands in
+        datasets: vec![DatasetSpec::Rmat { scale: 4, seed: 1 }],
+    };
+    let points = spec.expand()?;
+    let mut store = JsonlStore::open(default_store(&spec.name))?;
+    let host_threads = std::thread::available_parallelism().map_or(8, NonZeroUsize::get);
+    let outcome = BatchRunner::new(host_threads).run_points(&points, threads, &mut store)?;
+    report_outcome(&outcome, &store, csv);
+    let point = |run_id: &str| {
+        // the last record of an ID is the one the runner checked
+        let record = store.records().iter().rev().find(|r| r.run_id == run_id);
+        let record = record.expect("the batch recorded every point");
+        LoadPoint::of(&record.config, &record.result)
+    };
+    let points = points.iter().map(|p| point(&p.run_id)).collect();
+    let curve = SaturationCurve { points };
     let series = format!("{topo}/{}", pattern.label());
-    let csv = args.get("--csv").is_some();
     emit(&if csv {
         curve.to_csv(&series)
     } else {
         curve.to_text(&series)
     });
-    match curve.saturation_point(3.0) {
-        Some(p) => println!(
+    let verdict = match curve.saturation_point(3.0) {
+        Some(p) => format!(
             "saturation: offered {:.3} packets/tile/cycle (accepted {:.3}, \
-             mean latency {:.1} cycles vs {:.1} at zero load)",
+             mean latency {:.1} cycles vs {:.1} at zero load)\n",
             p.offered,
             p.achieved,
             p.avg_latency,
             curve.base_latency().unwrap_or(0.0),
         ),
-        None => println!("saturation: not reached within the swept rates"),
-    }
-    Ok(0)
+        None => "saturation: not reached within the swept rates\n".to_string(),
+    };
+    prose(&verdict, csv);
+    Ok(i32::from(outcome.check_failures > 0))
 }
 
 fn cmd_traffic_replay(args: &Args) -> Result<i32, Failure> {
     let trace_path = args.required("--trace")?;
     let side: u32 = parsed("grid side", args.get("--side").unwrap_or("16"))?;
     let threads = thread_count(args.get("--threads").unwrap_or("4"))?;
-    let cfg = config(args, side, &[])?;
+    let (cfg, _) = config(args, side, &[])?;
     let tiles = cfg.total_tiles() as u32;
     let app = TrafficApp::replay_file(trace_path, tiles).map_err(|e| Failure(1, e))?;
     println!(
@@ -412,6 +456,15 @@ fn print_table(store: &JsonlStore, overrides: &[Override], csv: bool) -> Result<
     let text = format!("{}\n", table.to_text());
     emit(&if csv { table.to_csv() } else { text });
     Ok(())
+}
+
+/// Writes `text` to stderr when stdout carries data (`to_stderr`), else
+/// to stdout.
+fn prose(text: &str, to_stderr: bool) {
+    match to_stderr {
+        true => eprint!("{text}"),
+        false => emit(text),
+    }
 }
 
 /// Writes to stdout, exiting quietly when the consumer closed the pipe

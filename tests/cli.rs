@@ -59,6 +59,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["run", "bfs", "5", "4", "x"], Usage, "error: invalid thread count `x`: invalid digit found in string"),
     (&["run", "bfs", "5", "4", "0"], Usage, "error: invalid thread count `0`: number would be zero for non-zero type"), // was: Pass "with 0 host threads"
     (&["run", "bfs", "5", "4", "1"], Pass, "check: PASSED"),
+    (&["run", "bfs", "5", "8", "1", "--seed", "7", "--set", "hierarchy.chiplet.y=4"], Pass, "over 8x4 tiles"), // was: Pass "over 8x8 tiles"
     (&["run", "bfs", "--bogus"], Usage, "error: unknown flag `--bogus`"),
 
     // ── run: every flag's missing value ──────────────────────────────
@@ -170,7 +171,9 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["traffic", "sweep", "--side", "0"], Config, "error: hierarchy level `chiplet` has a zero-sized extent"), // was: Usage "error: hierarchy level `chiplet` has a zero-sized extent"
     (&["traffic", "sweep", "--side", "4", "--set", "traffic.rate=2"], Config, "error: invalid traffic parameters: …"), // was: Usage "error: invalid configuration: invalid traffic parameters: …"
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "0"], Usage, "error: invalid thread count `0`: number would be zero for non-zero type"), // was: Pass "saturation:"
-    (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "1", "--topo", "torus", "--seed", "7", "--csv"], Pass, "saturation:"),
+    (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "1", "--topo", "torus", "--seed", "7", "--csv"], Pass, "series,offered,achieved,"), // was: Pass "saturation:"
+    (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "2", "--topo", "torus", "--seed", "7"], Pass, "executed 0 points, skipped 2"), // was: Pass "saturation:", both points simulated again (no store)
+    (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--csv", "--topo", "torus"], Pass, "torus/uniform,0.02,"), // was: Usage "error: unexpected argument `torus`", the switch took `--topo` as its value
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02,0.3", "--threads", "1", "--topo", "ruche", "--pattern", "transpose"], Pass, "traffic sweep: transpose on 4x4 ruche, 2 rates"),
     (&["traffic", "sweep", "--side", "4", "--rates", "0.02", "--threads", "1", "--pattern", "UniformRandom"], Pass, "traffic sweep: uniform on 4x4"),
 
@@ -189,8 +192,8 @@ const ROWS: &[(&[&str], End, &str)] = &[
 ];
 
 /// An empty scratch working directory, so rows touch nothing in the
-/// checkout and every `run` row creates the `target/` its counters file
-/// goes to.
+/// checkout: the stores `traffic sweep` keeps under `target/dse/`, and
+/// the files the `run` and `sweep` rows name, land there.
 fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("muchisim-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

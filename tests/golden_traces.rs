@@ -377,7 +377,7 @@ fn traffic_config(topo: NocTopology) -> SystemConfig {
 #[test]
 fn scripted_traffic_rows_match_committed_checksums() {
     use muchisim::config::TrafficPattern;
-    use muchisim::traffic::run_point;
+    use muchisim::traffic::LoadPoint;
     let graph = Arc::new(RmatConfig::scale(2).generate(GRAPH_SEED)); // ignored by traffic
     let bless = std::env::var_os("MUCHISIM_BLESS").is_some();
     let mut blessed = Vec::new();
@@ -419,7 +419,7 @@ fn scripted_traffic_rows_match_committed_checksums() {
             r
         };
         let result = run(cfg.clone(), 1);
-        let point = run_point(&cfg, pattern, TRAF_RATE, 1).expect("load point runs");
+        let point = LoadPoint::of(&cfg, &result);
         let offered = point.injected as f64 / (f64::from(tiles) * TRAF_WINDOW as f64);
         assert!(
             point.achieved < offered,
