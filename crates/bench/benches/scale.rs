@@ -47,10 +47,12 @@ const THREAD_SWEEP_MIN_SIDE: u32 = 256;
 /// grid, in bytes per tile: `(side, capacity-based host_state_bytes,
 /// peak resident set)`. Each is the value measured on a 2-vCPU x86-64
 /// Linux guest plus a margin: capacity 278 B/tile at 256×256 (the smoke
-/// run's largest grid) and 239 at 1024×1024, +10 %; resident 263 and
-/// 149 B/tile, +14 % and +11 % (2.2 and 16 MiB — the smaller grid's
-/// peak is a quarter fixed cost: binary, graph, allocator).
-const SPARSE_CEILINGS: [(u32, f64, f64); 2] = [(256, 305.0, 300.0), (1024, 265.0, 165.0)];
+/// run's largest grid) and 239 at 1024×1024, +10 %; resident 241 and
+/// 103 B/tile, +14 % and +11 % (2.1 and 11 MiB — the smaller grid's
+/// peak is a quarter fixed cost: binary, graph, allocator). Idle queue
+/// links and credit words are never written, so the resident peak sits
+/// well below the capacity.
+const SPARSE_CEILINGS: [(u32, f64, f64); 2] = [(256, 305.0, 275.0), (1024, 265.0, 114.0)];
 
 /// The process's peak resident set size in bytes (`VmHWM`), or `None`
 /// where `/proc/self/status` does not report it (off Linux).

@@ -399,8 +399,8 @@ impl<A: Application> Worker<A> {
             sched: Scheduler::new(&cfg.scheduling, ntasks),
             mem_proto: TileMemory::from_system(cfg),
             rr_last: vec![Scheduler::initial_rr(ntasks); n],
-            iq_links: vec![QueueLink::default(); n * ntasks as usize],
-            cq_links: vec![QueueLink::default(); n * ntasks as usize],
+            iq_links: QueueLink::table(n * ntasks as usize),
+            cq_links: QueueLink::table(n * ntasks as usize),
             iq_arena: Arena::default(),
             cq_arena: Arena::default(),
             dispatched: vec![Dispatched::default(); n],

@@ -55,7 +55,7 @@ impl<T: Clone + Default + PartialEq + std::fmt::Debug> Bank<T> {
     fn new() -> Self {
         Bank {
             arena: Arena::default(),
-            links: vec![QueueLink::default(); TILES * TASKS],
+            links: QueueLink::table(TILES * TASKS),
             model: (0..TILES * TASKS).map(|_| VecDeque::new()).collect(),
             peak: 0,
         }
@@ -67,10 +67,15 @@ impl<T: Clone + Default + PartialEq + std::fmt::Debug> Bank<T> {
         self.model[q].push_back(item);
     }
 
-    /// Pops queue `q` in both; returns the arena's item.
+    /// Pops queue `q` in both; returns the arena's item. A link drained
+    /// by the pop is the all-zero link that [`QueueLink::table`] starts
+    /// from.
     fn pop(&mut self, q: usize) -> Option<T> {
         let got = self.links[q].pop_front(&mut self.arena);
         prop_assert_eq!(&got, &self.model[q].pop_front());
+        if self.model[q].is_empty() {
+            prop_assert_eq!(self.links[q], QueueLink::default(), "queue {} drained", q);
+        }
         got
     }
 

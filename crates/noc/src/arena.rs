@@ -16,8 +16,7 @@
 //! shard, by the deferred-push buffer between unlink and link). Node ids
 //! are indices into one arena's `Vec` and mean nothing in another.
 
-/// The "no node" id: an empty queue's head and tail, the last node's
-/// `next`, the end of the free list.
+/// The "no node" id: the last node's `next`, the end of the free list.
 pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
@@ -199,24 +198,30 @@ impl<T: Default> Arena<T> {
 /// length. Twelve bytes whether the queue is empty or deep; every method
 /// that reads or moves an item takes the arena the nodes live in, which
 /// must be the same one for the link's whole life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// `len` alone says whether the queue is empty, and an empty link is all
+/// zero bits — the `Default`, and what popping the last item leaves — so
+/// a table of idle links built by [`QueueLink::table`] is never written.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueueLink {
     head: u32,
     tail: u32,
     len: u32,
 }
 
-impl Default for QueueLink {
-    fn default() -> Self {
-        QueueLink {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-}
-
 impl QueueLink {
+    /// `n` empty links, collected in place from a zeroed allocation: the
+    /// map from zero words to zero words writes nothing, so pages of links
+    /// no queue ever uses stay untouched (a `vec![QueueLink::default(); n]`
+    /// stores every link).
+    pub fn table(n: usize) -> Vec<QueueLink> {
+        let words = vec![[0u32; 3]; n];
+        words
+            .into_iter()
+            .map(|[head, tail, len]| QueueLink { head, tail, len })
+            .collect()
+    }
+
     /// Items queued.
     #[inline]
     pub fn len(&self) -> u32 {
@@ -232,12 +237,12 @@ impl QueueLink {
     /// The head item.
     #[inline]
     pub fn front<'a, T>(&self, arena: &'a Arena<T>) -> Option<&'a T> {
-        (self.head != NIL).then(|| arena.get(self.head))
+        (self.len != 0).then(|| arena.get(self.head))
     }
 
     /// The queued items, head first.
     pub fn iter<'a, T>(&self, arena: &'a Arena<T>) -> impl Iterator<Item = &'a T> + 'a {
-        arena.iter_from(self.head)
+        arena.iter_from(self.head).take(self.len as usize)
     }
 
     /// Appends `item` at the tail.
@@ -245,7 +250,7 @@ impl QueueLink {
     pub fn push_back<T: Default>(&mut self, arena: &mut Arena<T>, item: T) {
         let node = arena.alloc(item);
         arena.set_next(node, NIL);
-        if self.head == NIL {
+        if self.len == 0 {
             self.head = node;
         } else {
             arena.set_next(self.tail, node);
@@ -254,18 +259,19 @@ impl QueueLink {
         self.len += 1;
     }
 
-    /// Takes the head item out.
+    /// Takes the head item out; the last one leaves the all-zero link.
     #[inline]
     pub fn pop_front<T: Default>(&mut self, arena: &mut Arena<T>) -> Option<T> {
-        if self.head == NIL {
+        if self.len == 0 {
             return None;
         }
         let node = self.head;
-        self.head = arena.next(node);
-        if self.head == NIL {
-            self.tail = NIL;
-        }
         self.len -= 1;
+        if self.len == 0 {
+            *self = QueueLink::default();
+        } else {
+            self.head = arena.next(node);
+        }
         Some(arena.release(node))
     }
 }
@@ -311,7 +317,9 @@ mod tests {
     #[test]
     fn links_sharing_an_arena_stay_fifo() {
         let mut a: Arena<u32> = Arena::default();
-        let (mut p, mut q) = (QueueLink::default(), QueueLink::default());
+        let fresh = QueueLink::table(2);
+        let (mut p, mut q) = (fresh[0], fresh[1]);
+        assert_eq!(q, QueueLink::default(), "a table's link is the zero link");
         assert!(p.is_empty() && p.front(&a).is_none() && p.pop_front(&mut a).is_none());
         p.push_back(&mut a, 1);
         q.push_back(&mut a, 10);

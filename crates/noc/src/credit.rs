@@ -52,6 +52,18 @@ pub(crate) fn admits(occ: u32, flits: u32, cap: u32) -> bool {
 pub struct Credit(AtomicU32);
 
 impl Credit {
+    /// `n` unreserved, unmarked words, collected in place from a zeroed
+    /// allocation: the map from zero words to zero words writes nothing,
+    /// so the pages of queues no flit ever reaches stay untouched (a
+    /// `(0..n).map(|_| Credit::default()).collect()` stores every word).
+    pub(crate) fn table(n: usize) -> Vec<Credit> {
+        let words = vec![0u32; n];
+        words
+            .into_iter()
+            .map(|w| Credit(AtomicU32::new(w)))
+            .collect()
+    }
+
     /// Flits currently reserved.
     #[inline]
     pub(crate) fn flits(&self) -> u32 {

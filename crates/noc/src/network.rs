@@ -272,7 +272,7 @@ impl Network {
             ));
             start = end;
         }
-        let occupancy = (0..topo.num_queues()).map(|_| Credit::default()).collect();
+        let occupancy = Credit::table(topo.num_queues());
         let mailboxes = (0..n)
             .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
             .collect();

@@ -1340,7 +1340,7 @@ mod tests {
             .build()
             .unwrap();
         let topo = TopoInfo::from_system(&cfg);
-        let occupancy: Vec<Credit> = (0..topo.num_queues()).map(|_| Credit::default()).collect();
+        let occupancy = Credit::table(topo.num_queues());
         let mut arena = PacketArena::default();
         let mut router = RouterState::default();
         let inject = InPort::Inject.index();

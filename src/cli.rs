@@ -271,7 +271,8 @@ pub(crate) static SWEEP: Command = Command {
     positionals: "",
     about: "Expand a JSON experiment spec into run points, execute the ones missing from the\n\
         store concurrently, and print the comparison table. Re-invoking skips completed run\n\
-        IDs. A point a ward stops is recorded with termination ward:<name>, not as a failure.",
+        IDs. A point a ward stops is recorded with termination ward:<name>, not as a failure.\n\
+        With --csv, stdout is the CSV alone and the other lines go to stderr.",
     flags: &[
         flag("--spec", "FILE", "", "the experiment spec (required)"),
         flag("--store", "FILE", "", "the resumable JSONL result store (default target/dse/<name>.jsonl)"),

@@ -255,9 +255,10 @@ fn cmd_sweep(args: &Args) -> Result<i32, Failure> {
     let default_store = default_store(&spec.name);
     let store_path = args.get("--store").unwrap_or(&default_store);
 
+    let csv = args.get("--csv").is_some();
     let points = spec.expand()?;
-    println!(
-        "sweep `{}`: {} points ({} axes, {} apps, {} datasets), {} host threads x {} per run",
+    let title = format!(
+        "sweep `{}`: {} points ({} axes, {} apps, {} datasets), {} host threads x {} per run\n",
         spec.name,
         points.len(),
         spec.axes.len(),
@@ -266,18 +267,20 @@ fn cmd_sweep(args: &Args) -> Result<i32, Failure> {
         host_threads,
         spec.threads_per_run,
     );
+    prose(&title, csv);
     let mut store = JsonlStore::open(store_path)?;
     let mut runner = BatchRunner::new(host_threads);
     if let Some(every) = every {
         runner = runner.with_sample_every(every.get());
-        println!(
+        let live = format!(
             "live metrics: one stream per point under {store_path}.metrics/ \
-             (every {every} cycles)"
+             (every {every} cycles)\n"
         );
+        prose(&live, csv);
     }
     let outcome = runner.run_points(&points, spec.threads_per_run, &mut store)?;
-    report_outcome(&outcome, &store, false);
-    print_table(&store, &[], args.get("--csv").is_some())?;
+    report_outcome(&outcome, &store, csv);
+    print_table(&store, &[], csv)?;
     Ok(i32::from(outcome.check_failures > 0))
 }
 

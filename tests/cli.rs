@@ -140,7 +140,7 @@ const ROWS: &[(&[&str], End, &str)] = &[
     (&["sweep", "--spec", SPEC, "--host-threads", "0", "--store", "zero.jsonl"], Usage, "error: invalid thread count `0`: number would be zero for non-zero type"), // was: Pass "0 host threads"
     (&["sweep", "--spec", SPEC, "--sample-every", "0", "--store", "s0.jsonl"], Usage, "error: invalid sample cadence `0`: number would be zero for non-zero type"), // was: Usage "error: --sample-every must be >= 1"
     (&["sweep", "--spec", SPEC, "--store", "s.jsonl", "--host-threads", "2"], Pass, "executed 2 points, skipped 0"),
-    (&["sweep", "--spec", SPEC, "--store", "s.jsonl", "--csv"], Pass, "executed 0 points, skipped 2"),
+    (&["sweep", "--spec", SPEC, "--store", "s.jsonl", "--csv"], Pass, "config,app,dataset,runtime_s,"), // was: Pass "executed 0 points, skipped 2"
 
     // ── report ───────────────────────────────────────────────────────
     (&["report"], Usage, "error: missing the required flag `--store`"), // was: Usage "error: report needs --store FILE"
